@@ -335,6 +335,22 @@ func BenchmarkOptimizeQ5(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeDMV compiles all 39 DMV queries cold (fresh optimizer, no
+// feedback) per iteration: DP enumeration plus the validity-range search on
+// joins up to ten tables wide — the optimizer's share of adaptive_dmv.
+func BenchmarkOptimizeDMV(b *testing.B) {
+	cat, qs := dmvFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, qi := range qs {
+			if _, err := optimizer.New(cat).Optimize(qi.Query); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkExecuteQ3 measures end-to-end execution of Q3 without POP.
 func BenchmarkExecuteQ3(b *testing.B) {
 	cat := tpchFixture(b)

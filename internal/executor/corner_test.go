@@ -387,3 +387,78 @@ func TestHashLookupAccessPath(t *testing.T) {
 		t.Errorf("absent key: rows=%d err=%v", len(rows2), err)
 	}
 }
+
+// TestNaiveNLJNRowsDoNotAliasScratch: the naive nested-loop join evaluates
+// its filter on a node-owned scratch row and must hand out copies. Scribbling
+// over every returned row — including the outer prefix the scratch keeps
+// across the inner rescan — must not change any later row.
+func TestNaiveNLJNRowsDoNotAliasScratch(t *testing.T) {
+	cat := pairFixture(t, ints(5, 5, 6), ints(5, 5, 5, 6))
+	b := logical.NewBuilder(cat)
+	b.AddTable("lt", "l")
+	b.AddTable("rt", "r")
+	b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("l", "lk"), R: b.Col("r", "rk")})
+	b.SelectCol("l", "lv")
+	b.SelectCol("r", "rv")
+	q, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := optimizer.New(cat)
+	joinConfigs["naive"](opt)
+	plan, err := opt.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pull := func(scribble bool) []string {
+		ex, err := NewExecutor(cat, q, nil, opt.Model.Params, &Meter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := ex.Build(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var join *nljnNode
+		Walk(root, func(n Node) {
+			if j, ok := n.(*nljnNode); ok {
+				join = j
+			}
+		})
+		if join == nil || join.probe != nil {
+			t.Fatalf("no naive NLJN in plan:\n%s", optimizer.Explain(plan, q))
+		}
+		if err := join.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for {
+			row, ok, err := join.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			out = append(out, row.String())
+			if scribble {
+				for i := range row {
+					row[i] = types.NewInt(-1)
+				}
+			}
+		}
+		if err := join.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want, got := pull(false), pull(true)
+	if len(want) != 7 {
+		t.Fatalf("reference pass returned %d rows, want 7", len(want))
+	}
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("row %d changed after earlier rows were overwritten:\n got %v\nwant %v", i, got, want)
+		}
+	}
+}

@@ -25,8 +25,13 @@ type nljnNode struct {
 	outerKey  int // position of the lookup key in the outer row
 	innerPlan *optimizer.Plan
 
-	curOuter schema.Row
-	haveOut  bool
+	haveOut bool
+	// pair is the naive variant's scratch: the current outer row (outerLen
+	// datums) followed by the inner row under test. The join filter is
+	// evaluated on it and only accepted pairs are copied out, so a rejected
+	// pair allocates nothing.
+	pair     schema.Row
+	outerLen int
 	// queued inner matches for the index variant
 	queue []schema.Row
 }
@@ -121,8 +126,9 @@ func (n *nljnNode) nextNaive() (schema.Row, bool, error) {
 				n.stats.Done = ok == false && err == nil
 				return nil, false, err
 			}
-			n.curOuter = row
 			n.haveOut = true
+			n.pair = append(n.pair[:0], row...)
+			n.outerLen = len(row)
 			if err := n.inner.(Rewinder).Rewind(); err != nil {
 				return nil, false, err
 			}
@@ -136,15 +142,15 @@ func (n *nljnNode) nextNaive() (schema.Row, bool, error) {
 			continue
 		}
 		n.charge(n.ex, pr.PredEval)
-		joined := n.curOuter.Concat(irow)
-		keep, err := evalFilter(n.filter, n.ex.ectx, joined)
+		n.pair = append(n.pair[:n.outerLen], irow...)
+		keep, err := evalFilter(n.filter, n.ex.ectx, n.pair)
 		if err != nil {
 			return nil, false, err
 		}
 		if keep {
 			n.charge(n.ex, pr.OutputRow)
 			n.stats.RowsOut++
-			return joined, true, nil
+			return n.pair.Clone(), true, nil
 		}
 	}
 }

@@ -162,11 +162,13 @@ func (q *Query) ColumnType(g int) types.Kind {
 // expression (bit i = table i).
 func (q *Query) TablesUsed(e expr.Expr) uint64 {
 	var mask uint64
-	for _, g := range expr.ColumnsUsed(e) {
-		if t := q.TableOf(g); t >= 0 {
-			mask |= 1 << uint(t)
+	expr.Walk(e, func(n expr.Expr) {
+		if c, ok := n.(*expr.ColRef); ok {
+			if t := q.TableOf(c.Pos); t >= 0 {
+				mask |= 1 << uint(t)
+			}
 		}
-	}
+	})
 	return mask
 }
 

@@ -1,0 +1,64 @@
+package optimizer
+
+import (
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/dmv"
+	"repro/internal/logical"
+)
+
+// widestDMV loads a small DMV database and returns the widest join of its
+// workload (ten tables).
+func widestDMV(t *testing.T) (*catalog.Catalog, *logical.Query) {
+	t.Helper()
+	cat := catalog.New()
+	if err := dmv.Load(cat, dmv.Config{Scale: 0.05, Seed: 17}); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := dmv.Queries(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest := qs[0].Query
+	for _, qi := range qs {
+		if len(qi.Query.Tables) > len(widest.Tables) {
+			widest = qi.Query
+		}
+	}
+	if len(widest.Tables) != 10 {
+		t.Fatalf("widest DMV query joins %d tables, want 10", len(widest.Tables))
+	}
+	return cat, widest
+}
+
+// TestOptimizeAllocBudget pins what a cold DP compile of the widest DMV query
+// may allocate. When every candidate was a heap Plan with its own Cols,
+// conjunctions and key slices, this call made 3,304,691 allocations; costing
+// candidates in planner-owned scratch brought it to 251,436. The ceiling —
+// under an eighth of the old count — trips on a per-candidate allocation
+// creeping back in, not on a few more per split.
+func TestOptimizeAllocBudget(t *testing.T) {
+	cat, q := widestDMV(t)
+	const ceiling = 400_000
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := New(cat).Optimize(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Optimize: %.0f allocations", allocs)
+	if allocs > ceiling {
+		t.Errorf("Optimize made %.0f allocations, budget %d", allocs, ceiling)
+	}
+}
+
+// TestNarrowValidityZeroAlloc: once the winner's Validity slice exists, a
+// narrowing against another alternative — both crossover searches, every cost
+// evaluation — must not allocate.
+func TestNarrowValidityZeroAlloc(t *testing.T) {
+	popt, palt, m := nljnVsHsjn(100)
+	m.narrowValidity(popt, palt) // warm: allocates popt.Validity
+	if allocs := testing.AllocsPerRun(100, func() { m.narrowValidity(popt, palt) }); allocs != 0 {
+		t.Errorf("narrowValidity made %.0f allocations on a warmed winner, want 0", allocs)
+	}
+}

@@ -201,11 +201,8 @@ func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 
 // scaleCardOf scales the estimated output cardinality in proportion to the
 // perturbed input cardinalities, so cost terms that depend on output size
-// respond to the sensitivity analysis. The snapshot — the cardinalities the
-// estimate was computed from — is read directly from the node's children
-// instead of materialized by childCardsSnapshot: the validity-range search
-// evaluates Recost thousands of times per optimization, and a per-evaluation
-// snapshot slice was the single largest allocation site in the whole system.
+// respond to the sensitivity analysis. The cardinalities the estimate was
+// computed from are read from the node's children.
 func scaleCardOf(p *Plan, cc []float64) float64 {
 	out := p.Card
 	for i := range cc {
@@ -219,23 +216,42 @@ func scaleCardOf(p *Plan, cc []float64) float64 {
 	return out
 }
 
-// childCardsSnapshot returns the child cardinalities the node's estimates
-// were derived from.
-func (p *Plan) childCardsSnapshot() []float64 {
-	out := make([]float64, len(p.Children))
-	for i, c := range p.Children {
-		out[i] = c.Card
-	}
-	return out
+// edgeCost is f(card) = total cost of a node with child edge k's cardinality
+// overridden — the function whose crossover the validity-range search
+// locates. It is a plain value: the node's child cardinalities and subtree
+// costs sit in fixed arrays (every operator has at most two inputs), so
+// building one and evaluating it allocates nothing.
+type edgeCost struct {
+	m          *CostModel
+	p          *Plan
+	k          int
+	card, cost [2]float64
 }
 
-// childCosts returns the child subtree costs.
-func (p *Plan) childCosts() []float64 {
-	out := make([]float64, len(p.Children))
-	for i, c := range p.Children {
-		out[i] = c.Cost
+// edgeCost snapshots p's child cardinalities and subtree costs for
+// evaluations along edge k.
+func (m *CostModel) edgeCost(p *Plan, k int) edgeCost {
+	if len(p.Children) > 2 {
+		panic("optimizer: edgeCost on a node with more than two inputs")
 	}
-	return out
+	e := edgeCost{m: m, p: p, k: k}
+	for i, c := range p.Children {
+		e.card[i], e.cost[i] = c.Card, c.Cost
+	}
+	return e
+}
+
+// eval is the node's total cost at the snapshot's current cardinalities.
+func (e *edgeCost) eval() float64 {
+	n := len(e.p.Children)
+	return e.m.Recost(e.p, e.card[:n], e.cost[:n])
+}
+
+// at evaluates the node's total cost with edge k's cardinality set to card,
+// holding every child's subtree cost fixed.
+func (e *edgeCost) at(card float64) float64 {
+	e.card[e.k] = card
+	return e.eval()
 }
 
 // finishCosting sets p.Cost from its children using the model.
@@ -243,16 +259,17 @@ func (m *CostModel) finishCosting(p *Plan) {
 	if len(p.Children) == 0 {
 		return
 	}
-	p.Cost = m.Recost(p, p.childCardsSnapshot(), p.childCosts())
+	e := m.edgeCost(p, 0)
+	p.Cost = e.eval()
 }
 
 // CostWithEdgeCard recomputes the total cost of p with child edge k's
-// cardinality overridden to c, holding every child's subtree cost fixed.
-// This is the f(c) whose crossover the validity-range search locates.
+// cardinality overridden to c, holding every child's subtree cost fixed. An
+// out-of-range k overrides nothing.
 func (m *CostModel) CostWithEdgeCard(p *Plan, k int, c float64) float64 {
-	cc := p.childCardsSnapshot()
-	if k >= 0 && k < len(cc) {
-		cc[k] = c
+	e := m.edgeCost(p, k)
+	if k < 0 || k >= len(p.Children) {
+		return e.eval()
 	}
-	return m.Recost(p, cc, p.childCosts())
+	return e.at(c)
 }

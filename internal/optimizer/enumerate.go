@@ -3,7 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -110,12 +110,17 @@ type planner struct {
 	q    *logical.Query
 	tabs []*catalog.Table
 	est  *estimator
-	// best maps a table subset to its best plans keyed by output order
-	// (-1 = unordered).
-	best map[uint64]map[int]*Plan
+	// best maps a table subset to its best plans, one per output order.
+	best map[uint64]group
 
 	// candidates counts addCandidate offers (see EnumeratedCandidates).
 	candidates int
+
+	// Per-table constants every access path and join over the table shares:
+	// its column ids, its local predicates and their conjunction.
+	cols        [][]int
+	local       [][]expr.Expr
+	localFilter []expr.Expr
 
 	// joinPreds is the precomputed join-predicate index: every multi-table
 	// WHERE conjunct with its table mask, in WHERE order. joinPredsBetween
@@ -127,6 +132,28 @@ type planner struct {
 	// never retain the slice (Conjoin and equiPairs both copy what they
 	// keep), so one buffer serves the whole enumeration.
 	predScratch []expr.Expr
+
+	scratch scratch
+}
+
+// group holds a subset's plans, at most one per output order, sorted by
+// order key (the unordered plan, key -1, first). Visiting it in slice order
+// makes everything the visit order can reach — cost tie-breaks, candidate
+// generation, validity narrowing — deterministic by construction.
+type group []*Plan
+
+// scratch is the planner-owned storage join candidates are built and costed
+// in. Most candidates lose to their slot's incumbent at once; only one that
+// takes a slot is copied to the heap (planner.keep), together with the SORT
+// or index-probe child built for it.
+type scratch struct {
+	node     Plan
+	kids     [2]*Plan
+	validity [2]Range
+	sort     Plan // SORT enforcer over the outer of a merge join
+	sortKid  [1]*Plan
+	sortKey  [1]SortKey
+	probe    Plan // parameterized index probe under an index NLJN
 }
 
 // Optimize compiles the query into the cheapest physical plan, computing
@@ -153,9 +180,19 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 		q:    q,
 		tabs: tabs,
 		est:  newEstimator(estQ, tabs, o.Feedback),
-		best: make(map[uint64]map[int]*Plan),
+		best: make(map[uint64]group),
 	}
 	pl.est.uncertainty = o.UncertaintyPenalty
+	for ti := range tabs {
+		cols := make([]int, q.Schemas[ti].Len())
+		for i := range cols {
+			cols[i] = q.GlobalID(ti, i)
+		}
+		local := q.LocalPredicates(ti)
+		pl.cols = append(pl.cols, cols)
+		pl.local = append(pl.local, local)
+		pl.localFilter = append(pl.localFilter, expr.Conjoin(local...))
+	}
 	for _, p := range q.JoinPredicates() {
 		pl.joinPreds = append(pl.joinPreds, predMask{pred: p, mask: q.TablesUsed(p)})
 	}
@@ -321,50 +358,76 @@ func (o *Optimizer) parallelJoin(p *Plan) *Plan {
 }
 
 // addCandidate offers a plan for its subset/order slot, pruning against the
-// incumbent and narrowing the winner's validity ranges per §2.2.
+// incumbent and narrowing the winner's validity ranges per §2.2. cand may
+// live in scratch; it is copied out if it takes the slot.
 func (pl *planner) addCandidate(cand *Plan) {
 	pl.candidates++
-	group := pl.best[cand.tables]
-	if group == nil {
-		group = make(map[int]*Plan)
-		pl.best[cand.tables] = group
+	g := pl.best[cand.tables]
+	i := 0
+	for i < len(g) && g[i].ordered < cand.ordered {
+		i++
 	}
+	vacant := i == len(g) || g[i].ordered != cand.ordered
+	takes := vacant || cand.Cost < g[i].Cost
 	// Narrow across order groups too: an ordered plan (e.g. a merge join)
 	// and the unordered best are structural alternatives for the same
 	// subset, so their cost crossover bounds both plans' edges even though
 	// neither prunes the other.
 	if cand.ordered != -1 {
-		if u := group[-1]; u != nil {
-			pl.narrowPair(cand, u)
+		if len(g) > 0 && g[0].ordered == -1 {
+			pl.narrowAcross(cand, g[0], takes)
 		}
 	} else {
-		for _, inc := range orderedGroup(group) {
+		for _, inc := range g {
 			if inc.ordered != -1 {
-				pl.narrowPair(cand, inc)
+				pl.narrowAcross(cand, inc, takes)
 			}
 		}
 	}
-	inc := group[cand.ordered]
-	if inc == nil {
-		group[cand.ordered] = cand
-		return
+	switch {
+	case vacant:
+		pl.best[cand.tables] = slices.Insert(g, i, pl.keep(cand))
+	case takes:
+		pl.narrow(cand, g[i])
+		g[i] = pl.keep(cand)
+	default:
+		pl.narrow(g[i], cand)
 	}
+}
+
+// narrowAcross narrows the cheaper of a candidate and another order group's
+// incumbent against the costlier. A candidate that will not take its own
+// slot is dropped when addCandidate returns, so narrowing its ranges is
+// skipped; an incumbent cheaper than it is still narrowed against it.
+func (pl *planner) narrowAcross(cand, inc *Plan, takes bool) {
 	if cand.Cost < inc.Cost {
-		pl.narrow(cand, inc)
-		group[cand.ordered] = cand
+		if takes {
+			pl.narrow(cand, inc)
+		}
 	} else {
 		pl.narrow(inc, cand)
 	}
 }
 
-// narrowPair narrows the cheaper plan's validity ranges against the
-// costlier alternative.
-func (pl *planner) narrowPair(a, b *Plan) {
-	if a.Cost < b.Cost {
-		pl.narrow(a, b)
-	} else {
-		pl.narrow(b, a)
+// keep returns cand itself unless it is the scratch candidate, which is
+// copied to the heap along with whichever child was built in scratch for it.
+// Cols is filled in here: costing never reads a candidate's own column list,
+// and every join's output is its left input's columns followed by its right's.
+func (pl *planner) keep(cand *Plan) *Plan {
+	sc := &pl.scratch
+	if cand != &sc.node {
+		return cand
 	}
+	l, r := pl.keepSort(cand.Children[0]), cand.Children[1]
+	if r == &sc.probe {
+		probe := sc.probe
+		r = &probe
+	}
+	h := *cand
+	h.Children = []*Plan{l, r}
+	h.Cols = slices.Concat(l.Cols, r.Cols)
+	h.Validity = append([]Range(nil), cand.Validity...)
+	return &h
 }
 
 func (pl *planner) narrow(winner, loser *Plan) {
@@ -374,44 +437,16 @@ func (pl *planner) narrow(winner, loser *Plan) {
 	pl.opt.Model.narrowValidity(winner, loser)
 }
 
-// bestOf returns the cheapest plan for the subset across all order keys.
-// Iteration is in sorted order-key order so cost ties break the same way
-// every run — with Go's randomized map iteration a tie would otherwise pick
-// a different plan per process.
+// bestOf returns the cheapest plan for the subset across all order keys;
+// cost ties go to the lowest order key.
 func (pl *planner) bestOf(mask uint64) *Plan {
 	var best *Plan
-	for _, p := range orderedGroup(pl.best[mask]) {
+	for _, p := range pl.best[mask] {
 		if best == nil || p.Cost < best.Cost {
 			best = p
 		}
 	}
 	return best
-}
-
-// orderedGroup returns a subset's per-order-key plans sorted by order key,
-// replacing direct map iteration wherever the visit order can reach plan
-// choice (cost tie-breaks, candidate generation, validity narrowing).
-func orderedGroup(group map[int]*Plan) []*Plan {
-	keys := make([]int, 0, len(group))
-	for k := range group {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]*Plan, len(keys))
-	for i, k := range keys {
-		out[i] = group[k]
-	}
-	return out
-}
-
-// allCols returns the global ids of every column of table ti.
-func (pl *planner) allCols(ti int) []int {
-	n := pl.q.Schemas[ti].Len()
-	out := make([]int, n)
-	for i := range out {
-		out[i] = pl.q.GlobalID(ti, i)
-	}
-	return out
 }
 
 // baseAccessPaths generates the single-table access plans: sequential scan,
@@ -420,10 +455,10 @@ func (pl *planner) allCols(ti int) []int {
 func (pl *planner) baseAccessPaths(ti int) []*Plan {
 	q, t := pl.q, pl.tabs[ti]
 	pr := &pl.opt.Model.Params
-	local := q.LocalPredicates(ti)
+	local := pl.local[ti]
 	baseRows := t.RowCount()
 	fCard := pl.est.filteredBaseCard(ti)
-	cols := pl.allCols(ti)
+	cols := pl.cols[ti]
 	mask := uint64(1) << uint(ti)
 
 	var paths []*Plan
@@ -431,7 +466,7 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 	scan := &Plan{
 		Op:      OpTableScan,
 		Table:   ti,
-		Filter:  expr.Conjoin(local...),
+		Filter:  pl.localFilter[ti],
 		Cols:    cols,
 		Card:    fCard,
 		Cost:    baseRows*pr.ScanRow + baseRows*float64(len(local))*pr.PredEval,
@@ -617,12 +652,7 @@ func (pl *planner) enumerateDP(full uint64) {
 // expandSubset generates join plans for a subset from its left-deep splits
 // and offers a matching MV as an alternative.
 func (pl *planner) expandSubset(mask uint64) {
-	type split struct {
-		ti        int
-		connected bool
-	}
-	var splits []split
-	anyConnected := false
+	var splits, connected uint64 // inner tables of the usable splits
 	for ti := range pl.q.Tables {
 		bit := uint64(1) << uint(ti)
 		if mask&bit == 0 {
@@ -632,23 +662,30 @@ func (pl *planner) expandSubset(mask uint64) {
 		if rest == 0 || len(pl.best[rest]) == 0 {
 			continue
 		}
-		conn := len(pl.joinPredsBetween(rest, ti)) > 0
-		anyConnected = anyConnected || conn
-		splits = append(splits, split{ti: ti, connected: conn})
-	}
-	for _, s := range splits {
-		if anyConnected && !s.connected {
-			continue // defer cartesian products unless unavoidable
+		splits |= bit
+		if len(pl.joinPredsBetween(rest, ti)) > 0 {
+			connected |= bit
 		}
-		rest := mask &^ (1 << uint(s.ti))
-		for _, outer := range orderedGroup(pl.best[rest]) {
-			for _, cand := range pl.joinCandidates(outer, s.ti) {
-				pl.addCandidate(cand)
-			}
+	}
+	if connected != 0 {
+		splits = connected // defer cartesian products unless unavoidable
+	}
+	for ti := range pl.q.Tables {
+		if bit := uint64(1) << uint(ti); splits&bit != 0 {
+			pl.joinSubset(mask&^bit, ti)
 		}
 	}
 	if mv := pl.matchMV(mask); mv != nil {
 		pl.addCandidate(mv)
+	}
+}
+
+// joinSubset offers every physical join of each plan of subset rest with
+// table ti.
+func (pl *planner) joinSubset(rest uint64, ti int) {
+	s := pl.newSplit(rest, ti)
+	for _, outer := range pl.best[rest] {
+		s.joinCandidates(outer)
 	}
 }
 
@@ -685,11 +722,7 @@ func (pl *planner) enumerateGreedy(full uint64) error {
 		if next < 0 {
 			return fmt.Errorf("optimizer: greedy enumeration stuck at %s", pl.est.maskString(joined))
 		}
-		for _, outer := range orderedGroup(pl.best[joined]) {
-			for _, cand := range pl.joinCandidates(outer, next) {
-				pl.addCandidate(cand)
-			}
-		}
+		pl.joinSubset(joined, next)
 		joined |= 1 << uint(next)
 		if mv := pl.matchMV(joined); mv != nil {
 			pl.addCandidate(mv)
@@ -745,175 +778,219 @@ func (pl *planner) equiPairs(preds []expr.Expr, rest uint64, ti int) (pairs []eq
 	return pairs, residual
 }
 
-// joinCandidates builds every physical join of outer ⋈ table ti the knobs
-// allow: naive NLJN, index NLJN, hash join in both build directions, and
-// merge join with sort enforcers.
-func (pl *planner) joinCandidates(outer *Plan, ti int) []*Plan {
-	q := pl.q
-	bit := uint64(1) << uint(ti)
-	mask := outer.tables | bit
-	outCard := pl.est.SubsetCard(mask)
-	joinPreds := pl.joinPredsBetween(outer.tables, ti)
-	pairs, nonEqui := pl.equiPairs(joinPreds, outer.tables, ti)
-	m := &pl.opt.Model
+// split is everything the physical joins of (outer subset ⋈ table ti) share
+// across the subset's outer plans, computed once per split: the connecting
+// predicates cut into each join method's conjunctions and key columns, the
+// inner-side plans, and the output cardinality. Every candidate built from a
+// split points at the same expressions and key slices (see the immutability
+// contract on Plan).
+type split struct {
+	pl      *planner
+	ti      int
+	mask    uint64  // outer subset plus ti
+	outCard float64 // estimated join output cardinality
+	inner   *Plan   // cheapest access path of ti
 
-	innerPlans := pl.best[bit]
-	innerCheapest := pl.bestOf(bit)
-	if innerCheapest == nil {
-		return nil
-	}
+	joinPred expr.Expr // conjunction of all connecting predicates
 
-	var out []*Plan
-	mk := func(p *Plan) {
-		p.tables = mask
-		p.Card = outCard
-		m.finishCosting(p) // the model applies the robustness handicap
-		out = append(out, p)
-	}
+	// Hash join: one key column per equi pair, non-equi predicates residual.
+	probeKeys, buildKeys []int // outer-side / ti-side key columns
+	hashFilter           expr.Expr
 
-	// Naive nested-loop join: always applicable (handles non-equi and
-	// cartesian joins), rescans the inner per outer row.
-	if !pl.opt.DisableNLJN {
-		mk(&Plan{
-			Op:       OpNLJN,
-			Children: []*Plan{outer, innerCheapest},
-			JoinPred: expr.Conjoin(joinPreds...),
-			Filter:   expr.Conjoin(joinPreds...),
-			Cols:     append(append([]int(nil), outer.Cols...), innerCheapest.Cols...),
-			ordered:  outer.ordered,
-		})
-	}
+	indexJoins []indexJoin
 
-	// Index nested-loop join per indexed equi column.
-	if !pl.opt.DisableNLJN && !pl.opt.DisableIndexJoin {
-		for _, pr := range pairs {
-			ord := q.OrdinalOf(pr.innerCol)
-			ix := pl.tabs[ti].BTreeOn(ord)
-			if ix == nil {
-				continue
-			}
-			probe := pl.indexProbePlan(ti, ord, outer, outCard)
-			var residual []expr.Expr
-			residual = append(residual, nonEqui...)
-			for _, other := range pairs {
-				if other.pred != pr.pred {
-					residual = append(residual, other.pred)
-				}
-			}
-			mk(&Plan{
-				Op:        OpNLJN,
-				IndexJoin: true,
-				LookupCol: pr.outerCol,
-				Children:  []*Plan{outer, probe},
-				JoinPred:  expr.Conjoin(joinPreds...),
-				Filter:    expr.Conjoin(residual...),
-				Cols:      append(append([]int(nil), outer.Cols...), probe.Cols...),
-				ordered:   outer.ordered,
-			})
-		}
-	}
-
-	// Hash join (requires at least one equality) in both build directions.
-	if !pl.opt.DisableHSJN && len(pairs) > 0 {
-		probeKeys := make([]int, len(pairs))
-		buildKeys := make([]int, len(pairs))
-		for i, pr := range pairs {
-			probeKeys[i] = pr.outerCol
-			buildKeys[i] = pr.innerCol
-		}
-		// Build on the single table, probe with the outer subset.
-		mk(&Plan{
-			Op:        OpHSJN,
-			Children:  []*Plan{outer, innerCheapest},
-			EquiLeft:  probeKeys,
-			EquiRight: buildKeys,
-			Filter:    expr.Conjoin(nonEqui...),
-			Cols:      append(append([]int(nil), outer.Cols...), innerCheapest.Cols...),
-			ordered:   outer.ordered,
-		})
-		// Build on the outer subset, probe with the table.
-		mk(&Plan{
-			Op:        OpHSJN,
-			Children:  []*Plan{innerCheapest, outer},
-			EquiLeft:  buildKeys,
-			EquiRight: probeKeys,
-			Filter:    expr.Conjoin(nonEqui...),
-			Cols:      append(append([]int(nil), innerCheapest.Cols...), outer.Cols...),
-			ordered:   innerCheapest.ordered,
-		})
-	}
-
-	// Merge join on the first equi pair, with sort enforcers as needed. An
-	// inner plan already ordered on the key (an index scan) avoids its sort.
-	if !pl.opt.DisableMGJN && len(pairs) > 0 {
-		pr := pairs[0]
-		left := pl.sorted(outer, pr.outerCol)
-		var right *Plan
-		if ip, ok := innerPlans[pr.innerCol]; ok {
-			right = ip
-		} else {
-			right = pl.sorted(innerCheapest, pr.innerCol)
-		}
-		var residual []expr.Expr
-		residual = append(residual, nonEqui...)
-		for _, other := range pairs[1:] {
-			residual = append(residual, other.pred)
-		}
-		mk(&Plan{
-			Op:        OpMGJN,
-			Children:  []*Plan{left, right},
-			EquiLeft:  []int{pr.outerCol},
-			EquiRight: []int{pr.innerCol},
-			Filter:    expr.Conjoin(residual...),
-			Cols:      append(append([]int(nil), left.Cols...), right.Cols...),
-			ordered:   pr.outerCol,
-		})
-	}
-	return out
+	// Merge join on the first equi pair; every other predicate is residual.
+	mergeLeft, mergeRight []int
+	mergeFilter           expr.Expr
+	mergeInner            *Plan // ti ordered on the merge key: an index scan, else a SORT over inner
 }
 
-// indexProbePlan builds the parameterized index-probe inner of an index
-// NLJN: Card is the expected matches per probe and Cost the per-probe cost.
-func (pl *planner) indexProbePlan(ti, ord int, outer *Plan, outCard float64) *Plan {
-	q := pl.q
+// indexJoin is one index nested-loop alternative: an equi pair whose ti-side
+// column has a B-tree.
+type indexJoin struct {
+	lookupCol int       // outer-side column supplying the probe key
+	ord       int       // ti-side column ordinal
+	levelCost float64   // B-tree descent cost per probe
+	filter    expr.Expr // every connecting predicate but the probed pair
+}
+
+// newSplit derives the split of subset rest ⋈ table ti, leaving out the
+// parts a disabled join method would need.
+func (pl *planner) newSplit(rest uint64, ti int) split {
+	o := pl.opt
+	bit := uint64(1) << uint(ti)
+	preds := pl.joinPredsBetween(rest, ti)
+	pairs, nonEqui := pl.equiPairs(preds, rest, ti)
+	s := split{
+		pl:       pl,
+		ti:       ti,
+		mask:     rest | bit,
+		outCard:  pl.est.SubsetCard(rest | bit),
+		inner:    pl.bestOf(bit),
+		joinPred: expr.Conjoin(preds...),
+	}
+	if len(pairs) == 0 {
+		return s
+	}
+	// residualWithout conjoins the non-equi predicates with every equi pair
+	// but pairs[skip], in that order.
+	residualWithout := func(skip int) expr.Expr {
+		residual := append([]expr.Expr(nil), nonEqui...)
+		for i, pr := range pairs {
+			if i != skip {
+				residual = append(residual, pr.pred)
+			}
+		}
+		return expr.Conjoin(residual...)
+	}
+	if !o.DisableNLJN && !o.DisableIndexJoin {
+		for i, pr := range pairs {
+			ord := pl.q.OrdinalOf(pr.innerCol)
+			if ix := pl.tabs[ti].BTreeOn(ord); ix != nil {
+				s.indexJoins = append(s.indexJoins, indexJoin{
+					lookupCol: pr.outerCol,
+					ord:       ord,
+					levelCost: float64(ix.Height()) * o.Model.Params.IndexLevel,
+					filter:    residualWithout(i),
+				})
+			}
+		}
+	}
+	if !o.DisableHSJN {
+		s.probeKeys = make([]int, len(pairs))
+		s.buildKeys = make([]int, len(pairs))
+		for i, pr := range pairs {
+			s.probeKeys[i] = pr.outerCol
+			s.buildKeys[i] = pr.innerCol
+		}
+		s.hashFilter = expr.Conjoin(nonEqui...)
+	}
+	if !o.DisableMGJN {
+		pr := pairs[0]
+		s.mergeLeft, s.mergeRight = []int{pr.outerCol}, []int{pr.innerCol}
+		s.mergeFilter = residualWithout(0)
+		// An inner plan already ordered on the key (an index scan) avoids
+		// its sort.
+		for _, ip := range pl.best[bit] {
+			if ip.ordered == pr.innerCol {
+				s.mergeInner = ip
+				break
+			}
+		}
+		if s.mergeInner == nil {
+			s.mergeInner = pl.keepSort(pl.sorted(s.inner, pr.innerCol))
+		}
+	}
+	return s
+}
+
+// joinCandidates offers every physical join of outer ⋈ ti the knobs allow:
+// naive NLJN, index NLJN, hash join in both build directions, and merge join
+// with sort enforcers.
+func (s *split) joinCandidates(outer *Plan) {
+	o := s.pl.opt
+	if !o.DisableNLJN {
+		// Naive nested-loop join: always applicable (handles non-equi and
+		// cartesian joins), rescans the inner per outer row.
+		s.offer(Plan{Op: OpNLJN, JoinPred: s.joinPred, Filter: s.joinPred, ordered: outer.ordered},
+			outer, s.inner)
+		for i := range s.indexJoins {
+			ij := &s.indexJoins[i]
+			s.offer(Plan{Op: OpNLJN, IndexJoin: true, LookupCol: ij.lookupCol,
+				JoinPred: s.joinPred, Filter: ij.filter, ordered: outer.ordered},
+				outer, s.indexProbe(ij, outer))
+		}
+	}
+	if s.probeKeys != nil {
+		// Build on the single table, probe with the outer subset.
+		s.offer(Plan{Op: OpHSJN, EquiLeft: s.probeKeys, EquiRight: s.buildKeys,
+			Filter: s.hashFilter, ordered: outer.ordered}, outer, s.inner)
+		// Build on the outer subset, probe with the table.
+		s.offer(Plan{Op: OpHSJN, EquiLeft: s.buildKeys, EquiRight: s.probeKeys,
+			Filter: s.hashFilter, ordered: s.inner.ordered}, s.inner, outer)
+	}
+	if s.mergeInner != nil {
+		s.offer(Plan{Op: OpMGJN, EquiLeft: s.mergeLeft, EquiRight: s.mergeRight,
+			Filter: s.mergeFilter, ordered: s.mergeLeft[0]},
+			s.pl.sorted(outer, s.mergeLeft[0]), s.mergeInner)
+	}
+}
+
+// offer completes candidate c as a join of l and r in the planner's scratch
+// node, costs it (the model applies the robustness handicap) and offers it
+// for the split's subset.
+func (s *split) offer(c Plan, l, r *Plan) {
+	pl := s.pl
+	sc := &pl.scratch
+	sc.kids = [2]*Plan{l, r}
+	c.Children = sc.kids[:]
+	c.Validity = sc.validity[:0]
+	c.Card = s.outCard
+	c.tables = s.mask
+	sc.node = c
+	pl.opt.Model.finishCosting(&sc.node)
+	pl.addCandidate(&sc.node)
+}
+
+// indexProbe fills the scratch probe node with the parameterized index-probe
+// inner of an index NLJN under outer: Card is the expected matches per probe
+// and Cost the per-probe cost.
+func (s *split) indexProbe(ij *indexJoin, outer *Plan) *Plan {
+	pl := s.pl
 	pr := &pl.opt.Model.Params
-	ix := pl.tabs[ti].BTreeOn(ord)
-	local := q.LocalPredicates(ti)
-	perProbe := outCard / math.Max(outer.Card, 1e-9)
+	ti := s.ti
+	perProbe := s.outCard / math.Max(outer.Card, 1e-9)
 	if perProbe < 1e-6 {
 		perProbe = 1e-6
 	}
-	cost := float64(ix.Height())*pr.IndexLevel + perProbe*pr.FetchRow +
-		perProbe*float64(len(local))*pr.PredEval
-	return &Plan{
+	pl.scratch.probe = Plan{
 		Op:       OpIndexScan,
 		Table:    ti,
-		IndexOrd: ord,
-		Filter:   expr.Conjoin(local...),
-		Cols:     pl.allCols(ti),
+		IndexOrd: ij.ord,
+		Filter:   pl.localFilter[ti],
+		Cols:     pl.cols[ti],
 		Card:     perProbe,
-		Cost:     cost,
-		tables:   uint64(1) << uint(ti),
-		ordered:  -1,
+		Cost: ij.levelCost + perProbe*pr.FetchRow +
+			perProbe*float64(len(pl.local[ti]))*pr.PredEval,
+		tables:  uint64(1) << uint(ti),
+		ordered: -1,
 	}
+	return &pl.scratch.probe
 }
 
-// sorted wraps p in a SORT enforcer unless it is already ordered on col.
+// sorted returns p itself if it is already ordered on col, else the scratch
+// SORT enforcer over it, costed. The scratch node is overwritten by the next
+// call; keepSort makes it permanent.
 func (pl *planner) sorted(p *Plan, col int) *Plan {
 	if p.ordered == col {
 		return p
 	}
-	s := &Plan{
+	sc := &pl.scratch
+	sc.sortKid[0] = p
+	sc.sortKey[0] = SortKey{Col: col}
+	sc.sort = Plan{
 		Op:       OpSort,
-		Children: []*Plan{p},
-		SortKeys: []SortKey{{Col: col}},
+		Children: sc.sortKid[:],
+		SortKeys: sc.sortKey[:],
 		Cols:     p.Cols,
 		Card:     p.Card,
 		tables:   p.tables,
 		ordered:  col,
 	}
-	pl.opt.Model.finishCosting(s)
-	return s
+	pl.opt.Model.finishCosting(&sc.sort)
+	return &sc.sort
+}
+
+// keepSort returns p itself unless it is the scratch SORT enforcer, which is
+// copied to the heap.
+func (pl *planner) keepSort(p *Plan) *Plan {
+	if p != &pl.scratch.sort {
+		return p
+	}
+	h := *p
+	h.Children = []*Plan{p.Children[0]}
+	h.SortKeys = []SortKey{p.SortKeys[0]}
+	return &h
 }
 
 // finish layers aggregation, ordering, projection and limit over the join

@@ -173,6 +173,13 @@ type SortKey struct {
 // column ids present in this node's output rows, in row order. Card and Cost
 // are the optimizer's estimates; Validity holds the per-input-edge validity
 // ranges computed during pruning.
+//
+// Cols, Filter, JoinPred, EquiLeft and EquiRight are immutable once the node
+// is constructed: the enumerator points every candidate of a join split at
+// the same predicate conjunctions and key slices, and enforcers and CHECK/TEMP
+// wrappers share their child's Cols. Rewrites (checkpoint placement,
+// parallelize, expr.Remap in the executor) replace these fields on a clone or
+// copy the expression; nothing may write through them in place.
 type Plan struct {
 	Op       OpKind
 	Children []*Plan

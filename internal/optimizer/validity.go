@@ -35,55 +35,21 @@ func (m *CostModel) narrowValidity(popt, palt *Plan) {
 		if j < 0 || !edgeCheckable(palt, j) {
 			continue
 		}
-		// Both crossover searches evaluate both plans at the estimate before
-		// stepping, and every evaluation rebuilds the child-cardinality
-		// snapshot. Hoist the shared at-estimate evaluations and reuse one
-		// snapshot per (plan, edge) across the whole search: each crossover
-		// sees exactly the cost values the duplicated evaluations produced,
-		// so the returned bounds are bit-identical.
-		fOpt := m.edgeCostFn(popt, k)
-		fAlt := m.edgeCostFn(palt, j)
-		est := math.Max(popt.Children[k].Card, 1e-6)
-		costOptEst, costAltEst := fOpt(est), fAlt(est)
+		// Both crossover searches start from the two plans' costs at the
+		// estimate; evaluate those once and share one snapshot per (plan,
+		// edge) across both directions.
+		fOpt, fAlt := m.edgeCost(popt, k), m.edgeCost(palt, j)
+		est := math.Max(ck.Card, 1e-6)
+		costOptEst, costAltEst := fOpt.at(est), fAlt.at(est)
 		cur := popt.EdgeValidity(k)
-		if ub := upperCrossover(fOpt, fAlt, est, costOptEst, costAltEst); ub < cur.Hi {
+		if ub := upperCrossover(&fOpt, &fAlt, est, costOptEst, costAltEst); ub < cur.Hi {
 			cur.Hi = ub
 		}
-		if lb := lowerCrossover(fOpt, fAlt, est, costOptEst, costAltEst); lb > cur.Lo {
+		if lb := lowerCrossover(&fOpt, &fAlt, est, costOptEst, costAltEst); lb > cur.Lo {
 			cur.Lo = lb
 		}
 		popt.SetEdgeValidity(k, cur)
 	}
-}
-
-// edgeCostFn returns f(card) = total cost of p with child edge k's
-// cardinality overridden to card — CostWithEdgeCard with the snapshot and
-// child-cost arrays built once instead of per evaluation.
-func (m *CostModel) edgeCostFn(p *Plan, k int) func(float64) float64 {
-	cc := p.childCardsSnapshot()
-	cs := p.childCosts()
-	return func(card float64) float64 {
-		cc[k] = card
-		return m.Recost(p, cc, cs)
-	}
-}
-
-// upperCrossover / lowerCrossover method forms: build the per-edge cost
-// closures and evaluate at the estimate, then run the shared search. Used by
-// tests and one-off callers; narrowValidity inlines this to share the
-// closures between both directions.
-func (m *CostModel) upperCrossover(popt *Plan, k int, palt *Plan, j int) float64 {
-	fOpt := m.edgeCostFn(popt, k)
-	fAlt := m.edgeCostFn(palt, j)
-	est := math.Max(popt.Children[k].Card, 1e-6)
-	return upperCrossover(fOpt, fAlt, est, fOpt(est), fAlt(est))
-}
-
-func (m *CostModel) lowerCrossover(popt *Plan, k int, palt *Plan, j int) float64 {
-	fOpt := m.edgeCostFn(popt, k)
-	fAlt := m.edgeCostFn(palt, j)
-	est := math.Max(popt.Children[k].Card, 1e-6)
-	return lowerCrossover(fOpt, fAlt, est, fOpt(est), fAlt(est))
 }
 
 // edgeCheckable reports whether child edge k of p carries the child's full
@@ -117,7 +83,7 @@ func matchingEdge(p *Plan, mask uint64) int {
 // at the estimate. It returns +Inf if no crossover is found within the
 // iteration budget (conservative: the edge stays unbounded above with
 // respect to this alternative).
-func upperCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEst float64) float64 {
+func upperCrossover(fOpt, fAlt *edgeCost, est, costOptEst, costAltEst float64) float64 {
 	card := est
 	costOpt, costAlt := costOptEst, costAltEst
 	if costAlt < costOpt {
@@ -128,7 +94,7 @@ func upperCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 	for iter := 0; iter < validityIterations; iter++ {
 		currDiff := costAlt - costOpt
 		card *= 1.1 // need another point to estimate the gradient (Fig. 5b)
-		costOpt, costAlt = fOpt(card), fAlt(card)
+		costOpt, costAlt = fOpt.at(card), fAlt.at(card)
 		newDiff := costAlt - costOpt
 		if newDiff < 0 {
 			return card // cost inversion observed: a provable crossover
@@ -140,7 +106,7 @@ func upperCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 		} else {
 			card *= 10 // flat difference: probe much further out
 		}
-		costOpt, costAlt = fOpt(card), fAlt(card)
+		costOpt, costAlt = fOpt.at(card), fAlt.at(card)
 		if costAlt < costOpt {
 			return card
 		}
@@ -150,7 +116,7 @@ func upperCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 
 // lowerCrossover is the downward mirror of upperCrossover, returning 0 when
 // no crossover is found below the estimate.
-func lowerCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEst float64) float64 {
+func lowerCrossover(fOpt, fAlt *edgeCost, est, costOptEst, costAltEst float64) float64 {
 	card := est
 	costOpt, costAlt := costOptEst, costAltEst
 	if costAlt < costOpt {
@@ -159,7 +125,7 @@ func lowerCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 	for iter := 0; iter < validityIterations; iter++ {
 		currDiff := costAlt - costOpt
 		card *= 0.9
-		costOpt, costAlt = fOpt(card), fAlt(card)
+		costOpt, costAlt = fOpt.at(card), fAlt.at(card)
 		newDiff := costAlt - costOpt
 		if newDiff < 0 {
 			return card
@@ -174,7 +140,7 @@ func lowerCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 		if card < 1e-9 {
 			return 0
 		}
-		costOpt, costAlt = fOpt(card), fAlt(card)
+		costOpt, costAlt = fOpt.at(card), fAlt.at(card)
 		if costAlt < costOpt {
 			return card
 		}

@@ -37,6 +37,20 @@ func nljnVsHsjn(outerCard float64) (popt, palt *Plan, m *CostModel) {
 	return popt, palt, m
 }
 
+// upperCrossover / lowerCrossover run one direction of the search standalone,
+// from the same at-estimate evaluations narrowValidity shares between both.
+func (m *CostModel) upperCrossover(popt *Plan, k int, palt *Plan, j int) float64 {
+	fOpt, fAlt := m.edgeCost(popt, k), m.edgeCost(palt, j)
+	est := math.Max(popt.Children[k].Card, 1e-6)
+	return upperCrossover(&fOpt, &fAlt, est, fOpt.at(est), fAlt.at(est))
+}
+
+func (m *CostModel) lowerCrossover(popt *Plan, k int, palt *Plan, j int) float64 {
+	fOpt, fAlt := m.edgeCost(popt, k), m.edgeCost(palt, j)
+	est := math.Max(popt.Children[k].Card, 1e-6)
+	return lowerCrossover(&fOpt, &fAlt, est, fOpt.at(est), fAlt.at(est))
+}
+
 func TestUpperCrossoverFindsInversion(t *testing.T) {
 	popt, palt, m := nljnVsHsjn(100)
 	if popt.Cost >= palt.Cost {

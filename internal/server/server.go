@@ -76,6 +76,14 @@ type Server struct {
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	shutdown bool
+	// A request is in flight from dispatch until its reply has been written.
+	// Shutdown waits for the count to reach zero before it closes
+	// connections: the scheduler's drain only covers the run slot, which a
+	// query releases before its reply is encoded. closing is set once that
+	// wait starts; later requests are refused, not counted.
+	inflight int
+	closing  bool
+	replied  chan struct{} // closed when inflight reaches 0 after closing
 
 	wg sync.WaitGroup
 }
@@ -234,6 +242,29 @@ func (s *Server) acceptLoop(lis net.Listener) {
 	}
 }
 
+// beginRequest counts a dispatched request as in flight until endRequest. It
+// reports false once Shutdown has stopped accepting work.
+func (s *Server) beginRequest() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closing {
+		return false
+	}
+	s.inflight++
+	return true
+}
+
+// endRequest marks a counted request's reply as written.
+func (s *Server) endRequest() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.inflight--
+	if s.inflight == 0 && s.replied != nil {
+		close(s.replied)
+		s.replied = nil
+	}
+}
+
 // dropConn unregisters and closes a connection.
 func (s *Server) dropConn(conn net.Conn) {
 	s.mu.Lock()
@@ -284,9 +315,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			send(Response{ID: req.ID, OK: true})
 			return
 		}
+		if !s.beginRequest() {
+			send(errResponse(req.ID, CodeDraining, ErrDraining))
+			continue
+		}
 		reqWG.Add(1)
 		go func(req Request) {
 			defer reqWG.Done()
+			defer s.endRequest()
 			send(s.serveRequest(ctx, session, req))
 		}(req)
 	}
@@ -306,6 +342,11 @@ func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Op == "" {
 		req.Op = OpQuery
 	}
+	if !s.beginRequest() {
+		writeJSON(w, http.StatusServiceUnavailable, errResponse(req.ID, CodeDraining, ErrDraining))
+		return
+	}
+	defer s.endRequest()
 	resp := s.serveRequest(r.Context(), "http:"+r.RemoteAddr, req)
 	status := http.StatusOK
 	switch resp.Code {
@@ -359,9 +400,9 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 }
 
 // Shutdown drains and stops the server: the scheduler rejects new
-// admissions with ErrDraining and in-flight queries run to completion
-// (bounded by DrainTimeout), then listeners and connections close and the
-// trace sink flushes. Safe to call once.
+// admissions with ErrDraining, in-flight queries run to completion and their
+// replies are written (both bounded by DrainTimeout), then listeners and
+// connections close and the trace sink flushes. Safe to call once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.shutdown = true
@@ -374,6 +415,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	var errs []error
 	if drainErr != nil {
 		errs = append(errs, fmt.Errorf("drain: %w", drainErr))
+	}
+	// Every slot is free, but the replies of the queries that held them (and
+	// of requests rejected mid-drain) may still be on their way out.
+	s.mu.Lock()
+	s.closing = true
+	var replied chan struct{}
+	if s.inflight > 0 {
+		replied = make(chan struct{})
+		s.replied = replied
+	}
+	s.mu.Unlock()
+	if replied != nil {
+		select {
+		case <-replied:
+		case <-dctx.Done():
+			errs = append(errs, fmt.Errorf("in-flight replies: %w", dctx.Err()))
+		}
 	}
 	if s.tcpLis != nil {
 		if err := s.tcpLis.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
