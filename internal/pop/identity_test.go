@@ -86,25 +86,19 @@ func identityLines(t *testing.T, cat *catalog.Catalog, db string, names []string
 	return lines, texts
 }
 
-// TestPlanIdentityGolden pins the optimizer's answers: for the 39 DMV queries
-// and the nine TPC-H statements of the benchmark, under dp-pop and greedy-pop,
-// every plan the optimizer emits on the cold and the re-optimization path —
-// structure, costs, cardinalities and per-edge validity ranges to the last bit
-// — and every EnumeratedCandidates count must match the golden file. Changes
-// to enumeration or the crossover search may change speed, not answers.
-func TestPlanIdentityGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full DMV and TPC-H workloads")
-	}
-	var lines []string
-	texts := map[string]string{}
-	collect := func(l []string, tx map[string]string) {
-		lines = append(lines, l...)
-		for k, v := range tx {
-			texts[k] = v
-		}
-	}
+// identityWorkload is one database and the statements the identity goldens run
+// over it.
+type identityWorkload struct {
+	db      string
+	cat     *catalog.Catalog
+	names   []string
+	queries map[string]*logical.Query
+}
 
+// identityWorkloads loads what the benchmark's adaptive_dmv and exec_tpch
+// workloads run: the 39 DMV queries and the nine TPC-H statements.
+func identityWorkloads(t *testing.T) []identityWorkload {
+	t.Helper()
 	dcat := catalog.New()
 	if err := dmv.Load(dcat, dmv.Config{Scale: 0.5, Seed: 17}); err != nil {
 		t.Fatal(err)
@@ -119,7 +113,6 @@ func TestPlanIdentityGolden(t *testing.T) {
 		dq[qi.Name] = qi.Query
 		dnames = append(dnames, qi.Name)
 	}
-	collect(identityLines(t, dcat, "dmv", dnames, dq))
 
 	tcat := catalog.New()
 	if err := tpch.Load(tcat, tpch.DefaultConfig()); err != nil {
@@ -129,9 +122,29 @@ func TestPlanIdentityGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The nine statements the benchmark's exec_tpch workload runs.
 	tnames := []string{"Q2", "Q3", "Q4", "Q5", "Q7", "Q8", "Q9", "Q11", "Q18"}
-	collect(identityLines(t, tcat, "tpch", tnames, tq))
+	return []identityWorkload{{"dmv", dcat, dnames, dq}, {"tpch", tcat, tnames, tq}}
+}
+
+// TestPlanIdentityGolden pins the optimizer's answers: for the 39 DMV queries
+// and the nine TPC-H statements of the benchmark, under dp-pop and greedy-pop,
+// every plan the optimizer emits on the cold and the re-optimization path —
+// structure, costs, cardinalities and per-edge validity ranges to the last bit
+// — and every EnumeratedCandidates count must match the golden file. Changes
+// to enumeration or the crossover search may change speed, not answers.
+func TestPlanIdentityGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full DMV and TPC-H workloads")
+	}
+	var lines []string
+	texts := map[string]string{}
+	for _, w := range identityWorkloads(t) {
+		l, tx := identityLines(t, w.cat, w.db, w.names, w.queries)
+		lines = append(lines, l...)
+		for k, v := range tx {
+			texts[k] = v
+		}
+	}
 
 	got := strings.Join(lines, "\n") + "\n"
 	if *updateIdentity {
