@@ -11,7 +11,6 @@
 //	popbench -parallel            # parallel-runtime study → BENCH_parallel.json
 //	popbench -plancache           # plan-cache study → BENCH_plancache.json
 //	popbench -observability       # tracing-overhead study → BENCH_observability.json
-//	popbench -batch               # batch-execution study → BENCH_batch.json
 //	popbench -server              # multi-client serving study → BENCH_server.json
 //	popbench -server -smoke       # shrunken serving study for CI
 //	popbench -planners            # planner shootout → BENCH_planners.json
@@ -46,8 +45,6 @@ func main() {
 		sweeps   = flag.Int("sweeps", 3, "binding sweeps for the plan-cache and observability studies")
 		obs      = flag.Bool("observability", false, "run the tracing-overhead study")
 		obsOut   = flag.String("obsout", "BENCH_observability.json", "output path for the observability study JSON")
-		batch    = flag.Bool("batch", false, "run the batch-execution study (row vs batch sizes × DOPs)")
-		batchOut = flag.String("batchout", "BENCH_batch.json", "output path for the batch study JSON")
 		srv      = flag.Bool("server", false, "run the multi-client serving study (work identity + open/closed-loop load matrix)")
 		srvOut   = flag.String("serverout", "BENCH_server.json", "output path for the serving study JSON")
 		planners = flag.Bool("planners", false, "run the planner shootout (dp-pop vs greedy vs unguarded reopt across TPC-H, DMV, skew)")
@@ -56,7 +53,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if !*all && *fig == 0 && *table == 0 && !*parallel && !*pcache && !*obs && !*batch && !*srv && !*planners {
+	if !*all && *fig == 0 && *table == 0 && !*parallel && !*pcache && !*obs && !*srv && !*planners {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -197,26 +194,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *obsOut)
 	}
 
-	runBatch := func() {
-		res, err := harness.BatchStudy(loadTPCH(), *sweeps)
-		if err != nil {
-			fatal(err)
-		}
-		harness.WriteBatch(os.Stdout, res)
-		f, err := os.Create(*batchOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WriteBatchJSON(f, res); err != nil {
-			_ = f.Close() // the write error is the one worth reporting
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *batchOut)
-	}
-
 	runServer := func() {
 		res, err := harness.ServerStudy(loadTPCH(), *smoke)
 		if err != nil {
@@ -269,8 +246,6 @@ func main() {
 		fmt.Println()
 		runObservability()
 		fmt.Println()
-		runBatch()
-		fmt.Println()
 		runServer()
 		fmt.Println()
 		runPlanners()
@@ -293,9 +268,6 @@ func main() {
 	}
 	if *obs {
 		runObservability()
-	}
-	if *batch {
-		runBatch()
 	}
 	if *srv {
 		runServer()

@@ -41,7 +41,6 @@ func main() {
 		budget       = flag.Int("budget", runtime.GOMAXPROCS(0), "global worker-pool budget across all queries")
 		slots        = flag.Int("slots", 0, "concurrently running queries (0 = budget/2, min 2)")
 		sessionQueue = flag.Int("sessionqueue", 4, "per-session admission-queue allowance before backpressure")
-		batch        = flag.Int("batch", 0, "vectorized batch size (0 = row-at-a-time)")
 		nocache      = flag.Bool("nocache", false, "disable the shared plan cache")
 		maxRows      = flag.Int("maxrows", 1000, "rows returned per response (0 = unlimited)")
 		traceOut     = flag.String("trace", "", "append JSONL trace events to this file")
@@ -74,7 +73,6 @@ func main() {
 			SessionQueue: *sessionQueue,
 		},
 		Workers:      *workers,
-		BatchSize:    *batch,
 		DisableCache: *nocache,
 		MaxRows:      *maxRows,
 		DrainTimeout: *drainTO,

@@ -1,25 +1,21 @@
 package executor
 
-// Batch-at-a-time execution. The Volcano Next path moves one row per
-// virtual call; the batch path amortizes that dispatch (and the per-row
-// output allocation) over a fixed-capacity vector of rows. Operators with a
-// native NextBatch keep the work meter bit-identical to the row path by
-// pre-scaling their per-row charge into integer ticks (see Ticks) and
-// issuing one AddTicks per batch. Operators without a native batch path are
-// driven through a row-level adapter (batchEdge), so a plan may freely mix
-// converted and unconverted operators.
+// Batch-at-a-time execution: one virtual call moves a fixed-capacity vector
+// of rows, amortizing the dispatch and the per-row output allocation. The
+// work meter does not see the batching: operators pre-scale their per-row
+// charge into integer ticks (see Ticks) and issue one AddTicks per batch.
 
 import (
-	"errors"
 	"sync"
 
 	"repro/internal/schema"
 	"repro/internal/types"
 )
 
-// DefaultBatchSize is the batch capacity used when batching is enabled
-// without an explicit size.
-const DefaultBatchSize = 1024
+// batchRows is the capacity of every batch the executor moves. Measured on
+// the parameterized-Q10 sweep, 64 was ahead of 1 and of 1024 on wall time at
+// DOP 1, 2 and 4.
+const batchRows = 64
 
 // Batch is a fixed-capacity vector of rows moving through the executor as
 // one unit. Output-producing operators (projection, joins) carve their rows
@@ -27,10 +23,11 @@ const DefaultBatchSize = 1024
 // one per row.
 //
 // Ownership contract: a batch returned by NextBatch (and every row in it)
-// is valid only until the next NextBatch call on the same producer. A
-// consumer that retains rows across pulls must copy them when Ephemeral
-// reports true; non-ephemeral rows (heap references, materialized buffers)
-// are stable and may be retained by reference.
+// is valid only until the next NextBatch call on the same producer. Until
+// then the consumer owns the Rows slice — it may truncate or compact it in
+// place — but a consumer that retains rows across pulls must copy them when
+// Ephemeral reports true; non-ephemeral rows (heap references, materialized
+// buffers) are stable and may be retained by reference.
 type Batch struct {
 	// Rows holds the batch's rows in production order.
 	Rows []schema.Row
@@ -53,6 +50,15 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // Ephemeral reports whether the batch's rows alias producer-owned storage
 // that the next pull reuses; such rows must be copied before being retained.
 func (b *Batch) Ephemeral() bool { return b.ephemeral }
+
+// room resolves a caller's row budget (<= 0: no preference) against the
+// batch's capacity.
+func (b *Batch) room(max int) int {
+	if max <= 0 || max > cap(b.Rows) {
+		return cap(b.Rows)
+	}
+	return max
+}
 
 // Reset empties the batch for refilling, keeping row and slab capacity.
 func (b *Batch) Reset() {
@@ -118,94 +124,28 @@ func putBatch(b *Batch) {
 	}
 }
 
-// BatchNode is the vectorized fast path of Node. NextBatch returns the
-// operator's next rows as one batch, or (nil, nil) at end of stream; an
-// empty non-nil batch is never returned. max caps the number of rows the
-// caller wants (<= 0 means the producer's capacity); it is how CHECK
-// operators bound how far a child may run past a validity range, keeping
-// eager violations at the same logical row as the row path. Exchange
-// consumers treat max as advisory: a transfer batch arrives sized by its
-// producing worker.
-//
-// The driving side of every edge picks exactly one protocol per execution:
-// a parent either calls Next or NextBatch on a child, never both.
-type BatchNode interface {
-	Node
-	// NextBatch returns the next batch of at most max rows, or nil at end
-	// of stream.
-	NextBatch(max int) (*Batch, error)
+// cursor reads a child's batches one row at a time, for operators whose logic
+// is per input row (join probes, merge). A row it returns is valid until the
+// call that pulls the next batch.
+type cursor struct {
+	child Node
+	b     *Batch
+	i     int
 }
 
-// batchEdge drives one parent→child edge batch-at-a-time: natively when the
-// child implements BatchNode, through a row-level adapter otherwise. The
-// adapter is the shim that keeps unconverted operators (sort output, MV
-// scan, hash lookup, NLJN, MGJN) usable below converted parents.
-type batchEdge struct {
-	bn   BatchNode // non-nil: child's native batch path
-	n    Node      // row-path child driven through the adapter
-	buf  *Batch    // adapter-owned buffer (row path only)
-	size int
-	eos  bool
-	err  error // child error held until the buffered rows are consumed
-}
-
-// batchEdge returns the edge for driving child batch-at-a-time.
-func (e *Executor) batchEdge(child Node) *batchEdge {
-	size := e.BatchSize
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	if bn, ok := child.(BatchNode); ok && e.BatchSize > 0 {
-		return &batchEdge{bn: bn, size: size}
-	}
-	return &batchEdge{n: child, size: size}
-}
-
-// pull returns the child's next batch of (about) max rows, nil at end of
-// stream. Adapter-filled batches hold rows produced by the child's Next,
-// which are stable (operator-owned or heap references), so they are not
-// ephemeral. A child error with rows already buffered is held back until
-// the partial batch is consumed, mirroring the row path where those rows
-// were handed upward before the error.
-func (be *batchEdge) pull(max int) (*Batch, error) {
-	if be.err != nil {
-		err := be.err
-		be.err = nil
-		return nil, err
-	}
-	if be.eos {
-		return nil, nil
-	}
-	if max <= 0 || max > be.size {
-		max = be.size
-	}
-	if be.bn != nil {
-		return be.bn.NextBatch(max)
-	}
-	if be.buf == nil {
-		be.buf = NewBatch(be.size)
-	}
-	b := be.buf
-	b.Reset()
-	for b.Len() < max {
-		row, ok, err := be.n.Next()
-		if err != nil {
-			if b.Len() == 0 {
-				return nil, err
-			}
-			be.err = err
-			return b, nil
+// next returns the child's next row, pulling a batch of at most max rows when
+// the held one is used up; ok is false at end of stream.
+func (c *cursor) next(max int) (row schema.Row, ok bool, err error) {
+	if c.b == nil || c.i >= c.b.Len() {
+		c.b, err = c.child.NextBatch(max)
+		c.i = 0
+		if err != nil || c.b == nil {
+			c.b = nil
+			return nil, false, err
 		}
-		if !ok {
-			be.eos = true
-			break
-		}
-		b.Append(row)
 	}
-	if b.Len() == 0 {
-		return nil, nil
-	}
-	return b, nil
+	c.i++
+	return c.b.Rows[c.i-1], true, nil
 }
 
 // appendBatchRows appends a batch's rows to dst. Ephemeral rows alias the
@@ -244,55 +184,4 @@ func cloneForTransfer(b *Batch, capRows int) *Batch {
 		copy(nb.Alloc(len(r)), r)
 	}
 	return nb
-}
-
-// RunWith drains a node like Run, batch-at-a-time when batchSize > 0 and
-// the root has a native batch path. The executor that built the tree must
-// have been configured with the same BatchSize: each edge is driven over
-// exactly one protocol per execution, chosen at Open time.
-func RunWith(n Node, batchSize int) (rows []schema.Row, err error) {
-	bn, ok := n.(BatchNode)
-	if batchSize <= 0 || !ok {
-		return Run(n)
-	}
-	if err := n.Open(); err != nil {
-		if cerr := n.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		return nil, err
-	}
-	defer func() {
-		if cerr := n.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	limit := n.Plan().Limit
-	est := int(n.Plan().Card)
-	if limit > 0 && limit < est {
-		est = limit
-	}
-	if est < 0 {
-		est = 0
-	}
-	if est > runPrealloc {
-		est = runPrealloc
-	}
-	rows = make([]schema.Row, 0, est)
-	for {
-		max := batchSize
-		if limit > 0 && limit-len(rows) < max {
-			max = limit - len(rows)
-		}
-		b, berr := bn.NextBatch(max)
-		if berr != nil {
-			return rows, berr
-		}
-		if b == nil {
-			return rows, nil
-		}
-		rows = appendBatchRows(rows, b)
-		if limit > 0 && len(rows) >= limit {
-			return rows[:limit], nil
-		}
-	}
 }

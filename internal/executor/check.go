@@ -91,9 +91,8 @@ type checkNode struct {
 	skip bool // this instance validated at Open; per-row checks off
 	eof  bool // this instance already accounted its end-of-stream
 
-	edge    *batchEdge // batch-mode child edge
-	pending error      // violation held until the truncated batch is delivered
-	checkT  int64      // pre-scaled per-row CheckRow charge
+	crossed bool  // the upper bound was crossed by a batch whose rows below it are delivered first
+	checkT  int64 // pre-scaled per-row CheckRow charge
 }
 
 func (e *Executor) buildCheck(p *optimizer.Plan) (Node, error) {
@@ -145,14 +144,11 @@ func (n *checkNode) touch() {
 
 func (n *checkNode) Open() error {
 	n.stats = NodeStats{Opened: true}
-	n.pending = nil
+	n.crossed = false
 	n.checkT = Ticks(n.ex.Cost.CheckRow)
 	child := n.children[0]
 	if err := child.Open(); err != nil {
 		return err
-	}
-	if n.ex.BatchSize > 0 {
-		n.edge = n.ex.batchEdge(child)
 	}
 	// Lazy checks above materialization points validate once, against the
 	// completed materialization's exact cardinality. Under parallelism only
@@ -174,90 +170,33 @@ func (n *checkNode) Open() error {
 	return nil
 }
 
-func (n *checkNode) Next() (schema.Row, bool, error) {
-	child := n.children[0]
-	row, ok, err := child.Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if n.skip || n.sc.validated.Load() {
-		if ok {
-			n.stats.RowsOut++
-		} else {
-			n.stats.Done = true
-		}
-		return row, ok, nil
-	}
-	r := n.plan.Check.Range
-	if !ok {
-		n.stats.Done = true
-		if !n.eof {
-			n.eof = true
-			// The lower bound needs the complete edge cardinality, so it is
-			// tested only by whichever instance drains the last live stream.
-			// That final evaluation also carries the single end-of-stream
-			// CheckRow charge, keeping the work total DOP-independent.
-			if n.sc.streams.Add(-1) == 0 {
-				n.charge(n.ex, n.ex.Cost.CheckRow)
-				n.touch()
-				c := float64(n.sc.count.Load())
-				if c < r.Lo {
-					return nil, false, n.violation(c, true)
-				}
-				n.passed(c, true)
-			}
-		}
-		return nil, false, nil
-	}
-	n.charge(n.ex, n.ex.Cost.CheckRow)
-	n.touch()
-	c := n.sc.count.Add(1)
-	if float64(c) > r.Hi {
-		// Eager detection: the actual cardinality is at least count — a
-		// lower bound that already proves the range violated. Exactly one
-		// instance fires: the one whose increment first crossed the bound.
-		// Racing siblings past the bound stop emitting quietly and are
-		// cancelled by the enclosing exchange.
-		if c == int64(r.Hi)+1 {
-			return nil, false, n.violation(float64(c), false)
-		}
-		return nil, false, nil
-	}
-	n.stats.RowsOut++
-	return row, true, nil
-}
-
-// NextBatch is the batched CHECK: it counts whole batches into the shared
-// counter and raises a violation at exactly the same logical row as the row
-// path. The pull size is clamped so a serial stream's crossing batch holds
-// exactly the rows up to and including count == Hi+1 — the violating row is
-// truncated from the delivered batch and the violation is either returned
-// immediately (empty batch) or held in pending until the next pull, mirroring
-// the row path's row-by-row delivery order. CheckRow is charged once per
-// batch, pre-scaled, so work totals are bit-identical to row mode.
+// NextBatch counts whole batches into the shared counter and raises an upper
+// violation at the row whose count is the first above Hi, reporting that count.
+// The pull size is clamped so a serial stream never runs past that row: the
+// crossing batch holds the rows to emit plus the violating row, which is
+// truncated from the delivered batch; the violation is returned at once when
+// nothing is left to deliver and on the next pull otherwise, so the rows below
+// the bound reach the consumer first. CheckRow is charged once per batch,
+// pre-scaled.
 func (n *checkNode) NextBatch(max int) (*Batch, error) {
-	if n.pending != nil {
-		err := n.pending
-		n.pending = nil
-		return nil, err
-	}
 	r := n.plan.Check.Range
+	// Counts are integers, so the first count above a fractional Hi is
+	// floor(Hi)+1; an unbounded Hi is never compared against it.
+	crossing := int64(r.Hi) + 1
+	if n.crossed {
+		return nil, n.violation(float64(crossing), false)
+	}
 	passthrough := n.skip || n.sc.validated.Load()
 	lim := max
-	if lim <= 0 || lim > n.edge.size {
-		lim = n.edge.size
-	}
 	if !passthrough && !math.IsInf(r.Hi, 1) {
-		// Never pull past the crossing row: the batch that crosses the upper
-		// bound then holds exactly the rows to emit plus the violating row.
-		if rem := int64(r.Hi) + 1 - n.sc.count.Load(); rem < int64(lim) {
-			lim = int(rem)
-			if lim < 1 {
-				lim = 1
+		if rem := crossing - n.sc.count.Load(); lim <= 0 || rem < int64(lim) {
+			lim = 1
+			if rem > 1 {
+				lim = int(rem)
 			}
 		}
 	}
-	b, err := n.edge.pull(lim)
+	b, err := n.children[0].NextBatch(lim)
 	if err != nil {
 		return nil, err
 	}
@@ -266,13 +205,16 @@ func (n *checkNode) NextBatch(max int) (*Batch, error) {
 			n.stats.Done = true
 			return nil, nil
 		}
-		n.stats.RowsOut += float64(b.Len())
-		return b, nil
+		return n.emit(b, nil)
 	}
 	if b == nil {
 		n.stats.Done = true
 		if !n.eof {
 			n.eof = true
+			// The lower bound needs the complete edge cardinality, so it is
+			// tested only by whichever instance drains the last live stream.
+			// That final evaluation also carries the single end-of-stream
+			// CheckRow charge, keeping the work total DOP-independent.
 			if n.sc.streams.Add(-1) == 0 {
 				n.chargeTicks(n.ex, n.checkT, 1)
 				n.touch()
@@ -291,25 +233,21 @@ func (n *checkNode) NextBatch(max int) (*Batch, error) {
 	c := n.sc.count.Add(int64(k))
 	prev := c - int64(k)
 	if float64(c) > r.Hi {
-		if float64(prev) > r.Hi {
-			// A sibling instance already crossed the bound; stop emitting
-			// quietly — the enclosing exchange cancels this stream.
+		// Eager detection: the actual cardinality is at least the count — a
+		// lower bound that already proves the range violated. Exactly one
+		// instance fires: the one whose batch holds the crossing row. Racing
+		// siblings past the bound stop emitting quietly and are cancelled by
+		// the enclosing exchange.
+		if prev >= crossing {
 			return nil, nil
 		}
-		// This batch contains the crossing row: emit the rows below the
-		// bound, report the violation at count == Hi+1.
-		emit := int(int64(r.Hi) - prev)
-		b.Rows = b.Rows[:emit]
-		viol := n.violation(r.Hi+1, false)
-		if emit == 0 {
-			return nil, viol
+		b.Rows = b.Rows[:crossing-1-prev]
+		n.crossed = true
+		if b.Len() == 0 {
+			return nil, n.violation(float64(crossing), false)
 		}
-		n.pending = viol
-		n.stats.RowsOut += float64(emit)
-		return b, nil
 	}
-	n.stats.RowsOut += float64(k)
-	return b, nil
+	return n.emit(b, nil)
 }
 
 func (n *checkNode) Close() error { return n.closeChildren() }
@@ -415,16 +353,23 @@ func (n *insertRidNode) Open() error {
 	return n.children[0].Open()
 }
 
-func (n *insertRidNode) Next() (schema.Row, bool, error) {
-	row, ok, err := n.children[0].Next()
-	if err != nil || !ok {
-		n.stats.Done = err == nil && !ok
-		return nil, false, err
+// NextBatch records and passes on exactly the rows it returns: a batch that
+// exceeds max (an exchange below treats it as advisory) is cut to it first, so
+// the side table never holds a row the application did not receive.
+func (n *insertRidNode) NextBatch(max int) (*Batch, error) {
+	b, err := n.children[0].NextBatch(max)
+	if err != nil || b == nil {
+		n.stats.Done = err == nil
+		return nil, err
 	}
-	n.charge(n.ex, n.ex.Cost.TempWrite)
-	n.side.Add(row)
-	n.stats.RowsOut++
-	return row, true, nil
+	if max > 0 && b.Len() > max {
+		b.Rows = b.Rows[:max]
+	}
+	n.chargeTicks(n.ex, Ticks(n.ex.Cost.TempWrite), b.Len())
+	for _, row := range b.Rows {
+		n.side.Add(row)
+	}
+	return n.emit(b, nil)
 }
 
 func (n *insertRidNode) Close() error { return n.closeChildren() }
@@ -449,19 +394,26 @@ func (n *antiJoinNode) Open() error {
 	return n.children[0].Open()
 }
 
-func (n *antiJoinNode) Next() (schema.Row, bool, error) {
+// NextBatch probes the side table with every input row and compacts the
+// survivors in place; an input batch that is suppressed entirely is skipped.
+func (n *antiJoinNode) NextBatch(max int) (*Batch, error) {
 	for {
-		row, ok, err := n.children[0].Next()
-		if err != nil || !ok {
-			n.stats.Done = err == nil && !ok
-			return nil, false, err
+		b, err := n.children[0].NextBatch(max)
+		if err != nil || b == nil {
+			n.stats.Done = err == nil
+			return nil, err
 		}
-		n.charge(n.ex, n.ex.Cost.HashProbeRow)
-		if n.side.Remove(row) {
-			continue // already returned during the initial run
+		n.chargeTicks(n.ex, Ticks(n.ex.Cost.HashProbeRow), b.Len())
+		kept := 0
+		for _, row := range b.Rows {
+			if !n.side.Remove(row) { // else: already returned during the initial run
+				b.Rows[kept] = row
+				kept++
+			}
 		}
-		n.stats.RowsOut++
-		return row, true, nil
+		if b.Rows = b.Rows[:kept]; kept > 0 {
+			return n.emit(b, nil)
+		}
 	}
 }
 

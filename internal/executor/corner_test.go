@@ -390,8 +390,8 @@ func TestHashLookupAccessPath(t *testing.T) {
 
 // TestNaiveNLJNRowsDoNotAliasScratch: the naive nested-loop join evaluates
 // its filter on a node-owned scratch row and must hand out copies. Scribbling
-// over every returned row — including the outer prefix the scratch keeps
-// across the inner rescan — must not change any later row.
+// over every row of every returned batch — including the outer prefix the
+// scratch keeps across the inner rescan — must not change any later row.
 func TestNaiveNLJNRowsDoNotAliasScratch(t *testing.T) {
 	cat := pairFixture(t, ints(5, 5, 6), ints(5, 5, 5, 6))
 	b := logical.NewBuilder(cat)
@@ -433,17 +433,21 @@ func TestNaiveNLJNRowsDoNotAliasScratch(t *testing.T) {
 		}
 		var out []string
 		for {
-			row, ok, err := join.Next()
+			// Three rows a pull: the seven results span three batches and two
+			// inner rescans fall inside a batch.
+			b, err := join.NextBatch(3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
+			if b == nil {
 				break
 			}
-			out = append(out, row.String())
-			if scribble {
-				for i := range row {
-					row[i] = types.NewInt(-1)
+			for _, row := range b.Rows {
+				out = append(out, row.String())
+				if scribble {
+					for i := range row {
+						row[i] = types.NewInt(-1)
+					}
 				}
 			}
 		}

@@ -80,12 +80,9 @@ func (e *Executor) acquireWorkers(want int) (dop int, grant workerGrant, inline 
 // exchangeBuffer is the per-worker capacity of an exchange's output channel.
 const exchangeBuffer = 64
 
-// rowMsg carries one row (row mode), one transfer batch (batch mode), or a
-// terminal error from a worker to the consumer. Batch and row payloads
-// share one channel so the abort/drain/error-delivery contracts are
-// identical in both modes.
+// rowMsg carries one transfer batch or a terminal error from a worker to the
+// consumer.
 type rowMsg struct {
-	row   schema.Row
 	batch *Batch
 	err   error
 }
@@ -167,17 +164,11 @@ func (e *Executor) buildClones(p *optimizer.Plan, dop int) (clones []Node, meter
 // owns the partition clones of one plan fragment so tree walks (stats
 // harvesting, check collection) can see them, while the enclosing operator
 // drives the clones directly.
-type exchangeStub struct {
-	base
-}
+type exchangeStub = inertNode
 
 func newExchangeStub(p *optimizer.Plan, clones []Node) *exchangeStub {
-	return &exchangeStub{base: base{plan: p, children: clones}}
+	return &exchangeStub{base{plan: p, children: clones}}
 }
-
-func (s *exchangeStub) Open() error                     { s.stats.Opened = true; return nil }
-func (s *exchangeStub) Next() (schema.Row, bool, error) { return nil, false, nil }
-func (s *exchangeStub) Close() error                    { return nil }
 
 // gatherNode runs DOP partition clones of its child concurrently and merges
 // their output streams in arrival order. When the worker gate grants zero
@@ -202,9 +193,8 @@ type gatherNode struct {
 	surfaced bool  // an error was already returned from Next
 	drainErr error // first worker error discarded while draining on abort
 
-	held   *Batch     // last delivered transfer batch, recycled on the next pull
-	exRowT int64      // pre-scaled per-row exchange charge
-	inEdge *batchEdge // inline batch mode: the clone's batch edge
+	held   *Batch // last delivered transfer batch, recycled on the next pull
+	exRowT int64  // pre-scaled per-row exchange charge
 }
 
 func (e *Executor) buildGather(p *optimizer.Plan) (Node, error) {
@@ -250,13 +240,7 @@ func (n *gatherNode) Open() error {
 	n.charge(n.ex, n.ex.Cost.ExchangeSetup)
 	if n.inline {
 		n.opened = true
-		if err := n.clones[0].Open(); err != nil {
-			return err
-		}
-		if n.ex.BatchSize > 0 {
-			n.inEdge = n.ex.batchEdge(n.clones[0])
-		}
-		return nil
+		return n.clones[0].Open()
 	}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.ch = make(chan rowMsg, n.dop*exchangeBuffer)
@@ -271,11 +255,7 @@ func (n *gatherNode) Open() error {
 				n.meters[i].drain(n.ex.Meter)
 				n.ex.workerEvent(trace.WorkerDrain, "gather", i, n.dop, n.clones[i].Stats().RowsOut, work)
 			}()
-			if n.ex.BatchSize > 0 {
-				runPartitionBatched(n.ctx, n.ex, n.clones[i], n.ch)
-			} else {
-				runPartition(n.ctx, n.clones[i], n.ch)
-			}
+			runPartition(n.ctx, n.ex, n.clones[i], n.ch)
 		}(i)
 	}
 	go func() {
@@ -285,10 +265,12 @@ func (n *gatherNode) Open() error {
 	return nil
 }
 
-// runPartition drives one partition clone to completion, forwarding its rows
-// (or its terminal error) to the consumer. Cancellation is a quiet stop: the
-// canceller already holds the error that matters.
-func runPartition(ctx context.Context, clone Node, ch chan<- rowMsg) {
+// runPartition drives one partition clone to completion, handing each of its
+// batches to the consumer as a pooled transfer copy (the clone reuses its own
+// buffer immediately, so the transfer must own its rows), or its terminal
+// error. Cancellation is a quiet stop: the canceller already holds the error
+// that matters.
+func runPartition(ctx context.Context, ex *Executor, clone Node, ch chan<- rowMsg) {
 	err := func() error {
 		if err := clone.Open(); err != nil {
 			return err
@@ -297,16 +279,15 @@ func runPartition(ctx context.Context, clone Node, ch chan<- rowMsg) {
 			if ctx.Err() != nil {
 				return nil
 			}
-			row, ok, err := clone.Next()
-			if err != nil {
+			b, err := clone.NextBatch(0)
+			if err != nil || b == nil {
 				return err
 			}
-			if !ok {
-				return nil
-			}
+			tb := cloneForTransfer(b, ex.batchCap)
 			select {
-			case ch <- rowMsg{row: row}:
+			case ch <- rowMsg{batch: tb}:
 			case <-ctx.Done():
+				putBatch(tb)
 				return nil
 			}
 		}
@@ -324,75 +305,6 @@ func runPartition(ctx context.Context, clone Node, ch chan<- rowMsg) {
 	}
 }
 
-// runPartitionBatched is runPartition's batch-mode form: it drives the
-// clone through a batch edge and hands each batch to the consumer as a
-// pooled transfer copy (the clone reuses its own buffer immediately, so the
-// transfer must own its rows). Error and cancellation contracts are
-// identical to the row form.
-func runPartitionBatched(ctx context.Context, ex *Executor, clone Node, ch chan<- rowMsg) {
-	err := func() error {
-		if err := clone.Open(); err != nil {
-			return err
-		}
-		edge := ex.batchEdge(clone)
-		for {
-			if ctx.Err() != nil {
-				return nil
-			}
-			b, err := edge.pull(0)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				return nil
-			}
-			tb := cloneForTransfer(b, ex.BatchSize)
-			select {
-			case ch <- rowMsg{batch: tb}:
-			case <-ctx.Done():
-				putBatch(tb)
-				return nil
-			}
-		}
-	}()
-	if cerr := clone.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		ch <- rowMsg{err: err} //poplint:allow blockingcancel same drain invariant as runPartition: the consumer drains until close, so the unconditional error send cannot wedge
-	}
-}
-
-func (n *gatherNode) Next() (schema.Row, bool, error) {
-	if n.inline {
-		row, ok, err := n.clones[0].Next()
-		if err != nil || !ok {
-			if err == nil {
-				n.stats.Done = true
-			}
-			return nil, false, err
-		}
-		n.charge(n.ex, n.ex.Cost.ExchangeRow)
-		n.stats.RowsOut++
-		return row, true, nil
-	}
-	msg, ok := <-n.ch
-	if !ok {
-		n.stats.Done = true
-		return nil, false, nil
-	}
-	if msg.err != nil {
-		// Join the workers before surfacing the error: the POP controller
-		// harvests stats from a tree it must be able to assume quiescent.
-		n.surfaced = true
-		n.abort()
-		return nil, false, msg.err
-	}
-	n.charge(n.ex, n.ex.Cost.ExchangeRow)
-	n.stats.RowsOut++
-	return msg.row, true, nil
-}
-
 // NextBatch surfaces worker transfer batches in arrival order, charging
 // ExchangeRow per logical row. max is advisory — a transfer batch arrives
 // sized by its producing worker; an enclosing CHECK handles oversized
@@ -404,17 +316,13 @@ func (n *gatherNode) NextBatch(max int) (*Batch, error) {
 		// The clone's batch is returned directly: its validity window (until
 		// the consumer's next pull) is exactly the edge's own, so no transfer
 		// copy and no held recycling are needed.
-		b, err := n.inEdge.pull(0)
-		if err != nil {
+		b, err := n.clones[0].NextBatch(max)
+		if err != nil || b == nil {
+			n.stats.Done = err == nil
 			return nil, err
 		}
-		if b == nil {
-			n.stats.Done = true
-			return nil, nil
-		}
 		n.chargeTicks(n.ex, n.exRowT, b.Len())
-		n.stats.RowsOut += float64(b.Len())
-		return b, nil
+		return n.emit(b, nil)
 	}
 	if n.held != nil {
 		putBatch(n.held)
@@ -532,14 +440,9 @@ type parallelHSJNNode struct {
 	exRowT int64  // pre-scaled per-row exchange charge
 
 	// Inline (zero-grant) mode state: the single-partition probe runs on the
-	// consumer's goroutine with a bucket cursor mirroring the serial hash
-	// join's, charging exactly the worker-loop amounts.
-	probeT, outT  int64      // pre-scaled per-probe-row / per-output-row ticks
-	inEdge        *batchEdge // probe clone's batch edge (batch mode)
-	curRow        schema.Row // probe row whose bucket is being drained
-	curBucket     []schema.Row
-	curIdx        int
-	inBatch       *Batch // current probe batch (batch mode)
+	// consumer's goroutine, charging exactly the worker-loop amounts.
+	probeT, outT  int64  // pre-scaled per-probe-row / per-output-row ticks
+	inBatch       *Batch // current probe batch
 	inRowIdx      int
 	srcDone       bool
 	inlineDrained bool // finishInlineProbe ran
@@ -584,8 +487,7 @@ func (e *Executor) buildParallelHSJN(gp, jp *optimizer.Plan) (Node, error) {
 
 // addAnalyzeTicks folds one worker's accumulated loop work into the node's
 // atomic tick counter (fixed-point, so cross-worker summation order cannot
-// perturb the total). Workers accumulate pre-scaled ticks in both row and
-// batch mode, so the attributed Work is bit-identical across modes.
+// perturb the total).
 func (n *parallelHSJNNode) addAnalyzeTicks(t int64) {
 	if t > 0 {
 		n.analyzeTicks.Add(t)
@@ -765,13 +667,7 @@ func (n *parallelHSJNNode) openInline() error {
 	n.probeT = Ticks(pr.ExchangeRow + pr.HashProbeRow + n.spillExtra)
 	n.outT = Ticks(pr.OutputRow)
 	n.probeStub.stats.Opened = true
-	if err := n.probeClones[0].Open(); err != nil {
-		return err
-	}
-	if n.ex.BatchSize > 0 {
-		n.inEdge = n.ex.batchEdge(n.probeClones[0])
-	}
-	return nil
+	return n.probeClones[0].Open()
 }
 
 // chargeInline charges worker-loop ticks from the inline probe loop: the
@@ -798,65 +694,20 @@ func (n *parallelHSJNNode) finishInlineProbe() {
 	n.probeStub.stats.Done = n.probeClones[0].Stats().Done
 }
 
-// inlineNext is the row-mode inline probe loop: drain the current hash
-// bucket's cursor, then advance to the next probe row. Charges are the
-// probe worker's exactly — probeT per probe row (keyed or not), outT per
-// emitted row — plus the consumer's ExchangeRow per delivered row.
-func (n *parallelHSJNNode) inlineNext() (schema.Row, bool, error) {
-	for {
-		for n.curIdx < len(n.curBucket) {
-			b := n.curBucket[n.curIdx]
-			n.curIdx++
-			if !keysEqual(n.curRow, n.probeKeys, b, n.buildKeys) {
-				continue
-			}
-			joined := n.curRow.Concat(b)
-			keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
-			if ferr != nil {
-				return nil, false, ferr
-			}
-			if !keep {
-				continue
-			}
-			n.chargeInline(n.outT)
-			n.charge(n.ex, n.ex.Cost.ExchangeRow)
-			n.stats.RowsOut++
-			return joined, true, nil
-		}
-		row, ok, err := n.probeClones[0].Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			n.stats.Done = true
-			n.finishInlineProbe()
-			return nil, false, nil
-		}
-		n.chargeInline(n.probeT)
-		h, keyed := hashKeyAt(row, n.probeKeys)
-		if !keyed {
-			continue
-		}
-		n.curRow = row
-		n.curBucket = n.parts[0][h]
-		n.curIdx = 0
-	}
-}
-
-// inlineNextBatch is the batch-mode inline probe loop: probe batches are
-// pulled through the clone's batch edge (probeT per pulled row), joined
-// rows are carved into a pooled output batch (outT per emitted row), and
-// each delivered batch charges ExchangeRow per row — the exact tick totals
-// of runProbeWorkerBatched plus the consumer's NextBatch charge.
+// inlineNextBatch is the inline probe loop: probe batches are pulled from the
+// clone (probeT per pulled row), joined rows are carved into a pooled output
+// batch (outT per emitted row), and each delivered batch charges ExchangeRow
+// per row — the exact tick totals of runProbeWorker plus the consumer's
+// NextBatch charge.
 func (n *parallelHSJNNode) inlineNextBatch() (*Batch, error) {
 	if n.held != nil {
 		putBatch(n.held)
 		n.held = nil
 	}
-	if n.srcDone {
-		return nil, nil
+	if err := n.takePending(); err != nil || n.srcDone {
+		return nil, err
 	}
-	out := getBatch(n.ex.BatchSize)
+	out := getBatch(n.ex.batchCap)
 	emitted := 0
 	charge := func() {
 		if emitted > 0 {
@@ -873,20 +724,18 @@ func (n *parallelHSJNNode) inlineNextBatch() (*Batch, error) {
 	}
 	for {
 		if n.inBatch == nil || n.inRowIdx >= n.inBatch.Len() {
-			b, err := n.inEdge.pull(0)
-			if err != nil {
-				charge()
-				putBatch(out)
-				return nil, err
-			}
-			if b == nil {
-				n.srcDone = true
-				n.stats.Done = true
-				n.finishInlineProbe()
+			b, err := n.probeClones[0].NextBatch(0)
+			if err != nil || b == nil {
+				if err == nil {
+					n.srcDone = true
+					n.stats.Done = true
+					n.finishInlineProbe()
+				}
 				if out.Len() == 0 {
 					putBatch(out)
-					return nil, nil
+					return nil, err
 				}
+				n.pending = err // the rows joined before it reach the consumer first
 				return deliver(), nil
 			}
 			n.chargeInline(mulTicksSat(n.probeT, int64(b.Len())))
@@ -920,7 +769,7 @@ func (n *parallelHSJNNode) inlineNextBatch() (*Batch, error) {
 				}
 				emitted++
 			}
-			if out.Len() >= n.ex.BatchSize {
+			if out.Len() >= n.ex.batchCap {
 				return deliver(), nil
 			}
 		}
@@ -942,10 +791,9 @@ func (n *parallelHSJNNode) closeInline() error {
 }
 
 // runBuildWorker drains one build stripe, retaining rows and routing keyed
-// rows into partition buffers. On error it cancels sibling workers. In
-// batch mode the stripe is drained batch-at-a-time: each batch's rows are
-// retained (cloned when ephemeral) and then routed, with one meter
-// operation per batch.
+// rows into partition buffers. On error it cancels sibling workers. Each
+// batch's rows are retained (cloned when ephemeral) and then routed, with one
+// meter operation per batch.
 func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][]buildEntry, all *[]schema.Row) error {
 	clone := n.buildClones[w]
 	pr := &n.ex.Cost
@@ -965,46 +813,22 @@ func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][]buildEntry, all *[]sch
 		if err := clone.Open(); err != nil {
 			return err
 		}
-		if n.ex.BatchSize > 0 {
-			edge := n.ex.batchEdge(clone)
-			for {
-				if n.ctx.Err() != nil {
-					return nil
-				}
-				b, err := edge.pull(0)
-				if err != nil {
-					return err
-				}
-				if b == nil {
-					return nil
-				}
-				t := mulTicksSat(rowT, int64(b.Len()))
-				meter.AddTicks(t)
-				if n.ex.Analyze {
-					awT += t
-				}
-				start := len(*all)
-				*all = appendBatchRows(*all, b)
-				route((*all)[start:])
-			}
-		}
 		for {
 			if n.ctx.Err() != nil {
 				return nil
 			}
-			row, ok, err := clone.Next()
-			if err != nil {
+			b, err := clone.NextBatch(0)
+			if err != nil || b == nil {
 				return err
 			}
-			if !ok {
-				return nil
-			}
-			meter.AddTicks(rowT)
+			t := mulTicksSat(rowT, int64(b.Len()))
+			meter.AddTicks(t)
 			if n.ex.Analyze {
-				awT += rowT
+				awT += t
 			}
-			*all = append(*all, row)
-			route((*all)[len(*all)-1:])
+			start := len(*all)
+			*all = appendBatchRows(*all, b)
+			route((*all)[start:])
 		}
 	}()
 	if cerr := clone.Close(); err == nil {
@@ -1033,56 +857,10 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 	outT := Ticks(pr.OutputRow)
 	var awT int64 // loop ticks attributed to the join node in analyze mode
 	defer func() { n.addAnalyzeTicks(awT) }()
-	err := func() error {
-		if err := clone.Open(); err != nil {
-			return err
-		}
-		if n.ex.BatchSize > 0 {
-			return n.runProbeWorkerBatched(clone, meter, probeT, outT, &awT)
-		}
-		for {
-			if n.ctx.Err() != nil {
-				return nil
-			}
-			row, ok, err := clone.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			meter.AddTicks(probeT)
-			if n.ex.Analyze {
-				awT += probeT
-			}
-			h, keyed := hashKeyAt(row, n.probeKeys)
-			if !keyed {
-				continue
-			}
-			for _, b := range n.parts[h%uint64(n.dop)][h] {
-				if !keysEqual(row, n.probeKeys, b, n.buildKeys) {
-					continue
-				}
-				joined := row.Concat(b)
-				keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
-				if ferr != nil {
-					return ferr
-				}
-				if !keep {
-					continue
-				}
-				meter.AddTicks(outT)
-				if n.ex.Analyze {
-					awT += outT
-				}
-				select {
-				case n.ch <- rowMsg{row: joined}:
-				case <-n.ctx.Done():
-					return nil
-				}
-			}
-		}
-	}()
+	err := clone.Open()
+	if err == nil {
+		err = n.probeLoop(clone, meter, probeT, outT, &awT)
+	}
 	if cerr := clone.Close(); err == nil {
 		err = cerr
 	}
@@ -1097,14 +875,12 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 	}
 }
 
-// runProbeWorkerBatched is the probe loop's batch-mode form: it pulls probe
-// batches through a batch edge, carves joined rows into pooled transfer
-// batches (flushed to the consumer at BatchSize), and issues one meter
-// operation per probe batch plus one per batch of emitted rows — the exact
-// tick totals of the row loop.
-func (n *parallelHSJNNode) runProbeWorkerBatched(clone Node, meter *Meter, probeT, outT int64, awT *int64) error {
-	edge := n.ex.batchEdge(clone)
-	out := getBatch(n.ex.BatchSize)
+// probeLoop is a probe worker's loop: it pulls probe batches from the clone,
+// carves joined rows into pooled transfer batches (flushed to the consumer
+// when full), and issues one meter operation per probe batch plus one per
+// batch of emitted rows.
+func (n *parallelHSJNNode) probeLoop(clone Node, meter *Meter, probeT, outT int64, awT *int64) error {
+	out := getBatch(n.ex.batchCap)
 	defer func() {
 		if out != nil {
 			putBatch(out)
@@ -1118,7 +894,7 @@ func (n *parallelHSJNNode) runProbeWorkerBatched(clone Node, meter *Meter, probe
 		}
 		select {
 		case n.ch <- rowMsg{batch: out}:
-			out = getBatch(n.ex.BatchSize)
+			out = getBatch(n.ex.batchCap)
 			return true
 		case <-n.ctx.Done():
 			return false
@@ -1128,13 +904,10 @@ func (n *parallelHSJNNode) runProbeWorkerBatched(clone Node, meter *Meter, probe
 		if n.ctx.Err() != nil {
 			return nil
 		}
-		b, err := edge.pull(0)
-		if err != nil {
+		b, err := clone.NextBatch(0)
+		if err != nil || b == nil {
+			flush() // rows joined before the end, or the error, reach the consumer first
 			return err
-		}
-		if b == nil {
-			flush()
-			return nil
 		}
 		t := mulTicksSat(probeT, int64(b.Len()))
 		meter.AddTicks(t)
@@ -1172,7 +945,7 @@ func (n *parallelHSJNNode) runProbeWorkerBatched(clone Node, meter *Meter, probe
 					continue
 				}
 				emitted++
-				if out.Len() >= n.ex.BatchSize {
+				if out.Len() >= n.ex.batchCap {
 					if !flush() {
 						charge()
 						return nil
@@ -1182,25 +955,6 @@ func (n *parallelHSJNNode) runProbeWorkerBatched(clone Node, meter *Meter, probe
 		}
 		charge()
 	}
-}
-
-func (n *parallelHSJNNode) Next() (schema.Row, bool, error) {
-	if n.inline {
-		return n.inlineNext()
-	}
-	msg, ok := <-n.ch
-	if !ok {
-		n.stats.Done = true
-		return nil, false, nil
-	}
-	if msg.err != nil {
-		n.surfaced = true
-		n.abort()
-		return nil, false, msg.err
-	}
-	n.charge(n.ex, n.ex.Cost.ExchangeRow)
-	n.stats.RowsOut++
-	return msg.row, true, nil
 }
 
 // NextBatch surfaces probe-worker transfer batches in arrival order,

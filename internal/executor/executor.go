@@ -1,5 +1,6 @@
 // Package executor interprets physical plans with Volcano-style
-// open/next/close iterators. Every operator charges simulated work units
+// open/next/close iterators that move rows a batch at a time (see Node and
+// Batch). Every operator charges simulated work units
 // using the same weights as the optimizer's cost model, so a plan's measured
 // work equals its modeled cost evaluated at the *actual* cardinalities —
 // which makes the paper's figures deterministic and machine-independent.
@@ -44,10 +45,10 @@ type Meter struct {
 }
 
 // Ticks converts a work-unit amount into integer meter ticks, applying the
-// meter's fixed-point rounding exactly once. Batch operators pre-scale
-// their per-row charge with it: k rows charged as perRowTicks*k equal
-// exactly k row-at-a-time Add calls of the same amount, which is the basis
-// of the cross-mode bit-identity tests.
+// meter's fixed-point rounding exactly once. Operators pre-scale their
+// per-row charge with it: k rows charged as perRowTicks*k equal exactly k
+// single-row Add calls of the same amount, so a work total does not depend
+// on where the batch boundaries fell.
 func Ticks(w float64) int64 {
 	return int64(math.Round(w * meterTick))
 }
@@ -59,8 +60,8 @@ func (m *Meter) Add(w float64) {
 	}
 }
 
-// AddTicks charges pre-scaled integer ticks (see Ticks) — the batch path's
-// one-meter-operation-per-batch charge.
+// AddTicks charges pre-scaled integer ticks (see Ticks): one meter operation
+// per batch.
 func (m *Meter) AddTicks(t int64) {
 	if m != nil && t != 0 {
 		m.ticks.Add(t)
@@ -118,10 +119,21 @@ func (s *NodeStats) WallNS() int64 {
 	return s.WallLastNS - s.WallFirstNS
 }
 
-// Node is an executable plan operator.
+// Node is an executable plan operator. Rows move between operators only
+// through NextBatch.
 type Node interface {
 	Open() error
-	Next() (schema.Row, bool, error)
+	// NextBatch returns the operator's next rows as one batch of at most max
+	// rows (max <= 0: the producer's capacity), or nil at end of stream; an
+	// empty non-nil batch is never returned. max is how a consumer that may
+	// stop early — a CHECK about to cross its range, a LIMIT — keeps its
+	// producers from running ahead: an operator asked for k rows pulls at
+	// most k input rows at a time, which is exactly what k single-row pulls
+	// would have consumed whenever an input row yields at most one output
+	// row. Exchange consumers treat max as advisory: a transfer batch arrives
+	// sized by its producing worker. An error that reaches an operator while
+	// it holds output rows is delivered after them, on the next call.
+	NextBatch(max int) (*Batch, error)
 	Close() error
 	Plan() *optimizer.Plan
 	Stats() *NodeStats
@@ -224,17 +236,11 @@ type Executor struct {
 	// parallelism changes. Nil preserves ungated spawning.
 	Gate WorkerGate
 
-	// BatchSize enables batch-at-a-time execution: operators with a native
-	// NextBatch move rows in batches of this many rows, and materializing
-	// operators drain their inputs batch-wise. 0 (the default) keeps pure
-	// row-at-a-time Volcano execution. The tree must be driven by RunWith
-	// with the same size. Work totals are bit-identical across sizes.
-	BatchSize int
-
-	tabs   []*catalog.Table
-	ectx   *expr.Context
-	checks *checkRegistry
-	stmt   *Meter // statement-global meter (== Meter outside worker copies)
+	batchCap int // rows per batch; batchRows outside the package's own tests
+	tabs     []*catalog.Table
+	ectx     *expr.Context
+	checks   *checkRegistry
+	stmt     *Meter // statement-global meter (== Meter outside worker copies)
 }
 
 // NewExecutor resolves the query's tables and prepares an executor.
@@ -251,15 +257,16 @@ func NewExecutor(cat *catalog.Catalog, q *logical.Query, params []types.Datum, c
 		meter = &Meter{}
 	}
 	return &Executor{
-		Cat:    cat,
-		Q:      q,
-		Cost:   cost,
-		Meter:  meter,
-		Params: params,
-		tabs:   tabs,
-		ectx:   &expr.Context{Params: params},
-		checks: newCheckRegistry(),
-		stmt:   meter,
+		Cat:      cat,
+		Q:        q,
+		Cost:     cost,
+		Meter:    meter,
+		Params:   params,
+		batchCap: batchRows,
+		tabs:     tabs,
+		ectx:     &expr.Context{Params: params},
+		checks:   newCheckRegistry(),
+		stmt:     meter,
 	}, nil
 }
 
@@ -388,7 +395,8 @@ func (e *Executor) Build(p *optimizer.Plan) (Node, error) {
 // front.
 const runPrealloc = 1 << 16
 
-// Run drains a node to completion, honoring the plan's LIMIT. The output
+// Run drains a node to completion, honoring the plan's LIMIT: the root is
+// never asked for more rows than the limit still allows. The output
 // slice is preallocated from the plan's cardinality estimate, and a Close
 // error is surfaced (alongside any rows drained so far) instead of being
 // dropped.
@@ -417,16 +425,17 @@ func Run(n Node) (rows []schema.Row, err error) {
 	}
 	rows = make([]schema.Row, 0, est)
 	for {
-		row, ok, nerr := n.Next()
-		if nerr != nil {
-			return rows, nerr
+		// Without a LIMIT the argument is <= 0: the producer's capacity.
+		b, berr := n.NextBatch(limit - len(rows))
+		if berr != nil {
+			return rows, berr
 		}
-		if !ok {
+		if b == nil {
 			return rows, nil
 		}
-		rows = append(rows, row)
+		rows = appendBatchRows(rows, b)
 		if limit > 0 && len(rows) >= limit {
-			return rows, nil
+			return rows[:limit], nil
 		}
 	}
 }
@@ -447,6 +456,7 @@ type base struct {
 	plan     *optimizer.Plan
 	stats    NodeStats
 	children []Node
+	pending  error // arrived while output rows were being produced; see emit
 }
 
 func (b *base) Plan() *optimizer.Plan { return b.plan }
@@ -462,12 +472,11 @@ func (b *base) charge(e *Executor, w float64) {
 }
 
 // chargeTicks charges k logical rows of perRow pre-scaled ticks in one
-// meter operation — the batched form of charge, and the single path both
-// modes fund the meter and the analyze attribution through. Attributing the
-// quantized tick value (not the raw float) makes per-node Work exact and
-// bit-identical between row and batch execution: every attributed amount is
-// a multiple of 2^-20, so float64 accumulation is lossless at the work
-// magnitudes the engine produces.
+// meter operation; every charge funds the meter and the analyze attribution
+// through it. Attributing the quantized tick value (not the raw float) makes
+// per-node Work exact and independent of batch boundaries: every attributed
+// amount is a multiple of 2^-20, so float64 accumulation is lossless at the
+// work magnitudes the engine produces.
 func (b *base) chargeTicks(e *Executor, perRow int64, k int) {
 	if k <= 0 {
 		return
@@ -500,6 +509,28 @@ func mulTicksSat(perRow, k int64) int64 {
 		return math.MaxInt64
 	}
 	return perRow * k
+}
+
+// takePending returns, once, the error emit held back on the previous call.
+func (b *base) takePending() error {
+	err := b.pending
+	b.pending = nil
+	return err
+}
+
+// emit ends a NextBatch call that filled out and may have been stopped by err
+// from an input: the rows produced before the error flow upward first, and the
+// error surfaces on the next call (through takePending) — the order in which a
+// consumer pulling one row at a time would have seen them, so a violation
+// finds every operator above it as far along as the rows below it got.
+func (b *base) emit(out *Batch, err error) (*Batch, error) {
+	k := out.Len()
+	if k == 0 {
+		return nil, err
+	}
+	b.pending = err
+	b.stats.RowsOut += float64(k)
+	return out, nil
 }
 
 func (b *base) closeChildren() error {

@@ -546,9 +546,9 @@ func TestECDCAntiJoinEndToEnd(t *testing.T) {
 	if err := wrapped.Open(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		if _, ok, err := wrapped.Next(); err != nil || !ok {
-			t.Fatalf("initial run row %d: %v", i, err)
+	for i := 0; i < 8; i += 4 {
+		if b, err := wrapped.NextBatch(4); err != nil || b.Len() != 4 {
+			t.Fatalf("initial run rows %d..%d: batch %v, err %v", i, i+3, b, err)
 		}
 	}
 	wrapped.Close()

@@ -16,38 +16,48 @@ import (
 type nljnNode struct {
 	base
 	ex     *Executor
-	outer  Node
-	inner  Node // naive variant only
+	outer  cursor
+	inner  cursor // naive variant only
 	filter expr.Expr
+	out    *Batch // reusable output batch
+	outT   int64  // pre-scaled per-output-row charge
+	evalT  int64  // pre-scaled per-pair predicate charge (naive variant)
 
 	// Index variant.
-	probe     *probeState
-	outerKey  int // position of the lookup key in the outer row
-	innerPlan *optimizer.Plan
+	probe    *probeState
+	outerKey int // position of the lookup key in the outer row
 
 	haveOut bool
-	// pair is the naive variant's scratch: the current outer row (outerLen
-	// datums) followed by the inner row under test. The join filter is
-	// evaluated on it and only accepted pairs are copied out, so a rejected
-	// pair allocates nothing.
+	// pair holds the current outer row (outerLen datums); the naive variant
+	// appends the inner row under test and evaluates the join filter on it, so
+	// only accepted pairs are copied out and a rejected pair allocates nothing.
 	pair     schema.Row
 	outerLen int
-	// queued inner matches for the index variant
-	queue []schema.Row
+	// matches[mpos:] are the inner rows of the current outer row that passed
+	// the inner filter and are still to be joined (index variant); heap rows,
+	// so stable.
+	matches []schema.Row
+	mpos    int
 }
+
+// inertNode is a Node that is never driven: it exists so tree walks (stats
+// harvesting, check collection) see an edge the enclosing operator runs by
+// itself.
+type inertNode struct{ base }
+
+func (n *inertNode) Open() error                   { n.stats.Opened = true; return nil }
+func (n *inertNode) NextBatch(int) (*Batch, error) { return nil, nil }
+func (n *inertNode) Close() error                  { return nil }
 
 // probeState tracks the index-probe machinery of an index NLJN and doubles
 // as the Node for the inner edge so tree walks see both children.
 type probeState struct {
-	base
-	ix     *storage.BTreeIndex
-	filter expr.Expr // inner residual filter in table layout
-	npred  float64
+	inertNode
+	ix       *storage.BTreeIndex
+	filter   expr.Expr // inner residual filter in table layout
+	descentT int64     // pre-scaled B+tree descent charge per outer row
+	fetchT   int64     // pre-scaled charge per fetched inner row
 }
-
-func (p *probeState) Open() error                     { p.stats.Opened = true; return nil }
-func (p *probeState) Next() (schema.Row, bool, error) { return nil, false, nil }
-func (p *probeState) Close() error                    { return nil }
 
 func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 	outer, err := e.Build(p.Children[0])
@@ -58,7 +68,8 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &nljnNode{base: base{plan: p}, ex: e, outer: outer, filter: filter}
+	n := &nljnNode{base: base{plan: p}, ex: e, outer: cursor{child: outer}, filter: filter, out: NewBatch(e.batchCap),
+		outT: Ticks(e.Cost.OutputRow), evalT: Ticks(e.Cost.PredEval)}
 	if p.IndexJoin {
 		innerPlan := p.Children[1]
 		t := e.tabs[innerPlan.Table]
@@ -70,17 +81,17 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		keyPos, err := layoutOf(p.Children[0].Cols).pos(p.Children[0].Cols, p.LookupCol)
+		n.outerKey, err = layoutOf(p.Children[0].Cols).pos(p.Children[0].Cols, p.LookupCol)
 		if err != nil {
 			return nil, err
 		}
-		n.outerKey = keyPos
-		n.innerPlan = innerPlan
+		npred := float64(len(expr.Conjuncts(innerPlan.Filter)))
 		n.probe = &probeState{
-			base:   base{plan: innerPlan},
-			ix:     ix,
-			filter: innerFilter,
-			npred:  float64(len(expr.Conjuncts(innerPlan.Filter))),
+			inertNode: inertNode{base{plan: innerPlan}},
+			ix:        ix,
+			filter:    innerFilter,
+			descentT:  Ticks(float64(ix.Height()) * e.Cost.IndexLevel),
+			fetchT:    Ticks(e.Cost.FetchRow + npred*e.Cost.PredEval),
 		}
 		n.children = []Node{outer, n.probe}
 		return n, nil
@@ -92,7 +103,7 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 	if _, ok := inner.(Rewinder); !ok {
 		return nil, fmt.Errorf("executor: naive NLJN inner %s is not rewindable", inner.Plan().Op)
 	}
-	n.inner = inner
+	n.inner.child = inner
 	n.children = []Node{outer, inner}
 	return n, nil
 }
@@ -100,104 +111,138 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 func (n *nljnNode) Open() error {
 	n.stats = NodeStats{Opened: true}
 	n.haveOut = false
-	n.queue = nil
-	if err := n.outer.Open(); err != nil {
-		return err
+	n.matches, n.mpos = n.matches[:0], 0
+	n.outer.b, n.inner.b = nil, nil
+	for _, c := range n.children {
+		if err := c.Open(); err != nil {
+			return err
+		}
 	}
-	if n.inner != nil {
-		return n.inner.Open()
-	}
-	return n.probe.Open()
+	return nil
 }
 
-func (n *nljnNode) Next() (schema.Row, bool, error) {
+func (n *nljnNode) NextBatch(max int) (*Batch, error) {
+	if err := n.takePending(); err != nil {
+		return nil, err
+	}
+	b := n.out
+	b.Reset()
+	max = b.room(max)
+	var err error
 	if n.probe != nil {
-		return n.nextIndex()
+		err = n.fillIndex(b, max)
+	} else {
+		err = n.fillNaive(b, max)
 	}
-	return n.nextNaive()
+	n.chargeTicks(n.ex, n.outT, b.Len())
+	return n.emit(b, err)
 }
 
-func (n *nljnNode) nextNaive() (schema.Row, bool, error) {
-	pr := &n.ex.Cost
-	for {
+// nextOuter makes the next outer row current, copying it into pair. Outer
+// rows are pulled one at a time: each costs an index descent or a full inner
+// rescan, next to which a pull is nothing, and one outer row can owe any
+// number of output rows, so a larger pull would run the outer past the point
+// where a consumer that stops early — a CHECK about to fire — stops.
+func (n *nljnNode) nextOuter() (bool, error) {
+	row, ok, err := n.outer.next(1)
+	if err != nil || !ok {
+		n.stats.Done = err == nil
+		return false, err
+	}
+	n.pair = append(n.pair[:0], row...)
+	n.outerLen = len(row)
+	return true, nil
+}
+
+// fillNaive pairs each outer row with every inner row, pulling inner rows in
+// batches no larger than the output still owed: an inner row yields at most
+// one output row.
+func (n *nljnNode) fillNaive(b *Batch, max int) error {
+	evals := 0
+	defer func() { n.chargeTicks(n.ex, n.evalT, evals) }()
+	for b.Len() < max {
 		if !n.haveOut {
-			row, ok, err := n.outer.Next()
+			ok, err := n.nextOuter()
 			if err != nil || !ok {
-				n.stats.Done = ok == false && err == nil
-				return nil, false, err
+				return err
 			}
 			n.haveOut = true
-			n.pair = append(n.pair[:0], row...)
-			n.outerLen = len(row)
-			if err := n.inner.(Rewinder).Rewind(); err != nil {
-				return nil, false, err
+			n.inner.b = nil
+			if err := n.inner.child.(Rewinder).Rewind(); err != nil {
+				return err
 			}
 		}
-		irow, ok, err := n.inner.Next()
+		irow, ok, err := n.inner.next(max - b.Len())
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		if !ok {
 			n.haveOut = false
 			continue
 		}
-		n.charge(n.ex, pr.PredEval)
+		evals++
 		n.pair = append(n.pair[:n.outerLen], irow...)
 		keep, err := evalFilter(n.filter, n.ex.ectx, n.pair)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		if keep {
-			n.charge(n.ex, pr.OutputRow)
-			n.stats.RowsOut++
-			return n.pair.Clone(), true, nil
+			copy(b.Alloc(len(n.pair)), n.pair)
 		}
 	}
+	return nil
 }
 
-func (n *nljnNode) nextIndex() (schema.Row, bool, error) {
-	pr := &n.ex.Cost
-	for {
-		if len(n.queue) > 0 {
-			joined := n.queue[0]
-			n.queue = n.queue[1:]
-			keep, err := evalFilter(n.filter, n.ex.ectx, joined)
-			if err != nil {
-				return nil, false, err
+// fillIndex probes the inner B+tree once per outer row: the descent and every
+// fetched inner row are charged to the probe edge when the outer row is
+// taken, and the matches that passed the inner filter are then joined, tested
+// against the join filter and emitted as room allows.
+func (n *nljnNode) fillIndex(b *Batch, max int) error {
+	p := n.probe
+	outers, fetched := 0, 0
+	defer func() {
+		p.chargeTicks(n.ex, p.descentT, outers)
+		p.chargeTicks(n.ex, p.fetchT, fetched)
+	}()
+	for b.Len() < max {
+		if n.mpos == len(n.matches) {
+			n.matches, n.mpos = n.matches[:0], 0
+			ok, err := n.nextOuter()
+			if err != nil || !ok {
+				return err
 			}
-			if keep {
-				n.charge(n.ex, pr.OutputRow)
-				n.stats.RowsOut++
-				return joined, true, nil
+			outers++
+			for _, rid := range p.ix.Lookup(n.pair[n.outerKey]) {
+				irow, err := p.ix.Table().Get(rid)
+				if err != nil {
+					return err
+				}
+				fetched++
+				keep, err := evalFilter(p.filter, n.ex.ectx, irow)
+				if err != nil {
+					return err
+				}
+				if keep {
+					p.stats.RowsOut++
+					n.matches = append(n.matches, irow)
+				}
 			}
 			continue
 		}
-		orow, ok, err := n.outer.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			n.stats.Done = true
-			return nil, false, nil
-		}
-		key := orow[n.outerKey]
-		n.probe.charge(n.ex, float64(n.probe.ix.Height())*pr.IndexLevel)
-		for _, rid := range n.probe.ix.Lookup(key) {
-			irow, err := n.probe.ix.Table().Get(rid)
+		irow := n.matches[n.mpos]
+		n.mpos++
+		out := b.Alloc(n.outerLen + len(irow))
+		copy(out, n.pair)
+		copy(out[n.outerLen:], irow)
+		keep, err := evalFilter(n.filter, n.ex.ectx, out)
+		if err != nil || !keep {
+			b.dropLast(len(out))
 			if err != nil {
-				return nil, false, err
-			}
-			n.probe.charge(n.ex, pr.FetchRow+n.probe.npred*pr.PredEval)
-			keep, err := evalFilter(n.probe.filter, n.ex.ectx, irow)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				n.probe.stats.RowsOut++
-				n.queue = append(n.queue, orow.Concat(irow))
+				return err
 			}
 		}
 	}
+	return nil
 }
 
 func (n *nljnNode) Close() error { return n.closeChildren() }
@@ -210,7 +255,6 @@ func (n *nljnNode) Close() error { return n.closeChildren() }
 type hsjnNode struct {
 	base
 	ex        *Executor
-	probe     Node
 	build     Node
 	probeKeys []int // positions in probe rows
 	buildKeys []int // positions in build rows
@@ -225,15 +269,10 @@ type hsjnNode struct {
 	curIdx    int
 	curProbe  schema.Row
 
-	// Batch-mode state: the probe edge, the reusable output batch, a held
-	// input batch with its cursor, and the pre-scaled per-row charges.
-	probeEdge *batchEdge
-	out       *Batch
-	inBatch   *Batch
-	inPos     int
-	probeT    int64
-	outT      int64
-	width     int // joined-row width (probe + build columns)
+	in     cursor // probe input
+	out    *Batch // reusable output batch
+	probeT int64  // pre-scaled per-probe-row charge
+	outT   int64  // pre-scaled per-output-row charge
 
 	// buildRows retains the complete build input (including NULL-keyed rows
 	// the hash table drops) so the build can be promoted to a temp MV — the
@@ -272,9 +311,10 @@ func (e *Executor) buildHSJN(p *optimizer.Plan) (Node, error) {
 	n := &hsjnNode{
 		base:   base{plan: p, children: []Node{probe, build}},
 		ex:     e,
-		probe:  probe,
 		build:  build,
 		filter: filter,
+		in:     cursor{child: probe},
+		out:    NewBatch(e.batchCap),
 	}
 	n.probeKeys, n.buildKeys, err = equiKeyPositions(p)
 	if err != nil {
@@ -380,38 +420,35 @@ func (n *hsjnNode) Open() error {
 		n.spillExtra = (stages - 1) * pr.SpillRow
 		n.stats.Spilled = true
 	}
-	// Pre-scale the per-row charges once per Open: spillExtra is folded into
-	// the probe charge exactly as the row path passes it to a single Add.
+	// Pre-scale the per-row charges once per Open; the spill surcharge is part
+	// of the probe charge, rounded to ticks together with it.
 	n.probeT = Ticks(pr.HashProbeRow + n.spillExtra)
 	n.outT = Ticks(pr.OutputRow)
-	if n.ex.BatchSize > 0 {
-		n.probeEdge = n.ex.batchEdge(n.probe)
-		if n.out == nil {
-			n.out = NewBatch(n.ex.BatchSize)
-		}
-		n.inBatch = nil
-		n.inPos = 0
-	}
-	return n.probe.Open()
+	n.in.b = nil
+	return n.in.child.Open()
 }
 
 // NextBatch probes the hash table with input pulled batch-at-a-time,
 // carving joined rows from the output slab. The pull size is bounded by the
-// remaining output need, so an eager CHECK above the join can bound how far
-// the probe runs past its validity range. Probe rows charge HashProbeRow
+// output still owed, so an eager CHECK above the join bounds how far the
+// probe runs past its validity range. Probe rows charge HashProbeRow
 // (+spill surcharge) and emitted rows OutputRow, each pre-scaled and
-// batch-aggregated to the exact tick totals of the row path.
+// aggregated per batch.
 func (n *hsjnNode) NextBatch(max int) (*Batch, error) {
+	if err := n.takePending(); err != nil {
+		return nil, err
+	}
 	b := n.out
 	b.Reset()
-	if max <= 0 || max > cap(b.Rows) {
-		max = cap(b.Rows)
-	}
-	consumed := 0 // probe rows consumed during this call
-	flush := func() {
-		n.chargeTicks(n.ex, n.probeT, consumed)
-		n.chargeTicks(n.ex, n.outT, b.Len())
-	}
+	consumed, err := n.fill(b, b.room(max))
+	n.chargeTicks(n.ex, n.probeT, consumed)
+	n.chargeTicks(n.ex, n.outT, b.Len())
+	return n.emit(b, err)
+}
+
+// fill joins probe rows into b until it holds max rows or the probe input
+// ends or fails, and reports how many probe rows it consumed.
+func (n *hsjnNode) fill(b *Batch, max int) (consumed int, err error) {
 	for b.Len() < max {
 		// Emit pending matches for the current probe row, key-checking each
 		// bucket candidate lazily.
@@ -424,87 +461,29 @@ func (n *hsjnNode) NextBatch(max int) (*Batch, error) {
 			out := b.Alloc(len(n.curProbe) + len(m))
 			copy(out, n.curProbe)
 			copy(out[len(n.curProbe):], m)
-			keep, ferr := evalFilter(n.filter, n.ex.ectx, out)
-			if ferr != nil {
-				b.dropLast(len(out)) // not an output row: the row path charges no OutputRow for it
-				flush()
-				return nil, ferr
-			}
-			if !keep {
-				b.dropLast(len(out))
+			keep, err := evalFilter(n.filter, n.ex.ectx, out)
+			if err != nil || !keep {
+				b.dropLast(len(out)) // not an output row: it charges no OutputRow
+				if err != nil {
+					return consumed, err
+				}
 			}
 		}
 		if n.curIdx < len(n.curBucket) {
 			break // batch full mid-bucket; curProbe stays valid until the next pull
 		}
-		if n.inBatch == nil || n.inPos >= n.inBatch.Len() {
-			nb, err := n.probeEdge.pull(max - b.Len())
-			if err != nil {
-				flush()
-				return nil, err
-			}
-			if nb == nil {
-				n.inBatch = nil
-				n.stats.Done = true
-				break
-			}
-			n.inBatch = nb
-			n.inPos = 0
+		row, ok, err := n.in.next(max - b.Len())
+		if err != nil || !ok {
+			n.stats.Done = err == nil
+			return consumed, err
 		}
-		row := n.inBatch.Rows[n.inPos]
-		n.inPos++
 		consumed++
-		h, hasKey := hashKeyAt(row, n.probeKeys)
-		if !hasKey {
-			continue
+		if h, hasKey := hashKeyAt(row, n.probeKeys); hasKey {
+			n.curProbe = row
+			n.curBucket, n.curIdx = n.table[h], 0
 		}
-		n.curProbe = row //poplint:allow batchescape probe cursor: drained into the output batch before the next pull replaces inBatch, so the alias never outlives its batch
-		n.curBucket, n.curIdx = n.table[h], 0
 	}
-	flush()
-	n.stats.RowsOut += float64(b.Len())
-	if b.Len() == 0 {
-		return nil, nil
-	}
-	return b, nil
-}
-
-func (n *hsjnNode) Next() (schema.Row, bool, error) {
-	pr := &n.ex.Cost
-	for {
-		for n.curIdx < len(n.curBucket) {
-			m := n.curBucket[n.curIdx]
-			n.curIdx++
-			if !keysEqual(n.curProbe, n.probeKeys, m, n.buildKeys) {
-				continue
-			}
-			joined := n.curProbe.Concat(m)
-			keep, err := evalFilter(n.filter, n.ex.ectx, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				n.charge(n.ex, pr.OutputRow)
-				n.stats.RowsOut++
-				return joined, true, nil
-			}
-		}
-		row, ok, err := n.probe.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			n.stats.Done = true
-			return nil, false, nil
-		}
-		n.charge(n.ex, pr.HashProbeRow+n.spillExtra)
-		h, hasKey := hashKeyAt(row, n.probeKeys)
-		if !hasKey {
-			continue
-		}
-		n.curProbe = row
-		n.curBucket, n.curIdx = n.table[h], 0
-	}
+	return consumed, nil
 }
 
 func (n *hsjnNode) Close() error { return n.closeChildren() }
@@ -514,20 +493,21 @@ func (n *hsjnNode) Close() error { return n.closeChildren() }
 type mgjnNode struct {
 	base
 	ex       *Executor
-	left     Node
-	right    Node
+	left     cursor
+	right    cursor
 	leftKey  int
 	rightKey int
 	filter   expr.Expr
+	out      *Batch // reusable output batch
 
 	lrow    schema.Row
 	lok     bool
 	group   []schema.Row // current right-side duplicate group
 	gpos    int
-	gkey    schema.Row // representative right row of the group
 	rahead  schema.Row // lookahead right row
 	rvalid  bool
 	started bool
+	merged  int // input rows advanced over during the current call
 }
 
 func (e *Executor) buildMGJN(p *optimizer.Plan) (Node, error) {
@@ -547,15 +527,15 @@ func (e *Executor) buildMGJN(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	lk, rk := lks[0], rks[0]
 	return &mgjnNode{
 		base:     base{plan: p, children: []Node{left, right}},
 		ex:       e,
-		left:     left,
-		right:    right,
-		leftKey:  lk,
-		rightKey: rk,
+		left:     cursor{child: left},
+		right:    cursor{child: right},
+		leftKey:  lks[0],
+		rightKey: rks[0],
 		filter:   filter,
+		out:      NewBatch(e.batchCap),
 	}, nil
 }
 
@@ -563,45 +543,45 @@ func (n *mgjnNode) Open() error {
 	n.stats = NodeStats{Opened: true}
 	n.started = false
 	n.group = nil
-	if err := n.left.Open(); err != nil {
+	n.left.b, n.right.b = nil, nil
+	if err := n.left.child.Open(); err != nil {
 		return err
 	}
-	return n.right.Open()
+	return n.right.child.Open()
 }
 
-func (n *mgjnNode) advanceLeft() error {
-	row, ok, err := n.left.Next()
-	if err != nil {
-		return err
+// advanceLeft and advanceRight pull a single row: how far the merge reads into
+// one input is decided row by row by the other, and a larger pull would run a
+// producer past the point where the join, or a CHECK below it, stops.
+func (n *mgjnNode) advanceLeft() (err error) {
+	n.lrow, n.lok, err = n.left.next(1)
+	if n.lok {
+		n.merged++
 	}
-	n.lrow, n.lok = row, ok
-	if ok {
-		n.charge(n.ex, n.ex.Cost.MergeRow)
-	}
-	return nil
+	return err
 }
 
-func (n *mgjnNode) advanceRight() error {
-	row, ok, err := n.right.Next()
-	if err != nil {
-		return err
+func (n *mgjnNode) advanceRight() (err error) {
+	n.rahead, n.rvalid, err = n.right.next(1)
+	if n.rvalid {
+		n.merged++
 	}
-	n.rahead, n.rvalid = row, ok
-	if ok {
-		n.charge(n.ex, n.ex.Cost.MergeRow)
-	}
-	return nil
+	return err
 }
 
 // loadGroup collects the run of right rows equal to the current lookahead.
+// The group outlives the batches its rows arrived in, so rows carved from a
+// producer's slab are copied.
 func (n *mgjnNode) loadGroup() error {
 	n.group = n.group[:0]
-	n.gkey = n.rahead
 	key := n.rahead[n.rightKey]
 	for n.rvalid {
 		c, err := n.rahead[n.rightKey].Compare(key)
 		if err != nil || c != 0 {
 			break
+		}
+		if n.right.b.Ephemeral() {
+			n.rahead = n.rahead.Clone()
 		}
 		n.group = append(n.group, n.rahead)
 		if err := n.advanceRight(); err != nil {
@@ -611,45 +591,58 @@ func (n *mgjnNode) loadGroup() error {
 	return nil
 }
 
-func (n *mgjnNode) Next() (schema.Row, bool, error) {
-	pr := &n.ex.Cost
+// NextBatch runs the merge until max joined rows are carved or an input ends.
+// Every input row advanced over charges MergeRow and every emitted row
+// OutputRow, aggregated per batch.
+func (n *mgjnNode) NextBatch(max int) (*Batch, error) {
+	if err := n.takePending(); err != nil {
+		return nil, err
+	}
+	b := n.out
+	b.Reset()
+	max = b.room(max)
+	n.merged = 0
+	err := n.fill(b, max)
+	n.chargeTicks(n.ex, Ticks(n.ex.Cost.MergeRow), n.merged)
+	n.chargeTicks(n.ex, Ticks(n.ex.Cost.OutputRow), b.Len())
+	return n.emit(b, err)
+}
+
+func (n *mgjnNode) fill(b *Batch, max int) error {
 	if !n.started {
 		n.started = true
 		if err := n.advanceLeft(); err != nil {
-			return nil, false, err
+			return err
 		}
 		if err := n.advanceRight(); err != nil {
-			return nil, false, err
+			return err
 		}
-		n.gpos = 0
 	}
-	for {
-		// Emit pending pairs from the current group.
-		for n.lok && len(n.group) > 0 && n.gpos < len(n.group) {
-			c, err := n.lrow[n.leftKey].Compare(n.gkey[n.rightKey])
-			if err != nil || c != 0 {
-				break
-			}
-			joined := n.lrow.Concat(n.group[n.gpos])
+	for b.Len() < max {
+		if n.lok && n.gpos < len(n.group) {
+			// Emit the next pair of the current left row and group.
+			r := n.group[n.gpos]
 			n.gpos++
-			keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
-			if ferr != nil {
-				return nil, false, ferr
+			out := b.Alloc(len(n.lrow) + len(r))
+			copy(out, n.lrow)
+			copy(out[len(n.lrow):], r)
+			keep, err := evalFilter(n.filter, n.ex.ectx, out)
+			if err != nil || !keep {
+				b.dropLast(len(out))
+				if err != nil {
+					return err
+				}
 			}
-			if keep {
-				n.charge(n.ex, pr.OutputRow)
-				n.stats.RowsOut++
-				return joined, true, nil
-			}
+			continue
 		}
-		if n.lok && len(n.group) > 0 && n.gpos >= len(n.group) {
-			// Exhausted group for this left row; next left row may match the
-			// same group (duplicates on the left).
+		if n.lok && len(n.group) > 0 {
+			// Group exhausted for this left row; the next left row may match
+			// the same group (duplicates on the left).
 			if err := n.advanceLeft(); err != nil {
-				return nil, false, err
+				return err
 			}
 			if n.lok {
-				if c, err := n.lrow[n.leftKey].Compare(n.gkey[n.rightKey]); err == nil && c == 0 {
+				if c, err := n.lrow[n.leftKey].Compare(n.group[0][n.rightKey]); err == nil && c == 0 {
 					n.gpos = 0
 					continue
 				}
@@ -657,51 +650,38 @@ func (n *mgjnNode) Next() (schema.Row, bool, error) {
 			n.group = n.group[:0]
 			continue
 		}
-		if !n.lok || (!n.rvalid && len(n.group) == 0) {
+		if !n.lok || !n.rvalid {
 			n.stats.Done = true
-			return nil, false, nil
+			return nil
 		}
 		// No active group: align the sides. NULL keys never match.
-		if n.lrow[n.leftKey].IsNull() {
-			if err := n.advanceLeft(); err != nil {
-				return nil, false, err
+		var c int
+		switch {
+		case n.lrow[n.leftKey].IsNull():
+			c = -1
+		case n.rahead[n.rightKey].IsNull():
+			c = 1
+		default:
+			var err error
+			if c, err = n.lrow[n.leftKey].Compare(n.rahead[n.rightKey]); err != nil {
+				return err
 			}
-			continue
 		}
-		if n.rahead[n.rightKey].IsNull() {
-			if err := n.advanceRight(); err != nil {
-				return nil, false, err
-			}
-			if !n.rvalid && len(n.group) == 0 {
-				n.stats.Done = true
-				return nil, false, nil
-			}
-			continue
-		}
-		c, err := n.lrow[n.leftKey].Compare(n.rahead[n.rightKey])
-		if err != nil {
-			return nil, false, err
-		}
+		var err error
 		switch {
 		case c < 0:
-			if err := n.advanceLeft(); err != nil {
-				return nil, false, err
-			}
+			err = n.advanceLeft()
 		case c > 0:
-			if err := n.advanceRight(); err != nil {
-				return nil, false, err
-			}
-			if !n.rvalid {
-				n.stats.Done = true
-				return nil, false, nil
-			}
+			err = n.advanceRight()
 		default:
-			if err := n.loadGroup(); err != nil {
-				return nil, false, err
-			}
+			err = n.loadGroup()
 			n.gpos = 0
 		}
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 func (n *mgjnNode) Close() error { return n.closeChildren() }

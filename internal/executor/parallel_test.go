@@ -318,9 +318,11 @@ type closeErrNode struct {
 }
 
 func (n *closeErrNode) Open() error { n.stats = NodeStats{Opened: true}; return nil }
-func (n *closeErrNode) Next() (schema.Row, bool, error) {
+func (n *closeErrNode) NextBatch(int) (*Batch, error) {
 	n.stats.RowsOut++
-	return schema.Row{}, true, nil
+	b := NewBatch(1)
+	b.Append(schema.Row{})
+	return b, nil
 }
 func (n *closeErrNode) Close() error { return n.closeErr }
 
@@ -331,7 +333,7 @@ func (n *closeErrNode) Close() error { return n.closeErr }
 func TestGatherSurfacesCloseErrorOnEarlyClose(t *testing.T) {
 	closeErr := errors.New("clone close failed")
 	clone := &closeErrNode{base: base{plan: &optimizer.Plan{}}, closeErr: closeErr}
-	ex := &Executor{Meter: &Meter{}}
+	ex := &Executor{Meter: &Meter{}, batchCap: batchRows}
 	ex.stmt = ex.Meter
 	g := &gatherNode{
 		base:   base{plan: &optimizer.Plan{Op: optimizer.OpExchange}},
@@ -343,8 +345,8 @@ func TestGatherSurfacesCloseErrorOnEarlyClose(t *testing.T) {
 	if err := g.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := g.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if b, err := g.NextBatch(0); err != nil || b == nil {
+		t.Fatalf("first batch: %v, err=%v", b, err)
 	}
 	// The consumer stops before end-of-stream, as a LIMIT does.
 	if err := g.Close(); !errors.Is(err, closeErr) {

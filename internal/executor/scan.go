@@ -17,20 +17,33 @@ type partitioned interface {
 	setPartition(part, of int)
 }
 
+// stripe is a leaf's morsel stripe: every of-th element starting at part
+// (the zero value is the whole input).
+type stripe struct{ part, of int }
+
+func (s *stripe) setPartition(part, of int) { s.part, s.of = part, of }
+
+// step returns the stride through the input (1 when unpartitioned).
+func (s *stripe) step() int {
+	if s.of > 1 {
+		return s.of
+	}
+	return 1
+}
+
 // tableScanNode scans a heap (or one morsel stripe of it) and applies the
 // residual filter.
 type tableScanNode struct {
 	base
+	stripe
 	ex     *Executor
 	heap   *storage.Table
 	filter expr.Expr
 	npreds float64
 	it     *storage.TableIterator
 
-	out      *Batch // reusable output batch (batch mode)
+	out      *Batch // reusable output batch
 	rowTicks int64  // pre-scaled per-scanned-row charge
-
-	part, parts int // morsel stripe (parts == 0 → whole heap)
 }
 
 func (e *Executor) buildTableScan(p *optimizer.Plan) (Node, error) {
@@ -47,22 +60,18 @@ func (e *Executor) buildTableScan(p *optimizer.Plan) (Node, error) {
 		heap:   e.tabs[p.Table].Heap,
 		filter: f,
 		npreds: float64(len(expr.Conjuncts(p.Filter))),
+		out:    NewBatch(e.batchCap),
 	}, nil
 }
 
-func (n *tableScanNode) setPartition(part, of int) { n.part, n.parts = part, of }
-
 func (n *tableScanNode) Open() error {
-	if n.parts > 1 {
-		n.it = n.heap.ScanPartition(n.part, n.parts)
+	if n.of > 1 {
+		n.it = n.heap.ScanPartition(n.part, n.of)
 	} else {
 		n.it = n.heap.Scan()
 	}
 	n.stats = NodeStats{Opened: true}
 	n.rowTicks = Ticks(n.ex.Cost.ScanRow + n.npreds*n.ex.Cost.PredEval)
-	if n.ex.BatchSize > 0 && n.out == nil {
-		n.out = NewBatch(n.ex.BatchSize)
-	}
 	return nil
 }
 
@@ -72,36 +81,15 @@ func (n *tableScanNode) Rewind() error {
 	return nil
 }
 
-func (n *tableScanNode) Next() (schema.Row, bool, error) {
-	pr := &n.ex.Cost
-	for {
-		row, _, ok := n.it.Next()
-		if !ok {
-			n.stats.Done = true
-			return nil, false, nil
-		}
-		n.charge(n.ex, pr.ScanRow+n.npreds*pr.PredEval)
-		keep, err := evalFilter(n.filter, n.ex.ectx, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			n.stats.RowsOut++
-			return row, true, nil
-		}
-	}
-}
-
 // NextBatch scans rows into a reusable batch of heap-row references (heap
-// rows are stable, so the batch is not ephemeral). Every scanned row —
-// kept or filtered out — charges exactly the row path's per-row amount, in
-// a single meter operation per batch.
+// rows are stable, so the batch is not ephemeral). Every scanned row — kept
+// or filtered out — charges ScanRow plus its predicate evaluations, in a
+// single meter operation per batch, and the scan stops at the max-th kept
+// row.
 func (n *tableScanNode) NextBatch(max int) (*Batch, error) {
 	b := n.out
 	b.Reset()
-	if max <= 0 || max > cap(b.Rows) {
-		max = cap(b.Rows)
-	}
+	max = b.room(max)
 	scanned := 0
 	for b.Len() < max {
 		row, _, ok := n.it.Next()
@@ -120,148 +108,66 @@ func (n *tableScanNode) NextBatch(max int) (*Batch, error) {
 		}
 	}
 	n.chargeTicks(n.ex, n.rowTicks, scanned)
-	n.stats.RowsOut += float64(b.Len())
-	if b.Len() == 0 {
-		return nil, nil
-	}
-	return b, nil
+	return n.emit(b, nil)
 }
 
 func (n *tableScanNode) Close() error { return nil }
 
-// indexScanNode performs a sargable B+tree range scan: it collects the
-// qualifying rids in key order, fetches the rows and applies the residual
-// filter. Bounds are constant expressions fixed at plan time.
-type indexScanNode struct {
+// ridFetch is the fetch phase shared by the index access paths: Open has
+// collected the qualifying rids, NextBatch fetches their rows (or one morsel
+// stripe of them) and applies the residual filter.
+type ridFetch struct {
 	base
+	stripe
 	ex     *Executor
-	ix     *storage.BTreeIndex
+	heap   *storage.Table
 	filter expr.Expr
-	npreds float64
 	rids   []schema.RID
 	pos    int
 
-	out      *Batch // reusable output batch (batch mode)
+	out      *Batch // reusable output batch
 	rowTicks int64  // pre-scaled per-fetched-row charge
-
-	part, parts int // morsel stripe over the qualifying rids (parts == 0 → all)
 }
 
-func (e *Executor) buildIndexScan(p *optimizer.Plan) (Node, error) {
-	t := e.tabs[p.Table]
-	ix := t.BTreeOn(p.IndexOrd)
-	if ix == nil {
-		return nil, fmt.Errorf("executor: no B+tree on %s ordinal %d", t.Name, p.IndexOrd)
-	}
+func (e *Executor) newRidFetch(p *optimizer.Plan, heap *storage.Table) (ridFetch, error) {
 	f, err := e.remap(p.Filter, p.Cols)
-	if err != nil {
-		return nil, err
-	}
-	return &indexScanNode{
-		base:   base{plan: p},
-		ex:     e,
-		ix:     ix,
-		filter: f,
-		npreds: float64(len(expr.Conjuncts(p.Filter))),
-	}, nil
+	npreds := float64(len(expr.Conjuncts(p.Filter)))
+	return ridFetch{
+		base:     base{plan: p},
+		ex:       e,
+		heap:     heap,
+		filter:   f,
+		out:      NewBatch(e.batchCap),
+		rowTicks: Ticks(e.Cost.FetchRow + npreds*e.Cost.PredEval),
+	}, err
 }
 
-func (n *indexScanNode) bound(e expr.Expr, inc bool) (storage.Bound, error) {
-	if e == nil {
-		return storage.Bound{}, nil
-	}
-	v, err := e.Eval(n.ex.ectx, nil)
-	if err != nil {
-		return storage.Bound{}, err
-	}
-	return storage.Bound{Value: &v, Inclusive: inc}, nil
-}
-
-func (n *indexScanNode) setPartition(part, of int) { n.part, n.parts = part, of }
-
-// step returns the rid-list stride (1 when unpartitioned).
-func (n *indexScanNode) step() int {
-	if n.parts > 1 {
-		return n.parts
-	}
-	return 1
-}
-
-func (n *indexScanNode) Open() error {
+// start resets the node for a fresh Open, keeping the rid buffer.
+func (n *ridFetch) start() {
 	n.stats = NodeStats{Opened: true}
 	n.rids = n.rids[:0]
 	n.pos = n.part
-	p := n.plan
-	lo, err := n.bound(p.IndexLo, p.IndexLoInc)
-	if err != nil {
-		return err
-	}
-	hi, err := n.bound(p.IndexHi, p.IndexHiInc)
-	if err != nil {
-		return err
-	}
-	pr := &n.ex.Cost
-	// The B+tree descent happens once per logical scan; in a partitioned
-	// scan only stripe 0 charges it so the work total matches the serial
-	// plan exactly.
-	if n.part == 0 {
-		n.charge(n.ex, float64(n.ix.Height())*pr.IndexLevel)
-	}
-	n.ix.AscendRange(lo, hi, func(_ types.Datum, rid schema.RID) bool {
-		n.rids = append(n.rids, rid)
-		return true
-	})
-	n.rowTicks = Ticks(pr.FetchRow + n.npreds*pr.PredEval)
-	if n.ex.BatchSize > 0 && n.out == nil {
-		n.out = NewBatch(n.ex.BatchSize)
-	}
-	return nil
 }
 
-func (n *indexScanNode) Rewind() error {
+func (n *ridFetch) Rewind() error {
 	n.pos = n.part
 	n.stats.Done = false
 	return nil
 }
 
-func (n *indexScanNode) Next() (schema.Row, bool, error) {
-	pr := &n.ex.Cost
-	for n.pos < len(n.rids) {
-		rid := n.rids[n.pos]
-		n.pos += n.step()
-		row, err := n.ix.Table().Get(rid)
-		if err != nil {
-			return nil, false, err
-		}
-		n.charge(n.ex, pr.FetchRow+n.npreds*pr.PredEval)
-		keep, err := evalFilter(n.filter, n.ex.ectx, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			n.stats.RowsOut++
-			return row, true, nil
-		}
-	}
-	n.stats.Done = true
-	return nil, false, nil
-}
-
 // NextBatch fetches qualifying rids into a reusable batch of stable heap
-// rows, charging the row path's per-fetch amount once per batch. A fetch
-// error is surfaced after charging the rows fetched so far, exactly like
-// the row path (which charges after each successful Get).
-func (n *indexScanNode) NextBatch(max int) (*Batch, error) {
+// rows, charging FetchRow plus the predicate evaluations per fetched row once
+// per batch. A fetch error is surfaced after charging the rows fetched so
+// far.
+func (n *ridFetch) NextBatch(max int) (*Batch, error) {
 	b := n.out
 	b.Reset()
-	if max <= 0 || max > cap(b.Rows) {
-		max = cap(b.Rows)
-	}
+	max = b.room(max)
 	fetched := 0
 	for b.Len() < max && n.pos < len(n.rids) {
 		rid := n.rids[n.pos]
 		n.pos += n.step()
-		row, err := n.ix.Table().Get(rid)
+		row, err := n.heap.Get(rid)
 		if err != nil {
 			n.chargeTicks(n.ex, n.rowTicks, fetched)
 			return nil, err
@@ -277,25 +183,74 @@ func (n *indexScanNode) NextBatch(max int) (*Batch, error) {
 		}
 	}
 	n.chargeTicks(n.ex, n.rowTicks, fetched)
-	if n.pos >= len(n.rids) {
-		n.stats.Done = true
-	}
-	n.stats.RowsOut += float64(b.Len())
-	if b.Len() == 0 {
-		return nil, nil
-	}
-	return b, nil
+	n.stats.Done = b.Len() < max
+	return n.emit(b, nil)
 }
 
-func (n *indexScanNode) Close() error { return nil }
+func (n *ridFetch) Close() error { return nil }
+
+// indexScanNode performs a sargable B+tree range scan: it collects the
+// qualifying rids in key order, fetches the rows and applies the residual
+// filter. Bounds are constant expressions fixed at plan time.
+type indexScanNode struct {
+	ridFetch
+	ix *storage.BTreeIndex
+}
+
+func (e *Executor) buildIndexScan(p *optimizer.Plan) (Node, error) {
+	t := e.tabs[p.Table]
+	ix := t.BTreeOn(p.IndexOrd)
+	if ix == nil {
+		return nil, fmt.Errorf("executor: no B+tree on %s ordinal %d", t.Name, p.IndexOrd)
+	}
+	rf, err := e.newRidFetch(p, ix.Table())
+	if err != nil {
+		return nil, err
+	}
+	return &indexScanNode{ridFetch: rf, ix: ix}, nil
+}
+
+func (n *indexScanNode) bound(e expr.Expr, inc bool) (storage.Bound, error) {
+	if e == nil {
+		return storage.Bound{}, nil
+	}
+	v, err := e.Eval(n.ex.ectx, nil)
+	if err != nil {
+		return storage.Bound{}, err
+	}
+	return storage.Bound{Value: &v, Inclusive: inc}, nil
+}
+
+func (n *indexScanNode) Open() error {
+	n.start()
+	p := n.plan
+	lo, err := n.bound(p.IndexLo, p.IndexLoInc)
+	if err != nil {
+		return err
+	}
+	hi, err := n.bound(p.IndexHi, p.IndexHiInc)
+	if err != nil {
+		return err
+	}
+	// The B+tree descent happens once per logical scan; in a partitioned
+	// scan only stripe 0 charges it so the work total matches the serial
+	// plan exactly.
+	if n.part == 0 {
+		n.charge(n.ex, float64(n.ix.Height())*n.ex.Cost.IndexLevel)
+	}
+	n.ix.AscendRange(lo, hi, func(_ types.Datum, rid schema.RID) bool {
+		n.rids = append(n.rids, rid)
+		return true
+	})
+	return nil
+}
 
 // mvScanNode streams a temporary materialized view (or one morsel stripe).
 type mvScanNode struct {
 	base
+	stripe
 	ex  *Executor
-	pos int
-
-	part, parts int
+	cur rowCursor
 }
 
 func (e *Executor) buildMVScan(p *optimizer.Plan) (Node, error) {
@@ -305,38 +260,16 @@ func (e *Executor) buildMVScan(p *optimizer.Plan) (Node, error) {
 	return &mvScanNode{base: base{plan: p}, ex: e}, nil
 }
 
-func (n *mvScanNode) setPartition(part, of int) { n.part, n.parts = part, of }
-
-func (n *mvScanNode) step() int {
-	if n.parts > 1 {
-		return n.parts
-	}
-	return 1
-}
-
 func (n *mvScanNode) Open() error {
 	n.stats = NodeStats{Opened: true}
-	n.pos = n.part
+	n.cur.open(n.ex, n.plan.MV.Rows, n.stripe)
 	return nil
 }
 
-func (n *mvScanNode) Rewind() error {
-	n.pos = n.part
-	n.stats.Done = false
-	return nil
-}
+func (n *mvScanNode) Rewind() error { return n.cur.rewind(&n.stats) }
 
-func (n *mvScanNode) Next() (schema.Row, bool, error) {
-	rows := n.plan.MV.Rows
-	if n.pos >= len(rows) {
-		n.stats.Done = true
-		return nil, false, nil
-	}
-	row := rows[n.pos]
-	n.pos += n.step()
-	n.charge(n.ex, n.ex.Cost.TempRead)
-	n.stats.RowsOut++
-	return row, true, nil
+func (n *mvScanNode) NextBatch(max int) (*Batch, error) {
+	return n.cur.next(&n.base, n.ex, max, n.ex.Cost.TempRead)
 }
 
 func (n *mvScanNode) Close() error { return nil }
@@ -344,13 +277,8 @@ func (n *mvScanNode) Close() error { return nil }
 // hashLookupNode serves an equality predicate from a hash index: one O(1)
 // probe, then fetch and residual-filter the qualifying rows.
 type hashLookupNode struct {
-	base
-	ex     *Executor
-	ix     *storage.HashIndex
-	filter expr.Expr
-	npreds float64
-	rids   []schema.RID
-	pos    int
+	ridFetch
+	ix *storage.HashIndex
 }
 
 func (e *Executor) buildHashLookup(p *optimizer.Plan) (Node, error) {
@@ -359,63 +287,20 @@ func (e *Executor) buildHashLookup(p *optimizer.Plan) (Node, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("executor: no hash index on %s ordinal %d", t.Name, p.IndexOrd)
 	}
-	f, err := e.remap(p.Filter, p.Cols)
+	rf, err := e.newRidFetch(p, ix.Table())
 	if err != nil {
 		return nil, err
 	}
-	return &hashLookupNode{
-		base:   base{plan: p},
-		ex:     e,
-		ix:     ix,
-		filter: f,
-		npreds: float64(len(expr.Conjuncts(p.Filter))),
-	}, nil
+	return &hashLookupNode{ridFetch: rf, ix: ix}, nil
 }
 
 func (n *hashLookupNode) Open() error {
-	n.stats = NodeStats{Opened: true}
-	n.rids = n.rids[:0]
-	n.pos = 0
+	n.start()
 	key, err := n.plan.IndexLo.Eval(n.ex.ectx, nil)
 	if err != nil {
 		return err
 	}
 	n.charge(n.ex, n.ex.Cost.HashProbeRow)
-	rids, _, err := n.ix.Lookup([]types.Datum{key})
-	if err != nil {
-		return err
-	}
-	n.rids = rids
-	return nil
+	n.rids, _, err = n.ix.Lookup([]types.Datum{key})
+	return err
 }
-
-func (n *hashLookupNode) Rewind() error {
-	n.pos = 0
-	n.stats.Done = false
-	return nil
-}
-
-func (n *hashLookupNode) Next() (schema.Row, bool, error) {
-	pr := &n.ex.Cost
-	for n.pos < len(n.rids) {
-		rid := n.rids[n.pos]
-		n.pos++
-		row, err := n.ix.Table().Get(rid)
-		if err != nil {
-			return nil, false, err
-		}
-		n.charge(n.ex, pr.FetchRow+n.npreds*pr.PredEval)
-		keep, err := evalFilter(n.filter, n.ex.ectx, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			n.stats.RowsOut++
-			return row, true, nil
-		}
-	}
-	n.stats.Done = true
-	return nil, false, nil
-}
-
-func (n *hashLookupNode) Close() error { return nil }

@@ -21,7 +21,7 @@ type sortNode struct {
 	keys []int // key positions in the row
 	desc []bool
 	rows []schema.Row
-	pos  int
+	cur  rowCursor
 	done bool // materialization completed
 }
 
@@ -72,44 +72,61 @@ func compareRows(a, b schema.Row, keys []int, desc []bool) int {
 	return 0
 }
 
-// drainMaterialize absorbs a materializing operator's entire input into
-// dst, charging perRow work units for every row. In batch mode the child
-// subtree runs its batch path and each absorbed batch costs one meter
-// operation and O(1) copy allocations; the row path is charge-for-charge
-// identical.
-func (b *base) drainMaterialize(e *Executor, child Node, dst []schema.Row, perRow float64) ([]schema.Row, error) {
-	if e.BatchSize > 0 {
-		edge := e.batchEdge(child)
-		t := Ticks(perRow)
-		for {
-			nb, err := edge.pull(0)
-			if err != nil {
-				return dst, err
-			}
-			if nb == nil {
-				return dst, nil
-			}
-			dst = appendBatchRows(dst, nb)
-			b.chargeTicks(e, t, nb.Len())
-		}
+// rowCursor streams a node-owned buffer of stable rows (a materialization's
+// output, a view) batch-at-a-time, optionally over one morsel stripe.
+type rowCursor struct {
+	rows             []schema.Row
+	pos, start, step int
+	out              *Batch
+}
+
+func (c *rowCursor) open(e *Executor, rows []schema.Row, s stripe) {
+	c.rows, c.start, c.step = rows, s.part, s.step()
+	c.pos = c.start
+	if c.out == nil {
+		c.out = NewBatch(e.batchCap)
 	}
+}
+
+func (c *rowCursor) rewind(st *NodeStats) error {
+	c.pos = c.start
+	st.Done = false
+	return nil
+}
+
+// next emits the buffer's next at most max rows as node n's output, charging
+// perRow work units for each.
+func (c *rowCursor) next(n *base, e *Executor, max int, perRow float64) (*Batch, error) {
+	b := c.out
+	b.Reset()
+	for max = b.room(max); b.Len() < max && c.pos < len(c.rows); c.pos += c.step {
+		b.Append(c.rows[c.pos])
+	}
+	if perRow != 0 {
+		n.chargeTicks(e, Ticks(perRow), b.Len())
+	}
+	n.stats.Done = b.Len() < max
+	return n.emit(b, nil)
+}
+
+// drainMaterialize absorbs a materializing operator's entire input into
+// dst, charging perRow work units for every row: each absorbed batch costs
+// one meter operation and O(1) copy allocations.
+func (b *base) drainMaterialize(e *Executor, child Node, dst []schema.Row, perRow float64) ([]schema.Row, error) {
+	t := Ticks(perRow)
 	for {
-		row, ok, err := child.Next()
-		if err != nil {
+		nb, err := child.NextBatch(0)
+		if err != nil || nb == nil {
 			return dst, err
 		}
-		if !ok {
-			return dst, nil
-		}
-		b.charge(e, perRow)
-		dst = append(dst, row)
+		dst = appendBatchRows(dst, nb)
+		b.chargeTicks(e, t, nb.Len())
 	}
 }
 
 func (n *sortNode) Open() error {
 	n.stats = NodeStats{Opened: true}
 	n.rows = n.rows[:0]
-	n.pos = 0
 	n.done = false
 	child := n.children[0]
 	if err := child.Open(); err != nil {
@@ -126,25 +143,15 @@ func (n *sortNode) Open() error {
 	sort.SliceStable(n.rows, func(i, j int) bool {
 		return compareRows(n.rows[i], n.rows[j], n.keys, n.desc) < 0
 	})
+	n.cur.open(n.ex, n.rows, stripe{})
 	n.done = true
 	return nil
 }
 
-func (n *sortNode) Rewind() error {
-	n.pos = 0
-	n.stats.Done = false
-	return nil
-}
+func (n *sortNode) Rewind() error { return n.cur.rewind(&n.stats) }
 
-func (n *sortNode) Next() (schema.Row, bool, error) {
-	if n.pos >= len(n.rows) {
-		n.stats.Done = true
-		return nil, false, nil
-	}
-	row := n.rows[n.pos]
-	n.pos++
-	n.stats.RowsOut++
-	return row, true, nil
+func (n *sortNode) NextBatch(max int) (*Batch, error) {
+	return n.cur.next(&n.base, n.ex, max, 0)
 }
 
 func (n *sortNode) Close() error { return n.closeChildren() }
@@ -160,7 +167,7 @@ type tempNode struct {
 	base
 	ex   *Executor
 	rows []schema.Row
-	pos  int
+	cur  rowCursor
 	done bool
 }
 
@@ -175,7 +182,6 @@ func (e *Executor) buildTemp(p *optimizer.Plan) (Node, error) {
 func (n *tempNode) Open() error {
 	n.stats = NodeStats{Opened: true}
 	n.rows = n.rows[:0]
-	n.pos = 0
 	n.done = false
 	child := n.children[0]
 	if err := child.Open(); err != nil {
@@ -186,26 +192,15 @@ func (n *tempNode) Open() error {
 	if err != nil {
 		return err
 	}
+	n.cur.open(n.ex, n.rows, stripe{})
 	n.done = true
 	return nil
 }
 
-func (n *tempNode) Rewind() error {
-	n.pos = 0
-	n.stats.Done = false
-	return nil
-}
+func (n *tempNode) Rewind() error { return n.cur.rewind(&n.stats) }
 
-func (n *tempNode) Next() (schema.Row, bool, error) {
-	if n.pos >= len(n.rows) {
-		n.stats.Done = true
-		return nil, false, nil
-	}
-	row := n.rows[n.pos]
-	n.pos++
-	n.charge(n.ex, n.ex.Cost.TempRead)
-	n.stats.RowsOut++
-	return row, true, nil
+func (n *tempNode) NextBatch(max int) (*Batch, error) {
+	return n.cur.next(&n.base, n.ex, max, n.ex.Cost.TempRead)
 }
 
 func (n *tempNode) Close() error { return n.closeChildren() }
@@ -289,8 +284,7 @@ type hashAggNode struct {
 	items    []logical.SelectItem
 	itemExpr []expr.Expr // remapped to child layout; nil for COUNT(*)
 	groups   []schema.Row
-	pos      int
-	out      *Batch // reusable output batch (batch mode)
+	cur      rowCursor
 }
 
 func (e *Executor) buildHashAgg(p *optimizer.Plan) (Node, error) {
@@ -393,48 +387,28 @@ func (a *aggBuilder) absorb(row schema.Row) error {
 func (n *hashAggNode) Open() error {
 	n.stats = NodeStats{Opened: true}
 	n.groups = n.groups[:0]
-	n.pos = 0
 	child := n.children[0]
 	if err := child.Open(); err != nil {
 		return err
 	}
 	pr := &n.ex.Cost
 	a := &aggBuilder{n: n, table: make(map[uint64][]*aggGroup)}
-	if n.ex.BatchSize > 0 {
-		edge := n.ex.batchEdge(child)
-		t := Ticks(pr.HashBuildRow)
-		for {
-			b, err := edge.pull(0)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			absorbed := 0
-			for _, row := range b.Rows {
-				absorbed++
-				if err := a.absorb(row); err != nil {
-					n.chargeTicks(n.ex, t, absorbed)
-					return err
-				}
-			}
-			n.chargeTicks(n.ex, t, absorbed)
+	t := Ticks(pr.HashBuildRow)
+	for {
+		b, err := child.NextBatch(0)
+		if err != nil {
+			return err
 		}
-	} else {
-		for {
-			row, ok, err := child.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			n.charge(n.ex, pr.HashBuildRow)
+		if b == nil {
+			break
+		}
+		for i, row := range b.Rows {
 			if err := a.absorb(row); err != nil {
+				n.chargeTicks(n.ex, t, i+1)
 				return err
 			}
 		}
+		n.chargeTicks(n.ex, t, b.Len())
 	}
 	// Degenerate aggregation without GROUP BY over empty input still yields
 	// one group (COUNT(*) = 0).
@@ -453,50 +427,18 @@ func (n *hashAggNode) Open() error {
 		}
 		n.groups = append(n.groups, out)
 	}
+	n.cur.open(n.ex, n.groups, stripe{})
 	return nil
 }
 
 // NextBatch streams the finalized groups, which are stable rows owned by
-// the node, in the same first-encounter order as Next. All charging
-// happened at Open (HashBuildRow per input row, OutputRow per group), same
-// as the row path.
+// the node, in first-encounter order. All charging happened at Open
+// (HashBuildRow per input row, OutputRow per group).
 func (n *hashAggNode) NextBatch(max int) (*Batch, error) {
-	if n.pos >= len(n.groups) {
-		n.stats.Done = true
-		return nil, nil
-	}
-	if n.out == nil {
-		n.out = NewBatch(n.ex.BatchSize)
-	}
-	b := n.out
-	b.Reset()
-	if max <= 0 || max > cap(b.Rows) {
-		max = cap(b.Rows)
-	}
-	for b.Len() < max && n.pos < len(n.groups) {
-		b.Append(n.groups[n.pos])
-		n.pos++
-	}
-	n.stats.RowsOut += float64(b.Len())
-	return b, nil
+	return n.cur.next(&n.base, n.ex, max, 0)
 }
 
-func (n *hashAggNode) Rewind() error {
-	n.pos = 0
-	n.stats.Done = false
-	return nil
-}
-
-func (n *hashAggNode) Next() (schema.Row, bool, error) {
-	if n.pos >= len(n.groups) {
-		n.stats.Done = true
-		return nil, false, nil
-	}
-	row := n.groups[n.pos]
-	n.pos++
-	n.stats.RowsOut++
-	return row, true, nil
-}
+func (n *hashAggNode) Rewind() error { return n.cur.rewind(&n.stats) }
 
 func (n *hashAggNode) Close() error { return n.closeChildren() }
 
@@ -511,9 +453,8 @@ type projectNode struct {
 	ex    *Executor
 	exprs []expr.Expr
 
-	edge     *batchEdge // batch-mode child edge
-	out      *Batch     // reusable output batch (batch mode)
-	outTicks int64      // pre-scaled per-output-row charge
+	out      *Batch // reusable output batch
+	outTicks int64  // pre-scaled per-output-row charge
 }
 
 func (e *Executor) buildProject(p *optimizer.Plan) (Node, error) {
@@ -521,7 +462,7 @@ func (e *Executor) buildProject(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &projectNode{base: base{plan: p, children: []Node{child}}, ex: e}
+	n := &projectNode{base: base{plan: p, children: []Node{child}}, ex: e, out: NewBatch(e.batchCap)}
 	for _, it := range p.Items {
 		if it.E == nil {
 			return nil, fmt.Errorf("executor: projection item without expression")
@@ -538,41 +479,15 @@ func (e *Executor) buildProject(p *optimizer.Plan) (Node, error) {
 func (n *projectNode) Open() error {
 	n.stats = NodeStats{Opened: true}
 	n.outTicks = Ticks(n.ex.Cost.OutputRow)
-	if n.ex.BatchSize > 0 {
-		n.edge = n.ex.batchEdge(n.children[0])
-		if n.out == nil {
-			n.out = NewBatch(n.ex.BatchSize)
-		}
-	}
 	return n.children[0].Open()
-}
-
-func (n *projectNode) Next() (schema.Row, bool, error) {
-	row, ok, err := n.children[0].Next()
-	if err != nil || !ok {
-		n.stats.Done = err == nil && !ok
-		return nil, false, err
-	}
-	n.charge(n.ex, n.ex.Cost.OutputRow)
-	out := make(schema.Row, len(n.exprs))
-	for i, ex := range n.exprs {
-		v, err := ex.Eval(n.ex.ectx, row)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	n.stats.RowsOut++
-	return out, true, nil
 }
 
 // NextBatch evaluates the select items over one input batch, carving output
 // rows from the reusable batch slab — one charge and O(1) allocations per
 // batch instead of one of each per row. An evaluation error is surfaced
-// after charging the rows processed so far (including the failing one),
-// exactly matching the row path's charge-before-eval order.
+// after charging the rows processed so far (including the failing one).
 func (n *projectNode) NextBatch(max int) (*Batch, error) {
-	in, err := n.edge.pull(max)
+	in, err := n.children[0].NextBatch(max)
 	if err != nil {
 		return nil, err
 	}
@@ -596,8 +511,7 @@ func (n *projectNode) NextBatch(max int) (*Batch, error) {
 		}
 	}
 	n.chargeTicks(n.ex, n.outTicks, processed)
-	n.stats.RowsOut += float64(b.Len())
-	return b, nil
+	return n.emit(b, nil)
 }
 
 func (n *projectNode) Close() error { return n.closeChildren() }

@@ -32,7 +32,7 @@ import (
 )
 
 // serverStudySQL is the wire form of the study's workload: the
-// parameterized TPC-H join also used by the plan-cache and batch studies,
+// parameterized TPC-H join also used by the plan-cache study,
 // expressed in SQL so it exercises the server's parse path.
 const serverStudySQL = `SELECT c_name, SUM(l_extendedprice) AS revenue
 	FROM customer, orders, lineitem

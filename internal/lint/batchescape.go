@@ -1,8 +1,8 @@
 package lint
 
 // batchescape machine-checks the batch-ownership contract of DESIGN.md §11:
-// an ephemeral *executor.Batch — one returned by NextBatch or the batchEdge
-// adapter — is valid only until the next pull on the same producer, because
+// an ephemeral *executor.Batch — one returned by a child's NextBatch — is
+// valid only until the next pull on the same producer, because
 // its Rows alias a reusable slab. A value derived from such a batch (the
 // batch pointer itself, its Rows slice, a schema.Row, or a pointer into a
 // row's Datum storage) must therefore never reach a store that outlives the
@@ -30,8 +30,7 @@ package lint
 //     interprocedural "retains" fixpoint over the call graph).
 //
 // Storing the *batch pointer itself* into a field is exempt: that is the
-// held-batch idiom (gather recycling, batchEdge buffers, hash-join input
-// cursors) where the field is overwritten before the next pull; the rule
+// held-batch idiom (gather recycling, join input cursors) where the field is overwritten before the next pull; the rule
 // audits row-level aliases, which are the silent-corruption vector.
 
 import (
@@ -262,6 +261,9 @@ func (s *escapeScan) checkStore(lhs, rhs ast.Expr, t uint8, facts varFacts) {
 			s.reportOnce(l.Pos(), "pointer target retains %s aliasing an ephemeral batch; deep-copy first", taintNoun(rowBits))
 		}
 	case *ast.IndexExpr:
+		if sel, ok := unparen(l.X).(*ast.SelectorExpr); ok && isBatchPtrType(s.typeOf(sel.X)) {
+			return // an element of a batch's own Rows (in-place compaction): same ownership unit
+		}
 		if rowBits != 0 && s.persistentBase(l.X) {
 			s.reportOnce(l.Pos(), "element store retains %s aliasing an ephemeral batch; deep-copy first", taintNoun(rowBits))
 		}
@@ -436,7 +438,7 @@ func (s *escapeScan) taintOfCall(call *ast.CallExpr, facts varFacts) uint8 {
 		}
 	}
 	// Any other call returning *Batch produces a foreign batch (NextBatch,
-	// batchEdge.pull, interface dispatch).
+	// interface dispatch).
 	if isBatchPtrType(s.resultType0(call)) {
 		return tBatch
 	}

@@ -9,12 +9,11 @@ import (
 // "work bit-identical across modes" benchmark assumes. Four obligations,
 // all interprocedural:
 //
-//  1. Every concrete executor.Node implementation whose Next can produce a
-//     row must reach a Meter charge (Add or AddTicks) from Next or Open
-//     (materializing operators like sort and hash-agg charge their whole
-//     input in Open; streaming ones charge per row in Next). Likewise every
-//     NextBatch that can produce a batch must reach a charge from NextBatch
-//     or Open. An uncharged row silently deflates the simulated work the
+//  1. Every concrete executor.Node implementation whose NextBatch can
+//     produce a batch must reach a Meter charge (Add or AddTicks) from
+//     NextBatch or Open (materializing operators like sort and hash-agg
+//     charge their whole input in Open; streaming ones charge per batch in
+//     NextBatch). An uncharged row silently deflates the simulated work the
 //     checkpoints compare against.
 //  2. Every function that constructs a CheckViolation must reach a write of
 //     NodeStats.Violated — EXPLAIN ANALYZE's violation flag comes from that
@@ -31,7 +30,7 @@ import (
 // constant K and from which a Record(trace.Event) call is reachable.
 var ChargeFlowAnalyzer = &Analyzer{
 	Name: "chargeflow",
-	Doc:  "operator Next paths must reach a Meter charge; violation/checkpoint/invalidation paths must reach their paired trace emission",
+	Doc:  "operator NextBatch paths must reach a Meter charge; violation/checkpoint/invalidation paths must reach their paired trace emission",
 	Run:  runChargeFlow,
 }
 
@@ -138,10 +137,6 @@ func checkOperatorCharges(g *CallGraph, nodeIface *types.Interface, report Repor
 			}
 			open := methodNode(g, recv, "Open")
 			openCharges := open != nil && chargeReach[open]
-			if next := methodNode(g, recv, "Next"); next != nil && producesRows(next) &&
-				!chargeReach[next] && !openCharges {
-				report(next.Pos, "%s.Next produces rows but no Meter charge is reachable from Next or Open; uncharged rows deflate simulated work", tn.Name())
-			}
 			if nb := methodNode(g, recv, "NextBatch"); nb != nil && producesBatches(nb) &&
 				!chargeReach[nb] && !openCharges {
 				report(nb.Pos, "%s.NextBatch produces rows but no Meter charge is reachable from NextBatch or Open; uncharged rows deflate simulated work", tn.Name())
@@ -160,10 +155,6 @@ func methodNode(g *CallGraph, recv types.Type, name string) *FuncNode {
 	return g.byObj[f]
 }
 
-// producesRows reports whether a Next body contains a return whose
-// more-rows result is not the literal false — i.e. the operator can hand a
-// row upward. Exchange stubs that only ever return (nil, false, nil) are
-// exempt from the charge obligation.
 // producesBatches reports whether a NextBatch body contains a return whose
 // batch result is not the literal nil — i.e. the operator can hand a batch
 // upward. Stubs that only ever return (nil, err) are exempt from the charge
@@ -179,25 +170,6 @@ func producesBatches(nb *FuncNode) bool {
 			return true
 		}
 		if id, ok := ret.Results[0].(*ast.Ident); ok && id.Name == "nil" {
-			return true
-		}
-		produces = true
-		return true
-	})
-	return produces
-}
-
-func producesRows(next *FuncNode) bool {
-	if next.Body == nil {
-		return false
-	}
-	produces := false
-	ast.Inspect(next.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) < 2 {
-			return true
-		}
-		if id, ok := ret.Results[1].(*ast.Ident); ok && id.Name == "false" {
 			return true
 		}
 		produces = true

@@ -25,8 +25,7 @@ func TestDataflowAllowsAreLoadBearing(t *testing.T) {
 		sites   []site
 	}{
 		{"./internal/executor", []site{
-			{lint.BlockingCancelAnalyzer.Name, "exchange.go"}, // error delivery before close, 3 sites
-			{lint.BatchEscapeAnalyzer.Name, "join.go"},        // probe cursor drained before next pull
+			{lint.BlockingCancelAnalyzer.Name, "exchange.go"}, // error delivery before close, 2 sites
 		}},
 		{"./internal/server", []site{
 			{lint.BlockingCancelAnalyzer.Name, "client.go"}, // buffered cap-1 pending channel

@@ -11,7 +11,7 @@ import (
 	"repro/internal/types"
 )
 
-// puller produces ephemeral batches, like the batchEdge adapter: each call
+// puller produces ephemeral batches, like a child operator: each call
 // invalidates the rows of the previous result.
 type puller interface {
 	pull() *executor.Batch

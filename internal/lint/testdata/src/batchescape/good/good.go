@@ -12,7 +12,7 @@ import (
 	"repro/internal/schema"
 )
 
-// puller produces ephemeral batches, like the batchEdge adapter.
+// puller produces ephemeral batches, like a child operator.
 type puller interface {
 	pull() *executor.Batch
 }
@@ -114,6 +114,21 @@ func trimInPlace(p puller) {
 	if b.Len() > 1 {
 		b.Rows = b.Rows[:1]
 	}
+}
+
+// compactInPlace drops rows by moving the survivors down inside the batch's
+// own Rows: the element stores stay inside the ownership unit too.
+func compactInPlace(p puller) *executor.Batch {
+	b := p.pull()
+	k := 0
+	for _, r := range b.Rows {
+		if len(r) > 0 {
+			b.Rows[k] = r
+			k++
+		}
+	}
+	b.Rows = b.Rows[:k]
+	return b
 }
 
 // passThrough returns a foreign row: the pull contract itself — the caller

@@ -10,45 +10,20 @@ import (
 	"repro/internal/executor"
 	"repro/internal/optimizer"
 	"repro/internal/plancache"
-	"repro/internal/schema"
 )
 
-// freeNode produces rows without ever reaching a Meter.Add from Next or
-// Open: its rows are invisible to the simulated-work accounting.
+// freeNode's NextBatch produces batches without ever reaching a Meter charge
+// from NextBatch or Open: its rows are invisible to the simulated-work
+// accounting.
 type freeNode struct {
-	stats executor.NodeStats
-	n     int
-}
-
-func (f *freeNode) Open() error { return nil }
-
-func (f *freeNode) Next() (schema.Row, bool, error) { // want chargeflow
-	if f.n == 0 {
-		return nil, false, nil
-	}
-	f.n--
-	return schema.Row{}, true, nil
-}
-
-func (f *freeNode) Close() error               { return nil }
-func (f *freeNode) Plan() *optimizer.Plan      { return nil }
-func (f *freeNode) Stats() *executor.NodeStats { return &f.stats }
-func (f *freeNode) Children() []executor.Node  { return nil }
-
-// freeBatchNode's NextBatch produces batches without ever reaching a Meter
-// charge from NextBatch or Open: a vectorized operator invisible to the
-// simulated-work accounting. Its Next never produces, so only the batch
-// obligation fires.
-type freeBatchNode struct {
 	stats executor.NodeStats
 	out   *executor.Batch
 	n     int
 }
 
-func (f *freeBatchNode) Open() error                     { return nil }
-func (f *freeBatchNode) Next() (schema.Row, bool, error) { return nil, false, nil }
+func (f *freeNode) Open() error { return nil }
 
-func (f *freeBatchNode) NextBatch(max int) (*executor.Batch, error) { // want chargeflow
+func (f *freeNode) NextBatch(max int) (*executor.Batch, error) { // want chargeflow
 	if f.n == 0 {
 		return nil, nil
 	}
@@ -56,10 +31,10 @@ func (f *freeBatchNode) NextBatch(max int) (*executor.Batch, error) { // want ch
 	return f.out, nil
 }
 
-func (f *freeBatchNode) Close() error               { return nil }
-func (f *freeBatchNode) Plan() *optimizer.Plan      { return nil }
-func (f *freeBatchNode) Stats() *executor.NodeStats { return &f.stats }
-func (f *freeBatchNode) Children() []executor.Node  { return nil }
+func (f *freeNode) Close() error               { return nil }
+func (f *freeNode) Plan() *optimizer.Plan      { return nil }
+func (f *freeNode) Stats() *executor.NodeStats { return &f.stats }
+func (f *freeNode) Children() []executor.Node  { return nil }
 
 // RaiseUnmarked constructs a CheckViolation but no NodeStats.Violated
 // write is reachable: the violation vanishes from EXPLAIN ANALYZE.

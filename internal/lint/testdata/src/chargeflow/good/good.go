@@ -15,49 +15,55 @@ import (
 	"repro/internal/trace"
 )
 
-// meteredNode charges every row through a helper two calls deep — the
-// interprocedural reach the rule exists to see.
+// meteredNode charges every delivered batch, pre-scaled, through a helper
+// two calls deep — the interprocedural reach the rule exists to see.
 type meteredNode struct {
 	stats executor.NodeStats
 	meter *executor.Meter
+	out   *executor.Batch
 	n     int
 }
 
 func (m *meteredNode) Open() error { return nil }
 
-func (m *meteredNode) Next() (schema.Row, bool, error) {
+func (m *meteredNode) NextBatch(max int) (*executor.Batch, error) {
 	if m.n == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
 	m.n--
-	m.charge(1)
-	return schema.Row{}, true, nil
+	m.charge(executor.Ticks(1), int64(m.out.Len()))
+	return m.out, nil
 }
 
-func (m *meteredNode) charge(w float64)      { m.chargeMeter(w) }
-func (m *meteredNode) chargeMeter(w float64) { m.meter.Add(w) }
+func (m *meteredNode) charge(t, k int64) {
+	if k > 0 && t <= math.MaxInt64/k {
+		m.chargeMeter(t * k)
+	}
+}
+func (m *meteredNode) chargeMeter(t int64) { m.meter.AddTicks(t) }
 
 func (m *meteredNode) Close() error               { return nil }
 func (m *meteredNode) Plan() *optimizer.Plan      { return nil }
 func (m *meteredNode) Stats() *executor.NodeStats { return &m.stats }
 func (m *meteredNode) Children() []executor.Node  { return nil }
 
-// stubNode never produces a row (exchange-stub idiom), so it owes no charge.
+// stubNode never produces a batch (exchange-stub idiom), so it owes no charge.
 type stubNode struct{ stats executor.NodeStats }
 
-func (s *stubNode) Open() error                     { return nil }
-func (s *stubNode) Next() (schema.Row, bool, error) { return nil, false, nil }
-func (s *stubNode) Close() error                    { return nil }
-func (s *stubNode) Plan() *optimizer.Plan           { return nil }
-func (s *stubNode) Stats() *executor.NodeStats      { return &s.stats }
-func (s *stubNode) Children() []executor.Node       { return nil }
+func (s *stubNode) Open() error                            { return nil }
+func (s *stubNode) NextBatch(int) (*executor.Batch, error) { return nil, nil }
+func (s *stubNode) Close() error                           { return nil }
+func (s *stubNode) Plan() *optimizer.Plan                  { return nil }
+func (s *stubNode) Stats() *executor.NodeStats             { return &s.stats }
+func (s *stubNode) Children() []executor.Node              { return nil }
 
 // openChargerNode materializes in Open (sort/hash-agg idiom): the charge
-// reachable from Open satisfies the obligation for its Next.
+// reachable from Open satisfies the obligation for its NextBatch.
 type openChargerNode struct {
 	stats executor.NodeStats
 	meter *executor.Meter
 	rows  []schema.Row
+	out   *executor.Batch
 }
 
 func (o *openChargerNode) Open() error {
@@ -65,50 +71,20 @@ func (o *openChargerNode) Open() error {
 	return nil
 }
 
-func (o *openChargerNode) Next() (schema.Row, bool, error) {
+func (o *openChargerNode) NextBatch(max int) (*executor.Batch, error) {
 	if len(o.rows) == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
-	r := o.rows[0]
+	o.out.Reset()
+	o.out.Append(o.rows[0])
 	o.rows = o.rows[1:]
-	return r, true, nil
+	return o.out, nil
 }
 
 func (o *openChargerNode) Close() error               { return nil }
 func (o *openChargerNode) Plan() *optimizer.Plan      { return nil }
 func (o *openChargerNode) Stats() *executor.NodeStats { return &o.stats }
 func (o *openChargerNode) Children() []executor.Node  { return nil }
-
-// meteredBatchNode charges each delivered batch through Meter.AddTicks —
-// the pre-scaled charge idiom of the vectorized fast path.
-type meteredBatchNode struct {
-	stats executor.NodeStats
-	meter *executor.Meter
-	out   *executor.Batch
-	n     int
-}
-
-func (m *meteredBatchNode) Open() error                     { return nil }
-func (m *meteredBatchNode) Next() (schema.Row, bool, error) { return nil, false, nil }
-
-func (m *meteredBatchNode) NextBatch(max int) (*executor.Batch, error) {
-	if m.n == 0 {
-		return nil, nil
-	}
-	m.n--
-	t, k := executor.Ticks(1), int64(m.out.Len())
-	var charge int64
-	if k > 0 && t <= math.MaxInt64/k {
-		charge = t * k
-	}
-	m.meter.AddTicks(charge)
-	return m.out, nil
-}
-
-func (m *meteredBatchNode) Close() error               { return nil }
-func (m *meteredBatchNode) Plan() *optimizer.Plan      { return nil }
-func (m *meteredBatchNode) Stats() *executor.NodeStats { return &m.stats }
-func (m *meteredBatchNode) Children() []executor.Node  { return nil }
 
 // sink is a concrete trace.Recorder, so the emit helpers below have a
 // reachable Record call.

@@ -62,19 +62,18 @@ func (g *testGate) snapshot() (int, int) {
 // gate changes when and how wide an exchange runs, never what it computes.
 // The same forced-reoptimization statement is run ungated (full DOP) and
 // under budgets that clamp the exchanges to partial width and all the way to
-// the inline zero-goroutine fallback, in both row and batch mode. Simulated
-// work must be bit-identical and the result multiset unchanged, and every
-// grant must be balanced by a release.
+// the inline zero-goroutine fallback. Simulated work must be bit-identical
+// and the result multiset unchanged, and every grant must be balanced by a
+// release.
 func TestGatedWorkMatchesUngated(t *testing.T) {
 	cat := correlatedFixture(t)
 	q := correlatedQuery(t, cat)
 
-	run := func(gate *testGate, batch int, tr trace.Recorder) *Result {
+	run := func(gate *testGate, tr trace.Recorder) *Result {
 		t.Helper()
 		opts := DefaultOptions()
 		opts.Configure = forceParallelHash(4)
 		opts.Policy.FailCheckIDs = map[int]bool{0: true}
-		opts.BatchSize = batch
 		opts.Trace = tr
 		if gate != nil {
 			opts.Gate = gate
@@ -89,49 +88,47 @@ func TestGatedWorkMatchesUngated(t *testing.T) {
 		return res
 	}
 
-	for _, batch := range []int{0, 64} {
-		base := run(nil, batch, nil)
-		for _, budget := range []int{0, 1, 2, 100} {
-			gate := &testGate{budget: budget}
-			col := trace.NewCollector()
-			res := run(gate, batch, col)
+	base := run(nil, nil)
+	for _, budget := range []int{0, 1, 2, 100} {
+		gate := &testGate{budget: budget}
+		col := trace.NewCollector()
+		res := run(gate, col)
 
-			if res.Work != base.Work {
-				t.Errorf("batch=%d budget=%d: gated work %v != ungated %v", batch, budget, res.Work, base.Work)
+		if res.Work != base.Work {
+			t.Errorf("budget=%d: gated work %v != ungated %v", budget, res.Work, base.Work)
+		}
+		g, w := canon(res.Rows), canon(base.Rows)
+		if len(g) != len(w) {
+			t.Fatalf("budget=%d: gated %d rows, ungated %d", budget, len(g), len(w))
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("budget=%d row %d: %s vs %s", budget, i, g[i], w[i])
 			}
-			g, w := canon(res.Rows), canon(base.Rows)
-			if len(g) != len(w) {
-				t.Fatalf("batch=%d budget=%d: gated %d rows, ungated %d", batch, budget, len(g), len(w))
-			}
-			for i := range g {
-				if g[i] != w[i] {
-					t.Fatalf("batch=%d budget=%d row %d: %s vs %s", batch, budget, i, g[i], w[i])
-				}
-			}
+		}
 
-			out, peak := gate.snapshot()
-			if out != 0 {
-				t.Errorf("batch=%d budget=%d: %d workers still outstanding after the run", batch, budget, out)
-			}
-			if gate.negative {
-				t.Errorf("batch=%d budget=%d: release drove occupancy negative", batch, budget)
-			}
-			if peak > budget {
-				t.Errorf("batch=%d budget=%d: peak occupancy %d exceeds budget", batch, budget, peak)
-			}
-			if gate.acquires == 0 {
-				t.Errorf("batch=%d budget=%d: plan never consulted the gate", batch, budget)
-			}
+		out, peak := gate.snapshot()
+		if out != 0 {
+			t.Errorf("budget=%d: %d workers still outstanding after the run", budget, out)
+		}
+		if gate.negative {
+			t.Errorf("budget=%d: release drove occupancy negative", budget)
+		}
+		if peak > budget {
+			t.Errorf("budget=%d: peak occupancy %d exceeds budget", budget, peak)
+		}
+		if gate.acquires == 0 {
+			t.Errorf("budget=%d: plan never consulted the gate", budget)
+		}
 
-			clamps := col.OfKind(trace.DOPClamp)
-			if budget < 4 && len(clamps) == 0 {
-				t.Errorf("batch=%d budget=%d: no dop_clamp event despite a constraining budget", batch, budget)
-			}
-			if budget == 0 {
-				for _, ev := range clamps {
-					if ev.Sched == nil || ev.Sched.Granted != 0 {
-						t.Errorf("batch=%d budget=0: clamp event should record a zero grant: %+v", batch, ev.Sched)
-					}
+		clamps := col.OfKind(trace.DOPClamp)
+		if budget < 4 && len(clamps) == 0 {
+			t.Errorf("budget=%d: no dop_clamp event despite a constraining budget", budget)
+		}
+		if budget == 0 {
+			for _, ev := range clamps {
+				if ev.Sched == nil || ev.Sched.Granted != 0 {
+					t.Errorf("budget=0: clamp event should record a zero grant: %+v", ev.Sched)
 				}
 			}
 		}

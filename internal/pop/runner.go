@@ -72,12 +72,6 @@ type Options struct {
 	// binding-independent subsets keep sharing entries. Off by default to
 	// preserve the paper experiments' default-selectivity behavior.
 	BindParamEstimates bool
-	// BatchSize turns on vectorized batch execution: operators with a batch
-	// fast path move rows batch-at-a-time in slabs of this many rows, and the
-	// remaining operators are bridged by a row adapter. 0 (the default) keeps
-	// classic row-at-a-time execution. Results, checkpoint outcomes and the
-	// simulated work total are bit-identical across all settings.
-	BatchSize int
 	// Gate, when non-nil, arbitrates exchange worker spawning against a
 	// shared pool (see executor.WorkerGate): exchanges run at whatever width
 	// the gate grants, down to an inline zero-goroutine mode, with the
@@ -276,7 +270,6 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 			return nil, fail(tr, err)
 		}
 		ex.Analyze = r.Opts.Analyze
-		ex.BatchSize = r.Opts.BatchSize
 		ex.Gate = r.Opts.Gate
 		if tr != nil {
 			ex.Trace = tr
@@ -296,7 +289,7 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 			root = executor.NewInsertRid(ex, root, emitted)
 		}
 
-		rows, runErr := executor.RunWith(root, r.Opts.BatchSize)
+		rows, runErr := executor.Run(root)
 		info.RowsReturned = len(rows)
 		if r.Opts.Pipelined {
 			// Rows produced before a violation were already returned to the

@@ -38,8 +38,6 @@ type Config struct {
 	// contention. Default GOMAXPROCS, minimum 2 so exchanges exist to
 	// arbitrate.
 	Workers int
-	// BatchSize enables vectorized execution when > 0.
-	BatchSize int
 	// DisableCache turns the shared plan cache off: every session runs as a
 	// plain POP runner (used by the benchmark's work-identity phase — and
 	// the only mode where the scheduler also advises planned DOPs, since
@@ -146,7 +144,6 @@ func (s *Server) options() pop.Options {
 	opts.Enabled = true
 	opts.Gate = s.sched
 	opts.Trace = s.recorder()
-	opts.BatchSize = s.cfg.BatchSize
 	workers := s.cfg.Workers
 	advise := s.cfg.DisableCache
 	sched := s.sched
