@@ -13,6 +13,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
+	"repro/internal/plancache"
 	"repro/internal/pop"
 	"repro/internal/schema"
 	"repro/internal/types"
@@ -21,8 +22,8 @@ import (
 // This file is a differential test harness: it generates random schemas,
 // data and queries, evaluates each query by brute force, and checks that
 // every optimizer configuration — every join method, greedy enumeration,
-// robust mode, and POP with each checkpoint flavor — produces the same
-// multiset of rows.
+// robust mode, POP with each checkpoint flavor, and every planner strategy
+// served through the plan cache — produces the same multiset of rows.
 
 // canon renders rows as sorted strings for multiset comparison.
 func canon(rows []schema.Row) []string {
@@ -205,9 +206,23 @@ func bruteForce(t *testing.T, cat *catalog.Catalog, q *logical.Query) []schema.R
 	return out
 }
 
+// diffRows compares two canonical row lists; "" means equal.
+func diffRows(got, want []string) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d rows, brute force %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Sprintf("row %d: %s != %s", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
 // TestDifferentialRandomQueries is the metamorphic sweep: 25 random
-// databases × queries, each executed under 7 configurations, all compared
-// to brute force.
+// databases × queries, each executed under 7 optimizer configurations, 4 POP
+// modes and every planner strategy through the plan cache (cold, then
+// warm), all compared to brute force.
 func TestDifferentialRandomQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
@@ -224,6 +239,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		{"robust", func(o *optimizer.Optimizer) { o.RobustnessBonus = 1.5 }},
 		{"noValidity", func(o *optimizer.Optimizer) { o.ComputeValidity = false }},
 	}
+	cacheHits := map[string]int{}
 	for seed := uint64(1); seed <= 25; seed++ {
 		r := &diffRNG{s: seed * 0x9E3779B97F4A7C15}
 		cat, tables := buildRandomDB(t, r)
@@ -249,15 +265,8 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: run: %v\n%s", seed, c.name, err, optimizer.Explain(plan, q))
 			}
-			got := canon(rows)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: %d rows, brute force %d\nquery: %s\nplan:\n%s",
-					seed, c.name, len(got), len(want), q, optimizer.Explain(plan, q))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %s: row %d: %s != %s", seed, c.name, i, got[i], want[i])
-				}
+			if d := diffRows(canon(rows), want); d != "" {
+				t.Fatalf("seed %d %s: %s\nquery: %s\nplan:\n%s", seed, c.name, d, q, optimizer.Explain(plan, q))
 			}
 		}
 
@@ -279,16 +288,39 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v\nquery: %s", seed, mode, err, q)
 			}
-			got := canon(res.Rows)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: %d rows, brute force %d (reopts=%d)\nquery: %s",
-					seed, mode, len(got), len(want), res.Reopts, q)
+			if d := diffRows(canon(res.Rows), want); d != "" {
+				t.Fatalf("seed %d %s: %s (reopts=%d)\nquery: %s", seed, mode, d, res.Reopts, q)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %s: row %d differs", seed, mode, i)
+		}
+
+		// Every planner strategy through the plan cache, twice: the first
+		// run must miss and cache its plan; the second is a guarded hit, or a
+		// fresh plan after a guard reject or an invalidating re-optimization.
+		for _, st := range pop.Strategies() {
+			opts := pop.DefaultOptions()
+			opts.Planner = st
+			runner := plancache.NewRunner(plancache.New(), cat, opts)
+			for pass := 0; pass < 2; pass++ {
+				res, info, err := runner.Run(q, nil)
+				if err != nil {
+					t.Fatalf("seed %d %s pass %d: %v\nquery: %s", seed, st.Name(), pass, err, q)
+				}
+				if pass == 0 && info.Hit {
+					t.Fatalf("seed %d %s: a fresh cache reported a hit", seed, st.Name())
+				}
+				if info.Hit {
+					cacheHits[st.Name()]++
+				}
+				if d := diffRows(canon(res.Rows), want); d != "" {
+					t.Fatalf("seed %d %s pass %d (hit=%t reopts=%d): %s\nquery: %s",
+						seed, st.Name(), pass, info.Hit, res.Reopts, d, q)
 				}
 			}
+		}
+	}
+	for _, st := range pop.Strategies() {
+		if cacheHits[st.Name()] == 0 {
+			t.Errorf("%s: no second run was served from the cache; the hit path went uncompared", st.Name())
 		}
 	}
 }

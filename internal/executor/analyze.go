@@ -18,9 +18,9 @@ import (
 )
 
 // ChargeAllocsPerRun measures the average heap allocations one work charge
-// performs, in the style of testing.AllocsPerRun. The observability study
-// uses it to certify the zero-overhead guarantee from the shipped binary:
-// with analyze off the charge path must allocate nothing.
+// performs, in the style of testing.AllocsPerRun. TestChargeZeroAllocWhenOff
+// uses it to certify the zero-overhead guarantee: with analyze off the
+// charge path must allocate nothing.
 func ChargeAllocsPerRun(runs int, analyze bool) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ex := &Executor{Meter: &Meter{}, Analyze: analyze}

@@ -132,7 +132,7 @@ func TestParallelJoinRowsAndWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	var baseWork float64
-	for _, dop := range []int{1, 2, 8} {
+	for _, dop := range []int{1, 2, 4, 8} {
 		rows, work, runErr := execPlan(t, cat, q, par, popt.Model.Params, dop)
 		if runErr != nil {
 			t.Fatalf("dop=%d: %v", dop, runErr)
@@ -180,7 +180,7 @@ func TestParallelGatherScan(t *testing.T) {
 		t.Fatalf("Workers=4 scan plan has no gather:\n%s", optimizer.Explain(par, q))
 	}
 	var baseWork float64
-	for _, dop := range []int{1, 2, 8} {
+	for _, dop := range []int{1, 2, 4, 8} {
 		rows, work, runErr := execPlan(t, cat, q, par, popt.Model.Params, dop)
 		if runErr != nil {
 			t.Fatalf("dop=%d: %v", dop, runErr)

@@ -1,46 +1,14 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/plancache"
 	"repro/internal/pop"
 	"repro/internal/tpch"
 	"repro/internal/types"
 )
-
-// PlanCacheSide aggregates one mode (cached vs always-reoptimize) of the
-// plan-cache study.
-type PlanCacheSide struct {
-	Executions    int     `json:"executions"`
-	Hits          int     `json:"hits"`
-	Misses        int     `json:"misses"`
-	Invalidations int     `json:"invalidations"`
-	DistinctPlans int     `json:"distinct_plans"`
-	OptWork       int     `json:"opt_work"`  // candidate costings + guard estimates
-	ExecWork      float64 `json:"exec_work"` // simulated work units across all runs
-	Reopts        int     `json:"reopts"`    // runtime re-optimizations triggered
-	WallNS        int64   `json:"wall_ns"`
-}
-
-// PlanCacheResult is the study output (BENCH_plancache.json): parameterized
-// TPC-H Q10 swept across quantity bindings, executed through the guarded plan
-// cache and through per-execution optimization.
-type PlanCacheResult struct {
-	Query        string        `json:"query"`
-	Sweeps       int           `json:"sweeps"`
-	Bindings     int           `json:"bindings_per_sweep"`
-	Cached       PlanCacheSide `json:"cached"`
-	Reoptimize   PlanCacheSide `json:"reoptimize"`
-	HitRate      float64       `json:"hit_rate"`
-	OptWorkRatio float64       `json:"opt_work_ratio"`  // reoptimize / cached
-	ExecRatio    float64       `json:"exec_work_ratio"` // cached / reoptimize
-}
 
 // planCacheBindings returns one sweep of Q10 quantity bindings, 2.5 .. 50.
 func planCacheBindings() []float64 {
@@ -51,101 +19,59 @@ func planCacheBindings() []float64 {
 	return out
 }
 
-// PlanCacheStudy sweeps parameterized Q10 over quantity bindings `sweeps`
-// times. The cached side runs every execution through one plan cache: the
-// first sweep populates it (misses, possibly several range-disjoint plans),
-// later sweeps mostly hit. The reoptimize side optimizes every execution from
-// scratch with the same parameter-bound estimation, so the comparison
-// isolates what the cache saves (optimization work) and what it risks
-// (execution work from reusing a guarded plan).
-func PlanCacheStudy(cat *catalog.Catalog, sweeps int) (*PlanCacheResult, error) {
+// planCacheSweeps is how many times the plan-cache study repeats the sweep.
+const planCacheSweeps = 3
+
+// planCacheStudy sweeps parameterized TPC-H Q10 over quantity bindings
+// planCacheSweeps times. The "cached" cell runs every execution through one
+// plan cache: the first sweep populates it (misses, possibly several
+// range-disjoint plans), later sweeps mostly hit. The "reoptimize" cell
+// optimizes every execution from scratch with the same parameter-bound
+// estimation, so the comparison isolates what the cache saves (opt_work:
+// candidate costings + guard estimates) and what it risks (exec_work from
+// reusing a guarded plan).
+func planCacheStudy(env Env) ([]Cell, error) {
+	cat := env.TPCH
 	q, err := tpch.Q10Param(cat)
 	if err != nil {
 		return nil, err
 	}
 	bindings := planCacheBindings()
-	res := &PlanCacheResult{Query: "Q10(l_quantity <= ?0)", Sweeps: sweeps, Bindings: len(bindings)}
 
-	// Cached side: one cache and one runner across the whole sweep.
-	cached := plancache.NewRunner(plancache.New(), cat, pop.DefaultOptions())
-	start := time.Now()
-	for s := 0; s < sweeps; s++ {
-		for _, qty := range bindings {
-			r, info, err := cached.Run(q, []types.Datum{types.NewFloat(qty)})
-			if err != nil {
-				return nil, fmt.Errorf("plancache study (cached, qty=%v): %w", qty, err)
-			}
-			res.Cached.Executions++
-			res.Cached.OptWork += info.OptWork
-			res.Cached.ExecWork += r.Work
-			res.Cached.Reopts += r.Reopts
-		}
-	}
-	res.Cached.WallNS = time.Since(start).Nanoseconds()
-	st := cached.Cache.Stats()
-	res.Cached.Hits, res.Cached.Misses = st.Hits, st.Misses
-	res.Cached.Invalidations = st.Invalidations
-	res.Cached.DistinctPlans = st.Plans
-
-	// Reoptimize side: a fresh full optimization per execution, with the same
-	// parameter-bound estimation the cache's miss path uses.
-	opts := pop.DefaultOptions()
-	start = time.Now()
-	for s := 0; s < sweeps; s++ {
+	var cached, reopt tally
+	var cachedOpt, reoptOpt int
+	runner := plancache.NewRunner(plancache.New(), cat, pop.DefaultOptions())
+	for s := 0; s < planCacheSweeps; s++ {
 		for _, qty := range bindings {
 			params := []types.Datum{types.NewFloat(qty)}
+			r, info, err := runner.Run(q, params)
+			if err != nil {
+				return nil, fmt.Errorf("cached, qty=%v: %w", qty, err)
+			}
+			cached.add(r)
+			cachedOpt += info.OptWork
+
+			// A fresh full optimization, with the same parameter-bound
+			// estimation the cache's miss path uses.
 			opt := optimizer.New(cat)
 			opt.ParamBindings = params
 			plan, err := opt.Optimize(q)
 			if err != nil {
-				return nil, fmt.Errorf("plancache study (reoptimize, qty=%v): %w", qty, err)
+				return nil, fmt.Errorf("reoptimize, qty=%v: %w", qty, err)
 			}
-			o := opts
+			o := pop.DefaultOptions()
 			o.InitialPlan = plan
 			o.BindParamEstimates = true
-			r, err := pop.NewRunner(cat, o).Run(q, params)
-			if err != nil {
-				return nil, fmt.Errorf("plancache study (reoptimize, qty=%v): %w", qty, err)
+			if r, err = pop.NewRunner(cat, o).Run(q, params); err != nil {
+				return nil, fmt.Errorf("reoptimize, qty=%v: %w", qty, err)
 			}
-			res.Reoptimize.Executions++
-			res.Reoptimize.OptWork += opt.EnumeratedCandidates
-			res.Reoptimize.ExecWork += r.Work
-			res.Reoptimize.Reopts += r.Reopts
+			reopt.add(r)
+			reoptOpt += opt.EnumeratedCandidates
 		}
 	}
-	res.Reoptimize.WallNS = time.Since(start).Nanoseconds()
-
-	if n := res.Cached.Hits + res.Cached.Misses; n > 0 {
-		res.HitRate = float64(res.Cached.Hits) / float64(n)
-	}
-	if res.Cached.OptWork > 0 {
-		res.OptWorkRatio = float64(res.Reoptimize.OptWork) / float64(res.Cached.OptWork)
-	}
-	if res.Reoptimize.ExecWork > 0 {
-		res.ExecRatio = res.Cached.ExecWork / res.Reoptimize.ExecWork
-	}
-	return res, nil
-}
-
-// WritePlanCacheJSON renders the study as indented JSON (BENCH_plancache.json).
-func WritePlanCacheJSON(w io.Writer, r *PlanCacheResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WritePlanCache renders the study as a human-readable table.
-func WritePlanCache(w io.Writer, r *PlanCacheResult) {
-	fmt.Fprintf(w, "Plan-cache study: %s, %d sweeps × %d bindings\n", r.Query, r.Sweeps, r.Bindings)
-	fmt.Fprintf(w, "%-12s %6s %6s %6s %6s %7s %12s %14s %8s %10s\n",
-		"mode", "execs", "hits", "miss", "inval", "plans", "opt_work", "exec_work", "reopts", "wall_ms")
-	row := func(name string, s PlanCacheSide) {
-		fmt.Fprintf(w, "%-12s %6d %6d %6d %6d %7d %12d %14.0f %8d %10.1f\n",
-			name, s.Executions, s.Hits, s.Misses, s.Invalidations, s.DistinctPlans,
-			s.OptWork, s.ExecWork, s.Reopts, float64(s.WallNS)/1e6)
-	}
-	row("cached", r.Cached)
-	row("reoptimize", r.Reoptimize)
-	fmt.Fprintf(w, "hit rate %.1f%%, optimization work saved %.1fx, execution work ratio %.3f\n",
-		100*r.HitRate, r.OptWorkRatio, r.ExecRatio)
+	cachedCounts := append(cached.counts(), cacheCounts(runner.Cache.Stats())...)
+	return []Cell{
+		{"cached", append(cachedCounts, Count{"opt_work", float64(cachedOpt)})},
+		{"reoptimize", append(reopt.counts(), Count{"opt_work", float64(reoptOpt)})},
+	}, nil
 }

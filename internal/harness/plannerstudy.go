@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/dmv"
@@ -21,13 +18,13 @@ import (
 	"repro/internal/types"
 )
 
-// This file is the planner shootout (BENCH_planners.json): every built-in
-// pop.Strategy runs the TPC-H query set, the DMV correlation workload and a
-// new adversarial skew substrate (zipfian join keys + correlated predicates),
+// This file is the planner shootout (the "planners" study): every built-in
+// pop.Strategy runs the TPC-H query set, the DMV correlation workload and an
+// adversarial skew substrate (zipfian join keys + correlated predicates),
 // all through a per-strategy plan cache. The study reports, per strategy,
-// planning wall time and candidate counts on the TPC-H join queries plus
-// execution work, re-optimization counts and cache/guard verdicts per
-// workload — the data behind "which planner when" (DESIGN.md §13).
+// candidate counts on the TPC-H join queries plus execution work,
+// re-optimization counts and cache/guard verdicts per workload — the data
+// behind "which planner when" (DESIGN.md §13).
 
 // skewNumCats is the category-domain size of the skew substrate; the
 // correlated predicate pair (d_cat = c AND d_pop <= c) and the key-implied
@@ -179,54 +176,14 @@ func skewHotQuery(cat *catalog.Catalog) (*logical.Query, error) {
 	return b.Build()
 }
 
-// PlannerWorkload aggregates one strategy's runs over one workload.
-type PlannerWorkload struct {
-	Workload      string  `json:"workload"`
-	Executions    int     `json:"executions"`
-	Rows          int     `json:"rows"`
-	ExecWork      float64 `json:"exec_work"`
-	Reopts        int     `json:"reopts"`
-	CacheHits     int     `json:"cache_hits"`
-	CacheMisses   int     `json:"cache_misses"`
-	Invalidations int     `json:"invalidations"`
-	GuardRejects  int64   `json:"guard_rejects"`
-	WallNS        int64   `json:"wall_ns"`
-}
-
-// PlannerStrategyResult is one strategy's row of the shootout: planning-time
-// measurements over the TPC-H join queries plus per-workload execution
-// aggregates.
-type PlannerStrategyResult struct {
-	Strategy       pop.StrategyName  `json:"strategy"`
-	Description    string            `json:"description"`
-	PlanNS         int64             `json:"plan_ns"`
-	PlanRounds     int               `json:"plan_rounds"`
-	PlanQueries    int               `json:"plan_queries"`
-	PlanCandidates int               `json:"plan_candidates"`
-	Workloads      []PlannerWorkload `json:"workloads"`
-}
-
-// PlannerResult is the shootout output (BENCH_planners.json).
-type PlannerResult struct {
-	Smoke bool `json:"smoke"`
-	// JoinQueries lists the TPC-H queries (≥ 4 tables) the planning-time
-	// measurement runs over.
-	JoinQueries []string                `json:"tpch_join_queries"`
-	Strategies  []PlannerStrategyResult `json:"strategies"`
-	// PlanTimeRatioGreedyDP is greedy-pop planning time over dp-pop planning
-	// time on the join queries — the headline "greedy plans in a fraction of
-	// DP time" number.
-	PlanTimeRatioGreedyDP float64 `json:"greedy_vs_dp_plan_time_ratio"`
-	// PlanCandRatioGreedyDP is the same ratio in costed candidates — the
-	// wall-clock-independent form the regression test pins.
-	PlanCandRatioGreedyDP float64 `json:"greedy_vs_dp_candidate_ratio"`
-}
-
 // plannerExec is one statement execution of the shootout's workload script.
 type plannerExec struct {
 	q      *logical.Query
 	params []types.Datum
 }
+
+// plannerWorkloadNames is the fixed report order.
+var plannerWorkloadNames = []string{"tpch", "dmv", "skew"}
 
 // plannerWorkloads builds the three workload scripts. Each script is a flat
 // execution list; two passes over each statement mix cold (miss) and warm
@@ -314,29 +271,29 @@ func doublePass(script []plannerExec) []plannerExec {
 	return append(append([]plannerExec(nil), script...), script...)
 }
 
-// plannerWorkloadNames is the fixed report order.
-var plannerWorkloadNames = []string{"tpch", "dmv", "skew"}
-
-// PlannerStudy runs the shootout: for every built-in strategy it measures
-// planning wall time over the TPC-H join queries (≥ 4 tables, plannRounds
-// fresh optimizations each) and then executes the three workloads through a
-// per-strategy plan cache, collecting execution work, re-optimization counts
-// and cache/guard verdicts. The TPC-H catalog is supplied by the caller (it
-// is shared with the other studies); the DMV and skew substrates are built
-// here at the given scale.
-func PlannerStudy(tpchCat *catalog.Catalog, dmvScale float64, smoke bool) (*PlannerResult, error) {
+// plannerStudy runs the shootout. The "<strategy>/planning" cells count the
+// candidates one optimization of each TPC-H join query (>= 4 tables, where
+// the DP space is large enough that enumeration dominates planning) costs
+// under the strategy's planner; the "<strategy>/<workload>" cells run the
+// three workloads through a plan cache and a metrics registry of their own,
+// so hits, invalidations and guard rejects are attributable. The TPC-H
+// catalog is the caller's; the DMV and skew substrates are built here.
+func plannerStudy(env Env) ([]Cell, error) {
 	dmvCat := catalog.New()
-	if err := dmv.Load(dmvCat, dmv.Config{Scale: dmvScale, Seed: 17}); err != nil {
+	if err := dmv.Load(dmvCat, dmv.Config{Scale: env.DMVScale, Seed: 17}); err != nil {
 		return nil, err
 	}
 	skewCat := catalog.New()
-	if err := loadSkew(skewCat, skewSizes(smoke)); err != nil {
+	if err := loadSkew(skewCat, skewSizes(env.Smoke)); err != nil {
+		return nil, err
+	}
+	cats := map[string]*catalog.Catalog{"tpch": env.TPCH, "dmv": dmvCat, "skew": skewCat}
+	workloads, err := plannerWorkloads(env.TPCH, dmvCat, skewCat, env.Smoke)
+	if err != nil {
 		return nil, err
 	}
 
-	// Planning-time set: the TPC-H queries with at least 4 tables, where the
-	// DP space is large enough that enumeration dominates planning.
-	tq, err := tpch.Queries(tpchCat)
+	tq, err := tpch.Queries(env.TPCH)
 	if err != nil {
 		return nil, err
 	}
@@ -347,140 +304,43 @@ func PlannerStudy(tpchCat *catalog.Catalog, dmvScale float64, smoke bool) (*Plan
 		}
 	}
 	sort.Strings(joinNames)
-	rounds := 25
-	if smoke {
-		rounds = 5
-	}
 
-	workloads, err := plannerWorkloads(tpchCat, dmvCat, skewCat, smoke)
-	if err != nil {
-		return nil, err
-	}
-	cats := map[string]*catalog.Catalog{"tpch": tpchCat, "dmv": dmvCat, "skew": skewCat}
-
-	res := &PlannerResult{Smoke: smoke, JoinQueries: joinNames}
+	var cells []Cell
 	for _, st := range pop.Strategies() {
-		row := PlannerStrategyResult{
-			Strategy:    pop.StrategyName(st.Name()),
-			Description: st.Describe(),
-			PlanRounds:  rounds,
-			PlanQueries: len(joinNames),
-		}
-
-		// Planning: fresh optimizer per round so no memoized state carries
-		// over; only the Optimize call is timed.
+		candidates := 0
 		for _, name := range joinNames {
-			q := tq[name]
-			for i := 0; i < rounds; i++ {
-				opt := newPlannerOptimizer(tpchCat, st)
-				t0 := time.Now()
-				if _, err := opt.Optimize(q); err != nil {
-					return nil, fmt.Errorf("planner study (%s, %s): %w", st.Name(), name, err)
-				}
-				row.PlanNS += time.Since(t0).Nanoseconds()
-				row.PlanCandidates += opt.EnumeratedCandidates
+			opt := optimizer.New(env.TPCH)
+			st.PlanConfig(opt)
+			if _, err := opt.Optimize(tq[name]); err != nil {
+				return nil, fmt.Errorf("%s planning %s: %w", st.Name(), name, err)
 			}
+			candidates += opt.EnumeratedCandidates
 		}
-
-		// Execution: one plan cache and one metrics registry per workload, so
-		// hits, invalidations and guard rejects are attributable.
-		for _, wname := range plannerWorkloadNames {
-			side := PlannerWorkload{Workload: wname}
+		cells = append(cells, Cell{st.Name() + "/planning", []Count{
+			{"queries", float64(len(joinNames))},
+			{"candidates", float64(candidates)},
+		}})
+	}
+	for _, wname := range plannerWorkloadNames {
+		for _, st := range pop.Strategies() {
 			cache := plancache.New()
 			reg := metrics.New()
 			opts := pop.DefaultOptions()
 			opts.Planner = st
 			opts.Trace = reg
 			runner := plancache.NewRunner(cache, cats[wname], opts)
-			start := time.Now()
+			var t tally
 			for _, ex := range workloads[wname] {
 				r, _, err := runner.Run(ex.q, ex.params)
 				if err != nil {
-					return nil, fmt.Errorf("planner study (%s, %s): %w", st.Name(), wname, err)
+					return nil, fmt.Errorf("%s on %s: %w", st.Name(), wname, err)
 				}
-				side.Executions++
-				side.Rows += len(r.Rows)
-				side.ExecWork += r.Work
-				side.Reopts += r.Reopts
+				t.add(r)
 			}
-			side.WallNS = time.Since(start).Nanoseconds()
-			cs := cache.Stats()
-			side.CacheHits, side.CacheMisses = cs.Hits, cs.Misses
-			side.Invalidations = cs.Invalidations
-			side.GuardRejects = reg.Snapshot().CacheGuardRejects
-			row.Workloads = append(row.Workloads, side)
-		}
-		res.Strategies = append(res.Strategies, row)
-	}
-
-	var dp, greedy *PlannerStrategyResult
-	for i := range res.Strategies {
-		switch res.Strategies[i].Strategy {
-		case pop.NameDPPOP:
-			dp = &res.Strategies[i]
-		case pop.NameGreedyPOP:
-			greedy = &res.Strategies[i]
-		default:
-			// greedy-only and reopt-unguarded have no derived ratio row.
+			counts := append(t.counts(), cacheCounts(cache.Stats())...)
+			counts = append(counts, Count{"guard_rejects", float64(reg.Snapshot().CacheGuardRejects)})
+			cells = append(cells, Cell{st.Name() + "/" + wname, counts})
 		}
 	}
-	if dp != nil && greedy != nil && dp.PlanNS > 0 && dp.PlanCandidates > 0 {
-		res.PlanTimeRatioGreedyDP = float64(greedy.PlanNS) / float64(dp.PlanNS)
-		res.PlanCandRatioGreedyDP = float64(greedy.PlanCandidates) / float64(dp.PlanCandidates)
-	}
-	return res, nil
-}
-
-// newPlannerOptimizer builds a fresh optimizer configured for the strategy's
-// planning side only — the planning-time measurement's unit of work.
-func newPlannerOptimizer(cat *catalog.Catalog, st pop.Strategy) *optimizer.Optimizer {
-	opt := optimizer.New(cat)
-	st.PlanConfig(opt)
-	return opt
-}
-
-// WritePlannersJSON renders the shootout as indented JSON (BENCH_planners.json).
-func WritePlannersJSON(w io.Writer, r *PlannerResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WritePlanners renders the shootout as human-readable tables.
-func WritePlanners(w io.Writer, r *PlannerResult) {
-	fmt.Fprintf(w, "Planner shootout: %d strategies × %d workloads (smoke=%v)\n",
-		len(r.Strategies), len(plannerWorkloadNames), r.Smoke)
-	fmt.Fprintf(w, "planning over TPC-H join queries %v × %d rounds:\n",
-		r.JoinQueries, planRounds(r))
-	fmt.Fprintf(w, "  %-16s %12s %14s\n", "strategy", "plan_ms", "candidates")
-	for _, s := range r.Strategies {
-		fmt.Fprintf(w, "  %-16s %12.2f %14d\n", s.Strategy, float64(s.PlanNS)/1e6, s.PlanCandidates)
-	}
-	fmt.Fprintf(w, "greedy/dp: %.4f of planning time, %.4f of candidates\n",
-		r.PlanTimeRatioGreedyDP, r.PlanCandRatioGreedyDP)
-	for _, wname := range plannerWorkloadNames {
-		fmt.Fprintf(w, "workload %s:\n", wname)
-		fmt.Fprintf(w, "  %-16s %6s %14s %7s %6s %6s %6s %8s %9s\n",
-			"strategy", "execs", "exec_work", "reopts", "hits", "miss", "inval", "g_rejects", "wall_ms")
-		for _, s := range r.Strategies {
-			for _, side := range s.Workloads {
-				if side.Workload != wname {
-					continue
-				}
-				fmt.Fprintf(w, "  %-16s %6d %14.0f %7d %6d %6d %6d %8d %9.1f\n",
-					s.Strategy, side.Executions, side.ExecWork, side.Reopts,
-					side.CacheHits, side.CacheMisses, side.Invalidations,
-					side.GuardRejects, float64(side.WallNS)/1e6)
-			}
-		}
-	}
-}
-
-// planRounds returns the planning-round count recorded on the rows (they are
-// uniform; 0 if the study is empty).
-func planRounds(r *PlannerResult) int {
-	if len(r.Strategies) == 0 {
-		return 0
-	}
-	return r.Strategies[0].PlanRounds
+	return cells, nil
 }

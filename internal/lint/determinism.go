@@ -7,7 +7,7 @@ import (
 // determinismScope lists the packages whose outputs must be bit-identical
 // across runs and modes: simulated cost units, plan choice, cached plans,
 // statistics, and the trace stream all feed golden tests and the
-// BENCH_observability "work bit-identical" pin.
+// byte-identical BENCH_studies.json.
 var determinismScope = []string{
 	"repro/internal/optimizer",
 	"repro/internal/executor",

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/metrics"
 	"repro/internal/tpch"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -21,11 +22,12 @@ func TestTracedParallelReoptimization(t *testing.T) {
 	q := correlatedQuery(t, cat)
 
 	col := trace.NewCollector()
+	reg := metrics.New()
 	opts := DefaultOptions()
 	opts.Configure = forceParallelHash(4)
 	opts.Policy.FailCheckIDs = map[int]bool{0: true}
 	opts.Analyze = true
-	opts.Trace = col
+	opts.Trace = trace.Multi(col, reg)
 	res, err := NewRunner(cat, opts).Run(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +52,11 @@ func TestTracedParallelReoptimization(t *testing.T) {
 	violated := col.OfKind(trace.CheckpointViolated)
 	if len(violated) != res.Reopts {
 		t.Fatalf("%d checkpoint_violated events for %d re-optimizations", len(violated), res.Reopts)
+	}
+	// The registry counts the same stream: one violation per re-optimization.
+	if snap := reg.Snapshot(); snap.CheckViolations != int64(res.Reopts) || snap.Reoptimizations != int64(res.Reopts) {
+		t.Errorf("metrics count %d violations and %d re-optimizations for %d re-optimizations",
+			snap.CheckViolations, snap.Reoptimizations, res.Reopts)
 	}
 	v := violated[0]
 	if v.Attempt != 0 {
