@@ -112,10 +112,8 @@ func buildRandomDB(t *testing.T, r *diffRNG) (*catalog.Catalog, []diffTable) {
 	return cat, tables
 }
 
-// buildRandomQuery joins the chain t0 ← t1 ← ... via fk=id and adds random
-// local predicates; selects one column per table.
-func buildRandomQuery(t *testing.T, cat *catalog.Catalog, tables []diffTable, r *diffRNG) *logical.Query {
-	t.Helper()
+// joinChain starts a query over the chain t0 ← t1 ← ... joined via fk=id.
+func joinChain(cat *catalog.Catalog, tables []diffTable) *logical.Builder {
 	b := logical.NewBuilder(cat)
 	for i := range tables {
 		b.AddTable(tables[i].name, fmt.Sprintf("a%d", i))
@@ -126,6 +124,14 @@ func buildRandomQuery(t *testing.T, cat *catalog.Catalog, tables []diffTable, r 
 			R: b.Col(fmt.Sprintf("a%d", i-1), "id"),
 		})
 	}
+	return b
+}
+
+// buildRandomQuery adds random local predicates to the join chain; selects
+// one column per table.
+func buildRandomQuery(t *testing.T, cat *catalog.Catalog, tables []diffTable, r *diffRNG) *logical.Query {
+	t.Helper()
+	b := joinChain(cat, tables)
 	// Random local predicates.
 	for i := range tables {
 		alias := fmt.Sprintf("a%d", i)
@@ -151,6 +157,88 @@ func buildRandomQuery(t *testing.T, cat *catalog.Catalog, tables []diffTable, r 
 		t.Fatal(err)
 	}
 	return q
+}
+
+// sargableShape is a conjunction of constant comparisons on one indexed
+// column — the predicates the optimizer turns into index bounds. A bound's
+// value counts back from the table's row count when negative, so the ranges
+// stay narrow enough for the index to win on cost.
+type sargableShape struct {
+	name   string
+	hash   bool // on the table's hash-indexed column, else on B-tree-indexed id
+	bounds []sargableBound
+}
+
+type sargableBound struct {
+	op expr.CmpOp
+	at int
+}
+
+var sargableShapes = []sargableShape{
+	{"oneBound", false, []sargableBound{{expr.GE, -5}}},
+	{"twoSided", false, []sargableBound{{expr.GE, 3}, {expr.LT, 8}}},
+	{"loTightFirst", false, []sargableBound{{expr.GE, -4}, {expr.GE, -8}}},
+	{"loLooseFirst", false, []sargableBound{{expr.GT, -9}, {expr.GE, -4}}},
+	{"hiTightFirst", false, []sargableBound{{expr.LE, 3}, {expr.LT, 8}}},
+	{"hiLooseFirst", false, []sargableBound{{expr.LE, 7}, {expr.LE, 3}}},
+	{"eqThenRange", false, []sargableBound{{expr.EQ, 6}, {expr.GE, 2}}},
+	{"rangeThenEq", false, []sargableBound{{expr.LE, 9}, {expr.EQ, 6}}},
+	{"twoEq", false, []sargableBound{{expr.EQ, 3}, {expr.EQ, 4}}},
+	{"hashTwoEq", true, []sargableBound{{expr.EQ, 1}, {expr.EQ, 2}}},
+}
+
+// buildSargableQuery puts the shape's predicates on the first table of the
+// chain that has the index the shape needs; nil if none has.
+func buildSargableQuery(t *testing.T, cat *catalog.Catalog, tables []diffTable, sh sargableShape) *logical.Query {
+	t.Helper()
+	for i := range tables {
+		tab, err := cat.Table(tables[i].name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := "id"
+		if sh.hash {
+			if len(tab.Hash) == 0 {
+				continue
+			}
+			col = tab.Schema.Columns[tab.Hash[0].KeyOrdinals()[0]].Name
+		} else if tab.BTreeOn(0) == nil {
+			continue
+		}
+		b := joinChain(cat, tables)
+		for _, bd := range sh.bounds {
+			at := bd.at
+			if at < 0 {
+				at += tables[i].rows
+			}
+			val := types.Datum(types.NewInt(int64(at)))
+			if col == "tag" {
+				val = types.NewString(string(rune('a' + at)))
+			}
+			b.Where(&expr.Cmp{Op: bd.op, L: b.Col(fmt.Sprintf("a%d", i), col), R: &expr.Const{Val: val}})
+		}
+		for j := range tables {
+			b.SelectCol(fmt.Sprintf("a%d", j), "id")
+		}
+		q, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	return nil
+}
+
+// usesIndexBounds reports whether the plan reads a table through index
+// bounds extracted from its local predicates.
+func usesIndexBounds(p *optimizer.Plan) bool {
+	found := false
+	p.Walk(func(n *optimizer.Plan) {
+		if (n.Op == optimizer.OpIndexScan || n.Op == optimizer.OpHashLookup) && (n.IndexLo != nil || n.IndexHi != nil) {
+			found = true
+		}
+	})
+	return found
 }
 
 // bruteForce evaluates the query by exhaustive nested loops.
@@ -220,9 +308,10 @@ func diffRows(got, want []string) string {
 }
 
 // TestDifferentialRandomQueries is the metamorphic sweep: 25 random
-// databases × queries, each executed under 7 optimizer configurations, 4 POP
-// modes and every planner strategy through the plan cache (cold, then
-// warm), all compared to brute force.
+// databases, each with one random query and one query per sargable shape its
+// indexes allow, each executed under 7 optimizer configurations, 4 POP modes
+// and every planner strategy through the plan cache (cold, then warm), all
+// compared to brute force.
 func TestDifferentialRandomQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
@@ -239,81 +328,96 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		{"robust", func(o *optimizer.Optimizer) { o.RobustnessBonus = 1.5 }},
 		{"noValidity", func(o *optimizer.Optimizer) { o.ComputeValidity = false }},
 	}
-	cacheHits := map[string]int{}
+	type diffQuery struct {
+		name string
+		q    *logical.Query
+	}
+	cacheHits, boundedPlans := map[string]int{}, map[string]int{}
 	for seed := uint64(1); seed <= 25; seed++ {
 		r := &diffRNG{s: seed * 0x9E3779B97F4A7C15}
 		cat, tables := buildRandomDB(t, r)
-		q := buildRandomQuery(t, cat, tables, r)
-		want := canon(bruteForce(t, cat, q))
-
-		for _, c := range configs {
-			opt := optimizer.New(cat)
-			c.cfg(opt)
-			plan, err := opt.Optimize(q)
-			if err != nil {
-				t.Fatalf("seed %d %s: optimize: %v\nquery: %s", seed, c.name, err, q)
-			}
-			ex, err := executor.NewExecutor(cat, q, nil, opt.Model.Params, &executor.Meter{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			root, err := ex.Build(plan)
-			if err != nil {
-				t.Fatalf("seed %d %s: build: %v\n%s", seed, c.name, err, optimizer.Explain(plan, q))
-			}
-			rows, err := executor.Run(root)
-			if err != nil {
-				t.Fatalf("seed %d %s: run: %v\n%s", seed, c.name, err, optimizer.Explain(plan, q))
-			}
-			if d := diffRows(canon(rows), want); d != "" {
-				t.Fatalf("seed %d %s: %s\nquery: %s\nplan:\n%s", seed, c.name, d, q, optimizer.Explain(plan, q))
+		queries := []diffQuery{{"random", buildRandomQuery(t, cat, tables, r)}}
+		for _, sh := range sargableShapes {
+			if q := buildSargableQuery(t, cat, tables, sh); q != nil {
+				queries = append(queries, diffQuery{sh.name, q})
 			}
 		}
+		for _, dq := range queries {
+			id, q := fmt.Sprintf("%d/%s", seed, dq.name), dq.q
+			want := canon(bruteForce(t, cat, q))
 
-		// POP under the default policy, pipelined ECDC, and the extension
-		// features (spill guard, hash-build reuse, uncertainty penalty).
-		for _, mode := range []string{"popDefault", "popECDC", "popSpillGuard", "popReuseBuilds"} {
-			opts := pop.DefaultOptions()
-			switch mode {
-			case "popECDC":
-				opts.Pipelined = true
-				opts.Policy = pop.Policy{ECDC: true, RequireBoundedRange: true}
-			case "popSpillGuard":
-				opts.Policy.GuardSpill = true
-				opts.UncertaintyPenalty = 1.5
-			case "popReuseBuilds":
-				opts.ReuseHashBuilds = true
-			}
-			res, err := pop.NewRunner(cat, opts).Run(q, nil)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v\nquery: %s", seed, mode, err, q)
-			}
-			if d := diffRows(canon(res.Rows), want); d != "" {
-				t.Fatalf("seed %d %s: %s (reopts=%d)\nquery: %s", seed, mode, d, res.Reopts, q)
-			}
-		}
-
-		// Every planner strategy through the plan cache, twice: the first
-		// run must miss and cache its plan; the second is a guarded hit, or a
-		// fresh plan after a guard reject or an invalidating re-optimization.
-		for _, st := range pop.Strategies() {
-			opts := pop.DefaultOptions()
-			opts.Planner = st
-			runner := plancache.NewRunner(plancache.New(), cat, opts)
-			for pass := 0; pass < 2; pass++ {
-				res, info, err := runner.Run(q, nil)
+			for _, c := range configs {
+				opt := optimizer.New(cat)
+				c.cfg(opt)
+				plan, err := opt.Optimize(q)
 				if err != nil {
-					t.Fatalf("seed %d %s pass %d: %v\nquery: %s", seed, st.Name(), pass, err, q)
+					t.Fatalf("seed %s %s: optimize: %v\nquery: %s", id, c.name, err, q)
 				}
-				if pass == 0 && info.Hit {
-					t.Fatalf("seed %d %s: a fresh cache reported a hit", seed, st.Name())
+				ex, err := executor.NewExecutor(cat, q, nil, opt.Model.Params, &executor.Meter{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if info.Hit {
-					cacheHits[st.Name()]++
+				root, err := ex.Build(plan)
+				if err != nil {
+					t.Fatalf("seed %s %s: build: %v\n%s", id, c.name, err, optimizer.Explain(plan, q))
+				}
+				rows, err := executor.Run(root)
+				if err != nil {
+					t.Fatalf("seed %s %s: run: %v\n%s", id, c.name, err, optimizer.Explain(plan, q))
+				}
+				if d := diffRows(canon(rows), want); d != "" {
+					t.Fatalf("seed %s %s: %s\nquery: %s\nplan:\n%s", id, c.name, d, q, optimizer.Explain(plan, q))
+				}
+				if usesIndexBounds(plan) {
+					boundedPlans[dq.name]++
+				}
+			}
+
+			// POP under the default policy, pipelined ECDC, and the extension
+			// features (spill guard, hash-build reuse, uncertainty penalty).
+			for _, mode := range []string{"popDefault", "popECDC", "popSpillGuard", "popReuseBuilds"} {
+				opts := pop.DefaultOptions()
+				switch mode {
+				case "popECDC":
+					opts.Pipelined = true
+					opts.Policy = pop.Policy{ECDC: true, RequireBoundedRange: true}
+				case "popSpillGuard":
+					opts.Policy.GuardSpill = true
+					opts.UncertaintyPenalty = 1.5
+				case "popReuseBuilds":
+					opts.ReuseHashBuilds = true
+				}
+				res, err := pop.NewRunner(cat, opts).Run(q, nil)
+				if err != nil {
+					t.Fatalf("seed %s %s: %v\nquery: %s", id, mode, err, q)
 				}
 				if d := diffRows(canon(res.Rows), want); d != "" {
-					t.Fatalf("seed %d %s pass %d (hit=%t reopts=%d): %s\nquery: %s",
-						seed, st.Name(), pass, info.Hit, res.Reopts, d, q)
+					t.Fatalf("seed %s %s: %s (reopts=%d)\nquery: %s", id, mode, d, res.Reopts, q)
+				}
+			}
+
+			// Every planner strategy through the plan cache, twice: the first
+			// run must miss and cache its plan; the second is a guarded hit, or a
+			// fresh plan after a guard reject or an invalidating re-optimization.
+			for _, st := range pop.Strategies() {
+				opts := pop.DefaultOptions()
+				opts.Planner = st
+				runner := plancache.NewRunner(plancache.New(), cat, opts)
+				for pass := 0; pass < 2; pass++ {
+					res, info, err := runner.Run(q, nil)
+					if err != nil {
+						t.Fatalf("seed %s %s pass %d: %v\nquery: %s", id, st.Name(), pass, err, q)
+					}
+					if pass == 0 && info.Hit {
+						t.Fatalf("seed %s %s: a fresh cache reported a hit", id, st.Name())
+					}
+					if info.Hit {
+						cacheHits[st.Name()]++
+					}
+					if d := diffRows(canon(res.Rows), want); d != "" {
+						t.Fatalf("seed %s %s pass %d (hit=%t reopts=%d): %s\nquery: %s",
+							id, st.Name(), pass, info.Hit, res.Reopts, d, q)
+					}
 				}
 			}
 		}
@@ -321,6 +425,11 @@ func TestDifferentialRandomQueries(t *testing.T) {
 	for _, st := range pop.Strategies() {
 		if cacheHits[st.Name()] == 0 {
 			t.Errorf("%s: no second run was served from the cache; the hit path went uncompared", st.Name())
+		}
+	}
+	for _, sh := range sargableShapes {
+		if boundedPlans[sh.name] == 0 {
+			t.Errorf("%s: no plan read its table through index bounds; the shape went uncompared", sh.name)
 		}
 	}
 }

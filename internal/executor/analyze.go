@@ -10,31 +10,11 @@ package executor
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/logical"
 	"repro/internal/optimizer"
 )
-
-// ChargeAllocsPerRun measures the average heap allocations one work charge
-// performs, in the style of testing.AllocsPerRun. TestChargeZeroAllocWhenOff
-// uses it to certify the zero-overhead guarantee: with analyze off the
-// charge path must allocate nothing.
-func ChargeAllocsPerRun(runs int, analyze bool) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ex := &Executor{Meter: &Meter{}, Analyze: analyze}
-	ex.stmt = ex.Meter
-	b := &base{}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		b.charge(ex, 1)
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
 
 // extraWorker is implemented by nodes whose worker goroutines charge work
 // that the consumer-thread charge path cannot attribute (the partitioned

@@ -54,7 +54,8 @@ type Optimizer struct {
 	// still-uncertain estimates relative to plans whose inputs were measured.
 	UncertaintyPenalty float64
 
-	// ComputeValidity enables the §2.2 sensitivity analysis during pruning.
+	// ComputeValidity enables the §2.2 sensitivity analysis: the returned
+	// plan's edges carry validity ranges.
 	ComputeValidity bool
 
 	// GreedyThreshold is the table count beyond which exhaustive DP yields
@@ -116,6 +117,11 @@ type planner struct {
 	// candidates counts addCandidate offers (see EnumeratedCandidates).
 	candidates int
 
+	// narrowing is whether addCandidate narrows validity ranges; narrowings
+	// counts the plan-vs-plan narrowings done (TestNarrowingBudget).
+	narrowing  bool
+	narrowings int
+
 	// Per-table constants every access path and join over the table shares:
 	// its column ids, its local predicates and their conjunction.
 	cols        [][]int
@@ -156,9 +162,9 @@ type scratch struct {
 	probe    Plan // parameterized index probe under an index NLJN
 }
 
-// Optimize compiles the query into the cheapest physical plan, computing
-// validity ranges on plan edges along the way.
-func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
+// newPlanner sets up the enumeration state for q and seeds it with every
+// table's access paths.
+func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 	tabs := make([]*catalog.Table, len(q.Tables))
 	for i, tr := range q.Tables {
 		t, err := o.Cat.Table(tr.Table)
@@ -181,6 +187,8 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 		tabs: tabs,
 		est:  newEstimator(estQ, tabs, o.Feedback),
 		best: make(map[uint64]group),
+
+		narrowing: o.ComputeValidity,
 	}
 	pl.est.uncertainty = o.UncertaintyPenalty
 	for ti := range tabs {
@@ -202,7 +210,17 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 			pl.addCandidate(ap)
 		}
 	}
-	n := len(tabs)
+	return pl, nil
+}
+
+// Optimize compiles the query into the cheapest physical plan, with validity
+// ranges on its edges.
+func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
+	pl, err := o.newPlanner(q)
+	if err != nil {
+		return nil, err
+	}
+	n := len(q.Tables)
 	full := uint64(1)<<uint(n) - 1
 	if n > 1 {
 		switch {
@@ -358,8 +376,9 @@ func (o *Optimizer) parallelJoin(p *Plan) *Plan {
 }
 
 // addCandidate offers a plan for its subset/order slot, pruning against the
-// incumbent and narrowing the winner's validity ranges per §2.2. cand may
-// live in scratch; it is copied out if it takes the slot.
+// incumbent and, when narrowing is on, narrowing the winner's validity ranges
+// per §2.2. No decision here reads a range. cand may live in scratch; it is
+// copied out if it takes the slot.
 func (pl *planner) addCandidate(cand *Plan) {
 	pl.candidates++
 	g := pl.best[cand.tables]
@@ -373,11 +392,13 @@ func (pl *planner) addCandidate(cand *Plan) {
 	// and the unordered best are structural alternatives for the same
 	// subset, so their cost crossover bounds both plans' edges even though
 	// neither prunes the other.
-	if cand.ordered != -1 {
+	switch {
+	case !pl.narrowing:
+	case cand.ordered != -1:
 		if len(g) > 0 && g[0].ordered == -1 {
 			pl.narrowAcross(cand, g[0], takes)
 		}
-	} else {
+	default:
 		for _, inc := range g {
 			if inc.ordered != -1 {
 				pl.narrowAcross(cand, inc, takes)
@@ -386,10 +407,10 @@ func (pl *planner) addCandidate(cand *Plan) {
 	}
 	switch {
 	case vacant:
-		pl.best[cand.tables] = slices.Insert(g, i, pl.keep(cand))
+		pl.best[cand.tables] = slices.Insert(g, i, pl.keep(cand, nil))
 	case takes:
 		pl.narrow(cand, g[i])
-		g[i] = pl.keep(cand)
+		g[i] = pl.keep(cand, g[i])
 	default:
 		pl.narrow(g[i], cand)
 	}
@@ -410,10 +431,14 @@ func (pl *planner) narrowAcross(cand, inc *Plan, takes bool) {
 }
 
 // keep returns cand itself unless it is the scratch candidate, which is
-// copied to the heap along with whichever child was built in scratch for it.
+// copied out along with whichever child was built in scratch for it — over
+// into, the incumbent it displaces, when that is a join built here, else to
+// a fresh node. Until its group is complete nothing but the group references
+// a join in it, so the incumbent's node and arrays are free to reuse; base
+// access paths and MVSCANs (no inputs) are never written to.
 // Cols is filled in here: costing never reads a candidate's own column list,
 // and every join's output is its left input's columns followed by its right's.
-func (pl *planner) keep(cand *Plan) *Plan {
+func (pl *planner) keep(cand, into *Plan) *Plan {
 	sc := &pl.scratch
 	if cand != &sc.node {
 		return cand
@@ -423,17 +448,23 @@ func (pl *planner) keep(cand *Plan) *Plan {
 		probe := sc.probe
 		r = &probe
 	}
-	h := *cand
-	h.Children = []*Plan{l, r}
-	h.Cols = slices.Concat(l.Cols, r.Cols)
-	h.Validity = append([]Range(nil), cand.Validity...)
-	return &h
+	if into == nil || len(into.Children) != 2 {
+		into = &Plan{Children: make([]*Plan, 2), Cols: make([]int, 0, len(l.Cols)+len(r.Cols))}
+	}
+	kids, cols, validity := into.Children, into.Cols[:0], into.Validity[:0]
+	*into = *cand
+	kids[0], kids[1] = l, r
+	into.Children = kids
+	into.Cols = append(append(cols, l.Cols...), r.Cols...)
+	into.Validity = append(validity, cand.Validity...)
+	return into
 }
 
 func (pl *planner) narrow(winner, loser *Plan) {
-	if !pl.opt.ComputeValidity || len(winner.Children) == 0 || len(loser.Children) == 0 {
+	if !pl.narrowing || len(winner.Children) == 0 || len(loser.Children) == 0 {
 		return
 	}
+	pl.narrowings++
 	pl.opt.Model.narrowValidity(winner, loser)
 }
 
@@ -590,8 +621,8 @@ func (pl *planner) matchMV(mask uint64) *Plan {
 }
 
 // sargableBounds extracts index bounds for the key column from the local
-// predicates: constant comparisons become bounds, everything else stays
-// residual.
+// predicates: the first constant comparison on each side becomes that side's
+// bound, everything else stays residual.
 func sargableBounds(preds []expr.Expr, keyGID int) (lo, hi expr.Expr, loInc, hiInc bool, used, residual []expr.Expr) {
 	for _, p := range preds {
 		c, ok := p.(*expr.Cmp)
@@ -613,31 +644,36 @@ func sargableBounds(preds []expr.Expr, keyGID int) (lo, hi expr.Expr, loInc, hiI
 			residual = append(residual, p)
 			continue
 		}
-		switch op {
-		case expr.EQ:
-			lo, hi, loInc, hiInc = &expr.Const{Val: val.Val}, &expr.Const{Val: val.Val}, true, true
-			used = append(used, p)
-		case expr.LT:
-			hi, hiInc = &expr.Const{Val: val.Val}, false
-			used = append(used, p)
-		case expr.LE:
-			hi, hiInc = &expr.Const{Val: val.Val}, true
-			used = append(used, p)
-		case expr.GT:
-			lo, loInc = &expr.Const{Val: val.Val}, false
-			used = append(used, p)
-		case expr.GE:
-			lo, loInc = &expr.Const{Val: val.Val}, true
-			used = append(used, p)
-		default:
+		// A side already bound stays bound; the later predicate is checked as
+		// a residual instead of overwriting a bound nothing would re-check.
+		setLo := op == expr.EQ || op == expr.GT || op == expr.GE
+		setHi := op == expr.EQ || op == expr.LT || op == expr.LE
+		if !(setLo || setHi) || (setLo && lo != nil) || (setHi && hi != nil) {
 			residual = append(residual, p)
+			continue
 		}
+		if setLo {
+			lo, loInc = &expr.Const{Val: val.Val}, op != expr.GT
+		}
+		if setHi {
+			hi, hiInc = &expr.Const{Val: val.Val}, op != expr.LT
+		}
+		used = append(used, p)
 	}
 	return lo, hi, loInc, hiInc, used, residual
 }
 
 // enumerateDP runs exhaustive left-deep dynamic programming over subsets.
+// Validity ranges are read only off the plan Optimize returns, and a group's
+// candidates and slot decisions depend on the Card, Cost and order of smaller
+// groups, never on their ranges. So the sweep prunes with narrowing off, and
+// the groups the chosen plan lives in are then rebuilt, smallest first, by
+// the same expandSubset with narrowing on: each rebuilt winner equals its
+// first-pass twin in every field and carries the ranges narrowing inside the
+// sweep would have left on it. The replays are not counted as candidates.
 func (pl *planner) enumerateDP(full uint64) {
+	narrowing := pl.narrowing
+	pl.narrowing = false
 	n := popcount(full)
 	for size := 2; size <= n; size++ {
 		for mask := uint64(1); mask <= full; mask++ {
@@ -647,6 +683,23 @@ func (pl *planner) enumerateDP(full uint64) {
 			pl.expandSubset(mask)
 		}
 	}
+	if !narrowing {
+		return
+	}
+	pl.narrowing = true
+	var chosen []uint64 // nested table sets, so numeric order is size order
+	pl.bestOf(full).Walk(func(p *Plan) {
+		if len(p.Children) == 2 {
+			chosen = append(chosen, p.tables)
+		}
+	})
+	slices.Sort(chosen)
+	costed := pl.candidates
+	for _, mask := range chosen {
+		pl.best[mask] = nil
+		pl.expandSubset(mask)
+	}
+	pl.candidates = costed
 }
 
 // expandSubset generates join plans for a subset from its left-deep splits

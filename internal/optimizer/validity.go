@@ -3,7 +3,9 @@ package optimizer
 import "math"
 
 // This file implements the paper's §2.2: validity-range computation through
-// plan sensitivity analysis, embedded in the optimizer's pruning phase.
+// plan sensitivity analysis against the alternatives pruning meets. (The DP
+// enumerator prunes first and replays pruning, narrowing, for the chosen
+// plan's groups only — see enumerateDP; the ranges are the same.)
 //
 // When plan Popt prunes a structurally equivalent alternative Palt (same
 // joined tables, same child partitions, different root operator), we search
