@@ -10,8 +10,10 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
+	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
 )
@@ -23,14 +25,28 @@ type extraWorker interface {
 	extraWork() float64
 }
 
+// indexed is implemented by the nodes that descend a B+tree, so the stats
+// tree can price the descent.
+type indexed interface {
+	indexHeight() int
+}
+
+func (n *indexScanNode) indexHeight() int { return n.ix.Height() }
+func (p *probeState) indexHeight() int    { return p.ix.Height() }
+
 // StatsNode is one logical operator's merged runtime stats. Clones reports
 // how many executable instances (partition clones) were folded into it; 1
-// for a serial operator.
+// for a serial operator. Model is the operator's own modeled cost at the
+// cardinalities the run observed (see fillModel) — the number Stats.Work
+// equals when the cost model and the meter agree.
 type StatsNode struct {
 	Plan     *optimizer.Plan
 	Stats    NodeStats
 	Clones   int
+	Model    float64
 	Children []*StatsNode
+
+	indexHeight int // of the B+tree an index access descends
 }
 
 // Walk visits the stats tree in pre-order.
@@ -50,15 +66,28 @@ func (sn *StatsNode) Walk(fn func(*StatsNode)) {
 // by plan identity and merged: rows and work sum, Done requires every clone
 // done, flags OR, FirstWork is the earliest touched reading and DoneWork the
 // latest. Call it only on a quiescent tree — after Run returned or the POP
-// controller harvested a violation.
-func CollectStats(root Node) *StatsNode {
-	return mergeClones([]*StatsNode{collectNode(root)})
+// controller harvested a violation. cost is the weights the run was charged
+// with; every node's Model is evaluated under them.
+func CollectStats(root Node, cost optimizer.CostParams) *StatsNode {
+	sn := mergeClones([]*StatsNode{collectNode(root)})
+	// Every charge site rounds its weight to the meter's tick; so does the
+	// model the charges are held against.
+	for _, w := range []*float64{&cost.ScanRow, &cost.PredEval, &cost.HashBuildRow, &cost.HashProbeRow,
+		&cost.OutputRow, &cost.SortCmpRow, &cost.TempWrite, &cost.TempRead, &cost.IndexLevel, &cost.FetchRow,
+		&cost.MergeRow, &cost.CheckRow, &cost.SpillRow, &cost.ExchangeRow, &cost.ExchangeSetup} {
+		*w = float64(Ticks(*w)) / meterTick
+	}
+	sn.fillModel(&optimizer.CostModel{Params: cost}, 1)
+	return sn
 }
 
 func collectNode(n Node) *StatsNode {
 	sn := &StatsNode{Plan: n.Plan(), Stats: *n.Stats(), Clones: 1}
 	if ew, ok := n.(extraWorker); ok {
 		sn.Stats.Work += ew.extraWork()
+	}
+	if ix, ok := n.(indexed); ok {
+		sn.indexHeight = ix.indexHeight()
 	}
 	var order []*optimizer.Plan
 	groups := make(map[*optimizer.Plan][]*StatsNode)
@@ -82,7 +111,7 @@ func mergeClones(clones []*StatsNode) *StatsNode {
 	if len(clones) == 1 {
 		return clones[0]
 	}
-	out := &StatsNode{Plan: clones[0].Plan}
+	out := &StatsNode{Plan: clones[0].Plan, indexHeight: clones[0].indexHeight}
 	s := &out.Stats
 	s.Done = true
 	for _, c := range clones {
@@ -90,6 +119,7 @@ func mergeClones(clones []*StatsNode) *StatsNode {
 		out.Clones += c.Clones
 		s.RowsOut += cs.RowsOut
 		s.Work += cs.Work
+		s.Fetched += cs.Fetched
 		s.Done = s.Done && cs.Done
 		s.Opened = s.Opened || cs.Opened
 		s.Spilled = s.Spilled || cs.Spilled
@@ -118,6 +148,54 @@ func mergeClones(clones []*StatsNode) *StatsNode {
 		out.Children = append(out.Children, mergeClones(group))
 	}
 	return out
+}
+
+// fillModel sets Model on sn and everything under it: the operator's own cost
+// under m — what Recost adds to its inputs' subtree costs — at the
+// cardinalities the run observed instead of the estimates. runs is how many
+// times the operator's stream was produced: once, except for the inner of a
+// nested-loop join, which is rescanned or probed once per outer row. Counters
+// sum over the runs; the model's cardinalities are per run.
+func (sn *StatsNode) fillModel(m *optimizer.CostModel, runs float64) {
+	p, pr := sn.Plan, &m.Params
+	kids := sn.Children
+	if len(kids) == 1 && kids[0].Plan == p {
+		// An ECDC wrapper (INSERT, anti-join) shares its child's plan node and
+		// has no term in the model.
+		kids[0].fillModel(m, runs)
+		return
+	}
+	residuals := len(expr.Conjuncts(p.Filter))
+	switch p.Op {
+	case optimizer.OpTableScan, optimizer.OpMVScan:
+		sn.Model = runs * p.Cost // no estimated term
+	case optimizer.OpIndexScan:
+		sn.Model = pr.AccessCost(runs*float64(sn.indexHeight)*pr.IndexLevel, sn.Stats.Fetched, residuals)
+	case optimizer.OpHashLookup:
+		sn.Model = pr.AccessCost(runs*pr.HashProbeRow, sn.Stats.Fetched, residuals)
+	default:
+		// Recost reads its input cardinalities from cc and scales the node's
+		// estimate by cc[i]/Children[i].Card for its output: a copy whose cards
+		// are the observed ones, over inputs that cost nothing, evaluates the
+		// node's own terms at what happened.
+		at := optimizer.CloneNode(p)
+		at.Card = sn.Stats.RowsOut / runs
+		cc, cs := make([]float64, len(kids)), make([]float64, len(kids))
+		for i, c := range kids {
+			crun := runs
+			if p.Op == optimizer.OpNLJN && i == 1 {
+				crun = kids[0].Stats.RowsOut
+				if !p.IndexJoin {
+					crun = math.Max(crun, 1) // as Recost counts rescans
+				}
+			}
+			in := *p.Children[i]
+			in.Card = c.Stats.RowsOut / math.Max(crun, 1)
+			at.Children[i], cc[i] = &in, in.Card
+			c.fillModel(m, crun)
+		}
+		sn.Model = runs * m.Recost(at, cc, cs)
+	}
 }
 
 // AnalyzeOptions selects optional EXPLAIN ANALYZE columns.
@@ -170,9 +248,4 @@ func formatStatsNode(b *strings.Builder, sn *StatsNode, q *logical.Query, opts A
 	for _, c := range sn.Children {
 		formatStatsNode(b, c, q, opts, depth+1)
 	}
-}
-
-// ExplainAnalyze collects and renders an executed tree's runtime stats.
-func ExplainAnalyze(root Node, q *logical.Query, opts AnalyzeOptions) string {
-	return FormatStats(CollectStats(root), q, opts)
 }

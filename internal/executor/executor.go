@@ -4,6 +4,9 @@
 // using the same weights as the optimizer's cost model, so a plan's measured
 // work equals its modeled cost evaluated at the *actual* cardinalities —
 // which makes the paper's figures deterministic and machine-independent.
+// pop.TestModelEqualsMeter asserts it operator by operator (StatsNode.Model
+// against NodeStats.Work), so a charge site edited here needs its term in
+// optimizer/cost.go.
 //
 // CHECK operators follow Figure 10 of the paper: they count the rows flowing
 // from producer to consumer and raise a *CheckViolation when the count
@@ -103,6 +106,10 @@ type NodeStats struct {
 	Work        float64
 	WallFirstNS int64
 	WallLastNS  int64
+
+	// Fetched counts the heap rows an index access fetched by rid — what its
+	// key matched, before the residual filter cut that down to RowsOut.
+	Fetched float64
 
 	// Spilled marks a hash join whose build exceeded the memory budget and
 	// charged grace-hash staging; Violated marks a CHECK that raised the

@@ -203,6 +203,7 @@ func (n *nljnNode) fillIndex(b *Batch, max int) error {
 	defer func() {
 		p.chargeTicks(n.ex, p.descentT, outers)
 		p.chargeTicks(n.ex, p.fetchT, fetched)
+		p.stats.Fetched += float64(fetched)
 	}()
 	for b.Len() < max {
 		if n.mpos == len(n.matches) {

@@ -183,6 +183,7 @@ func (n *ridFetch) NextBatch(max int) (*Batch, error) {
 		}
 	}
 	n.chargeTicks(n.ex, n.rowTicks, fetched)
+	n.stats.Fetched += float64(fetched)
 	n.stats.Done = b.Len() < max
 	return n.emit(b, nil)
 }

@@ -6,7 +6,8 @@ import "math"
 // charges the same weights per actual row processed, so a plan's simulated
 // execution time equals its modeled cost evaluated at the actual
 // cardinalities — which makes the figures deterministic and machine
-// independent (DESIGN.md §1).
+// independent (DESIGN.md §1). pop.TestModelEqualsMeter asserts it operator by
+// operator: a term added or changed here needs its charge in the executor.
 type CostParams struct {
 	ScanRow      float64 // sequential heap row
 	PredEval     float64 // one predicate evaluation
@@ -71,6 +72,14 @@ func DefaultCostParams() CostParams {
 		ExchangeRow:   0.05,
 		ExchangeSetup: 50,
 	}
+}
+
+// AccessCost is the cost of one index access: the descent (B+tree levels, or
+// one hash probe), then a heap fetch and the residual predicates for every row
+// the index key matches — matched, not the rows that survive the residuals,
+// because the executor fetches first and filters afterwards.
+func (pr *CostParams) AccessCost(descent, matched float64, residuals int) float64 {
+	return descent + matched*pr.FetchRow + matched*float64(residuals)*pr.PredEval
 }
 
 // CostModel evaluates operator cost formulas. The formulas are functions of

@@ -515,14 +515,9 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 		for _, p := range used {
 			idxSel *= stats.Selectivity(p, pl.est.lookup())
 		}
+		// With no sargable predicate this is the full index scan, which
+		// provides order and costs a fetch per row.
 		matched := baseRows * idxSel
-		height := float64(ix.Height())
-		cost := height*pr.IndexLevel + matched*pr.FetchRow +
-			matched*float64(len(residual))*pr.PredEval
-		if len(used) == 0 {
-			// Full index scan: provides order, costs a fetch per row.
-			cost = baseRows*(pr.FetchRow+0.2) + baseRows*float64(len(residual))*pr.PredEval
-		}
 		paths = append(paths, &Plan{
 			Op:         OpIndexScan,
 			Table:      ti,
@@ -534,7 +529,7 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 			Filter:     expr.Conjoin(residual...),
 			Cols:       cols,
 			Card:       fCard,
-			Cost:       cost,
+			Cost:       pr.AccessCost(float64(ix.Height())*pr.IndexLevel, matched, len(residual)),
 			tables:     mask,
 			ordered:    keyGID,
 		})
@@ -576,10 +571,9 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 			Filter:     expr.Conjoin(residual...),
 			Cols:       cols,
 			Card:       fCard,
-			Cost: pr.HashProbeRow + matched*pr.FetchRow +
-				matched*float64(len(residual))*pr.PredEval,
-			tables:  mask,
-			ordered: -1,
+			Cost:       pr.AccessCost(pr.HashProbeRow, matched, len(residual)),
+			tables:     mask,
+			ordered:    -1,
 		})
 	}
 
@@ -802,6 +796,17 @@ func (pl *planner) joinPredsBetween(rest uint64, ti int) []expr.Expr {
 	return out
 }
 
+// predSelectivity is the estimator's memoized selectivity of p, one of
+// pl.joinPreds (which the estimator's own list parallels).
+func (pl *planner) predSelectivity(p expr.Expr) float64 {
+	for i, jp := range pl.joinPreds {
+		if jp.pred == p {
+			return pl.est.joinSelectivity(i)
+		}
+	}
+	panic("optimizer: predSelectivity of a predicate outside joinPreds")
+}
+
 // equiPair is one hash/merge-joinable equality between the outer subset and
 // the inner table.
 type equiPair struct {
@@ -864,6 +869,7 @@ type indexJoin struct {
 	lookupCol int       // outer-side column supplying the probe key
 	ord       int       // ti-side column ordinal
 	levelCost float64   // B-tree descent cost per probe
+	fetched   float64   // inner rows the probed key alone matches, per probe
 	filter    expr.Expr // every connecting predicate but the probed pair
 }
 
@@ -904,6 +910,7 @@ func (pl *planner) newSplit(rest uint64, ti int) split {
 					lookupCol: pr.outerCol,
 					ord:       ord,
 					levelCost: float64(ix.Height()) * o.Model.Params.IndexLevel,
+					fetched:   pl.est.baseTableCard(ti) * pl.predSelectivity(pr.pred),
 					filter:    residualWithout(i),
 				})
 			}
@@ -987,7 +994,9 @@ func (s *split) offer(c Plan, l, r *Plan) {
 
 // indexProbe fills the scratch probe node with the parameterized index-probe
 // inner of an index NLJN under outer: Card is the expected matches per probe
-// and Cost the per-probe cost.
+// — the join's output, after the residual join predicates and the inner's
+// local ones — and Cost the per-probe cost, which pays for every row the
+// probed key fetches before those predicates see it.
 func (s *split) indexProbe(ij *indexJoin, outer *Plan) *Plan {
 	pl := s.pl
 	pr := &pl.opt.Model.Params
@@ -1003,10 +1012,9 @@ func (s *split) indexProbe(ij *indexJoin, outer *Plan) *Plan {
 		Filter:   pl.localFilter[ti],
 		Cols:     pl.cols[ti],
 		Card:     perProbe,
-		Cost: ij.levelCost + perProbe*pr.FetchRow +
-			perProbe*float64(len(pl.local[ti]))*pr.PredEval,
-		tables:  uint64(1) << uint(ti),
-		ordered: -1,
+		Cost:     pr.AccessCost(ij.levelCost, ij.fetched, len(pl.local[ti])),
+		tables:   uint64(1) << uint(ti),
+		ordered:  -1,
 	}
 	return &pl.scratch.probe
 }

@@ -176,6 +176,14 @@ func (e *estimator) joinPredSelectivity(p expr.Expr) float64 {
 	return stats.Selectivity(p, e.lookup())
 }
 
+// joinSelectivity is join predicate i's selectivity, memoized.
+func (e *estimator) joinSelectivity(i int) float64 {
+	if math.IsNaN(e.joinSel[i]) {
+		e.joinSel[i] = e.joinPredSelectivity(e.joinPreds[i].pred)
+	}
+	return e.joinSel[i]
+}
+
 // SubsetCard estimates the output cardinality of joining the table subset,
 // preferring feedback for the exact subset. Memoized per mask; selectivities
 // of individual join predicates are memoized across masks.
@@ -202,10 +210,7 @@ func (e *estimator) subsetCardUncached(mask uint64) float64 {
 	}
 	for i, jp := range e.joinPreds {
 		if jp.mask&mask == jp.mask {
-			if math.IsNaN(e.joinSel[i]) {
-				e.joinSel[i] = e.joinPredSelectivity(jp.pred)
-			}
-			card *= e.joinSel[i]
+			card *= e.joinSelectivity(i)
 		}
 	}
 	if card < 0 {

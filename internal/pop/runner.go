@@ -312,7 +312,7 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 			}
 			res.CheckStats = collectCheckStats(root)
 			if r.Opts.Analyze {
-				info.Stats = executor.CollectStats(root)
+				info.Stats = executor.CollectStats(root, ex.Cost)
 			}
 			res.Attempts = append(res.Attempts, info)
 			res.Work = meter.Work()
@@ -330,7 +330,7 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 		// CHECK violated: re-optimize.
 		info.Violation = cv
 		if r.Opts.Analyze {
-			info.Stats = executor.CollectStats(root)
+			info.Stats = executor.CollectStats(root, ex.Cost)
 		}
 		if tr != nil {
 			tr.Record(trace.Event{Kind: trace.CheckpointViolated,
