@@ -209,24 +209,41 @@ type AnalyzeOptions struct {
 // FormatStats renders a stats tree in the style of optimizer.Explain, one
 // node per line:
 //
-//	HSJN  est=3200.0 actual=41210 work=94611.0 dop=4 [spill]
+//	HSJN  est=3200.0 actual=41210 work=94611.0 model=94611.0 dop=4 [spill]
 //
 // est is the optimizer's cardinality estimate, actual the rows the operator
 // produced (summed over clones), work the simulated work units it charged
-// (analyze mode only), dop the number of partition clones merged. Flags:
-// [spill] grace-hash staging, [violated] the CHECK that stopped the attempt,
-// [partial] opened but cancelled before end-of-stream, [unopened] never ran.
+// (analyze mode only), model its own modeled cost at the actual cardinalities
+// (StatsNode.Model: where it differs from work, the cost model mis-prices the
+// operator, whatever the estimates were), dop the number of partition clones
+// merged. The probe edge of an index NLJN is estimated per probe and says so;
+// its actual sums over the probes made, fetched is the rows the probed key
+// matched before the inner's local predicates:
+//
+//	IXSCAN(l)[full]  est=0.6/probe actual=2400 probes=4000 fetched=2400 work=41600.0 model=41600.0
+//
+// Flags: [spill] grace-hash staging, [violated] the CHECK that stopped the
+// attempt, [partial] opened but cancelled before end-of-stream, [unopened]
+// never ran.
 func FormatStats(sn *StatsNode, q *logical.Query, opts AnalyzeOptions) string {
 	var b strings.Builder
-	formatStatsNode(&b, sn, q, opts, 0)
+	formatStatsNode(&b, sn, nil, q, opts, 0)
 	return b.String()
 }
 
-func formatStatsNode(b *strings.Builder, sn *StatsNode, q *logical.Query, opts AnalyzeOptions, depth int) {
+// formatStatsNode renders sn and its subtree; probeOf is the index NLJN whose
+// probe edge sn is, nil for every other node.
+func formatStatsNode(b *strings.Builder, sn, probeOf *StatsNode, q *logical.Query, opts AnalyzeOptions, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(optimizer.NodeLabel(sn.Plan, q))
 	s := &sn.Stats
-	fmt.Fprintf(b, "  est=%.1f actual=%.0f work=%.1f", sn.Plan.Card, s.RowsOut, s.Work)
+	if probeOf != nil {
+		fmt.Fprintf(b, "  est=%.1f/probe actual=%.0f probes=%.0f fetched=%.0f", sn.Plan.Card, s.RowsOut,
+			probeOf.Children[0].Stats.RowsOut, s.Fetched)
+	} else {
+		fmt.Fprintf(b, "  est=%.1f actual=%.0f", sn.Plan.Card, s.RowsOut)
+	}
+	fmt.Fprintf(b, " work=%.1f model=%.1f", s.Work, sn.Model)
 	if sn.Clones > 1 {
 		fmt.Fprintf(b, " dop=%d", sn.Clones)
 	}
@@ -245,7 +262,11 @@ func formatStatsNode(b *strings.Builder, sn *StatsNode, q *logical.Query, opts A
 		b.WriteString(" [spill]")
 	}
 	b.WriteByte('\n')
-	for _, c := range sn.Children {
-		formatStatsNode(b, c, q, opts, depth+1)
+	for i, c := range sn.Children {
+		var probed *StatsNode
+		if sn.Plan.Op == optimizer.OpNLJN && sn.Plan.IndexJoin && i == 1 {
+			probed = sn
+		}
+		formatStatsNode(b, c, probed, q, opts, depth+1)
 	}
 }

@@ -94,13 +94,14 @@ func TestMergeClones(t *testing.T) {
 	}
 }
 
-// TestFormatStatsFlags pins the rendered line shape: est/actual/work columns,
-// dop for merged clones, and the [partial]/[spill]/[unopened] flags.
+// TestFormatStatsFlags pins the rendered line shape: est/actual/work/model
+// columns, dop for merged clones, and the [partial]/[spill]/[unopened] flags.
 func TestFormatStatsFlags(t *testing.T) {
 	_, clones := statsNodeFixture()
 	clones[2].Stats.Spilled = true
 	merged := mergeClones(clones)
 	merged.Children[1].Stats.Opened = false
+	merged.Model = 18.5
 
 	out := FormatStats(merged, nil, AnalyzeOptions{})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
@@ -108,7 +109,7 @@ func TestFormatStatsFlags(t *testing.T) {
 		t.Fatalf("rendered %d lines:\n%s", len(lines), out)
 	}
 	if !strings.Contains(lines[0], "HSJN") ||
-		!strings.Contains(lines[0], "est=100.0 actual=100 work=18.0 dop=3") ||
+		!strings.Contains(lines[0], "est=100.0 actual=100 work=18.0 model=18.5 dop=3") ||
 		!strings.Contains(lines[0], "[partial]") || !strings.Contains(lines[0], "[spill]") {
 		t.Errorf("join line = %q", lines[0])
 	}
@@ -121,5 +122,27 @@ func TestFormatStatsFlags(t *testing.T) {
 	out = FormatStats(merged, nil, AnalyzeOptions{Wall: true})
 	if !strings.Contains(out, "wall=") {
 		t.Errorf("Wall option must add the wall column:\n%s", out)
+	}
+}
+
+// TestFormatStatsProbeEdge pins the inner line of an index NLJN: the estimate
+// is per probe and labelled so, actual and fetched sum over the probes, and
+// the edge is complete when the join drained its outer.
+func TestFormatStatsProbeEdge(t *testing.T) {
+	outer := &optimizer.Plan{Op: optimizer.OpTableScan, Card: 4000}
+	probe := &optimizer.Plan{Op: optimizer.OpIndexScan, Card: 0.6}
+	join := &optimizer.Plan{Op: optimizer.OpNLJN, IndexJoin: true, Card: 2400, Children: []*optimizer.Plan{outer, probe}}
+	done := NodeStats{Opened: true, Done: true}
+	sn := &StatsNode{Plan: join, Stats: done, Children: []*StatsNode{
+		{Plan: outer, Stats: NodeStats{RowsOut: 4000, Opened: true, Done: true}},
+		{Plan: probe, Stats: NodeStats{RowsOut: 2357, Fetched: 2399497, Work: 9621988, Opened: true, Done: true}, Model: 9621988},
+	}}
+	lines := strings.Split(FormatStats(sn, nil, AnalyzeOptions{}), "\n")
+	want := "  IXSCAN[full]  est=0.6/probe actual=2357 probes=4000 fetched=2399497 work=9621988.0 model=9621988.0"
+	if lines[2] != want {
+		t.Errorf("probe line = %q\nwant         %q", lines[2], want)
+	}
+	if strings.Contains(lines[1], "/probe") || strings.Contains(lines[1], "fetched=") {
+		t.Errorf("outer line carries probe columns: %q", lines[1])
 	}
 }

@@ -147,6 +147,9 @@ func (n *nljnNode) nextOuter() (bool, error) {
 	row, ok, err := n.outer.next(1)
 	if err != nil || !ok {
 		n.stats.Done = err == nil
+		if n.probe != nil {
+			n.probe.stats.Done = n.stats.Done // the last probe has been made
+		}
 		return false, err
 	}
 	n.pair = append(n.pair[:0], row...)

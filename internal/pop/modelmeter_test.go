@@ -68,14 +68,10 @@ func opKind(p *optimizer.Plan, probe bool) string {
 }
 
 // audit compares every operator under sn that ran to completion. probeOf is
-// the index NLJN whose probe edge sn is, if it is one: the edge is complete
-// when the join has drained its outer.
+// the index NLJN whose probe edge sn is, if it is one.
 func (a *meterAudit) audit(key string, q *logical.Query, sn *executor.StatsNode, probeOf *executor.StatsNode) {
 	p, s := sn.Plan, &sn.Stats
 	done := s.Opened && s.Done
-	if probeOf != nil {
-		done = probeOf.Stats.Done
-	}
 	if done {
 		want, reason := meterException(sn, &a.pr)
 		a.nodes++
