@@ -62,9 +62,8 @@ func execLine(t *testing.T, key string, cat *catalog.Catalog, q *logical.Query, 
 }
 
 // TestExecIdentityGolden pins the executor's answers the way
-// TestPlanIdentityGolden pins the optimizer's. The golden file was generated by
-// the row-at-a-time executor before it was removed, so it is the reference the
-// batch protocol has to reproduce: for the 39 DMV queries and the nine
+// TestPlanIdentityGolden pins the optimizer's. The golden file is the reference
+// an executor change has to reproduce: for the 39 DMV queries and the nine
 // benchmark TPC-H statements under dp-pop and greedy-pop, and for the
 // correlated fixture under the default (also restricted to hash joins), ECB,
 // ECWC and pipelined-ECDC policies planned for 1, 2 and 4 workers, the work total, the re-optimization count,

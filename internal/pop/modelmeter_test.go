@@ -72,10 +72,11 @@ func opKind(p *optimizer.Plan, probe bool) string {
 func (a *meterAudit) audit(key string, q *logical.Query, sn *executor.StatsNode, probeOf *executor.StatsNode) {
 	p, s := sn.Plan, &sn.Stats
 	done := s.Opened && s.Done
+	kind := opKind(p, probeOf != nil)
 	if done {
 		want, reason := meterException(sn, &a.pr)
 		a.nodes++
-		a.ops[opKind(p, probeOf != nil)]++
+		a.ops[kind]++
 		if reason != "" {
 			a.exceptions++
 		}
@@ -84,7 +85,7 @@ func (a *meterAudit) audit(key string, q *logical.Query, sn *executor.StatsNode,
 				key, optimizer.NodeLabel(p, q), s.Work, want, reason))
 		}
 	}
-	if kind := opKind(p, probeOf != nil); done && kind == "IXSCAN[full]" && math.Abs(s.Work-p.Cost) > 1e-6*p.Cost {
+	if done && kind == "IXSCAN[full]" && math.Abs(s.Work-p.Cost) > 1e-6*p.Cost {
 		// Like a table scan's, a full index scan's cost holds no estimate, so
 		// the plan's own number is what one pass must charge.
 		a.bad = append(a.bad, fmt.Sprintf("%s: %s metered %.6f, costed %.6f", key, optimizer.NodeLabel(p, q), s.Work, p.Cost))
@@ -95,8 +96,8 @@ func (a *meterAudit) audit(key string, q *logical.Query, sn *executor.StatsNode,
 		// actually happened.
 		probes := probeOf.Children[0].Stats.RowsOut
 		perRow := a.pr.FetchRow + float64(len(expr.Conjuncts(p.Filter)))*a.pr.PredEval
-		descent := sn.Model - s.Fetched*perRow // probes × levels × IndexLevel
-		est := probes * (p.Cost - descent/math.Max(probes, 1)) / perRow
+		descents := sn.Model - s.Fetched*perRow // probes × levels × IndexLevel
+		est := (probes*p.Cost - descents) / perRow
 		a.probes++
 		a.estFetch += est
 		a.metFetch += s.Fetched
@@ -115,7 +116,7 @@ func (a *meterAudit) audit(key string, q *logical.Query, sn *executor.StatsNode,
 	}
 }
 
-func (a *meterAudit) run(t *testing.T, key string, cat *catalog.Catalog, q *logical.Query, opts Options) *Result {
+func (a *meterAudit) run(t *testing.T, key string, cat *catalog.Catalog, q *logical.Query, opts Options) {
 	t.Helper()
 	opts.Analyze = true
 	res, err := NewRunner(cat, opts).Run(q, nil)
@@ -125,7 +126,6 @@ func (a *meterAudit) run(t *testing.T, key string, cat *catalog.Catalog, q *logi
 	for i, at := range res.Attempts {
 		a.audit(fmt.Sprintf("%s attempt=%d", key, i), q, at.Stats, nil)
 	}
-	return res
 }
 
 // TestModelEqualsMeter asserts the sentence optimizer/cost.go and
@@ -133,9 +133,9 @@ func (a *meterAudit) run(t *testing.T, key string, cat *catalog.Catalog, q *logi
 // modeled cost evaluated at the actual cardinalities. For every operator that
 // ran to completion in every attempt of the 39 DMV and nine TPC-H statements
 // under dp-pop and greedy-pop, of the TPC-H nine planned without hash joins
-// (Figure 12's configuration, where merge joins, sorts and full index scans
-// are chosen) and of three single-table statements served by a sargable index
-// scan and a hash lookup, StatsNode.Model — CostModel's own-cost terms with
+// (as Figure 12 plans them: the one place merge joins, sorts and full index
+// scans are chosen) and of three single-table statements served by a sargable
+// index scan and a hash lookup, StatsNode.Model — CostModel's own-cost terms with
 // RobustnessBonus 0 at the observed input and output cardinalities — equals
 // the charged Work within 1e-6 relative, meterException's short list aside.
 // The estimate clause covers the one term actual cardinalities cannot expose,
@@ -189,11 +189,7 @@ func TestModelEqualsMeter(t *testing.T) {
 	t.Logf("index-NLJN probe edges: %d, fetched rows estimated %.0f vs metered %.0f", a.probes, a.estFetch, a.metFetch)
 	for _, want := range []string{"TBSCAN", "IXSCAN[sarg]", "IXSCAN[full]", "IXSCAN[probe]", "HXSCAN", "MVSCAN",
 		"NLJN[index]", "NLJN", "HSJN", "MGJN", "SORT", "TEMP", "GRPBY", "RETURN", "CHECK"} {
-		found := false
-		for k := range a.ops {
-			found = found || k == want
-		}
-		if !found {
+		if a.ops[want] == 0 {
 			t.Errorf("no %s ran to completion: the workloads no longer cover it", want)
 		}
 	}
