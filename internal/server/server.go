@@ -284,12 +284,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer cancel()
 	session := conn.RemoteAddr().String()
 
-	var wmu sync.Mutex
-	enc := json.NewEncoder(conn)
+	w := &connWriter{conn: conn}
 	send := func(resp Response) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := enc.Encode(resp); err != nil && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
+		if err := writeLine(w, &resp); err != nil && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
 			fmt.Fprintln(os.Stderr, "popserver: write:", err)
 		}
 	}
@@ -325,6 +322,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// connWriter serializes whole reply lines onto one connection, so replies of
+// pipelined requests never interleave.
+type connWriter struct {
+	mu   sync.Mutex
+	conn net.Conn
+}
+
+func (w *connWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.conn.Write(p)
+}
+
 // handleHTTPQuery serves POST /query: a Request body, a Response body.
 func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -333,14 +343,14 @@ func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req Request
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse(0, CodeParse, err))
+		writeReply(w, http.StatusBadRequest, errResponse(0, CodeParse, err))
 		return
 	}
 	if req.Op == "" {
 		req.Op = OpQuery
 	}
 	if !s.beginRequest() {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse(req.ID, CodeDraining, ErrDraining))
+		writeReply(w, http.StatusServiceUnavailable, errResponse(req.ID, CodeDraining, ErrDraining))
 		return
 	}
 	defer s.endRequest()
@@ -356,7 +366,17 @@ func (s *Server) handleHTTPQuery(w http.ResponseWriter, r *http.Request) {
 	case CodeExec, CodeCanceled:
 		status = http.StatusInternalServerError
 	}
-	writeJSON(w, status, resp)
+	writeReply(w, status, resp)
+}
+
+// writeReply writes resp as an HTTP body: the same line the TCP protocol
+// writes.
+func writeReply(w http.ResponseWriter, status int, resp Response) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err := writeLine(w, &resp); err != nil {
+		fmt.Fprintln(os.Stderr, "popserver: write:", err)
+	}
 }
 
 // httpMetrics is the GET /metrics payload.

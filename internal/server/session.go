@@ -67,10 +67,7 @@ func (s *Server) execQuery(ctx context.Context, session string, req Request) Res
 	if s.cfg.MaxRows > 0 && limit > s.cfg.MaxRows {
 		limit = s.cfg.MaxRows
 	}
-	resp.Rows = make([]string, limit)
-	for i := 0; i < limit; i++ {
-		resp.Rows[i] = fmt.Sprint(res.Rows[i])
-	}
+	resp.rows = res.Rows[:limit]
 	return resp
 }
 
