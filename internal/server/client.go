@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -50,11 +51,15 @@ func Dial(addr string) (*Client, error) {
 // connection closes, then fails every pending call.
 func (c *Client) readLoop() {
 	defer close(c.done)
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	rd := bufio.NewReaderSize(c.conn, 64<<10)
+	var line []byte
+	var err error
+	for {
+		if line, err = readLine(rd, line); err != nil {
+			break
+		}
 		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
+		if err := json.Unmarshal(line, &resp); err != nil {
 			continue
 		}
 		c.mu.Lock()
@@ -65,8 +70,7 @@ func (c *Client) readLoop() {
 			ch <- resp //poplint:allow blockingcancel pending channels are buffered (cap 1) and receive exactly one response per ID, so this send never blocks
 		}
 	}
-	err := sc.Err()
-	if err == nil {
+	if errors.Is(err, io.EOF) {
 		err = errors.New("connection closed")
 	}
 	c.mu.Lock()
