@@ -125,18 +125,20 @@ func (r Row) Concat(o Row) Row {
 	return c
 }
 
-// String renders the row as "[1, 'x', NULL]".
-func (r Row) String() string {
-	var b strings.Builder
-	b.WriteByte('[')
+// String renders the row as "[1, 'x', NULL]": AppendText's bytes.
+func (r Row) String() string { return string(r.AppendText(nil)) }
+
+// AppendText appends the row's text, "[1, 'x', NULL]", to dst and returns the
+// extended slice.
+func (r Row) AppendText(dst []byte) []byte {
+	dst = append(dst, '[')
 	for i, d := range r {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(d.String())
+		dst = d.AppendText(dst)
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(dst, ']')
 }
 
 // RID identifies a row within its table: the table id in the high 24 bits is
