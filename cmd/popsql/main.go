@@ -35,6 +35,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,7 +45,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
-	"repro/internal/plancache"
 	"repro/internal/pop"
 	"repro/internal/server"
 	"repro/internal/sqlparse"
@@ -58,7 +58,7 @@ import (
 type session struct {
 	cat   *catalog.Catalog
 	popOn bool
-	cache *plancache.Cache
+	cache *pop.Cache
 	reg   *metrics.Registry
 
 	// planner is the \planner-selected strategy; nil is the engine default
@@ -120,7 +120,7 @@ func main() {
 		popOn: true,
 		// One plan cache for the whole session: repeated statements reuse
 		// their optimized plans when the validity-range guards allow it.
-		cache: plancache.New(),
+		cache: pop.NewCache(),
 		reg:   metrics.New(),
 	}
 	defer s.stopTrace()
@@ -146,7 +146,7 @@ func main() {
 		case strings.HasPrefix(line, `\planner`):
 			s.plannerCmd(strings.TrimSpace(strings.TrimPrefix(line, `\planner`)))
 		case strings.HasPrefix(line, `\explain`):
-			explain(cat, s.planner, strings.TrimSpace(strings.TrimPrefix(line, `\explain`)))
+			s.explain(os.Stdout, strings.TrimSpace(strings.TrimPrefix(line, `\explain`)))
 		case strings.HasPrefix(line, `\analyze`):
 			s.analyze(strings.TrimSpace(strings.TrimPrefix(line, `\analyze`)))
 		default:
@@ -323,28 +323,33 @@ func onOff(b bool) string {
 	return "OFF"
 }
 
-func explain(cat *catalog.Catalog, planner pop.Strategy, sql string) {
-	q, err := sqlparse.Parse(cat, strings.TrimSuffix(sql, ";"))
+// explain prints the plan execute() would start with: the session's planner
+// strategy and POP toggle are resolved the same way, so checkpoints appear
+// only when execution would place them.
+func (s *session) explain(w io.Writer, sql string) {
+	q, err := sqlparse.Parse(s.cat, strings.TrimSuffix(sql, ";"))
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(w, "error:", err)
 		return
 	}
-	// Resolve the session's planner strategy so the shown plan — and its
-	// checkpoint placement — matches what execute() would run.
 	opts := pop.DefaultOptions()
-	opts.Planner = planner
+	opts.Enabled = s.popOn
+	opts.Planner = s.planner
 	opts = opts.Resolve()
-	opt := optimizer.New(cat)
+	opt := optimizer.New(s.cat)
 	if opts.Configure != nil {
 		opts.Configure(opt)
 	}
 	plan, err := opt.Optimize(q)
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(w, "error:", err)
 		return
 	}
-	withChecks, n := pop.Place(plan, q, opts.Policy)
-	fmt.Printf("-- plan (est cost %.0f, %d checkpoints):\n%s", plan.Cost, n, optimizer.Explain(withChecks, q))
+	shown, n := plan, 0
+	if opts.Enabled {
+		shown, n = pop.Place(plan, q, opts.Policy)
+	}
+	fmt.Fprintf(w, "-- plan (est cost %.0f, %d checkpoints):\n%s", plan.Cost, n, optimizer.Explain(shown, q))
 }
 
 // analyze is EXPLAIN ANALYZE: the statement runs under POP with per-operator
@@ -392,11 +397,14 @@ func (s *session) execute(sql string) {
 	opts.Enabled = s.popOn
 	opts.Planner = s.planner
 	opts.Trace = s.recorder()
-	res, info, err := plancache.NewRunner(s.cache, s.cat, opts).Run(q, nil)
+	runner := pop.NewRunner(s.cat, opts)
+	runner.Cache = s.cache
+	res, err := runner.Run(q, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
+	info := res.Cache
 	limit := 20
 	for i, row := range res.Rows {
 		if i >= limit {

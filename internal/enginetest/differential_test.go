@@ -13,7 +13,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
-	"repro/internal/plancache"
 	"repro/internal/pop"
 	"repro/internal/schema"
 	"repro/internal/types"
@@ -402,12 +401,14 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			for _, st := range pop.Strategies() {
 				opts := pop.DefaultOptions()
 				opts.Planner = st
-				runner := plancache.NewRunner(plancache.New(), cat, opts)
+				runner := pop.NewRunner(cat, opts)
+				runner.Cache = pop.NewCache()
 				for pass := 0; pass < 2; pass++ {
-					res, info, err := runner.Run(q, nil)
+					res, err := runner.Run(q, nil)
 					if err != nil {
 						t.Fatalf("seed %s %s pass %d: %v\nquery: %s", id, st.Name(), pass, err, q)
 					}
+					info := res.Cache
 					if pass == 0 && info.Hit {
 						t.Fatalf("seed %s %s: a fresh cache reported a hit", id, st.Name())
 					}

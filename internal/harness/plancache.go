@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/optimizer"
-	"repro/internal/plancache"
 	"repro/internal/pop"
 	"repro/internal/tpch"
 	"repro/internal/types"
@@ -40,33 +38,28 @@ func planCacheStudy(env Env) ([]Cell, error) {
 
 	var cached, reopt tally
 	var cachedOpt, reoptOpt int
-	runner := plancache.NewRunner(plancache.New(), cat, pop.DefaultOptions())
+	runner := pop.NewRunner(cat, pop.DefaultOptions())
+	runner.Cache = pop.NewCache()
+	fresh := pop.DefaultOptions()
+	fresh.BindParamEstimates = true
+	plain := pop.NewRunner(cat, fresh)
 	for s := 0; s < planCacheSweeps; s++ {
 		for _, qty := range bindings {
 			params := []types.Datum{types.NewFloat(qty)}
-			r, info, err := runner.Run(q, params)
+			r, err := runner.Run(q, params)
 			if err != nil {
 				return nil, fmt.Errorf("cached, qty=%v: %w", qty, err)
 			}
 			cached.add(r)
-			cachedOpt += info.OptWork
+			cachedOpt += r.Cache.OptWork
 
-			// A fresh full optimization, with the same parameter-bound
-			// estimation the cache's miss path uses.
-			opt := optimizer.New(cat)
-			opt.ParamBindings = params
-			plan, err := opt.Optimize(q)
-			if err != nil {
-				return nil, fmt.Errorf("reoptimize, qty=%v: %w", qty, err)
-			}
-			o := pop.DefaultOptions()
-			o.InitialPlan = plan
-			o.BindParamEstimates = true
-			if r, err = pop.NewRunner(cat, o).Run(q, params); err != nil {
+			// A run from scratch, with the same parameter-bound estimation
+			// the cache's miss path uses.
+			if r, err = plain.Run(q, params); err != nil {
 				return nil, fmt.Errorf("reoptimize, qty=%v: %w", qty, err)
 			}
 			reopt.add(r)
-			reoptOpt += opt.EnumeratedCandidates
+			reoptOpt += r.Attempts[0].Candidates
 		}
 	}
 	cachedCounts := append(cached.counts(), cacheCounts(runner.Cache.Stats())...)

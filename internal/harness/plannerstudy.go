@@ -11,7 +11,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
-	"repro/internal/plancache"
 	"repro/internal/pop"
 	"repro/internal/schema"
 	"repro/internal/tpch"
@@ -323,21 +322,21 @@ func plannerStudy(env Env) ([]Cell, error) {
 	}
 	for _, wname := range plannerWorkloadNames {
 		for _, st := range pop.Strategies() {
-			cache := plancache.New()
 			reg := metrics.New()
 			opts := pop.DefaultOptions()
 			opts.Planner = st
 			opts.Trace = reg
-			runner := plancache.NewRunner(cache, cats[wname], opts)
+			runner := pop.NewRunner(cats[wname], opts)
+			runner.Cache = pop.NewCache()
 			var t tally
 			for _, ex := range workloads[wname] {
-				r, _, err := runner.Run(ex.q, ex.params)
+				r, err := runner.Run(ex.q, ex.params)
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s: %w", st.Name(), wname, err)
 				}
 				t.add(r)
 			}
-			counts := append(t.counts(), cacheCounts(cache.Stats())...)
+			counts := append(t.counts(), cacheCounts(runner.Cache.Stats())...)
 			counts = append(counts, Count{"guard_rejects", float64(reg.Snapshot().CacheGuardRejects)})
 			cells = append(cells, Cell{st.Name() + "/" + wname, counts})
 		}

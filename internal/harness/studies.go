@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/plancache"
 	"repro/internal/pop"
 )
 
@@ -177,7 +176,7 @@ func (t *tally) counts() []Count {
 }
 
 // cacheCounts are a plan cache's verdict counters.
-func cacheCounts(s plancache.Stats) []Count {
+func cacheCounts(s pop.CacheStats) []Count {
 	return []Count{
 		{"hits", float64(s.Hits)},
 		{"misses", float64(s.Misses)},

@@ -22,9 +22,9 @@ import (
 //  3. Every function that extracts a CheckViolation via errors.As must
 //     reach an emitter of trace.CheckpointViolated — catching a violation
 //     without tracing it breaks the PR 3 violations-traced invariant.
-//  4. Every caller of plancache Entry.Invalidate must reach an emitter of
-//     trace.CacheInvalidate — an untraced invalidation makes cache verdict
-//     streams lie.
+//  4. Every caller of the plan cache's pop.Entry.Invalidate must reach an
+//     emitter of trace.CacheInvalidate — an untraced invalidation makes
+//     cache verdict streams lie.
 //
 // An "emitter of kind K" is a function that references the trace.Kind
 // constant K and from which a Record(trace.Event) call is reachable.

@@ -12,7 +12,6 @@ var determinismScope = []string{
 	"repro/internal/optimizer",
 	"repro/internal/executor",
 	"repro/internal/pop",
-	"repro/internal/plancache",
 	"repro/internal/stats",
 	"repro/internal/trace",
 }

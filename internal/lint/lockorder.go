@@ -9,7 +9,7 @@ import (
 // the two hazards that can deadlock the parallel runtime:
 //
 //   - acquisition cycles: lock class A is taken while B is held on one
-//     path and B while A is held on another (plancache shards vs entries,
+//     path and B while A is held on another (plan-cache shards vs entries,
 //     stats feedback, metrics, trace, the executor check registry — the
 //     classes the POP runtime actually nests);
 //   - locks held across blocking operations: a mutex held over a channel

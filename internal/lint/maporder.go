@@ -9,7 +9,7 @@ import (
 // choice, guard lists, cache signatures, or EXPLAIN output.
 var mapOrderScope = []string{
 	"repro/internal/optimizer",
-	"repro/internal/plancache",
+	"repro/internal/pop",
 }
 
 // sortFuncs are the calls the analyzer recognizes as establishing a

@@ -11,9 +11,9 @@ import (
 )
 
 const (
-	executorPath  = "repro/internal/executor"
-	tracePath     = "repro/internal/trace"
-	plancachePath = "repro/internal/plancache"
+	executorPath = "repro/internal/executor"
+	tracePath    = "repro/internal/trace"
+	popPath      = "repro/internal/pop"
 )
 
 // EventKind classifies one entry in a function's ordered event stream.
@@ -89,7 +89,7 @@ type Summary struct {
 	ViolationLits   []token.Pos // &executor.CheckViolation{...} literals
 	ViolatedWrites  []token.Pos // assignments to NodeStats.Violated
 	ErrorsAsCV      []token.Pos // errors.As(err, &*CheckViolation)
-	InvalidateCalls []token.Pos // calls to (*plancache.Entry).Invalidate
+	InvalidateCalls []token.Pos // calls to (*pop.Entry).Invalidate
 }
 
 // KindRef is a reference to a trace.Kind constant by name.
@@ -462,7 +462,7 @@ func (w *walker) handleMethodCall(fn *FuncNode, call *ast.CallExpr, sel *ast.Sel
 		w.walkExpr(fn, sel.X)
 		return true
 
-	case pkgPath == plancachePath && typeName == "Entry" && name == "Invalidate":
+	case pkgPath == popPath && typeName == "Entry" && name == "Invalidate":
 		fn.Sum.InvalidateCalls = append(fn.Sum.InvalidateCalls, call.Pos())
 		// fall through to edge recording below
 	}

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/optimizer"
-	"repro/internal/plancache"
+	"repro/internal/pop"
 )
 
 // freeNode's NextBatch produces batches without ever reaching a Meter charge
@@ -51,6 +51,6 @@ func CatchSilently(err error) bool {
 
 // DropQuietly invalidates a cached plan without a reachable
 // trace.CacheInvalidate emission.
-func DropQuietly(e *plancache.Entry, cp *plancache.CachedPlan) {
+func DropQuietly(e *pop.Entry, cp *pop.CachedPlan) {
 	e.Invalidate(cp) // want chargeflow
 }

@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/optimizer"
-	"repro/internal/plancache"
+	"repro/internal/pop"
 	"repro/internal/schema"
 	"repro/internal/trace"
 )
@@ -116,7 +116,7 @@ func Raise(meta *optimizer.CheckMeta, stats *executor.NodeStats) error {
 }
 
 // Drop invalidates and traces the invalidation.
-func Drop(s *sink, e *plancache.Entry, cp *plancache.CachedPlan) {
+func Drop(s *sink, e *pop.Entry, cp *pop.CachedPlan) {
 	e.Invalidate(cp)
 	s.Record(trace.Event{Kind: trace.CacheInvalidate})
 }

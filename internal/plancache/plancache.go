@@ -1,332 +1,40 @@
-// Package plancache implements a validity-range-guarded plan cache: optimized
-// plans are reused across parameterized executions of the same statement, with
-// the paper's §2.2 validity ranges acting as reuse guards. A cached plan is
-// served to a new parameter binding only when the binding's estimated
-// cardinality for every guarded table subset lies inside the plan's validity
-// range — the estimate is cheap (histogram lookups, no enumeration), and the
-// range makes the reuse provably safe with respect to the cost model. Out of
-// range, the statement is optimized in full and the new plan is inserted
-// alongside the old one, so an entry accumulates range-disjoint plans: a
-// parametric plan selection grown on demand.
+// Package plancache is a shim over the plan cache that now lives in package
+// pop as a field of pop.Runner. It keeps the three-result Run the benchmark
+// harness under bench/ still calls, and goes when a benchmark change moves
+// bench/ to pop.
 package plancache
 
 import (
-	"fmt"
-	"hash/fnv"
-	"strings"
-	"sync"
-	"sync/atomic"
-
+	"repro/internal/catalog"
 	"repro/internal/logical"
-	"repro/internal/optimizer"
-	"repro/internal/stats"
+	"repro/internal/pop"
+	"repro/internal/types"
 )
 
-// numShards spreads entries across independently locked maps so concurrent
-// statements rarely contend.
-const numShards = 16
-
-// DefaultMaxPlansPerEntry bounds how many range-disjoint plans one statement
-// accumulates before the oldest is evicted.
-const DefaultMaxPlansPerEntry = 4
-
-// CachedPlan is one guarded plan of an entry.
-type CachedPlan struct {
-	Plan    *optimizer.Plan   // pre-placement optimized plan (markers intact)
-	Guards  []optimizer.Guard // reuse guards from the plan's validity ranges
-	Explain string            // rendered plan, used for dedupe and diagnostics
-}
-
-// InRange reports whether every guard accepts the binding's estimates. The
-// estimator memoizes per-subset results, so shared guards across candidate
-// plans are evaluated once.
-func (cp *CachedPlan) InRange(ce *optimizer.CardEstimator) bool {
-	for _, g := range cp.Guards {
-		if !g.Range.Contains(ce.SubsetCard(g.Tables)) {
-			return false
-		}
-	}
-	return true
-}
-
-// Entry is the cache line for one normalized statement. It owns a feedback
-// cache shared by every execution of the statement (the LEO-style "learning
-// for the future" channel, paper §7): actuals observed while one binding
-// re-optimized inform the guards checked and the plans built for the next.
-type Entry struct {
-	mu    sync.Mutex
-	plans []*CachedPlan
-
-	// Feedback accumulates observed cardinalities across executions. With
-	// bound signatures (pop.Options.BindParamEstimates) parameter-dependent
-	// observations stay scoped to their binding while binding-independent
-	// subsets share entries.
-	Feedback *stats.Feedback
-
-	hits, misses, invalidations int
-	lastMissOptWork             int // EnumeratedCandidates of the latest miss
-}
-
-// Lookup returns the first cached plan whose guards all accept the binding's
-// estimates, or nil. The caller supplies the estimator (built over the bound
-// query with this entry's feedback).
-func (e *Entry) Lookup(ce *optimizer.CardEstimator) *CachedPlan {
-	cp, _ := e.LookupDetail(ce)
-	return cp
-}
-
-// Rejection records one guard that turned a cached plan away: the guarded
-// subset's validity range and the binding's estimate that fell outside it.
-type Rejection struct {
-	Guard optimizer.Guard
-	Est   float64
-}
-
-// LookupDetail is Lookup plus the reuse diagnostics: for every cached plan
-// the binding could not use, the first guard that rejected it and the
-// out-of-range estimate. On a hit the rejections cover the plans tried
-// before the accepted one; on a miss, every plan in the entry.
-func (e *Entry) LookupDetail(ce *optimizer.CardEstimator) (*CachedPlan, []Rejection) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var rejs []Rejection
-	for _, cp := range e.plans {
-		rejected := false
-		for _, g := range cp.Guards {
-			if est := ce.SubsetCard(g.Tables); !g.Range.Contains(est) {
-				rejs = append(rejs, Rejection{Guard: g, Est: est})
-				rejected = true
-				break
-			}
-		}
-		if !rejected {
-			e.hits++
-			return cp, rejs
-		}
-	}
-	e.misses++
-	return nil, rejs
-}
-
-// Insert adds a plan, deduplicating by rendered form (a concurrent miss may
-// have optimized the same binding) and evicting the oldest plan past the
-// per-entry bound.
-func (e *Entry) Insert(cp *CachedPlan, maxPlans int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, old := range e.plans {
-		if old.Explain == cp.Explain {
-			return
-		}
-	}
-	e.plans = append(e.plans, cp)
-	if maxPlans > 0 && len(e.plans) > maxPlans {
-		e.plans = append(e.plans[:0:0], e.plans[1:]...)
-	}
-}
-
-// Invalidate removes the plan (matched by identity) after a runtime CHECK
-// violation proved its validity ranges wrong for an in-range binding.
-func (e *Entry) Invalidate(cp *CachedPlan) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, old := range e.plans {
-		if old == cp {
-			e.plans = append(e.plans[:i], e.plans[i+1:]...)
-			e.invalidations++
-			return
-		}
-	}
-}
-
-// Plans returns a snapshot of the entry's cached plans.
-func (e *Entry) Plans() []*CachedPlan {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]*CachedPlan(nil), e.plans...)
-}
-
-// noteMissWork records the enumeration work a miss spent, the baseline a
-// later hit's savings are measured against.
-func (e *Entry) noteMissWork(candidates int) {
-	e.mu.Lock()
-	e.lastMissOptWork = candidates
-	e.mu.Unlock()
-}
-
-// missWork returns the recorded baseline.
-func (e *Entry) missWork() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastMissOptWork
-}
-
-type shard struct {
-	mu      sync.RWMutex
-	entries map[string]*Entry
-}
-
-// Cache is the concurrent sharded plan cache.
-type Cache struct {
-	shards [numShards]shard
-
-	// MaxPlansPerEntry bounds each entry's parametric plan set;
-	// 0 means DefaultMaxPlansPerEntry.
-	MaxPlansPerEntry int
-
-	// Lock-contention observability for the serving path: lookupFast counts
-	// Entry calls answered by the shard read lock, lookupSlow the ones that
-	// had to take the write lock to create the entry, and contended the lock
-	// acquisitions (either kind) that found the lock held and had to wait.
-	lookupFast atomic.Int64
-	lookupSlow atomic.Int64
-	contended  atomic.Int64
-}
+// Cache is pop.Cache.
+type Cache = pop.Cache
 
 // New returns an empty cache.
-func New() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*Entry)
-	}
-	return c
+func New() *Cache { return pop.NewCache() }
+
+// Key is pop.CacheKey.
+func Key(q *logical.Query) string { return pop.CacheKey(q) }
+
+// Runner is a pop.Runner whose Run also returns the cache verdict.
+type Runner struct{ *pop.Runner }
+
+// NewRunner returns a runner over the catalog serving through cache.
+func NewRunner(cache *Cache, cat *catalog.Catalog, opts pop.Options) *Runner {
+	r := pop.NewRunner(cat, opts)
+	r.Cache = cache
+	return &Runner{r}
 }
 
-func (c *Cache) maxPlans() int {
-	if c.MaxPlansPerEntry > 0 {
-		return c.MaxPlansPerEntry
+// Run executes the query and returns the run's cache verdict alongside.
+func (r *Runner) Run(q *logical.Query, params []types.Datum) (*pop.Result, pop.ExecInfo, error) {
+	res, err := r.Runner.Run(q, params)
+	if res == nil {
+		return nil, pop.ExecInfo{}, err
 	}
-	return DefaultMaxPlansPerEntry
-}
-
-// Entry returns the cache line for the key, creating it on first use.
-func (c *Cache) Entry(key string) *Entry {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	s := &c.shards[h.Sum64()%numShards]
-	if !s.mu.TryRLock() {
-		c.contended.Add(1)
-		s.mu.RLock()
-	}
-	e := s.entries[key]
-	s.mu.RUnlock()
-	if e != nil {
-		c.lookupFast.Add(1)
-		return e
-	}
-	c.lookupSlow.Add(1)
-	if !s.mu.TryLock() {
-		c.contended.Add(1)
-		s.mu.Lock()
-	}
-	defer s.mu.Unlock()
-	if e = s.entries[key]; e == nil {
-		e = &Entry{Feedback: stats.NewFeedback()}
-		s.entries[key] = e
-	}
-	return e
-}
-
-// Stats aggregates counters across every entry.
-type Stats struct {
-	Entries       int
-	Plans         int
-	Hits          int
-	Misses        int
-	Invalidations int
-
-	// LookupFast/LookupSlow split Entry calls by the lock they resolved
-	// under (shard read lock vs. entry-creating write lock); Contended
-	// counts the acquisitions that found the shard lock held.
-	LookupFast int64
-	LookupSlow int64
-	Contended  int64
-}
-
-// Stats walks the cache and sums per-entry counters.
-func (c *Cache) Stats() Stats {
-	st := Stats{
-		LookupFast: c.lookupFast.Load(),
-		LookupSlow: c.lookupSlow.Load(),
-		Contended:  c.contended.Load(),
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		//poplint:allow maporder commutative integer sums; iteration order cannot change the totals
-		for _, e := range s.entries {
-			e.mu.Lock()
-			st.Entries++
-			st.Plans += len(e.plans)
-			st.Hits += e.hits
-			st.Misses += e.misses
-			st.Invalidations += e.invalidations
-			e.mu.Unlock()
-		}
-		s.mu.RUnlock()
-	}
-	return st
-}
-
-// Key normalizes a query into its cache key. Parameter markers render as
-// markers (?0, ?1, ...), so every binding of one prepared statement maps to
-// the same entry; table names, aliases, predicates, the select list, grouping,
-// ordering, DISTINCT and LIMIT all participate, so structurally different
-// statements never collide. The caching runner additionally suffixes the key
-// with the planner-strategy name when one is set (see Runner.Run): plans from
-// different strategies are different plans, so the strategy is part of
-// cached-plan identity.
-func Key(q *logical.Query) string {
-	var b strings.Builder
-	b.WriteString("F{")
-	for i, t := range q.Tables {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(t.Table)
-		b.WriteByte(' ')
-		b.WriteString(t.Alias)
-	}
-	b.WriteString("}|")
-	full := uint64(1)<<uint(len(q.Tables)) - 1
-	b.WriteString(optimizer.Signature(q, full))
-	b.WriteString("|S{")
-	for i, it := range q.Select {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(it.String())
-	}
-	b.WriteString("}|G{")
-	for i, g := range q.GroupBy {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(g.String())
-	}
-	b.WriteString("}|O{")
-	for i, o := range q.OrderBy {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(o.E.String())
-		if o.Desc {
-			b.WriteString(" desc")
-		}
-	}
-	b.WriteByte('}')
-	if q.Distinct {
-		b.WriteString("|distinct")
-	}
-	if q.Limit > 0 {
-		fmt.Fprintf(&b, "|limit=%d", q.Limit)
-	}
-	return b.String()
-}
-
-// cacheable rejects plans that reference statement-scoped state: a plan
-// scanning a temporary materialized view (created during re-optimization) is
-// dropped at statement end and must never be served to a later execution.
-func cacheable(p *optimizer.Plan) bool {
-	return p != nil && p.Count(optimizer.OpMVScan) == 0
+	return res, res.Cache, err
 }

@@ -43,8 +43,13 @@ func querySig(q *logical.Query) string {
 // EXPLAIN shows. Trace consumers compare it across attempts to see whether a
 // re-optimization actually changed the plan.
 func PlanSig(p *optimizer.Plan, q *logical.Query) string {
+	return fnvHex(optimizer.Explain(p, q))
+}
+
+// fnvHex is the FNV-64a hash of s in hex, the trace's fingerprint format.
+func fnvHex(s string) string {
 	h := fnv.New64a()
-	io.WriteString(h, optimizer.Explain(p, q))
+	io.WriteString(h, s)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

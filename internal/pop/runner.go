@@ -48,12 +48,6 @@ type Options struct {
 	// ("we ... plan to enhance our prototype to reuse further intermediate
 	// results in order to make re-optimization even more efficient").
 	ReuseHashBuilds bool
-	// InitialPlan, when non-nil, is executed on the first attempt instead of
-	// invoking the optimizer — the plan-cache hit path. Checkpoint placement
-	// and re-optimization on violation proceed exactly as for a freshly
-	// optimized plan; the plan itself is cloned before any rewrite, so the
-	// caller's tree is never mutated.
-	InitialPlan *optimizer.Plan
 	// Analyze turns on per-operator runtime attribution: each attempt's
 	// AttemptInfo.Stats carries the merged stats tree EXPLAIN ANALYZE
 	// renders. Off by default — the attribution costs one branch per work
@@ -80,13 +74,9 @@ type Options struct {
 	Gate executor.WorkerGate
 	// Planner selects the planner/adaptivity strategy (see strategy.go). Nil
 	// behaves exactly like DPPOP: the options run as written. Non-nil
-	// strategies are folded in by Resolve — NewRunner and the plan-cache
-	// runner both call it, so callers only set the field.
+	// strategies are folded in by Resolve, which NewRunner calls, so callers
+	// only set the field.
 	Planner Strategy
-
-	// plannerResolved marks that Resolve already folded Planner into
-	// Enabled/Policy/Configure, making a second Resolve a no-op.
-	plannerResolved bool
 }
 
 // DefaultOptions is POP as the paper's prototype defaults: enabled, LC+LCEM,
@@ -100,7 +90,10 @@ type AttemptInfo struct {
 	Plan *optimizer.Plan
 	// Optimized is the plan as the optimizer produced it, before checkpoint
 	// placement — the form the plan cache stores and guards.
-	Optimized  *optimizer.Plan
+	Optimized *optimizer.Plan
+	// Candidates is the enumeration work of the attempt's compile; zero when
+	// a cache hit served the plan.
+	Candidates int
 	Explain    string
 	Checks     int
 	WorkBefore float64 // meter reading when the attempt started
@@ -126,6 +119,9 @@ type Result struct {
 	// CheckStats carries the runtime stats of every CHECK node from the last
 	// fully executed attempt (for the opportunity analysis).
 	CheckStats []CheckObservation
+	// Cache describes how the runner's plan cache served the run; zero
+	// without a cache.
+	Cache ExecInfo
 }
 
 // CheckObservation is one checkpoint's runtime timing.
@@ -141,6 +137,11 @@ type CheckObservation struct {
 type Runner struct {
 	Cat  *catalog.Catalog
 	Opts Options
+	// Cache, when non-nil, serves and stores every statement's plans: a
+	// guarded hit skips attempt 0's compile, a miss caches attempt 0's plan,
+	// and a run that re-optimized replaces the violated plan. Nil runs every
+	// statement from scratch.
+	Cache *Cache
 }
 
 // NewRunner returns a runner over the catalog with the given options.
@@ -177,8 +178,33 @@ func fail(tr *stampRecorder, err error) error {
 }
 
 // Run compiles and executes the query, re-optimizing on CHECK violations.
+// With a Cache, the run shares the statement entry's feedback, binds its
+// parameters for estimation, and its verdict lands in Result.Cache.
 func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
-	fb := r.Opts.SharedFeedback
+	if r.Cache == nil {
+		return r.run(q, params, nil)
+	}
+	c, err := r.lookup(q, params)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.run(q, params, c)
+	if err != nil {
+		return nil, err
+	}
+	if res.Reopts > 0 {
+		err = r.recache(c, q, params)
+	}
+	res.Cache = c.info
+	return res, err
+}
+
+// run is the optimize→execute loop, served by the cache when c is non-nil.
+func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Result, error) {
+	fb, bind := r.Opts.SharedFeedback, r.Opts.BindParamEstimates
+	if c != nil {
+		fb, bind = c.entry.Feedback, true
+	}
 	if fb == nil {
 		fb = stats.NewFeedback()
 	}
@@ -199,7 +225,7 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 	// bound query so parameter-dependent observations stay scoped to this
 	// binding. sigQ == q otherwise — behavior is bit-identical.
 	sigQ := q
-	if r.Opts.BindParamEstimates && len(params) > 0 {
+	if bind && len(params) > 0 {
 		sigQ = logical.BindParams(q, params)
 	}
 
@@ -218,7 +244,7 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 		}
 		opt := r.newOptimizer(fb)
 		opt.MVNamespace = ns
-		if r.Opts.BindParamEstimates && len(params) > 0 {
+		if bind && len(params) > 0 {
 			opt.ParamBindings = params
 		}
 		if attempt > 0 && r.Opts.UncertaintyPenalty > 1 {
@@ -230,9 +256,9 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 			opt.ForceMVReuse = true
 		}
 		var plan *optimizer.Plan
-		cached := attempt == 0 && r.Opts.InitialPlan != nil
-		if cached {
-			plan = r.Opts.InitialPlan // plan-cache hit: skip optimization
+		hit := attempt == 0 && c != nil && c.info.Hit
+		if hit {
+			plan = c.used.Plan // guarded cache hit: skip optimization
 		} else {
 			if tr != nil {
 				tr.Record(trace.Event{Kind: trace.OptimizeStart})
@@ -249,7 +275,7 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 		if !final {
 			plan, checks = Place(plan, sigQ, pol)
 		}
-		if tr != nil && !cached {
+		if tr != nil && !hit {
 			tr.Record(trace.Event{Kind: trace.OptimizeDone, Opt: &trace.OptInfo{
 				PlanSig:    PlanSig(plan, q),
 				Cost:       plan.Cost,
@@ -260,9 +286,13 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 		info := AttemptInfo{
 			Plan:       plan,
 			Optimized:  optimized,
+			Candidates: opt.EnumeratedCandidates,
 			Explain:    optimizer.Explain(plan, q),
 			Checks:     checks,
 			WorkBefore: meter.Work(),
+		}
+		if attempt == 0 && c != nil && !hit {
+			r.miss(c, &info, q)
 		}
 
 		ex, err := executor.NewExecutor(r.Cat, q, params, opt.Model.Params, meter)

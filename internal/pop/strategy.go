@@ -157,12 +157,13 @@ func StrategyByName(name string) (Strategy, error) {
 
 // Resolve folds the Planner strategy into the concrete option fields: the
 // runtime rewrite is applied, and PlanConfig is chained after the caller's
-// Configure hook so every optimizer the run (or the plan cache's miss and
-// re-optimize paths) constructs plans under the strategy. Resolving twice is
-// a no-op, and a nil Planner returns the options unchanged — the default
-// behavior is exactly DPPOP.
+// Configure hook so every optimizer the run constructs — attempts and the
+// plan cache's re-cache compile alike — plans under the strategy. A nil
+// Planner returns the options unchanged — the default behavior is exactly
+// DPPOP. NewRunner resolves once; resolving again would chain PlanConfig
+// twice.
 func (o Options) Resolve() Options {
-	if o.Planner == nil || o.plannerResolved {
+	if o.Planner == nil {
 		return o
 	}
 	o = o.Planner.Runtime(o)
@@ -174,6 +175,5 @@ func (o Options) Resolve() Options {
 		}
 		st.PlanConfig(opt)
 	}
-	o.plannerResolved = true
 	return o
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
-	"repro/internal/plancache"
 	"repro/internal/pop"
 	"repro/internal/trace"
 )
@@ -62,7 +61,7 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	cat   *catalog.Catalog
-	cache *plancache.Cache
+	cache *pop.Cache
 	reg   *metrics.Registry
 	sched *Scheduler
 	start time.Time
@@ -110,7 +109,7 @@ func New(cat *catalog.Catalog, cfg Config) *Server {
 		start: time.Now(),
 	}
 	if !cfg.DisableCache {
-		s.cache = plancache.New()
+		s.cache = pop.NewCache()
 	}
 	s.sched.Trace = s.recorder()
 	return s

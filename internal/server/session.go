@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/plancache"
 	"repro/internal/pop"
 	"repro/internal/sqlparse"
 	"repro/internal/types"
@@ -47,7 +46,9 @@ func (s *Server) execQuery(ctx context.Context, session string, req Request) Res
 		}
 		opts.Planner = st
 	}
-	res, info, err := plancache.NewRunner(s.cache, s.cat, opts).Run(q, params)
+	runner := pop.NewRunner(s.cat, opts)
+	runner.Cache = s.cache
+	res, err := runner.Run(q, params)
 	if err != nil {
 		return errResponse(req.ID, CodeExec, err)
 	}
@@ -58,8 +59,8 @@ func (s *Server) execQuery(ctx context.Context, session string, req Request) Res
 		RowCount:         len(res.Rows),
 		Work:             res.Work,
 		Reopts:           res.Reopts,
-		CacheHit:         info.Hit,
-		CacheInvalidated: info.Invalidated,
+		CacheHit:         res.Cache.Hit,
+		CacheInvalidated: res.Cache.Invalidated,
 		WaitNS:           wait.Nanoseconds(),
 		ElapsedNS:        time.Since(start).Nanoseconds(),
 	}

@@ -2,7 +2,7 @@
 // concurrency-safe stream of everything the adaptive machinery decides —
 // optimizations, checkpoint outcomes with their estimate/actual pairs and
 // validity ranges, re-optimizations, plan-cache verdicts, and exchange worker
-// lifecycles. Producers (pop.Runner, the executor, plancache.Runner) emit
+// lifecycles. Producers (pop.Runner, its plan cache, the executor) emit
 // events only when a Recorder is attached; with the recorder off the hot path
 // performs no event construction and no allocations, so the default execution
 // path stays bit-identical to an untraced run.
