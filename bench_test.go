@@ -9,6 +9,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -23,6 +24,8 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/pop"
 	"repro/internal/schema"
+	"repro/internal/server"
+	"repro/internal/sqlparse"
 	"repro/internal/stats"
 	"repro/internal/tpch"
 	"repro/internal/types"
@@ -403,6 +406,45 @@ func BenchmarkBatchExecution(b *testing.B) {
 	}
 	b.ReportMetric(res.Work, "work_units")
 	b.ReportMetric(float64(len(res.Rows)), "rows")
+}
+
+// BenchmarkCachedQ10 is the serve_hot workload's engine path without the
+// wire: the serving statement through one warmed cached runner configured as
+// the server configures its sessions (POP on, the scheduler as worker gate,
+// planned for max(GOMAXPROCS, 2) workers), one binding of the 20 per
+// operation. ns/op, B/op and allocs/op size executor work in process, where
+// go run ./bench measures it through the server.
+func BenchmarkCachedQ10(b *testing.B) {
+	cat := catalog.New()
+	if err := tpch.Load(cat, tpch.DefaultConfig()); err != nil {
+		b.Fatal(err)
+	}
+	q, err := sqlparse.Parse(cat, tpch.Q10SQL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := pop.DefaultOptions()
+	opts.Gate = server.NewScheduler(server.SchedConfig{})
+	workers := max(runtime.GOMAXPROCS(0), 2)
+	opts.Configure = func(o *optimizer.Optimizer) { o.Model.Params.Workers = workers }
+	runner := pop.NewRunner(cat, opts)
+	runner.Cache = pop.NewCache()
+	bindings := make([][]types.Datum, 20)
+	for i := range bindings {
+		bindings[i] = []types.Datum{types.NewFloat(2.5 * float64(i+1))}
+	}
+	for _, params := range bindings {
+		if _, err := runner.Run(q, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runner.Run(q, bindings[i%len(bindings)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --------------------------------------------------------------------------

@@ -66,9 +66,14 @@ func (t *Table) Stats(ord int) *stats.ColumnStats {
 type MatView struct {
 	Signature string
 	Schema    *schema.Schema
-	Cols      []int // query-global column ids, in row order
-	Rows      []schema.Row
-	Card      float64
+	Cols      []int // query-global column ids of the logical intermediate result
+	// RowCols is the layout Rows were materialized in (nil: Cols). The
+	// executor keeps only the columns still read above a join, so a view of
+	// a join's output holds fewer columns than Cols lists; the optimizer
+	// plans with Cols and an MVSCAN emits RowCols.
+	RowCols []int
+	Rows    []schema.Row
+	Card    float64
 	// Sorted reports that the rows are sorted ascending on OrderedCol (a
 	// query-global column id). A view promoted from a SORT keeps its order,
 	// so re-optimized merge joins can reuse it without re-sorting.

@@ -71,10 +71,10 @@ func (b *Batch) Reset() {
 func (b *Batch) Append(row schema.Row) { b.Rows = append(b.Rows, row) }
 
 // Alloc appends a new row of n datums carved from the batch slab and
-// returns it for the caller to fill. Alloc marks the batch ephemeral. Rows
-// are always carved at the current slab tail (a full slab is replaced by a
-// fresh block, leaving previously carved rows on the old backing), which is
-// what lets dropLast reclaim the most recent row by truncation.
+// returns it for the caller to fill. Alloc marks the batch ephemeral. A full
+// slab is replaced by a fresh block, leaving previously carved rows on the old
+// backing. A zero-width row (a join none of whose columns is read above it)
+// carves nothing.
 func (b *Batch) Alloc(n int) schema.Row {
 	b.ephemeral = true
 	if n == 0 {
@@ -93,14 +93,6 @@ func (b *Batch) Alloc(n int) schema.Row {
 	row := schema.Row(b.slab[off : off+n : off+n])
 	b.Rows = append(b.Rows, row)
 	return row
-}
-
-// dropLast removes the most recently Alloc'd row (of width n), reclaiming
-// its slab space. Join and projection operators use it to un-emit a carved
-// row their residual filter rejected.
-func (b *Batch) dropLast(n int) {
-	b.Rows = b.Rows[:len(b.Rows)-1]
-	b.slab = b.slab[:len(b.slab)-n]
 }
 
 // batchPool recycles transfer batches handed across exchange channels,

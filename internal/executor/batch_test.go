@@ -29,20 +29,6 @@ func TestBatchAllocSlabSemantics(t *testing.T) {
 		t.Error("carved rows lost their values")
 	}
 
-	// dropLast reclaims the slab tail: the next Alloc reuses the same space.
-	b.dropLast(3)
-	if b.Len() != 1 {
-		t.Fatalf("len after dropLast = %d", b.Len())
-	}
-	r3 := b.Alloc(3)
-	r3[0], r3[1], r3[2] = types.NewInt(7), types.NewInt(8), types.NewInt(9)
-	if b.Rows[1][0].Int() != 7 {
-		t.Error("Alloc after dropLast did not reuse the tail")
-	}
-	if b.Rows[0][0].Int() != 1 {
-		t.Error("dropLast corrupted an earlier row")
-	}
-
 	// Slab growth mid-batch must leave previously carved rows intact.
 	g := NewBatch(2)
 	a := g.Alloc(2)

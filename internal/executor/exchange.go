@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/schema"
 	"repro/internal/trace"
@@ -409,7 +408,7 @@ type parallelHSJNNode struct {
 
 	probeKeys []int
 	buildKeys []int
-	filter    expr.Expr
+	join      joinOutput // the inline probe's; each probe worker copies it
 
 	probeClones, buildClones []Node
 	probeMeters, buildMeters []*Meter
@@ -458,11 +457,7 @@ func (e *Executor) buildParallelHSJN(gp, jp *optimizer.Plan) (Node, error) {
 		}
 	}()
 	var err error
-	n.filter, err = e.remap(jp.Filter, jp.Cols)
-	if err != nil {
-		return nil, err
-	}
-	n.probeKeys, n.buildKeys, err = equiKeyPositions(jp)
+	n.probeKeys, n.buildKeys, n.join, err = e.equiJoin(jp)
 	if err != nil {
 		return nil, err
 	}
@@ -753,21 +748,15 @@ func (n *parallelHSJNNode) inlineNextBatch() (*Batch, error) {
 				if !keysEqual(row, n.probeKeys, br, n.buildKeys) {
 					continue
 				}
-				joined := out.Alloc(len(row) + len(br))
-				copy(joined, row)
-				copy(joined[len(row):], br)
-				keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
+				kept, ferr := n.join.emit(out, row, br)
 				if ferr != nil {
-					out.dropLast(len(row) + len(br))
 					charge()
 					putBatch(out)
 					return nil, ferr
 				}
-				if !keep {
-					out.dropLast(len(row) + len(br))
-					continue
+				if kept {
+					emitted++
 				}
-				emitted++
 			}
 			if out.Len() >= n.ex.batchCap {
 				return deliver(), nil
@@ -880,6 +869,7 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 // when full), and issues one meter operation per probe batch plus one per
 // batch of emitted rows.
 func (n *parallelHSJNNode) probeLoop(clone Node, meter *Meter, probeT, outT int64, awT *int64) error {
+	join := n.join // this worker's own filter scratch
 	out := getBatch(n.ex.batchCap)
 	defer func() {
 		if out != nil {
@@ -931,17 +921,12 @@ func (n *parallelHSJNNode) probeLoop(clone Node, meter *Meter, probeT, outT int6
 				if !keysEqual(row, n.probeKeys, br, n.buildKeys) {
 					continue
 				}
-				joined := out.Alloc(len(row) + len(br))
-				copy(joined, row)
-				copy(joined[len(row):], br)
-				keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
+				kept, ferr := join.emit(out, row, br)
 				if ferr != nil {
-					out.dropLast(len(row) + len(br))
 					charge()
 					return ferr
 				}
-				if !keep {
-					out.dropLast(len(row) + len(br))
+				if !kept {
 					continue
 				}
 				emitted++

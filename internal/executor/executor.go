@@ -247,7 +247,8 @@ type Executor struct {
 	tabs     []*catalog.Table
 	ectx     *expr.Context
 	checks   *checkRegistry
-	stmt     *Meter // statement-global meter (== Meter outside worker copies)
+	stmt     *Meter   // statement-global meter (== Meter outside worker copies)
+	layouts  *layouts // join row layouts, shared with worker copies
 }
 
 // NewExecutor resolves the query's tables and prepares an executor.
@@ -274,6 +275,7 @@ func NewExecutor(cat *catalog.Catalog, q *logical.Query, params []types.Datum, c
 		ectx:     &expr.Context{Params: params},
 		checks:   newCheckRegistry(),
 		stmt:     meter,
+		layouts:  &layouts{},
 	}, nil
 }
 
@@ -361,6 +363,89 @@ func (e *Executor) remap(ex expr.Expr, cols []int) (expr.Expr, error) {
 		return -1
 	})
 	return out, missing
+}
+
+// RowCols returns the layout of the rows p's executable form emits: their
+// query-global column ids, in row order. Base-table accesses, PROJECT and
+// GRPBY emit p.Cols. A join emits only the columns of p.Cols still live above
+// its table set (see liveReach). CHECK, TEMP, SORT and exchanges pass their
+// child's layout through, and an MVSCAN emits the layout its view was
+// materialized in. p.Cols of a non-leaf node stays the optimizer's logical
+// column list; everything that resolves a row position reads this instead.
+func (e *Executor) RowCols(p *optimizer.Plan) []int {
+	switch p.Op {
+	case optimizer.OpNLJN, optimizer.OpHSJN, optimizer.OpMGJN:
+		return e.joinCols(p)
+	case optimizer.OpCheck, optimizer.OpTemp, optimizer.OpSort, optimizer.OpExchange:
+		return e.RowCols(p.Children[0])
+	case optimizer.OpMVScan:
+		if p.MV.RowCols != nil {
+			return p.MV.RowCols
+		}
+		return p.Cols
+	default:
+		return p.Cols
+	}
+}
+
+// layouts memoizes the join layouts of one statement execution. Worker
+// copies of the executor share it; it is written only while a tree is built,
+// on the building goroutine.
+type layouts struct {
+	reach []uint64 // liveReach of the query, computed on the first join
+	joins map[*optimizer.Plan][]int
+}
+
+// joinCols is a join's output layout: the columns of p.Cols live above its
+// table set, computed once per plan node.
+func (e *Executor) joinCols(p *optimizer.Plan) []int {
+	l := e.layouts
+	if cols, ok := l.joins[p]; ok {
+		return cols
+	}
+	if l.joins == nil {
+		l.reach = liveReach(e.Q)
+		l.joins = make(map[*optimizer.Plan][]int)
+	}
+	t := p.Tables()
+	cols := make([]int, 0, len(p.Cols))
+	for _, c := range p.Cols {
+		if c >= len(l.reach) || l.reach[c]&^t != 0 {
+			cols = append(cols, c)
+		}
+	}
+	l.joins[p] = cols
+	return cols
+}
+
+// liveReach returns, per query-global column id, the union of the table sets
+// of the WHERE conjuncts that read the column, or every table when a select
+// item or a GROUP BY key reads it. A column is live above table set T exactly
+// when its reach has a table outside T: every conjunct over tables inside T is
+// applied at or below the node that completes T, so only a reader reaching
+// outside T can still need the column above it. The layout of T's rows
+// therefore depends on the query and T alone — cold, re-optimized and cached
+// plans all lay out T identically, and a temp MV of T fits every plan that
+// reads it.
+func liveReach(q *logical.Query) []uint64 {
+	reach := make([]uint64, q.NumColumns())
+	mark := func(e expr.Expr, tables uint64) {
+		expr.Walk(e, func(n expr.Expr) {
+			if c, ok := n.(*expr.ColRef); ok && c.Pos < len(reach) {
+				reach[c.Pos] |= tables
+			}
+		})
+	}
+	for _, w := range q.Where {
+		mark(w, q.TablesUsed(w))
+	}
+	for _, it := range q.Select {
+		mark(it.E, ^uint64(0))
+	}
+	for _, g := range q.GroupBy {
+		mark(g, ^uint64(0))
+	}
+	return reach
 }
 
 // Build constructs the executable tree for a plan.

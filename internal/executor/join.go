@@ -10,29 +10,93 @@ import (
 	"repro/internal/types"
 )
 
+// joinOutput is what every join does with an input pair: it tests the
+// residual filter and carves the output row of an accepted pair. The output
+// row carries only the join's layout (Executor.RowCols), picked from the two
+// input rows; nothing dead above the join is copied. The filter may read a
+// column that is dead above the join, so it is remapped to the pair layout —
+// the left row followed by the right — and evaluated on a scratch copy of the
+// pair, which a join without a filter never builds.
+type joinOutput struct {
+	filter      expr.Expr
+	ectx        *expr.Context
+	left, right []int      // positions of the output columns in the left / right row
+	pair        schema.Row // filter scratch; each parallel probe worker owns a copy
+}
+
+// newJoinOutput resolves join p's output positions and remaps its filter,
+// given the layouts of its left and right input rows. A join's Cols are its
+// left input's followed by its right's, so its output columns taken from the
+// left row all precede those taken from the right.
+func (e *Executor) newJoinOutput(p *optimizer.Plan, leftCols, rightCols []int) (joinOutput, error) {
+	pairCols := append(append(make([]int, 0, len(leftCols)+len(rightCols)), leftCols...), rightCols...)
+	filter, err := e.remap(p.Filter, pairCols)
+	if err != nil {
+		return joinOutput{}, err
+	}
+	o := joinOutput{filter: filter, ectx: e.ectx}
+	lay := layoutOf(pairCols)
+	for _, c := range e.RowCols(p) {
+		i, err := lay.pos(pairCols, c)
+		if err != nil {
+			return joinOutput{}, err
+		}
+		if i < len(leftCols) {
+			o.left = append(o.left, i)
+		} else {
+			o.right = append(o.right, i-len(leftCols))
+		}
+	}
+	return o, nil
+}
+
+// emit carves the output row of the pair (l, r) into b unless the filter
+// rejects the pair, and reports whether it carved one.
+func (o *joinOutput) emit(b *Batch, l, r schema.Row) (bool, error) {
+	if o.filter != nil {
+		w := len(l) + len(r)
+		if cap(o.pair) < w {
+			o.pair = make(schema.Row, w)
+		}
+		o.pair = o.pair[:w]
+		copy(o.pair, l)
+		copy(o.pair[len(l):], r)
+		if keep, err := evalFilter(o.filter, o.ectx, o.pair); err != nil || !keep {
+			return false, err
+		}
+	}
+	out := b.Alloc(len(o.left) + len(o.right))
+	for i, k := range o.left {
+		out[i] = l[k]
+	}
+	out = out[len(o.left):]
+	for i, k := range o.right {
+		out[i] = r[k]
+	}
+	return true, nil
+}
+
 // nljnNode implements both naive and index nested-loop joins. The naive
 // variant rewinds its inner child once per outer row; the index variant
 // probes a B+tree on the inner table with a key taken from the outer row.
 type nljnNode struct {
 	base
-	ex     *Executor
-	outer  cursor
-	inner  cursor // naive variant only
-	filter expr.Expr
-	out    *Batch // reusable output batch
-	outT   int64  // pre-scaled per-output-row charge
-	evalT  int64  // pre-scaled per-pair predicate charge (naive variant)
+	ex    *Executor
+	outer cursor
+	inner cursor // naive variant only
+	join  joinOutput
+	out   *Batch // reusable output batch
+	outT  int64  // pre-scaled per-output-row charge
+	evalT int64  // pre-scaled per-pair predicate charge (naive variant)
 
 	// Index variant.
 	probe    *probeState
 	outerKey int // position of the lookup key in the outer row
 
 	haveOut bool
-	// pair holds the current outer row (outerLen datums); the naive variant
-	// appends the inner row under test and evaluates the join filter on it, so
-	// only accepted pairs are copied out and a rejected pair allocates nothing.
-	pair     schema.Row
-	outerLen int
+	// outerRow is the current outer row. The outer is pulled one row at a
+	// time, so the row stays valid until the next outer row is taken.
+	outerRow schema.Row
 	// matches[mpos:] are the inner rows of the current outer row that passed
 	// the inner filter and are still to be joined (index variant); heap rows,
 	// so stable.
@@ -64,11 +128,12 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	filter, err := e.remap(p.Filter, p.Cols)
+	outerCols, innerCols := e.RowCols(p.Children[0]), e.RowCols(p.Children[1])
+	join, err := e.newJoinOutput(p, outerCols, innerCols)
 	if err != nil {
 		return nil, err
 	}
-	n := &nljnNode{base: base{plan: p}, ex: e, outer: cursor{child: outer}, filter: filter, out: NewBatch(e.batchCap),
+	n := &nljnNode{base: base{plan: p}, ex: e, outer: cursor{child: outer}, join: join, out: NewBatch(e.batchCap),
 		outT: Ticks(e.Cost.OutputRow), evalT: Ticks(e.Cost.PredEval)}
 	if p.IndexJoin {
 		innerPlan := p.Children[1]
@@ -77,11 +142,11 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 		if ix == nil {
 			return nil, fmt.Errorf("executor: index NLJN without B+tree on %s ordinal %d", t.Name, innerPlan.IndexOrd)
 		}
-		innerFilter, err := e.remap(innerPlan.Filter, innerPlan.Cols)
+		innerFilter, err := e.remap(innerPlan.Filter, innerCols)
 		if err != nil {
 			return nil, err
 		}
-		n.outerKey, err = layoutOf(p.Children[0].Cols).pos(p.Children[0].Cols, p.LookupCol)
+		n.outerKey, err = layoutOf(outerCols).pos(outerCols, p.LookupCol)
 		if err != nil {
 			return nil, err
 		}
@@ -138,11 +203,11 @@ func (n *nljnNode) NextBatch(max int) (*Batch, error) {
 	return n.emit(b, err)
 }
 
-// nextOuter makes the next outer row current, copying it into pair. Outer
-// rows are pulled one at a time: each costs an index descent or a full inner
-// rescan, next to which a pull is nothing, and one outer row can owe any
-// number of output rows, so a larger pull would run the outer past the point
-// where a consumer that stops early — a CHECK about to fire — stops.
+// nextOuter makes the next outer row current. Outer rows are pulled one at a
+// time: each costs an index descent or a full inner rescan, next to which a
+// pull is nothing, and one outer row can owe any number of output rows, so a
+// larger pull would run the outer past the point where a consumer that stops
+// early — a CHECK about to fire — stops.
 func (n *nljnNode) nextOuter() (bool, error) {
 	row, ok, err := n.outer.next(1)
 	if err != nil || !ok {
@@ -152,8 +217,7 @@ func (n *nljnNode) nextOuter() (bool, error) {
 		}
 		return false, err
 	}
-	n.pair = append(n.pair[:0], row...)
-	n.outerLen = len(row)
+	n.outerRow = row
 	return true, nil
 }
 
@@ -184,13 +248,8 @@ func (n *nljnNode) fillNaive(b *Batch, max int) error {
 			continue
 		}
 		evals++
-		n.pair = append(n.pair[:n.outerLen], irow...)
-		keep, err := evalFilter(n.filter, n.ex.ectx, n.pair)
-		if err != nil {
+		if _, err := n.join.emit(b, n.outerRow, irow); err != nil {
 			return err
-		}
-		if keep {
-			copy(b.Alloc(len(n.pair)), n.pair)
 		}
 	}
 	return nil
@@ -216,7 +275,7 @@ func (n *nljnNode) fillIndex(b *Batch, max int) error {
 				return err
 			}
 			outers++
-			for _, rid := range p.ix.Lookup(n.pair[n.outerKey]) {
+			for _, rid := range p.ix.Lookup(n.outerRow[n.outerKey]) {
 				irow, err := p.ix.Table().Get(rid)
 				if err != nil {
 					return err
@@ -235,15 +294,8 @@ func (n *nljnNode) fillIndex(b *Batch, max int) error {
 		}
 		irow := n.matches[n.mpos]
 		n.mpos++
-		out := b.Alloc(n.outerLen + len(irow))
-		copy(out, n.pair)
-		copy(out[n.outerLen:], irow)
-		keep, err := evalFilter(n.filter, n.ex.ectx, out)
-		if err != nil || !keep {
-			b.dropLast(len(out))
-			if err != nil {
-				return err
-			}
+		if _, err := n.join.emit(b, n.outerRow, irow); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -262,7 +314,7 @@ type hsjnNode struct {
 	build     Node
 	probeKeys []int // positions in probe rows
 	buildKeys []int // positions in build rows
-	filter    expr.Expr
+	join      joinOutput
 
 	table      map[uint64][]schema.Row
 	spillExtra float64 // extra work charged per probe row
@@ -308,43 +360,39 @@ func (e *Executor) buildHSJN(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	filter, err := e.remap(p.Filter, p.Cols)
-	if err != nil {
-		return nil, err
-	}
 	n := &hsjnNode{
-		base:   base{plan: p, children: []Node{probe, build}},
-		ex:     e,
-		build:  build,
-		filter: filter,
-		in:     cursor{child: probe},
-		out:    NewBatch(e.batchCap),
+		base:  base{plan: p, children: []Node{probe, build}},
+		ex:    e,
+		build: build,
+		in:    cursor{child: probe},
+		out:   NewBatch(e.batchCap),
 	}
-	n.probeKeys, n.buildKeys, err = equiKeyPositions(p)
+	n.probeKeys, n.buildKeys, n.join, err = e.equiJoin(p)
 	if err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// equiKeyPositions resolves a join's equi-key global ids into positions in
-// the probe (child 0) and build (child 1) row layouts, each indexed once.
-func equiKeyPositions(p *optimizer.Plan) (probeKeys, buildKeys []int, err error) {
-	probeLay := layoutOf(p.Children[0].Cols)
-	buildLay := layoutOf(p.Children[1].Cols)
+// equiJoin resolves an equi-join's keys into positions in its probe (child 0)
+// and build (child 1) row layouts, and its output.
+func (e *Executor) equiJoin(p *optimizer.Plan) (probeKeys, buildKeys []int, join joinOutput, err error) {
+	probeCols, buildCols := e.RowCols(p.Children[0]), e.RowCols(p.Children[1])
+	probeLay, buildLay := layoutOf(probeCols), layoutOf(buildCols)
 	for i := range p.EquiLeft {
-		pk, err := probeLay.pos(p.Children[0].Cols, p.EquiLeft[i])
+		pk, err := probeLay.pos(probeCols, p.EquiLeft[i])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, join, err
 		}
-		bk, err := buildLay.pos(p.Children[1].Cols, p.EquiRight[i])
+		bk, err := buildLay.pos(buildCols, p.EquiRight[i])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, join, err
 		}
 		probeKeys = append(probeKeys, pk)
 		buildKeys = append(buildKeys, bk)
 	}
-	return probeKeys, buildKeys, nil
+	join, err = e.newJoinOutput(p, probeCols, buildCols)
+	return probeKeys, buildKeys, join, err
 }
 
 func hashKeyAt(row schema.Row, keys []int) (uint64, bool) {
@@ -462,15 +510,8 @@ func (n *hsjnNode) fill(b *Batch, max int) (consumed int, err error) {
 			if !keysEqual(n.curProbe, n.probeKeys, m, n.buildKeys) {
 				continue
 			}
-			out := b.Alloc(len(n.curProbe) + len(m))
-			copy(out, n.curProbe)
-			copy(out[len(n.curProbe):], m)
-			keep, err := evalFilter(n.filter, n.ex.ectx, out)
-			if err != nil || !keep {
-				b.dropLast(len(out)) // not an output row: it charges no OutputRow
-				if err != nil {
-					return consumed, err
-				}
+			if _, err := n.join.emit(b, n.curProbe, m); err != nil {
+				return consumed, err
 			}
 		}
 		if n.curIdx < len(n.curBucket) {
@@ -501,7 +542,7 @@ type mgjnNode struct {
 	right    cursor
 	leftKey  int
 	rightKey int
-	filter   expr.Expr
+	join     joinOutput
 	out      *Batch // reusable output batch
 
 	lrow    schema.Row
@@ -523,11 +564,7 @@ func (e *Executor) buildMGJN(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	filter, err := e.remap(p.Filter, p.Cols)
-	if err != nil {
-		return nil, err
-	}
-	lks, rks, err := equiKeyPositions(p)
+	lks, rks, join, err := e.equiJoin(p)
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +575,7 @@ func (e *Executor) buildMGJN(p *optimizer.Plan) (Node, error) {
 		right:    cursor{child: right},
 		leftKey:  lks[0],
 		rightKey: rks[0],
-		filter:   filter,
+		join:     join,
 		out:      NewBatch(e.batchCap),
 	}, nil
 }
@@ -627,15 +664,8 @@ func (n *mgjnNode) fill(b *Batch, max int) error {
 			// Emit the next pair of the current left row and group.
 			r := n.group[n.gpos]
 			n.gpos++
-			out := b.Alloc(len(n.lrow) + len(r))
-			copy(out, n.lrow)
-			copy(out[len(n.lrow):], r)
-			keep, err := evalFilter(n.filter, n.ex.ectx, out)
-			if err != nil || !keep {
-				b.dropLast(len(out))
-				if err != nil {
-					return err
-				}
+			if _, err := n.join.emit(b, n.lrow, r); err != nil {
+				return err
 			}
 			continue
 		}

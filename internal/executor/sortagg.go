@@ -31,9 +31,10 @@ func (e *Executor) buildSort(p *optimizer.Plan) (Node, error) {
 		return nil, err
 	}
 	n := &sortNode{base: base{plan: p, children: []Node{child}}, ex: e}
-	lay := layoutOf(p.Children[0].Cols)
+	cols := e.RowCols(p.Children[0])
+	lay := layoutOf(cols)
 	for _, k := range p.SortKeys {
-		pos, err := lay.pos(p.Children[0].Cols, k.Col)
+		pos, err := lay.pos(cols, k.Col)
 		if err != nil {
 			return nil, err
 		}
@@ -293,9 +294,10 @@ func (e *Executor) buildHashAgg(p *optimizer.Plan) (Node, error) {
 		return nil, err
 	}
 	n := &hashAggNode{base: base{plan: p, children: []Node{child}}, ex: e, items: p.Items}
-	lay := layoutOf(p.Children[0].Cols)
+	cols := e.RowCols(p.Children[0])
+	lay := layoutOf(cols)
 	for _, g := range p.GroupBy {
-		pos, err := lay.pos(p.Children[0].Cols, g)
+		pos, err := lay.pos(cols, g)
 		if err != nil {
 			return nil, err
 		}
@@ -309,7 +311,7 @@ func (e *Executor) buildHashAgg(p *optimizer.Plan) (Node, error) {
 			n.itemExpr = append(n.itemExpr, nil)
 			continue
 		}
-		re, err := e.remap(it.E, p.Children[0].Cols)
+		re, err := e.remap(it.E, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -463,11 +465,12 @@ func (e *Executor) buildProject(p *optimizer.Plan) (Node, error) {
 		return nil, err
 	}
 	n := &projectNode{base: base{plan: p, children: []Node{child}}, ex: e, out: NewBatch(e.batchCap)}
+	cols := e.RowCols(p.Children[0])
 	for _, it := range p.Items {
 		if it.E == nil {
 			return nil, fmt.Errorf("executor: projection item without expression")
 		}
-		re, err := e.remap(it.E, p.Children[0].Cols)
+		re, err := e.remap(it.E, cols)
 		if err != nil {
 			return nil, err
 		}

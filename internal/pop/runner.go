@@ -366,7 +366,7 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 			tr.Record(trace.Event{Kind: trace.CheckpointViolated,
 				Check: executor.CheckEventInfo(cv.Check, cv.Actual, cv.Exact)})
 		}
-		info.MVsCreated, info.FeedbackN = r.harvest(root, sigQ, fb, cv, ns)
+		info.MVsCreated, info.FeedbackN = r.harvest(ex, root, sigQ, fb, cv, ns)
 		res.Attempts = append(res.Attempts, info)
 		res.Reopts++
 		if tr != nil {
@@ -399,8 +399,9 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 // harvest implements the two feedback channels of a violation (paper §2):
 // actual cardinalities observed so far are recorded in the feedback cache,
 // and completed materializations are promoted to temporary materialized
-// views with exact cardinalities.
-func (r *Runner) harvest(root executor.Node, q *logical.Query, fb *stats.Feedback, cv *executor.CheckViolation, ns string) (mvs, fbn int) {
+// views with exact cardinalities. A view records the layout its rows were
+// materialized in (ex.RowCols), which is narrower than Cols above a join.
+func (r *Runner) harvest(ex *executor.Executor, root executor.Node, q *logical.Query, fb *stats.Feedback, cv *executor.CheckViolation, ns string) (mvs, fbn int) {
 	// The violated checkpoint's observation: for eager checks this is a
 	// lower bound, which still guarantees a plan change because the bound
 	// already exceeds the validity range (paper §3.4).
@@ -433,6 +434,7 @@ func (r *Runner) harvest(root executor.Node, q *logical.Query, fb *stats.Feedbac
 					mv := &catalog.MatView{
 						Signature: ns + sig,
 						Cols:      append([]int(nil), p.Cols...),
+						RowCols:   ex.RowCols(p),
 						Rows:      rows,
 						Card:      float64(len(rows)),
 					}
@@ -458,6 +460,7 @@ func (r *Runner) harvest(root executor.Node, q *logical.Query, fb *stats.Feedbac
 					r.Cat.RegisterView(&catalog.MatView{
 						Signature: ns + bsig,
 						Cols:      append([]int(nil), child.Cols...),
+						RowCols:   ex.RowCols(child),
 						Rows:      rows,
 						Card:      float64(len(rows)),
 					})

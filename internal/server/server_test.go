@@ -22,10 +22,7 @@ import (
 
 // q10SQL is the parameterized serving workload: a three-way TPC-H join with
 // a quantity predicate whose selectivity the binding controls.
-const q10SQL = `SELECT c_name, SUM(l_extendedprice) AS revenue
-	FROM customer, orders, lineitem
-	WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey AND l_quantity <= ?
-	GROUP BY c_name`
+const q10SQL = tpch.Q10SQL
 
 // tpchCat loads a small TPC-H catalog.
 func tpchCat(t testing.TB, sf float64) *catalog.Catalog {

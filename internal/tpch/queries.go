@@ -264,6 +264,15 @@ func Q10Literal(cat *catalog.Catalog, qty float64) (*logical.Query, error) {
 	return b.Build()
 }
 
+// Q10SQL is the serving workload's statement (serve_hot in bench/sql.go): a
+// three-way Q10 join, revenue per customer name, whose quantity predicate's
+// selectivity the binding of ?0 controls. Tests and root benchmarks parse it
+// to measure the serving path's engine work in process.
+const Q10SQL = `SELECT c_name, SUM(l_extendedprice) AS revenue
+	FROM customer, orders, lineitem
+	WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey AND l_quantity <= ?
+	GROUP BY c_name`
+
 // Q11 — important stock identification over partsupp ⋈ supplier ⋈ nation.
 func Q11(cat *catalog.Catalog) (*logical.Query, error) {
 	b := logical.NewBuilder(cat)
