@@ -111,6 +111,13 @@ func TestAppendBatchRowsNonEphemeral(t *testing.T) {
 func execAt(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
 	params optimizer.CostParams, dop, capRows int) ([]schema.Row, float64, error) {
 	t.Helper()
+	return execWrapped(t, cat, q, plan, params, dop, capRows, nil)
+}
+
+// execWrapped is execAt with every node Build returns passed through wrap.
+func execWrapped(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
+	params optimizer.CostParams, dop, capRows int, wrap func(Node) Node) ([]schema.Row, float64, error) {
+	t.Helper()
 	meter := &Meter{}
 	ex, err := NewExecutor(cat, q, nil, params, meter)
 	if err != nil {
@@ -118,6 +125,7 @@ func execAt(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimize
 	}
 	ex.DOP = dop
 	ex.batchCap = capRows
+	ex.wrap = wrap
 	root, err := ex.Build(plan)
 	if err != nil {
 		t.Fatalf("build: %v\n%s", err, optimizer.Explain(plan, q))
@@ -126,11 +134,68 @@ func execAt(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimize
 	return rows, meter.Work(), err
 }
 
+// poisonedDatum overwrites every datum a poisonNode handed out once its
+// consumer pulls again.
+var poisonedDatum = types.NewString("poisoned: row kept past the next pull")
+
+// poisonNode enforces the batch ownership contract on the edge above its
+// child: it copies the child's rows into its own ephemeral batch and, before
+// each new pull, overwrites the datums it handed out last time. A consumer
+// that keeps ephemeral rows across pulls without copying them (DESIGN §11.1)
+// reads the sentinel. Everything else — Open, Close, Plan, Stats, Children,
+// Rewind, Materialized and the exchange's partition stripe — is the child's.
+type poisonNode struct {
+	Node
+	out *Batch
+}
+
+func poisoned(n Node) Node { return &poisonNode{Node: n, out: NewBatch(1)} }
+
+func (p *poisonNode) NextBatch(max int) (*Batch, error) {
+	for _, r := range p.out.Rows {
+		for i := range r {
+			r[i] = poisonedDatum
+		}
+	}
+	p.out.Reset()
+	b, err := p.Node.NextBatch(max)
+	if err != nil || b == nil {
+		return nil, err
+	}
+	for _, r := range b.Rows {
+		copy(p.out.Alloc(len(r)), r)
+	}
+	return p.out, nil
+}
+
+func (p *poisonNode) Rewind() error {
+	rw, ok := p.Node.(Rewinder)
+	if !ok {
+		return errNotRewindable(p.Node)
+	}
+	return rw.Rewind()
+}
+
+func (p *poisonNode) Materialized() ([]schema.Row, bool) {
+	if m, ok := p.Node.(Materializer); ok {
+		return m.Materialized()
+	}
+	return nil, false
+}
+
+func (p *poisonNode) setPartition(part, of int) {
+	if pn, ok := p.Node.(partitioned); ok {
+		pn.setPartition(part, of)
+	}
+}
+
 // runCaps executes one plan with one-row batches — every pull moves a single
 // row, the order of operations of a row-at-a-time engine — and at capacities
 // that put batch boundaries inside, at and beyond every operator's stream,
-// asserting identical result multisets and a bit-identical work total. It
-// returns the one-row run's rows.
+// asserting identical result multisets and a bit-identical work total. A
+// last, poisoned run wraps every operator in a poisonNode, so an operator
+// that keeps a child's ephemeral rows without copying them changes the
+// result. It returns the one-row run's rows.
 func runCaps(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
 	params optimizer.CostParams, dop int, label string) []schema.Row {
 	t.Helper()
@@ -147,6 +212,14 @@ func runCaps(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimiz
 		if work != wantWork {
 			t.Errorf("%s cap=%d: work = %v, want %v (one-row batches)", label, capRows, work, wantWork)
 		}
+	}
+	rows, work, err := execWrapped(t, cat, q, plan, params, dop, 3, poisoned)
+	if err != nil {
+		t.Fatalf("%s poisoned: %v", label, err)
+	}
+	sameRows(t, rows, wantRows, label+" poisoned")
+	if work != wantWork {
+		t.Errorf("%s poisoned: work = %v, want %v (one-row batches)", label, work, wantWork)
 	}
 	return wantRows
 }

@@ -243,7 +243,8 @@ type Executor struct {
 	// parallelism changes. Nil preserves ungated spawning.
 	Gate WorkerGate
 
-	batchCap int // rows per batch; batchRows outside the package's own tests
+	batchCap int             // rows per batch; batchRows outside the package's own tests
+	wrap     func(Node) Node // applied to every node Build returns; set only by the package's own tests
 	tabs     []*catalog.Table
 	ectx     *expr.Context
 	checks   *checkRegistry
@@ -448,8 +449,7 @@ func liveReach(q *logical.Query) []uint64 {
 	return reach
 }
 
-// Build constructs the executable tree for a plan.
-func (e *Executor) Build(p *optimizer.Plan) (Node, error) {
+func (e *Executor) build(p *optimizer.Plan) (Node, error) {
 	switch p.Op {
 	case optimizer.OpTableScan:
 		return e.buildTableScan(p)
@@ -633,6 +633,15 @@ func (b *base) closeChildren() error {
 		}
 	}
 	return first
+}
+
+// Build constructs the executable tree for a plan.
+func (e *Executor) Build(p *optimizer.Plan) (Node, error) {
+	n, err := e.build(p)
+	if err != nil || e.wrap == nil {
+		return n, err
+	}
+	return e.wrap(n), nil
 }
 
 // evalFilter applies a (pre-remapped) filter with three-valued semantics.

@@ -1,25 +1,21 @@
 package lint
 
-// Abstract interpretation over the CFG: the value layer under the overflow,
-// nilguard and rangeinvariant rules. Per function, every tracked local gets
-// an abstract value from a product lattice:
+// Abstract interpretation over the CFG: the value layer under the overflow
+// rule. Per function, every tracked local gets an abstract value:
 //
 //   - an int64 Interval (intervals.go) — also used for bools (0/1) and as a
 //     floor/ceil envelope for floats;
-//   - nilness: provably nil / provably non-nil / maybe nil / unknown;
-//   - a len interval for slices and maps;
-//   - may-evidence flags: "a path proves this exactly zero" (the divisor
-//     rule's trigger) and "tainted by an `err != nil` branch";
-//   - structural markers pairing a call's error result with its sibling
-//     results, so `x, err := f()` + `if err != nil` can consult f's value
-//     summary (summaryval.go) about x's nilness on the error path.
+//   - zero-path evidence: "a path proves this exactly zero" (the divisor
+//     rule's trigger);
+//   - the partner a dominating `a > math.MaxInt64/b` comparison proved safe
+//     to multiply by.
 //
 // States are solved by solveForwardVals (dataflow.go): branch conditions
-// refine facts per out-edge (`err != nil`, `x > 0`, `len(b) >= k`, the
-// `a > math.MaxInt64/b` overflow-guard idiom), loop heads widen. The rules
-// then replay each block from its solved in-state, collecting typed sites
-// (multiplications feeding tick sinks, divisions, dereferences, Range
-// literals, index expressions) with the abstract values in force there.
+// refine intervals per out-edge (`x > 0`, the MaxInt64/b overflow-guard
+// idiom), loop heads widen, and a no-return call (panic, os.Exit,
+// log.Fatal) kills the rest of its block. The rule then replays each block
+// from its solved in-state, collecting the multiplications, additions and
+// divisions with the abstract values in force there.
 //
 // Tracking discipline: only *types.Var locals, parameters and named results
 // of the function itself are tracked, and only while their address is never
@@ -37,76 +33,19 @@ import (
 	"math"
 )
 
-// nilness is the pointer/interface/slice/map/chan/func component.
-type nilness uint8
-
-const (
-	nilUnknown nilness = iota // top: no information
-	nilYes                    // provably nil
-	nilNo                     // provably non-nil
-	nilMaybe                  // positive evidence it can be nil on some path
-)
-
-func joinNil(a, b nilness) nilness {
-	if a == b {
-		return a
-	}
-	if a == nilUnknown || b == nilUnknown {
-		return nilUnknown
-	}
-	return nilMaybe
-}
-
-// meetNil refines cur with the branch fact c (nilYes or nilNo); ok=false
-// reports a contradiction (the edge is infeasible).
-func meetNil(cur, c nilness) (nilness, bool) {
-	switch cur {
-	case nilUnknown, nilMaybe:
-		return c, true
-	case c:
-		return c, true
-	}
-	return cur, false // nilYes vs nilNo
-}
-
-// absVal flag bits. fZeroPath and fErrPath are may-evidence (OR'd at joins);
-// fErrObj/fResultObj mark the error result of a call pair and its siblings
-// and survive a join only when both sides agree on the pair.
-const (
-	fZeroPath  uint8 = 1 << iota // some path proves the value exactly zero
-	fErrPath                     // value tainted by an `err != nil` branch
-	fErrObj                      // object holds the error result of pair
-	fResultObj                   // object holds a non-error result of pair
-)
-
 // absVal is one variable's abstract value.
 type absVal struct {
-	iv    Interval
-	nl    nilness
-	flags uint8
-	pair  int32        // 1-based call-pair id for fErrObj/fResultObj; 0 = none
-	res   int16        // result index within the pair, for fResultObj
-	lenIv Interval     // slices/maps: abstract len
-	guard types.Object // partner proven safe to multiply by (MaxInt64/b idiom)
+	iv       Interval
+	zeroPath bool         // some path proves the value exactly zero (OR'd at joins)
+	guard    types.Object // partner proven safe to multiply by (MaxInt64/b idiom)
 }
 
-func topVal() absVal {
-	return absVal{iv: FullInterval(), nl: nilUnknown, lenIv: FullInterval()}
-}
+func topVal() absVal { return absVal{iv: FullInterval()} }
 
 func (v absVal) isTop() bool { return v == topVal() }
 
 func joinVal(a, b absVal) absVal {
-	o := absVal{
-		iv:    a.iv.Join(b.iv),
-		lenIv: a.lenIv.Join(b.lenIv),
-		nl:    joinNil(a.nl, b.nl),
-		flags: (a.flags | b.flags) & (fZeroPath | fErrPath),
-	}
-	if a.pair == b.pair && a.res == b.res {
-		o.pair, o.res = a.pair, a.res
-		o.flags |= (a.flags & b.flags) & (fErrObj | fResultObj)
-	}
+	o := absVal{iv: a.iv.Join(b.iv), zeroPath: a.zeroPath || b.zeroPath}
 	if a.guard != nil && a.guard == b.guard {
 		o.guard = a.guard
 	}
@@ -115,7 +54,6 @@ func joinVal(a, b absVal) absVal {
 
 func widenVal(prev, next absVal) absVal {
 	next.iv = prev.iv.Widen(next.iv)
-	next.lenIv = prev.lenIv.Widen(next.lenIv)
 	return next
 }
 
@@ -237,18 +175,6 @@ func basicRange(b *types.Basic) Interval {
 	return FullInterval()
 }
 
-// isNilable reports types whose zero value is nil.
-func isNilable(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan,
-		*types.Signature, *types.Interface:
-		return true
-	case *types.Basic:
-		return u.Kind() == types.UnsafePointer
-	}
-	return false
-}
-
 // topForType is the no-information value of a type: full intervals clipped
 // to the type's representable range.
 func topForType(t types.Type) absVal {
@@ -266,20 +192,14 @@ func zeroValOf(t types.Type) absVal {
 	if t == nil {
 		return v
 	}
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
+	if u, ok := t.Underlying().(*types.Basic); ok {
 		switch {
 		case u.Info()&(types.IsInteger|types.IsFloat) != 0:
 			v.iv = ConstInterval(0)
-			v.flags |= fZeroPath
+			v.zeroPath = true
 		case u.Info()&types.IsBoolean != 0:
 			v.iv = ConstInterval(0)
 		}
-	case *types.Slice, *types.Map:
-		v.nl = nilYes
-		v.lenIv = ConstInterval(0)
-	case *types.Pointer, *types.Chan, *types.Signature, *types.Interface:
-		v.nl = nilYes
 	}
 	return v
 }
@@ -305,11 +225,9 @@ func constToVal(cv constant.Value, t types.Type) absVal {
 		} else {
 			v.iv = ConstInterval(0)
 		}
-	case constant.String:
-		v.lenIv = ConstInterval(int64(len(constant.StringVal(cv))))
 	}
 	if v.iv == ConstInterval(0) && cv.Kind() != constant.Bool && cv.Kind() != constant.String {
-		v.flags |= fZeroPath
+		v.zeroPath = true
 	}
 	return v
 }
@@ -331,38 +249,6 @@ func floatInterval(f float64) Interval {
 
 // --- collected sites -----------------------------------------------------
 
-// derefKind classifies one dereference site for the nilguard rule. Pointer
-// method calls with pointer receivers are deliberately NOT sites: the
-// nil-receiver method is a supported Go idiom (Meter, trace recorders).
-type derefKind uint8
-
-const (
-	derefField     derefKind = iota // p.f field read/write through a pointer
-	derefStar                       // *p
-	derefIndex                      // s[i] on a slice
-	derefMapWrite                   // m[k] = v on a map
-	derefIfaceCall                  // x.M() through an interface value
-	derefFuncCall                   // f() through a func value
-)
-
-func (k derefKind) String() string {
-	switch k {
-	case derefField:
-		return "field access"
-	case derefStar:
-		return "dereference"
-	case derefIndex:
-		return "index"
-	case derefMapWrite:
-		return "map write"
-	case derefIfaceCall:
-		return "interface method call"
-	case derefFuncCall:
-		return "call"
-	}
-	return "use"
-}
-
 type mulAddSite struct {
 	pos    token.Pos
 	op     token.Token // token.MUL or token.ADD
@@ -380,36 +266,10 @@ type divSite struct {
 	intOp  bool // integer division (panics on zero) vs float (silent ±Inf)
 }
 
-type derefSite struct {
-	pos  token.Pos
-	name string
-	kind derefKind
-	v    absVal
-}
-
-type rangeLitSite struct {
-	pos      token.Pos
-	typeName string
-	loV, hiV absVal
-	loS, hiS string
-}
-
-type indexSite struct {
-	pos    token.Pos
-	idxS   string
-	baseS  string
-	idxV   absVal
-	lenHi  int64 // best proven upper bound on len(base)
-	hasLen bool
-}
-
 // valueSites is everything one function's replay collected.
 type valueSites struct {
 	mulAdds []mulAddSite
 	divs    []divSite
-	derefs  []derefSite
-	ranges  []rangeLitSite
-	indexes []indexSite
 }
 
 // returnFact is one evaluated return site, for summary building.
@@ -421,18 +281,8 @@ type returnFact struct {
 
 // --- the interpreter -----------------------------------------------------
 
-// callPair records one `x, ..., err := f(...)` assignment: the statically
-// resolved callee and the LHS objects, so an `err != nil` refinement can
-// consult f's value summary about the sibling results.
-type callPair struct {
-	id     int32
-	callee *types.Func
-	objs   []types.Object // one per LHS, nil for untracked/blank
-	errIdx int            // index of the error result within objs
-}
-
 // interp is the per-function abstract interpreter: prescan products
-// (trackability, sinks, call pairs) plus the transfer/refine/eval machinery.
+// (trackability, sinks) plus the transfer/refine/eval machinery.
 type interp struct {
 	va   *valueAnalysis
 	fn   *FuncNode
@@ -442,8 +292,6 @@ type interp struct {
 	owned    map[types.Object]bool // declared by this function (params/results/locals)
 	unstable map[types.Object]bool // address taken or captured by a literal
 	sinkObjs map[types.Object]bool // value flows into a tick sink (syntactic)
-	pairs    map[*ast.AssignStmt]*callPair
-	pairByID []*callPair
 
 	namedResults []types.Object // named result objects, entry-seeded
 
@@ -465,7 +313,6 @@ func newInterp(va *valueAnalysis, fn *FuncNode) *interp {
 		owned:    map[types.Object]bool{},
 		unstable: map[types.Object]bool{},
 		sinkObjs: map[types.Object]bool{},
-		pairs:    map[*ast.AssignStmt]*callPair{},
 	}
 	ip.prescan()
 	if s := va.sinkObjsByFn[fn]; s != nil {
@@ -487,9 +334,9 @@ func (ip *interp) signature() *types.Signature {
 	return nil
 }
 
-// prescan runs once per function: ownership (params, results, locals),
-// stability (no address-taken, no closure capture), call pairs. Tick-sink
-// seeds are recomputed separately by the sink fixpoint (summaryval.go).
+// prescan runs once per function: ownership (params, results, locals) and
+// stability (no address taken, no closure capture). Tick-sink seeds are
+// recomputed separately by the sink fixpoint (summaryval.go).
 func (ip *interp) prescan() {
 	sig := ip.signature()
 	if sig != nil {
@@ -530,10 +377,6 @@ func (ip *interp) prescan() {
 					}
 				}
 			}
-		case *ast.FuncLit:
-			// inspectNoLit does not descend; capture detection below does.
-		case *ast.AssignStmt:
-			ip.prescanPair(n)
 		}
 	})
 	// Closure capture: any owned object referenced inside a nested literal
@@ -553,50 +396,6 @@ func (ip *interp) prescan() {
 		})
 		return false
 	})
-}
-
-// prescanPair registers `x, ..., err := f(...)` assignments whose callee is
-// statically known and whose last LHS is error-typed.
-func (ip *interp) prescanPair(as *ast.AssignStmt) {
-	if len(as.Lhs) < 2 || len(as.Rhs) != 1 {
-		return
-	}
-	call, ok := unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	w := &walker{pkg: ip.pkg}
-	callee := w.staticCallee(call)
-	if callee == nil {
-		return
-	}
-	last := unparen(as.Lhs[len(as.Lhs)-1])
-	lastID, ok := last.(*ast.Ident)
-	if !ok {
-		return
-	}
-	lastObj := ip.objOf(lastID)
-	if lastObj == nil || !isErrorType(lastObj.Type()) {
-		return
-	}
-	p := &callPair{
-		id:     int32(len(ip.pairByID) + 1),
-		callee: callee,
-		errIdx: len(as.Lhs) - 1,
-	}
-	for _, l := range as.Lhs {
-		if id, ok := unparen(l).(*ast.Ident); ok && id.Name != "_" {
-			p.objs = append(p.objs, ip.objOf(id))
-		} else {
-			p.objs = append(p.objs, nil)
-		}
-	}
-	ip.pairs[as] = p
-	ip.pairByID = append(ip.pairByID, p)
-}
-
-func isErrorType(t types.Type) bool {
-	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
 // objOf resolves an identifier to its object (use or def).
@@ -900,8 +699,8 @@ func (ip *interp) assign(st valState, as *ast.AssignStmt) {
 	}
 }
 
-// assignLHS stores v into an assignment target, recording deref sites for
-// pointer/map targets.
+// assignLHS stores v into an assignment target, evaluating the operands of
+// any other target.
 func (ip *interp) assignLHS(st valState, l ast.Expr, v absVal) {
 	l = unparen(l)
 	switch l := l.(type) {
@@ -924,19 +723,8 @@ func (ip *interp) assignLHS(st valState, l ast.Expr, v absVal) {
 		}
 		ip.setObj(st, obj, nv)
 	case *ast.IndexExpr:
-		idxV := ip.eval(st, l.Index, false)
-		if id, ok := unparen(l.X).(*ast.Ident); ok {
-			bv := ip.evalIdent(st, id)
-			if t := ip.info.TypeOf(l.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					ip.noteDeref(l.Pos(), id.Name, derefMapWrite, bv)
-				} else {
-					ip.noteSliceIndex(l, id, bv, idxV)
-				}
-			}
-		} else {
-			ip.eval(st, l.X, false)
-		}
+		ip.eval(st, l.Index, false)
+		ip.eval(st, l.X, false)
 	case *ast.SelectorExpr, *ast.StarExpr:
 		ip.eval(st, l, false)
 	}
@@ -961,42 +749,13 @@ func (ip *interp) assignTuple(st valState, as *ast.AssignStmt) {
 	switch r := rhs.(type) {
 	case *ast.CallExpr:
 		results := ip.evalCall(st, r, false)
-		pair := ip.pairs[as]
 		setAll(func(i int, t types.Type) absVal {
-			v := topForType(t)
 			if i < len(results) {
-				v = results[i]
+				return results[i]
 			}
-			if pair != nil {
-				v.pair = pair.id
-				v.res = int16(i)
-				if i == pair.errIdx {
-					v.flags |= fErrObj
-				} else {
-					v.flags |= fResultObj
-				}
-			}
-			return v
+			return topForType(t)
 		})
-	case *ast.TypeAssertExpr:
-		ip.eval(st, r.X, false)
-		setAll(func(i int, t types.Type) absVal {
-			v := topForType(t)
-			if i == 1 {
-				v.iv = Interval{0, 1}
-			}
-			return v
-		})
-	case *ast.UnaryExpr: // v, ok := <-ch
-		ip.eval(st, r.X, false)
-		setAll(func(i int, t types.Type) absVal {
-			v := topForType(t)
-			if i == 1 {
-				v.iv = Interval{0, 1}
-			}
-			return v
-		})
-	case *ast.IndexExpr: // v, ok := m[k]
+	case *ast.TypeAssertExpr, *ast.UnaryExpr, *ast.IndexExpr: // comma-ok forms
 		ip.eval(st, r, false)
 		setAll(func(i int, t types.Type) absVal {
 			v := topForType(t)
@@ -1018,8 +777,6 @@ func (ip *interp) rangeBind(st valState, n *ast.RangeStmt) {
 	var hi int64 = math.MaxInt64
 	if xt != nil {
 		switch u := xt.Underlying().(type) {
-		case *types.Slice, *types.Map:
-			hi = xv.lenIv.Hi
 		case *types.Array:
 			hi = u.Len()
 		case *types.Pointer: // *[N]T
@@ -1070,41 +827,6 @@ func (ip *interp) rangeBind(st valState, n *ast.RangeStmt) {
 
 func exprString(e ast.Expr) string { return types.ExprString(e) }
 
-// noteDeref records a dereference site during replay.
-func (ip *interp) noteDeref(pos token.Pos, name string, kind derefKind, v absVal) {
-	if ip.sites == nil {
-		return
-	}
-	ip.sites.derefs = append(ip.sites.derefs, derefSite{pos: pos, name: name, kind: kind, v: v})
-}
-
-// noteSliceIndex records both the nil-deref and bounds aspects of s[i]. The
-// caller evaluates the index exactly once and passes the result, so nested
-// expressions inside the index do not double-record sites.
-func (ip *interp) noteSliceIndex(ix *ast.IndexExpr, baseID *ast.Ident, bv, idxV absVal) {
-	if ip.sites == nil {
-		return
-	}
-	t := ip.info.TypeOf(ix.X)
-	if t == nil {
-		return
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		ip.sites.derefs = append(ip.sites.derefs, derefSite{pos: ix.Pos(), name: baseID.Name, kind: derefIndex, v: bv})
-		site := indexSite{pos: ix.Pos(), idxS: exprString(ix.Index), baseS: baseID.Name, idxV: idxV}
-		if bv.lenIv.BoundedAbove() {
-			site.lenHi, site.hasLen = bv.lenIv.Hi, true
-		}
-		ip.sites.indexes = append(ip.sites.indexes, site)
-	case *types.Array:
-		ip.sites.indexes = append(ip.sites.indexes, indexSite{
-			pos: ix.Pos(), idxS: exprString(ix.Index), baseS: baseID.Name,
-			idxV: idxV, lenHi: u.Len(), hasLen: true,
-		})
-	}
-}
-
 // evalIdent reads an identifier's abstract value.
 func (ip *interp) evalIdent(st valState, id *ast.Ident) absVal {
 	obj := ip.objOf(id)
@@ -1131,11 +853,6 @@ func (ip *interp) eval(st valState, e ast.Expr, sink bool) absVal {
 		if tv.Value != nil {
 			return constToVal(tv.Value, tv.Type)
 		}
-		if tv.IsNil() {
-			v := topVal()
-			v.nl = nilYes
-			return v
-		}
 	}
 
 	switch x := e.(type) {
@@ -1151,7 +868,7 @@ func (ip *interp) eval(st valState, e ast.Expr, sink bool) absVal {
 			v := ip.eval(st, x.X, sink)
 			out := topForType(ip.info.TypeOf(e))
 			out.iv = v.iv.Neg()
-			out.flags |= v.flags & fZeroPath
+			out.zeroPath = v.zeroPath
 			return out
 		case token.NOT:
 			v := ip.eval(st, x.X, false)
@@ -1163,28 +880,18 @@ func (ip *interp) eval(st valState, e ast.Expr, sink bool) absVal {
 				out.iv = ConstInterval(1)
 			}
 			return out
-		case token.AND: // &x: non-nil by construction
-			ip.eval(st, x.X, false)
-			v := topVal()
-			v.nl = nilNo
-			return v
-		case token.ARROW: // <-ch
-			ip.eval(st, x.X, false)
-			return topForType(ip.info.TypeOf(e))
 		default:
 			ip.eval(st, x.X, false)
 			return topForType(ip.info.TypeOf(e))
 		}
 
 	case *ast.StarExpr:
-		if id, ok := unparen(x.X).(*ast.Ident); ok {
-			ip.noteDeref(x.Pos(), id.Name, derefStar, ip.evalIdent(st, id))
-		}
 		ip.eval(st, x.X, false)
 		return topForType(ip.info.TypeOf(e))
 
 	case *ast.SelectorExpr:
-		return ip.evalSelector(st, x)
+		ip.eval(st, x.X, false)
+		return topForType(ip.info.TypeOf(e))
 
 	case *ast.CallExpr:
 		res := ip.evalCall(st, x, sink)
@@ -1194,26 +901,20 @@ func (ip *interp) eval(st valState, e ast.Expr, sink bool) absVal {
 		return topForType(ip.info.TypeOf(e))
 
 	case *ast.IndexExpr:
-		return ip.evalIndex(st, x)
+		ip.eval(st, x.Index, false)
+		ip.eval(st, x.X, false)
+		return topForType(ip.info.TypeOf(e))
 
 	case *ast.SliceExpr:
-		base := ip.eval(st, x.X, false)
+		ip.eval(st, x.X, false)
 		ip.eval(st, x.Low, false)
 		ip.eval(st, x.High, false)
 		ip.eval(st, x.Max, false)
-		v := topForType(ip.info.TypeOf(e))
-		if base.nl == nilNo && x.Low == nil && x.High == nil {
-			v.nl = nilNo // s[:] of a non-nil slice
-		}
-		return v
+		return topForType(ip.info.TypeOf(e))
 
 	case *ast.CompositeLit:
-		return ip.evalComposite(st, x)
-
-	case *ast.FuncLit:
-		v := topVal()
-		v.nl = nilNo
-		return v
+		ip.evalComposite(st, x)
+		return topForType(ip.info.TypeOf(e))
 
 	case *ast.TypeAssertExpr:
 		ip.eval(st, x.X, false)
@@ -1345,184 +1046,24 @@ func quoFloor(a, c int64) int64 {
 	return q
 }
 
-// evalSelector handles field reads and method values, recording deref and
-// interface-call sites.
-func (ip *interp) evalSelector(st valState, sel *ast.SelectorExpr) absVal {
-	// Qualified identifier pkg.X: nothing to dereference.
-	if pkgNameOf(ip.info, sel.X) != nil {
-		return topForType(ip.info.TypeOf(sel))
-	}
-	s, ok := ip.info.Selections[sel]
-	if ok {
-		if id, isID := unparen(sel.X).(*ast.Ident); isID {
-			bv := ip.evalIdent(st, id)
-			switch s.Kind() {
-			case types.FieldVal:
-				if s.Indirect() || isPointerType(ip.info.TypeOf(sel.X)) {
-					ip.noteDeref(sel.Sel.Pos(), id.Name, derefField, bv)
-				}
-			case types.MethodVal:
-				recvT := ip.info.TypeOf(sel.X)
-				if recvT != nil && types.IsInterface(recvT) {
-					ip.noteDeref(sel.Sel.Pos(), id.Name, derefIfaceCall, bv)
-				} else if s.Indirect() && !methodHasPointerReceiver(s) {
-					// Value-receiver method on a pointer base auto-derefs.
-					ip.noteDeref(sel.Sel.Pos(), id.Name, derefField, bv)
-				}
-			}
-		}
-	}
-	ip.eval(st, sel.X, false)
-	return topForType(ip.info.TypeOf(sel))
-}
-
-func isPointerType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Pointer)
-	return ok
-}
-
-func methodHasPointerReceiver(s *types.Selection) bool {
-	f, ok := s.Obj().(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return false
-	}
-	_, isPtr := sig.Recv().Type().(*types.Pointer)
-	return isPtr
-}
-
-// evalIndex handles s[i] reads.
-func (ip *interp) evalIndex(st valState, ix *ast.IndexExpr) absVal {
-	idxV := ip.eval(st, ix.Index, false)
-	t := ip.info.TypeOf(ix.X)
-	if t == nil {
-		ip.eval(st, ix.X, false)
-		return topVal()
-	}
-	if _, isMap := t.Underlying().(*types.Map); isMap {
-		// Reading a nil map is legal; no deref site.
-		ip.eval(st, ix.X, false)
-		return topForType(ip.info.TypeOf(ix))
-	}
-	if id, ok := unparen(ix.X).(*ast.Ident); ok {
-		bv := ip.evalIdent(st, id)
-		ip.noteSliceIndex(ix, id, bv, idxV)
-		return topForType(ip.info.TypeOf(ix))
-	}
-	ip.eval(st, ix.X, false)
-	return topForType(ip.info.TypeOf(ix))
-}
-
-// evalComposite abstracts a composite literal (non-nil; slice lits know
-// their length), evaluating every element exactly once, and records
-// Range-shaped literal sites from the collected element values.
-func (ip *interp) evalComposite(st valState, lit *ast.CompositeLit) absVal {
-	t := ip.info.TypeOf(lit)
+// evalComposite evaluates every element of a composite literal exactly
+// once: values always, keys only for map literals (struct keys are field
+// names).
+func (ip *interp) evalComposite(st valState, lit *ast.CompositeLit) {
 	isMapLit := false
-	if t != nil {
+	if t := ip.info.TypeOf(lit); t != nil {
 		_, isMapLit = t.Underlying().(*types.Map)
 	}
-	var (
-		n       int64
-		keyed   bool
-		keyVals map[string]absVal
-		keyStrs map[string]string
-		posVals []absVal
-	)
 	for _, el := range lit.Elts {
 		if kv, ok := el.(*ast.KeyValueExpr); ok {
-			keyed = true
 			if isMapLit {
 				ip.eval(st, kv.Key, false)
 			}
-			v := ip.eval(st, kv.Value, false)
-			if key, ok := kv.Key.(*ast.Ident); ok && !isMapLit {
-				if keyVals == nil {
-					keyVals = map[string]absVal{}
-					keyStrs = map[string]string{}
-				}
-				keyVals[key.Name] = v
-				keyStrs[key.Name] = exprString(kv.Value)
-			}
+			ip.eval(st, kv.Value, false)
 			continue
 		}
-		n++
-		posVals = append(posVals, ip.eval(st, el, false))
+		ip.eval(st, el, false)
 	}
-	ip.noteRangeLit(lit, keyVals, keyStrs, posVals)
-	v := topForType(t)
-	v.nl = nilNo
-	if t != nil {
-		switch t.Underlying().(type) {
-		case *types.Slice, *types.Map:
-			if !keyed {
-				v.lenIv = ConstInterval(n)
-			}
-		}
-	}
-	return v
-}
-
-// noteRangeLit records a validity-range literal: any module-declared struct
-// named "Range" with float64 Lo/Hi fields (structurally matched so fixtures
-// need not import the optimizer). Element values arrive pre-evaluated from
-// evalComposite; missing fields hold the zero value 0.0.
-func (ip *interp) noteRangeLit(lit *ast.CompositeLit, keyVals map[string]absVal, keyStrs map[string]string, posVals []absVal) {
-	if ip.sites == nil {
-		return
-	}
-	t := ip.info.TypeOf(lit)
-	tn := namedTypeOf(t)
-	if tn == nil || tn.Name() != "Range" || tn.Pkg() == nil {
-		return
-	}
-	strct, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return
-	}
-	loIdx, hiIdx := -1, -1
-	for i := 0; i < strct.NumFields(); i++ {
-		f := strct.Field(i)
-		if b := basicOf(f.Type()); b == nil || b.Kind() != types.Float64 {
-			continue
-		}
-		switch f.Name() {
-		case "Lo":
-			loIdx = i
-		case "Hi":
-			hiIdx = i
-		}
-	}
-	if loIdx < 0 || hiIdx < 0 {
-		return
-	}
-	loV, hiV := zeroValOf(strct.Field(loIdx).Type()), zeroValOf(strct.Field(hiIdx).Type())
-	loS, hiS := "0", "0"
-	if keyVals != nil {
-		if v, ok := keyVals["Lo"]; ok {
-			loV, loS = v, keyStrs["Lo"]
-		}
-		if v, ok := keyVals["Hi"]; ok {
-			hiV, hiS = v, keyStrs["Hi"]
-		}
-	} else if len(posVals) > 0 {
-		if loIdx < len(posVals) {
-			loV, loS = posVals[loIdx], exprString(lit.Elts[loIdx])
-		}
-		if hiIdx < len(posVals) {
-			hiV, hiS = posVals[hiIdx], exprString(lit.Elts[hiIdx])
-		}
-	}
-	ip.sites.ranges = append(ip.sites.ranges, rangeLitSite{
-		pos: lit.Pos(), typeName: tn.Pkg().Name() + "." + tn.Name(),
-		loV: loV, hiV: hiV, loS: loS, hiS: hiS,
-	})
 }
 
 // evalCall abstracts a call: conversions, builtins, then summaries for
@@ -1541,20 +1082,7 @@ func (ip *interp) evalCall(st valState, call *ast.CallExpr, sink bool) []absVal 
 		}
 	}
 
-	// Callee expression: func-value calls are deref sites; method calls run
-	// through evalSelector (interface-call sites).
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if obj := ip.objOf(fun); obj != nil {
-			if _, isVar := obj.(*types.Var); isVar {
-				ip.noteDeref(fun.Pos(), fun.Name, derefFuncCall, ip.evalIdent(st, fun))
-			}
-		}
-	case *ast.SelectorExpr:
-		ip.evalSelector(st, fun)
-	default:
-		ip.eval(st, fun, false)
-	}
+	ip.eval(st, call.Fun, false)
 
 	// Arguments: sink context flows into Meter.AddTicks args and known sink
 	// parameters.
@@ -1563,7 +1091,7 @@ func (ip *interp) evalCall(st valState, call *ast.CallExpr, sink bool) []absVal 
 	argVals := make([]absVal, len(call.Args))
 	for i, a := range call.Args {
 		argSink := false
-		if ip.isTickSinkCall(call) {
+		if isMeterAddTicks(ip.info, call) {
 			argSink = true
 		} else if callee != nil {
 			if sp := ip.va.sinkParams[callee]; i < len(sp) && sp[i] {
@@ -1588,116 +1116,20 @@ func (ip *interp) evalCall(st valState, call *ast.CallExpr, sink bool) []absVal 
 		out[i] = topForType(rt)
 		if callee != nil {
 			out[i] = ip.va.resultVal(callee, i, rt, call, argVals)
-			if i == 0 && isNonNilReturnFunc(callee) {
-				out[i].nl = nilNo
-			}
 		}
 	}
 	return out
 }
 
-// nonNilReturnFuncs are stdlib constructors whose result is never nil.
-// Without this, `return nil, errors.New(...)` leaves the error's nilness
-// unknown and the return counts toward BOTH the err and ok classifications,
-// degrading every caller's ok-path result to maybe-nil.
-var nonNilReturnFuncs = map[string]bool{
-	"errors.New": true,
-	"fmt.Errorf": true,
-}
-
-// isNonNilReturnFunc reports a callee from nonNilReturnFuncs.
-func isNonNilReturnFunc(callee *types.Func) bool {
-	if callee.Pkg() == nil {
-		return false
-	}
-	return nonNilReturnFuncs[callee.Pkg().Path()+"."+callee.Name()]
-}
-
-// isTickSinkCall reports a (*executor.Meter).AddTicks call — the root tick
-// sink the overflow rule protects (shared with the syntactic sink pass in
-// summaryval.go).
-func (ip *interp) isTickSinkCall(call *ast.CallExpr) bool {
-	return isMeterAddTicks(ip.info, call)
-}
-
 // evalBuiltin abstracts the builtins the rules care about.
 func (ip *interp) evalBuiltin(st valState, name string, call *ast.CallExpr) absVal {
 	switch name {
-	case "len":
-		if len(call.Args) == 1 {
-			arg := call.Args[0]
-			av := ip.eval(st, arg, false)
-			t := ip.info.TypeOf(arg)
-			v := topForType(types.Typ[types.Int])
-			if t != nil {
-				if arr, ok := t.Underlying().(*types.Array); ok {
-					v.iv = ConstInterval(arr.Len())
-					return v
-				}
-			}
-			v.iv = av.lenIv.Meet(Interval{0, math.MaxInt64})
-			if v.iv.IsEmpty() {
-				v.iv = Interval{0, math.MaxInt64}
-			}
-			return v
-		}
-	case "cap":
+	case "len", "cap": // the type checker already folded the constant cases
 		for _, a := range call.Args {
 			ip.eval(st, a, false)
 		}
 		v := topForType(types.Typ[types.Int])
 		v.iv = Interval{0, math.MaxInt64}
-		return v
-	case "make":
-		v := topVal()
-		v.nl = nilNo
-		v.lenIv = Interval{0, math.MaxInt64}
-		if t := ip.info.TypeOf(call); t != nil {
-			if _, isSlice := t.Underlying().(*types.Slice); isSlice {
-				if len(call.Args) >= 2 {
-					n := ip.eval(st, call.Args[1], false)
-					v.lenIv = n.iv.Meet(Interval{0, math.MaxInt64})
-					if v.lenIv.IsEmpty() {
-						v.lenIv = Interval{0, math.MaxInt64}
-					}
-				}
-			} else {
-				v.lenIv = Interval{0, math.MaxInt64}
-				for i := 1; i < len(call.Args); i++ {
-					ip.eval(st, call.Args[i], false)
-				}
-			}
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				v.lenIv = ConstInterval(0)
-				for i := 1; i < len(call.Args); i++ {
-					ip.eval(st, call.Args[i], false)
-				}
-			}
-		}
-		return v
-	case "new":
-		v := topVal()
-		v.nl = nilNo
-		return v
-	case "append":
-		var base absVal
-		for i, a := range call.Args {
-			av := ip.eval(st, a, false)
-			if i == 0 {
-				base = av
-			}
-		}
-		v := topVal()
-		added := int64(len(call.Args) - 1)
-		if call.Ellipsis.IsValid() {
-			v.lenIv = Interval{base.lenIv.Lo, math.MaxInt64}
-			v.nl = base.nl
-		} else if added > 0 {
-			v.nl = nilNo
-			v.lenIv = base.lenIv.Add(ConstInterval(added)).Meet(Interval{0, math.MaxInt64})
-		} else {
-			v = base
-		}
 		return v
 	case "min", "max":
 		var out absVal
@@ -1713,7 +1145,7 @@ func (ip *interp) evalBuiltin(st valState, name string, call *ast.CallExpr) absV
 				out.iv = Interval{maxI64(out.iv.Lo, av.iv.Lo), maxI64(out.iv.Hi, av.iv.Hi)}
 			}
 		}
-		out.flags = 0
+		out.zeroPath, out.guard = false, nil
 		return out
 	default:
 		for _, a := range call.Args {
@@ -1739,30 +1171,20 @@ func maxI64(a, b int64) int64 {
 
 // convert abstracts a type conversion. Integer conversions keep the value
 // when it provably fits the target (otherwise truncation wraps and nothing
-// carries over); reference conversions preserve nilness.
+// carries over).
 func (ip *interp) convert(inner absVal, dst types.Type) absVal {
-	if b := basicOf(dst); b != nil {
-		if b.Info()&(types.IsInteger|types.IsFloat) != 0 {
-			out := topForType(dst)
-			r := basicRange(b)
-			if b.Info()&types.IsFloat != 0 {
-				r = FullInterval()
-			}
-			if !inner.iv.IsEmpty() && inner.iv.Lo >= r.Lo && inner.iv.Hi <= r.Hi {
-				out.iv = inner.iv
-				out.flags |= inner.flags & fZeroPath
-			}
-			return out
+	out := topForType(dst)
+	if b := basicOf(dst); b != nil && b.Info()&(types.IsInteger|types.IsFloat) != 0 {
+		r := basicRange(b)
+		if b.Info()&types.IsFloat != 0 {
+			r = FullInterval()
 		}
-		return topForType(dst)
+		if !inner.iv.IsEmpty() && inner.iv.Lo >= r.Lo && inner.iv.Hi <= r.Hi {
+			out.iv = inner.iv
+			out.zeroPath = inner.zeroPath
+		}
 	}
-	if isNilable(dst) {
-		out := topForType(dst)
-		out.nl = inner.nl
-		out.lenIv = inner.lenIv
-		return out
-	}
-	return topForType(dst)
+	return out
 }
 
 // --- branch refinement ---------------------------------------------------
@@ -1850,22 +1272,8 @@ func flipCmp(op token.Token) token.Token {
 	return op // EQL/NEQ symmetric
 }
 
-// isNilExpr reports the predeclared nil.
-func (ip *interp) isNilExpr(e ast.Expr) bool {
-	tv, ok := ip.info.Types[unparen(e)]
-	return ok && tv.IsNil()
-}
-
 // refineCmp applies `x op y` (already normalized for the edge's truth).
 func (ip *interp) refineCmp(st valState, op token.Token, x, y ast.Expr) bool {
-	// nil comparisons drive nilness and the err-pair protocol.
-	if ip.isNilExpr(y) {
-		return ip.refineNil(st, op, x)
-	}
-	if ip.isNilExpr(x) {
-		return ip.refineNil(st, op, y)
-	}
-
 	// Overflow-guard idiom: after `if a > math.MaxInt64/b` failed, the pair
 	// (a, b) multiplies safely. Detect the normalized false-edge ops.
 	if op == token.LEQ {
@@ -1875,7 +1283,7 @@ func (ip *interp) refineCmp(st valState, op token.Token, x, y ast.Expr) bool {
 		ip.noteMulGuard(st, y, x)
 	}
 
-	// Numeric/len refinement, both directions.
+	// Numeric refinement, both directions.
 	ok1 := ip.refineNumeric(st, op, x, y)
 	ok2 := ip.refineNumeric(st, flipCmp(op), y, x)
 	return ok1 && ok2
@@ -1905,134 +1313,20 @@ func (ip *interp) noteMulGuard(st valState, a, quo ast.Expr) {
 	st.set(bo, bv)
 }
 
-// refineNil applies `e op nil`.
-func (ip *interp) refineNil(st valState, op token.Token, e ast.Expr) bool {
-	obj := ip.identTarget(e)
+// refineNumeric narrows a tracked target's interval with `target op other`.
+func (ip *interp) refineNumeric(st valState, op token.Token, target, other ast.Expr) bool {
+	obj := ip.identTarget(target)
 	if obj == nil {
 		return true
 	}
-	v, _ := st.get(obj)
-	var fact nilness
-	switch op {
-	case token.EQL:
-		fact = nilYes
-	case token.NEQ:
-		fact = nilNo
-	default:
-		return true
-	}
-	nl, ok := meetNil(v.nl, fact)
-	if !ok {
-		return false
-	}
-	v.nl = nl
-	st.set(obj, v)
-
-	// Err-pair protocol: refining the error result informs the siblings.
-	if v.flags&fErrObj != 0 && v.pair > 0 && int(v.pair) <= len(ip.pairByID) {
-		ip.refineErrSiblings(st, ip.pairByID[v.pair-1], v.pair, fact == nilNo)
-	}
-	return true
-}
-
-// refineErrSiblings taints or clears a call pair's non-error results when
-// the paired error is proven non-nil (errPath=true) or nil.
-func (ip *interp) refineErrSiblings(st valState, pair *callPair, id int32, errNonNil bool) {
-	for obj, v := range st {
-		if v.flags&fResultObj == 0 || v.pair != id {
-			continue
-		}
-		idx := int(v.res)
-		if errNonNil {
-			switch ip.va.nilOnErr(pair.callee, idx) {
-			case nilAlwaysW:
-				if nl, ok := meetNil(v.nl, nilYes); ok {
-					v.nl = nl
-				} else {
-					v.nl = nilYes // contradictory refinements: keep the taint
-				}
-				v.flags |= fErrPath
-			case nilSometimesW:
-				if v.nl != nilNo {
-					v.nl = nilMaybe
-					v.flags |= fErrPath
-				}
-			default:
-				// nilNeverW/nilUnknownW: the callee never returns nil here
-				// (or is unsummarized) — no taint.
-			}
-		} else {
-			switch ip.va.nilOnOK(pair.callee, idx) {
-			case nilNeverW:
-				if nl, ok := meetNil(v.nl, nilNo); ok {
-					v.nl = nl
-				}
-				v.flags &^= fErrPath
-			case nilAlwaysW:
-				if nl, ok := meetNil(v.nl, nilYes); ok {
-					v.nl = nl
-				}
-				v.flags &^= fErrPath
-			default:
-				v.flags &^= fErrPath // success path: error taint is gone
-			}
-		}
-		st.set(obj, v)
-	}
-}
-
-// refTarget describes a refinable left side: a tracked ident's value
-// interval, or the len interval of a tracked slice/map (via len(x)).
-type refTarget struct {
-	obj   types.Object
-	isLen bool
-}
-
-func (ip *interp) refTargetOf(e ast.Expr) (refTarget, bool) {
-	e = unparen(e)
-	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-			if b, isB := ip.info.Uses[id].(*types.Builtin); isB && b.Name() == "len" {
-				if obj := ip.identTarget(call.Args[0]); obj != nil {
-					switch obj.Type().Underlying().(type) {
-					case *types.Slice, *types.Map:
-						return refTarget{obj: obj, isLen: true}, true
-					}
-				}
-				return refTarget{}, false
-			}
-		}
-	}
-	if obj := ip.identTarget(e); obj != nil {
-		return refTarget{obj: obj}, true
-	}
-	return refTarget{}, false
-}
-
-// refineNumeric narrows target's interval with `target op other`.
-func (ip *interp) refineNumeric(st valState, op token.Token, target, other ast.Expr) bool {
-	rt, ok := ip.refTargetOf(target)
-	if !ok {
-		return true
-	}
-	otherV := ip.eval(st, other, false)
-	oiv := otherV.iv
-	if rt.isLen {
-		// len(x) compared against a length-shaped expression: when the other
-		// side is itself len(y) use its len interval... the eval above already
-		// produced the numeric interval for any expression, including len(y).
-	}
+	oiv := ip.eval(st, other, false).iv
 	if oiv.IsEmpty() {
 		return true
 	}
 
-	v, _ := st.get(rt.obj)
+	v, _ := st.get(obj)
 	cur := v.iv
-	isFloat := !rt.isLen && isFloatType(rt.obj.Type())
-	if rt.isLen {
-		cur = v.lenIv
-		isFloat = false
-	}
+	isFloat := isFloatType(obj.Type())
 
 	var cons Interval
 	pointOther := oiv.Lo == oiv.Hi && oiv.BoundedBelow() && oiv.BoundedAbove()
@@ -2083,30 +1377,15 @@ func (ip *interp) refineNumeric(st valState, op token.Token, target, other ast.E
 	zeroOther := pointOther && oiv.Lo == 0
 	switch {
 	case op == token.EQL && zeroOther:
-		v.flags |= fZeroPath
+		v.zeroPath = true
 	case !met.Contains(0),
 		zeroOther && op == token.NEQ,
 		isFloat && zeroOther && (op == token.GTR || op == token.LSS):
-		v.flags &^= fZeroPath
+		v.zeroPath = false
 	}
 
-	if rt.isLen {
-		v.lenIv = met.Meet(Interval{0, math.MaxInt64})
-		if v.lenIv.IsEmpty() {
-			return false
-		}
-		// A proven non-empty length implies a non-nil slice/map.
-		if v.lenIv.Lo > 0 {
-			nl, ok := meetNil(v.nl, nilNo)
-			if !ok {
-				return false
-			}
-			v.nl = nl
-		}
-	} else {
-		v.iv = met
-	}
-	st.set(rt.obj, v)
+	v.iv = met
+	st.set(obj, v)
 	return true
 }
 

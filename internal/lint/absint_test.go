@@ -99,45 +99,6 @@ func TestBranchSensitiveRefinement(t *testing.T) {
 	}
 }
 
-// TestErrPairSummary pins the interprocedural nilness classification: open
-// returns nil on every error path and non-nil on every ok path.
-func TestErrPairSummary(t *testing.T) {
-	va := loadValueFixture(t)
-	res := summaryOf(t, va, "open").Results[0]
-	if res.NilOnErr != nilAlwaysW {
-		t.Errorf("open's NilOnErr = %v, want always-nil", res.NilOnErr)
-	}
-	if res.NilOnOK != nilNeverW {
-		t.Errorf("open's NilOnOK = %v, want never-nil", res.NilOnOK)
-	}
-}
-
-// TestErrPathDerefSites pins branch-sensitive nilness at the use sites: the
-// error-branch dereference solves to provably nil, the ok-branch one to
-// non-nil.
-func TestErrPathDerefSites(t *testing.T) {
-	va := loadValueFixture(t)
-	fn := fnNode(t, va, "errPath")
-	sites := va.sites[fn]
-	if sites == nil || len(sites.derefs) != 2 {
-		t.Fatalf("errPath recorded %d deref sites, want 2", len(sites.derefs))
-	}
-	var sawNil, sawNonNil bool
-	for _, d := range sites.derefs {
-		switch d.v.nl {
-		case nilYes:
-			sawNil = true
-		case nilNo:
-			sawNonNil = true
-		default:
-			t.Errorf("deref of %s solved to nilness %d, want a definite answer", d.name, d.v.nl)
-		}
-	}
-	if !sawNil || !sawNonNil {
-		t.Errorf("err-path derefs: provably-nil=%v non-nil=%v, want both", sawNil, sawNonNil)
-	}
-}
-
 // TestMulGuardIdiom pins the guard recognition: the MaxInt64/b comparison
 // marks the product guarded on its true edge, and the bare product stays
 // unguarded.

@@ -49,7 +49,6 @@ type FuncNode struct {
 	Parent *FuncNode // enclosing function, for literals
 	Sum    *Summary
 
-	index int
 	calls []*FuncNode // outgoing edges, deduplicated, in resolution order
 }
 
@@ -97,9 +96,6 @@ func (g *CallGraph) FuncCFG(fn *FuncNode) *CFG {
 	return c
 }
 
-// NodeFor returns the graph node for a declared function or method, or nil.
-func (g *CallGraph) NodeFor(obj *types.Func) *FuncNode { return g.byObj[obj] }
-
 // pendingIface is an interface-method call awaiting CHA resolution.
 type pendingIface struct {
 	caller *FuncNode
@@ -107,9 +103,9 @@ type pendingIface struct {
 	evIdx  int // index of the EvCall event to patch with resolved targets
 }
 
-// callGraphs memoizes one graph per program so the three interprocedural
-// analyzers in a single Run share the construction work. Run executes
-// analyzers sequentially, so no locking is needed.
+// callGraphs memoizes one graph per program so every analyzer in a single
+// Run shares the construction work. Run executes analyzers sequentially, so
+// no locking is needed.
 var callGraphs = map[*Program]*CallGraph{}
 
 // programGraph returns the memoized call graph for prog.
@@ -221,7 +217,6 @@ func BuildCallGraph(prog *Program) *CallGraph {
 }
 
 func (g *CallGraph) addNode(n *FuncNode) {
-	n.index = len(g.Funcs)
 	n.Sum = &Summary{}
 	g.Funcs = append(g.Funcs, n)
 	if n.Lit != nil {
@@ -358,17 +353,6 @@ func (g *CallGraph) Closure(start *FuncNode) []*FuncNode {
 	}
 	visit(start)
 	return out
-}
-
-// ClosureAny reports whether any function in the closure of start satisfies
-// pred, returning the first witness in traversal order.
-func (g *CallGraph) ClosureAny(start *FuncNode, pred func(*FuncNode) bool) (*FuncNode, bool) {
-	for _, f := range g.Closure(start) {
-		if pred(f) {
-			return f, true
-		}
-	}
-	return nil, false
 }
 
 // propagate runs a worklist fixpoint: fact(f) starts as base(f) and becomes

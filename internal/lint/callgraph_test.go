@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -83,30 +82,5 @@ func TestCallGraphLiteralSpawn(t *testing.T) {
 
 	if callees := calleeNames(graphNode(t, g, "Deferred")); !containsName(callees, "Speak") {
 		t.Errorf("deferred call missing from Deferred's edges %v", callees)
-	}
-}
-
-// TestJSONDeterminism pins the -json contract: eight runs over the same
-// program must encode byte-identically — the ordering comes entirely from
-// the deterministic finding sort, never from map iteration.
-func TestJSONDeterminism(t *testing.T) {
-	prog := loadFixture(t, "lockorder/bad", "repro/internal/fixlockdet")
-	var first []byte
-	for i := 0; i < 8; i++ {
-		findings, _ := lint.Run(prog, lint.Analyzers(), lint.Options{})
-		var buf bytes.Buffer
-		if err := lint.EncodeJSON(&buf, findings); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = buf.Bytes()
-			if !bytes.Contains(first, []byte("lockorder")) {
-				t.Fatalf("expected lockorder findings in JSON output:\n%s", first)
-			}
-			continue
-		}
-		if !bytes.Equal(first, buf.Bytes()) {
-			t.Fatalf("run %d JSON differs:\nfirst:\n%s\nnow:\n%s", i, first, buf.Bytes())
-		}
 	}
 }

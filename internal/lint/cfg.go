@@ -1,7 +1,7 @@
 package lint
 
 // Intraprocedural control-flow graphs: the flow-sensitive substrate under
-// the dataflow rules (batchescape, blockingcancel, guardedfield). A CFG is
+// blockingcancel (loop marks) and the value solver behind overflow. A CFG is
 // built from a function body's AST alone — no type information — so the
 // builder also serves as a fuzz target over arbitrary parseable sources.
 //

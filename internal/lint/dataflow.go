@@ -1,192 +1,34 @@
 package lint
 
-// Forward dataflow solvers over the CFG. Facts are per-variable lattices
-// keyed on types.Object identity — the same identity discipline the call
-// graph uses, so a fact attached to a field's *types.Var composes with the
-// interprocedural summaries.
+// The forward dataflow solver over the CFG. Facts are per-variable abstract
+// values (absint.go) keyed on types.Object identity — the same identity
+// discipline the call graph uses, so a fact about a parameter composes
+// with the interprocedural summaries.
 //
-// Two lattice shapes cover the shipped rules:
-//
-//   - varFacts: a may-analysis bitset per object, joined by union
-//     (batchescape taint: "this variable MAY alias foreign batch storage");
-//   - lockSet: a must-analysis set, joined by intersection with an explicit
-//     top element for not-yet-visited blocks (guardedfield: "this mutex
-//     class is held on EVERY path reaching here").
-//
-// Both solvers iterate blocks in index order until fixpoint, which keeps
-// the result — and therefore finding order — deterministic. Iteration is
-// bounded defensively so a non-monotone transfer (or a pathological fuzz
-// input) terminates rather than spinning; the fuzz target asserts the bound
-// is never hit on parseable inputs.
-
-import "go/types"
-
-// varFacts maps a variable to a rule-defined bitset of may-facts.
-type varFacts map[types.Object]uint8
-
-func (f varFacts) clone() varFacts {
-	c := make(varFacts, len(f))
-	for k, v := range f {
-		c[k] = v
-	}
-	return c
-}
-
-// join unions o into f, reporting whether f changed.
-func (f varFacts) join(o varFacts) bool {
-	changed := false
-	for k, v := range o {
-		if f[k]|v != f[k] {
-			f[k] |= v
-			changed = true
-		}
-	}
-	return changed
-}
-
-func factsEqual(a, b varFacts) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// solveForwardMay runs a forward may-analysis to fixpoint and returns the
-// in-state of every block, indexed by CFGBlock.Index. transfer receives a
-// private copy of the in-state and returns the out-state; it must not
-// retain either map. entry seeds Blocks[0].
-func solveForwardMay(c *CFG, entry varFacts, transfer func(b *CFGBlock, in varFacts) varFacts) []varFacts {
-	in := make([]varFacts, len(c.Blocks))
-	out := make([]varFacts, len(c.Blocks))
-	for i := range in {
-		in[i] = varFacts{}
-	}
-	in[0] = entry.clone()
-	for round := 0; round < solverMaxRounds(c); round++ {
-		changed := false
-		for _, b := range c.Blocks {
-			newOut := transfer(b, in[b.Index].clone())
-			if !factsEqual(out[b.Index], newOut) {
-				out[b.Index] = newOut
-				changed = true
-			}
-			for _, s := range b.Succs {
-				if in[s.Index].join(newOut) {
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return in
-}
-
-// lockSet is a must-analysis fact: the set of lock classes held on every
-// path. A nil lockSet is the lattice top ("unvisited"); an empty non-nil
-// set means "nothing provably held".
-type lockSet map[types.Object]bool
-
-func (s lockSet) clone() lockSet {
-	if s == nil {
-		return nil
-	}
-	c := make(lockSet, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-// meet intersects b into a, treating nil as top. Returns the met set and
-// whether it differs from a.
-func (a lockSet) meet(b lockSet) (lockSet, bool) {
-	if a == nil {
-		return b.clone(), b != nil
-	}
-	changed := false
-	for k := range a {
-		if !b[k] {
-			delete(a, k)
-			changed = true
-		}
-	}
-	return a, changed
-}
-
-func lockSetsEqual(a, b lockSet) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// solveForwardMust runs a forward must-analysis (meet = intersection) and
-// returns per-block in-states. Unreachable blocks keep a nil (top) in-state;
-// callers treat top as "no facts" when replaying them.
-func solveForwardMust(c *CFG, transfer func(b *CFGBlock, in lockSet) lockSet) []lockSet {
-	in := make([]lockSet, len(c.Blocks))
-	out := make([]lockSet, len(c.Blocks))
-	in[0] = lockSet{}
-	for round := 0; round < solverMaxRounds(c); round++ {
-		changed := false
-		for _, b := range c.Blocks {
-			src := in[b.Index]
-			if src == nil {
-				src = lockSet{} // replay unreachable blocks with no facts
-			}
-			newOut := transfer(b, src.clone())
-			if !lockSetsEqual(out[b.Index], newOut) {
-				out[b.Index] = newOut
-				changed = true
-			}
-			for _, s := range b.Succs {
-				met, ch := in[s.Index].meet(newOut)
-				in[s.Index] = met
-				if ch {
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return in
-}
-
-// solverMaxRounds bounds fixpoint iteration: facts per block change at most
-// once per bit/element, so blocks+bits rounds suffice for monotone
-// transfers; the slack absorbs join/meet interleaving.
-func solverMaxRounds(c *CFG) int {
-	return 2*len(c.Blocks) + 16
-}
-
-// --- branch-sensitive value solver --------------------------------------
-//
-// The third solver shape carries the abstract-interpretation value states
-// (absint.go) and differs from the may/must solvers in two ways:
+// The solver differs from a plain worklist in two ways:
 //
 //   - edges are labeled: a block ending in a Branch condition propagates a
 //     REFINED copy of its out-state along the true and false edges, so
-//     `if err != nil` narrows nilness and `x > 0` narrows intervals per
-//     successor. A refinement that proves an edge infeasible (the condition
-//     contradicts the state) simply does not propagate — the successor may
-//     end up unreachable, which callers observe as a nil in-state.
+//     `x > 0` narrows intervals per successor. A refinement that proves an
+//     edge infeasible (the condition contradicts the state) simply does not
+//     propagate — the successor may end up unreachable, which callers
+//     observe as a nil in-state.
 //   - loop heads widen: after widenAfterJoins in-state changes at a block
 //     with a back edge, joins jump moving interval bounds to ±∞ so counter
 //     chains converge in O(1) further rounds instead of one per value.
+//
+// Blocks are visited in index order until fixpoint, which keeps the result
+// — and therefore finding order — deterministic. Iteration is bounded
+// defensively so a non-monotone transfer (or a pathological fuzz input)
+// terminates rather than spinning; the fuzz target asserts the bound holds
+// on parseable inputs.
+
+// solverMaxRounds bounds fixpoint iteration: widening caps how often a loop
+// head's in-state can change, so two rounds per block suffice for monotone
+// transfers; the slack absorbs the first precise joins before widening.
+func solverMaxRounds(c *CFG) int {
+	return 2*len(c.Blocks) + 16
+}
 
 // edgeKind labels one CFG edge for the refinement hook.
 type edgeKind uint8

@@ -40,9 +40,6 @@ func ConstInterval(c int64) Interval { return Interval{c, c} }
 // IsEmpty reports the empty (infeasible) interval.
 func (iv Interval) IsEmpty() bool { return iv.Lo > iv.Hi }
 
-// IsFull reports the top interval.
-func (iv Interval) IsFull() bool { return iv.Lo == math.MinInt64 && iv.Hi == math.MaxInt64 }
-
 // Contains reports whether c may be a value of iv.
 func (iv Interval) Contains(c int64) bool { return iv.Lo <= c && c <= iv.Hi }
 

@@ -22,8 +22,8 @@ func (f Finding) String() string {
 }
 
 // Analyzer is one named rule. Run is invoked once per Program (not per
-// package) so rules that need whole-program views — atomic-consistency
-// tracks every access to a field across all packages — get them for free.
+// package) so rules that need whole-program views — the call graph the
+// interprocedural rules share — get them for free.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -40,28 +40,23 @@ const AllowRule = "allow"
 
 const allowPrefix = "//poplint:allow"
 
-// Analyzers returns the full POP suite in reporting order: the four
+// Analyzers returns the full POP suite in reporting order: the three
 // intra-procedural rules from the original suite, the doc-comment gate,
-// the four interprocedural rules built on the call graph, the three
-// dataflow rules built on the CFG layer, and the four value rules built on
-// the abstract-interpretation layer (absint.go/summaryval.go).
+// the four interprocedural rules built on the call graph, the CFG rule
+// blockingcancel, the interval rule overflow (absint.go/summaryval.go),
+// and the enum-switch rule.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		MapOrderAnalyzer,
 		DroppedErrorAnalyzer,
-		AtomicAnalyzer,
 		DocCommentAnalyzer,
 		GoroutineLeakAnalyzer,
 		LockOrderAnalyzer,
 		ChargeFlowAnalyzer,
 		PoolLeakAnalyzer,
-		BatchEscapeAnalyzer,
 		BlockingCancelAnalyzer,
-		GuardedFieldAnalyzer,
 		OverflowAnalyzer,
-		NilGuardAnalyzer,
-		RangeInvariantAnalyzer,
 		ExhaustiveAnalyzer,
 	}
 }
@@ -69,9 +64,9 @@ func Analyzers() []*Analyzer {
 // Options configures a lint run.
 type Options struct {
 	// DisableAllow ignores every //poplint:allow annotation, reporting the
-	// findings they would have suppressed. The self-gate test uses this to
-	// prove annotations are load-bearing: the executor wall-clock exemption
-	// must resurface when suppression is off.
+	// findings they would have suppressed. The suppression tests use this to
+	// prove annotations are load-bearing: a suppressed site must resurface
+	// when suppression is off.
 	DisableAllow bool
 }
 

@@ -71,7 +71,7 @@ func runOverflow(prog *Program, report ReportFunc) {
 			for _, s := range sites.divs {
 				dv := s.dv
 				provenZero := !dv.iv.IsEmpty() && dv.iv.Lo == 0 && dv.iv.Hi == 0
-				zeroPath := dv.flags&fZeroPath != 0 && dv.iv.Contains(0)
+				zeroPath := dv.zeroPath && dv.iv.Contains(0)
 				if !provenZero && !zeroPath {
 					continue
 				}

@@ -1,10 +1,9 @@
 package lint
 
 // Interprocedural composition of the value layer. Each declared function
-// gets a ValueSummary — per-result interval, nilness, len, identity-param
-// forwarding, and "is this result nil when the trailing error is (non-)nil"
-// facts — built from its solved return states and consumed by callers'
-// abstract interpreters (absint.go) at statically resolved call sites.
+// gets a ValueSummary — per-result interval and identity-param forwarding —
+// built from its solved return states and consumed by callers' abstract
+// interpreters (absint.go) at statically resolved call sites.
 //
 // The analysis runs in three phases over the §10 call graph's canonical
 // function order (sortedFuncs — position-sorted, so results and therefore
@@ -21,11 +20,10 @@ package lint
 //     (bounded; summaries only feed result values, so a stale round loses
 //     precision, never soundness).
 //  3. Site collection: one final solve+replay per function with the site
-//     hooks armed, producing the mulAdd/div/deref/range/index site lists
-//     the overflow, nilguard and rangeinvariant rules walk.
+//     hooks armed, producing the mulAdd/div site lists the overflow rule
+//     walks.
 //
-// programValues memoizes per Program, mirroring programGraph: the three
-// value rules share one analysis pass.
+// programValues memoizes per Program, mirroring programGraph.
 
 import (
 	"go/ast"
@@ -33,25 +31,10 @@ import (
 	"go/types"
 )
 
-// nilWhen is a conditional nilness fact: what a call result is known to be
-// on the error (or success) path of its callee.
-type nilWhen uint8
-
-const (
-	nilUnknownW   nilWhen = iota // no returns classified for this path
-	nilNeverW                    // result proven non-nil on every such return
-	nilSometimesW                // result nil on some, non-nil on other returns
-	nilAlwaysW                   // result proven nil on every such return
-)
-
 // ResultFact summarizes one result position of a function.
 type ResultFact struct {
-	IV       Interval // join of the result's intervals over all returns
-	Nil      nilness  // join of the result's nilness over all returns
-	Len      Interval // join of the result's len intervals (slices/maps)
-	NilOnErr nilWhen  // result nilness when the trailing error is non-nil
-	NilOnOK  nilWhen  // result nilness when the trailing error is nil
-	Param    int      // parameter returned verbatim by every return, or -1
+	IV    Interval // join of the result's intervals over all returns
+	Param int      // parameter returned verbatim by every return, or -1
 }
 
 // ValueSummary is a function's param→result value transfer.
@@ -80,8 +63,7 @@ func summariesEqual(a, b *ValueSummary) bool {
 // valueAnalysis is the module-wide value layer: summaries, sink parameters
 // and per-function site lists, built once per Program.
 type valueAnalysis struct {
-	prog *Program
-	g    *CallGraph
+	g *CallGraph
 
 	sinkParams   map[*types.Func][]bool
 	sinkObjsByFn map[*FuncNode]map[types.Object]bool
@@ -100,7 +82,6 @@ func programValues(prog *Program) *valueAnalysis {
 		return va
 	}
 	va := &valueAnalysis{
-		prog:         prog,
 		g:            programGraph(prog),
 		sinkParams:   map[*types.Func][]bool{},
 		sinkObjsByFn: map[*FuncNode]map[types.Object]bool{},
@@ -178,102 +159,29 @@ func (va *valueAnalysis) analyzeFn(ip *interp, collectSites bool) (*ValueSummary
 // buildSummary folds a function's evaluated return sites into per-result
 // facts.
 func buildSummary(sig *types.Signature, rets []returnFact) *ValueSummary {
-	n := sig.Results().Len()
-	sum := &ValueSummary{Results: make([]ResultFact, n)}
+	sum := &ValueSummary{Results: make([]ResultFact, sig.Results().Len())}
 	for i := range sum.Results {
-		sum.Results[i] = ResultFact{IV: FullInterval(), Nil: nilUnknown, Len: FullInterval(), Param: -1}
-	}
-	if n == 0 || len(rets) == 0 {
-		return sum
-	}
-	errLast := isErrorType(sig.Results().At(n - 1).Type())
-	for i := 0; i < n; i++ {
-		iv, lenIv := EmptyInterval(), EmptyInterval()
-		nl := nilness(0)
-		first := true
-		param := -2
-		var errNils, okNils []nilness
+		iv, param := EmptyInterval(), -2
 		for _, r := range rets {
-			v := r.vals[i]
-			iv = iv.Join(v.iv)
-			lenIv = lenIv.Join(v.lenIv)
-			if first {
-				nl = v.nl
-				first = false
-			} else {
-				nl = joinNil(nl, v.nl)
-			}
+			iv = iv.Join(r.vals[i].iv)
 			switch {
 			case param == -2:
 				param = r.params[i]
 			case param != r.params[i]:
 				param = -1
 			}
-			if errLast && i < n-1 {
-				// Classify this return by the trailing error's nilness:
-				// proven non-nil → error path, proven nil → success path,
-				// unknown → counts toward both (degrades to sometimes).
-				switch r.vals[n-1].nl {
-				case nilNo:
-					errNils = append(errNils, v.nl)
-				case nilYes:
-					okNils = append(okNils, v.nl)
-				default:
-					errNils = append(errNils, v.nl)
-					okNils = append(okNils, v.nl)
-				}
-			}
 		}
-		if param == -2 {
+		// No return sites, or variadic identity forwarding (positionally
+		// unreliable): no forwarding fact.
+		if param == -2 || (param >= 0 && sig.Variadic() && param >= sig.Params().Len()-1) {
 			param = -1
 		}
-		// Variadic identity forwarding is positionally unreliable; drop it.
-		if param >= 0 && sig.Variadic() && param >= sig.Params().Len()-1 {
-			param = -1
+		if iv.IsEmpty() {
+			iv = FullInterval()
 		}
-		f := &sum.Results[i]
-		f.IV, f.Len, f.Nil, f.Param = iv, lenIv, nl, param
-		if f.IV.IsEmpty() {
-			f.IV = FullInterval()
-		}
-		if f.Len.IsEmpty() {
-			f.Len = FullInterval()
-		}
-		f.NilOnErr = classifyNil(errNils)
-		f.NilOnOK = classifyNil(okNils)
+		sum.Results[i] = ResultFact{IV: iv, Param: param}
 	}
 	return sum
-}
-
-// classifyNil folds per-return nilness observations into a nilWhen fact.
-// "always"/"never" require agreement with no unknowns; positive nil
-// evidence anywhere degrades to "sometimes".
-func classifyNil(obs []nilness) nilWhen {
-	if len(obs) == 0 {
-		return nilUnknownW
-	}
-	var yes, no, maybe, unk int
-	for _, o := range obs {
-		switch o {
-		case nilYes:
-			yes++
-		case nilNo:
-			no++
-		case nilMaybe:
-			maybe++
-		default:
-			unk++
-		}
-	}
-	switch {
-	case yes == len(obs):
-		return nilAlwaysW
-	case no == len(obs):
-		return nilNeverW
-	case yes > 0 || maybe > 0:
-		return nilSometimesW
-	}
-	return nilUnknownW
 }
 
 // --- summary consumption (called from absint's evalCall) -----------------
@@ -293,37 +201,14 @@ func (va *valueAnalysis) resultVal(callee *types.Func, i int, rt types.Type, cal
 		av := argVals[f.Param]
 		if met := av.iv.Meet(v.iv); !met.IsEmpty() {
 			v.iv = met
-			v.flags |= av.flags & fZeroPath
+			v.zeroPath = av.zeroPath
 		}
-		v.nl = av.nl
-		v.lenIv = av.lenIv
 		return v
 	}
 	if met := f.IV.Meet(v.iv); !met.IsEmpty() {
 		v.iv = met
 	}
-	if f.Nil != nilUnknown {
-		v.nl = f.Nil
-	}
-	v.lenIv = f.Len
 	return v
-}
-
-// nilOnErr reports what result i of callee is when its trailing error is
-// non-nil; nilUnknownW for unsummarized (stdlib, interface) callees.
-func (va *valueAnalysis) nilOnErr(callee *types.Func, i int) nilWhen {
-	if sum := va.summaries[callee]; sum != nil && i < len(sum.Results) {
-		return sum.Results[i].NilOnErr
-	}
-	return nilUnknownW
-}
-
-// nilOnOK reports what result i of callee is when its trailing error is nil.
-func (va *valueAnalysis) nilOnOK(callee *types.Func, i int) nilWhen {
-	if sum := va.summaries[callee]; sum != nil && i < len(sum.Results) {
-		return sum.Results[i].NilOnOK
-	}
-	return nilUnknownW
 }
 
 // --- tick-sink fixpoint --------------------------------------------------

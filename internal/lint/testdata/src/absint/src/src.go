@@ -1,14 +1,11 @@
 // Package absintfix exercises the abstract-interpretation value layer for
 // the white-box tests: if/else joins, loop widening, select-clause edges,
-// branch-sensitive refinement, err-pair nilness and the MaxInt64/b guard
-// idiom. Each function isolates one behavior the tests assert on through
-// the computed summaries and replay sites.
+// branch-sensitive refinement and the MaxInt64/b guard idiom. Each function
+// isolates one behavior the tests assert on through the computed summaries
+// and replay sites.
 package absintfix
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // joinRange merges two branch constants: the summary interval is [2, 3].
 func joinRange(b bool) int {
@@ -53,29 +50,6 @@ func clamp(n int) int {
 		return 100
 	}
 	return n
-}
-
-type box struct {
-	v int
-}
-
-// open returns a nil box with every non-nil error — the err-pair protocol
-// the summaries classify (NilOnErr always, NilOnOK never).
-func open(ok bool) (*box, error) {
-	if !ok {
-		return nil, errors.New("no")
-	}
-	return &box{v: 1}, nil
-}
-
-// errPath dereferences on both sides of the error check: the error-branch
-// site must solve to provably-nil, the ok-branch site to non-nil.
-func errPath(ok bool) int {
-	b, err := open(ok)
-	if err != nil {
-		return b.v
-	}
-	return b.v
 }
 
 // guarded multiplies under the MaxInt64/b guard idiom: the site's guard

@@ -1,4 +1,4 @@
-// Package fixallowval pins //poplint:allow coverage for the value rules:
+// Package fixallowval pins //poplint:allow coverage for the value rule:
 // each annotated site must be suppressed with annotations honored and
 // resurface with suppression disabled, and the unannotated twin must keep
 // firing either way.

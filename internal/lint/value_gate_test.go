@@ -1,55 +1,16 @@
 package lint_test
 
 import (
-	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
 )
 
-// TestJSONDeterminismValueRules extends the eight-run byte-identity pin to
-// the abstract-interpretation rules: the worklist solver, the summary
-// fixpoint, and the site collection must order findings entirely through
-// the deterministic sort, never through map iteration.
-func TestJSONDeterminismValueRules(t *testing.T) {
-	fixtures := []struct {
-		dir    string
-		asPath string
-		rule   string
-	}{
-		{"overflow/bad", "repro/internal/optimizer/fixovf", "overflow"},
-		{"nilguard/bad", "repro/internal/fixnil", "nilguard"},
-		{"rangeinvariant/bad", "repro/internal/fixrange", "rangeinvariant"},
-		{"exhaustive/bad", "repro/internal/fixexh", "exhaustive"},
-	}
-	for _, fx := range fixtures {
-		prog := loadFixture(t, fx.dir, fx.asPath)
-		var first []byte
-		for i := 0; i < 8; i++ {
-			findings, _ := lint.Run(prog, lint.Analyzers(), lint.Options{})
-			var buf bytes.Buffer
-			if err := lint.EncodeJSON(&buf, findings); err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				first = buf.Bytes()
-				if !bytes.Contains(first, []byte(fx.rule)) {
-					t.Fatalf("%s: expected %s findings in JSON output:\n%s", fx.dir, fx.rule, first)
-				}
-				continue
-			}
-			if !bytes.Equal(first, buf.Bytes()) {
-				t.Fatalf("%s: run %d JSON differs:\nfirst:\n%s\nnow:\n%s", fx.dir, i, first, buf.Bytes())
-			}
-		}
-	}
-}
-
-// TestValueRuleAllowIsLoadBearing pins suppression for the value rules the
-// way TestDataflowAllowsAreLoadBearing does for the CFG rules: an annotated
-// overflow site disappears from findings, shows up among the suppressed,
-// and resurfaces with suppression disabled — while the unannotated twin
-// fires throughout.
+// TestValueRuleAllowIsLoadBearing pins suppression for the interprocedural
+// value rule: an annotated overflow site disappears from findings, shows up
+// among the suppressed, and resurfaces with suppression disabled — while
+// the unannotated twin fires throughout.
 func TestValueRuleAllowIsLoadBearing(t *testing.T) {
 	prog := loadFixture(t, "allowvalue/src", "repro/internal/fixallowval")
 
@@ -95,4 +56,13 @@ func TestRuleCounts(t *testing.T) {
 			t.Errorf("rule counts not sorted by rule name: %+v", counts)
 		}
 	}
+}
+
+func hasRuleFinding(fs []lint.Finding, rule, file string) bool {
+	for _, f := range fs {
+		if f.Rule == rule && strings.HasSuffix(f.Pos.Filename, file) {
+			return true
+		}
+	}
+	return false
 }
