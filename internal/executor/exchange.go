@@ -386,12 +386,6 @@ func (n *gatherNode) Close() error {
 	return n.drainErr
 }
 
-// buildEntry is one hashed build row routed to a partition.
-type buildEntry struct {
-	row  schema.Row
-	hash uint64
-}
-
 // parallelHSJNNode is the partitioned hash join: DOP workers drain morsel
 // stripes of the build input and route rows to hash partitions by key hash;
 // DOP workers then build one hash table per partition; DOP probe workers
@@ -414,7 +408,7 @@ type parallelHSJNNode struct {
 	probeMeters, buildMeters []*Meter
 	probeStub, buildStub     *exchangeStub
 
-	parts      []map[uint64][]schema.Row
+	parts      []joinTable // partition p holds the build rows whose key hash is p mod dop
 	buildRows  []schema.Row
 	buildDone  bool
 	spillExtra float64
@@ -434,6 +428,10 @@ type parallelHSJNNode struct {
 	probes   bool // probe workers launched (ch live)
 	surfaced bool // an error was already returned from Next
 	drainErr error
+	// final holds an end-of-stream lower-bound violation: it reaches the
+	// consumer once every probe worker has exited, behind the rows the
+	// siblings joined before it.
+	final atomic.Pointer[error]
 
 	held   *Batch // last delivered transfer batch, recycled on the next pull
 	exRowT int64  // pre-scaled per-row exchange charge
@@ -518,13 +516,15 @@ func (n *parallelHSJNNode) Open() error {
 	}
 
 	// Phase 1: partitioned build. Each worker drains its morsel stripe into
-	// per-worker, per-partition buffers — no locks on the hot path.
-	bufs := make([][][]buildEntry, n.dop)
+	// per-partition, per-worker buffers — no locks on the hot path.
+	bufs := make([][][]schema.Row, n.dop)
+	for p := range bufs {
+		bufs[p] = make([][]schema.Row, n.dop)
+	}
 	all := make([][]schema.Row, n.dop)
 	errs := make([]error, n.dop)
 	var wg sync.WaitGroup
 	for w := 0; w < n.dop; w++ {
-		bufs[w] = make([][]buildEntry, n.dop)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -534,7 +534,7 @@ func (n *parallelHSJNNode) Open() error {
 				n.buildMeters[w].drain(n.ex.Meter)
 				n.ex.workerEvent(trace.WorkerDrain, "build", w, n.dop, n.buildClones[w].Stats().RowsOut, work)
 			}()
-			errs[w] = n.runBuildWorker(w, bufs[w], &all[w])
+			errs[w] = n.runBuildWorker(w, bufs, &all[w])
 		}(w)
 	}
 	wg.Wait()
@@ -558,41 +558,18 @@ func (n *parallelHSJNNode) Open() error {
 	n.buildStub.stats.RowsOut = float64(total)
 	n.buildStub.stats.Done = true
 
-	// Phase 2: one hash table per partition, built in parallel.
-	n.parts = make([]map[uint64][]schema.Row, n.dop)
+	// Phase 2: one hash table per partition, built in parallel from the
+	// workers' buffers in worker order.
+	n.parts = make([]joinTable, n.dop)
 	for p := 0; p < n.dop; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			cnt := 0
-			for w := 0; w < n.dop; w++ {
-				cnt += len(bufs[w][p])
-			}
-			table := make(map[uint64][]schema.Row, cnt)
-			for w := 0; w < n.dop; w++ {
-				for _, e := range bufs[w][p] {
-					table[e.hash] = append(table[e.hash], e.row)
-				}
-			}
-			n.parts[p] = table
+			n.parts[p].build(n.ex, n.buildKeys, bufs[p]...)
 		}(p)
 	}
 	wg.Wait()
-
-	// Grace-hash staging charge, identical to the serial join's.
-	buildRows := float64(total)
-	width := float64(len(n.plan.Children[1].Cols)) * 12
-	stages := 1.0
-	if pr.MemoryBytes > 0 {
-		for buildRows*width > stages*pr.MemoryBytes {
-			stages++
-		}
-	}
-	if stages > 1 {
-		n.charge(n.ex, (stages-1)*buildRows*pr.SpillRow)
-		n.spillExtra = (stages - 1) * pr.SpillRow
-		n.stats.Spilled = true
-	}
+	n.spillExtra = n.stageBuild(n.ex, total)
 
 	// Phase 3: concurrent probe.
 	n.ch = make(chan rowMsg, n.dop*exchangeBuffer)
@@ -622,14 +599,14 @@ func (n *parallelHSJNNode) Open() error {
 // openInline is the zero-grant Open: build and probe both run at dop 1 on
 // the consumer's goroutine. The build reuses runBuildWorker synchronously
 // (it closes its own clone and drains into the worker meter, which is
-// drained here), the single partition table is assembled in place, and the
-// grace-staging charge is computed by the same formula as the concurrent
-// path — so the simulated work total is bit-identical to every other DOP.
+// drained here) without routing, the single partition table is built from
+// the retained rows as the serial join builds its own, and the staging
+// charge is the concurrent path's — so the simulated work total is
+// bit-identical to every other DOP.
 func (n *parallelHSJNNode) openInline() error {
 	pr := &n.ex.Cost
-	bufs := make([][]buildEntry, 1)
 	var all []schema.Row
-	err := n.runBuildWorker(0, bufs, &all)
+	err := n.runBuildWorker(0, nil, &all)
 	n.buildMeters[0].drain(n.ex.Meter)
 	if err != nil {
 		return err
@@ -639,25 +616,9 @@ func (n *parallelHSJNNode) openInline() error {
 	n.buildStub.stats.RowsOut = float64(len(all))
 	n.buildStub.stats.Done = true
 
-	table := make(map[uint64][]schema.Row, len(bufs[0]))
-	for _, e := range bufs[0] {
-		table[e.hash] = append(table[e.hash], e.row)
-	}
-	n.parts = []map[uint64][]schema.Row{table}
-
-	buildRows := float64(len(all))
-	width := float64(len(n.plan.Children[1].Cols)) * 12
-	stages := 1.0
-	if pr.MemoryBytes > 0 {
-		for buildRows*width > stages*pr.MemoryBytes {
-			stages++
-		}
-	}
-	if stages > 1 {
-		n.charge(n.ex, (stages-1)*buildRows*pr.SpillRow)
-		n.spillExtra = (stages - 1) * pr.SpillRow
-		n.stats.Spilled = true
-	}
+	n.parts = make([]joinTable, 1)
+	n.parts[0].build(n.ex, n.buildKeys, all)
+	n.spillExtra = n.stageBuild(n.ex, len(all))
 
 	n.probeT = Ticks(pr.ExchangeRow + pr.HashProbeRow + n.spillExtra)
 	n.outT = Ticks(pr.OutputRow)
@@ -740,11 +701,11 @@ func (n *parallelHSJNNode) inlineNextBatch() (*Batch, error) {
 		for n.inRowIdx < n.inBatch.Len() {
 			row := n.inBatch.Rows[n.inRowIdx]
 			n.inRowIdx++
-			h, keyed := hashKeyAt(row, n.probeKeys)
+			h, keyed := n.ex.keyHash(row, n.probeKeys, false)
 			if !keyed {
 				continue
 			}
-			for _, br := range n.parts[0][h] {
+			for _, br := range n.parts[0].bucket(h) {
 				if !keysEqual(row, n.probeKeys, br, n.buildKeys) {
 					continue
 				}
@@ -780,10 +741,10 @@ func (n *parallelHSJNNode) closeInline() error {
 }
 
 // runBuildWorker drains one build stripe, retaining rows and routing keyed
-// rows into partition buffers. On error it cancels sibling workers. Each
-// batch's rows are retained (cloned when ephemeral) and then routed, with one
-// meter operation per batch.
-func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][]buildEntry, all *[]schema.Row) error {
+// rows into its buffers bufs[partition][w] (none when bufs is nil). On error
+// it cancels sibling workers. Each batch's rows are retained (cloned when
+// ephemeral) and then routed, with one meter operation per batch.
+func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][][]schema.Row, all *[]schema.Row) error {
 	clone := n.buildClones[w]
 	pr := &n.ex.Cost
 	meter := n.buildMeters[w]
@@ -791,10 +752,13 @@ func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][]buildEntry, all *[]sch
 	var awT int64 // loop ticks attributed to the join node in analyze mode
 	defer func() { n.addAnalyzeTicks(awT) }()
 	route := func(rows []schema.Row) {
+		if bufs == nil {
+			return
+		}
 		for _, row := range rows {
-			if h, keyed := hashKeyAt(row, n.buildKeys); keyed {
+			if h, keyed := n.ex.keyHash(row, n.buildKeys, false); keyed {
 				p := int(h % uint64(n.dop))
-				bufs[p] = append(bufs[p], buildEntry{row: row, hash: h})
+				bufs[p][w] = append(bufs[p][w], row)
 			}
 		}
 	}
@@ -847,13 +811,20 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 	var awT int64 // loop ticks attributed to the join node in analyze mode
 	defer func() { n.addAnalyzeTicks(awT) }()
 	err := clone.Open()
-	if err == nil {
+	streamed := err == nil
+	if streamed {
 		err = n.probeLoop(clone, meter, probeT, outT, &awT)
 	}
 	if cerr := clone.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
+	if cv, ok := err.(*CheckViolation); ok && cv.Exact && streamed {
+		// The lower bound fires in the last worker to reach end of stream,
+		// when every sibling has ended too but may not yet have flushed its
+		// last joined rows: the consumer sees it after the channel closes.
+		// An exact violation from Open is no end of stream and goes below.
+		n.final.CompareAndSwap(nil, &err)
+	} else if err != nil {
 		// Deliver the error before cancelling the siblings: the consumer (or
 		// an abort in progress) always drains the channel until the closer
 		// goroutine closes it, so a blocking send cannot deadlock — whereas
@@ -861,6 +832,9 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 		// channel and could drop the violation.
 		n.ch <- rowMsg{err: err} //poplint:allow blockingcancel deliberate: deliver the error before cancel; the consumer drains until close, so this cannot wedge (see comment above)
 		n.cancel()
+	}
+	if err != nil && n.ex.endHold != nil {
+		n.ex.endHold(err)
 	}
 }
 
@@ -896,6 +870,9 @@ func (n *parallelHSJNNode) probeLoop(clone Node, meter *Meter, probeT, outT int6
 		}
 		b, err := clone.NextBatch(0)
 		if err != nil || b == nil {
+			if err == nil && n.ex.endHold != nil {
+				n.ex.endHold(nil)
+			}
 			flush() // rows joined before the end, or the error, reach the consumer first
 			return err
 		}
@@ -913,11 +890,11 @@ func (n *parallelHSJNNode) probeLoop(clone Node, meter *Meter, probeT, outT int6
 			}
 		}
 		for _, row := range b.Rows {
-			h, keyed := hashKeyAt(row, n.probeKeys)
+			h, keyed := n.ex.keyHash(row, n.probeKeys, false)
 			if !keyed {
 				continue
 			}
-			for _, br := range n.parts[h%uint64(n.dop)][h] {
+			for _, br := range n.parts[h%uint64(n.dop)].bucket(h) {
 				if !keysEqual(row, n.probeKeys, br, n.buildKeys) {
 					continue
 				}
@@ -943,9 +920,9 @@ func (n *parallelHSJNNode) probeLoop(clone Node, meter *Meter, probeT, outT int6
 }
 
 // NextBatch surfaces probe-worker transfer batches in arrival order,
-// charging ExchangeRow per logical row. max is advisory, exactly as for
-// gatherNode.NextBatch; the previously delivered batch is recycled on the
-// next pull.
+// charging ExchangeRow per logical row, and then a held end-of-stream
+// violation. max is advisory, exactly as for gatherNode.NextBatch; the
+// previously delivered batch is recycled on the next pull.
 func (n *parallelHSJNNode) NextBatch(max int) (*Batch, error) {
 	if n.inline {
 		return n.inlineNextBatch()
@@ -956,6 +933,10 @@ func (n *parallelHSJNNode) NextBatch(max int) (*Batch, error) {
 	}
 	msg, ok := <-n.ch
 	if !ok {
+		if v := n.final.Swap(nil); v != nil {
+			n.surfaced = true
+			return nil, *v
+		}
 		n.stats.Done = true
 		return nil, nil
 	}

@@ -1,0 +1,180 @@
+package executor
+
+import (
+	"math/bits"
+
+	"repro/internal/schema"
+	"repro/internal/types"
+)
+
+// hashTable is the one hash table of the executor, under the hash join, the
+// partitioned hash join and hash aggregation: open addressing with linear
+// probing over 64-bit key hashes. A slot holds the index of a dense entry,
+// and entries are numbered in insertion order. What an entry is belongs to
+// the user — a join bucket, an aggregation group — and several entries may
+// carry one hash: the user tells them apart by key.
+type hashTable struct {
+	slots  []int32  // entry index + 1 per slot, 0 when empty; a power of two long
+	hashes []uint64 // entry e's hash
+	shift  uint     // 64 - log2(len(slots))
+}
+
+// reset empties the table and sizes it for hint entries.
+func (t *hashTable) reset(hint int) {
+	size := 8
+	for size < 2*hint {
+		size <<= 1
+	}
+	t.hashes = make([]uint64, 0, hint)
+	t.rehash(size)
+}
+
+// rehash re-seats every entry in size slots, a power of two.
+func (t *hashTable) rehash(size int) {
+	t.slots, t.shift = make([]int32, size), uint(64-bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for e, h := range t.hashes {
+		p := t.home(h)
+		for t.slots[p] != 0 {
+			p = (p + 1) & mask
+		}
+		t.slots[p] = int32(e + 1)
+	}
+}
+
+// home is the first slot of h's probe sequence. The multiplicative mix reads
+// every bit of h, so hashes that agree in their low bits still spread.
+func (t *hashTable) home(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> t.shift) }
+
+// next returns the next entry with hash h on the probe sequence from *pos and
+// moves *pos past it. At the first empty slot it returns -1 and leaves *pos
+// on that slot, which is where insert puts a new entry.
+func (t *hashTable) next(h uint64, pos *int) int {
+	mask := len(t.slots) - 1
+	for {
+		s := t.slots[*pos]
+		if s == 0 {
+			return -1
+		}
+		*pos = (*pos + 1) & mask
+		if t.hashes[s-1] == h {
+			return int(s - 1)
+		}
+	}
+}
+
+// find returns the first entry with hash h, or -1.
+func (t *hashTable) find(h uint64) int {
+	pos := t.home(h)
+	return t.next(h, &pos)
+}
+
+// insert adds an entry with hash h at pos, the empty slot next stopped on,
+// and returns its index. The slots double once half of them are used.
+func (t *hashTable) insert(h uint64, pos int) int {
+	e := len(t.hashes)
+	t.hashes = append(t.hashes, h)
+	t.slots[pos] = int32(e + 1)
+	if 2*len(t.hashes) > len(t.slots) {
+		t.rehash(2 * len(t.slots))
+	}
+	return e
+}
+
+// keyHash folds row's key columns into one hash. A NULL key joins nothing, so
+// for a join it stops the fold and reports false; grouping folds NULL like any
+// other value.
+func (e *Executor) keyHash(row schema.Row, keys []int, grouping bool) (uint64, bool) {
+	h := types.HashSeed
+	for _, k := range keys {
+		if !grouping && row[k].IsNull() {
+			return 0, false
+		}
+		h = row[k].HashFold(h)
+	}
+	return h &^ e.hashDrop, true
+}
+
+// joinTable is a hash join's build side. An entry is one distinct key hash
+// and owns the run rows[bounds[e]:bounds[e+1]] of one row arena, in
+// build-input order. Rows whose keys only share a hash share a run, so the
+// probe key-checks every candidate.
+type joinTable struct {
+	hashTable
+	bounds []int32
+	rows   []schema.Row
+}
+
+// build fills the table from build rows, taken chunk by chunk in order, and
+// leaves the rows with a NULL key out. It counts each hash's rows, lays the
+// runs out in entry order and places the rows back to front, so every run
+// keeps the input order; each pass hashes the keys again instead of keeping
+// the hashes.
+func (t *joinTable) build(e *Executor, keys []int, chunks ...[]schema.Row) {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	t.reset(n)
+	t.bounds = make([]int32, 0, n+1)
+	for _, c := range chunks {
+		for _, row := range c {
+			if h, ok := e.keyHash(row, keys, false); ok {
+				pos := t.home(h)
+				i := t.next(h, &pos)
+				if i < 0 {
+					i = t.insert(h, pos)
+					t.bounds = append(t.bounds, 0)
+				}
+				t.bounds[i]++
+			}
+		}
+	}
+	end := int32(0)
+	for i, c := range t.bounds {
+		end += c
+		t.bounds[i] = end
+	}
+	t.bounds = append(t.bounds, end)
+	t.rows = make([]schema.Row, end)
+	for i := len(chunks) - 1; i >= 0; i-- {
+		for j := len(chunks[i]) - 1; j >= 0; j-- {
+			if h, ok := e.keyHash(chunks[i][j], keys, false); ok {
+				k := t.find(h)
+				t.bounds[k]--
+				t.rows[t.bounds[k]] = chunks[i][j]
+			}
+		}
+	}
+}
+
+// bucket returns the build rows whose key hash is h.
+func (t *joinTable) bucket(h uint64) []schema.Row {
+	e := t.find(h)
+	if e < 0 {
+		return nil
+	}
+	return t.rows[t.bounds[e]:t.bounds[e+1]]
+}
+
+// stageBuild charges the grace-hash staging of a hash-join build of rows
+// rows: stages of 12 bytes a build column against MemoryBytes, and one
+// SpillRow per build row and extra stage. It returns what each probe row
+// pays for the extra stages.
+func (b *base) stageBuild(e *Executor, rows int) float64 {
+	pr := &e.Cost
+	buildRows := float64(rows)
+	width := float64(len(b.plan.Children[1].Cols)) * 12
+	stages := 1.0
+	if pr.MemoryBytes > 0 {
+		for buildRows*width > stages*pr.MemoryBytes {
+			stages++
+		}
+	}
+	if stages == 1 {
+		return 0
+	}
+	b.charge(e, (stages-1)*buildRows*pr.SpillRow)
+	b.stats.Spilled = true
+	return (stages - 1) * pr.SpillRow
+}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/schema"
 	"repro/internal/storage"
-	"repro/internal/types"
 )
 
 // joinOutput is what every join does with an input pair: it tests the
@@ -316,7 +315,7 @@ type hsjnNode struct {
 	buildKeys []int // positions in build rows
 	join      joinOutput
 
-	table      map[uint64][]schema.Row
+	table      joinTable
 	spillExtra float64 // extra work charged per probe row
 	// curBucket/curIdx cursor over the current probe row's hash bucket:
 	// match candidates are key-checked lazily at emission, so no per-probe
@@ -395,17 +394,6 @@ func (e *Executor) equiJoin(p *optimizer.Plan) (probeKeys, buildKeys []int, join
 	return probeKeys, buildKeys, join, err
 }
 
-func hashKeyAt(row schema.Row, keys []int) (uint64, bool) {
-	h := types.HashSeed
-	for _, k := range keys {
-		if row[k].IsNull() {
-			return 0, false
-		}
-		h = row[k].HashFold(h)
-	}
-	return h, true
-}
-
 func keysEqual(a schema.Row, aKeys []int, b schema.Row, bKeys []int) bool {
 	for i := range aKeys {
 		c, err := a[aKeys[i]].Compare(b[bKeys[i]])
@@ -430,48 +418,9 @@ func (n *hsjnNode) Open() error {
 	if err != nil {
 		return err
 	}
-	// Two-pass arena build: count each bucket, carve all buckets out of one
-	// backing slice, then fill. Appends never grow, so the table costs two
-	// map allocations and one arena instead of a slice per distinct key.
-	// Per-bucket insertion order is the build input order, same as a direct
-	// append-per-row build.
-	counts := make(map[uint64]int, len(n.buildRows))
-	keyed := 0
-	for _, row := range n.buildRows {
-		if h, ok := hashKeyAt(row, n.buildKeys); ok {
-			counts[h]++
-			keyed++
-		}
-	}
-	arena := make([]schema.Row, keyed)
-	n.table = make(map[uint64][]schema.Row, len(counts))
-	pos := 0
-	buildRows := float64(len(n.buildRows))
-	for _, row := range n.buildRows {
-		if h, ok := hashKeyAt(row, n.buildKeys); ok {
-			b, seen := n.table[h]
-			if !seen {
-				c := counts[h]
-				b = arena[pos : pos : pos+c]
-				pos += c
-			}
-			n.table[h] = append(b, row)
-		}
-	}
+	n.table.build(n.ex, n.buildKeys, n.buildRows)
 	n.buildDone = true
-	// Grace-hash staging charge.
-	width := float64(len(n.plan.Children[1].Cols)) * 12
-	stages := 1.0
-	if pr.MemoryBytes > 0 {
-		for buildRows*width > stages*pr.MemoryBytes {
-			stages++
-		}
-	}
-	if stages > 1 {
-		n.charge(n.ex, (stages-1)*buildRows*pr.SpillRow)
-		n.spillExtra = (stages - 1) * pr.SpillRow
-		n.stats.Spilled = true
-	}
+	n.spillExtra = n.stageBuild(n.ex, len(n.buildRows))
 	// Pre-scale the per-row charges once per Open; the spill surcharge is part
 	// of the probe charge, rounded to ticks together with it.
 	n.probeT = Ticks(pr.HashProbeRow + n.spillExtra)
@@ -523,9 +472,9 @@ func (n *hsjnNode) fill(b *Batch, max int) (consumed int, err error) {
 			return consumed, err
 		}
 		consumed++
-		if h, hasKey := hashKeyAt(row, n.probeKeys); hasKey {
+		if h, hasKey := n.ex.keyHash(row, n.probeKeys, false); hasKey {
 			n.curProbe = row
-			n.curBucket, n.curIdx = n.table[h], 0
+			n.curBucket, n.curIdx = n.table.bucket(h), 0
 		}
 	}
 	return consumed, nil

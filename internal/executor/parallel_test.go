@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -305,6 +306,59 @@ func TestParallelCheckLowerBound(t *testing.T) {
 		}
 		if len(rows) != baseRows {
 			t.Errorf("dop=%d drained %d rows before the violation, dop=1 drained %d", dop, len(rows), baseRows)
+		}
+	}
+}
+
+// TestParallelLowerBoundAfterSiblingFlush forces the interleaving behind a
+// rare TestParallelCheckLowerBound failure: every probe worker that ends
+// cleanly holds its final flush until the worker that raised the
+// end-of-stream lower bound has dealt with it. The violation must still
+// reach the consumer after all 500 joined rows, as it does at DOP 1, rather
+// than overtake the siblings' last batches and have them drained away.
+func TestParallelLowerBoundAfterSiblingFlush(t *testing.T) {
+	cat := fixture(t)
+	q := joinQuery(t, cat)
+	popt := parallelOptimizer(cat, 4)
+	par, err := popt.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := hsjnUnderGather(t, par)
+	meta := &optimizer.CheckMeta{
+		ID:      92,
+		Flavor:  optimizer.LC,
+		Range:   optimizer.Range{Lo: 1e12, Hi: math.Inf(1)},
+		EstCard: 1e12,
+		Where:   "parallel probe edge",
+	}
+	join.Children[0] = optimizer.WrapCheck(join.Children[0], meta)
+	for _, dop := range []int{1, 2, 8} {
+		ex, err := NewExecutor(cat, q, nil, popt.Model.Params, &Meter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.DOP = dop
+		raised := make(chan struct{})
+		var once sync.Once
+		ex.endHold = func(err error) {
+			if err == nil {
+				<-raised
+				return
+			}
+			once.Do(func() { close(raised) })
+		}
+		root, err := ex.Build(par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, runErr := Run(root)
+		var cv *CheckViolation
+		if !errors.As(runErr, &cv) || !cv.Exact {
+			t.Fatalf("dop=%d: want the exact lower-bound violation, got %v", dop, runErr)
+		}
+		if len(rows) != 500 {
+			t.Errorf("dop=%d: %d rows reached the consumer before the violation, want all 500", dop, len(rows))
 		}
 	}
 }

@@ -209,46 +209,32 @@ func (n *tempNode) Close() error { return n.closeChildren() }
 // Materialized exposes the buffer once materialization completed.
 func (n *tempNode) Materialized() ([]schema.Row, bool) { return n.rows, n.done }
 
-// aggState accumulates one aggregate function.
+// aggState accumulates one aggregate function: v is the running MIN or MAX,
+// or a plain item's first value.
 type aggState struct {
 	kind  logical.AggKind
+	seen  bool
 	count float64
 	sum   float64
-	min   types.Datum
-	max   types.Datum
-	first types.Datum // representative value for plain items
-	seen  bool
+	v     types.Datum
 }
 
+// add folds one value in; every aggregate but a plain item skips NULLs.
 func (a *aggState) add(v types.Datum) {
-	if !a.seen {
-		a.first = v
-		a.seen = true
-	}
-	if a.kind == logical.AggCount {
-		if !v.IsNull() {
-			a.count++
+	switch {
+	case a.kind == logical.AggNone:
+		if !a.seen {
+			a.v, a.seen = v, true
 		}
-		return
-	}
-	if v.IsNull() {
-		return
-	}
-	switch a.kind {
-	case logical.AggSum, logical.AggAvg:
+	case v.IsNull():
+	case a.kind == logical.AggCount:
+		a.count++
+	case a.kind == logical.AggSum || a.kind == logical.AggAvg:
 		a.count++
 		a.sum += v.Float()
-	case logical.AggMin:
-		if a.min.IsNull() || v.MustCompare(a.min) < 0 {
-			a.min = v
-		}
-	case logical.AggMax:
-		if a.max.IsNull() || v.MustCompare(a.max) > 0 {
-			a.max = v
-		}
-	default:
-		// AggCount returned above; AggNone only needs the representative
-		// value captured by the seen check.
+	case a.kind == logical.AggMin && (a.v.IsNull() || v.MustCompare(a.v) < 0),
+		a.kind == logical.AggMax && (a.v.IsNull() || v.MustCompare(a.v) > 0):
+		a.v = v
 	}
 }
 
@@ -266,18 +252,28 @@ func (a *aggState) result() types.Datum {
 			return types.Null
 		}
 		return types.NewFloat(a.sum / a.count)
-	case logical.AggMin:
-		return a.min
-	case logical.AggMax:
-		return a.max
 	default:
-		return a.first
+		return a.v
 	}
 }
+
+// A hash aggregation's arenas start with room for aggFirstGroups groups.
+// When those are used they grow at once to the plan's group estimate with a
+// quarter to spare, capped at aggPrealloc so a wildly overestimated plan
+// cannot allocate unbounded memory, and double after that. The estimate
+// sizes memory only, and a small aggregation never pays for an overestimate.
+const (
+	aggFirstGroups = 4
+	aggPrealloc    = 1 << 12
+)
 
 // hashAggNode groups its input by the GroupBy keys and evaluates the select
 // items per group: aggregates accumulate, plain items take the group's first
 // row's value (they must be grouping columns for deterministic results).
+// Group g is entry g of the hash table: its key datums are
+// gkeys[g*len(keys):] and its states states[g*len(items):], stored by value
+// in one arena each, so groups are numbered — and emitted — in
+// first-encounter order, independent of hash values and batch boundaries.
 type hashAggNode struct {
 	base
 	ex       *Executor
@@ -286,6 +282,10 @@ type hashAggNode struct {
 	itemExpr []expr.Expr // remapped to child layout; nil for COUNT(*)
 	groups   []schema.Row
 	cur      rowCursor
+
+	table  hashTable
+	gkeys  []types.Datum
+	states []aggState
 }
 
 func (e *Executor) buildHashAgg(p *optimizer.Plan) (Node, error) {
@@ -320,81 +320,68 @@ func (e *Executor) buildHashAgg(p *optimizer.Plan) (Node, error) {
 	return n, nil
 }
 
-// aggGroup is one grouping key's accumulator set.
-type aggGroup struct {
-	key    schema.Row
-	states []*aggState
-}
-
-// aggBuilder holds the grouping hash table while an aggregation drains its
-// input; emission order is first-encounter order, independent of hash
-// values and batch boundaries.
-type aggBuilder struct {
-	n     *hashAggNode
-	table map[uint64][]*aggGroup
-	order []*aggGroup
-}
-
-// absorb folds one input row into its group. The row is only read — key
-// datums are copied into the group key — so ephemeral batch rows are safe
-// to absorb without cloning.
-func (a *aggBuilder) absorb(row schema.Row) error {
-	n := a.n
-	hv := types.HashSeed
+// group returns the index of row's group, whose key hashes to h, adding the
+// group if row is its first. Key datums are copied by value, so ephemeral
+// batch rows are safe to group without cloning.
+func (n *hashAggNode) group(row schema.Row, h uint64) int {
+	nk := len(n.keys)
+	pos := n.table.home(h)
+	for g := n.table.next(h, &pos); g >= 0; g = n.table.next(h, &pos) {
+		key, i := n.gkeys[g*nk:(g+1)*nk], 0
+		for i < nk && key[i].Equal(row[n.keys[i]]) {
+			i++
+		}
+		if i == nk {
+			return g
+		}
+	}
+	if g := len(n.table.hashes); g == cap(n.table.hashes) {
+		room := aggFirstGroups
+		if g > 0 {
+			room = max(2*g, int(min(n.plan.Card*1.25, aggPrealloc)))
+		}
+		n.table.hashes = append(make([]uint64, 0, room), n.table.hashes...)
+		n.gkeys = append(make([]types.Datum, 0, room*len(n.keys)), n.gkeys...)
+		n.states = append(make([]aggState, 0, room*len(n.items)), n.states...)
+	}
 	for _, k := range n.keys {
-		hv = row[k].HashFold(hv)
+		n.gkeys = append(n.gkeys, row[k])
 	}
-	var g *aggGroup
-	for _, cand := range a.table[hv] {
-		match := true
-		for i, k := range n.keys {
-			if !cand.key[i].Equal(row[k]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			g = cand
-			break
-		}
+	for _, it := range n.items {
+		n.states = append(n.states, aggState{kind: it.Agg})
 	}
-	if g == nil {
-		key := make(schema.Row, len(n.keys))
-		for i, k := range n.keys {
-			key[i] = row[k]
-		}
-		g = &aggGroup{key: key, states: make([]*aggState, len(n.items))}
-		for i, it := range n.items {
-			g.states[i] = &aggState{kind: it.Agg}
-		}
-		a.table[hv] = append(a.table[hv], g)
-		a.order = append(a.order, g)
-	}
-	for i, st := range g.states {
-		var v types.Datum
-		if n.itemExpr[i] == nil {
-			v = types.NewInt(1) // COUNT(*)
-		} else {
+	return n.table.insert(h, pos)
+}
+
+// absorb folds one input row into its group's states.
+func (n *hashAggNode) absorb(row schema.Row) error {
+	h, _ := n.ex.keyHash(row, n.keys, true)
+	ni := len(n.items)
+	g := n.group(row, h) * ni
+	st := n.states[g : g+ni]
+	for i := range st {
+		v := types.NewInt(1) // COUNT(*)
+		if ie := n.itemExpr[i]; ie != nil {
 			var err error
-			v, err = n.itemExpr[i].Eval(n.ex.ectx, row)
-			if err != nil {
+			if v, err = ie.Eval(n.ex.ectx, row); err != nil {
 				return err
 			}
 		}
-		st.add(v)
+		st[i].add(v)
 	}
 	return nil
 }
 
 func (n *hashAggNode) Open() error {
 	n.stats = NodeStats{Opened: true}
-	n.groups = n.groups[:0]
+	n.groups = nil
 	child := n.children[0]
 	if err := child.Open(); err != nil {
 		return err
 	}
 	pr := &n.ex.Cost
-	a := &aggBuilder{n: n, table: make(map[uint64][]*aggGroup)}
+	n.table.reset(0)
+	n.gkeys, n.states = nil, nil
 	t := Ticks(pr.HashBuildRow)
 	for {
 		b, err := child.NextBatch(0)
@@ -405,7 +392,7 @@ func (n *hashAggNode) Open() error {
 			break
 		}
 		for i, row := range b.Rows {
-			if err := a.absorb(row); err != nil {
+			if err := n.absorb(row); err != nil {
 				n.chargeTicks(n.ex, t, i+1)
 				return err
 			}
@@ -414,20 +401,18 @@ func (n *hashAggNode) Open() error {
 	}
 	// Degenerate aggregation without GROUP BY over empty input still yields
 	// one group (COUNT(*) = 0).
-	if len(a.order) == 0 && len(n.keys) == 0 {
-		g := &aggGroup{states: make([]*aggState, len(n.items))}
-		for i, it := range n.items {
-			g.states[i] = &aggState{kind: it.Agg}
-		}
-		a.order = append(a.order, g)
+	if len(n.table.hashes) == 0 && len(n.keys) == 0 {
+		n.group(nil, types.HashSeed)
 	}
-	for _, g := range a.order {
-		n.charge(n.ex, pr.OutputRow)
-		out := make(schema.Row, len(n.items))
-		for i, st := range g.states {
-			out[i] = st.result()
-		}
-		n.groups = append(n.groups, out)
+	n.chargeTicks(n.ex, Ticks(pr.OutputRow), len(n.table.hashes))
+	vals := make([]types.Datum, len(n.states))
+	for i := range n.states {
+		vals[i] = n.states[i].result()
+	}
+	ni := len(n.items)
+	n.groups = make([]schema.Row, len(n.table.hashes))
+	for g := range n.groups {
+		n.groups[g] = vals[g*ni : (g+1)*ni : (g+1)*ni]
 	}
 	n.cur.open(n.ex, n.groups, stripe{})
 	return nil
