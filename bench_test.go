@@ -501,24 +501,32 @@ func benchCanon(rows []schema.Row) []string {
 // several DOPs. Before timing, it asserts the determinism contract: the
 // result multiset and the simulated work total are identical at every DOP.
 // The sub-benchmark ns/op show the wall-clock scaling parallelism buys.
+// dop=1 is that parallel plan run at DOP 1; plan=serial is the same query
+// optimized at Workers 1 and run serially, the baseline an exchange must
+// beat.
 func BenchmarkParallelHashJoin(b *testing.B) {
 	cat := parallelFixture(b)
 	q := parallelJoinQuery(b, cat)
-	opt := optimizer.New(cat)
-	opt.DisableNLJN = true
-	opt.DisableMGJN = true
-	opt.Model.Params.Workers = 4
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		b.Fatal(err)
+	optimize := func(workers int) (*optimizer.Plan, optimizer.CostParams) {
+		opt := optimizer.New(cat)
+		opt.DisableNLJN = true
+		opt.DisableMGJN = true
+		opt.Model.Params.Workers = workers
+		plan, err := opt.Optimize(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return plan, opt.Model.Params
 	}
+	plan, params := optimize(4)
 	if !strings.Contains(optimizer.Explain(plan, q), "XCHG") {
 		b.Fatalf("plan is not parallel:\n%s", optimizer.Explain(plan, q))
 	}
+	serialPlan, serialParams := optimize(1)
 
-	run := func(b *testing.B, dop int) ([]schema.Row, float64) {
+	exec := func(b *testing.B, plan *optimizer.Plan, params optimizer.CostParams, dop int) ([]schema.Row, float64) {
 		meter := &executor.Meter{}
-		ex, err := executor.NewExecutor(cat, q, nil, opt.Model.Params, meter)
+		ex, err := executor.NewExecutor(cat, q, nil, params, meter)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -533,40 +541,50 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 		}
 		return rows, meter.Work()
 	}
+	run := func(b *testing.B, dop int) ([]schema.Row, float64) { return exec(b, plan, params, dop) }
 
 	wantRows, wantWork := run(b, 1)
 	if len(wantRows) == 0 {
 		b.Fatal("join produced no rows")
 	}
 	want := benchCanon(wantRows)
+	sameRows := func(label string, rows []schema.Row) {
+		got := benchCanon(rows)
+		if len(got) != len(want) {
+			b.Fatalf("%s returned %d rows, dop=1 returned %d", label, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				b.Fatalf("%s row %d: got %s, want %s", label, i, got[i], want[i])
+			}
+		}
+	}
 	for _, dop := range []int{2, 4, 8} {
 		rows, work := run(b, dop)
 		if work != wantWork {
 			b.Fatalf("dop=%d work %v differs from dop=1 work %v", dop, work, wantWork)
 		}
-		got := benchCanon(rows)
-		if len(got) != len(want) {
-			b.Fatalf("dop=%d returned %d rows, dop=1 returned %d", dop, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				b.Fatalf("dop=%d row %d: got %s, want %s", dop, i, got[i], want[i])
-			}
-		}
+		sameRows(fmt.Sprintf("dop=%d", dop), rows)
 	}
+	serialRows, _ := exec(b, serialPlan, serialParams, 0)
+	sameRows("plan=serial", serialRows)
 
-	for _, dop := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("dop=%d", dop), func(b *testing.B) {
+	measure := func(name string, run func(*testing.B) ([]schema.Row, float64)) {
+		b.Run(name, func(b *testing.B) {
 			var work float64
 			var nrows int
 			for i := 0; i < b.N; i++ {
-				rows, w := run(b, dop)
+				rows, w := run(b)
 				work, nrows = w, len(rows)
 			}
 			b.ReportMetric(work, "work_units")
 			b.ReportMetric(float64(nrows), "rows")
 		})
 	}
+	for _, dop := range []int{1, 2, 4, 8} {
+		measure(fmt.Sprintf("dop=%d", dop), func(b *testing.B) ([]schema.Row, float64) { return run(b, dop) })
+	}
+	measure("plan=serial", func(b *testing.B) ([]schema.Row, float64) { return exec(b, serialPlan, serialParams, 0) })
 }
 
 // BenchmarkSelectivityEstimation measures predicate selectivity estimation

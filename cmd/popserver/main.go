@@ -102,7 +102,7 @@ func main() {
 		fmt.Printf(", http %s", h)
 	}
 	fmt.Printf("; workers=%d budget=%d slots=%d sessionqueue=%d\n",
-		cfg.Workers, sched.WorkerBudget, sched.RunSlots, sched.SessionQueue)
+		s.Config().Workers, sched.WorkerBudget, sched.RunSlots, sched.SessionQueue)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -25,7 +26,7 @@ func (e *Executor) workerEvent(kind trace.Kind, phase string, worker, dop int, r
 
 // clampEvent emits a dop_clamp trace event recording that the worker gate
 // granted fewer workers than the plan's DOP asked for (granted 0 = the
-// exchange ran inline on the caller's goroutine).
+// exchange ran one worker without taking any from the pool).
 func (e *Executor) clampEvent(want, granted int) {
 	if tr := e.Trace; tr != nil {
 		tr.Record(trace.Event{
@@ -38,26 +39,35 @@ func (e *Executor) clampEvent(want, granted int) {
 // acquireWorkers resolves the width an exchange actually runs at. With no
 // gate the plan's width is granted in full (the library's historical
 // behavior). With a gate, the grant is whatever the pool can spare right
-// now: less than asked clamps the DOP, and zero selects the inline fallback
-// — dop 1 on the caller's goroutine with no spawned workers. The returned
-// grant must be released exactly once by the owning node (poolleak checks
-// this pairing).
-func (e *Executor) acquireWorkers(want int) (dop int, grant workerGrant, inline bool) {
+// now: less than asked clamps the DOP, and zero runs the exchange at DOP 1 —
+// its one worker takes nothing from the pool, standing in for the consumer's
+// goroutine, which only waits on the channel. The returned grant must be
+// released exactly once by the owning node (poolleak checks this pairing).
+func (e *Executor) acquireWorkers(want int) (dop int, grant workerGrant) {
 	if want < 1 {
 		want = 1
 	}
 	if e.Gate == nil {
-		return want, workerGrant{}, false
+		return want, workerGrant{}
 	}
 	got := e.Gate.AcquireWorkers(want)
-	grant = workerGrant{gate: e.Gate, n: got}
 	if got < want {
 		e.clampEvent(want, got)
 	}
-	if got < 1 {
-		return 1, grant, true
-	}
-	return got, grant, false
+	return max(got, 1), workerGrant{gate: e.Gate, n: got}
+}
+
+// runWorker runs one exchange worker's body between its worker_start and
+// worker_drain events, then drains the worker's local meter into the
+// statement meter.
+func (e *Executor) runWorker(phase string, w, dop int, clone Node, meter *Meter, body func()) {
+	e.workerEvent(trace.WorkerStart, phase, w, dop, 0, 0)
+	defer func() {
+		work := meter.Work()
+		meter.drain(e.Meter)
+		e.workerEvent(trace.WorkerDrain, phase, w, dop, clone.Stats().RowsOut, work)
+	}()
+	body()
 }
 
 // This file implements morsel-style intra-query parallelism: exchange
@@ -169,26 +179,20 @@ func newExchangeStub(p *optimizer.Plan, clones []Node) *exchangeStub {
 	return &exchangeStub{base{plan: p, children: clones}}
 }
 
-// gatherNode runs DOP partition clones of its child concurrently and merges
-// their output streams in arrival order. When the worker gate grants zero
-// workers it degrades to an inline mode: one un-partitioned clone driven
-// directly on the consumer's goroutine, charging exactly what a DOP-1
-// gather charges but spawning nothing.
-type gatherNode struct {
-	base
-	ex     *Executor
-	dop    int
-	clones []Node
-	meters []*Meter
-	grant  workerGrant
-	inline bool
+// consumer is the consumer half both exchanges embed: the worker grant, the
+// cancellation context, the channel the streaming workers send transfer
+// batches and errors on, the per-row ExchangeRow charge, held-batch
+// recycling, the abort drain and the Close tail.
+type consumer struct {
+	ex    *Executor
+	dop   int
+	grant workerGrant
 
 	ctx      context.Context
-	cancel   context.CancelFunc
-	ch       chan rowMsg
+	cancel   context.CancelFunc // nil until Open
+	ch       chan rowMsg        // nil until the streaming workers launch
 	wg       sync.WaitGroup
 	stop     sync.Once
-	opened   bool
 	surfaced bool  // an error was already returned from Next
 	drainErr error // first worker error discarded while draining on abort
 
@@ -196,71 +200,131 @@ type gatherNode struct {
 	exRowT int64  // pre-scaled per-row exchange charge
 }
 
-func (e *Executor) buildGather(p *optimizer.Plan) (Node, error) {
-	dop, grant, inline := e.acquireWorkers(e.dopFor(p))
-	if inline {
-		// Zero grant: build one full-width clone charging the consumer's
-		// meter directly — no worker copy, no goroutines. Work is identical
-		// to a DOP-1 gather (which is identical to every other DOP).
-		clone, err := e.Build(p.Children[0])
-		if err != nil {
-			grant.release()
-			return nil, err
-		}
-		applyPartition(clone, 0, 1)
-		return &gatherNode{
-			base:   base{plan: p, children: []Node{clone}},
-			ex:     e,
-			dop:    1,
-			clones: []Node{clone},
-			grant:  grant,
-			inline: true,
-		}, nil
+// begin arms the exchange at Open: the context its workers watch and the
+// per-row charge.
+func (c *consumer) begin() {
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	c.exRowT = Ticks(c.ex.Cost.ExchangeRow)
+	c.held = nil
+}
+
+// spawn launches the dop streaming workers, run(w) each, and a closer
+// goroutine that calls last once every worker has exited and then closes the
+// channel — the happens-before edge the consumer reads.
+func (c *consumer) spawn(run func(w int), last func()) {
+	c.ch = make(chan rowMsg, c.dop*exchangeBuffer)
+	for w := 0; w < c.dop; w++ {
+		c.wg.Add(1)
+		go func(w int) {
+			defer c.wg.Done()
+			run(w)
+		}(w)
 	}
+	go func() {
+		c.wg.Wait()
+		last()
+		close(c.ch)
+	}()
+}
+
+// recycle returns the previously delivered batch to the pool.
+func (c *consumer) recycle() {
+	if c.held != nil {
+		putBatch(c.held)
+		c.held = nil
+	}
+}
+
+// receive surfaces the next worker transfer batch in arrival order, charging
+// ExchangeRow per logical row to node b. The previously delivered batch is
+// recycled first, which is safe because the consumer's pull is the end of
+// that batch's validity window. A worker error aborts the exchange. ok is
+// false once every worker has exited and the channel is closed.
+func (c *consumer) receive(b *base) (batch *Batch, ok bool, err error) {
+	c.recycle()
+	msg, ok := <-c.ch
+	if !ok {
+		return nil, false, nil
+	}
+	if msg.err != nil {
+		c.surfaced = true
+		c.abort()
+		return nil, true, msg.err
+	}
+	b.chargeTicks(c.ex, c.exRowT, msg.batch.Len())
+	b.stats.RowsOut += float64(msg.batch.Len())
+	c.held = msg.batch
+	return msg.batch, true, nil
+}
+
+// abort cancels outstanding workers and drains the channel until the closer
+// goroutine closes it, guaranteeing every worker has exited and flushed. The
+// first genuine worker error found while draining is retained: when the
+// consumer stops early (LIMIT) rather than on a surfaced error, a clone's
+// Close failure would otherwise vanish in the drain. A drained CheckViolation
+// is not retained — a consumer that stopped needing rows makes a racing
+// cardinality check moot.
+func (c *consumer) abort() {
+	c.stop.Do(func() {
+		c.cancel()
+		if c.ch == nil {
+			return
+		}
+		var cv *CheckViolation
+		for msg := range c.ch {
+			//poplint:allow chargeflow a drained violation is discarded as moot, not handled; surfaced violations are traced by the POP controller
+			if msg.err != nil && c.drainErr == nil && !errors.As(msg.err, &cv) {
+				c.drainErr = msg.err
+			}
+		}
+	})
+}
+
+// finish is the Close tail of an opened exchange: abort (the workers close
+// their own clones), recycle the held batch, and report the retained drain
+// error unless an error already reached the consumer through Next.
+func (c *consumer) finish() error {
+	c.abort()
+	c.recycle()
+	if c.surfaced {
+		return nil
+	}
+	return c.drainErr
+}
+
+// gatherNode runs DOP partition clones of its child concurrently and merges
+// their output streams in arrival order.
+type gatherNode struct {
+	base
+	consumer
+	clones []Node
+	meters []*Meter
+}
+
+func (e *Executor) buildGather(p *optimizer.Plan) (Node, error) {
+	dop, grant := e.acquireWorkers(e.dopFor(p))
 	clones, meters, err := e.buildClones(p.Children[0], dop)
 	if err != nil {
 		grant.release()
 		return nil, err
 	}
 	return &gatherNode{
-		base:   base{plan: p, children: clones},
-		ex:     e,
-		dop:    dop,
-		clones: clones,
-		meters: meters,
-		grant:  grant,
+		base:     base{plan: p, children: clones},
+		consumer: consumer{ex: e, dop: dop, grant: grant},
+		clones:   clones,
+		meters:   meters,
 	}, nil
 }
 
 func (n *gatherNode) Open() error {
 	n.stats = NodeStats{Opened: true}
-	n.exRowT = Ticks(n.ex.Cost.ExchangeRow)
-	n.held = nil
 	n.charge(n.ex, n.ex.Cost.ExchangeSetup)
-	if n.inline {
-		n.opened = true
-		return n.clones[0].Open()
-	}
-	n.ctx, n.cancel = context.WithCancel(context.Background())
-	n.ch = make(chan rowMsg, n.dop*exchangeBuffer)
-	n.opened = true
-	for i := range n.clones {
-		n.wg.Add(1)
-		go func(i int) {
-			defer n.wg.Done()
-			n.ex.workerEvent(trace.WorkerStart, "gather", i, n.dop, 0, 0)
-			defer func() {
-				work := n.meters[i].Work()
-				n.meters[i].drain(n.ex.Meter)
-				n.ex.workerEvent(trace.WorkerDrain, "gather", i, n.dop, n.clones[i].Stats().RowsOut, work)
-			}()
-			runPartition(n.ctx, n.ex, n.clones[i], n.ch)
-		}(i)
-	}
-	go func() {
-		n.wg.Wait()
-		close(n.ch)
-	}()
+	n.begin()
+	n.spawn(func(w int) {
+		n.ex.runWorker("gather", w, n.dop, n.clones[w], n.meters[w], func() {
+			runPartition(n.ctx, n.ex, n.clones[w], n.ch)
+		})
+	}, func() {})
 	return nil
 }
 
@@ -304,86 +368,23 @@ func runPartition(ctx context.Context, ex *Executor, clone Node, ch chan<- rowMs
 	}
 }
 
-// NextBatch surfaces worker transfer batches in arrival order, charging
-// ExchangeRow per logical row. max is advisory — a transfer batch arrives
-// sized by its producing worker; an enclosing CHECK handles oversized
-// batches through its crossing logic. The previously delivered batch is
-// recycled to the pool, which is safe because the consumer's pull is the
-// end of that batch's validity window.
+// NextBatch surfaces worker transfer batches in arrival order. max is
+// advisory — a transfer batch arrives sized by its producing worker; an
+// enclosing CHECK handles oversized batches through its crossing logic.
 func (n *gatherNode) NextBatch(max int) (*Batch, error) {
-	if n.inline {
-		// The clone's batch is returned directly: its validity window (until
-		// the consumer's next pull) is exactly the edge's own, so no transfer
-		// copy and no held recycling are needed.
-		b, err := n.clones[0].NextBatch(max)
-		if err != nil || b == nil {
-			n.stats.Done = err == nil
-			return nil, err
-		}
-		n.chargeTicks(n.ex, n.exRowT, b.Len())
-		return n.emit(b, nil)
-	}
-	if n.held != nil {
-		putBatch(n.held)
-		n.held = nil
-	}
-	msg, ok := <-n.ch
+	b, ok, err := n.receive(&n.base)
 	if !ok {
 		n.stats.Done = true
-		return nil, nil
 	}
-	if msg.err != nil {
-		n.surfaced = true
-		n.abort()
-		return nil, msg.err
-	}
-	n.chargeTicks(n.ex, n.exRowT, msg.batch.Len())
-	n.stats.RowsOut += float64(msg.batch.Len())
-	n.held = msg.batch
-	return msg.batch, nil
-}
-
-// abort cancels outstanding workers and drains the channel until the closer
-// goroutine closes it, guaranteeing every worker has exited and flushed. The
-// first genuine worker error found while draining is retained: when the
-// consumer stops early (LIMIT) rather than on a surfaced error, a clone's
-// Close failure would otherwise vanish in the drain. A drained CheckViolation
-// is not retained — a consumer that stopped needing rows makes a racing
-// cardinality check moot.
-func (n *gatherNode) abort() {
-	n.stop.Do(func() {
-		n.cancel()
-		for msg := range n.ch {
-			n.retainDrainErr(msg.err)
-		}
-	})
-}
-
-func (n *gatherNode) retainDrainErr(err error) {
-	var cv *CheckViolation
-	//poplint:allow chargeflow a drained violation is discarded as moot, not handled; surfaced violations are traced by the POP controller
-	if err != nil && n.drainErr == nil && !errors.As(err, &cv) {
-		n.drainErr = err
-	}
+	return b, err
 }
 
 func (n *gatherNode) Close() error {
 	defer n.grant.release()
-	if n.inline {
-		return n.closeChildren() // the single inline clone
-	}
-	if !n.opened {
+	if n.cancel == nil {
 		return n.closeChildren()
 	}
-	n.abort() // workers close their own clones
-	if n.held != nil {
-		putBatch(n.held)
-		n.held = nil
-	}
-	if n.surfaced {
-		return nil // the error already reached the consumer via Next
-	}
-	return n.drainErr
+	return n.finish()
 }
 
 // parallelHSJNNode is the partitioned hash join: DOP workers drain morsel
@@ -394,15 +395,11 @@ func (n *gatherNode) Close() error {
 // harvesting and build-reuse promotion see the join, not the exchange.
 type parallelHSJNNode struct {
 	base
-	ex     *Executor
-	gplan  *optimizer.Plan // the GATHER above the join (exchange charges)
-	dop    int
-	grant  workerGrant
-	inline bool
+	consumer
 
 	probeKeys []int
 	buildKeys []int
-	join      joinOutput // the inline probe's; each probe worker copies it
+	join      joinOutput // each probe worker copies it
 
 	probeClones, buildClones []Node
 	probeMeters, buildMeters []*Meter
@@ -419,35 +416,15 @@ type parallelHSJNNode struct {
 	// folded into the node's stats at collection time via extraWork.
 	analyzeTicks atomic.Int64
 
-	ctx      context.Context
-	cancel   context.CancelFunc
-	ch       chan rowMsg
-	wg       sync.WaitGroup
-	stop     sync.Once
-	opened   bool
-	probes   bool // probe workers launched (ch live)
-	surfaced bool // an error was already returned from Next
-	drainErr error
 	// final holds an end-of-stream lower-bound violation: it reaches the
 	// consumer once every probe worker has exited, behind the rows the
 	// siblings joined before it.
 	final atomic.Pointer[error]
-
-	held   *Batch // last delivered transfer batch, recycled on the next pull
-	exRowT int64  // pre-scaled per-row exchange charge
-
-	// Inline (zero-grant) mode state: the single-partition probe runs on the
-	// consumer's goroutine, charging exactly the worker-loop amounts.
-	probeT, outT  int64  // pre-scaled per-probe-row / per-output-row ticks
-	inBatch       *Batch // current probe batch
-	inRowIdx      int
-	srcDone       bool
-	inlineDrained bool // finishInlineProbe ran
 }
 
 func (e *Executor) buildParallelHSJN(gp, jp *optimizer.Plan) (Node, error) {
-	dop, grant, inline := e.acquireWorkers(e.dopFor(gp))
-	n := &parallelHSJNNode{base: base{plan: jp}, ex: e, gplan: gp, dop: dop, grant: grant, inline: inline}
+	dop, grant := e.acquireWorkers(e.dopFor(gp))
+	n := &parallelHSJNNode{base: base{plan: jp}, consumer: consumer{ex: e, dop: dop, grant: grant}}
 	built := false
 	defer func() {
 		if !built {
@@ -500,20 +477,26 @@ func (n *parallelHSJNNode) BuildMaterialized() ([]schema.Row, int, bool) {
 	return n.buildRows, 1, n.buildDone
 }
 
+// parallel runs f(0) … f(dop-1) concurrently and waits for all of them.
+func parallel(dop int, f func(w int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < dop; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			f(w)
+		}(w)
+	}
+	wg.Wait()
+}
+
 func (n *parallelHSJNNode) Open() error {
 	n.stats = NodeStats{Opened: true}
-	pr := &n.ex.Cost
-	n.exRowT = Ticks(pr.ExchangeRow)
-	n.held = nil
 	// One setup charge per exchange in the plan fragment: the gather plus
 	// the two repartitions.
-	n.charge(n.ex, 3*pr.ExchangeSetup)
-	n.ctx, n.cancel = context.WithCancel(context.Background())
-	n.opened = true
+	n.charge(n.ex, 3*n.ex.Cost.ExchangeSetup)
+	n.begin()
 	n.buildStub.stats.Opened = true
-	if n.inline {
-		return n.openInline()
-	}
 
 	// Phase 1: partitioned build. Each worker drains its morsel stripe into
 	// per-partition, per-worker buffers — no locks on the hot path.
@@ -523,21 +506,11 @@ func (n *parallelHSJNNode) Open() error {
 	}
 	all := make([][]schema.Row, n.dop)
 	errs := make([]error, n.dop)
-	var wg sync.WaitGroup
-	for w := 0; w < n.dop; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			n.ex.workerEvent(trace.WorkerStart, "build", w, n.dop, 0, 0)
-			defer func() {
-				work := n.buildMeters[w].Work()
-				n.buildMeters[w].drain(n.ex.Meter)
-				n.ex.workerEvent(trace.WorkerDrain, "build", w, n.dop, n.buildClones[w].Stats().RowsOut, work)
-			}()
+	parallel(n.dop, func(w int) {
+		n.ex.runWorker("build", w, n.dop, n.buildClones[w], n.buildMeters[w], func() {
 			errs[w] = n.runBuildWorker(w, bufs, &all[w])
-		}(w)
-	}
-	wg.Wait()
+		})
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -545,44 +518,42 @@ func (n *parallelHSJNNode) Open() error {
 	}
 
 	// Retain the complete build input (worker order, so the retained rows
-	// are deterministic for a given DOP) for temp-MV promotion.
-	total := 0
-	for w := range all {
-		total += len(all[w])
-	}
-	n.buildRows = make([]schema.Row, 0, total)
-	for w := range all {
-		n.buildRows = append(n.buildRows, all[w]...)
+	// are deterministic for a given DOP) for temp-MV promotion. At DOP 1 the
+	// one partition builds from the retained rows themselves.
+	if n.dop == 1 {
+		n.buildRows = all[0]
+		bufs[0] = all
+	} else {
+		total := 0
+		for w := range all {
+			total += len(all[w])
+		}
+		n.buildRows = make([]schema.Row, 0, total)
+		for w := range all {
+			n.buildRows = append(n.buildRows, all[w]...)
+		}
 	}
 	n.buildDone = true
-	n.buildStub.stats.RowsOut = float64(total)
+	n.buildStub.stats.RowsOut = float64(len(n.buildRows))
 	n.buildStub.stats.Done = true
 
 	// Phase 2: one hash table per partition, built in parallel from the
 	// workers' buffers in worker order.
 	n.parts = make([]joinTable, n.dop)
-	for p := 0; p < n.dop; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			n.parts[p].build(n.ex, n.buildKeys, bufs[p]...)
-		}(p)
-	}
-	wg.Wait()
-	n.spillExtra = n.stageBuild(n.ex, total)
+	parallel(n.dop, func(p int) {
+		n.parts[p].build(n.ex, n.buildKeys, bufs[p]...)
+	})
+	n.spillExtra = n.stageBuild(n.ex, len(n.buildRows))
 
 	// Phase 3: concurrent probe.
-	n.ch = make(chan rowMsg, n.dop*exchangeBuffer)
-	n.probes = true
 	n.probeStub.stats.Opened = true
-	for w := 0; w < n.dop; w++ {
-		n.wg.Add(1)
-		go n.runProbeWorker(w)
-	}
-	go func() {
-		n.wg.Wait()
+	n.spawn(func(w int) {
+		n.ex.runWorker("probe", w, n.dop, n.probeClones[w], n.probeMeters[w], func() {
+			n.runProbeWorker(w)
+		})
+	}, func() {
 		// Aggregate the probe edge's stats before the close signals the
-		// consumer (channel close is the happens-before edge).
+		// consumer.
 		rows := 0.0
 		done := true
 		for _, c := range n.probeClones {
@@ -591,158 +562,13 @@ func (n *parallelHSJNNode) Open() error {
 		}
 		n.probeStub.stats.RowsOut = rows
 		n.probeStub.stats.Done = done
-		close(n.ch)
-	}()
+	})
 	return nil
 }
 
-// openInline is the zero-grant Open: build and probe both run at dop 1 on
-// the consumer's goroutine. The build reuses runBuildWorker synchronously
-// (it closes its own clone and drains into the worker meter, which is
-// drained here) without routing, the single partition table is built from
-// the retained rows as the serial join builds its own, and the staging
-// charge is the concurrent path's — so the simulated work total is
-// bit-identical to every other DOP.
-func (n *parallelHSJNNode) openInline() error {
-	pr := &n.ex.Cost
-	var all []schema.Row
-	err := n.runBuildWorker(0, nil, &all)
-	n.buildMeters[0].drain(n.ex.Meter)
-	if err != nil {
-		return err
-	}
-	n.buildRows = all
-	n.buildDone = true
-	n.buildStub.stats.RowsOut = float64(len(all))
-	n.buildStub.stats.Done = true
-
-	n.parts = make([]joinTable, 1)
-	n.parts[0].build(n.ex, n.buildKeys, all)
-	n.spillExtra = n.stageBuild(n.ex, len(all))
-
-	n.probeT = Ticks(pr.ExchangeRow + pr.HashProbeRow + n.spillExtra)
-	n.outT = Ticks(pr.OutputRow)
-	n.probeStub.stats.Opened = true
-	return n.probeClones[0].Open()
-}
-
-// chargeInline charges worker-loop ticks from the inline probe loop: the
-// meter funding matches a probe worker's (statement meter via the consumer)
-// and the analyze attribution matches the concurrent path's extraWork.
-func (n *parallelHSJNNode) chargeInline(t int64) {
-	n.ex.Meter.AddTicks(t)
-	if n.ex.Analyze {
-		n.addAnalyzeTicks(t)
-	}
-}
-
-// finishInlineProbe drains the probe clone's worker meter into the
-// statement meter and folds its stats into the probe stub, mirroring what
-// the concurrent probe workers and their closer goroutine do. Idempotent:
-// called at end of stream and again from Close.
-func (n *parallelHSJNNode) finishInlineProbe() {
-	if n.inlineDrained {
-		return
-	}
-	n.inlineDrained = true
-	n.probeMeters[0].drain(n.ex.Meter)
-	n.probeStub.stats.RowsOut = n.probeClones[0].Stats().RowsOut
-	n.probeStub.stats.Done = n.probeClones[0].Stats().Done
-}
-
-// inlineNextBatch is the inline probe loop: probe batches are pulled from the
-// clone (probeT per pulled row), joined rows are carved into a pooled output
-// batch (outT per emitted row), and each delivered batch charges ExchangeRow
-// per row — the exact tick totals of runProbeWorker plus the consumer's
-// NextBatch charge.
-func (n *parallelHSJNNode) inlineNextBatch() (*Batch, error) {
-	if n.held != nil {
-		putBatch(n.held)
-		n.held = nil
-	}
-	if err := n.takePending(); err != nil || n.srcDone {
-		return nil, err
-	}
-	out := getBatch(n.ex.batchCap)
-	emitted := 0
-	charge := func() {
-		if emitted > 0 {
-			n.chargeInline(mulTicksSat(n.outT, int64(emitted)))
-			emitted = 0
-		}
-	}
-	deliver := func() *Batch {
-		charge()
-		n.chargeTicks(n.ex, n.exRowT, out.Len())
-		n.stats.RowsOut += float64(out.Len())
-		n.held = out
-		return out
-	}
-	for {
-		if n.inBatch == nil || n.inRowIdx >= n.inBatch.Len() {
-			b, err := n.probeClones[0].NextBatch(0)
-			if err != nil || b == nil {
-				if err == nil {
-					n.srcDone = true
-					n.stats.Done = true
-					n.finishInlineProbe()
-				}
-				if out.Len() == 0 {
-					putBatch(out)
-					return nil, err
-				}
-				n.pending = err // the rows joined before it reach the consumer first
-				return deliver(), nil
-			}
-			n.chargeInline(mulTicksSat(n.probeT, int64(b.Len())))
-			n.inBatch = b
-			n.inRowIdx = 0
-		}
-		for n.inRowIdx < n.inBatch.Len() {
-			row := n.inBatch.Rows[n.inRowIdx]
-			n.inRowIdx++
-			h, keyed := n.ex.keyHash(row, n.probeKeys, false)
-			if !keyed {
-				continue
-			}
-			for _, br := range n.parts[0].bucket(h) {
-				if !keysEqual(row, n.probeKeys, br, n.buildKeys) {
-					continue
-				}
-				kept, ferr := n.join.emit(out, row, br)
-				if ferr != nil {
-					charge()
-					putBatch(out)
-					return nil, ferr
-				}
-				if kept {
-					emitted++
-				}
-			}
-			if out.Len() >= n.ex.batchCap {
-				return deliver(), nil
-			}
-		}
-	}
-}
-
-// closeInline releases inline-mode resources: the probe clone (the build
-// clone was closed by the synchronous runBuildWorker) and the held batch,
-// then folds the probe stub stats for an early (LIMIT) stop.
-func (n *parallelHSJNNode) closeInline() error {
-	n.cancel()
-	if n.held != nil {
-		putBatch(n.held)
-		n.held = nil
-	}
-	err := closeAll(n.probeClones)
-	n.finishInlineProbe()
-	return err
-}
-
-// runBuildWorker drains one build stripe, retaining rows and routing keyed
-// rows into its buffers bufs[partition][w] (none when bufs is nil). On error
-// it cancels sibling workers. Each batch's rows are retained (cloned when
+// runBuildWorker drains one build stripe, retaining rows and, above DOP 1,
+// routing keyed rows into its buffers bufs[partition][w]. On error it
+// cancels sibling workers. Each batch's rows are retained (cloned when
 // ephemeral) and then routed, with one meter operation per batch.
 func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][][]schema.Row, all *[]schema.Row) error {
 	clone := n.buildClones[w]
@@ -751,17 +577,6 @@ func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][][]schema.Row, all *[]s
 	rowT := Ticks(pr.ExchangeRow + pr.HashBuildRow)
 	var awT int64 // loop ticks attributed to the join node in analyze mode
 	defer func() { n.addAnalyzeTicks(awT) }()
-	route := func(rows []schema.Row) {
-		if bufs == nil {
-			return
-		}
-		for _, row := range rows {
-			if h, keyed := n.ex.keyHash(row, n.buildKeys, false); keyed {
-				p := int(h % uint64(n.dop))
-				bufs[p][w] = append(bufs[p][w], row)
-			}
-		}
-	}
 	err := func() error {
 		if err := clone.Open(); err != nil {
 			return err
@@ -781,7 +596,15 @@ func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][][]schema.Row, all *[]s
 			}
 			start := len(*all)
 			*all = appendBatchRows(*all, b)
-			route((*all)[start:])
+			if n.dop == 1 {
+				continue
+			}
+			for _, row := range (*all)[start:] {
+				if h, keyed := n.ex.keyHash(row, n.buildKeys, false); keyed {
+					p := int(h % uint64(n.dop))
+					bufs[p][w] = append(bufs[p][w], row)
+				}
+			}
 		}
 	}()
 	if cerr := clone.Close(); err == nil {
@@ -796,13 +619,6 @@ func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][][]schema.Row, all *[]s
 // runProbeWorker streams one probe stripe against the partitioned hash
 // tables (read-only after phase 2), emitting joined rows to the consumer.
 func (n *parallelHSJNNode) runProbeWorker(w int) {
-	defer n.wg.Done()
-	n.ex.workerEvent(trace.WorkerStart, "probe", w, n.dop, 0, 0)
-	defer func() {
-		work := n.probeMeters[w].Work()
-		n.probeMeters[w].drain(n.ex.Meter)
-		n.ex.workerEvent(trace.WorkerDrain, "probe", w, n.dop, n.probeClones[w].Stats().RowsOut, work)
-	}()
 	clone := n.probeClones[w]
 	pr := &n.ex.Cost
 	meter := n.probeMeters[w]
@@ -919,57 +735,19 @@ func (n *parallelHSJNNode) probeLoop(clone Node, meter *Meter, probeT, outT int6
 	}
 }
 
-// NextBatch surfaces probe-worker transfer batches in arrival order,
-// charging ExchangeRow per logical row, and then a held end-of-stream
-// violation. max is advisory, exactly as for gatherNode.NextBatch; the
-// previously delivered batch is recycled on the next pull.
+// NextBatch surfaces probe-worker transfer batches in arrival order, and then
+// a held end-of-stream violation. max is advisory, exactly as for
+// gatherNode.NextBatch.
 func (n *parallelHSJNNode) NextBatch(max int) (*Batch, error) {
-	if n.inline {
-		return n.inlineNextBatch()
-	}
-	if n.held != nil {
-		putBatch(n.held)
-		n.held = nil
-	}
-	msg, ok := <-n.ch
+	b, ok, err := n.receive(&n.base)
 	if !ok {
 		if v := n.final.Swap(nil); v != nil {
 			n.surfaced = true
 			return nil, *v
 		}
 		n.stats.Done = true
-		return nil, nil
 	}
-	if msg.err != nil {
-		n.surfaced = true
-		n.abort()
-		return nil, msg.err
-	}
-	n.chargeTicks(n.ex, n.exRowT, msg.batch.Len())
-	n.stats.RowsOut += float64(msg.batch.Len())
-	n.held = msg.batch
-	return msg.batch, nil
-}
-
-// abort mirrors gatherNode.abort, retaining the first genuine probe-worker
-// error the drain would otherwise discard on an early (LIMIT) Close.
-func (n *parallelHSJNNode) abort() {
-	n.stop.Do(func() {
-		n.cancel()
-		if n.probes {
-			for msg := range n.ch {
-				n.retainDrainErr(msg.err)
-			}
-		}
-	})
-}
-
-func (n *parallelHSJNNode) retainDrainErr(err error) {
-	var cv *CheckViolation
-	//poplint:allow chargeflow a drained violation is discarded as moot, not handled; surfaced violations are traced by the POP controller
-	if err != nil && n.drainErr == nil && !errors.As(err, &cv) {
-		n.drainErr = err
-	}
+	return b, err
 }
 
 func closeAll(nodes []Node) error {
@@ -984,28 +762,14 @@ func closeAll(nodes []Node) error {
 
 func (n *parallelHSJNNode) Close() error {
 	defer n.grant.release()
-	if !n.opened {
-		if err := closeAll(n.probeClones); err != nil {
-			closeAll(n.buildClones)
-			return err
-		}
-		return closeAll(n.buildClones)
+	if n.cancel == nil {
+		return cmp.Or(closeAll(n.probeClones), closeAll(n.buildClones))
 	}
-	if n.inline {
-		return n.closeInline()
-	}
-	n.abort() // build workers already closed their clones; probe workers close theirs on exit
-	if n.held != nil {
-		putBatch(n.held)
-		n.held = nil
-	}
-	if !n.probes {
+	err := n.finish() // build workers already closed their clones; probe workers close theirs on exit
+	if n.ch == nil {
 		// Open failed during the build phase: the probe workers never
 		// launched, so their clones are closed here.
 		return closeAll(n.probeClones)
 	}
-	if n.surfaced {
-		return nil // the error already reached the consumer via Next
-	}
-	return n.drainErr
+	return err
 }

@@ -184,10 +184,11 @@ func (v *CheckViolation) Error() string {
 // AcquireWorkers asks for up to want additional workers and returns how many
 // were granted (0..want) without blocking; every granted worker must be
 // returned with exactly one ReleaseWorkers call (the poplint poolleak rule
-// checks the pairing). A zero grant means "run inline on the caller's
-// goroutine": exchanges degrade to a DOP-1 inline mode that spawns nothing
-// yet charges the same simulated work. A nil gate grants every request in
-// full, preserving the library's historical spawn-freely behavior.
+// checks the pairing). A zero grant runs the exchange at DOP 1: its one
+// worker takes nothing from the pool, standing in for the consumer's
+// goroutine, which only waits on the channel; the simulated work is the
+// same as at every other width. A nil gate grants every request in full,
+// preserving the library's historical spawn-freely behavior.
 type WorkerGate interface {
 	// AcquireWorkers requests up to want workers, returning the grant.
 	AcquireWorkers(want int) int
@@ -238,9 +239,9 @@ type Executor struct {
 
 	// Gate, when non-nil, arbitrates exchange worker spawning against a
 	// global pool: each exchange asks for its plan DOP and runs at whatever
-	// width is granted (including an inline zero-goroutine mode at grant 0).
-	// Simulated work is bit-identical at every granted width; only wall-clock
-	// parallelism changes. Nil preserves ungated spawning.
+	// width is granted, DOP 1 at a zero grant. Simulated work is
+	// bit-identical at every granted width; only wall-clock parallelism
+	// changes. Nil preserves ungated spawning.
 	Gate WorkerGate
 
 	batchCap int             // rows per batch; batchRows outside the package's own tests

@@ -3,6 +3,7 @@ package executor
 import (
 	"math/bits"
 
+	"repro/internal/optimizer"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -158,19 +159,13 @@ func (t *joinTable) bucket(h uint64) []schema.Row {
 }
 
 // stageBuild charges the grace-hash staging of a hash-join build of rows
-// rows: stages of 12 bytes a build column against MemoryBytes, and one
-// SpillRow per build row and extra stage. It returns what each probe row
-// pays for the extra stages.
+// rows: the stages optimizer.HashStages gives the build, and one SpillRow
+// per build row and extra stage. It returns what each probe row pays for the
+// extra stages.
 func (b *base) stageBuild(e *Executor, rows int) float64 {
 	pr := &e.Cost
 	buildRows := float64(rows)
-	width := float64(len(b.plan.Children[1].Cols)) * 12
-	stages := 1.0
-	if pr.MemoryBytes > 0 {
-		for buildRows*width > stages*pr.MemoryBytes {
-			stages++
-		}
-	}
+	stages, _ := optimizer.HashStages(buildRows, len(b.plan.Children[1].Cols), pr.MemoryBytes)
 	if stages == 1 {
 		return 0
 	}

@@ -127,14 +127,15 @@ func FuzzHashTable(f *testing.F) {
 	})
 }
 
-// noWorkers is a WorkerGate that grants nothing: exchanges run inline.
+// noWorkers is a WorkerGate that grants nothing: each exchange runs its one
+// DOP-1 worker.
 type noWorkers struct{}
 
 func (noWorkers) AcquireWorkers(int) int { return 0 }
 func (noWorkers) ReleaseWorkers(int)     {}
 
-// execHashed builds and drains a plan at dop — 0 runs its exchanges inline —
-// with the given key-hash bits dropped.
+// execHashed builds and drains a plan at dop — 0 runs its exchanges "inline",
+// under a gate that grants nothing — with the given key-hash bits dropped.
 func execHashed(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
 	params optimizer.CostParams, dop int, drop uint64) ([]schema.Row, float64) {
 	t.Helper()
@@ -159,7 +160,7 @@ func execHashed(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *opti
 }
 
 // TestHashOperatorsUnderCollisions runs the hash join, the partitioned hash
-// join inline and at DOP 1/2/4/8, and hash aggregation with every key on one hash and on
+// join inline (a zero grant) and at DOP 1/2/4/8, and hash aggregation with every key on one hash and on
 // two: joins still key-check every candidate and groups stay distinct, so
 // the rows and the work equal the real-hash run at DOP 1.
 func TestHashOperatorsUnderCollisions(t *testing.T) {

@@ -390,11 +390,10 @@ func TestGatherSurfacesCloseErrorOnEarlyClose(t *testing.T) {
 	ex := &Executor{Meter: &Meter{}, batchCap: batchRows}
 	ex.stmt = ex.Meter
 	g := &gatherNode{
-		base:   base{plan: &optimizer.Plan{Op: optimizer.OpExchange}},
-		ex:     ex,
-		dop:    1,
-		clones: []Node{clone},
-		meters: []*Meter{{}},
+		base:     base{plan: &optimizer.Plan{Op: optimizer.OpExchange}},
+		consumer: consumer{ex: ex, dop: 1},
+		clones:   []Node{clone},
+		meters:   []*Meter{{}},
 	}
 	if err := g.Open(); err != nil {
 		t.Fatal(err)

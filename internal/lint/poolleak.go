@@ -13,7 +13,7 @@ const serverPath = "repro/internal/server"
 // PoolLeakAnalyzer machine-checks the WorkerGate contract the popserver
 // scheduler depends on: every AcquireWorkers grant must be returned by
 // exactly one ReleaseWorkers call, or the global budget shrinks forever and
-// every later query degrades to the inline DOP-1 fallback. Two obligations
+// every later exchange runs at a zero grant's DOP 1. Two obligations
 // at every AcquireWorkers call site under the executor or server paths:
 //
 //  1. The grant must not be discarded: an AcquireWorkers call as a bare

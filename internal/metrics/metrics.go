@@ -42,7 +42,7 @@ type Registry struct {
 	workerTicks    atomic.Int64 // work units drained by exchange workers
 
 	dopClamps       atomic.Int64 // exchanges granted fewer workers than asked
-	inlineRuns      atomic.Int64 // exchanges granted zero (ran inline)
+	inlineRuns      atomic.Int64 // exchanges granted zero (ran one DOP-1 worker)
 	admissionWaits  atomic.Int64
 	admissionWaitNS atomic.Int64
 	admissionRejcts atomic.Int64

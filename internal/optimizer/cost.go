@@ -109,24 +109,22 @@ func (m *CostModel) handicap(p *Plan) float64 {
 	return 1
 }
 
-// hashStages returns the number of passes a hash join build of the given
-// size needs under the memory budget.
-func (m *CostModel) hashStages(buildRows, rowWidth float64) float64 {
-	bytes := buildRows * rowWidth
-	if bytes <= m.Params.MemoryBytes || m.Params.MemoryBytes <= 0 {
-		return 1
+// HashStages is the one staging rule of a hash-join build of rows rows,
+// cols columns wide, under the memory budget mem (≤ 0: unlimited): its
+// bytes are 12 a column, at least 12 a row; it takes one pass while they fit
+// mem and one per budget's worth beyond. fitRows is the largest build that
+// takes one pass. The cost model, the executor's staging charge and the
+// spill guard all read it.
+func HashStages(rows float64, cols int, mem float64) (stages, fitRows float64) {
+	width := 12 * float64(max(cols, 1))
+	if mem <= 0 {
+		return 1, math.Inf(1)
 	}
-	return math.Ceil(bytes / m.Params.MemoryBytes)
-}
-
-// rowWidthOf estimates the byte width of a plan's output rows from its
-// column count (widths are tracked coarsely; 12 bytes per column).
-func rowWidthOf(p *Plan) float64 {
-	w := float64(len(p.Cols)) * 12
-	if w <= 0 {
-		w = 12
+	fitRows = mem / width
+	if bytes := rows * width; bytes > mem {
+		return math.Ceil(bytes / mem), fitRows
 	}
-	return w
+	return 1, fitRows
 }
 
 // Recost computes the total (cumulative) cost of plan node p given its child
@@ -158,7 +156,7 @@ func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 	case OpHSJN:
 		probe, build := cc[0], cc[1]
 		probeCost, buildCost := cs[0], cs[1]
-		stages := m.hashStages(build, rowWidthOf(p.Children[1]))
+		stages, _ := HashStages(build, len(p.Children[1].Cols), pr.MemoryBytes)
 		out := scaleCardOf(p, cc)
 		own := build*pr.HashBuildRow + probe*pr.HashProbeRow + out*pr.OutputRow
 		if stages > 1 {

@@ -82,16 +82,6 @@ type Optimizer struct {
 	// work a plan-cache hit avoids. Like the rest of the struct it is not
 	// safe for concurrent Optimize calls on one Optimizer.
 	EnumeratedCandidates int
-
-	// DOPAdvisor, when non-nil, is consulted for the DOP recorded on each
-	// exchange the parallelize post-pass places: given the configured worker
-	// count it returns the width to plan for (clamped to [1, workers]). The
-	// server's scheduler supplies one that reflects current pool pressure, so
-	// heavily contended moments plan narrower exchanges up front instead of
-	// discovering the clamp at execution time. Plan *shape* decisions still
-	// use the configured worker count — shapes stay binding- and
-	// load-independent, which the plan cache relies on.
-	DOPAdvisor func(workers int) int
 }
 
 // New returns an optimizer with default cost parameters and validity-range
@@ -339,20 +329,13 @@ func (o *Optimizer) exchangePays(cost, rows float64, nExchanges float64) bool {
 
 // wrapExchange layers an exchange of the given kind over c. Exchanges are
 // cardinality-preserving and order-destroying. The recorded DOP is the
-// configured worker count, narrowed by the DOPAdvisor when one is set;
-// whether to wrap at all (exchangePays) always uses the configured count so
-// plan shapes stay load-independent.
+// configured worker count; the executor clamps it to what the worker gate
+// grants at run time.
 func (o *Optimizer) wrapExchange(kind ExchangeKind, c *Plan) *Plan {
-	dop := o.Model.Params.Workers
-	if o.DOPAdvisor != nil {
-		if a := o.DOPAdvisor(dop); a >= 1 && a < dop {
-			dop = a
-		}
-	}
 	x := &Plan{
 		Op:       OpExchange,
 		ExKind:   kind,
-		DOP:      dop,
+		DOP:      o.Model.Params.Workers,
 		Children: []*Plan{c},
 		Cols:     c.Cols,
 		Card:     c.Card,

@@ -62,7 +62,7 @@ func (g *testGate) snapshot() (int, int) {
 // gate changes when and how wide an exchange runs, never what it computes.
 // The same forced-reoptimization statement is run ungated (full DOP) and
 // under budgets that clamp the exchanges to partial width and all the way to
-// the inline zero-goroutine fallback. Simulated work must be bit-identical
+// a zero grant's DOP-1 worker. Simulated work must be bit-identical
 // and the result multiset unchanged, and every grant must be balanced by a
 // release.
 func TestGatedWorkMatchesUngated(t *testing.T) {
@@ -132,6 +132,77 @@ func TestGatedWorkMatchesUngated(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestZeroGrantRunsOneWorker pins what a zero grant runs: the exchange's
+// ordinary worker path at DOP 1. Under a gate that grants nothing, every
+// exchange's dop_clamp (granted 0) is matched by worker_start events at
+// DOP 1 — one for a gather, one build plus one probe for a partitioned
+// join — and rows and work equal the ungated run.
+func TestZeroGrantRunsOneWorker(t *testing.T) {
+	cat := correlatedFixture(t)
+	q := correlatedQuery(t, cat)
+	run := func(gate *testGate, tr trace.Recorder) *Result {
+		t.Helper()
+		opts := Options{Enabled: false, Configure: forceParallelHash(4), Trace: tr}
+		if gate != nil {
+			opts.Gate = gate
+		}
+		res, err := NewRunner(cat, opts).Run(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	base := run(nil, nil)
+	gate := &testGate{}
+	col := trace.NewCollector()
+	res := run(gate, col)
+	if res.Work != base.Work {
+		t.Errorf("zero-grant work %v != ungated %v", res.Work, base.Work)
+	}
+	g, w := canon(res.Rows), canon(base.Rows)
+	if len(g) != len(w) {
+		t.Fatalf("zero grant returned %d rows, ungated %d", len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("row %d: %s vs %s", i, g[i], w[i])
+		}
+	}
+	if out, peak := gate.snapshot(); out != 0 || peak != 0 {
+		t.Errorf("a zero grant took from the pool: %d outstanding, peak %d", out, peak)
+	}
+
+	clamps := col.OfKind(trace.DOPClamp)
+	if len(clamps) == 0 {
+		t.Fatal("no dop_clamp event: the plan has no exchange to clamp")
+	}
+	for _, ev := range clamps {
+		if ev.Sched.Granted != 0 {
+			t.Errorf("clamp granted %d under a gate that grants nothing", ev.Sched.Granted)
+		}
+	}
+	starts := map[string]int{}
+	for _, ev := range col.OfKind(trace.WorkerStart) {
+		if ev.Worker.DOP != 1 || ev.Worker.Worker != 0 {
+			t.Errorf("%s worker %d started at dop=%d, want worker 0 at dop=1", ev.Worker.Phase, ev.Worker.Worker, ev.Worker.DOP)
+		}
+		starts[ev.Worker.Phase]++
+	}
+	if starts["build"] == 0 {
+		t.Error("no partitioned join ran a build worker")
+	}
+	if starts["build"] != starts["probe"] {
+		t.Errorf("%d build workers but %d probe workers; a partitioned join runs one of each", starts["build"], starts["probe"])
+	}
+	if n := starts["gather"] + starts["build"]; n != len(clamps) {
+		t.Errorf("%d zero grants but %d exchanges started a worker (%d gathers, %d joins)", len(clamps), n, starts["gather"], starts["build"])
+	}
+	if d := len(col.OfKind(trace.WorkerDrain)); d != starts["gather"]+starts["build"]+starts["probe"] {
+		t.Errorf("%d worker_drain events for %v starts", d, starts)
 	}
 }
 

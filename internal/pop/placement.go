@@ -184,7 +184,7 @@ func (p *placer) rewrite(node *optimizer.Plan, parent *optimizer.Plan, edge int)
 		// in-memory boundary — better to re-optimize than to start staging.
 		if p.pol.GuardSpill && p.pol.MemoryBytes > 0 && n.Children[1].Op != optimizer.OpCheck {
 			build := n.Children[1]
-			spillRows := p.pol.MemoryBytes / (12 * float64(len(build.Cols)))
+			_, spillRows := optimizer.HashStages(build.Card, len(build.Cols), p.pol.MemoryBytes)
 			if build.Card <= spillRows {
 				v := node.EdgeValidity(1)
 				if v.Hi > spillRows {

@@ -68,8 +68,8 @@ type Options struct {
 	BindParamEstimates bool
 	// Gate, when non-nil, arbitrates exchange worker spawning against a
 	// shared pool (see executor.WorkerGate): exchanges run at whatever width
-	// the gate grants, down to an inline zero-goroutine mode, with the
-	// simulated work total bit-identical at every granted width. The server's
+	// the gate grants, DOP 1 at a zero grant, with the simulated work
+	// total bit-identical at every granted width. The server's
 	// scheduler supplies this; nil keeps the library's ungated spawning.
 	Gate executor.WorkerGate
 	// Planner selects the planner/adaptivity strategy (see strategy.go). Nil

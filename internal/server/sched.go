@@ -5,8 +5,8 @@
 // parallelism (admission control: bounded running-query slots with a fair
 // FIFO queue and per-session backpressure) and intra-query parallelism (every
 // exchange acquires its workers from the pool via executor.WorkerGate and
-// clamps its DOP — down to an inline zero-goroutine mode — when the pool is
-// contended). The scheduler changes when and how wide a query runs, never
+// clamps its DOP — down to one worker that takes nothing from the pool —
+// when the pool is contended). The scheduler changes when and how wide a query runs, never
 // what it computes: per-query simulated work stays bit-identical to library
 // execution (see internal/pop's gate tests and DESIGN.md §12).
 package server
@@ -127,9 +127,9 @@ var _ executor.WorkerGate = (*Scheduler)(nil)
 
 // AcquireWorkers implements executor.WorkerGate: it grants up to want
 // workers, never letting total occupancy exceed the budget. A zero grant
-// tells the exchange to run inline. Lock-free: a CAS loop on the occupancy
-// counter, so the strict invariant out+grant ≤ budget holds at every
-// interleaving.
+// runs the exchange's one DOP-1 worker outside the pool and is counted in
+// InlineRuns. Lock-free: a CAS loop on the occupancy counter, so the strict
+// invariant out+grant ≤ budget holds at every interleaving.
 func (s *Scheduler) AcquireWorkers(want int) int {
 	if want < 0 {
 		want = 0
@@ -170,22 +170,6 @@ func (s *Scheduler) ReleaseWorkers(n int) {
 	if n > 0 {
 		s.workersOut.Add(-int64(n))
 	}
-}
-
-// AdviseDOP is an optimizer.DOPAdvisor: it narrows planned exchange widths
-// to what the pool could grant right now, so heavily contended moments plan
-// narrower exchanges up front instead of discovering the clamp at execution
-// time. Only meaningful for uncached planning — cached plan shapes must stay
-// load-independent (DESIGN.md §12.3).
-func (s *Scheduler) AdviseDOP(workers int) int {
-	free := int64(s.cfg.WorkerBudget) - s.workersOut.Load()
-	if free < 1 {
-		return 1
-	}
-	if free < int64(workers) {
-		return int(free)
-	}
-	return workers
 }
 
 // Admit blocks until the query may execute (a run slot is free or handed

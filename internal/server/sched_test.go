@@ -3,9 +3,17 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/catalog"
+	"repro/internal/optimizer"
+	"repro/internal/pop"
+	"repro/internal/sqlparse"
+	"repro/internal/trace"
+	"repro/internal/types"
 )
 
 // TestWorkerBudgetCAS hammers the worker pool from many goroutines and
@@ -41,7 +49,7 @@ func TestWorkerBudgetCAS(t *testing.T) {
 }
 
 // TestAcquireClampsAndInline pins the grant ladder: full grant when free,
-// partial when constrained, zero (inline) when exhausted.
+// partial when constrained, zero (counted as an inline run) when exhausted.
 func TestAcquireClampsAndInline(t *testing.T) {
 	s := NewScheduler(SchedConfig{WorkerBudget: 4})
 	if got := s.AcquireWorkers(3); got != 3 {
@@ -67,21 +75,71 @@ func TestAcquireClampsAndInline(t *testing.T) {
 	s.ReleaseWorkers(2)
 }
 
-// TestAdviseDOP pins the planning-side advisor: it narrows to the free
-// budget, floors at 1, and never widens.
+// TestAdviseDOP pins that planning ignores pool pressure: an uncached server
+// whose pool is exhausted still records dop=Config.Workers on every exchange
+// of the plan, and the clamp happens at execution, where every exchange asks
+// for that width and is granted nothing.
 func TestAdviseDOP(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4})
-	if got := s.AdviseDOP(8); got != 4 {
-		t.Errorf("idle advise %d, want 4", got)
+	cat := tpchCat(t, 0.002)
+	s := New(cat, Config{Workers: 4, DisableCache: true, Sched: SchedConfig{WorkerBudget: 4}})
+	workers := s.Config().Workers
+	if got := s.Scheduler().AcquireWorkers(4); got != 4 {
+		t.Fatalf("idle pool granted %d, want 4", got)
 	}
-	if got := s.AdviseDOP(3); got != 3 {
-		t.Errorf("under-budget advise %d, want 3", got)
+	defer s.Scheduler().ReleaseWorkers(4)
+
+	col := trace.NewCollector()
+	opts := s.options()
+	opts.Trace = trace.Multi(opts.Trace, col)
+	q, err := sqlparse.Parse(cat, q10SQL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.AcquireWorkers(4)
-	if got := s.AdviseDOP(8); got != 1 {
-		t.Errorf("exhausted advise %d, want 1", got)
+	res, err := pop.NewRunner(cat, opts).Run(q, []types.Datum{types.NewFloat(25)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.ReleaseWorkers(4)
+	exchanges := 0
+	var walk func(p *optimizer.Plan)
+	walk = func(p *optimizer.Plan) {
+		if p.Op == optimizer.OpExchange {
+			exchanges++
+			if p.DOP != workers {
+				t.Errorf("exchange planned at dop=%d under an exhausted pool, want %d", p.DOP, workers)
+			}
+		}
+		for _, c := range p.Children {
+			walk(c)
+		}
+	}
+	for _, a := range res.Attempts {
+		walk(a.Plan)
+	}
+	if exchanges == 0 {
+		t.Fatal("the plan has no exchange; the test exercises nothing")
+	}
+	clamps := col.OfKind(trace.DOPClamp)
+	if len(clamps) == 0 {
+		t.Fatal("no dop_clamp event: the exhausted pool never clamped at execution")
+	}
+	for _, ev := range clamps {
+		if ev.Sched.Want != workers || ev.Sched.Granted != 0 {
+			t.Errorf("clamp want=%d granted=%d, want want=%d granted=0", ev.Sched.Want, ev.Sched.Granted, workers)
+		}
+	}
+}
+
+// TestConfigResolvesWorkers pins the planning width New resolves and
+// Server.Config reports: Workers 1 is raised to 2, and 0 takes GOMAXPROCS,
+// at least 2.
+func TestConfigResolvesWorkers(t *testing.T) {
+	cat := catalog.New()
+	if got := New(cat, Config{Workers: 1}).Config().Workers; got != 2 {
+		t.Errorf("Workers 1 resolved to %d, want 2", got)
+	}
+	if got, want := New(cat, Config{}).Config().Workers, max(2, runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("Workers 0 resolved to %d, want %d", got, want)
+	}
 }
 
 // TestAdmitFIFOFairness fills every run slot, queues three waiters from

@@ -33,14 +33,13 @@ type Config struct {
 	// Sched sizes the admission controller and worker pool.
 	Sched SchedConfig
 	// Workers is the per-query planned exchange width (the optimizer's
-	// worker parameter); the scheduler clamps it at runtime under
-	// contention. Default GOMAXPROCS, minimum 2 so exchanges exist to
-	// arbitrate.
+	// worker parameter), with or without the plan cache; the scheduler
+	// clamps it at execution under contention. Default GOMAXPROCS, minimum 2
+	// so exchanges exist to arbitrate; Server.Config reports the resolved
+	// width.
 	Workers int
 	// DisableCache turns the shared plan cache off: every session runs as a
-	// plain POP runner (used by the benchmark's work-identity phase — and
-	// the only mode where the scheduler also advises planned DOPs, since
-	// cached plan shapes must stay load-independent).
+	// plain POP runner (used by the benchmark's work-identity phase).
 	DisableCache bool
 	// MaxRows caps rows returned per response (0 = unlimited).
 	MaxRows int
@@ -119,6 +118,10 @@ func New(cat *catalog.Catalog, cfg Config) *Server {
 // its stats).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
+// Config reports the resolved configuration: defaults filled in and
+// Workers raised to its minimum.
+func (s *Server) Config() Config { return s.cfg }
+
 // Metrics exposes the server's cumulative counters.
 func (s *Server) Metrics() metrics.Snapshot { return s.reg.Snapshot() }
 
@@ -135,22 +138,15 @@ func (s *Server) recorder() trace.Recorder {
 
 // options assembles the pop.Options every execution runs with: POP on, the
 // scheduler as the exchange worker gate, the composed trace sinks, and the
-// planned width from Config.Workers. With the plan cache disabled the
-// scheduler also advises planned DOPs (cached plan shapes must stay
-// load-independent — see DESIGN.md §12.3).
+// planned width from Config.Workers.
 func (s *Server) options() pop.Options {
 	opts := pop.DefaultOptions()
 	opts.Enabled = true
 	opts.Gate = s.sched
 	opts.Trace = s.recorder()
 	workers := s.cfg.Workers
-	advise := s.cfg.DisableCache
-	sched := s.sched
 	opts.Configure = func(o *optimizer.Optimizer) {
 		o.Model.Params.Workers = workers
-		if advise {
-			o.DOPAdvisor = sched.AdviseDOP
-		}
 	}
 	if s.cfg.Options != nil {
 		s.cfg.Options(&opts)

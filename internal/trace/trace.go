@@ -62,7 +62,7 @@ const (
 	QueryError Kind = "query_error"
 	// DOPClamp marks an exchange that asked the worker gate for its plan DOP
 	// and was granted less (payload: Sched; Granted 0 means the exchange ran
-	// inline on the caller's goroutine).
+	// one DOP-1 worker taken from no pool).
 	DOPClamp Kind = "dop_clamp"
 	// AdmissionWait marks a query that queued for an execution slot before
 	// admission (payload: Sched with WaitNS and the queue depth observed).
