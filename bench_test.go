@@ -354,6 +354,44 @@ func BenchmarkOptimizeDMV(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeWide compiles a 64-table chain join with the default
+// optimizer: past DP's table limit it takes the greedy chain, and this is
+// that path's wall budget.
+func BenchmarkOptimizeWide(b *testing.B) {
+	cat := catalog.New()
+	t, err := cat.CreateTable("t", schema.New(
+		schema.Column{Name: "id", Type: types.KindInt},
+		schema.Column{Name: "nxt", Type: types.KindInt},
+	))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := int64(0); i < 100; i++ {
+		t.Heap.MustInsert(schema.Row{types.NewInt(i), types.NewInt((i * 7) % 100)})
+	}
+	if err := cat.AnalyzeAll(); err != nil {
+		b.Fatal(err)
+	}
+	from, where := make([]string, 64), make([]string, 63)
+	for i := range from {
+		from[i] = fmt.Sprintf("t t%d", i)
+	}
+	for i := range where {
+		where[i] = fmt.Sprintf("t%d.nxt = t%d.id", i, i+1)
+	}
+	q, err := sqlparse.Parse(cat, "SELECT t63.id FROM "+strings.Join(from, ", ")+" WHERE "+strings.Join(where, " AND "))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := optimizer.New(cat).Optimize(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExecuteQ3 measures end-to-end execution of Q3 without POP.
 func BenchmarkExecuteQ3(b *testing.B) {
 	cat := tpchFixture(b)

@@ -21,8 +21,8 @@ import (
 // This file is a differential test harness: it generates random schemas,
 // data and queries, evaluates each query by brute force, and checks that
 // every optimizer configuration — every join method, greedy enumeration,
-// robust mode, POP with each checkpoint flavor, and every planner strategy
-// served through the plan cache — produces the same multiset of rows.
+// POP with each checkpoint flavor, and every planner strategy served through
+// the plan cache — produces the same multiset of rows.
 
 // canon renders rows as sorted strings for multiset comparison.
 func canon(rows []schema.Row) []string {
@@ -308,7 +308,7 @@ func diffRows(got, want []string) string {
 
 // TestDifferentialRandomQueries is the metamorphic sweep: 25 random
 // databases, each with one random query and one query per sargable shape its
-// indexes allow, each executed under 7 optimizer configurations, 4 POP modes
+// indexes allow, each executed under 6 optimizer configurations, 3 POP modes
 // and every planner strategy through the plan cache (cold, then warm), all
 // compared to brute force.
 func TestDifferentialRandomQueries(t *testing.T) {
@@ -323,8 +323,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		{"onlyHash", func(o *optimizer.Optimizer) { o.DisableNLJN = true; o.DisableMGJN = true }},
 		{"onlyMerge", func(o *optimizer.Optimizer) { o.DisableNLJN = true; o.DisableHSJN = true }},
 		{"onlyNLJN", func(o *optimizer.Optimizer) { o.DisableHSJN = true; o.DisableMGJN = true }},
-		{"greedy", func(o *optimizer.Optimizer) { o.GreedyThreshold = 0 }},
-		{"robust", func(o *optimizer.Optimizer) { o.RobustnessBonus = 1.5 }},
+		{"greedy", func(o *optimizer.Optimizer) { o.JoinOrder = optimizer.JoinOrderGreedy }},
 		{"noValidity", func(o *optimizer.Optimizer) { o.ComputeValidity = false }},
 	}
 	type diffQuery struct {
@@ -372,19 +371,16 @@ func TestDifferentialRandomQueries(t *testing.T) {
 				}
 			}
 
-			// POP under the default policy, pipelined ECDC, and the extension
-			// features (spill guard, hash-build reuse, uncertainty penalty).
-			for _, mode := range []string{"popDefault", "popECDC", "popSpillGuard", "popReuseBuilds"} {
+			// POP under the default policy, pipelined ECDC, and the uncertainty
+			// penalty.
+			for _, mode := range []string{"popDefault", "popECDC", "popUncertainty"} {
 				opts := pop.DefaultOptions()
 				switch mode {
 				case "popECDC":
 					opts.Pipelined = true
 					opts.Policy = pop.Policy{ECDC: true, RequireBoundedRange: true}
-				case "popSpillGuard":
-					opts.Policy.GuardSpill = true
+				case "popUncertainty":
 					opts.UncertaintyPenalty = 1.5
-				case "popReuseBuilds":
-					opts.ReuseHashBuilds = true
 				}
 				res, err := pop.NewRunner(cat, opts).Run(q, nil)
 				if err != nil {

@@ -175,12 +175,12 @@ func fixtureQuery(t *testing.T, cat *catalog.Catalog, from, where, sel []string)
 	return q
 }
 
-// forcedViolation runs q under POP with the checkpoints pol places, of which
-// only the one pick selects can fire: it fails, and the second and final
+// forcedViolation runs q under POP with the LCEM checkpoints, of which only
+// the one pick selects can fire: it fails, and the second and final
 // attempt (MaxReopts 1) re-optimizes with the first attempt's temp MVs reused
 // unconditionally.
 func forcedViolation(t *testing.T, cat *catalog.Catalog, q *logical.Query, cfg func(*optimizer.Optimizer),
-	pol pop.Policy, reuseBuilds bool, pick func(check *optimizer.Plan) bool) *pop.Result {
+	pick func(check *optimizer.Plan) bool) *pop.Result {
 	t.Helper()
 	opt := optimizer.New(cat)
 	cfg(opt)
@@ -188,7 +188,7 @@ func forcedViolation(t *testing.T, cat *catalog.Catalog, q *logical.Query, cfg f
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol.Unchecked = true
+	pol := pop.Policy{LCEM: true, Unchecked: true}
 	placed, _ := pop.Place(plan, q, pol)
 	id := -1
 	placed.Walk(func(n *optimizer.Plan) {
@@ -200,7 +200,7 @@ func forcedViolation(t *testing.T, cat *catalog.Catalog, q *logical.Query, cfg f
 		t.Fatalf("no checkpoint to fail:\n%s", optimizer.Explain(placed, q))
 	}
 	pol.FailCheckIDs = map[int]bool{id: true}
-	opts := pop.Options{Enabled: true, Policy: pol, MaxReopts: 1, Configure: cfg, ReuseHashBuilds: reuseBuilds}
+	opts := pop.Options{Enabled: true, Policy: pol, MaxReopts: 1, Configure: cfg}
 	res, err := pop.NewRunner(cat, opts).Run(q, nil)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, optimizer.Explain(placed, q))
@@ -229,32 +229,26 @@ func lcemOver(join bool) func(*optimizer.Plan) bool {
 var nljnOnly = func(o *optimizer.Optimizer) { o.DisableHSJN, o.DisableMGJN = true, true }
 
 // TestMVLayoutsAcrossAttempts re-optimizes into an MVSCAN of a temp MV
-// promoted from each kind of materialization: a TEMP over a base-table scan
-// (rows in the heap layout), a TEMP over a join (rows in the join's pruned
-// layout: a.v and b.j of the eight columns of a ⋈ b), and a hash join's build
-// under Options.ReuseHashBuilds (the same pruned a ⋈ b). The re-optimized plan
-// must read the view, and the rows must equal brute force.
+// promoted from a TEMP over a base-table scan (rows in the heap layout) and
+// a TEMP over a join (rows in the join's pruned layout: a.v and b.j of the
+// eight columns of a ⋈ b). The re-optimized plan must read the view, and the
+// rows must equal brute force.
 func TestMVLayoutsAcrossAttempts(t *testing.T) {
 	cat := layoutFixture(t)
 	two := fixtureQuery(t, cat, []string{"a", "b"}, []string{"a.k=b.ak"}, []string{"a.v", "b.w"})
 	three := fixtureQuery(t, cat, []string{"a", "b", "c"}, []string{"a.k=b.ak", "b.j=c.x"}, []string{"a.v", "c.y"})
-	probeC := func(ck *optimizer.Plan) bool { return ck.Children[0].Tables() == 1<<2 }
 	cases := []struct {
-		name        string
-		q           *logical.Query
-		cfg         func(*optimizer.Optimizer)
-		pol         pop.Policy
-		reuseBuilds bool
-		pick        func(*optimizer.Plan) bool
-		mv          uint64 // tables of the view the re-optimized plan reads
+		name string
+		q    *logical.Query
+		pick func(*optimizer.Plan) bool
+		mv   uint64 // tables of the view the re-optimized plan reads
 	}{
-		{"tempOverScan", two, nljnOnly, pop.Policy{LCEM: true}, false, lcemOver(false), 1},
-		{"tempOverJoin", three, nljnOnly, pop.Policy{LCEM: true}, false, lcemOver(true), 3},
-		{"hashBuild", three, hashOnly(1), pop.Policy{ECDC: true}, true, probeC, 3},
+		{"tempOverScan", two, lcemOver(false), 1},
+		{"tempOverJoin", three, lcemOver(true), 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res := forcedViolation(t, cat, c.q, c.cfg, c.pol, c.reuseBuilds, c.pick)
+			res := forcedViolation(t, cat, c.q, nljnOnly, c.pick)
 			if final := res.Attempts[1]; !readsMVOf(final.Plan, c.mv) {
 				t.Fatalf("re-optimized plan does not read the temp MV:\n%s", final.Explain)
 			}
@@ -320,8 +314,8 @@ func TestZeroWidthJoinRows(t *testing.T) {
 		from := []string{"a", "b", "c"}
 		q := fixtureQuery(t, cat, from, where, nil)
 		want := int64(len(bruteForce(t, cat, fixtureQuery(t, cat, from, where, []string{"a.id"}))))
-		greedy := func(o *optimizer.Optimizer) { o.GreedyThreshold = 0 }
-		res := forcedViolation(t, cat, q, greedy, pop.Policy{LCEM: true}, false, lcemOver(true))
+		greedy := func(o *optimizer.Optimizer) { o.JoinOrder = optimizer.JoinOrderGreedy }
+		res := forcedViolation(t, cat, q, greedy, lcemOver(true))
 		if !readsMVOf(res.Attempts[1].Plan, 3) {
 			t.Fatalf("re-optimized plan does not read the zero-width MV:\n%s", res.Attempts[1].Explain)
 		}

@@ -392,7 +392,7 @@ func (n *gatherNode) Close() error {
 // DOP workers then build one hash table per partition; DOP probe workers
 // stream morsel stripes of the probe input, each probing only the partition
 // its row hashes to. Its Plan() is the underlying HSJN node, so stats
-// harvesting and build-reuse promotion see the join, not the exchange.
+// harvesting sees the join, not the exchange.
 type parallelHSJNNode struct {
 	base
 	consumer
@@ -406,8 +406,6 @@ type parallelHSJNNode struct {
 	probeStub, buildStub     *exchangeStub
 
 	parts      []joinTable // partition p holds the build rows whose key hash is p mod dop
-	buildRows  []schema.Row
-	buildDone  bool
 	spillExtra float64
 
 	// analyzeTicks accumulates the work this node's worker loops charge
@@ -471,12 +469,6 @@ func (n *parallelHSJNNode) extraWork() float64 {
 	return float64(n.analyzeTicks.Load()) / meterTick
 }
 
-// BuildMaterialized exposes the completed partitioned build for temp-MV
-// promotion, exactly like the serial hash join.
-func (n *parallelHSJNNode) BuildMaterialized() ([]schema.Row, int, bool) {
-	return n.buildRows, 1, n.buildDone
-}
-
 // parallel runs f(0) … f(dop-1) concurrently and waits for all of them.
 func parallel(dop int, f func(w int)) {
 	var wg sync.WaitGroup
@@ -517,24 +509,16 @@ func (n *parallelHSJNNode) Open() error {
 		}
 	}
 
-	// Retain the complete build input (worker order, so the retained rows
-	// are deterministic for a given DOP) for temp-MV promotion. At DOP 1 the
-	// one partition builds from the retained rows themselves.
-	if n.dop == 1 {
-		n.buildRows = all[0]
-		bufs[0] = all
-	} else {
-		total := 0
-		for w := range all {
-			total += len(all[w])
-		}
-		n.buildRows = make([]schema.Row, 0, total)
-		for w := range all {
-			n.buildRows = append(n.buildRows, all[w]...)
-		}
+	// The build edge counts every row, NULL-keyed ones included. At DOP 1
+	// the one partition builds from the worker's rows themselves.
+	total := 0
+	for w := range all {
+		total += len(all[w])
 	}
-	n.buildDone = true
-	n.buildStub.stats.RowsOut = float64(len(n.buildRows))
+	if n.dop == 1 {
+		bufs[0] = all
+	}
+	n.buildStub.stats.RowsOut = float64(total)
 	n.buildStub.stats.Done = true
 
 	// Phase 2: one hash table per partition, built in parallel from the
@@ -543,7 +527,7 @@ func (n *parallelHSJNNode) Open() error {
 	parallel(n.dop, func(p int) {
 		n.parts[p].build(n.ex, n.buildKeys, bufs[p]...)
 	})
-	n.spillExtra = n.stageBuild(n.ex, len(n.buildRows))
+	n.spillExtra = n.stageBuild(n.ex, total)
 
 	// Phase 3: concurrent probe.
 	n.probeStub.stats.Opened = true

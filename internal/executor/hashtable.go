@@ -165,7 +165,7 @@ func (t *joinTable) bucket(h uint64) []schema.Row {
 func (b *base) stageBuild(e *Executor, rows int) float64 {
 	pr := &e.Cost
 	buildRows := float64(rows)
-	stages, _ := optimizer.HashStages(buildRows, len(b.plan.Children[1].Cols), pr.MemoryBytes)
+	stages := optimizer.HashStages(buildRows, len(b.plan.Children[1].Cols), pr.MemoryBytes)
 	if stages == 1 {
 		return 0
 	}

@@ -204,8 +204,9 @@ func TestHashOperatorsUnderCollisions(t *testing.T) {
 }
 
 // TestHashJoinBuildKeepsNullKeys: a NULL build key joins nothing, so the
-// table leaves the row out, but the build a temp MV is promoted from keeps
-// every row — serial, partitioned inline and partitioned at DOP 2.
+// table leaves the row out, but the build edge still counts every row (the
+// staging charge reads that count) — serial, and partitioned at a zero
+// grant, DOP 1 and DOP 2.
 func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 	build := []types.Datum{types.Null, types.NewInt(1), types.NewInt(2), types.Null, types.NewInt(1)}
 	probe := ints(1, 2, 3)
@@ -251,21 +252,20 @@ func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 				t.Errorf("workers=%d dop=%d: %d rows, want 3", workers, dop, len(rows))
 			}
 			var tables []joinTable
-			var bm BuildMaterializer
+			var join Node
 			Walk(root, func(n Node) {
 				switch j := n.(type) {
 				case *hsjnNode:
-					tables, bm = []joinTable{j.table}, j
+					tables, join = []joinTable{j.table}, j
 				case *parallelHSJNNode:
-					tables, bm = j.parts, j
+					tables, join = j.parts, j
 				}
 			})
-			if bm == nil {
+			if join == nil {
 				t.Fatalf("no hash join in plan:\n%s", optimizer.Explain(plan, q))
 			}
-			kept, _, done := bm.BuildMaterialized()
-			if !done || len(kept) != len(build) {
-				t.Errorf("workers=%d dop=%d: build materialized %d rows (done %v), want all %d", workers, dop, len(kept), done, len(build))
+			if st := join.Children()[1].Stats(); !st.Done || st.RowsOut != float64(len(build)) {
+				t.Errorf("workers=%d dop=%d: build edge counted %v rows (done %v), want all %d", workers, dop, st.RowsOut, st.Done, len(build))
 			}
 			inTable := 0
 			for _, jt := range tables {

@@ -329,25 +329,9 @@ type hsjnNode struct {
 	probeT int64  // pre-scaled per-probe-row charge
 	outT   int64  // pre-scaled per-output-row charge
 
-	// buildRows retains the complete build input (including NULL-keyed rows
-	// the hash table drops) so the build can be promoted to a temp MV — the
-	// reuse enhancement the paper's §4 plans for its prototype.
+	// buildRows is the drained build input the hash table is built from, kept
+	// across re-opens to reuse its backing array.
 	buildRows []schema.Row
-	buildDone bool
-}
-
-// BuildMaterializer is implemented by joins that fully materialize one
-// input; the POP runner can promote that input to a temporary materialized
-// view when Options.ReuseHashBuilds is set.
-type BuildMaterializer interface {
-	// BuildMaterialized returns the materialized input rows, the child index
-	// they came from, and whether the materialization completed.
-	BuildMaterialized() (rows []schema.Row, childIndex int, done bool)
-}
-
-// BuildMaterialized exposes the completed hash-join build.
-func (n *hsjnNode) BuildMaterialized() ([]schema.Row, int, bool) {
-	return n.buildRows, 1, n.buildDone
 }
 
 func (e *Executor) buildHSJN(p *optimizer.Plan) (Node, error) {
@@ -408,7 +392,6 @@ func (n *hsjnNode) Open() error {
 	n.stats = NodeStats{Opened: true}
 	n.curBucket, n.curIdx = nil, 0
 	n.buildRows = n.buildRows[:0]
-	n.buildDone = false
 	pr := &n.ex.Cost
 	if err := n.build.Open(); err != nil {
 		return err
@@ -419,7 +402,6 @@ func (n *hsjnNode) Open() error {
 		return err
 	}
 	n.table.build(n.ex, n.buildKeys, n.buildRows)
-	n.buildDone = true
 	n.spillExtra = n.stageBuild(n.ex, len(n.buildRows))
 	// Pre-scale the per-row charges once per Open; the spill surcharge is part
 	// of the probe charge, rounded to ticks together with it.

@@ -407,6 +407,9 @@ func (b *Builder) fail(err error) {
 	}
 }
 
+// maxTables is the widest query: table sets are uint64 masks.
+const maxTables = 64
+
 // Build finalizes and returns the query, or the first error encountered.
 func (b *Builder) Build() (*Query, error) {
 	if b.err != nil {
@@ -414,6 +417,9 @@ func (b *Builder) Build() (*Query, error) {
 	}
 	if len(b.q.Tables) == 0 {
 		return nil, fmt.Errorf("logical: query has no tables")
+	}
+	if len(b.q.Tables) > maxTables {
+		return nil, fmt.Errorf("logical: query has %d tables; the limit is %d", len(b.q.Tables), maxTables)
 	}
 	if len(b.q.Select) == 0 {
 		return nil, fmt.Errorf("logical: query has no select list")

@@ -89,42 +89,19 @@ func (pr *CostParams) AccessCost(descent, matched float64, residuals int) float6
 // for operators oopt and oalt with alternate cardinalities").
 type CostModel struct {
 	Params CostParams
-
-	// RobustnessBonus is the §7 "Checking Opportunities" handicap: the local
-	// work of operators offering few re-optimization opportunities (hash
-	// joins, index nested-loop joins) is scaled by 1+RobustnessBonus. Living
-	// inside the model keeps the validity-range sensitivity analysis
-	// consistent with plan selection.
-	RobustnessBonus float64
-}
-
-// handicap returns the robustness multiplier for an operator's local work.
-func (m *CostModel) handicap(p *Plan) float64 {
-	if m.RobustnessBonus <= 0 {
-		return 1
-	}
-	if p.Op == OpHSJN || (p.Op == OpNLJN && p.IndexJoin) {
-		return 1 + m.RobustnessBonus
-	}
-	return 1
 }
 
 // HashStages is the one staging rule of a hash-join build of rows rows,
 // cols columns wide, under the memory budget mem (≤ 0: unlimited): its
 // bytes are 12 a column, at least 12 a row; it takes one pass while they fit
-// mem and one per budget's worth beyond. fitRows is the largest build that
-// takes one pass. The cost model, the executor's staging charge and the
-// spill guard all read it.
-func HashStages(rows float64, cols int, mem float64) (stages, fitRows float64) {
+// mem and one per budget's worth beyond. The cost model and the executor's
+// staging charge both read it.
+func HashStages(rows float64, cols int, mem float64) float64 {
 	width := 12 * float64(max(cols, 1))
-	if mem <= 0 {
-		return 1, math.Inf(1)
+	if bytes := rows * width; mem > 0 && bytes > mem {
+		return math.Ceil(bytes / mem)
 	}
-	fitRows = mem / width
-	if bytes := rows * width; bytes > mem {
-		return math.Ceil(bytes / mem), fitRows
-	}
-	return 1, fitRows
+	return 1
 }
 
 // Recost computes the total (cumulative) cost of plan node p given its child
@@ -146,7 +123,7 @@ func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 		if p.IndexJoin {
 			// Inner child is a parameterized index probe: its Cost is the
 			// per-probe cost and its Card the per-probe match count.
-			return outerCost + (probes*innerCost+out*pr.OutputRow)*m.handicap(p)
+			return outerCost + (probes*innerCost + out*pr.OutputRow)
 		}
 		// Naive NLJN rescans the inner subtree once per outer row and
 		// evaluates the join predicate against every pair.
@@ -156,13 +133,13 @@ func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 	case OpHSJN:
 		probe, build := cc[0], cc[1]
 		probeCost, buildCost := cs[0], cs[1]
-		stages, _ := HashStages(build, len(p.Children[1].Cols), pr.MemoryBytes)
+		stages := HashStages(build, len(p.Children[1].Cols), pr.MemoryBytes)
 		out := scaleCardOf(p, cc)
 		own := build*pr.HashBuildRow + probe*pr.HashProbeRow + out*pr.OutputRow
 		if stages > 1 {
 			own += (stages - 1) * (build + probe) * pr.SpillRow
 		}
-		return probeCost + buildCost + own*m.handicap(p)
+		return probeCost + buildCost + own
 
 	case OpMGJN:
 		l, r := cc[0], cc[1]

@@ -39,14 +39,6 @@ type Optimizer struct {
 	// catalog never see each other's intermediate results.
 	MVNamespace string
 
-	// RobustnessBonus implements §7 "Checking Opportunities": a relative
-	// cost handicap (e.g. 0.2 = +20%) applied to operators that offer fewer
-	// re-optimization opportunities — hash joins and index nested-loop
-	// joins — so that in volatile environments the optimizer prefers
-	// sort-merge plans, whose materialization points are natural low-risk
-	// checkpoints. Synced into the cost model at Optimize time.
-	RobustnessBonus float64
-
 	// UncertaintyPenalty implements §7 "Considering Uncertainty during
 	// Re-optimization": during a re-optimization (feedback cache non-empty),
 	// cardinality estimates that are NOT backed by an actual observation are
@@ -58,13 +50,9 @@ type Optimizer struct {
 	// plan's edges carry validity ranges.
 	ComputeValidity bool
 
-	// GreedyThreshold is the table count beyond which exhaustive DP yields
-	// to greedy left-deep enumeration.
-	GreedyThreshold int
-
 	// JoinOrder selects the join-ordering algorithm (see greedy.go). The
-	// default, JoinOrderAuto, is DP with a greedy fallback past
-	// GreedyThreshold; JoinOrderGreedy forces the statistics-free greedy
+	// default, JoinOrderAuto, is DP up to dpMaxTables tables and the
+	// statistics-free greedy chain beyond; JoinOrderGreedy forces the greedy
 	// chain regardless of table count.
 	JoinOrder JoinOrder
 
@@ -91,9 +79,12 @@ func New(cat *catalog.Catalog) *Optimizer {
 		Cat:             cat,
 		Model:           CostModel{Params: DefaultCostParams()},
 		ComputeValidity: true,
-		GreedyThreshold: 12,
 	}
 }
+
+// dpMaxTables is the widest join JoinOrderAuto orders by exhaustive DP;
+// wider joins take the greedy chain.
+const dpMaxTables = 12
 
 // planner carries the per-query enumeration state.
 type planner struct {
@@ -194,7 +185,6 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 	for _, p := range q.JoinPredicates() {
 		pl.joinPreds = append(pl.joinPreds, predMask{pred: p, mask: q.TablesUsed(p)})
 	}
-	o.Model.RobustnessBonus = o.RobustnessBonus
 	for ti := range tabs {
 		for _, ap := range pl.baseAccessPaths(ti) {
 			pl.addCandidate(ap)
@@ -213,19 +203,11 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 	n := len(q.Tables)
 	full := uint64(1)<<uint(n) - 1
 	if n > 1 {
-		switch {
-		case o.JoinOrder == JoinOrderGreedy:
-			if err := pl.enumerateGreedyVisible(full); err != nil {
-				o.EnumeratedCandidates = pl.candidates
-				return nil, err
-			}
-		case n <= o.GreedyThreshold:
+		if o.JoinOrder == JoinOrderAuto && n <= dpMaxTables {
 			pl.enumerateDP(full)
-		default:
-			if err := pl.enumerateGreedy(full); err != nil {
-				o.EnumeratedCandidates = pl.candidates
-				return nil, err
-			}
+		} else if err := pl.enumerateGreedyVisible(full); err != nil {
+			o.EnumeratedCandidates = pl.candidates
+			return nil, err
 		}
 	}
 	o.EnumeratedCandidates = pl.candidates
@@ -719,51 +701,6 @@ func (pl *planner) joinSubset(rest uint64, ti int) {
 	}
 }
 
-// enumerateGreedy folds tables into a left-deep chain, at each step choosing
-// the join that minimizes estimated output cardinality — the standard
-// fallback for very wide joins.
-func (pl *planner) enumerateGreedy(full uint64) error {
-	// Start from the smallest filtered table.
-	start, bestCard := -1, math.Inf(1)
-	for ti := range pl.q.Tables {
-		if c := pl.est.filteredBaseCard(ti); c < bestCard {
-			start, bestCard = ti, c
-		}
-	}
-	joined := uint64(1) << uint(start)
-	for joined != full {
-		next, nextCard, connectedFound := -1, math.Inf(1), false
-		for ti := range pl.q.Tables {
-			bit := uint64(1) << uint(ti)
-			if joined&bit != 0 {
-				continue
-			}
-			conn := len(pl.joinPredsBetween(joined, ti)) > 0
-			card := pl.est.SubsetCard(joined | bit)
-			if conn && !connectedFound {
-				// First connected candidate beats any cartesian one.
-				next, nextCard, connectedFound = ti, card, true
-				continue
-			}
-			if conn == connectedFound && card < nextCard {
-				next, nextCard = ti, card
-			}
-		}
-		if next < 0 {
-			return fmt.Errorf("optimizer: greedy enumeration stuck at %s", pl.est.maskString(joined))
-		}
-		pl.joinSubset(joined, next)
-		joined |= 1 << uint(next)
-		if mv := pl.matchMV(joined); mv != nil {
-			pl.addCandidate(mv)
-		}
-		if len(pl.best[joined]) == 0 {
-			return maskError(pl.est, joined)
-		}
-	}
-	return nil
-}
-
 // joinPredsBetween returns the join predicates connecting subset rest with
 // table ti. The result aliases predScratch and is only valid until the next
 // call; callers copy anything they keep.
@@ -960,8 +897,7 @@ func (s *split) joinCandidates(outer *Plan) {
 }
 
 // offer completes candidate c as a join of l and r in the planner's scratch
-// node, costs it (the model applies the robustness handicap) and offers it
-// for the split's subset.
+// node, costs it and offers it for the split's subset.
 func (s *split) offer(c Plan, l, r *Plan) {
 	pl := s.pl
 	sc := &pl.scratch

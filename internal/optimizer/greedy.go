@@ -17,7 +17,7 @@ type JoinOrder uint8
 
 const (
 	// JoinOrderAuto is the default policy: exhaustive left-deep DP up to
-	// GreedyThreshold tables, cardinality-greedy chaining beyond it.
+	// dpMaxTables tables, the statistics-free greedy chain beyond it.
 	JoinOrderAuto JoinOrder = iota
 	// JoinOrderGreedy always uses the statistics-free greedy chain: the join
 	// order is derived from predicate syntax only (connectivity and visible

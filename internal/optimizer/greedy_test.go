@@ -1,11 +1,14 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/logical"
+	"repro/internal/schema"
 	"repro/internal/types"
 )
 
@@ -145,5 +148,71 @@ func TestVisibleWeight(t *testing.T) {
 	}
 	if !(eq > rng && rng > other && other > 0) {
 		t.Fatalf("weight ordering broken: eq=%d range=%d other=%d", eq, rng, other)
+	}
+}
+
+// chainQuery joins n aliases of one 100-row table in a chain,
+// t0.nxt = t1.id = … , with an equality filter on t0.
+func chainQuery(t *testing.T, n int) (*catalog.Catalog, *logical.Query) {
+	t.Helper()
+	cat := catalog.New()
+	tab, err := cat.CreateTable("t", schema.New(
+		schema.Column{Name: "id", Type: types.KindInt},
+		schema.Column{Name: "nxt", Type: types.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 100; i++ {
+		tab.Heap.MustInsert(schema.Row{types.NewInt(i), types.NewInt((i * 7) % 100)})
+	}
+	if err := cat.AnalyzeAll(); err != nil {
+		t.Fatal(err)
+	}
+	b := logical.NewBuilder(cat)
+	for i := 0; i < n; i++ {
+		b.AddTable("t", fmt.Sprintf("t%d", i))
+	}
+	for i := 0; i+1 < n; i++ {
+		b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col(fmt.Sprintf("t%d", i), "nxt"), R: b.Col(fmt.Sprintf("t%d", i+1), "id")})
+	}
+	b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("t0", "id"), R: &expr.Const{Val: types.NewInt(3)}})
+	b.SelectCol(fmt.Sprintf("t%d", n-1), "id")
+	q, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat, q
+}
+
+// TestWideJoinUsesGreedyChain: past dpMaxTables tables the default optimizer
+// plans exactly what JoinOrderGreedy plans — the same plan from the same
+// candidates — and at dpMaxTables it still runs DP, which costs more
+// candidates than the chain.
+func TestWideJoinUsesGreedyChain(t *testing.T) {
+	for _, n := range []int{dpMaxTables, dpMaxTables + 1, 64} {
+		cat, q := chainQuery(t, n)
+		auto, greedy := New(cat), New(cat)
+		greedy.JoinOrder = JoinOrderGreedy
+		pa, err := auto.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := greedy.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ea, eg := Explain(pa, q), Explain(pg, q)
+		if n <= dpMaxTables {
+			if auto.EnumeratedCandidates <= greedy.EnumeratedCandidates {
+				t.Errorf("%d tables: DP costed %d candidates, the chain %d; want DP to cost more",
+					n, auto.EnumeratedCandidates, greedy.EnumeratedCandidates)
+			}
+			continue
+		}
+		if ea != eg || auto.EnumeratedCandidates != greedy.EnumeratedCandidates {
+			t.Errorf("%d tables: default plan (%d candidates) differs from the greedy chain's (%d):\n%s\n---\n%s",
+				n, auto.EnumeratedCandidates, greedy.EnumeratedCandidates, ea, eg)
+		}
 	}
 }

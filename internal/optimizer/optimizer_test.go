@@ -294,7 +294,7 @@ func TestGreedyEnumerationMatchesDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	greedy := New(cat)
-	greedy.GreedyThreshold = 0 // force greedy
+	greedy.JoinOrder = JoinOrderGreedy
 	gp, err := greedy.Optimize(q)
 	if err != nil {
 		t.Fatal(err)

@@ -7,38 +7,32 @@ import (
 	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
-	"repro/internal/schema"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
 // TestLEOSharedFeedback exercises the §7 "Learning for the Future"
-// extension: with a shared feedback cache, the second execution of a query
-// that needed a re-optimization starts with the corrected cardinalities and
-// completes without re-optimizing at all.
+// extension through the plan cache: the statement entry keeps the feedback
+// of a run that re-optimized, so the second execution is a hit on the
+// corrected plan and completes without re-optimizing at all.
 func TestLEOSharedFeedback(t *testing.T) {
 	cat := correlatedFixture(t)
 	q := correlatedQuery(t, cat)
-	fb := stats.NewFeedback()
-	opts := DefaultOptions()
-	opts.SharedFeedback = fb
+	r := NewRunner(cat, DefaultOptions())
+	r.Cache = NewCache()
 
-	first, err := NewRunner(cat, opts).Run(q, nil)
+	first, err := r.Run(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Reopts != 1 {
 		t.Fatalf("first execution should re-optimize once, got %d", first.Reopts)
 	}
-	if fb.Len() == 0 {
-		t.Fatal("shared cache should retain observations after the statement")
-	}
-	second, err := NewRunner(cat, opts).Run(q, nil)
+	second, err := r.Run(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Reopts != 0 {
-		t.Errorf("second execution should start with the learned cardinalities (reopts=%d)", second.Reopts)
+	if !second.Cache.Hit || second.Reopts != 0 {
+		t.Errorf("second execution should be a hit on the learned plan (hit=%t reopts=%d)", second.Cache.Hit, second.Reopts)
 	}
 	if strings.Contains(second.Attempts[0].Explain, "NLJN[index]") {
 		t.Errorf("learned plan should not repeat the index NLJN mistake:\n%s", second.Attempts[0].Explain)
@@ -49,6 +43,7 @@ func TestLEOSharedFeedback(t *testing.T) {
 	if len(second.Rows) != len(first.Rows) {
 		t.Error("results differ across executions")
 	}
+	t.Logf("work: first %v, second %v", first.Work, second.Work)
 }
 
 // TestForceMVReuseOnFinalAttempt verifies the §7 termination heuristic: on
@@ -69,37 +64,6 @@ func TestForceMVReuseOnFinalAttempt(t *testing.T) {
 	final := res.Attempts[len(res.Attempts)-1]
 	if !strings.Contains(final.Explain, "MVSCAN") {
 		t.Errorf("final attempt must reuse the materialized intermediate:\n%s", final.Explain)
-	}
-}
-
-// TestRobustnessBonusPrefersMergePlans verifies the §7 "Checking
-// Opportunities" extension: with a robustness handicap on hash and index
-// joins, the optimizer shifts to sort-merge plans whose materialization
-// points provide low-risk checkpoints.
-func TestRobustnessBonusPrefersMergePlans(t *testing.T) {
-	cat := correlatedFixture(t)
-	q := correlatedQuery(t, cat)
-
-	plain := optimizer.New(cat)
-	p1, err := plain.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	robust := optimizer.New(cat)
-	robust.RobustnessBonus = 3.0 // strong preference for checkable plans
-	p2, err := robust.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matPoints := func(p *optimizer.Plan) int {
-		return p.Count(optimizer.OpSort) + p.Count(optimizer.OpTemp) + p.Count(optimizer.OpMGJN)
-	}
-	if matPoints(p2) <= matPoints(p1)-1 {
-		t.Errorf("robust mode should not reduce checkable structure: plain=%d robust=%d\nplain:\n%s\nrobust:\n%s",
-			matPoints(p1), matPoints(p2), optimizer.Explain(p1, q), optimizer.Explain(p2, q))
-	}
-	if p2.Count(optimizer.OpMGJN) == 0 && p2.Count(optimizer.OpHSJN) > 0 {
-		t.Errorf("with a 3x handicap, hash joins should lose to merge joins:\n%s", optimizer.Explain(p2, q))
 	}
 }
 
@@ -238,86 +202,5 @@ func TestSuccessiveReoptimizations(t *testing.T) {
 	}
 	if len(sigs) != res.Reopts {
 		t.Errorf("expected %d distinct violated edges, got %d", res.Reopts, len(sigs))
-	}
-}
-
-// TestReuseHashBuilds exercises the §4 enhancement on a two-level hash
-// plan: the top join builds on (lineitem ⋈ orders), whose cardinality is
-// under-estimated 25x; the LC check on that build edge fires after the
-// *lower* join's build (lineitem) completed. With ReuseHashBuilds on, that
-// completed build is promoted to a temp MV and the re-optimized plan scans
-// it instead of re-filtering lineitem.
-func TestReuseHashBuilds(t *testing.T) {
-	cat := correlatedFixture(t)
-	cust, err := cat.CreateTable("cust", schema.New(
-		schema.Column{Name: "c_id", Type: types.KindInt},
-		schema.Column{Name: "c_name", Type: types.KindString},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		cust.Heap.MustInsert(schema.Row{types.NewInt(int64(i)), types.NewString("c")})
-	}
-	if err := cat.AnalyzeAll(); err != nil {
-		t.Fatal(err)
-	}
-	build := func(t *testing.T) *logical.Query {
-		b := logical.NewBuilder(cat)
-		b.AddTable("lineitem", "l")
-		b.AddTable("orders", "o")
-		b.AddTable("cust", "c")
-		b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("l", "l_order"), R: b.Col("o", "o_id")})
-		b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("o", "o_cust"), R: b.Col("c", "c_id")})
-		two := &expr.Const{Val: types.NewInt(2)}
-		b.Where(&expr.Cmp{Op: expr.LT, L: b.Col("l", "l_c1"), R: two})
-		b.Where(&expr.Cmp{Op: expr.LT, L: b.Col("l", "l_c2"), R: two})
-		b.Where(&expr.Cmp{Op: expr.LT, L: b.Col("l", "l_c3"), R: two})
-		b.SelectCol("l", "l_qty")
-		b.SelectCol("c", "c_name")
-		q, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q
-	}
-	q := build(t)
-	mkOpts := func(reuse bool) Options {
-		return Options{
-			Enabled:         true,
-			MaxReopts:       3,
-			ReuseHashBuilds: reuse,
-			Policy:          Policy{LC: true, RequireBoundedRange: true},
-			Configure: func(o *optimizer.Optimizer) {
-				o.DisableNLJN = true
-				o.DisableMGJN = true
-			},
-		}
-	}
-	with, err := NewRunner(cat, mkOpts(true)).Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.Reopts == 0 {
-		t.Fatalf("scenario should re-optimize:\n%s", with.Attempts[0].Explain)
-	}
-	reused := false
-	for _, a := range with.Attempts[1:] {
-		if strings.Contains(a.Explain, "MVSCAN") {
-			reused = true
-		}
-	}
-	if !reused {
-		t.Errorf("hash build should be reused as an MV:\n%s", with.Attempts[len(with.Attempts)-1].Explain)
-	}
-	without, err := NewRunner(cat, mkOpts(false)).Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(with.Rows) != len(without.Rows) {
-		t.Errorf("row counts differ: %d vs %d", len(with.Rows), len(without.Rows))
-	}
-	if with.Work >= without.Work {
-		t.Errorf("build reuse (%v) should beat recomputation (%v)", with.Work, without.Work)
 	}
 }

@@ -135,9 +135,9 @@ func (a *meterAudit) run(t *testing.T, key string, cat *catalog.Catalog, q *logi
 // under dp-pop and greedy-pop, of the TPC-H nine planned without hash joins
 // (as Figure 12 plans them: the one place merge joins, sorts and full index
 // scans are chosen) and of three single-table statements served by a sargable
-// index scan and a hash lookup, StatsNode.Model — CostModel's own-cost terms with
-// RobustnessBonus 0 at the observed input and output cardinalities — equals
-// the charged Work within 1e-6 relative, meterException's short list aside.
+// index scan and a hash lookup, StatsNode.Model — CostModel's own-cost terms
+// at the observed input and output cardinalities — equals the charged Work
+// within 1e-6 relative, meterException's short list aside.
 // The estimate clause covers the one term actual cardinalities cannot expose,
 // because no edge carries it: the rows an index NLJN's key fetches per probe.
 func TestModelEqualsMeter(t *testing.T) {

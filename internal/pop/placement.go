@@ -55,17 +55,6 @@ type Policy struct {
 	// [KD98] that the paper argues against (§1.2). Used by the ablation
 	// benchmark comparing the two.
 	FixedThresholdFactor float64
-
-	// GuardSpill places an eager check (ECB) on every hash-join build edge
-	// whose estimated size fits in memory, with the upper bound at the spill
-	// boundary: if the build unexpectedly outgrows memory, the query
-	// re-optimizes instead of spilling (paper §3.3: "An ECB can also help
-	// SORT or HSJN builds, if these run out of temporary space when creating
-	// their results, by re-optimizing instead of signaling an error").
-	// MemoryBytes is the build budget; the POP runner fills it in from the
-	// cost model when zero.
-	GuardSpill  bool
-	MemoryBytes float64
 }
 
 // DefaultPolicy is the paper's conservative default: LC and LCEM only, with
@@ -180,21 +169,6 @@ func (p *placer) rewrite(node *optimizer.Plan, parent *optimizer.Plan, edge int)
 		}
 
 	case optimizer.OpHSJN:
-		// Spill guard (paper §3.3): an ECB on the build edge capped at the
-		// in-memory boundary — better to re-optimize than to start staging.
-		if p.pol.GuardSpill && p.pol.MemoryBytes > 0 && n.Children[1].Op != optimizer.OpCheck {
-			build := n.Children[1]
-			_, spillRows := optimizer.HashStages(build.Card, len(build.Cols), p.pol.MemoryBytes)
-			if build.Card <= spillRows {
-				v := node.EdgeValidity(1)
-				if v.Hi > spillRows {
-					v.Hi = spillRows
-				}
-				ck := p.newCheckAt(build, optimizer.ECB, v, build.Card, "HJ build (spill guard)")
-				ck.Check.BufferSize = int(spillRows)
-				n.Children[1] = ck
-			}
-		}
 		// LC above the hash-join build side (paper Fig. 14 "LC (above HJ)"):
 		// the build is a materialization inside the operator, so a check on
 		// the build edge fires no later than the end of the build.

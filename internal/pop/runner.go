@@ -32,22 +32,10 @@ type Options struct {
 	Pipelined bool
 	// Configure customizes each optimizer instance (experiment knobs).
 	Configure func(*optimizer.Optimizer)
-	// SharedFeedback, when non-nil, is used instead of a per-statement
-	// feedback cache and is retained across Run calls — the LEO-style
-	// "learning for the future" extension (paper §7, [SLM+01]): actual
-	// cardinalities observed while re-optimizing one execution improve the
-	// initial plan of the next.
-	SharedFeedback *stats.Feedback
 	// UncertaintyPenalty, when > 1, is applied during re-optimizations:
 	// estimates not backed by observed cardinalities are inflated by this
 	// factor (paper §7 "Considering Uncertainty during Re-optimization").
 	UncertaintyPenalty float64
-	// ReuseHashBuilds promotes completed hash-join builds to temporary
-	// materialized views alongside SORT/TEMP results — the further
-	// intermediate-result reuse the paper's §4 plans as an enhancement
-	// ("we ... plan to enhance our prototype to reuse further intermediate
-	// results in order to make re-optimization even more efficient").
-	ReuseHashBuilds bool
 	// Analyze turns on per-operator runtime attribution: each attempt's
 	// AttemptInfo.Stats carries the merged stats tree EXPLAIN ANALYZE
 	// renders. Off by default — the attribution costs one branch per work
@@ -201,22 +189,14 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 
 // run is the optimize→execute loop, served by the cache when c is non-nil.
 func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Result, error) {
-	fb, bind := r.Opts.SharedFeedback, r.Opts.BindParamEstimates
+	fb, bind := stats.NewFeedback(), r.Opts.BindParamEstimates
 	if c != nil {
 		fb, bind = c.entry.Feedback, true
-	}
-	if fb == nil {
-		fb = stats.NewFeedback()
 	}
 	meter := &executor.Meter{}
 	side := executor.NewReturnedSet()
 	res := &Result{}
 	pol := r.Opts.Policy
-	if pol.GuardSpill && pol.MemoryBytes == 0 {
-		// Fill the spill-guard budget from the cost model's memory budget.
-		probe := r.newOptimizer(fb)
-		pol.MemoryBytes = probe.Model.Params.MemoryBytes
-	}
 	ns := fmt.Sprintf("stmt%d/", statementCounter.Add(1))
 	// Paper Fig. 1: clean up this statement's temp MVs at statement end.
 	defer r.Cat.DropViewsPrefixed(ns)
@@ -422,10 +402,8 @@ func (r *Runner) harvest(ex *executor.Executor, root executor.Node, q *logical.Q
 				fb.Record(sig, st.RowsOut)
 				fbn++
 			}
-			// Completed materializations become temp MVs. SORT/TEMP always
-			// (like the paper's prototype); hash-join builds additionally
-			// when Options.ReuseHashBuilds enables the §4 enhancement
-			// (handled below).
+			// Completed SORT/TEMP materializations become temp MVs, like
+			// the paper's prototype.
 			if m, ok := n.(executor.Materializer); ok && whole &&
 				(p.Op == optimizer.OpSort || p.Op == optimizer.OpTemp) {
 				if rows, done := m.Materialized(); done {
@@ -443,27 +421,6 @@ func (r *Runner) harvest(ex *executor.Executor, root executor.Node, q *logical.Q
 						mv.OrderedCol = p.SortKeys[0].Col
 					}
 					r.Cat.RegisterView(mv)
-					mvs++
-				}
-			}
-		}
-		// Optional §4 enhancement: promote a completed hash-join build. The
-		// retained rows include NULL-keyed ones the hash table drops, so the
-		// view is the build child's complete logical output.
-		if bm, ok := n.(executor.BuildMaterializer); ok && whole && r.Opts.ReuseHashBuilds {
-			if rows, ci, done := bm.BuildMaterialized(); done && ci < len(p.Children) {
-				child := p.Children[ci]
-				if child.Tables() != 0 && child.Op != optimizer.OpMVScan {
-					bsig := optimizer.Signature(q, child.Tables())
-					fb.Record(bsig, float64(len(rows)))
-					fbn++
-					r.Cat.RegisterView(&catalog.MatView{
-						Signature: ns + bsig,
-						Cols:      append([]int(nil), child.Cols...),
-						RowCols:   ex.RowCols(child),
-						Rows:      rows,
-						Card:      float64(len(rows)),
-					})
 					mvs++
 				}
 			}

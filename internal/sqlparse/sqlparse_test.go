@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -286,5 +287,38 @@ func TestSelectDistinct(t *testing.T) {
 	}
 	if !strings.Contains(q.String(), "DISTINCT") {
 		t.Error("DISTINCT lost in rendering")
+	}
+}
+
+// chainSQL joins n copies of msgs in a chain: t0.m_user = t1.m_id, and so on.
+func chainSQL(n int) string {
+	from, where := make([]string, n), make([]string, n-1)
+	for i := range from {
+		from[i] = fmt.Sprintf("msgs t%d", i)
+	}
+	for i := range where {
+		where[i] = fmt.Sprintf("t%d.m_user = t%d.m_id", i, i+1)
+	}
+	return "SELECT t0.m_len FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
+}
+
+// TestTableLimit: table sets are 64-bit masks, so a 65-table FROM list is
+// refused with an error naming the limit, and a 64-table one still plans
+// every table.
+func TestTableLimit(t *testing.T) {
+	cat := testCatalog(t)
+	if _, err := Parse(cat, chainSQL(65)); err == nil || !strings.Contains(err.Error(), "limit is 64") {
+		t.Fatalf("65 tables: err = %v, want the 64-table limit", err)
+	}
+	q, err := Parse(cat, chainSQL(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := optimizer.New(cat).Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := optimizer.Explain(p, q); !strings.Contains(text, "(t0)") || !strings.Contains(text, "(t63)") {
+		t.Fatalf("64-table plan lacks a table:\n%s", text)
 	}
 }
