@@ -330,6 +330,7 @@ func BenchmarkOptimizeQ5(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := queries["Q5"]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := optimizer.New(cat).Optimize(q); err != nil {

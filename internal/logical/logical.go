@@ -173,10 +173,13 @@ func (q *Query) TablesUsed(e expr.Expr) uint64 {
 }
 
 // LocalPredicates returns the WHERE conjuncts that reference only table i.
+// A conjunct that references no table at all (`1 = 0`, `? = 1`) is table
+// 0's: applied at one input, it filters the whole join, so it is never
+// dropped.
 func (q *Query) LocalPredicates(i int) []expr.Expr {
 	var out []expr.Expr
 	for _, p := range q.Where {
-		if q.TablesUsed(p) == 1<<uint(i) {
+		if m := q.TablesUsed(p); m == 1<<uint(i) || m == 0 && i == 0 {
 			out = append(out, p)
 		}
 	}

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
@@ -42,21 +44,39 @@ func widestDMV(t *testing.T) (*catalog.Catalog, *logical.Query) {
 // TestOptimizeAllocBudget pins what a cold DP compile of the widest DMV query
 // may allocate. When every candidate was a heap Plan with its own Cols,
 // conjunctions and key slices, this call made 3,304,691 allocations; costing
-// candidates in planner-owned scratch brought it to 251,435, and copying a
-// slot-taking candidate over the incumbent it displaces to 125,826. The
-// ceiling trips on a per-candidate or per-replacement allocation creeping
-// back in, not on a few more per split.
+// candidates in planner-owned scratch brought it to 251,435, copying a
+// slot-taking candidate over the incumbent it displaces to 125,826 (13.9 MB),
+// and keeping nodes in a pooled arena, with signatures rendered from parts,
+// to 44,287 (1.76 MB). The ceilings, 1.25 times those, trip on a
+// per-candidate or per-kept-node allocation creeping back in, not on a few
+// more per split.
 func TestOptimizeAllocBudget(t *testing.T) {
 	cat, q := widestDMV(t)
-	const ceiling = 160_000
-	allocs := testing.AllocsPerRun(3, func() {
+	const ceiling, bytesCeiling = 55_000, 2_200_000
+	compile := func() {
 		if _, err := New(cat).Optimize(q); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("Optimize: %.0f allocations", allocs)
+	}
+	allocs := testing.AllocsPerRun(3, compile)
+	// Bytes are the cheapest of ten compiles: a compile that finds the pool
+	// empty (the GC or the race detector dropped the arena) pays for a new
+	// arena, which is the pool's business, not a per-candidate cost.
+	bytes := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		compile()
+		runtime.ReadMemStats(&ms)
+		bytes = min(bytes, ms.TotalAlloc-before)
+	}
+	t.Logf("Optimize: %.0f allocations, %d bytes", allocs, bytes)
 	if allocs > ceiling {
 		t.Errorf("Optimize made %.0f allocations, budget %d", allocs, ceiling)
+	}
+	if bytes > bytesCeiling {
+		t.Errorf("Optimize allocated %d bytes, budget %d", bytes, bytesCeiling)
 	}
 }
 

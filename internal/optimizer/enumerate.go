@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -121,6 +122,109 @@ type planner struct {
 	predScratch []expr.Expr
 
 	scratch scratch
+	arena   *arena
+}
+
+// arena holds the nodes keep and keepSort make, carved from chunks it keeps
+// across compiles: the planner takes it from arenas and Optimize returns it,
+// so a compile allocates its kept nodes only where the arena it took has not
+// yet grown to the size this compile needs. Kept nodes live here until
+// Optimize copies the chosen tree out (detach); the plan it returns owns every
+// node and array it reaches, and nothing else of the arena survives it.
+type arena struct {
+	plans  slab[Plan]
+	kids   slab[*Plan]
+	cols   slab[int]
+	ranges slab[Range]
+	keys   slab[SortKey]
+}
+
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
+// node returns an arena copy of p. Its slices still alias p's.
+func (a *arena) node(p *Plan) *Plan {
+	n := &a.plans.take(1)[0]
+	*n = *p
+	return n
+}
+
+// join returns a zeroed arena node with its two-child array, room for two
+// validity ranges and room for ncols output columns.
+func (a *arena) join(ncols int) *Plan {
+	n := &a.plans.take(1)[0]
+	n.Children = a.kids.take(2)
+	n.Cols = a.cols.take(ncols)[:0]
+	n.Validity = a.ranges.take(2)[:0]
+	return n
+}
+
+// release clears what the compile used, so that no stale pointer keeps an
+// expression or an MV alive, and returns the arena to the pool.
+func (a *arena) release() {
+	a.plans.reset()
+	a.kids.reset()
+	a.cols.reset()
+	a.ranges.reset()
+	a.keys.reset()
+	arenas.Put(a)
+}
+
+// slabChunk is the length of each chunk a slab carves.
+const slabChunk = 512
+
+// slab carves zeroed slices from chunks it keeps for reuse.
+type slab[T any] struct {
+	chunks [][]T // each chunk's length is its carved part
+	cur    int   // the chunk carving continues in
+}
+
+// take returns a zeroed slice of length and capacity n. Capping the capacity
+// makes an append by its holder reallocate rather than write into the slice
+// carved next.
+func (s *slab[T]) take(n int) []T {
+	for ; s.cur < len(s.chunks); s.cur++ {
+		if c := s.chunks[s.cur]; cap(c)-len(c) >= n {
+			s.chunks[s.cur] = c[:len(c)+n]
+			return c[len(c) : len(c)+n : len(c)+n]
+		}
+	}
+	c := make([]T, n, max(n, slabChunk))
+	s.chunks = append(s.chunks, c)
+	return c[:n:n]
+}
+
+// reset zeroes the carved part of every chunk and starts carving again from
+// the first.
+func (s *slab[T]) reset() {
+	for i, c := range s.chunks {
+		clear(c)
+		s.chunks[i] = c[:0]
+	}
+	s.cur = 0
+}
+
+// detach deep-copies the tree at p out of the arena: every node and the
+// Children, Cols, Validity and SortKeys arrays it holds.
+func detach(p *Plan) *Plan {
+	n := *p
+	if len(p.Children) > 0 {
+		n.Children = make([]*Plan, len(p.Children))
+		for i, c := range p.Children {
+			n.Children[i] = detach(c)
+		}
+	}
+	n.Cols = cloneOrNil(p.Cols)
+	n.Validity = cloneOrNil(p.Validity)
+	n.SortKeys = cloneOrNil(p.SortKeys)
+	return &n
+}
+
+// cloneOrNil copies s to the heap; an empty s becomes nil.
+func cloneOrNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // group holds a subset's plans, at most one per output order, sorted by
@@ -131,7 +235,7 @@ type group []*Plan
 
 // scratch is the planner-owned storage join candidates are built and costed
 // in. Most candidates lose to their slot's incumbent at once; only one that
-// takes a slot is copied to the heap (planner.keep), together with the SORT
+// takes a slot is copied to the arena (planner.keep), together with the SORT
 // or index-probe child built for it.
 type scratch struct {
 	node     Plan
@@ -170,6 +274,7 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 		best: make(map[uint64]group),
 
 		narrowing: o.ComputeValidity,
+		arena:     arenas.Get().(*arena),
 	}
 	pl.est.uncertainty = o.UncertaintyPenalty
 	for ti := range tabs {
@@ -200,6 +305,7 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer pl.arena.release()
 	n := len(q.Tables)
 	full := uint64(1)<<uint(n) - 1
 	if n > 1 {
@@ -215,7 +321,7 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 	if join == nil {
 		return nil, maskError(pl.est, full)
 	}
-	plan, err := pl.finish(join)
+	plan, err := pl.finish(detach(join))
 	if err != nil {
 		return nil, err
 	}
@@ -398,9 +504,9 @@ func (pl *planner) narrowAcross(cand, inc *Plan, takes bool) {
 // keep returns cand itself unless it is the scratch candidate, which is
 // copied out along with whichever child was built in scratch for it — over
 // into, the incumbent it displaces, when that is a join built here, else to
-// a fresh node. Until its group is complete nothing but the group references
-// a join in it, so the incumbent's node and arrays are free to reuse; base
-// access paths and MVSCANs (no inputs) are never written to.
+// a fresh arena node. Until its group is complete nothing but the group
+// references a join in it, so the incumbent's node and arrays are free to
+// reuse; base access paths and MVSCANs (no inputs) are never written to.
 // Cols is filled in here: costing never reads a candidate's own column list,
 // and every join's output is its left input's columns followed by its right's.
 func (pl *planner) keep(cand, into *Plan) *Plan {
@@ -410,11 +516,10 @@ func (pl *planner) keep(cand, into *Plan) *Plan {
 	}
 	l, r := pl.keepSort(cand.Children[0]), cand.Children[1]
 	if r == &sc.probe {
-		probe := sc.probe
-		r = &probe
+		r = pl.arena.node(r)
 	}
 	if into == nil || len(into.Children) != 2 {
-		into = &Plan{Children: make([]*Plan, 2), Cols: make([]int, 0, len(l.Cols)+len(r.Cols))}
+		into = pl.arena.join(len(l.Cols) + len(r.Cols))
 	}
 	kids, cols, validity := into.Children, into.Cols[:0], into.Validity[:0]
 	*into = *cand
@@ -872,43 +977,47 @@ func (s *split) joinCandidates(outer *Plan) {
 	if !o.DisableNLJN {
 		// Naive nested-loop join: always applicable (handles non-equi and
 		// cartesian joins), rescans the inner per outer row.
-		s.offer(Plan{Op: OpNLJN, JoinPred: s.joinPred, Filter: s.joinPred, ordered: outer.ordered},
-			outer, s.inner)
+		s.offer(OpNLJN, nil, s.joinPred, nil, nil, outer.ordered, outer, s.inner)
 		for i := range s.indexJoins {
 			ij := &s.indexJoins[i]
-			s.offer(Plan{Op: OpNLJN, IndexJoin: true, LookupCol: ij.lookupCol,
-				JoinPred: s.joinPred, Filter: ij.filter, ordered: outer.ordered},
-				outer, s.indexProbe(ij, outer))
+			s.offer(OpNLJN, ij, ij.filter, nil, nil, outer.ordered, outer, s.indexProbe(ij, outer))
 		}
 	}
 	if s.probeKeys != nil {
 		// Build on the single table, probe with the outer subset.
-		s.offer(Plan{Op: OpHSJN, EquiLeft: s.probeKeys, EquiRight: s.buildKeys,
-			Filter: s.hashFilter, ordered: outer.ordered}, outer, s.inner)
+		s.offer(OpHSJN, nil, s.hashFilter, s.probeKeys, s.buildKeys, outer.ordered, outer, s.inner)
 		// Build on the outer subset, probe with the table.
-		s.offer(Plan{Op: OpHSJN, EquiLeft: s.buildKeys, EquiRight: s.probeKeys,
-			Filter: s.hashFilter, ordered: s.inner.ordered}, s.inner, outer)
+		s.offer(OpHSJN, nil, s.hashFilter, s.buildKeys, s.probeKeys, s.inner.ordered, s.inner, outer)
 	}
 	if s.mergeInner != nil {
-		s.offer(Plan{Op: OpMGJN, EquiLeft: s.mergeLeft, EquiRight: s.mergeRight,
-			Filter: s.mergeFilter, ordered: s.mergeLeft[0]},
+		s.offer(OpMGJN, nil, s.mergeFilter, s.mergeLeft, s.mergeRight, s.mergeLeft[0],
 			s.pl.sorted(outer, s.mergeLeft[0]), s.mergeInner)
 	}
 }
 
-// offer completes candidate c as a join of l and r in the planner's scratch
-// node, costs it and offers it for the split's subset.
-func (s *split) offer(c Plan, l, r *Plan) {
+// offer builds an op join of l and r in the planner's scratch node, costs it
+// and offers it for the split's subset. Every NLJN carries the split's join
+// predicate; ij, when set, makes it an index NLJN. Only the fields a join
+// sets are written — the scratch node never holds anything else — so no Plan
+// is copied per candidate.
+func (s *split) offer(op OpKind, ij *indexJoin, filter expr.Expr, equiLeft, equiRight []int, ordered int, l, r *Plan) {
 	pl := s.pl
 	sc := &pl.scratch
+	n := &sc.node
+	n.Op, n.Filter, n.EquiLeft, n.EquiRight, n.ordered = op, filter, equiLeft, equiRight, ordered
+	n.JoinPred, n.IndexJoin, n.LookupCol = nil, false, 0
+	if op == OpNLJN {
+		n.JoinPred = s.joinPred
+	}
+	if ij != nil {
+		n.IndexJoin, n.LookupCol = true, ij.lookupCol
+	}
 	sc.kids = [2]*Plan{l, r}
-	c.Children = sc.kids[:]
-	c.Validity = sc.validity[:0]
-	c.Card = s.outCard
-	c.tables = s.mask
-	sc.node = c
-	pl.opt.Model.finishCosting(&sc.node)
-	pl.addCandidate(&sc.node)
+	n.Children = sc.kids[:]
+	n.Validity = sc.validity[:0]
+	n.Card, n.tables = s.outCard, s.mask
+	pl.opt.Model.finishCosting(n) // sets Cost
+	pl.addCandidate(n)
 }
 
 // indexProbe fills the scratch probe node with the parameterized index-probe
@@ -924,18 +1033,15 @@ func (s *split) indexProbe(ij *indexJoin, outer *Plan) *Plan {
 	if perProbe < 1e-6 {
 		perProbe = 1e-6
 	}
-	pl.scratch.probe = Plan{
-		Op:       OpIndexScan,
-		Table:    ti,
-		IndexOrd: ij.ord,
-		Filter:   pl.localFilter[ti],
-		Cols:     pl.cols[ti],
-		Card:     perProbe,
-		Cost:     pr.AccessCost(ij.levelCost, ij.fetched, len(pl.local[ti])),
-		tables:   uint64(1) << uint(ti),
-		ordered:  -1,
-	}
-	return &pl.scratch.probe
+	// Set field by field, as in offer: a Plan literal would zero and copy the
+	// whole node per candidate. No other field of the probe is ever written.
+	p := &pl.scratch.probe
+	p.Op, p.Table, p.IndexOrd = OpIndexScan, ti, ij.ord
+	p.Filter, p.Cols = pl.localFilter[ti], pl.cols[ti]
+	p.Card = perProbe
+	p.Cost = pr.AccessCost(ij.levelCost, ij.fetched, len(pl.local[ti]))
+	p.tables, p.ordered = uint64(1)<<uint(ti), -1
+	return p
 }
 
 // sorted returns p itself if it is already ordered on col, else the scratch
@@ -948,29 +1054,27 @@ func (pl *planner) sorted(p *Plan, col int) *Plan {
 	sc := &pl.scratch
 	sc.sortKid[0] = p
 	sc.sortKey[0] = SortKey{Col: col}
-	sc.sort = Plan{
-		Op:       OpSort,
-		Children: sc.sortKid[:],
-		SortKeys: sc.sortKey[:],
-		Cols:     p.Cols,
-		Card:     p.Card,
-		tables:   p.tables,
-		ordered:  col,
-	}
-	pl.opt.Model.finishCosting(&sc.sort)
-	return &sc.sort
+	// Set field by field, as in offer; no other field of it is ever written.
+	s := &sc.sort
+	s.Op, s.Children, s.SortKeys = OpSort, sc.sortKid[:], sc.sortKey[:]
+	s.Cols, s.Card, s.tables, s.ordered = p.Cols, p.Card, p.tables, col
+	pl.opt.Model.finishCosting(s) // sets Cost
+	return s
 }
 
 // keepSort returns p itself unless it is the scratch SORT enforcer, which is
-// copied to the heap.
+// copied to the arena.
 func (pl *planner) keepSort(p *Plan) *Plan {
 	if p != &pl.scratch.sort {
 		return p
 	}
-	h := *p
-	h.Children = []*Plan{p.Children[0]}
-	h.SortKeys = []SortKey{p.SortKeys[0]}
-	return &h
+	a := pl.arena
+	h := a.node(p)
+	h.Children = a.kids.take(1)
+	h.Children[0] = p.Children[0]
+	h.SortKeys = a.keys.take(1)
+	h.SortKeys[0] = p.SortKeys[0]
+	return h
 }
 
 // finish layers aggregation, ordering, projection and limit over the join

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -38,6 +38,7 @@ type estimator struct {
 	baseCard  []float64          // memoized filteredBaseCard (NaN = unset)
 	subsets   map[uint64]float64 // memoized SubsetCard
 	sigs      map[uint64]string  // memoized Signature
+	parts     *sigParts          // Signature's pre-rendered parts, built on first use
 }
 
 // predMask pairs a predicate with its precomputed table mask, saving the
@@ -96,33 +97,98 @@ func (e *estimator) lookup() stats.Lookup { return e.lk }
 // equivalent subplans share a signature regardless of operator choice or
 // join order — the key property for cardinality feedback and MV matching.
 func Signature(q *logical.Query, mask uint64) string {
-	var aliases []string
-	for i := range q.Tables {
-		if mask&(1<<uint(i)) != 0 {
-			aliases = append(aliases, q.Tables[i].Alias)
-		}
-	}
-	sort.Strings(aliases)
-	var preds []string
-	for _, p := range q.Where {
-		used := q.TablesUsed(p)
-		if used != 0 && used&mask == used {
-			preds = append(preds, predSignature(q, p))
-		}
-	}
-	sort.Strings(preds)
-	return "T{" + strings.Join(aliases, ",") + "}|P{" + strings.Join(preds, ";") + "}"
+	return newSigParts(q, mask).signature(mask)
 }
 
 // Signature is the estimator-local shorthand for Signature(q, mask),
-// memoized per mask.
+// memoized per mask and rendered from parts built on first use.
 func (e *estimator) Signature(mask uint64) string {
 	if s, ok := e.sigs[mask]; ok {
 		return s
 	}
-	s := Signature(e.q, mask)
+	if e.parts == nil {
+		e.parts = newSigParts(e.q, 1<<uint(len(e.q.Tables))-1)
+	}
+	s := e.parts.signature(mask)
 	e.sigs[mask] = s
 	return s
+}
+
+// sigPart is one pre-rendered piece of a signature: a table's alias or a
+// WHERE conjunct's canonical text, with the tables it needs.
+type sigPart struct {
+	text string
+	mask uint64
+}
+
+// sigParts is the signature vocabulary of a query's tables in a set: their
+// aliases and the WHERE conjuncts over them, each rendered once, each list
+// sorted by text. Filtering a sorted list keeps it sorted, so the signature
+// of any mask inside the set is the concatenation of the parts it covers,
+// with no expression walk or sort per mask.
+type sigParts struct {
+	aliases, preds []sigPart
+}
+
+func newSigParts(q *logical.Query, set uint64) *sigParts {
+	sp := &sigParts{
+		aliases: make([]sigPart, 0, len(q.Tables)),
+		preds:   make([]sigPart, 0, len(q.Where)),
+	}
+	for i, t := range q.Tables {
+		if set&(1<<uint(i)) != 0 {
+			sp.aliases = append(sp.aliases, sigPart{t.Alias, 1 << uint(i)})
+		}
+	}
+	for _, p := range q.Where {
+		used := q.TablesUsed(p)
+		if used == 0 {
+			used = 1 // a table-free conjunct is table 0's (LocalPredicates)
+		}
+		if used&set == used {
+			sp.preds = append(sp.preds, sigPart{predSignature(q, p), used})
+		}
+	}
+	byText := func(a, b sigPart) int { return strings.Compare(a.text, b.text) }
+	slices.SortFunc(sp.aliases, byText)
+	slices.SortFunc(sp.preds, byText)
+	return sp
+}
+
+// signature concatenates the parts mask covers: the aliases of its tables
+// and the conjuncts all of whose tables it holds. A first pass sizes the
+// string, so rendering it is one allocation.
+func (sp *sigParts) signature(mask uint64) string {
+	n := len("T{}|P{}")
+	for _, parts := range [2][]sigPart{sp.aliases, sp.preds} {
+		for _, p := range parts {
+			if p.mask&mask == p.mask {
+				n += len(p.text) + 1
+			}
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("T{")
+	writeCovered(&b, sp.aliases, mask, ',')
+	b.WriteString("}|P{")
+	writeCovered(&b, sp.preds, mask, ';')
+	b.WriteByte('}')
+	return b.String()
+}
+
+// writeCovered writes the texts of the parts mask covers, sep between them.
+func writeCovered(b *strings.Builder, parts []sigPart, mask uint64, sep byte) {
+	first := true
+	for _, p := range parts {
+		if p.mask&mask == p.mask {
+			if !first {
+				b.WriteByte(sep)
+			}
+			b.WriteString(p.text)
+			first = false
+		}
+	}
 }
 
 // predSignature renders a predicate with column refs spelled as

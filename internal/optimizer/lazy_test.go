@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -216,10 +217,12 @@ func TestNarrowingBudget(t *testing.T) {
 }
 
 // TestReturnedPlansAreNotReused: the enumerator overwrites displaced
-// incumbents in place, which must never reach a plan it has handed out —
-// cached plans stay immutable under the contract stated on Plan. A returned
-// plan is unchanged after the same Optimizer compiles other queries, and no
-// two of its nodes share a Children or Validity backing array.
+// incumbents in place and keeps its nodes in a pooled arena that the next
+// compile clears and reuses, none of which may reach a plan it has handed
+// out — cached plans stay immutable under the contract stated on Plan. A
+// returned plan is unchanged after the same Optimizer compiles other queries,
+// and no two of its nodes share a Children, Validity or Cols backing array,
+// except that a node with one child may pass that child's Cols through.
 func TestReturnedPlansAreNotReused(t *testing.T) {
 	cat, qs := smallDMV(t)
 	opt := New(cat)
@@ -233,7 +236,7 @@ func TestReturnedPlansAreNotReused(t *testing.T) {
 		plans = append(plans, p)
 		texts = append(texts, planText(p))
 	}
-	kids, ranges := map[**Plan]string{}, map[*Range]string{}
+	kids, ranges, cols := map[**Plan]string{}, map[*Range]string{}, map[*int]string{}
 	for i, p := range plans {
 		if now := planText(p); now != texts[i] {
 			t.Errorf("%s: plan changed after later compiles\nwas:\n%s\nnow:\n%s", qs[i].Name, texts[i], now)
@@ -254,6 +257,97 @@ func TestReturnedPlansAreNotReused(t *testing.T) {
 				}
 				ranges[k] = at
 			}
+			if cap(n.Cols) > 0 {
+				k := &n.Cols[:1][0]
+				if len(n.Children) == 1 && cap(n.Children[0].Cols) > 0 && k == &n.Children[0].Cols[:1][0] {
+					return // passed through from its only child, which is checked
+				}
+				if prev, dup := cols[k]; dup {
+					t.Errorf("Cols array shared by %s and %s", prev, at)
+				}
+				cols[k] = at
+			}
 		})
+	}
+}
+
+// TestConcurrentCompilesKeepPlans: optimizers on two goroutines draw arenas
+// from the one pool at once, and a compile that fails returns its arena as
+// well as one that succeeds. Every plan either goroutine gets back equals a
+// serial compile's — its EXPLAIN text and every field planText prints — and
+// is still equal once both are done; and a failed compile leaves nothing that
+// changes the next one's plan.
+func TestConcurrentCompilesKeepPlans(t *testing.T) {
+	cat, qs := smallDMV(t)
+	fingerprint := func(p *Plan, q *logical.Query) string { return Explain(p, q) + planText(p) }
+	want := make([]string, len(qs))
+	for i, qi := range qs {
+		p, err := New(cat).Optimize(qi.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fingerprint(p, qi.Query)
+	}
+
+	// A failing compile: the widest query without its last table's join
+	// predicates, with NLJN (the only cartesian join) disabled, fills the
+	// arena for the connected subsets and then finds no plan for the whole —
+	// under DP (maskError) and under the greedy chain.
+	widest := qs[0].Query
+	for _, qi := range qs {
+		if len(qi.Query.Tables) > len(widest.Tables) {
+			widest = qi.Query
+		}
+	}
+	disconnected := *widest
+	disconnected.Where = nil
+	last := uint64(1) << uint(len(widest.Tables)-1)
+	for _, p := range widest.Where {
+		if m := widest.TablesUsed(p); m == last || m&last == 0 {
+			disconnected.Where = append(disconnected.Where, p)
+		}
+	}
+	fail := func(order JoinOrder) {
+		o := New(cat)
+		o.DisableNLJN, o.JoinOrder = true, order
+		if _, err := o.Optimize(&disconnected); err == nil {
+			t.Errorf("join order %d: a disconnected join without NLJN compiled", order)
+		}
+	}
+
+	const rounds = 2
+	var wg sync.WaitGroup
+	got := make([][]*Plan, 2)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			opt := New(cat)
+			for r := 0; r < rounds; r++ {
+				for i, qi := range qs {
+					if i%13 == g {
+						fail(JoinOrder(r % 2))
+					}
+					p, err := opt.Optimize(qi.Query)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if f := fingerprint(p, qi.Query); f != want[i] {
+						t.Errorf("goroutine %d round %d %s: plan differs from the serial compile\ngot:\n%s\nwant:\n%s", g, r, qi.Name, f, want[i])
+					}
+					got[g] = append(got[g], p)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, plans := range got {
+		for j, p := range plans {
+			qi := qs[j%len(qs)]
+			if f := fingerprint(p, qi.Query); f != want[j%len(qs)] {
+				t.Errorf("goroutine %d %s: plan changed after later compiles\nnow:\n%s\nwant:\n%s", g, qi.Name, f, want[j%len(qs)])
+			}
+		}
 	}
 }
