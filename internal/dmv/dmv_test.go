@@ -106,7 +106,11 @@ func TestIndependenceUnderestimates(t *testing.T) {
 			// CAR is table 0 with global-id base 0, so global ids are
 			// already heap ordinals.
 			v, err := p.Eval(nil, row)
-			if err != nil || !expr.Accept(v) {
+			if err != nil {
+				keep = false
+				break
+			}
+			if ok, err := expr.Accept(v); err != nil || !ok {
 				keep = false
 				break
 			}

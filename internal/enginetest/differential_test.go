@@ -270,7 +270,9 @@ func bruteForce(t *testing.T, cat *catalog.Catalog, q *logical.Query) []schema.R
 				if err != nil {
 					t.Fatal(err)
 				}
-				keep = expr.Accept(v)
+				if keep, err = expr.Accept(v); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if keep {
 				proj := make(schema.Row, len(q.Select))

@@ -649,14 +649,9 @@ func (e *Executor) Build(p *optimizer.Plan) (Node, error) {
 	return e.wrap(n), nil
 }
 
-// evalFilter applies a (pre-remapped) filter with three-valued semantics.
-func evalFilter(f expr.Expr, ctx *expr.Context, row schema.Row) (bool, error) {
-	if f == nil {
-		return true, nil
-	}
-	v, err := f.Eval(ctx, row)
-	if err != nil {
-		return false, err
-	}
-	return expr.Accept(v), nil
+// compileFilter remaps a plan filter to the row layout cols and compiles it
+// against this execution's parameter bindings.
+func (e *Executor) compileFilter(f expr.Expr, cols []int) (*expr.Filter, error) {
+	re, err := e.remap(f, cols)
+	return expr.Compile(re, e.ectx), err
 }

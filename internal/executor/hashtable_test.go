@@ -101,6 +101,37 @@ func checkTablesAgainstMaps(t testing.TB, keys []byte, drop uint64, card float64
 
 // TestHashTableDifferential runs random key sequences — few distinct keys,
 // many, NULLs, and group estimates far off either way — against the maps.
+// TestKeyHashMatchesFoldChain pins keyHash, which folds key columns in
+// place, to the HashFold chain from HashSeed with the dropped bits cleared:
+// one and two key columns, every kind, NULL keys skipped by a join and folded
+// by grouping.
+func TestKeyHashMatchesFoldChain(t *testing.T) {
+	datums := []types.Datum{types.Null, types.NewBool(true), types.NewInt(-7), types.NewFloat(2.5),
+		types.NewString("key"), types.NewDate(12000)}
+	for _, drop := range hashDrops {
+		e := &Executor{hashDrop: drop}
+		for _, a := range datums {
+			for _, b := range datums {
+				row := schema.Row{a, types.NewInt(0), b}
+				for _, keys := range [][]int{{0}, {2}, {2, 0}} {
+					want, null := types.HashSeed, false
+					for _, k := range keys {
+						want, null = row[k].HashFold(want), null || row[k].IsNull()
+					}
+					want &^= drop
+					for _, grouping := range []bool{false, true} {
+						h, ok := e.keyHash(row, keys, grouping)
+						if wantOK := grouping || !null; ok != wantOK || (ok && h != want) {
+							t.Errorf("drop %x keys %v of %v grouping=%v: (%x, %v), want (%x, %v)",
+								drop, keys, row, grouping, h, ok, want, wantOK)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestHashTableDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 200; iter++ {

@@ -17,8 +17,7 @@ import (
 // the left row followed by the right — and evaluated on a scratch copy of the
 // pair, which a join without a filter never builds.
 type joinOutput struct {
-	filter      expr.Expr
-	ectx        *expr.Context
+	filter      *expr.Filter
 	left, right []int      // positions of the output columns in the left / right row
 	pair        schema.Row // filter scratch; each parallel probe worker owns a copy
 }
@@ -29,11 +28,11 @@ type joinOutput struct {
 // left row all precede those taken from the right.
 func (e *Executor) newJoinOutput(p *optimizer.Plan, leftCols, rightCols []int) (joinOutput, error) {
 	pairCols := append(append(make([]int, 0, len(leftCols)+len(rightCols)), leftCols...), rightCols...)
-	filter, err := e.remap(p.Filter, pairCols)
+	filter, err := e.compileFilter(p.Filter, pairCols)
 	if err != nil {
 		return joinOutput{}, err
 	}
-	o := joinOutput{filter: filter, ectx: e.ectx}
+	o := joinOutput{filter: filter}
 	lay := layoutOf(pairCols)
 	for _, c := range e.RowCols(p) {
 		i, err := lay.pos(pairCols, c)
@@ -60,7 +59,7 @@ func (o *joinOutput) emit(b *Batch, l, r schema.Row) (bool, error) {
 		o.pair = o.pair[:w]
 		copy(o.pair, l)
 		copy(o.pair[len(l):], r)
-		if keep, err := evalFilter(o.filter, o.ectx, o.pair); err != nil || !keep {
+		if keep, err := o.filter.Test(o.pair); err != nil || !keep {
 			return false, err
 		}
 	}
@@ -117,9 +116,9 @@ func (n *inertNode) Close() error                  { return nil }
 type probeState struct {
 	inertNode
 	ix       *storage.BTreeIndex
-	filter   expr.Expr // inner residual filter in table layout
-	descentT int64     // pre-scaled B+tree descent charge per outer row
-	fetchT   int64     // pre-scaled charge per fetched inner row
+	filter   *expr.Filter // inner residual filter in table layout
+	descentT int64        // pre-scaled B+tree descent charge per outer row
+	fetchT   int64        // pre-scaled charge per fetched inner row
 }
 
 func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
@@ -141,7 +140,7 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 		if ix == nil {
 			return nil, fmt.Errorf("executor: index NLJN without B+tree on %s ordinal %d", t.Name, innerPlan.IndexOrd)
 		}
-		innerFilter, err := e.remap(innerPlan.Filter, innerCols)
+		innerFilter, err := e.compileFilter(innerPlan.Filter, innerCols)
 		if err != nil {
 			return nil, err
 		}
@@ -149,13 +148,12 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		npred := float64(len(expr.Conjuncts(innerPlan.Filter)))
 		n.probe = &probeState{
 			inertNode: inertNode{base{plan: innerPlan}},
 			ix:        ix,
 			filter:    innerFilter,
 			descentT:  Ticks(float64(ix.Height()) * e.Cost.IndexLevel),
-			fetchT:    Ticks(e.Cost.FetchRow + npred*e.Cost.PredEval),
+			fetchT:    Ticks(e.Cost.FetchRow + float64(innerFilter.Len())*e.Cost.PredEval),
 		}
 		n.children = []Node{outer, n.probe}
 		return n, nil
@@ -280,7 +278,7 @@ func (n *nljnNode) fillIndex(b *Batch, max int) error {
 					return err
 				}
 				fetched++
-				keep, err := evalFilter(p.filter, n.ex.ectx, irow)
+				keep, err := p.filter.Test(irow)
 				if err != nil {
 					return err
 				}

@@ -38,8 +38,7 @@ type tableScanNode struct {
 	stripe
 	ex     *Executor
 	heap   *storage.Table
-	filter expr.Expr
-	npreds float64
+	filter *expr.Filter
 	it     *storage.TableIterator
 
 	out      *Batch // reusable output batch
@@ -50,7 +49,7 @@ func (e *Executor) buildTableScan(p *optimizer.Plan) (Node, error) {
 	if p.Table < 0 || p.Table >= len(e.tabs) {
 		return nil, fmt.Errorf("executor: table index %d out of range", p.Table)
 	}
-	f, err := e.remap(p.Filter, p.Cols)
+	f, err := e.compileFilter(p.Filter, p.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +58,6 @@ func (e *Executor) buildTableScan(p *optimizer.Plan) (Node, error) {
 		ex:     e,
 		heap:   e.tabs[p.Table].Heap,
 		filter: f,
-		npreds: float64(len(expr.Conjuncts(p.Filter))),
 		out:    NewBatch(e.batchCap),
 	}, nil
 }
@@ -71,7 +69,7 @@ func (n *tableScanNode) Open() error {
 		n.it = n.heap.Scan()
 	}
 	n.stats = NodeStats{Opened: true}
-	n.rowTicks = Ticks(n.ex.Cost.ScanRow + n.npreds*n.ex.Cost.PredEval)
+	n.rowTicks = Ticks(n.ex.Cost.ScanRow + float64(n.filter.Len())*n.ex.Cost.PredEval)
 	return nil
 }
 
@@ -98,7 +96,7 @@ func (n *tableScanNode) NextBatch(max int) (*Batch, error) {
 			break
 		}
 		scanned++
-		keep, err := evalFilter(n.filter, n.ex.ectx, row)
+		keep, err := n.filter.Test(row)
 		if err != nil {
 			n.chargeTicks(n.ex, n.rowTicks, scanned)
 			return nil, err
@@ -121,7 +119,7 @@ type ridFetch struct {
 	stripe
 	ex     *Executor
 	heap   *storage.Table
-	filter expr.Expr
+	filter *expr.Filter
 	rids   []schema.RID
 	pos    int
 
@@ -130,15 +128,14 @@ type ridFetch struct {
 }
 
 func (e *Executor) newRidFetch(p *optimizer.Plan, heap *storage.Table) (ridFetch, error) {
-	f, err := e.remap(p.Filter, p.Cols)
-	npreds := float64(len(expr.Conjuncts(p.Filter)))
+	f, err := e.compileFilter(p.Filter, p.Cols)
 	return ridFetch{
 		base:     base{plan: p},
 		ex:       e,
 		heap:     heap,
 		filter:   f,
 		out:      NewBatch(e.batchCap),
-		rowTicks: Ticks(e.Cost.FetchRow + npreds*e.Cost.PredEval),
+		rowTicks: Ticks(e.Cost.FetchRow + float64(f.Len())*e.Cost.PredEval),
 	}, err
 }
 
@@ -173,7 +170,7 @@ func (n *ridFetch) NextBatch(max int) (*Batch, error) {
 			return nil, err
 		}
 		fetched++
-		keep, err := evalFilter(n.filter, n.ex.ectx, row)
+		keep, err := n.filter.Test(row)
 		if err != nil {
 			n.chargeTicks(n.ex, n.rowTicks, fetched)
 			return nil, err

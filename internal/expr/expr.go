@@ -172,22 +172,26 @@ func (c *Cmp) Eval(ctx *Context, row schema.Row) (types.Datum, error) {
 	if err != nil {
 		return types.Null, err
 	}
-	var out bool
-	switch c.Op {
+	return types.NewBool(c.Op.holds(rel)), nil
+}
+
+// holds reports whether the operator accepts a Compare result.
+func (o CmpOp) holds(rel int) bool {
+	switch o {
 	case EQ:
-		out = rel == 0
+		return rel == 0
 	case NE:
-		out = rel != 0
+		return rel != 0
 	case LT:
-		out = rel < 0
+		return rel < 0
 	case LE:
-		out = rel <= 0
+		return rel <= 0
 	case GT:
-		out = rel > 0
+		return rel > 0
 	case GE:
-		out = rel >= 0
+		return rel >= 0
 	}
-	return types.NewBool(out), nil
+	return false
 }
 
 func (c *Cmp) String() string {
@@ -225,11 +229,14 @@ func (l *Logic) Eval(ctx *Context, row schema.Row) (types.Datum, error) {
 		if err != nil {
 			return types.Null, err
 		}
-		if v.IsNull() {
+		b, known, err := truth(v)
+		if err != nil {
+			return types.Null, err
+		}
+		if !known {
 			sawNull = true
 			continue
 		}
-		b := v.Bool()
 		if l.Op == And && !b {
 			return types.NewBool(false), nil
 		}
@@ -257,10 +264,27 @@ type Not struct{ E Expr }
 // Eval implements three-valued negation.
 func (n *Not) Eval(ctx *Context, row schema.Row) (types.Datum, error) {
 	v, err := n.E.Eval(ctx, row)
-	if err != nil || v.IsNull() {
+	if err != nil {
 		return types.Null, err
 	}
-	return types.NewBool(!v.Bool()), nil
+	b, known, err := truth(v)
+	if err != nil || !known {
+		return types.Null, err
+	}
+	return types.NewBool(!b), nil
+}
+
+// truth reads v as a condition under three-valued logic: known is false for
+// NULL, and a value that is neither NULL nor boolean is an error.
+func truth(v types.Datum) (b, known bool, err error) {
+	switch v.Kind() {
+	case types.KindBool:
+		return v.Bool(), true, nil
+	case types.KindNull:
+		return false, false, nil
+	default:
+		return false, false, fmt.Errorf("expr: condition is %s, not BOOLEAN", v.Kind())
+	}
 }
 
 func (n *Not) String() string { return "NOT (" + n.E.String() + ")" }

@@ -206,7 +206,9 @@ func EquiJoinColumns(e Expr) (left, right int, ok bool) {
 }
 
 // Accept reports whether the datum is a non-NULL TRUE — the filter acceptance
-// test under three-valued logic (NULL and FALSE both reject).
-func Accept(d types.Datum) bool {
-	return d.Kind() == types.KindBool && d.Bool()
+// test under three-valued logic (NULL and FALSE both reject). A value that is
+// neither NULL nor boolean is an error.
+func Accept(d types.Datum) (bool, error) {
+	b, _, err := truth(d)
+	return b, err
 }

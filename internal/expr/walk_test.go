@@ -127,17 +127,24 @@ func TestEquiJoinColumns(t *testing.T) {
 }
 
 func TestAccept(t *testing.T) {
-	if !Accept(types.NewBool(true)) {
+	accept := func(d types.Datum) bool {
+		ok, err := Accept(d)
+		if err != nil {
+			t.Errorf("Accept(%v): %v", d, err)
+		}
+		return ok
+	}
+	if !accept(types.NewBool(true)) {
 		t.Error("TRUE accepted")
 	}
-	if Accept(types.NewBool(false)) {
+	if accept(types.NewBool(false)) {
 		t.Error("FALSE rejected")
 	}
-	if Accept(types.Null) {
+	if accept(types.Null) {
 		t.Error("NULL rejected")
 	}
-	if Accept(types.NewInt(1)) {
-		t.Error("non-bool rejected")
+	if ok, err := Accept(types.NewInt(1)); ok || err == nil {
+		t.Errorf("non-bool: ok=%v err=%v, want an error", ok, err)
 	}
 }
 

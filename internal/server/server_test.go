@@ -525,3 +525,37 @@ func TestServerParseErrors(t *testing.T) {
 		t.Errorf("nation count row = %v, want 25", resp.Rows)
 	}
 }
+
+// TestServerNonBooleanCondition: a non-boolean operand of AND, OR or NOT, or
+// a bare non-boolean WHERE term, is an exec error reply; the server keeps
+// running and the same connection then gets a valid query's rows.
+func TestServerNonBooleanCondition(t *testing.T) {
+	cat := tpchCat(t, 0.002)
+	srv := startServer(t, cat, Config{Workers: 4})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	for _, where := range []string{"n_nationkey AND n_regionkey = 1", "NOT n_nationkey",
+		"n_nationkey OR n_regionkey = 1", "n_nationkey"} {
+		resp, err := c.Query("SELECT n_name FROM nation WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.OK || resp.Code != CodeExec || !strings.Contains(resp.Error, "not BOOLEAN") {
+			t.Errorf("WHERE %s: ok=%v code=%q error=%q, want a non-boolean exec error", where, resp.OK, resp.Code, resp.Error)
+		}
+	}
+	resp, err := c.Query("SELECT COUNT(*) AS n FROM nation WHERE n_regionkey = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK || len(resp.Rows) != 1 || fmt.Sprint(resp.Rows[0]) != "[5]" {
+		t.Errorf("recovery query: ok=%v rows=%v: %s", resp.OK, resp.Rows, resp.Error)
+	}
+}

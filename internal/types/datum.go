@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -152,35 +153,25 @@ func (e *ErrIncomparable) Error() string {
 // floats and dates compare numerically across kinds; strings compare
 // lexicographically; booleans order false < true. Comparing a NULL or
 // incompatible kinds returns an error — SQL three-valued logic is handled a
-// level up, in package expr.
+// level up, in package expr. The same-class pairs come first: int and date
+// against int and date compare on int64, float against float and string
+// against string directly.
 func (d Datum) Compare(o Datum) (int, error) {
-	if d.kind == KindNull || o.kind == KindNull {
-		return 0, &ErrIncomparable{d.kind, o.kind}
-	}
-	if d.kind.Numeric() && o.kind.Numeric() {
-		// Fast path: same-kind integers avoid float rounding.
-		if d.kind != KindFloat && o.kind != KindFloat {
-			return cmpInt(d.i, o.i), nil
-		}
-		return cmpFloat(d.Float(), o.Float()), nil
-	}
-	if d.kind != o.kind {
-		return 0, &ErrIncomparable{d.kind, o.kind}
-	}
-	switch d.kind {
-	case KindString:
-		switch {
-		case d.s < o.s:
-			return -1, nil
-		case d.s > o.s:
-			return 1, nil
-		}
-		return 0, nil
-	case KindBool:
+	switch {
+	case (d.kind == KindInt || d.kind == KindDate) && (o.kind == KindInt || o.kind == KindDate):
 		return cmpInt(d.i, o.i), nil
-	default:
+	case d.kind == KindString && o.kind == KindString:
+		return strings.Compare(d.s, o.s), nil
+	case d.kind == KindFloat && o.kind == KindFloat:
+		return cmpFloat(d.f, o.f), nil
+	case d.kind == KindNull || o.kind == KindNull:
 		return 0, &ErrIncomparable{d.kind, o.kind}
+	case d.kind.Numeric() && o.kind.Numeric():
+		return cmpFloat(d.Float(), o.Float()), nil
+	case d.kind == KindBool && o.kind == KindBool:
+		return cmpInt(d.i, o.i), nil
 	}
+	return 0, &ErrIncomparable{d.kind, o.kind}
 }
 
 func cmpInt(a, b int64) int {
@@ -275,12 +266,17 @@ func (d Datum) HashFold(h uint64) uint64 {
 }
 
 // fnvFoldUint64 folds the little-endian bytes of v into an FNV-64a state,
-// matching putUint64's byte order.
+// matching putUint64's byte order. It is unrolled: every hash-join and
+// grouping key of an int, date or float column passes through it.
 func fnvFoldUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(v>>(8*uint(i))))) * fnv64Prime
-	}
-	return h
+	h = (h ^ v&0xff) * fnv64Prime
+	h = (h ^ v>>8&0xff) * fnv64Prime
+	h = (h ^ v>>16&0xff) * fnv64Prime
+	h = (h ^ v>>24&0xff) * fnv64Prime
+	h = (h ^ v>>32&0xff) * fnv64Prime
+	h = (h ^ v>>40&0xff) * fnv64Prime
+	h = (h ^ v>>48&0xff) * fnv64Prime
+	return (h ^ v>>56) * fnv64Prime
 }
 
 // hashWriter is the subset of hash.Hash64 HashInto needs.

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -294,5 +295,54 @@ func TestSortValuePreservesOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// compareReference is Compare's rule set written out case by case, the
+// reference Compare's same-class shortcuts must agree with.
+func compareReference(d, o Datum) (int, error) {
+	if d.kind == KindNull || o.kind == KindNull {
+		return 0, &ErrIncomparable{d.kind, o.kind}
+	}
+	if d.kind.Numeric() && o.kind.Numeric() {
+		if d.kind != KindFloat && o.kind != KindFloat {
+			return cmpInt(d.i, o.i), nil
+		}
+		return cmpFloat(d.Float(), o.Float()), nil
+	}
+	if d.kind != o.kind {
+		return 0, &ErrIncomparable{d.kind, o.kind}
+	}
+	switch d.kind {
+	case KindString:
+		switch {
+		case d.s < o.s:
+			return -1, nil
+		case d.s > o.s:
+			return 1, nil
+		}
+		return 0, nil
+	case KindBool:
+		return cmpInt(d.i, o.i), nil
+	}
+	return 0, &ErrIncomparable{d.kind, o.kind}
+}
+
+// TestCompareMatchesReference sweeps every ordered pair of a set covering
+// each kind, NaN, the int64 extremes and string prefixes.
+func TestCompareMatchesReference(t *testing.T) {
+	datums := []Datum{Null, NewBool(false), NewBool(true),
+		NewInt(math.MinInt64), NewInt(-1), NewInt(0), NewInt(3), NewInt(math.MaxInt64),
+		NewFloat(math.Inf(-1)), NewFloat(-0.5), NewFloat(0), NewFloat(3), NewFloat(math.NaN()),
+		NewString(""), NewString("a"), NewString("ab"), NewString("b"),
+		NewDate(-1), NewDate(0), NewDate(3)}
+	for _, a := range datums {
+		for _, b := range datums {
+			got, err := a.Compare(b)
+			want, wantErr := compareReference(a, b)
+			if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("Compare(%v, %v) = %d, %v; want %d, %v", a, b, got, err, want, wantErr)
+			}
+		}
 	}
 }
