@@ -17,7 +17,7 @@
 // -pkg restricts *reporting* to packages whose import path matches the
 // pattern ("..." matches any substring, Go-style), without shrinking the
 // analysis: the whole program named by the patterns is still loaded, so
-// whole-program rules (call-graph reachability, tick-sink parameters, close
+// whole-program rules (call-graph reachability, lock order, close
 // witnesses) keep their precision — only the findings are filtered. This is
 // what makes it safe for focused pre-commit runs: a clean filtered run over
 // a package means exactly what the full gate would say about that package.

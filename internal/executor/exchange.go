@@ -458,7 +458,7 @@ func (e *Executor) buildParallelHSJN(gp, jp *optimizer.Plan) (Node, error) {
 // perturb the total).
 func (n *parallelHSJNNode) addAnalyzeTicks(t int64) {
 	if t > 0 {
-		n.analyzeTicks.Add(t)
+		addSat(&n.analyzeTicks, t)
 	}
 }
 
@@ -576,7 +576,7 @@ func (n *parallelHSJNNode) runBuildWorker(w int, bufs [][][]schema.Row, all *[]s
 			t := mulTicksSat(rowT, int64(b.Len()))
 			meter.AddTicks(t)
 			if n.ex.Analyze {
-				awT += t
+				awT = addTicksSat(awT, t)
 			}
 			start := len(*all)
 			*all = appendBatchRows(*all, b)
@@ -679,14 +679,14 @@ func (n *parallelHSJNNode) probeLoop(clone Node, meter *Meter, probeT, outT int6
 		t := mulTicksSat(probeT, int64(b.Len()))
 		meter.AddTicks(t)
 		if n.ex.Analyze {
-			*awT += t
+			*awT = addTicksSat(*awT, t)
 		}
 		emitted := 0
 		charge := func() {
 			et := mulTicksSat(outT, int64(emitted))
 			meter.AddTicks(et)
 			if n.ex.Analyze {
-				*awT += et
+				*awT = addTicksSat(*awT, et)
 			}
 		}
 		for _, row := range b.Rows {

@@ -47,27 +47,27 @@ type Meter struct {
 	ticks atomic.Int64
 }
 
-// Ticks converts a work-unit amount into integer meter ticks, applying the
-// meter's fixed-point rounding exactly once. Operators pre-scale their
-// per-row charge with it: k rows charged as perRowTicks*k equal exactly k
-// single-row Add calls of the same amount, so a work total does not depend
-// on where the batch boundaries fell.
+// Ticks converts a work-unit amount into integer meter ticks, rounding once
+// (k rows charged as perRowTicks*k equal k single-row Add calls, so a total
+// does not depend on where batch boundaries fell) and saturating at MaxInt64
+// for an amount int64 cannot hold, +Inf and NaN included.
 func Ticks(w float64) int64 {
-	return int64(math.Round(w * meterTick))
+	if x := math.Round(w * meterTick); x < 1<<63 {
+		return int64(x)
+	}
+	return math.MaxInt64
 }
 
 // Add charges work units.
 func (m *Meter) Add(w float64) {
-	if m != nil && w != 0 {
-		m.ticks.Add(Ticks(w))
-	}
+	m.AddTicks(Ticks(w))
 }
 
 // AddTicks charges pre-scaled integer ticks (see Ticks): one meter operation
-// per batch.
+// per batch, saturating at MaxInt64.
 func (m *Meter) AddTicks(t int64) {
 	if m != nil && t != 0 {
-		m.ticks.Add(t)
+		addSat(&m.ticks, t)
 	}
 }
 
@@ -79,11 +79,11 @@ func (m *Meter) Work() float64 {
 	return float64(m.ticks.Load()) / meterTick
 }
 
-// drain moves this meter's ticks into dst. Parallel workers charge a
-// worker-local meter (no contention on the hot path) and drain it into the
-// shared statement meter before exiting.
+// drain moves this meter's ticks into dst, saturating. Parallel workers
+// charge a worker-local meter (no contention on the hot path) and drain it
+// into the shared statement meter before exiting.
 func (m *Meter) drain(dst *Meter) {
-	dst.ticks.Add(m.ticks.Swap(0))
+	addSat(&dst.ticks, m.ticks.Swap(0))
 }
 
 // NodeStats exposes an operator's runtime counters.
@@ -596,8 +596,8 @@ func (b *base) chargeTicks(e *Executor, perRow int64, k int) {
 // lengths), so saturation only engages at astronomically large products —
 // where a pinned meter is correct and a silently negative one would corrupt
 // every downstream guard comparison. Non-positive operands charge nothing.
-// The two separate guards keep each comparison branch-refinable, which is
-// how the lint value layer proves the product safe.
+// It holds the executor's one int64 product: poplint's overflow rule
+// reports any other.
 func mulTicksSat(perRow, k int64) int64 {
 	if perRow <= 0 || k <= 0 {
 		return 0
@@ -606,6 +606,23 @@ func mulTicksSat(perRow, k int64) int64 {
 		return math.MaxInt64
 	}
 	return perRow * k
+}
+
+// addTicksSat adds two non-negative tick counts, saturating at MaxInt64.
+func addTicksSat(a, b int64) int64 {
+	if s := a + b; s >= 0 {
+		return s
+	}
+	return math.MaxInt64
+}
+
+// addSat adds a non-negative tick count to c, pinning it at MaxInt64 when
+// the sum wraps: every charge is non-negative, so a negative result can only
+// mean the counter passed MaxInt64.
+func addSat(c *atomic.Int64, t int64) {
+	if c.Add(t) < 0 {
+		c.Store(math.MaxInt64)
+	}
 }
 
 // takePending returns, once, the error emit held back on the previous call.

@@ -45,3 +45,45 @@ func TestChargeTicksSaturates(t *testing.T) {
 		t.Fatalf("meter after saturating charge = %d, want MaxInt64", got)
 	}
 }
+
+// TestMeterSaturatesAfterMaxInt64 charges one more tick to a meter already
+// pinned at MaxInt64: it must stay pinned, not wrap negative.
+func TestMeterSaturatesAfterMaxInt64(t *testing.T) {
+	m := &Meter{}
+	m.AddTicks(math.MaxInt64)
+	m.AddTicks(1)
+	if got := m.ticks.Load(); got != math.MaxInt64 {
+		t.Fatalf("saturated meter after a 1-tick charge = %d, want MaxInt64", got)
+	}
+}
+
+// TestDrainSaturates drains a saturated worker meter into a statement meter
+// that already holds ticks: the sum must pin at MaxInt64.
+func TestDrainSaturates(t *testing.T) {
+	worker, dst := &Meter{}, &Meter{}
+	worker.AddTicks(math.MaxInt64)
+	dst.AddTicks(5)
+	worker.drain(dst)
+	if got := dst.ticks.Load(); got != math.MaxInt64 {
+		t.Fatalf("drain of a saturated worker meter = %d, want MaxInt64", got)
+	}
+	if got := worker.ticks.Load(); got != 0 {
+		t.Fatalf("drained worker meter holds %d ticks, want 0", got)
+	}
+}
+
+// TestAddPastInt64Saturates charges a work amount whose tick count int64
+// cannot hold (1e13 units is about 1.05e19 ticks): the meter must read
+// MaxInt64. Ticks itself saturates for that amount, +Inf and NaN.
+func TestAddPastInt64Saturates(t *testing.T) {
+	m := &Meter{}
+	m.Add(1e13)
+	if got := m.ticks.Load(); got != math.MaxInt64 {
+		t.Fatalf("meter after Add(1e13) = %d, want MaxInt64", got)
+	}
+	for _, w := range []float64{1e13, math.Inf(1), math.NaN()} {
+		if got := Ticks(w); got != math.MaxInt64 {
+			t.Errorf("Ticks(%v) = %d, want MaxInt64", w, got)
+		}
+	}
+}

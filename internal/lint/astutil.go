@@ -1,6 +1,6 @@
 package lint
 
-// AST and type helpers shared by the rules and the value layer.
+// AST and type helpers shared by the rules.
 
 import (
 	"go/ast"

@@ -103,19 +103,15 @@ type pendingIface struct {
 	evIdx  int // index of the EvCall event to patch with resolved targets
 }
 
-// callGraphs memoizes one graph per program so every analyzer in a single
-// Run shares the construction work. Run executes analyzers sequentially, so
-// no locking is needed.
-var callGraphs = map[*Program]*CallGraph{}
-
-// programGraph returns the memoized call graph for prog.
+// programGraph returns prog's call graph, building it on first use so every
+// analyzer in one Run shares the construction work. Run executes analyzers
+// sequentially, so no locking is needed, and drops the graph on return, so
+// each Run is cold and a linted Program is not kept alive by a memo.
 func programGraph(prog *Program) *CallGraph {
-	if g, ok := callGraphs[prog]; ok {
-		return g
+	if prog.graph == nil {
+		prog.graph = BuildCallGraph(prog)
 	}
-	g := BuildCallGraph(prog)
-	callGraphs[prog] = g
-	return g
+	return prog.graph
 }
 
 // BuildCallGraph constructs the call graph and per-function summaries for

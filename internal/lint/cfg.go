@@ -1,9 +1,9 @@
 package lint
 
 // Intraprocedural control-flow graphs: the flow-sensitive substrate under
-// blockingcancel (loop marks) and the value solver behind overflow. A CFG is
-// built from a function body's AST alone — no type information — so the
-// builder also serves as a fuzz target over arbitrary parseable sources.
+// blockingcancel, which reads the loop marks. A CFG is built from a
+// function body's AST alone — no type information — so the builder also
+// serves as a fuzz target over arbitrary parseable sources.
 //
 // Shape:
 //
@@ -13,8 +13,8 @@ package lint
 //     replayed as the Exit block's trailing nodes, in LIFO order.
 //   - a block's Nodes mix statements and the expressions that control
 //     branches (if/for conditions, switch tags, range operands), in
-//     execution order, so a forward transfer function sees conditions
-//     exactly once per traversal of the block.
+//     execution order, so a walk over the block sees each condition
+//     exactly once.
 //   - branch edges: if/else joins, for/range back edges, switch/select
 //     clause fan-out (with fallthrough), break/continue/goto (labeled or
 //     not) resolved against the enclosing frame stack, unreachable code
@@ -43,15 +43,6 @@ type CFGBlock struct {
 	Succs []*CFGBlock
 	Preds []*CFGBlock
 	Loop  bool // created inside a for/range loop
-
-	// Branch is the condition expression that decides which successor runs,
-	// when this block ends in a two-way test: an if condition, or a for
-	// condition. By construction Succs[0] is the TRUE edge and Succs[1] the
-	// FALSE edge (ifStmt wires then before else/after; forStmt wires body
-	// before after). Branch is nil for straight-line blocks, switch/select
-	// heads, and range heads — their successor choice is not a boolean
-	// condition. The value solver uses Branch to refine facts per out-edge.
-	Branch ast.Expr
 }
 
 // CFG is the control-flow graph of one function body.
@@ -201,7 +192,6 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	}
 	b.add(s.Cond)
 	cond := b.cur
-	cond.Branch = s.Cond
 	then := b.newBlock()
 	b.edge(cond, then)
 	b.cur = then
@@ -242,7 +232,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt) {
 	b.cur = head
 	if s.Cond != nil {
 		b.add(s.Cond)
-		head.Branch = s.Cond
 	}
 	b.loopDepth = outer
 	after := b.newBlock()

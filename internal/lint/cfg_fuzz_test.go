@@ -9,8 +9,7 @@ import (
 
 // FuzzCFG throws arbitrary parseable Go at the CFG builder and pins its
 // structural invariants: deterministic rebuilds (identical block/edge
-// structure both times), symmetric Succs/Preds, the entry/exit contract,
-// and solver termination within the round bound on every body.
+// structure both times), symmetric Succs/Preds, and the entry/exit contract.
 func FuzzCFG(f *testing.F) {
 	seeds := []string{
 		"package p\nfunc f() { x := 1; _ = x }",
@@ -43,15 +42,6 @@ func FuzzCFG(f *testing.F) {
 			checkCFGInvariants(t, a)
 			if !sameCFGStructure(a, b) {
 				t.Fatalf("rebuild produced a different structure for %s", fd.Name.Name)
-			}
-			// The solver must reach a fixpoint within the round bound and
-			// return an in-state for every block, never panic or spin.
-			ins, converged := solveForwardVals(a, valState{}, func(blk *CFGBlock, in valState) valState { return in }, nil)
-			if len(ins) != len(a.Blocks) {
-				t.Fatalf("solver returned %d states for %d blocks", len(ins), len(a.Blocks))
-			}
-			if !converged {
-				t.Fatalf("identity transfer did not converge for %s", fd.Name.Name)
 			}
 		}
 	})

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 )
@@ -311,32 +310,5 @@ return`
 	b := buildFromSrc(t, body)
 	if cfgShape(a) != cfgShape(b) {
 		t.Errorf("rebuild differs:\n%s\n%s", cfgShape(a), cfgShape(b))
-	}
-}
-
-// TestSolverTermination drives the solver over a looping CFG twice: an
-// identity transfer must reach a fixpoint, and a transfer that never
-// stabilizes (each call writes a fresh constant) must stop at the round
-// bound instead of spinning.
-func TestSolverTermination(t *testing.T) {
-	c := buildFromSrc(t, "x := 0\nfor {\nx++\n}")
-	if _, converged := solveForwardVals(c, valState{}, func(b *CFGBlock, in valState) valState { return in }, nil); !converged {
-		t.Error("identity transfer did not converge")
-	}
-	x := types.NewVar(token.NoPos, nil, "x", types.Typ[types.Int])
-	calls := 0
-	ins, converged := solveForwardVals(c, valState{}, func(b *CFGBlock, in valState) valState {
-		calls++
-		in.set(x, absVal{iv: ConstInterval(int64(calls))})
-		return in
-	}, nil)
-	if converged {
-		t.Error("a transfer that changes every call reported a fixpoint")
-	}
-	if len(ins) != len(c.Blocks) {
-		t.Fatalf("solver returned %d states for %d blocks", len(ins), len(c.Blocks))
-	}
-	if max := solverMaxRounds(c) * len(c.Blocks); calls > max {
-		t.Errorf("solver ran %d transfers, bound is %d", calls, max)
 	}
 }

@@ -43,8 +43,8 @@ const allowPrefix = "//poplint:allow"
 // Analyzers returns the full POP suite in reporting order: the three
 // intra-procedural rules from the original suite, the doc-comment gate,
 // the four interprocedural rules built on the call graph, the CFG rule
-// blockingcancel, the interval rule overflow (absint.go/summaryval.go),
-// and the enum-switch rule.
+// blockingcancel, the typed int64-product rule overflow, and the
+// enum-switch rule.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
@@ -74,6 +74,7 @@ type Options struct {
 // findings plus the findings suppressed by //poplint:allow annotations,
 // both sorted by file, line, column, rule.
 func Run(prog *Program, analyzers []*Analyzer, opts Options) (findings, suppressed []Finding) {
+	defer func() { prog.graph = nil }()
 	allows, allowFindings := collectAllows(prog)
 	if !opts.DisableAllow {
 		findings = append(findings, allowFindings...)

@@ -98,7 +98,7 @@ var ruleFixtures = map[string]string{
 	"chargeflow":     "repro/internal/executor/fixcharge",
 	"poolleak":       "repro/internal/server/fixpool",
 	"blockingcancel": "repro/internal/server/fixblock",
-	"overflow":       "repro/internal/optimizer/fixovf",
+	"overflow":       "repro/internal/executor/fixovf",
 	"exhaustive":     "repro/internal/fixexh",
 }
 
@@ -198,7 +198,7 @@ func TestGoldenFixtures(t *testing.T) {
 }
 
 // The JSON determinism pin is split three ways over the bad fixtures: the
-// CFG/dataflow rules, the abstract-interpretation rules, and every other
+// CFG rule, the typed site rules overflow and exhaustive, and every other
 // live rule, so each bad fixture is encoded by exactly one test.
 var (
 	dataflowRules = []string{"blockingcancel"}
@@ -228,9 +228,8 @@ func TestJSONDeterminismDataflowRules(t *testing.T) {
 }
 
 // TestJSONDeterminismValueRules extends the eight-run byte-identity pin to
-// the abstract-interpretation rules: the worklist solver, the summary
-// fixpoint, and the site collection must order findings entirely through
-// the deterministic sort, never through map iteration.
+// the typed site rules overflow and exhaustive: their findings must be
+// ordered entirely by the deterministic sort, never by map iteration.
 func TestJSONDeterminismValueRules(t *testing.T) {
 	for _, fx := range badFixturesOf(t, valueRules) {
 		checkJSONDeterminism(t, fx)

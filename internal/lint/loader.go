@@ -46,6 +46,8 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package // sorted by import path
+
+	graph *CallGraph // built on first use within one Run, dropped on return
 }
 
 // Loader parses and type-checks packages from a Go module using only the

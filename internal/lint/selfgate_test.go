@@ -103,11 +103,12 @@ func hasWallClockFinding(fs []lint.Finding) bool {
 	return false
 }
 
-// BenchmarkPoplint measures one full suite run over the executor and server
-// packages — the heaviest real targets: CFG construction, the value solver
-// and its summary fixpoint, and loop-reachability all fire. Loading and
-// type-checking happen once in setup; the benchmark loop measures analysis
-// only, which is what poplint adds on top of go build.
+// BenchmarkPoplint measures one cold suite run over the executor and server
+// packages — the heaviest real targets: call-graph and CFG construction and
+// loop-reachability all fire, and Run drops the call graph on return, so
+// every iteration builds it again. Loading and type-checking happen once in
+// setup; the benchmark loop measures analysis only, which is what poplint
+// adds on top of go build.
 func BenchmarkPoplint(b *testing.B) {
 	ld, err := sharedLoader()
 	if err != nil {

@@ -36,11 +36,20 @@ func (m *meteredNode) NextBatch(max int) (*executor.Batch, error) {
 }
 
 func (m *meteredNode) charge(t, k int64) {
-	if k > 0 && t <= math.MaxInt64/k {
-		m.chargeMeter(t * k)
-	}
+	m.chargeMeter(mulTicksSat(t, k))
 }
 func (m *meteredNode) chargeMeter(t int64) { m.meter.AddTicks(t) }
+
+// mulTicksSat is the saturating tick product the overflow rule accepts.
+func mulTicksSat(t, k int64) int64 {
+	if t <= 0 || k <= 0 {
+		return 0
+	}
+	if t > math.MaxInt64/k {
+		return math.MaxInt64
+	}
+	return t * k
+}
 
 func (m *meteredNode) Close() error               { return nil }
 func (m *meteredNode) Plan() *optimizer.Plan      { return nil }

@@ -1,48 +1,23 @@
-// Package fixovf is a poplint fixture: tick arithmetic the overflow rule
-// must catch — an unguarded per-row × batch-length product feeding
-// Meter.AddTicks, a provably overflowing accumulator addition, and
-// selectivity division/modulo whose divisor a reaching path proves zero.
+// Package fixovf is a poplint fixture: raw int64 tick products the overflow
+// rule must catch — a product passed straight to Meter.AddTicks, one routed
+// through a local, and a `*=`.
 package fixovf
 
-import (
-	"math"
+import "repro/internal/executor"
 
-	"repro/internal/executor"
-)
-
-// charge multiplies an unbounded per-row rate by an unbounded row count and
-// meters the product directly: the corner cases exceed int64.
+// charge meters a per-row rate times a batch length directly.
 func charge(m *executor.Meter, perRow int64, rows int) {
 	m.AddTicks(perRow * int64(rows)) // want overflow
 }
 
-// accumulate provably overflows: the accumulator is pinned at MaxInt64
-// before the add.
-func accumulate(m *executor.Meter) {
-	t := int64(math.MaxInt64)
-	m.AddTicks(t + 1) // want overflow
-}
-
-// viaLocal routes the product through a local before metering it; the
-// sink closure still reaches the multiplication.
+// viaLocal routes the product through a local before metering it.
 func viaLocal(m *executor.Meter, perRow, k int64) {
 	t := perRow * k // want overflow
 	m.AddTicks(t)
 }
 
-// selectivity divides by a divisor the true edge just proved zero.
-func selectivity(card, n float64) float64 {
-	if n == 0 {
-		return card / n // want overflow
-	}
-	return card / n
-}
-
-// remainder is the integer form: a modulo on a path where the divisor was
-// compared equal to zero.
-func remainder(total, n int64) int64 {
-	if n == 0 {
-		return total % n // want overflow
-	}
-	return total % n
+// scaleInPlace scales the rate in place.
+func scaleInPlace(m *executor.Meter, perRow, k int64) {
+	perRow *= k // want overflow
+	m.AddTicks(perRow)
 }

@@ -1,7 +1,6 @@
-// Package fixovfgood is the clean twin of the overflow fixture: every
-// product feeding the meter is guarded with the MaxInt64/b idiom, bounded,
-// or routed through a saturating helper, and every division guards its
-// divisor first.
+// Package fixovfgood is the clean twin of the overflow fixture: products of
+// other types, products the type checker folds to a constant, and the one
+// raw int64 product inside a mulTicksSat helper.
 package fixovfgood
 
 import (
@@ -10,55 +9,36 @@ import (
 	"repro/internal/executor"
 )
 
-// chargeGuarded bounds the product with the MaxInt64/b guard idiom before
-// metering it.
-func chargeGuarded(m *executor.Meter, perRow int64, rows int) {
-	k := int64(rows)
+// slot is an int slab-index product.
+func slot(row, width, col int) int {
+	return row*width + col
+}
+
+// home is a uint64 hash multiply.
+func home(h uint64, shift uint) uint64 {
+	return (h * 0x9E3779B97F4A7C15) >> shift
+}
+
+// batchTicks is a constant product.
+const batchTicks int64 = 64 * (1 << 20)
+
+// chargeConst meters a product of constants.
+func chargeConst(m *executor.Meter) {
+	m.AddTicks(batchTicks * 2)
+}
+
+// charge multiplies through the saturating helper.
+func charge(m *executor.Meter, perRow int64, rows int) {
+	m.AddTicks(mulTicksSat(perRow, int64(rows)))
+}
+
+// mulTicksSat multiplies a tick rate by a row count, saturating at MaxInt64.
+func mulTicksSat(perRow, k int64) int64 {
 	if perRow <= 0 || k <= 0 {
-		return
+		return 0
 	}
 	if perRow > math.MaxInt64/k {
-		return
-	}
-	m.AddTicks(perRow * k)
-}
-
-// chargeSat routes the arithmetic through a saturating helper: the call
-// boundary stops sink propagation, and the helper itself guards.
-func chargeSat(m *executor.Meter, perRow int64, rows int) {
-	m.AddTicks(mulSat(perRow, int64(rows)))
-}
-
-func mulSat(a, b int64) int64 {
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
 		return math.MaxInt64
 	}
-	return a * b
-}
-
-// bounded multiplies two interval-bounded operands: no corner overflows.
-func bounded(m *executor.Meter, rows int) {
-	if rows < 0 || rows > 1<<20 {
-		return
-	}
-	m.AddTicks(100 * int64(rows))
-}
-
-// selectivityGuarded excludes zero before dividing.
-func selectivityGuarded(card, n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return card / n
-}
-
-// remainderGuarded guards the integer divisor.
-func remainderGuarded(total, n int64) int64 {
-	if n == 0 {
-		return 0
-	}
-	return total % n
+	return perRow * k
 }

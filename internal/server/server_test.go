@@ -254,6 +254,12 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Dial returns once the kernel queues the connection, and the server
+	// closes a connection it accepts after shutdown began: a ping reply
+	// proves cB is being served before the drain starts.
+	if err := cB.Ping(); err != nil {
+		t.Fatal(err)
+	}
 
 	inFlightResp := make(chan Response, 1)
 	go func() {
