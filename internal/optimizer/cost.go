@@ -116,39 +116,20 @@ func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 		return p.Cost
 
 	case OpNLJN:
-		outer, inner := cc[0], cc[1]
-		outerCost, innerCost := cs[0], cs[1]
-		probes := math.Max(outer, 0)
 		out := scaleCardOf(p, cc)
 		if p.IndexJoin {
-			// Inner child is a parameterized index probe: its Cost is the
-			// per-probe cost and its Card the per-probe match count.
-			return outerCost + (probes*innerCost + out*pr.OutputRow)
+			return pr.indexNLJNCost(cc[0], cs[0], cs[1], out)
 		}
-		// Naive NLJN rescans the inner subtree once per outer row and
-		// evaluates the join predicate against every pair.
-		rescans := math.Max(probes, 1)
-		return outerCost + rescans*innerCost + probes*inner*pr.PredEval + out*pr.OutputRow
+		return pr.nljnCost(cc[0], cc[1], cs[0], cs[1], out)
 
 	case OpHSJN:
-		probe, build := cc[0], cc[1]
-		probeCost, buildCost := cs[0], cs[1]
-		stages := HashStages(build, len(p.Children[1].Cols), pr.MemoryBytes)
-		out := scaleCardOf(p, cc)
-		own := build*pr.HashBuildRow + probe*pr.HashProbeRow + out*pr.OutputRow
-		if stages > 1 {
-			own += (stages - 1) * (build + probe) * pr.SpillRow
-		}
-		return probeCost + buildCost + own
+		return pr.hsjnCost(cc[0], cc[1], cs[0], cs[1], scaleCardOf(p, cc), len(p.Children[1].Cols))
 
 	case OpMGJN:
-		l, r := cc[0], cc[1]
-		out := scaleCardOf(p, cc)
-		return cs[0] + cs[1] + (l+r)*pr.MergeRow + out*pr.OutputRow
+		return pr.mgjnCost(cc[0], cc[1], cs[0], cs[1], scaleCardOf(p, cc))
 
 	case OpSort:
-		n := cc[0]
-		return cs[0] + n*math.Log2(n+2)*pr.SortCmpRow + n*pr.TempWrite
+		return pr.sortCost(cc[0], cs[0])
 
 	case OpTemp:
 		n := cc[0]
@@ -181,6 +162,47 @@ func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 	default:
 		return cs[0]
 	}
+}
+
+// The join and SORT formulas are scalar functions of the input
+// cardinalities, the input subtree costs and the output cardinality, so that
+// Recost (at perturbed cardinalities) and the DP enumerator (at a candidate's
+// own, before it builds the candidate) evaluate one formula.
+
+// nljnCost is a naive NLJN's total cost: it rescans the inner subtree once
+// per outer row and evaluates the join predicate against every pair.
+func (pr *CostParams) nljnCost(outer, inner, outerCost, innerCost, out float64) float64 {
+	probes := math.Max(outer, 0)
+	rescans := math.Max(probes, 1)
+	return outerCost + rescans*innerCost + probes*inner*pr.PredEval + out*pr.OutputRow
+}
+
+// indexNLJNCost is an index NLJN's total cost. Its inner is a parameterized
+// index probe: innerCost is the per-probe cost.
+func (pr *CostParams) indexNLJNCost(outer, outerCost, innerCost, out float64) float64 {
+	probes := math.Max(outer, 0)
+	return outerCost + (probes*innerCost + out*pr.OutputRow)
+}
+
+// hsjnCost is a hash join's total cost, with buildCols the build input's
+// column count (HashStages).
+func (pr *CostParams) hsjnCost(probe, build, probeCost, buildCost, out float64, buildCols int) float64 {
+	stages := HashStages(build, buildCols, pr.MemoryBytes)
+	own := build*pr.HashBuildRow + probe*pr.HashProbeRow + out*pr.OutputRow
+	if stages > 1 {
+		own += (stages - 1) * (build + probe) * pr.SpillRow
+	}
+	return probeCost + buildCost + own
+}
+
+// mgjnCost is a merge join's total cost over inputs already in key order.
+func (pr *CostParams) mgjnCost(l, r, lCost, rCost, out float64) float64 {
+	return lCost + rCost + (l+r)*pr.MergeRow + out*pr.OutputRow
+}
+
+// sortCost is a SORT's total cost over n input rows.
+func (pr *CostParams) sortCost(n, inCost float64) float64 {
+	return inCost + n*math.Log2(n+2)*pr.SortCmpRow + n*pr.TempWrite
 }
 
 // scaleCardOf scales the estimated output cardinality in proportion to the

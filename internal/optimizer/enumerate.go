@@ -66,10 +66,11 @@ type Optimizer struct {
 	// future binding — the property the plan cache relies on.
 	ParamBindings []types.Datum
 
-	// EnumeratedCandidates is set by each Optimize call to the number of
-	// candidate plans the enumeration costed — the measure of optimization
-	// work a plan-cache hit avoids. Like the rest of the struct it is not
-	// safe for concurrent Optimize calls on one Optimizer.
+	// EnumeratedCandidates is set by each Optimize call to the number of join
+	// and access-path candidates the enumeration costed, whether or not they
+	// were built — the measure of optimization work a plan-cache hit avoids.
+	// Like the rest of the struct it is not safe for concurrent Optimize calls
+	// on one Optimizer.
 	EnumeratedCandidates int
 }
 
@@ -96,13 +97,17 @@ type planner struct {
 	// best maps a table subset to its best plans, one per output order.
 	best map[uint64]group
 
-	// candidates counts addCandidate offers (see EnumeratedCandidates).
+	// candidates counts the join and access-path candidates the enumeration
+	// costed, whether or not they were built (see EnumeratedCandidates).
 	candidates int
 
 	// narrowing is whether addCandidate narrows validity ranges; narrowings
-	// counts the plan-vs-plan narrowings done (TestNarrowingBudget).
+	// counts the plan-vs-plan narrowings done (TestNarrowingBudget), and built
+	// the join candidates written into scratch with narrowing off
+	// (TestBuiltCandidateBudget).
 	narrowing  bool
 	narrowings int
+	built      int
 
 	// Per-table constants every access path and join over the table shares:
 	// its column ids, its local predicates and their conjunction.
@@ -233,10 +238,10 @@ func cloneOrNil[T any](s []T) []T {
 // generation, validity narrowing — deterministic by construction.
 type group []*Plan
 
-// scratch is the planner-owned storage join candidates are built and costed
-// in. Most candidates lose to their slot's incumbent at once; only one that
-// takes a slot is copied to the arena (planner.keep), together with the SORT
-// or index-probe child built for it.
+// scratch is the planner-owned storage join candidates are built in; with
+// narrowing off, only those that will take their slot are (split.builds).
+// Only one that takes a slot is copied to the arena (planner.keep), together
+// with the SORT or index-probe child built for it.
 type scratch struct {
 	node     Plan
 	kids     [2]*Plan
@@ -292,7 +297,7 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 	}
 	for ti := range tabs {
 		for _, ap := range pl.baseAccessPaths(ti) {
-			pl.addCandidate(ap)
+			pl.addPath(ap)
 		}
 	}
 	return pl, nil
@@ -446,18 +451,32 @@ func (o *Optimizer) parallelJoin(p *Plan) *Plan {
 	return o.wrapExchange(ExGather, j)
 }
 
-// addCandidate offers a plan for its subset/order slot, pruning against the
-// incumbent and, when narrowing is on, narrowing the winner's validity ranges
-// per §2.2. No decision here reads a range. cand may live in scratch; it is
-// copied out if it takes the slot.
-func (pl *planner) addCandidate(cand *Plan) {
-	pl.candidates++
-	g := pl.best[cand.tables]
-	i := 0
-	for i < len(g) && g[i].ordered < cand.ordered {
+// addPath offers a base access path or an MVSCAN for its slot.
+func (pl *planner) addPath(p *Plan) {
+	g := pl.best[p.tables]
+	pl.addCandidate(&g, p)
+	pl.best[p.tables] = g
+}
+
+// slot returns the index of the order slot ordered in g: its incumbent's, or
+// where a plan for it is inserted when it is vacant.
+func (g group) slot(ordered int) (i int, vacant bool) {
+	for i < len(g) && g[i].ordered < ordered {
 		i++
 	}
-	vacant := i == len(g) || g[i].ordered != cand.ordered
+	return i, i == len(g) || g[i].ordered != ordered
+}
+
+// addCandidate offers a plan for its order slot in *gp, the group of its
+// subset, pruning against the incumbent and, when narrowing is on, narrowing
+// the winner's validity ranges per §2.2. No decision here reads a range. cand
+// may live in scratch; it is copied out if it takes the slot. In the DP's
+// first pass the only joins it sees are slot winners: split.builds counts
+// and drops the others before they are built.
+func (pl *planner) addCandidate(gp *group, cand *Plan) {
+	pl.candidates++
+	g := *gp
+	i, vacant := g.slot(cand.ordered)
 	takes := vacant || cand.Cost < g[i].Cost
 	// Narrow across order groups too: an ordered plan (e.g. a merge join)
 	// and the unordered best are structural alternatives for the same
@@ -478,7 +497,7 @@ func (pl *planner) addCandidate(cand *Plan) {
 	}
 	switch {
 	case vacant:
-		pl.best[cand.tables] = slices.Insert(g, i, pl.keep(cand, nil))
+		*gp = slices.Insert(g, i, pl.keep(cand, nil))
 	case takes:
 		pl.narrow(cand, g[i])
 		g[i] = pl.keep(cand, g[i])
@@ -793,16 +812,21 @@ func (pl *planner) expandSubset(mask uint64) {
 		}
 	}
 	if mv := pl.matchMV(mask); mv != nil {
-		pl.addCandidate(mv)
+		pl.addPath(mv)
 	}
 }
 
 // joinSubset offers every physical join of each plan of subset rest with
-// table ti.
+// table ti. The split holds the joined subset's group until its candidates
+// are all offered: nothing else reads or writes that group meanwhile.
 func (pl *planner) joinSubset(rest uint64, ti int) {
 	s := pl.newSplit(rest, ti)
+	s.group = pl.best[s.mask]
 	for _, outer := range pl.best[rest] {
 		s.joinCandidates(outer)
+	}
+	if len(s.group) > 0 {
+		pl.best[s.mask] = s.group
 	}
 }
 
@@ -871,6 +895,7 @@ type split struct {
 	pl      *planner
 	ti      int
 	mask    uint64  // outer subset plus ti
+	group   group   // mask's plans, held by joinSubset
 	outCard float64 // estimated join output cardinality
 	inner   *Plan   // cheapest access path of ti
 
@@ -893,8 +918,7 @@ type split struct {
 type indexJoin struct {
 	lookupCol int       // outer-side column supplying the probe key
 	ord       int       // ti-side column ordinal
-	levelCost float64   // B-tree descent cost per probe
-	fetched   float64   // inner rows the probed key alone matches, per probe
+	probeCost float64   // per probe: the descent, and a fetch and filter of every row the key matches
 	filter    expr.Expr // every connecting predicate but the probed pair
 }
 
@@ -928,14 +952,17 @@ func (pl *planner) newSplit(rest uint64, ti int) split {
 		return expr.Conjoin(residual...)
 	}
 	if !o.DisableNLJN && !o.DisableIndexJoin {
+		cp := &o.Model.Params
 		for i, pr := range pairs {
 			ord := pl.q.OrdinalOf(pr.innerCol)
 			if ix := pl.tabs[ti].BTreeOn(ord); ix != nil {
+				// The probed key alone matches fetched rows per probe; the
+				// inner's local predicates are all residual.
+				fetched := pl.est.baseTableCard(ti) * pl.predSelectivity(pr.pred)
 				s.indexJoins = append(s.indexJoins, indexJoin{
 					lookupCol: pr.outerCol,
 					ord:       ord,
-					levelCost: float64(ix.Height()) * o.Model.Params.IndexLevel,
-					fetched:   pl.est.baseTableCard(ti) * pl.predSelectivity(pr.pred),
+					probeCost: cp.AccessCost(float64(ix.Height())*cp.IndexLevel, fetched, len(pl.local[ti])),
 					filter:    residualWithout(i),
 				})
 			}
@@ -971,37 +998,75 @@ func (pl *planner) newSplit(rest uint64, ti int) split {
 
 // joinCandidates offers every physical join of outer ⋈ ti the knobs allow:
 // naive NLJN, index NLJN, hash join in both build directions, and merge join
-// with sort enforcers.
+// with sort enforcers. Each candidate is costed from its inputs' cards and
+// costs before anything is built for it, and built only if split.builds says
+// so.
 func (s *split) joinCandidates(outer *Plan) {
 	o := s.pl.opt
+	pr := &o.Model.Params
+	in := s.inner
 	if !o.DisableNLJN {
 		// Naive nested-loop join: always applicable (handles non-equi and
 		// cartesian joins), rescans the inner per outer row.
-		s.offer(OpNLJN, nil, s.joinPred, nil, nil, outer.ordered, outer, s.inner)
+		if c := pr.nljnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard); s.builds(outer.ordered, c) {
+			s.offer(OpNLJN, nil, s.joinPred, nil, nil, outer.ordered, outer, in, c)
+		}
 		for i := range s.indexJoins {
 			ij := &s.indexJoins[i]
-			s.offer(OpNLJN, ij, ij.filter, nil, nil, outer.ordered, outer, s.indexProbe(ij, outer))
+			if c := pr.indexNLJNCost(outer.Card, outer.Cost, ij.probeCost, s.outCard); s.builds(outer.ordered, c) {
+				s.offer(OpNLJN, ij, ij.filter, nil, nil, outer.ordered, outer, s.indexProbe(ij, outer), c)
+			}
 		}
 	}
 	if s.probeKeys != nil {
 		// Build on the single table, probe with the outer subset.
-		s.offer(OpHSJN, nil, s.hashFilter, s.probeKeys, s.buildKeys, outer.ordered, outer, s.inner)
+		if c := pr.hsjnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard, len(in.Cols)); s.builds(outer.ordered, c) {
+			s.offer(OpHSJN, nil, s.hashFilter, s.probeKeys, s.buildKeys, outer.ordered, outer, in, c)
+		}
 		// Build on the outer subset, probe with the table.
-		s.offer(OpHSJN, nil, s.hashFilter, s.buildKeys, s.probeKeys, s.inner.ordered, s.inner, outer)
+		if c := pr.hsjnCost(in.Card, outer.Card, in.Cost, outer.Cost, s.outCard, len(outer.Cols)); s.builds(in.ordered, c) {
+			s.offer(OpHSJN, nil, s.hashFilter, s.buildKeys, s.probeKeys, in.ordered, in, outer, c)
+		}
 	}
-	if s.mergeInner != nil {
-		s.offer(OpMGJN, nil, s.mergeFilter, s.mergeLeft, s.mergeRight, s.mergeLeft[0],
-			s.pl.sorted(outer, s.mergeLeft[0]), s.mergeInner)
+	if mi := s.mergeInner; mi != nil {
+		key, lCost := s.mergeLeft[0], outer.Cost
+		if outer.ordered != key {
+			lCost = pr.sortCost(outer.Card, outer.Cost) // sorted puts a SORT under it
+		}
+		if c := pr.mgjnCost(outer.Card, mi.Card, lCost, mi.Cost, s.outCard); s.builds(key, c) {
+			s.offer(OpMGJN, nil, s.mergeFilter, s.mergeLeft, s.mergeRight, key, s.pl.sorted(outer, key), mi, c)
+		}
 	}
 }
 
-// offer builds an op join of l and r in the planner's scratch node, costs it
-// and offers it for the split's subset. Every NLJN carries the split's join
-// predicate; ij, when set, makes it an index NLJN. Only the fields a join
-// sets are written — the scratch node never holds anything else — so no Plan
-// is copied per candidate.
-func (s *split) offer(op OpKind, ij *indexJoin, filter expr.Expr, equiLeft, equiRight []int, ordered int, l, r *Plan) {
+// builds reports whether a join candidate of the split that costs cost, for
+// order slot ordered, is to be built. While narrowing, every candidate is:
+// narrow and narrowAcross read the loser. Otherwise only one that would take
+// its slot is — the slot is vacant or its incumbent costs more — and the rest
+// are counted and dropped. That is exact: with narrowing off, addCandidate
+// leaves the group as it is for a candidate that does not take its slot.
+func (s *split) builds(ordered int, cost float64) bool {
 	pl := s.pl
+	if pl.narrowing {
+		return true
+	}
+	if i, vacant := s.group.slot(ordered); vacant || cost < s.group[i].Cost {
+		return true
+	}
+	pl.candidates++
+	return false
+}
+
+// offer builds an op join of l and r in the planner's scratch node, with the
+// cost the caller computed for it, and offers it for the split's group. Every
+// NLJN carries the split's join predicate; ij, when set, makes it an index
+// NLJN. Only the fields a join sets are written — the scratch node never
+// holds anything else — so no Plan is copied per candidate.
+func (s *split) offer(op OpKind, ij *indexJoin, filter expr.Expr, equiLeft, equiRight []int, ordered int, l, r *Plan, cost float64) {
+	pl := s.pl
+	if !pl.narrowing {
+		pl.built++
+	}
 	sc := &pl.scratch
 	n := &sc.node
 	n.Op, n.Filter, n.EquiLeft, n.EquiRight, n.ordered = op, filter, equiLeft, equiRight, ordered
@@ -1015,9 +1080,8 @@ func (s *split) offer(op OpKind, ij *indexJoin, filter expr.Expr, equiLeft, equi
 	sc.kids = [2]*Plan{l, r}
 	n.Children = sc.kids[:]
 	n.Validity = sc.validity[:0]
-	n.Card, n.tables = s.outCard, s.mask
-	pl.opt.Model.finishCosting(n) // sets Cost
-	pl.addCandidate(n)
+	n.Card, n.Cost, n.tables = s.outCard, cost, s.mask
+	pl.addCandidate(&s.group, n)
 }
 
 // indexProbe fills the scratch probe node with the parameterized index-probe
@@ -1027,7 +1091,6 @@ func (s *split) offer(op OpKind, ij *indexJoin, filter expr.Expr, equiLeft, equi
 // probed key fetches before those predicates see it.
 func (s *split) indexProbe(ij *indexJoin, outer *Plan) *Plan {
 	pl := s.pl
-	pr := &pl.opt.Model.Params
 	ti := s.ti
 	perProbe := s.outCard / math.Max(outer.Card, 1e-9)
 	if perProbe < 1e-6 {
@@ -1039,7 +1102,7 @@ func (s *split) indexProbe(ij *indexJoin, outer *Plan) *Plan {
 	p.Op, p.Table, p.IndexOrd = OpIndexScan, ti, ij.ord
 	p.Filter, p.Cols = pl.localFilter[ti], pl.cols[ti]
 	p.Card = perProbe
-	p.Cost = pr.AccessCost(ij.levelCost, ij.fetched, len(pl.local[ti]))
+	p.Cost = ij.probeCost
 	p.tables, p.ordered = uint64(1)<<uint(ti), -1
 	return p
 }
@@ -1058,7 +1121,7 @@ func (pl *planner) sorted(p *Plan, col int) *Plan {
 	s := &sc.sort
 	s.Op, s.Children, s.SortKeys = OpSort, sc.sortKid[:], sc.sortKey[:]
 	s.Cols, s.Card, s.tables, s.ordered = p.Cols, p.Card, p.tables, col
-	pl.opt.Model.finishCosting(s) // sets Cost
+	s.Cost = pl.opt.Model.Params.sortCost(p.Card, p.Cost)
 	return s
 }
 

@@ -110,7 +110,7 @@ func (pl *planner) enumerateGreedyVisible(full uint64) error {
 		pl.joinSubset(joined, next)
 		joined |= 1 << uint(next)
 		if mv := pl.matchMV(joined); mv != nil {
-			pl.addCandidate(mv)
+			pl.addPath(mv)
 		}
 		if len(pl.best[joined]) == 0 {
 			return maskError(pl.est, joined)

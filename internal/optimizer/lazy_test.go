@@ -133,25 +133,28 @@ func reoptState(t *testing.T, cat *catalog.Catalog, q *logical.Query) *stats.Fee
 	return fb
 }
 
+// compileConfigs are the optimizer configurations the enumeration tests
+// compile the workloads under; reopt compiles from reoptState.
+var compileConfigs = []struct {
+	name  string
+	reopt bool
+	cfg   func(*Optimizer)
+}{
+	{"default", false, func(*Optimizer) {}},
+	{"noHSJN", false, func(o *Optimizer) { o.DisableHSJN = true }},
+	{"workers2", false, func(o *Optimizer) { o.Model.Params.Workers = 2 }},
+	{"reopt", true, func(*Optimizer) {}},
+}
+
 // TestLazyRangesMatchEager is the equality prune-then-narrow rests on: the
 // plan Optimize returns — pruned with narrowing off, then only its own groups
 // rebuilt with narrowing on — equals, in every field and every validity bound,
 // the plan of an enumeration that narrows every group as it prunes, and both
 // cost the same number of candidates.
 func TestLazyRangesMatchEager(t *testing.T) {
-	configs := []struct {
-		name  string
-		reopt bool
-		cfg   func(*Optimizer)
-	}{
-		{"default", false, func(*Optimizer) {}},
-		{"noHSJN", false, func(o *Optimizer) { o.DisableHSJN = true }},
-		{"workers2", false, func(o *Optimizer) { o.Model.Params.Workers = 2 }},
-		{"reopt", true, func(*Optimizer) {}},
-	}
 	for _, w := range lazyWorkloads(t) {
 		cat, queries := w.cat, w.queries
-		for _, c := range configs {
+		for _, c := range compileConfigs {
 			bounded, mvScans := 0, 0
 			for _, nq := range queries {
 				var fb *stats.Feedback

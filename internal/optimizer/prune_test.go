@@ -1,0 +1,221 @@
+package optimizer
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// sameCost is %b-equality: the same bits, or both NaN.
+func sameCost(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// checkOwnCosts reports every node under p, visiting each once across calls
+// that share seen, whose Cost is not %b-equal to Recost at its own children's
+// cardinalities and costs.
+func checkOwnCosts(t *testing.T, m *CostModel, p *Plan, seen map[*Plan]bool, where string) {
+	t.Helper()
+	if seen[p] {
+		return
+	}
+	seen[p] = true
+	cc, cs := make([]float64, len(p.Children)), make([]float64, len(p.Children))
+	for i, c := range p.Children {
+		cc[i], cs[i] = c.Card, c.Cost
+		checkOwnCosts(t, m, c, seen, where)
+	}
+	if want := m.Recost(p, cc, cs); !sameCost(p.Cost, want) {
+		t.Errorf("%s: %s tabs=%b ord=%d cost %b, Recost at its own inputs %b", where, p.Op, p.tables, p.ordered, p.Cost, want)
+	}
+}
+
+// joinOnce offers the joins of outer ⋈ s's table to an empty group, with
+// narrowing off as in the DP's first pass, and returns the group.
+func joinOnce(o *Optimizer, s split, outer *Plan) group {
+	s.pl = &planner{opt: o, arena: new(arena)}
+	s.joinCandidates(outer)
+	return s.group
+}
+
+// TestJoinCostMatchesRecost: the DP costs each join candidate from scalars
+// before it builds it, and Recost evaluates the same formulas at perturbed
+// cardinalities. At a node's own input cardinalities the two must agree to
+// the bit, or pruning a candidate by its scalar cost could differ from
+// pruning it by its built cost. The table cases drive one split's candidates
+// at the edges of the formulas; the workloads check every node of every DP
+// group, and of every returned plan, under the configurations
+// TestLazyRangesMatchEager compares.
+func TestJoinCostMatchesRecost(t *testing.T) {
+	leaf := func(card, cost float64, ncols, ordered int) *Plan {
+		return &Plan{Op: OpTableScan, Cols: make([]int, ncols), Card: card, Cost: cost, tables: 0b01, ordered: ordered}
+	}
+	inner := func(card, cost float64, ncols, ordered int) *Plan {
+		p := leaf(card, cost, ncols, ordered)
+		p.tables = 0b10
+		return p
+	}
+	hashSplit := func(outCard float64, in *Plan) split {
+		return split{mask: 0b11, outCard: outCard, inner: in, probeKeys: []int{0}, buildKeys: []int{4}}
+	}
+	mergeSplit := split{mask: 0b11, outCard: 300, inner: inner(200, 200, 1, -1),
+		mergeLeft: []int{3}, mergeRight: []int{4}, mergeInner: inner(200, 450, 1, 4)}
+	cases := []struct {
+		name  string
+		cfg   func(*Optimizer)
+		s     split
+		outer *Plan
+		// check is what the case exists for, beyond matching Recost.
+		check func(t *testing.T, m *CostModel, g group)
+	}{
+		{
+			name:  "hash build over MemoryBytes",
+			cfg:   func(o *Optimizer) { o.DisableNLJN = true },
+			s:     hashSplit(5e4, inner(1e5, 1e5, 2, 4)),
+			outer: leaf(1e5, 3e5, 4, -1),
+			check: func(t *testing.T, m *CostModel, g group) {
+				if len(g) != 2 {
+					t.Fatalf("%d plans, want both build directions", len(g))
+				}
+				for _, p := range g {
+					b := p.Children[1]
+					if st := HashStages(b.Card, len(b.Cols), m.Params.MemoryBytes); st <= 1 {
+						t.Errorf("build of %v rows × %d columns takes %v stages, want > 1", b.Card, len(b.Cols), st)
+					}
+				}
+			},
+		},
+		{
+			name:  "naive NLJN over an empty outer",
+			cfg:   func(*Optimizer) {},
+			s:     split{mask: 0b11, outCard: 0, inner: inner(50, 70, 1, -1)},
+			outer: leaf(0, 10, 1, -1),
+			check: func(t *testing.T, m *CostModel, g group) {
+				// The model charges one scan of the inner even when no
+				// outer row arrives; costing first must not change that.
+				if len(g) != 1 || g[0].Op != OpNLJN || g[0].Cost != 10+70 {
+					t.Errorf("want one NLJN costing one inner scan (80), got %d plans, cost %v", len(g), g[0].Cost)
+				}
+			},
+		},
+		{
+			name:  "merge join over an outer in key order",
+			cfg:   func(o *Optimizer) { o.DisableNLJN = true },
+			s:     mergeSplit,
+			outer: leaf(100, 400, 2, 3),
+			check: func(t *testing.T, m *CostModel, g group) {
+				if len(g) != 1 || g[0].Op != OpMGJN || g[0].Children[0].Op == OpSort {
+					t.Errorf("want one MGJN straight over the ordered outer, got %d plans, %s", len(g), g[0].Children[0].Op)
+				}
+			},
+		},
+		{
+			name:  "merge join over a sorted outer",
+			cfg:   func(o *Optimizer) { o.DisableNLJN = true },
+			s:     mergeSplit,
+			outer: leaf(100, 400, 2, -1),
+			check: func(t *testing.T, m *CostModel, g group) {
+				if len(g) != 1 || g[0].Children[0].Op != OpSort {
+					t.Errorf("want one MGJN over a SORT, got %d plans", len(g))
+				}
+			},
+		},
+		{
+			name:  "infinite outer cardinality",
+			cfg:   func(*Optimizer) {},
+			s:     hashSplit(20, inner(30, 30, 1, 4)),
+			outer: leaf(math.Inf(1), 100, 1, -1),
+			check: func(t *testing.T, m *CostModel, g group) {
+				if len(g) != 2 {
+					t.Errorf("%d plans, want one per slot", len(g))
+				}
+			},
+		},
+		{
+			name:  "NaN inner cardinality",
+			cfg:   func(*Optimizer) {},
+			s:     hashSplit(20, inner(math.NaN(), 30, 1, 4)),
+			outer: leaf(40, 100, 1, -1),
+			check: func(t *testing.T, m *CostModel, g group) {
+				if len(g) != 2 {
+					t.Errorf("%d plans, want one per slot", len(g))
+				}
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := New(nil)
+			c.cfg(o)
+			g := joinOnce(o, c.s, c.outer)
+			if len(g) == 0 {
+				t.Fatal("no candidate was built")
+			}
+			seen := map[*Plan]bool{}
+			for _, p := range g {
+				checkOwnCosts(t, &o.Model, p, seen, c.name)
+			}
+			c.check(t, &o.Model, g)
+		})
+	}
+
+	for _, w := range lazyWorkloads(t) {
+		cat := w.cat
+		for _, c := range compileConfigs {
+			for _, nq := range w.queries {
+				var fb *stats.Feedback
+				if c.reopt {
+					fb = reoptState(t, cat, nq.q)
+				}
+				dp, opt := New(cat), New(cat)
+				for _, o := range []*Optimizer{dp, opt} {
+					c.cfg(o)
+					o.Feedback = fb
+				}
+				where := c.name + " " + nq.name
+				pl, err := dp.newPlanner(nq.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := len(nq.q.Tables); n > 1 {
+					pl.enumerateDP(uint64(1)<<uint(n) - 1)
+				}
+				seen := map[*Plan]bool{}
+				for _, g := range pl.best {
+					for _, p := range g {
+						checkOwnCosts(t, &dp.Model, p, seen, where)
+					}
+				}
+				pl.arena.release()
+				plan, err := opt.Optimize(nq.q)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				checkOwnCosts(t, &opt.Model, plan, map[*Plan]bool{}, where+" (returned plan)")
+				cat.DropViews()
+			}
+		}
+	}
+}
+
+// TestBuiltCandidateBudget is the tripwire for cost-first pruning: on the
+// widest DMV compile, the first DP pass builds about 30 of every 100 join and
+// access-path candidates it costs in scratch. Building every candidate (no
+// pruning, or pruning after the scratch write) builds nearly all of them.
+func TestBuiltCandidateBudget(t *testing.T) {
+	cat, q := widestDMV(t)
+	pl, err := New(cat).newPlanner(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.arena.release()
+	pl.enumerateDP(uint64(1)<<uint(len(q.Tables)) - 1)
+	t.Logf("%d of %d candidates built (%.1f %%)", pl.built, pl.candidates, 100*float64(pl.built)/float64(pl.candidates))
+	if pl.built == 0 {
+		t.Error("no candidate built at all")
+	}
+	if 100*pl.built > 35*pl.candidates {
+		t.Errorf("%d of %d candidates built, budget 35 %%", pl.built, pl.candidates)
+	}
+}
