@@ -46,13 +46,15 @@ func widestDMV(t *testing.T) (*catalog.Catalog, *logical.Query) {
 // conjunctions and key slices, this call made 3,304,691 allocations; costing
 // candidates in planner-owned scratch brought it to 251,435, copying a
 // slot-taking candidate over the incumbent it displaces to 125,826 (13.9 MB),
-// and keeping nodes in a pooled arena, with signatures rendered from parts,
-// to 44,287 (1.76 MB). The ceilings, 1.25 times those, trip on a
-// per-candidate or per-kept-node allocation creeping back in, not on a few
-// more per split.
+// keeping nodes in a pooled arena, with signatures rendered from parts, to
+// 44,287 (1.76 MB), and costing candidates from scalars before building only
+// the slot winners to 44,287 (1.74 MB). Deriving each split's shape once per
+// compile rather than once per split brought it to 6,907 (0.70 MB). The
+// ceilings, 1.25 times those, trip on a per-split, per-candidate or
+// per-kept-node allocation creeping back in.
 func TestOptimizeAllocBudget(t *testing.T) {
 	cat, q := widestDMV(t)
-	const ceiling, bytesCeiling = 55_000, 2_200_000
+	const ceiling, bytesCeiling = 8_650, 880_000
 	compile := func() {
 		if _, err := New(cat).Optimize(q); err != nil {
 			t.Fatal(err)

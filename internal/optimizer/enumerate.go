@@ -102,12 +102,14 @@ type planner struct {
 	candidates int
 
 	// narrowing is whether addCandidate narrows validity ranges; narrowings
-	// counts the plan-vs-plan narrowings done (TestNarrowingBudget), and built
+	// counts the plan-vs-plan narrowings done (TestNarrowingBudget), built
 	// the join candidates written into scratch with narrowing off
-	// (TestBuiltCandidateBudget).
+	// (TestBuiltCandidateBudget), and derived the split shapes derived
+	// (TestSplitShapeBudget).
 	narrowing  bool
 	narrowings int
 	built      int
+	derived    int
 
 	// Per-table constants every access path and join over the table shares:
 	// its column ids, its local predicates and their conjunction.
@@ -125,6 +127,13 @@ type planner struct {
 	// never retain the slice (Conjoin and equiPairs both copy what they
 	// keep), so one buffer serves the whole enumeration.
 	predScratch []expr.Expr
+
+	// reach[ti] is the union of the table masks of the join predicates that
+	// touch table ti, without ti itself. shapes holds each split shape
+	// derived so far, keyed by its inner table and the part of the outer
+	// subset those predicates reach (see splitShape).
+	reach  []uint64
+	shapes map[splitKey]*splitShape
 
 	scratch scratch
 	arena   *arena
@@ -278,6 +287,8 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 		est:  newEstimator(estQ, tabs, o.Feedback),
 		best: make(map[uint64]group),
 
+		reach:     make([]uint64, len(tabs)),
+		shapes:    make(map[splitKey]*splitShape),
 		narrowing: o.ComputeValidity,
 		arena:     arenas.Get().(*arena),
 	}
@@ -293,7 +304,13 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 		pl.localFilter = append(pl.localFilter, expr.Conjoin(local...))
 	}
 	for _, p := range q.JoinPredicates() {
-		pl.joinPreds = append(pl.joinPreds, predMask{pred: p, mask: q.TablesUsed(p)})
+		m := q.TablesUsed(p)
+		pl.joinPreds = append(pl.joinPreds, predMask{pred: p, mask: m})
+		for ti := range tabs {
+			if bit := uint64(1) << uint(ti); m&bit != 0 {
+				pl.reach[ti] |= m &^ bit
+			}
+		}
 	}
 	for ti := range tabs {
 		for _, ap := range pl.baseAccessPaths(ti) {
@@ -788,6 +805,7 @@ func (pl *planner) enumerateDP(full uint64) {
 // expandSubset generates join plans for a subset from its left-deep splits
 // and offers a matching MV as an alternative.
 func (pl *planner) expandSubset(mask uint64) {
+	var shapes [64]*splitShape   // by inner table, for the usable splits
 	var splits, connected uint64 // inner tables of the usable splits
 	for ti := range pl.q.Tables {
 		bit := uint64(1) << uint(ti)
@@ -798,8 +816,9 @@ func (pl *planner) expandSubset(mask uint64) {
 		if rest == 0 || len(pl.best[rest]) == 0 {
 			continue
 		}
+		shapes[ti] = pl.shape(rest, ti)
 		splits |= bit
-		if len(pl.joinPredsBetween(rest, ti)) > 0 {
+		if shapes[ti].joinPred != nil {
 			connected |= bit
 		}
 	}
@@ -808,7 +827,7 @@ func (pl *planner) expandSubset(mask uint64) {
 	}
 	for ti := range pl.q.Tables {
 		if bit := uint64(1) << uint(ti); splits&bit != 0 {
-			pl.joinSubset(mask&^bit, ti)
+			pl.joinSubset(mask&^bit, shapes[ti])
 		}
 	}
 	if mv := pl.matchMV(mask); mv != nil {
@@ -817,16 +836,23 @@ func (pl *planner) expandSubset(mask uint64) {
 }
 
 // joinSubset offers every physical join of each plan of subset rest with
-// table ti. The split holds the joined subset's group until its candidates
-// are all offered: nothing else reads or writes that group meanwhile.
-func (pl *planner) joinSubset(rest uint64, ti int) {
-	s := pl.newSplit(rest, ti)
-	s.group = pl.best[s.mask]
+// the inner table of shape sh. The split holds the joined subset's group
+// until its candidates are all offered: nothing else reads or writes that
+// group meanwhile.
+func (pl *planner) joinSubset(rest uint64, sh *splitShape) {
+	mask := rest | uint64(1)<<uint(sh.ti)
+	s := split{
+		splitShape: sh,
+		pl:         pl,
+		mask:       mask,
+		group:      pl.best[mask],
+		outCard:    pl.est.SubsetCard(mask),
+	}
 	for _, outer := range pl.best[rest] {
 		s.joinCandidates(outer)
 	}
 	if len(s.group) > 0 {
-		pl.best[s.mask] = s.group
+		pl.best[mask] = s.group
 	}
 }
 
@@ -885,21 +911,41 @@ func (pl *planner) equiPairs(preds []expr.Expr, rest uint64, ti int) (pairs []eq
 	return pairs, residual
 }
 
-// split is everything the physical joins of (outer subset ⋈ table ti) share
-// across the subset's outer plans, computed once per split: the connecting
-// predicates cut into each join method's conjunctions and key columns, the
-// inner-side plans, and the output cardinality. Every candidate built from a
-// split points at the same expressions and key slices (see the immutability
-// contract on Plan).
+// split is one visit of a split, outer subset ⋈ table ti: its shape and
+// the fields that depend on the whole joined subset.
 type split struct {
+	*splitShape
 	pl      *planner
-	ti      int
 	mask    uint64  // outer subset plus ti
 	group   group   // mask's plans, held by joinSubset
 	outCard float64 // estimated join output cardinality
-	inner   *Plan   // cheapest access path of ti
+}
 
-	joinPred expr.Expr // conjunction of all connecting predicates
+// splitKey identifies a split shape: the inner table ti and the outer
+// subset restricted to reach[ti].
+type splitKey struct {
+	ti    int
+	outer uint64
+}
+
+// splitShape is everything the physical joins of (outer subset ⋈ table ti)
+// share across the subset's outer plans: the connecting predicates cut into
+// each join method's conjunctions and key columns, and the inner-side plans.
+// All of it is a function of the split's key. A connecting predicate touches
+// ti and has its other tables in the outer subset; those tables lie in
+// reach[ti], so they are in the subset exactly when they are in its
+// intersection with reach[ti], and an equi pair's outer column is one of
+// them. The inner plans depend on ti alone, and the index probe costs on ti
+// and the probed predicate. So one shape serves every outer subset with the
+// same key, for the whole compile. Every candidate built from a shape points
+// at the same expressions, key slices and merge inner (see the immutability
+// contract on Plan); a merge inner SORT is an arena node nothing writes after
+// deriveShape, and detach copies it out with the chosen tree.
+type splitShape struct {
+	ti    int
+	inner *Plan // cheapest access path of ti
+
+	joinPred expr.Expr // conjunction of all connecting predicates; nil for a cartesian split
 
 	// Hash join: one key column per equi pair, non-equi predicates residual.
 	probeKeys, buildKeys []int // outer-side / ti-side key columns
@@ -922,18 +968,28 @@ type indexJoin struct {
 	filter    expr.Expr // every connecting predicate but the probed pair
 }
 
-// newSplit derives the split of subset rest ⋈ table ti, leaving out the
-// parts a disabled join method would need.
-func (pl *planner) newSplit(rest uint64, ti int) split {
+// shape returns the shape of the split rest ⋈ table ti, derived on the
+// first visit of its key.
+func (pl *planner) shape(rest uint64, ti int) *splitShape {
+	k := splitKey{ti: ti, outer: rest & pl.reach[ti]}
+	sh := pl.shapes[k]
+	if sh == nil {
+		sh = pl.deriveShape(k.outer, ti)
+		pl.shapes[k] = sh
+	}
+	return sh
+}
+
+// deriveShape derives the shape of the split rest ⋈ table ti, leaving out
+// the parts a disabled join method would need.
+func (pl *planner) deriveShape(rest uint64, ti int) *splitShape {
+	pl.derived++
 	o := pl.opt
 	bit := uint64(1) << uint(ti)
 	preds := pl.joinPredsBetween(rest, ti)
 	pairs, nonEqui := pl.equiPairs(preds, rest, ti)
-	s := split{
-		pl:       pl,
+	s := &splitShape{
 		ti:       ti,
-		mask:     rest | bit,
-		outCard:  pl.est.SubsetCard(rest | bit),
 		inner:    pl.bestOf(bit),
 		joinPred: expr.Conjoin(preds...),
 	}

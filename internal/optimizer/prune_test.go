@@ -57,10 +57,10 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 		return p
 	}
 	hashSplit := func(outCard float64, in *Plan) split {
-		return split{mask: 0b11, outCard: outCard, inner: in, probeKeys: []int{0}, buildKeys: []int{4}}
+		return split{mask: 0b11, outCard: outCard, splitShape: &splitShape{ti: 1, inner: in, probeKeys: []int{0}, buildKeys: []int{4}}}
 	}
-	mergeSplit := split{mask: 0b11, outCard: 300, inner: inner(200, 200, 1, -1),
-		mergeLeft: []int{3}, mergeRight: []int{4}, mergeInner: inner(200, 450, 1, 4)}
+	mergeSplit := split{mask: 0b11, outCard: 300, splitShape: &splitShape{ti: 1, inner: inner(200, 200, 1, -1),
+		mergeLeft: []int{3}, mergeRight: []int{4}, mergeInner: inner(200, 450, 1, 4)}}
 	cases := []struct {
 		name  string
 		cfg   func(*Optimizer)
@@ -89,7 +89,7 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 		{
 			name:  "naive NLJN over an empty outer",
 			cfg:   func(*Optimizer) {},
-			s:     split{mask: 0b11, outCard: 0, inner: inner(50, 70, 1, -1)},
+			s:     split{mask: 0b11, outCard: 0, splitShape: &splitShape{ti: 1, inner: inner(50, 70, 1, -1)}},
 			outer: leaf(0, 10, 1, -1),
 			check: func(t *testing.T, m *CostModel, g group) {
 				// The model charges one scan of the inner even when no
