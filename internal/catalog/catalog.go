@@ -20,7 +20,6 @@ type Table struct {
 	Name    string
 	Schema  *schema.Schema
 	Heap    *storage.Table
-	Hash    []*storage.HashIndex
 	BTrees  []*storage.BTreeIndex
 	ColStat []*stats.ColumnStats // by ordinal; nil until AnalyzeTable
 }
@@ -32,18 +31,6 @@ func (t *Table) RowCount() float64 { return float64(t.Heap.RowCount()) }
 func (t *Table) BTreeOn(ord int) *storage.BTreeIndex {
 	for _, ix := range t.BTrees {
 		if ix.KeyOrdinal() == ord {
-			return ix
-		}
-	}
-	return nil
-}
-
-// HashOn returns a hash index whose key is exactly the given single
-// ordinal, or nil.
-func (t *Table) HashOn(ord int) *storage.HashIndex {
-	for _, ix := range t.Hash {
-		k := ix.KeyOrdinals()
-		if len(k) == 1 && k[0] == ord {
 			return ix
 		}
 	}
@@ -157,29 +144,6 @@ func (c *Catalog) CreateBTreeIndex(name, tableName, colName string) (*storage.BT
 	return ix, nil
 }
 
-// CreateHashIndex builds a hash index over one or more columns of a table.
-func (c *Catalog) CreateHashIndex(name, tableName string, colNames ...string) (*storage.HashIndex, error) {
-	t, err := c.Table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	ords := make([]int, len(colNames))
-	for i, cn := range colNames {
-		ords[i] = t.Schema.Ordinal(cn)
-		if ords[i] < 0 {
-			return nil, fmt.Errorf("catalog: column %s does not exist in %s", cn, tableName)
-		}
-	}
-	ix, err := storage.NewHashIndex(name, t.Heap, ords)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	t.Hash = append(t.Hash, ix)
-	c.mu.Unlock()
-	return ix, nil
-}
-
 // AnalyzeTable (re)builds column statistics for every column of the table —
 // the RUNSTATS step that optimization relies on.
 func (c *Catalog) AnalyzeTable(tableName string) error {
@@ -220,17 +184,6 @@ func (c *Catalog) View(signature string) *MatView {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.views[signature]
-}
-
-// Views returns all registered temp MVs (unspecified order).
-func (c *Catalog) Views() []*MatView {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*MatView, 0, len(c.views))
-	for _, v := range c.views {
-		out = append(out, v)
-	}
-	return out
 }
 
 // DropViews removes every temporary materialized view — the cleanup step at

@@ -171,8 +171,6 @@ func (sn *StatsNode) fillModel(m *optimizer.CostModel, runs float64) {
 		sn.Model = runs * p.Cost // no estimated term
 	case optimizer.OpIndexScan:
 		sn.Model = pr.AccessCost(runs*float64(sn.indexHeight)*pr.IndexLevel, sn.Stats.Fetched, residuals)
-	case optimizer.OpHashLookup:
-		sn.Model = pr.AccessCost(runs*pr.HashProbeRow, sn.Stats.Fetched, residuals)
 	default:
 		// Recost reads its input cardinalities from cc and scales the node's
 		// estimate by cc[i]/Children[i].Card for its output: a copy whose cards

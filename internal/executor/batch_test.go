@@ -2,6 +2,7 @@ package executor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -171,7 +172,7 @@ func (p *poisonNode) NextBatch(max int) (*Batch, error) {
 func (p *poisonNode) Rewind() error {
 	rw, ok := p.Node.(Rewinder)
 	if !ok {
-		return errNotRewindable(p.Node)
+		return fmt.Errorf("executor: %s does not support rewind", p.Node.Plan().Op)
 	}
 	return rw.Rewind()
 }

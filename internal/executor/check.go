@@ -38,7 +38,7 @@ func CheckEventInfo(meta *optimizer.CheckMeta, actual float64, exact bool) *trac
 type sharedCheck struct {
 	count     atomic.Int64 // rows observed across all instances
 	streams   atomic.Int32 // built instances that have not yet hit end-of-stream
-	validated atomic.Bool  // cardinality already validated (materializer fast path / rewind)
+	validated atomic.Bool  // cardinality validated once, at Open over a completed materialization
 }
 
 // checkRegistry maps CHECK metadata to its shared runtime state. One registry
@@ -251,32 +251,6 @@ func (n *checkNode) NextBatch(max int) (*Batch, error) {
 }
 
 func (n *checkNode) Close() error { return n.closeChildren() }
-
-// Rewind restarts the output stream when the child supports it; the
-// per-row check is not repeated (the cardinality was already validated).
-func (n *checkNode) Rewind() error {
-	rw, ok := n.children[0].(Rewinder)
-	if !ok {
-		return errNotRewindable(n.children[0])
-	}
-	if err := rw.Rewind(); err != nil {
-		return err
-	}
-	n.sc.validated.Store(true) // first pass validated the count
-	n.skip = true
-	n.stats.Done = false
-	return nil
-}
-
-func errNotRewindable(n Node) error {
-	return &notRewindableError{op: n.Plan().Op}
-}
-
-type notRewindableError struct{ op optimizer.OpKind }
-
-func (e *notRewindableError) Error() string {
-	return "executor: " + e.op.String() + " does not support rewind"
-}
 
 // RowDigest hashes a full row to a stable 64-bit identity. ECDC's deferred
 // compensation uses it as the surrogate rid for derived rows (the paper

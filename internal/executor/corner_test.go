@@ -314,80 +314,6 @@ func TestEmptyAggregationYieldsOneRow(t *testing.T) {
 	}
 }
 
-// TestHashLookupAccessPath verifies the optimizer picks a hash-index point
-// lookup for an equality predicate and that execution matches a plain scan.
-func TestHashLookupAccessPath(t *testing.T) {
-	c := catalog.New()
-	tab, err := c.CreateTable("h", schema.New(
-		schema.Column{Name: "k", Type: types.KindString},
-		schema.Column{Name: "v", Type: types.KindInt},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		tab.Heap.MustInsert(schema.Row{
-			types.NewString([]string{"red", "blue", "green", "gold"}[i%4]),
-			types.NewInt(int64(i)),
-		})
-	}
-	if _, err := c.CreateHashIndex("h_k", "h", "k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AnalyzeAll(); err != nil {
-		t.Fatal(err)
-	}
-	b := logical.NewBuilder(c)
-	b.AddTable("h", "h")
-	b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("h", "k"), R: &expr.Const{Val: types.NewString("blue")}})
-	b.Where(&expr.Cmp{Op: expr.LT, L: b.Col("h", "v"), R: &expr.Const{Val: types.NewInt(100)}})
-	b.SelectCol("h", "v")
-	q, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := optimizer.New(c)
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Count(optimizer.OpHashLookup) != 1 {
-		t.Fatalf("equality on a hash-indexed column should use HXSCAN:\n%s", optimizer.Explain(plan, q))
-	}
-	ex, _ := NewExecutor(c, q, nil, opt.Model.Params, &Meter{})
-	root, err := ex.Build(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Run(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// blue = i%4==1 and v<100 → v in {1,5,...,97} = 25 rows.
-	if len(rows) != 25 {
-		t.Errorf("got %d rows, want 25", len(rows))
-	}
-	// Missing key: zero rows, no error.
-	b2 := logical.NewBuilder(c)
-	b2.AddTable("h", "h")
-	b2.Where(&expr.Cmp{Op: expr.EQ, L: b2.Col("h", "k"), R: &expr.Const{Val: types.NewString("mauve")}})
-	b2.SelectCol("h", "v")
-	q2, err := b2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := optimizer.New(c).Optimize(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex2, _ := NewExecutor(c, q2, nil, opt.Model.Params, &Meter{})
-	root2, _ := ex2.Build(p2)
-	rows2, err := Run(root2)
-	if err != nil || len(rows2) != 0 {
-		t.Errorf("absent key: rows=%d err=%v", len(rows2), err)
-	}
-}
-
 // TestNaiveNLJNRowsDoNotAliasScratch: the naive nested-loop join evaluates
 // its filter on a node-owned scratch row and must hand out copies. Scribbling
 // over every row of every returned batch — including the outer prefix the
@@ -464,5 +390,52 @@ func TestNaiveNLJNRowsDoNotAliasScratch(t *testing.T) {
 		if i >= len(got) || got[i] != want[i] {
 			t.Fatalf("row %d changed after earlier rows were overwritten:\n got %v\nwant %v", i, got, want)
 		}
+	}
+}
+
+// TestNaiveNLJNRejectsUnrewindableInner: a naive NLJN rescans its inner once
+// per outer row, so Build refuses an inner that cannot rewind — here a TEMP
+// in place of the base access the optimizer always puts there. Without the
+// guard the plan would build and its second outer row would panic in
+// fillNaive.
+func TestNaiveNLJNRejectsUnrewindableInner(t *testing.T) {
+	cat := pairFixture(t, ints(5, 5, 6), ints(5, 5, 5, 6))
+	b := logical.NewBuilder(cat)
+	b.AddTable("lt", "l")
+	b.AddTable("rt", "r")
+	b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("l", "lk"), R: b.Col("r", "rk")})
+	b.SelectCol("l", "lv")
+	b.SelectCol("r", "rv")
+	q, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := optimizer.New(cat)
+	joinConfigs["naive"](opt)
+	plan, err := opt.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join *optimizer.Plan
+	plan.Walk(func(p *optimizer.Plan) {
+		if p.Op == optimizer.OpNLJN && !p.IndexJoin {
+			join = p
+		}
+	})
+	if join == nil {
+		t.Fatalf("no naive NLJN in plan:\n%s", optimizer.Explain(plan, q))
+	}
+	join.Children[1] = optimizer.WrapTemp(join.Children[1])
+	ex, err := NewExecutor(cat, q, nil, opt.Model.Params, &Meter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := ex.Build(plan)
+	if err == nil {
+		_, err = Run(root)
+		t.Fatalf("Build accepted a TEMP inner under a naive NLJN (run: %v)", err)
+	}
+	if want := "executor: naive NLJN inner TEMP is not rewindable"; err.Error() != want {
+		t.Errorf("Build error = %q, want %q", err, want)
 	}
 }

@@ -148,8 +148,8 @@ type Node interface {
 }
 
 // Rewinder is implemented by nodes that can restart their output stream
-// without re-opening (base accesses and materializations); the naive
-// nested-loop join requires its inner to implement it.
+// without re-opening (the base accesses); the naive nested-loop join
+// requires its inner to implement it.
 type Rewinder interface {
 	Rewind() error
 }
@@ -460,8 +460,6 @@ func (e *Executor) build(p *optimizer.Plan) (Node, error) {
 		return e.buildTableScan(p)
 	case optimizer.OpIndexScan:
 		return e.buildIndexScan(p)
-	case optimizer.OpHashLookup:
-		return e.buildHashLookup(p)
 	case optimizer.OpMVScan:
 		return e.buildMVScan(p)
 	case optimizer.OpNLJN:

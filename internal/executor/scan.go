@@ -271,34 +271,3 @@ func (n *mvScanNode) NextBatch(max int) (*Batch, error) {
 }
 
 func (n *mvScanNode) Close() error { return nil }
-
-// hashLookupNode serves an equality predicate from a hash index: one O(1)
-// probe, then fetch and residual-filter the qualifying rows.
-type hashLookupNode struct {
-	ridFetch
-	ix *storage.HashIndex
-}
-
-func (e *Executor) buildHashLookup(p *optimizer.Plan) (Node, error) {
-	t := e.tabs[p.Table]
-	ix := t.HashOn(p.IndexOrd)
-	if ix == nil {
-		return nil, fmt.Errorf("executor: no hash index on %s ordinal %d", t.Name, p.IndexOrd)
-	}
-	rf, err := e.newRidFetch(p, ix.Table())
-	if err != nil {
-		return nil, err
-	}
-	return &hashLookupNode{ridFetch: rf, ix: ix}, nil
-}
-
-func (n *hashLookupNode) Open() error {
-	n.start()
-	key, err := n.plan.IndexLo.Eval(n.ex.ectx, nil)
-	if err != nil {
-		return err
-	}
-	n.charge(n.ex, n.ex.Cost.HashProbeRow)
-	n.rids, _, err = n.ix.Lookup([]types.Datum{key})
-	return err
-}

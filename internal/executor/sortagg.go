@@ -149,8 +149,6 @@ func (n *sortNode) Open() error {
 	return nil
 }
 
-func (n *sortNode) Rewind() error { return n.cur.rewind(&n.stats) }
-
 func (n *sortNode) NextBatch(max int) (*Batch, error) {
 	return n.cur.next(&n.base, n.ex, max, 0)
 }
@@ -197,8 +195,6 @@ func (n *tempNode) Open() error {
 	n.done = true
 	return nil
 }
-
-func (n *tempNode) Rewind() error { return n.cur.rewind(&n.stats) }
 
 func (n *tempNode) NextBatch(max int) (*Batch, error) {
 	return n.cur.next(&n.base, n.ex, max, n.ex.Cost.TempRead)
@@ -425,14 +421,7 @@ func (n *hashAggNode) NextBatch(max int) (*Batch, error) {
 	return n.cur.next(&n.base, n.ex, max, 0)
 }
 
-func (n *hashAggNode) Rewind() error { return n.cur.rewind(&n.stats) }
-
 func (n *hashAggNode) Close() error { return n.closeChildren() }
-
-// Materialized exposes the group buffer; aggregation is a materialization.
-func (n *hashAggNode) Materialized() ([]schema.Row, bool) {
-	return n.groups, n.stats.Opened
-}
 
 // projectNode evaluates the select items per input row.
 type projectNode struct {

@@ -63,7 +63,7 @@ func New() *Registry { return &Registry{} }
 // Class maps an operator's display name to its metrics class.
 func Class(op string) string {
 	switch op {
-	case "TBSCAN", "IXSCAN", "HXSCAN", "MVSCAN":
+	case "TBSCAN", "IXSCAN", "MVSCAN":
 		return "scan"
 	case "NLJN", "HSJN", "MGJN":
 		return "join"

@@ -104,7 +104,7 @@ func TestEmptySnapshotRatios(t *testing.T) {
 
 func TestClass(t *testing.T) {
 	want := map[string]string{
-		"TBSCAN": "scan", "IXSCAN": "scan", "HXSCAN": "scan", "MVSCAN": "scan",
+		"TBSCAN": "scan", "IXSCAN": "scan", "MVSCAN": "scan",
 		"NLJN": "join", "HSJN": "join", "MGJN": "join",
 		"SORT": "sortagg", "TEMP": "sortagg", "GRPBY": "sortagg",
 		"XCHG": "exchange", "CHECK": "check", "RETURN": "return",

@@ -74,10 +74,10 @@ func DefaultCostParams() CostParams {
 	}
 }
 
-// AccessCost is the cost of one index access: the descent (B+tree levels, or
-// one hash probe), then a heap fetch and the residual predicates for every row
-// the index key matches — matched, not the rows that survive the residuals,
-// because the executor fetches first and filters afterwards.
+// AccessCost is the cost of one index access: the B+tree descent, then a
+// heap fetch and the residual predicates for every row the index key
+// matches — matched, not the rows that survive the residuals, because the
+// executor fetches first and filters afterwards.
 func (pr *CostParams) AccessCost(descent, matched float64, residuals int) float64 {
 	return descent + matched*pr.FetchRow + matched*float64(residuals)*pr.PredEval
 }
@@ -112,7 +112,7 @@ func HashStages(rows float64, cols int, mem float64) float64 {
 func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 	pr := &m.Params
 	switch p.Op {
-	case OpTableScan, OpIndexScan, OpHashLookup, OpMVScan:
+	case OpTableScan, OpIndexScan, OpMVScan:
 		return p.Cost
 
 	case OpNLJN:

@@ -47,10 +47,6 @@ type Optimizer struct {
 	// still-uncertain estimates relative to plans whose inputs were measured.
 	UncertaintyPenalty float64
 
-	// ComputeValidity enables the §2.2 sensitivity analysis: the returned
-	// plan's edges carry validity ranges.
-	ComputeValidity bool
-
 	// JoinOrder selects the join-ordering algorithm (see greedy.go). The
 	// default, JoinOrderAuto, is DP up to dpMaxTables tables and the
 	// statistics-free greedy chain beyond; JoinOrderGreedy forces the greedy
@@ -74,13 +70,11 @@ type Optimizer struct {
 	EnumeratedCandidates int
 }
 
-// New returns an optimizer with default cost parameters and validity-range
-// computation enabled.
+// New returns an optimizer with default cost parameters.
 func New(cat *catalog.Catalog) *Optimizer {
 	return &Optimizer{
-		Cat:             cat,
-		Model:           CostModel{Params: DefaultCostParams()},
-		ComputeValidity: true,
+		Cat:   cat,
+		Model: CostModel{Params: DefaultCostParams()},
 	}
 }
 
@@ -101,11 +95,11 @@ type planner struct {
 	// costed, whether or not they were built (see EnumeratedCandidates).
 	candidates int
 
-	// narrowing is whether addCandidate narrows validity ranges; narrowings
-	// counts the plan-vs-plan narrowings done (TestNarrowingBudget), built
-	// the join candidates written into scratch with narrowing off
-	// (TestBuiltCandidateBudget), and derived the split shapes derived
-	// (TestSplitShapeBudget).
+	// narrowing is whether addCandidate narrows validity ranges (off only
+	// during enumerateDP's first pass); narrowings counts the plan-vs-plan
+	// narrowings done (TestNarrowingBudget), built the join candidates
+	// written into scratch with narrowing off (TestBuiltCandidateBudget),
+	// and derived the split shapes derived (TestSplitShapeBudget).
 	narrowing  bool
 	narrowings int
 	built      int
@@ -289,7 +283,7 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 
 		reach:     make([]uint64, len(tabs)),
 		shapes:    make(map[splitKey]*splitShape),
-		narrowing: o.ComputeValidity,
+		narrowing: true,
 		arena:     arenas.Get().(*arena),
 	}
 	pl.est.uncertainty = o.UncertaintyPenalty
@@ -395,9 +389,8 @@ func (o *Optimizer) parallelize(p *Plan, needOrder bool) *Plan {
 	return n
 }
 
-// partitionableScan reports whether the executor can split this leaf into
-// disjoint worker morsels. Hash lookups are excluded: a point probe has no
-// stream to split.
+// partitionableScan reports whether p is a base scan, the one input the
+// executor can split into disjoint worker morsels.
 func partitionableScan(p *Plan) bool {
 	switch p.Op {
 	case OpTableScan, OpIndexScan, OpMVScan:
@@ -641,48 +634,6 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 		})
 	}
 
-	// Hash-index point lookups: an equality predicate with a constant on a
-	// hash-indexed column becomes an O(1) probe plus qualifying fetches.
-	for _, ix := range t.Hash {
-		keyOrds := ix.KeyOrdinals()
-		if len(keyOrds) != 1 {
-			continue // composite hash keys are not yet sargable
-		}
-		ord := keyOrds[0]
-		keyGID := q.GlobalID(ti, ord)
-		lo, hi, loInc, hiInc, used, residual := sargableBounds(local, keyGID)
-		if lo == nil || hi == nil || !loInc || !hiInc {
-			continue // hash indexes serve equality only
-		}
-		if loConst, ok := lo.(*expr.Const); !ok {
-			continue
-		} else if hiConst, ok2 := hi.(*expr.Const); !ok2 {
-			continue
-		} else if c, err := loConst.Val.Compare(hiConst.Val); err != nil || c != 0 {
-			continue
-		}
-		idxSel := 1.0
-		for _, p := range used {
-			idxSel *= stats.Selectivity(p, pl.est.lookup())
-		}
-		matched := baseRows * idxSel
-		paths = append(paths, &Plan{
-			Op:         OpHashLookup,
-			Table:      ti,
-			IndexOrd:   ord,
-			IndexLo:    lo,
-			IndexHi:    hi,
-			IndexLoInc: true,
-			IndexHiInc: true,
-			Filter:     expr.Conjoin(residual...),
-			Cols:       cols,
-			Card:       fCard,
-			Cost:       pr.AccessCost(pr.HashProbeRow, matched, len(residual)),
-			tables:     mask,
-			ordered:    -1,
-		})
-	}
-
 	if mv := pl.matchMV(mask); mv != nil {
 		paths = append(paths, mv)
 	}
@@ -772,7 +723,6 @@ func sargableBounds(preds []expr.Expr, keyGID int) (lo, hi expr.Expr, loInc, hiI
 // first-pass twin in every field and carries the ranges narrowing inside the
 // sweep would have left on it. The replays are not counted as candidates.
 func (pl *planner) enumerateDP(full uint64) {
-	narrowing := pl.narrowing
 	pl.narrowing = false
 	n := popcount(full)
 	for size := 2; size <= n; size++ {
@@ -782,9 +732,6 @@ func (pl *planner) enumerateDP(full uint64) {
 			}
 			pl.expandSubset(mask)
 		}
-	}
-	if !narrowing {
-		return
 	}
 	pl.narrowing = true
 	var chosen []uint64 // nested table sets, so numeric order is size order

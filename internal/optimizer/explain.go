@@ -24,7 +24,7 @@ func NodeLabel(p *Plan, q *logical.Query) string {
 	var b strings.Builder
 	b.WriteString(p.Op.String())
 	switch p.Op {
-	case OpTableScan, OpIndexScan, OpHashLookup:
+	case OpTableScan, OpIndexScan:
 		if q != nil && p.Table < len(q.Tables) {
 			fmt.Fprintf(&b, "(%s)", q.Tables[p.Table].Alias)
 		}

@@ -174,28 +174,6 @@ func TestValidityRangeOnJoinEdge(t *testing.T) {
 	}
 }
 
-func TestValidityDisabled(t *testing.T) {
-	cat := fixture(t)
-	q := selectiveJoinQuery(t, cat, 2)
-	opt := New(cat)
-	opt.ComputeValidity = false
-	p, err := opt.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded := false
-	p.Walk(func(n *Plan) {
-		for i := range n.Children {
-			if n.EdgeValidity(i).Bounded() {
-				bounded = true
-			}
-		}
-	})
-	if bounded {
-		t.Error("validity computation disabled but ranges are bounded")
-	}
-}
-
 func TestFeedbackChangesPlan(t *testing.T) {
 	cat := fixture(t)
 	q := selectiveJoinQuery(t, cat, 2)

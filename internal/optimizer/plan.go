@@ -20,7 +20,6 @@ type OpKind uint8
 const (
 	OpTableScan OpKind = iota
 	OpIndexScan
-	OpHashLookup
 	OpMVScan
 	OpNLJN
 	OpHSJN
@@ -40,8 +39,6 @@ func (k OpKind) String() string {
 		return "TBSCAN"
 	case OpIndexScan:
 		return "IXSCAN"
-	case OpHashLookup:
-		return "HXSCAN"
 	case OpMVScan:
 		return "MVSCAN"
 	case OpNLJN:
@@ -259,16 +256,6 @@ func (p *Plan) SetEdgeValidity(i int, r Range) {
 		p.Validity = append(p.Validity, UnboundedRange())
 	}
 	p.Validity[i] = r
-}
-
-// ColPos returns the position of global column id g in the output row, or -1.
-func (p *Plan) ColPos(g int) int {
-	for i, c := range p.Cols {
-		if c == g {
-			return i
-		}
-	}
-	return -1
 }
 
 // Walk visits the plan tree in pre-order.

@@ -134,8 +134,8 @@ func (a *meterAudit) run(t *testing.T, key string, cat *catalog.Catalog, q *logi
 // ran to completion in every attempt of the 39 DMV and nine TPC-H statements
 // under dp-pop and greedy-pop, of the TPC-H nine planned without hash joins
 // (as Figure 12 plans them: the one place merge joins, sorts and full index
-// scans are chosen) and of three single-table statements served by a sargable
-// index scan and a hash lookup, StatsNode.Model — CostModel's own-cost terms
+// scans are chosen) and of three single-table statements, two served by a
+// sargable index scan, StatsNode.Model — CostModel's own-cost terms
 // at the observed input and output cardinalities — equals the charged Work
 // within 1e-6 relative, meterException's short list aside.
 // The estimate clause covers the one term actual cardinalities cannot expose,
@@ -165,9 +165,6 @@ func TestModelEqualsMeter(t *testing.T) {
 		}
 	}
 
-	if _, err := tcat.CreateHashIndex("c_mktsegment_h", "customer", "c_mktsegment"); err != nil {
-		t.Fatal(err)
-	}
 	for i, sql := range []string{
 		"select o_orderkey from orders where o_orderkey < 200",
 		"select o_orderkey from orders where o_orderkey >= 100 and o_orderkey <= 400 and o_totalprice > 100000",
@@ -187,7 +184,7 @@ func TestModelEqualsMeter(t *testing.T) {
 	sort.Strings(kinds)
 	t.Logf("%d operators compared (%d under a listed exception): %s", a.nodes, a.exceptions, strings.Join(kinds, " "))
 	t.Logf("index-NLJN probe edges: %d, fetched rows estimated %.0f vs metered %.0f", a.probes, a.estFetch, a.metFetch)
-	for _, want := range []string{"TBSCAN", "IXSCAN[sarg]", "IXSCAN[full]", "IXSCAN[probe]", "HXSCAN", "MVSCAN",
+	for _, want := range []string{"TBSCAN", "IXSCAN[sarg]", "IXSCAN[full]", "IXSCAN[probe]", "MVSCAN",
 		"NLJN[index]", "NLJN", "HSJN", "MGJN", "SORT", "TEMP", "GRPBY", "RETURN", "CHECK"} {
 		if a.ops[want] == 0 {
 			t.Errorf("no %s ran to completion: the workloads no longer cover it", want)

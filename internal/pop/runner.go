@@ -444,7 +444,7 @@ func (r *Runner) harvest(ex *executor.Executor, root executor.Node, q *logical.Q
 // trustworthy edge cardinality when the stream completed.
 func countsObservable(op optimizer.OpKind) bool {
 	switch op {
-	case optimizer.OpTableScan, optimizer.OpIndexScan, optimizer.OpHashLookup,
+	case optimizer.OpTableScan, optimizer.OpIndexScan,
 		optimizer.OpNLJN, optimizer.OpHSJN, optimizer.OpMGJN,
 		optimizer.OpSort, optimizer.OpTemp, optimizer.OpExchange:
 		return true

@@ -14,27 +14,6 @@ type Column struct {
 	Name     string
 	Type     types.Kind
 	Nullable bool
-	// Width is the average encoded width in bytes, used by the cost model to
-	// charge for tuple movement and materialization. Zero means "use the
-	// default width for the type".
-	Width int
-}
-
-// DefaultWidth returns the column's width estimate in bytes.
-func (c Column) DefaultWidth() int {
-	if c.Width > 0 {
-		return c.Width
-	}
-	switch c.Type {
-	case types.KindBool:
-		return 1
-	case types.KindInt, types.KindFloat, types.KindDate:
-		return 8
-	case types.KindString:
-		return 16
-	default:
-		return 8
-	}
 }
 
 // Schema is an ordered list of columns.
@@ -61,33 +40,12 @@ func (s *Schema) Ordinal(name string) int {
 // Col returns the column at ordinal i.
 func (s *Schema) Col(i int) Column { return s.Columns[i] }
 
-// RowWidth returns the estimated row width in bytes.
-func (s *Schema) RowWidth() int {
-	w := 0
-	for _, c := range s.Columns {
-		w += c.DefaultWidth()
-	}
-	if w == 0 {
-		w = 8
-	}
-	return w
-}
-
 // Concat returns a schema holding this schema's columns followed by o's,
 // as produced by a join.
 func (s *Schema) Concat(o *Schema) *Schema {
 	cols := make([]Column, 0, len(s.Columns)+len(o.Columns))
 	cols = append(cols, s.Columns...)
 	cols = append(cols, o.Columns...)
-	return &Schema{Columns: cols}
-}
-
-// Project returns a schema containing only the columns at the given ordinals.
-func (s *Schema) Project(ords []int) *Schema {
-	cols := make([]Column, len(ords))
-	for i, o := range ords {
-		cols[i] = s.Columns[o]
-	}
 	return &Schema{Columns: cols}
 }
 

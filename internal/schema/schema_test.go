@@ -37,38 +37,6 @@ func TestLenAndCol(t *testing.T) {
 	}
 }
 
-func TestRowWidth(t *testing.T) {
-	s := testSchema()
-	// 8 (int) + 16 (string) + 8 (float)
-	if w := s.RowWidth(); w != 32 {
-		t.Errorf("RowWidth = %d, want 32", w)
-	}
-	custom := New(Column{Name: "c", Type: types.KindString, Width: 100})
-	if w := custom.RowWidth(); w != 100 {
-		t.Errorf("custom width = %d, want 100", w)
-	}
-	empty := New()
-	if empty.RowWidth() <= 0 {
-		t.Error("empty schema must have positive width")
-	}
-}
-
-func TestDefaultWidths(t *testing.T) {
-	cases := map[types.Kind]int{
-		types.KindBool:   1,
-		types.KindInt:    8,
-		types.KindFloat:  8,
-		types.KindDate:   8,
-		types.KindString: 16,
-	}
-	for k, want := range cases {
-		c := Column{Name: "x", Type: k}
-		if got := c.DefaultWidth(); got != want {
-			t.Errorf("width(%v) = %d, want %d", k, got, want)
-		}
-	}
-}
-
 func TestConcat(t *testing.T) {
 	a := New(Column{Name: "a", Type: types.KindInt})
 	b := New(Column{Name: "b", Type: types.KindString})
@@ -79,14 +47,6 @@ func TestConcat(t *testing.T) {
 	// Originals untouched.
 	if a.Len() != 1 || b.Len() != 1 {
 		t.Error("concat mutated inputs")
-	}
-}
-
-func TestProject(t *testing.T) {
-	s := testSchema()
-	p := s.Project([]int{2, 0})
-	if p.Len() != 2 || p.Col(0).Name != "score" || p.Col(1).Name != "id" {
-		t.Error("projection wrong")
 	}
 }
 

@@ -251,29 +251,3 @@ func (ix *BTreeIndex) AscendRange(lo, hi Bound, fn func(key types.Datum, rid sch
 	}
 	return visited
 }
-
-// MinKey and MaxKey return the smallest and largest indexed keys, or NULL if
-// the index is empty. The statistics builder uses them for column bounds.
-func (ix *BTreeIndex) MinKey() types.Datum {
-	leaf := ix.root.firstLeaf()
-	for leaf != nil && len(leaf.entries) == 0 {
-		leaf = leaf.next
-	}
-	if leaf == nil {
-		return types.Null
-	}
-	return leaf.entries[0].key
-}
-
-// MaxKey returns the largest indexed key, or NULL for an empty index.
-func (ix *BTreeIndex) MaxKey() types.Datum {
-	leaf := ix.root.firstLeaf()
-	var last types.Datum = types.Null
-	for leaf != nil {
-		if len(leaf.entries) > 0 {
-			last = leaf.entries[len(leaf.entries)-1].key
-		}
-		leaf = leaf.next
-	}
-	return last
-}

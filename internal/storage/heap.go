@@ -1,6 +1,6 @@
 // Package storage implements the physical storage substrate: in-memory heap
-// tables addressed by RID, hash indexes for equality lookups, and B+tree
-// indexes for ordered and range access. The executor's access-path operators
+// tables addressed by RID and B+tree indexes for equality, range and
+// ordered access. The executor's access-path operators
 // (table scan, index scan, index nested-loop join) are built on these.
 package storage
 
@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"repro/internal/schema"
-	"repro/internal/types"
 )
 
 // Table is an append-only in-memory heap of rows. The slot index of a row is
@@ -99,15 +98,3 @@ func (it *TableIterator) Next() (schema.Row, schema.RID, bool) {
 
 // Reset rewinds the iterator to its first row.
 func (it *TableIterator) Reset() { it.next = it.start }
-
-// ColumnValues returns every non-NULL value of a column, in RID order. The
-// statistics builder uses it to construct histograms.
-func (t *Table) ColumnValues(ord int) []types.Datum {
-	out := make([]types.Datum, 0, len(t.rows))
-	for _, r := range t.rows {
-		if !r[ord].IsNull() {
-			out = append(out, r[ord])
-		}
-	}
-	return out
-}

@@ -83,103 +83,6 @@ func TestHeapScan(t *testing.T) {
 	}
 }
 
-func TestColumnValuesSkipsNulls(t *testing.T) {
-	tab := newTestTable(t)
-	tab.MustInsert(schema.Row{types.NewInt(1), types.Null})
-	tab.MustInsert(schema.Row{types.NewInt(2), types.NewString("x")})
-	vals := tab.ColumnValues(1)
-	if len(vals) != 1 || vals[0].Str() != "x" {
-		t.Errorf("ColumnValues = %v", vals)
-	}
-}
-
-func TestHashIndexLookup(t *testing.T) {
-	tab := newTestTable(t)
-	for i := 0; i < 100; i++ {
-		tab.MustInsert(schema.Row{types.NewInt(int64(i % 10)), types.NewString("r")})
-	}
-	ix, err := NewHashIndex("ix", tab, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rids, probes, err := ix.Lookup([]types.Datum{types.NewInt(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rids) != 10 {
-		t.Errorf("lookup(3) found %d rows, want 10", len(rids))
-	}
-	if probes < 10 {
-		t.Errorf("probes = %d, want >= 10", probes)
-	}
-	for _, rid := range rids {
-		row, _ := tab.Get(rid)
-		if row[0].Int() != 3 {
-			t.Errorf("false positive rid %d -> %v", rid, row)
-		}
-	}
-	// Missing key.
-	rids, _, _ = ix.Lookup([]types.Datum{types.NewInt(42)})
-	if len(rids) != 0 {
-		t.Error("lookup of absent key should be empty")
-	}
-	if ix.EntryCount() != 100 {
-		t.Errorf("entry count = %d", ix.EntryCount())
-	}
-}
-
-func TestHashIndexComposite(t *testing.T) {
-	s := schema.New(
-		schema.Column{Name: "a", Type: types.KindInt},
-		schema.Column{Name: "b", Type: types.KindString},
-	)
-	tab := NewTable("t", s)
-	tab.MustInsert(schema.Row{types.NewInt(1), types.NewString("x")})
-	tab.MustInsert(schema.Row{types.NewInt(1), types.NewString("y")})
-	tab.MustInsert(schema.Row{types.NewInt(2), types.NewString("x")})
-	ix, _ := NewHashIndex("ix", tab, []int{0, 1})
-	rids, _, _ := ix.Lookup([]types.Datum{types.NewInt(1), types.NewString("x")})
-	if len(rids) != 1 || rids[0] != 0 {
-		t.Errorf("composite lookup = %v", rids)
-	}
-	if _, _, err := ix.Lookup([]types.Datum{types.NewInt(1)}); err == nil {
-		t.Error("wrong-arity lookup should error")
-	}
-}
-
-func TestHashIndexNullKeys(t *testing.T) {
-	tab := newTestTable(t)
-	tab.MustInsert(schema.Row{types.Null, types.NewString("n")})
-	tab.MustInsert(schema.Row{types.NewInt(1), types.NewString("v")})
-	ix, _ := NewHashIndex("ix", tab, []int{0})
-	if ix.EntryCount() != 1 {
-		t.Error("NULL keys must not be indexed")
-	}
-	rids, _, _ := ix.Lookup([]types.Datum{types.Null})
-	if len(rids) != 0 {
-		t.Error("NULL lookup must be empty")
-	}
-}
-
-func TestHashIndexAdd(t *testing.T) {
-	tab := newTestTable(t)
-	ix, _ := NewHashIndex("ix", tab, []int{0})
-	row := schema.Row{types.NewInt(5), types.NewString("late")}
-	rid := tab.MustInsert(row)
-	ix.Add(row, rid)
-	rids, _, _ := ix.Lookup([]types.Datum{types.NewInt(5)})
-	if len(rids) != 1 || rids[0] != rid {
-		t.Error("incremental add not visible")
-	}
-}
-
-func TestHashIndexBadOrdinal(t *testing.T) {
-	tab := newTestTable(t)
-	if _, err := NewHashIndex("ix", tab, []int{9}); err == nil {
-		t.Error("bad ordinal should error")
-	}
-}
-
 func TestBTreeBasic(t *testing.T) {
 	tab := newTestTable(t)
 	// Insert keys in scrambled order, enough to force multi-level splits.
@@ -215,8 +118,17 @@ func TestBTreeBasic(t *testing.T) {
 	if len(ix.Lookup(types.Null)) != 0 {
 		t.Error("NULL lookup should be empty")
 	}
-	if ix.MinKey().Int() != 0 || ix.MaxKey().Int() != int64(n-1) {
-		t.Errorf("min/max = %v/%v", ix.MinKey(), ix.MaxKey())
+	// A full scan visits every key in ascending order.
+	next := int64(0)
+	ix.AscendRange(Bound{}, Bound{}, func(k types.Datum, _ schema.RID) bool {
+		if k.Int() != next {
+			t.Fatalf("full scan key %v, want %d", k, next)
+		}
+		next++
+		return true
+	})
+	if next != int64(n) {
+		t.Errorf("full scan visited %d keys, want %d", next, n)
 	}
 }
 
@@ -314,9 +226,6 @@ func TestBTreeStrings(t *testing.T) {
 func TestBTreeEmpty(t *testing.T) {
 	tab := newTestTable(t)
 	ix, _ := NewBTreeIndex("bt", tab, 0)
-	if !ix.MinKey().IsNull() || !ix.MaxKey().IsNull() {
-		t.Error("empty index min/max should be NULL")
-	}
 	if n := ix.AscendRange(Bound{}, Bound{}, func(types.Datum, schema.RID) bool { return true }); n != 0 {
 		t.Error("empty scan should visit nothing")
 	}
