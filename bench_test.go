@@ -1,6 +1,7 @@
-// Package repro's root benchmarks regenerate every table and figure of the
-// paper's evaluation (one benchmark per exhibit) plus the ablation studies
-// of DESIGN.md §4. Results that matter are reported as custom metrics in
+// Package repro's root benchmarks regenerate every figure of the paper's
+// evaluation (BenchmarkStudies, one sub-benchmark per figure study), time
+// Table 1's checkpoint placement, and run the ablation studies of DESIGN.md
+// §4. Results that matter are reported as custom metrics in
 // deterministic simulated work units; wall-clock ns/op confirms the engine
 // itself is fast.
 //
@@ -91,129 +92,26 @@ func BenchmarkTable1CheckpointPlacement(b *testing.B) {
 	b.ReportMetric(float64(checks), "checkpoints")
 }
 
-// BenchmarkFig11Robustness regenerates Figure 11 and reports the headline
-// series values at 100% selectivity.
-func BenchmarkFig11Robustness(b *testing.B) {
-	cat := tpchFixture(b)
-	var points []harness.Fig11Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		points, err = harness.Fig11(cat, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkStudies regenerates each figure study (Figs. 11–16; fig15 is
+// Figs. 15 and 16) at smoke size and reports the counts of its summary
+// cell.
+func BenchmarkStudies(b *testing.B) {
+	env := harness.Env{TPCH: tpchFixture(b), DMVScale: 0.3, Smoke: true}
+	for _, name := range []string{"fig11", "fig12", "fig13", "fig14", "fig15"} {
+		b.Run(name, func(b *testing.B) {
+			var rep *harness.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rep, err = harness.RunStudies(name, env); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cells := rep.Studies[0].Cells
+			for _, n := range cells[len(cells)-1].Counts { // the summary cell
+				b.ReportMetric(n.Value, n.Name)
+			}
+		})
 	}
-	last := points[len(points)-1]
-	b.ReportMetric(last.POPDefault, "work_POP")
-	b.ReportMetric(last.NoPOPDefault, "work_static")
-	b.ReportMetric(last.Optimal, "work_optimal")
-	b.ReportMetric(float64(harness.DistinctOptimalPlans(points)), "optimal_plans")
-}
-
-// BenchmarkFig12LCOverhead regenerates Figure 12 and reports the mean
-// normalized execution time of a dummy re-optimization (paper: ~1.02-1.03).
-func BenchmarkFig12LCOverhead(b *testing.B) {
-	cat := tpchFixture(b)
-	var bars []harness.Fig12Bar
-	var err error
-	for i := 0; i < b.N; i++ {
-		bars, err = harness.Fig12(cat)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(bars) == 0 {
-		b.Fatal("no bars")
-	}
-	sum := 0.0
-	for _, bar := range bars {
-		sum += bar.Normalized
-	}
-	b.ReportMetric(sum/float64(len(bars)), "mean_normalized")
-	b.ReportMetric(float64(len(bars)), "bars")
-}
-
-// BenchmarkFig13LCEMOverhead regenerates Figure 13 and reports the worst
-// LCEM materialization overhead (paper: ≤ ~1.03).
-func BenchmarkFig13LCEMOverhead(b *testing.B) {
-	cat := tpchFixture(b)
-	var rows []harness.Fig13Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = harness.Fig13(cat)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	worst := 0.0
-	for _, r := range rows {
-		if r.Overhead > worst {
-			worst = r.Overhead
-		}
-	}
-	b.ReportMetric(worst, "worst_overhead")
-}
-
-// BenchmarkFig14Opportunities regenerates Figure 14 and reports how many
-// checkpoint opportunities occur in the first half of execution.
-func BenchmarkFig14Opportunities(b *testing.B) {
-	cat := tpchFixture(b)
-	var points []harness.Fig14Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		points, err = harness.Fig14(cat)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	early := 0
-	for _, p := range points {
-		if p.Start < 0.5 {
-			early++
-		}
-	}
-	b.ReportMetric(float64(len(points)), "opportunities")
-	b.ReportMetric(float64(early), "in_first_half")
-}
-
-// BenchmarkFig15DMV regenerates the Figure 15 scatter over a deterministic
-// workload subset and reports aggregate work with and without POP.
-func BenchmarkFig15DMV(b *testing.B) {
-	cat, qs := dmvFixture(b)
-	subset := qs[:13]
-	var results []harness.DMVResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		results, err = harness.DMVStudy(cat, subset)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var off, on float64
-	for _, r := range results {
-		off += r.WorkOff
-		on += r.WorkOn
-	}
-	b.ReportMetric(off, "work_static_total")
-	b.ReportMetric(on, "work_POP_total")
-}
-
-// BenchmarkFig16Speedups regenerates Figure 16's summary statistics.
-func BenchmarkFig16Speedups(b *testing.B) {
-	cat, qs := dmvFixture(b)
-	subset := qs[:13]
-	var s harness.DMVSummary
-	for i := 0; i < b.N; i++ {
-		results, err := harness.DMVStudy(cat, subset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = harness.Summarize(results)
-	}
-	b.ReportMetric(float64(s.Improved), "improved")
-	b.ReportMetric(float64(s.Regressed), "regressed")
-	b.ReportMetric(s.MaxSpeedup, "max_speedup")
-	b.ReportMetric(s.MaxRegression, "max_regression")
 }
 
 // --------------------------------------------------------------------------

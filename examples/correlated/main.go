@@ -50,19 +50,32 @@ func main() {
 	fmt.Printf("POP work: %.0f units — %.1fx %s\n\n",
 		progressive.Work, factor(static.Work, progressive.Work), direction(static.Work, progressive.Work))
 
-	// Then the first dozen workload queries, paper-Figure-16 style.
-	results, err := harness.DMVStudy(cat, qs[:12])
+	// Then the first ten workload queries, paper-Figure-16 style: the fig15
+	// study at smoke size, on a DMV database of its own at the same scale.
+	rep, err := harness.RunStudies("fig15", harness.Env{DMVScale: 0.3, Smoke: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Factor > results[j].Factor })
-	fmt.Println("speedup(+)/regression(−) over the first 12 workload queries:")
-	for _, r := range results {
-		fmt.Printf("  %-7s %+7.2fx  (%s)\n", r.Name, r.Factor, r.Desc)
+	desc := map[string]string{}
+	for _, qi := range qs {
+		desc[qi.Name] = qi.Desc
 	}
-	s := harness.Summarize(results)
-	fmt.Printf("improved=%d regressed=%d neutral=%d, max speedup %.1fx\n",
-		s.Improved, s.Regressed, s.Neutral, s.MaxSpeedup)
+	results := rep.Studies[0].Cells
+	summary := results[len(results)-1]
+	results = results[:len(results)-1]
+	sort.SliceStable(results, func(i, j int) bool { return get(results[i], "factor") > get(results[j], "factor") })
+	fmt.Printf("speedup(+)/regression(−) over the first %d workload queries:\n", len(results))
+	for _, c := range results {
+		fmt.Printf("  %-7s %+7.2fx  (%s)\n", c.Name, get(c, "factor"), desc[c.Name])
+	}
+	fmt.Printf("improved=%.0f regressed=%.0f neutral=%.0f, max speedup %.1fx\n",
+		get(summary, "improved"), get(summary, "regressed"), get(summary, "neutral"), get(summary, "max_speedup"))
+}
+
+// get returns a count of a fig15 cell.
+func get(c harness.Cell, name string) float64 {
+	v, _ := c.Count(name)
+	return v
 }
 
 func factor(a, b float64) float64 {

@@ -1,55 +1,44 @@
-// Package harness drives the paper's experiments — one function per table or
-// figure of the evaluation (§5, §6) — and renders their results as text.
-// All measurements are in deterministic simulated work units (see DESIGN.md):
-// identical inputs reproduce identical numbers on any machine.
+// Package harness runs the paper's experiments and the plan-quality studies
+// as entries of one study registry (studies.go). Each figure of the
+// evaluation (§5, §6) is a study whose cells hold the figure's numbers; a
+// "summary" cell holds its headline numbers. All measurements are in
+// deterministic simulated work units (see DESIGN.md): identical inputs
+// reproduce identical numbers on any machine.
 package harness
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/dmv"
-	"repro/internal/logical"
 	"repro/internal/optimizer"
 	"repro/internal/pop"
 	"repro/internal/tpch"
 	"repro/internal/types"
 )
 
-// runOnce executes a query under the given POP options and returns the
-// result.
-func runOnce(cat *catalog.Catalog, q *logical.Query, opts pop.Options, params []types.Datum) (*pop.Result, error) {
-	return pop.NewRunner(cat, opts).Run(q, params)
-}
-
 // ---------------------------------------------------------------------------
 // Figure 11 — robustness of TPC-H Q10 under a parameter marker.
 
-// Fig11Point is one selectivity step of the Figure 11 sweep.
-type Fig11Point struct {
-	SelectivityPct float64
-	POPDefault     float64 // work: parameter marker + POP
-	NoPOPDefault   float64 // work: parameter marker, no POP
-	Optimal        float64 // work: correct literal selectivity, no POP
-	Reopts         int
-	OptimalPlan    string // signature of the optimal plan's join structure
-}
-
-// Fig11 sweeps the actual selectivity of the LINEITEM predicate of Q10 from
-// low to high, comparing POP-with-default-estimate against the static
-// default plan and the correct-estimate optimal plan (paper Figure 11).
-func Fig11(cat *catalog.Catalog, steps int) ([]Fig11Point, error) {
-	if steps <= 0 {
-		steps = 10
+// fig11Study sweeps the actual selectivity of the LINEITEM predicate of Q10
+// from low to high, comparing POP-with-default-estimate against the static
+// default plan and the correct-estimate optimal plan (paper Figure 11). The
+// summary counts the distinct optimal join structures the sweep passes
+// through (paper: 5).
+func fig11Study(env Env) ([]Cell, error) {
+	cat := env.TPCH
+	steps := 10
+	if env.Smoke {
+		steps = 5
 	}
 	qParam, err := tpch.Q10Param(cat)
 	if err != nil {
 		return nil, err
 	}
-	var out []Fig11Point
+	var cells []Cell
+	shapes := map[string]bool{}
 	for s := 1; s <= steps; s++ {
 		// Quadratic spacing concentrates points at low selectivities, where
 		// the optimal plan transitions between index NLJN and hash join.
@@ -58,32 +47,32 @@ func Fig11(cat *catalog.Catalog, steps int) ([]Fig11Point, error) {
 		qty := pct / 100 * 50 // l_quantity uniform on [1,50]
 		params := []types.Datum{types.NewFloat(qty)}
 
-		popRes, err := runOnce(cat, qParam, pop.DefaultOptions(), params)
+		popRes, err := pop.NewRunner(cat, pop.DefaultOptions()).Run(qParam, params)
 		if err != nil {
-			return nil, fmt.Errorf("fig11 POP at %.0f%%: %w", pct, err)
+			return nil, fmt.Errorf("POP at %.0f%%: %w", pct, err)
 		}
-		noPopRes, err := runOnce(cat, qParam, pop.Options{Enabled: false}, params)
+		noPopRes, err := pop.NewRunner(cat, pop.Options{Enabled: false}).Run(qParam, params)
 		if err != nil {
-			return nil, fmt.Errorf("fig11 static at %.0f%%: %w", pct, err)
+			return nil, fmt.Errorf("static at %.0f%%: %w", pct, err)
 		}
 		qLit, err := tpch.Q10Literal(cat, qty)
 		if err != nil {
 			return nil, err
 		}
-		optRes, err := runOnce(cat, qLit, pop.Options{Enabled: false}, nil)
+		optRes, err := pop.NewRunner(cat, pop.Options{Enabled: false}).Run(qLit, nil)
 		if err != nil {
-			return nil, fmt.Errorf("fig11 optimal at %.0f%%: %w", pct, err)
+			return nil, fmt.Errorf("optimal at %.0f%%: %w", pct, err)
 		}
-		out = append(out, Fig11Point{
-			SelectivityPct: pct,
-			POPDefault:     popRes.Work,
-			NoPOPDefault:   noPopRes.Work,
-			Optimal:        optRes.Work,
-			Reopts:         popRes.Reopts,
-			OptimalPlan:    planShape(optRes.Attempts[0].Plan),
-		})
+		shapes[planShape(optRes.Attempts[0].Plan)] = true
+		cells = append(cells, Cell{fmt.Sprintf("sel %.0f%%", pct), []Count{
+			{"selectivity_pct", pct},
+			{"pop_default", popRes.Work},
+			{"static_default", noPopRes.Work},
+			{"optimal", optRes.Work},
+			{"reopts", float64(popRes.Reopts)},
+		}})
 	}
-	return out, nil
+	return append(cells, Cell{"summary", []Count{{"distinct_optimal_plans", float64(len(shapes))}}}), nil
 }
 
 // planShape summarizes the join-operator structure of a plan, used to count
@@ -102,51 +91,19 @@ func planShape(p *optimizer.Plan) string {
 	return strings.Join(parts, ">")
 }
 
-// DistinctOptimalPlans counts the distinct optimal plan shapes in a sweep —
-// the paper reports Q10 passing through 5 optimal plans.
-func DistinctOptimalPlans(points []Fig11Point) int {
-	seen := map[string]bool{}
-	for _, p := range points {
-		seen[p.OptimalPlan] = true
-	}
-	return len(seen)
-}
-
-// WriteFig11 renders the sweep.
-func WriteFig11(w io.Writer, points []Fig11Point) {
-	fmt.Fprintln(w, "Figure 11 — Robustness of TPC-H Q10 with POP (work units)")
-	fmt.Fprintf(w, "%10s %14s %14s %14s %8s\n", "actual sel", "POP+default", "default(noPOP)", "optimal", "reopts")
-	for _, p := range points {
-		fmt.Fprintf(w, "%9.0f%% %14.0f %14.0f %14.0f %8d\n",
-			p.SelectivityPct, p.POPDefault, p.NoPOPDefault, p.Optimal, p.Reopts)
-	}
-	fmt.Fprintf(w, "distinct optimal plans across sweep: %d\n", DistinctOptimalPlans(points))
-}
-
 // ---------------------------------------------------------------------------
 // Figure 12 — overhead of LC re-optimization (dummy reopt, hash join
 // disabled to create SORT materialization points).
 
-// Fig12Bar is one bar of Figure 12: a query executed with re-optimization
-// forced at one checkpoint.
-type Fig12Bar struct {
-	Query      string
-	CheckID    int
-	Baseline   float64 // work without any re-optimization
-	Total      float64 // work with the forced re-optimization
-	Before     float64 // component before the re-optimization
-	After      float64 // component after
-	Normalized float64 // Total / Baseline
-}
-
 // fig12Queries are the queries the paper uses for the LC overhead study.
 var fig12Queries = []string{"Q3", "Q4", "Q5", "Q7", "Q9"}
 
-// Fig12 measures the overhead of lazy-check re-optimization: each query runs
-// once normally and once per checkpoint with a forced failure there; the
-// normalized total shows the overhead (paper: ~2-3%).
-func Fig12(cat *catalog.Catalog) ([]Fig12Bar, error) {
-	queries, err := tpch.Queries(cat)
+// fig12Study measures the overhead of lazy-check re-optimization: each query
+// runs once normally and once per checkpoint with a forced failure there.
+// A cell is one bar, "<query>/check<id>"; its normalized total shows the
+// overhead (paper: ~2-3%).
+func fig12Study(env Env) ([]Cell, error) {
+	queries, err := tpch.Queries(env.TPCH)
 	if err != nil {
 		return nil, err
 	}
@@ -155,136 +112,112 @@ func Fig12(cat *catalog.Catalog) ([]Fig12Bar, error) {
 	// index nested-loop join, which in this engine would otherwise avoid the
 	// sorts the merge joins need.
 	noHash := func(o *optimizer.Optimizer) { o.DisableHSJN = true; o.DisableIndexJoin = true }
-	var out []Fig12Bar
+	var cells []Cell
+	var sum float64
 	for _, name := range fig12Queries {
 		q := queries[name]
 		basePol := pop.Policy{LC: true, RequireBoundedRange: false}
 		baseOpts := pop.Options{Enabled: true, Policy: basePol, MaxReopts: 3, Configure: noHash}
-		base, err := runOnce(cat, q, baseOpts, nil)
+		base, err := pop.NewRunner(env.TPCH, baseOpts).Run(q, nil)
 		if err != nil {
-			return nil, fmt.Errorf("fig12 %s baseline: %w", name, err)
+			return nil, fmt.Errorf("%s baseline: %w", name, err)
 		}
 		if base.Reopts != 0 {
-			return nil, fmt.Errorf("fig12 %s baseline unexpectedly re-optimized", name)
+			return nil, fmt.Errorf("%s baseline unexpectedly re-optimized", name)
 		}
-		nChecks := base.Attempts[0].Checks
 		// Trigger from up to the first two checkpoints (the paper's "a"/"b").
-		limit := nChecks
-		if limit > 2 {
-			limit = 2
-		}
+		limit := min(base.Attempts[0].Checks, 2)
 		for id := 0; id < limit; id++ {
 			pol := basePol
 			pol.FailCheckIDs = map[int]bool{id: true}
 			opts := pop.Options{Enabled: true, Policy: pol, MaxReopts: 3, Configure: noHash}
-			res, err := runOnce(cat, q, opts, nil)
+			res, err := pop.NewRunner(env.TPCH, opts).Run(q, nil)
 			if err != nil {
-				return nil, fmt.Errorf("fig12 %s check %d: %w", name, id, err)
+				return nil, fmt.Errorf("%s check %d: %w", name, id, err)
 			}
 			if res.Reopts == 0 {
 				continue // checkpoint never reached in this plan
 			}
-			before := res.Attempts[1].WorkBefore
-			out = append(out, Fig12Bar{
-				Query:      name,
-				CheckID:    id,
-				Baseline:   base.Work,
-				Total:      res.Work,
-				Before:     before,
-				After:      res.Work - before,
-				Normalized: res.Work / base.Work,
-			})
+			before, normalized := res.Attempts[1].WorkBefore, res.Work/base.Work
+			sum += normalized
+			cells = append(cells, Cell{fmt.Sprintf("%s/check%d", name, id), []Count{
+				{"baseline", base.Work},
+				{"before", before},
+				{"after", res.Work - before},
+				{"normalized", normalized},
+			}})
 		}
 	}
-	return out, nil
-}
-
-// WriteFig12 renders the bars.
-func WriteFig12(w io.Writer, bars []Fig12Bar) {
-	fmt.Fprintln(w, "Figure 12 — Normalized execution with LC re-optimization (1.0 = no reopt)")
-	fmt.Fprintf(w, "%6s %6s %12s %12s %12s %11s\n", "query", "check", "baseline", "before", "after", "normalized")
-	for _, b := range bars {
-		fmt.Fprintf(w, "%6s %6d %12.0f %12.0f %12.0f %11.3f\n",
-			b.Query, b.CheckID, b.Baseline, b.Before, b.After, b.Normalized)
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("no checkpoint reached")
 	}
+	return append(cells, Cell{"summary", []Count{
+		{"bars", float64(len(cells))},
+		{"mean_normalized", sum / float64(len(cells))},
+	}}), nil
 }
 
 // ---------------------------------------------------------------------------
 // Figure 13 — cost of LCEM eager materialization without re-optimization.
 
-// Fig13Row is one query's LCEM overhead measurement.
-type Fig13Row struct {
-	Query    string
-	Plain    float64 // work without POP
-	WithLCEM float64 // work with LCEM materializations added, checks inert
-	Overhead float64 // WithLCEM / Plain
-	NLJNs    int     // NLJN outers materialized
-}
-
-// Fig13 adds LCEM check/materialization points on the outer of every NLJN
-// and measures the added cost with re-optimization disabled (paper: the
-// overhead is negligible because NLJN outers are small when NLJN wins).
-func Fig13(cat *catalog.Catalog) ([]Fig13Row, error) {
-	queries, err := tpch.Queries(cat)
+// fig13Study adds LCEM check/materialization points on the outer of every
+// NLJN and measures the added cost with re-optimization disabled, one cell
+// per query (paper: the overhead is negligible because NLJN outers are small
+// when NLJN wins).
+func fig13Study(env Env) ([]Cell, error) {
+	queries, err := tpch.Queries(env.TPCH)
 	if err != nil {
 		return nil, err
 	}
-	var out []Fig13Row
+	var cells []Cell
+	var worst float64
 	for _, name := range fig12Queries {
 		q := queries[name]
-		plain, err := runOnce(cat, q, pop.Options{Enabled: false}, nil)
+		plain, err := pop.NewRunner(env.TPCH, pop.Options{Enabled: false}).Run(q, nil)
 		if err != nil {
-			return nil, fmt.Errorf("fig13 %s plain: %w", name, err)
+			return nil, fmt.Errorf("%s plain: %w", name, err)
 		}
 		pol := pop.Policy{LCEM: true, RequireBoundedRange: false, Unchecked: true}
-		res, err := runOnce(cat, q, pop.Options{Enabled: true, Policy: pol, MaxReopts: 3}, nil)
+		res, err := pop.NewRunner(env.TPCH, pop.Options{Enabled: true, Policy: pol, MaxReopts: 3}).Run(q, nil)
 		if err != nil {
-			return nil, fmt.Errorf("fig13 %s LCEM: %w", name, err)
+			return nil, fmt.Errorf("%s LCEM: %w", name, err)
 		}
-		out = append(out, Fig13Row{
-			Query:    name,
-			Plain:    plain.Work,
-			WithLCEM: res.Work,
-			Overhead: res.Work / plain.Work,
-			NLJNs:    res.Attempts[0].Checks,
-		})
+		overhead := res.Work / plain.Work
+		worst = max(worst, overhead)
+		cells = append(cells, Cell{name, []Count{
+			{"plain", plain.Work},
+			{"with_lcem", res.Work},
+			{"overhead", overhead},
+			{"lcems", float64(res.Attempts[0].Checks)},
+		}})
 	}
-	return out, nil
-}
-
-// WriteFig13 renders the overhead table.
-func WriteFig13(w io.Writer, rows []Fig13Row) {
-	fmt.Fprintln(w, "Figure 13 — Cost of lazy checking with eager materialization (no reopt)")
-	fmt.Fprintf(w, "%6s %12s %12s %10s %6s\n", "query", "plain", "with LCEM", "overhead", "LCEMs")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%6s %12.0f %12.0f %10.4f %6d\n", r.Query, r.Plain, r.WithLCEM, r.Overhead, r.NLJNs)
-	}
+	return append(cells, Cell{"summary", []Count{{"max_overhead", worst}}}), nil
 }
 
 // ---------------------------------------------------------------------------
 // Figure 14 — checkpoint opportunities over query execution.
 
-// Fig14Point is one checkpoint's observed timing, as fractions of the
-// query's total work. ECB checkpoints span a range (Start..End); the others
-// are instants (Start == End).
-type Fig14Point struct {
-	Query  string
-	Flavor string
-	Start  float64
-	End    float64
-}
-
 // fig14Queries match the paper's Figure 14.
 var fig14Queries = []string{"Q2", "Q3", "Q4", "Q5", "Q7", "Q8", "Q11", "Q18"}
 
-// Fig14 places every checkpoint flavor with firing disabled and records when
-// each checkpoint is encountered during execution.
-func Fig14(cat *catalog.Catalog) ([]Fig14Point, error) {
-	queries, err := tpch.Queries(cat)
+// fig14Point is one checkpoint's observed timing, as fractions of the
+// query's total work. ECB checkpoints span a range (start..end); the others
+// are instants (start == end).
+type fig14Point struct {
+	query, flavor string
+	start, end    float64
+}
+
+// fig14Study places every checkpoint flavor with firing disabled and records
+// when each checkpoint is encountered during execution. A query can meet
+// the same flavor at several sites, so a cell is named
+// "<query> <flavor> #<n>", the n-th such checkpoint in execution order.
+func fig14Study(env Env) ([]Cell, error) {
+	queries, err := tpch.Queries(env.TPCH)
 	if err != nil {
 		return nil, err
 	}
-	var out []Fig14Point
+	var points []fig14Point
 	policies := []pop.Policy{
 		{LC: true, LCEM: true, RequireBoundedRange: false, Unchecked: true},
 		{ECB: true, RequireBoundedRange: false, Unchecked: true},
@@ -292,9 +225,9 @@ func Fig14(cat *catalog.Catalog) ([]Fig14Point, error) {
 	for _, name := range fig14Queries {
 		q := queries[name]
 		for pi, pol := range policies {
-			res, err := runOnce(cat, q, pop.Options{Enabled: true, Policy: pol, MaxReopts: 3}, nil)
+			res, err := pop.NewRunner(env.TPCH, pop.Options{Enabled: true, Policy: pol, MaxReopts: 3}).Run(q, nil)
 			if err != nil {
-				return nil, fmt.Errorf("fig14 %s policy %d: %w", name, pi, err)
+				return nil, fmt.Errorf("%s policy %d: %w", name, pi, err)
 			}
 			if res.Work <= 0 {
 				continue
@@ -312,152 +245,97 @@ func Fig14(cat *catalog.Catalog) ([]Fig14Point, error) {
 				if obs.Meta.Where != "" {
 					flavor += " (" + obs.Meta.Where + ")"
 				}
-				out = append(out, Fig14Point{
-					Query:  name,
-					Flavor: flavor,
-					Start:  start,
-					End:    end,
-				})
+				points = append(points, fig14Point{name, flavor, start, end})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Query != out[j].Query {
-			return out[i].Query < out[j].Query
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].query != points[j].query {
+			return points[i].query < points[j].query
 		}
-		return out[i].Start < out[j].Start
+		return points[i].start < points[j].start
 	})
-	return out, nil
-}
-
-// WriteFig14 renders the opportunity scatter.
-func WriteFig14(w io.Writer, points []Fig14Point) {
-	fmt.Fprintln(w, "Figure 14 — Checkpoint opportunities (fraction of execution completed)")
-	fmt.Fprintf(w, "%6s %-22s %8s %8s\n", "query", "flavor", "start", "end")
+	var cells []Cell
+	seen := map[string]int{}
+	early := 0
 	for _, p := range points {
-		fmt.Fprintf(w, "%6s %-22s %8.3f %8.3f\n", p.Query, p.Flavor, p.Start, p.End)
+		key := p.query + " " + p.flavor
+		seen[key]++
+		if p.start < 0.5 {
+			early++
+		}
+		cells = append(cells, Cell{fmt.Sprintf("%s #%d", key, seen[key]), []Count{
+			{"start", p.start},
+			{"end", p.end},
+		}})
 	}
+	return append(cells, Cell{"summary", []Count{
+		{"opportunities", float64(len(points))},
+		{"in_first_half", float64(early)},
+	}}), nil
 }
 
 // ---------------------------------------------------------------------------
 // Figures 15 & 16 — the DMV case study.
 
-// DMVResult is one workload query's POP-vs-static outcome (Figure 15 scatter
-// point and Figure 16 speedup bar).
-type DMVResult struct {
-	Name    string
-	Desc    string
-	WorkOff float64
-	WorkOn  float64
-	Reopts  int
-	Factor  float64 // >1 speedup; <-1 regression (paper's signed convention)
-}
-
-// DMVStudy runs the 39-query DMV workload with and without POP.
-func DMVStudy(cat *catalog.Catalog, qs []dmv.QueryInfo) ([]DMVResult, error) {
-	var out []DMVResult
+// fig15Study runs the DMV workload with and without POP on a DMV database
+// of its own at env.DMVScale (the first 10 queries at smoke size, else all
+// 39). A query's cell is one Figure 15 scatter point plus its Figure 16
+// factor: >1 is a speedup, <-1 a regression (the paper's signed
+// convention). The summary holds Figure 16's headline numbers; a factor
+// within 1.02 either way is neutral.
+func fig15Study(env Env) ([]Cell, error) {
+	cat := catalog.New()
+	if err := dmv.Load(cat, dmv.Config{Scale: env.DMVScale, Seed: 17}); err != nil {
+		return nil, err
+	}
+	qs, err := dmv.Queries(cat)
+	if err != nil {
+		return nil, err
+	}
+	if env.Smoke {
+		qs = qs[:10]
+	}
+	var cells []Cell
+	var improved, regressed, neutral, reopts int
+	maxSpeedup, maxRegression := 1.0, 1.0
 	for _, qi := range qs {
-		off, err := runOnce(cat, qi.Query, pop.Options{Enabled: false}, nil)
+		off, err := pop.NewRunner(cat, pop.Options{Enabled: false}).Run(qi.Query, nil)
 		if err != nil {
-			return nil, fmt.Errorf("dmv %s static: %w", qi.Name, err)
+			return nil, fmt.Errorf("%s static: %w", qi.Name, err)
 		}
-		on, err := runOnce(cat, qi.Query, pop.DefaultOptions(), nil)
+		on, err := pop.NewRunner(cat, pop.DefaultOptions()).Run(qi.Query, nil)
 		if err != nil {
-			return nil, fmt.Errorf("dmv %s POP: %w", qi.Name, err)
+			return nil, fmt.Errorf("%s POP: %w", qi.Name, err)
 		}
 		factor := off.Work / on.Work
 		if factor < 1 && factor > 0 {
-			factor = -on.Work / off.Work // regression, signed like Fig. 16
+			factor = -on.Work / off.Work
 		}
-		out = append(out, DMVResult{
-			Name:    qi.Name,
-			Desc:    qi.Desc,
-			WorkOff: off.Work,
-			WorkOn:  on.Work,
-			Reopts:  on.Reopts,
-			Factor:  factor,
-		})
-	}
-	return out, nil
-}
-
-// DMVSummary aggregates the study: improved/regressed counts and extremes.
-type DMVSummary struct {
-	Improved, Regressed, Neutral int
-	MaxSpeedup, MaxRegression    float64
-	TotalReopts                  int
-}
-
-// Summarize computes the Figure 15/16 headline numbers.
-func Summarize(results []DMVResult) DMVSummary {
-	var s DMVSummary
-	s.MaxSpeedup, s.MaxRegression = 1, 1
-	for _, r := range results {
 		switch {
-		case r.Factor > 1.02:
-			s.Improved++
-			if r.Factor > s.MaxSpeedup {
-				s.MaxSpeedup = r.Factor
-			}
-		case r.Factor < -1.02:
-			s.Regressed++
-			if -r.Factor > s.MaxRegression {
-				s.MaxRegression = -r.Factor
-			}
+		case factor > 1.02:
+			improved++
+			maxSpeedup = max(maxSpeedup, factor)
+		case factor < -1.02:
+			regressed++
+			maxRegression = max(maxRegression, -factor)
 		default:
-			s.Neutral++
+			neutral++
 		}
-		s.TotalReopts += r.Reopts
+		reopts += on.Reopts
+		cells = append(cells, Cell{qi.Name, []Count{
+			{"without_pop", off.Work},
+			{"with_pop", on.Work},
+			{"reopts", float64(on.Reopts)},
+			{"factor", factor},
+		}})
 	}
-	return s
-}
-
-// WriteFig15 renders the response-time scatter (work with vs without POP).
-func WriteFig15(w io.Writer, results []DMVResult) {
-	fmt.Fprintln(w, "Figure 15 — DMV response (work units): with POP vs without POP")
-	fmt.Fprintf(w, "%-7s %14s %14s %7s  %s\n", "query", "without POP", "with POP", "reopts", "predicates")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-7s %14.0f %14.0f %7d  %s\n", r.Name, r.WorkOff, r.WorkOn, r.Reopts, r.Desc)
-	}
-}
-
-// WriteFig16 renders the per-query speedup/regression factors and summary.
-func WriteFig16(w io.Writer, results []DMVResult) {
-	fmt.Fprintln(w, "Figure 16 — Speedup (+) / regression (−) factor per DMV query")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-7s %+8.2f\n", r.Name, r.Factor)
-	}
-	s := Summarize(results)
-	fmt.Fprintf(w, "improved=%d regressed=%d neutral=%d  max speedup=%.1fx  max regression=%.1fx  reopts=%d\n",
-		s.Improved, s.Regressed, s.Neutral, s.MaxSpeedup, s.MaxRegression, s.TotalReopts)
-}
-
-// ---------------------------------------------------------------------------
-// Table 1 — placement, risk and opportunity per checkpoint flavor.
-
-// Table1Row describes one checkpoint flavor (paper Table 1).
-type Table1Row struct {
-	Flavor      string
-	Placement   string
-	Risk        string
-	Opportunity string
-}
-
-// Table1 returns the flavor summary table.
-func Table1() []Table1Row {
-	return []Table1Row{
-		{"LC", "CHECK above materialization points", "very low — only context switching", "low, only at materialization points"},
-		{"LCEM", "CHECK-materialization pairs on outer of NLJN", "context switching + materialization overhead", "materialization points and NLJN outers"},
-		{"ECB", "BUFCHECK on outer of NLJN", "high — exact cardinality of subplan below ECB not available", "can re-optimize anytime during materialization"},
-		{"ECWC", "CHECK below materialization points", "high — may throw away arbitrary work", "anywhere below a materialization point"},
-		{"ECDC", "CHECK + INSERT before reopt; anti-join after", "high — may throw away arbitrary work", "anywhere in the plan of an SPJ query"},
-	}
-}
-
-// WriteTable1 renders Table 1.
-func WriteTable1(w io.Writer) {
-	fmt.Fprintln(w, "Table 1 — Placement, risk and opportunity of checkpoint flavors")
-	for _, r := range Table1() {
-		fmt.Fprintf(w, "%-5s | %-46s | %-55s | %s\n", r.Flavor, r.Placement, r.Risk, r.Opportunity)
-	}
+	return append(cells, Cell{"summary", []Count{
+		{"improved", float64(improved)},
+		{"regressed", float64(regressed)},
+		{"neutral", float64(neutral)},
+		{"max_speedup", maxSpeedup},
+		{"max_regression", maxRegression},
+		{"reopts", float64(reopts)},
+	}}), nil
 }

@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/dmv"
 	"repro/internal/tpch"
 )
 
@@ -19,12 +17,21 @@ func tpchCat(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
-func TestFig11Shape(t *testing.T) {
-	cat := tpchCat(t)
-	points, err := Fig11(cat, 5)
-	if err != nil {
-		t.Fatal(err)
+// figure returns a figure study's cells of the shared smoke report, split
+// into its points, in order, and the summary cell it ends with.
+func figure(t *testing.T, study string) (points []Cell, summary Cell) {
+	t.Helper()
+	for _, s := range smokeReport(t).Studies {
+		if n := len(s.Cells) - 1; s.Name == study && n >= 0 && s.Cells[n].Name == "summary" {
+			return s.Cells[:n], s.Cells[n]
+		}
 	}
+	t.Fatalf("report has no study %s ending in a summary cell", study)
+	return nil, Cell{}
+}
+
+func TestFig11Shape(t *testing.T) {
+	points, summary := figure(t, "fig11")
 	if len(points) != 5 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -33,151 +40,83 @@ func TestFig11Shape(t *testing.T) {
 	// (b) POP stays within a small factor of optimal everywhere;
 	// (c) POP beats the static plan substantially at the high end.
 	last := points[len(points)-1]
-	if last.NoPOPDefault <= last.Optimal*1.5 {
+	lastPOP, lastStatic, lastOpt := count(t, last, "pop_default"), count(t, last, "static_default"), count(t, last, "optimal")
+	if lastStatic <= lastOpt*1.5 {
 		t.Errorf("static plan should degrade at 100%% selectivity: static=%.0f optimal=%.0f",
-			last.NoPOPDefault, last.Optimal)
+			lastStatic, lastOpt)
 	}
 	for _, p := range points {
-		if p.POPDefault > p.Optimal*3 {
+		if pop, opt := count(t, p, "pop_default"), count(t, p, "optimal"); pop > opt*3 {
 			t.Errorf("POP at %.0f%% is %.1fx optimal, want <= 3x (paper: <= 2x)",
-				p.SelectivityPct, p.POPDefault/p.Optimal)
+				count(t, p, "selectivity_pct"), pop/opt)
 		}
 	}
-	if last.POPDefault*1.5 >= last.NoPOPDefault {
+	if lastPOP*1.5 >= lastStatic {
 		t.Errorf("POP should clearly beat the static plan at 100%%: POP=%.0f static=%.0f",
-			last.POPDefault, last.NoPOPDefault)
+			lastPOP, lastStatic)
 	}
 	// Paper: the optimal plan changes several times across the sweep.
-	if n := DistinctOptimalPlans(points); n < 2 {
-		t.Errorf("optimal plan shapes across sweep = %d, want >= 2", n)
-	}
-	var buf bytes.Buffer
-	WriteFig11(&buf, points)
-	if !strings.Contains(buf.String(), "Figure 11") {
-		t.Error("render missing title")
+	if n := count(t, summary, "distinct_optimal_plans"); n < 2 {
+		t.Errorf("optimal plan shapes across sweep = %v, want >= 2", n)
 	}
 }
 
 func TestFig12Overhead(t *testing.T) {
-	cat := tpchCat(t)
-	bars, err := Fig12(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bars, _ := figure(t, "fig12")
 	if len(bars) == 0 {
 		t.Fatal("no Figure 12 bars — no checkpoints reached")
 	}
 	for _, b := range bars {
-		if b.Normalized < 0.5 || b.Normalized > 2.5 {
-			t.Errorf("%s check %d: normalized %.3f far from 1 — dummy reopt should be cheap",
-				b.Query, b.CheckID, b.Normalized)
+		if n := count(t, b, "normalized"); n < 0.5 || n > 2.5 {
+			t.Errorf("%s: normalized %.3f far from 1 — dummy reopt should be cheap", b.Name, n)
 		}
-		if b.Before <= 0 || b.Before >= b.Total {
-			t.Errorf("%s check %d: before component %.0f outside (0,%.0f)", b.Query, b.CheckID, b.Before, b.Total)
+		before, total := count(t, b, "before"), count(t, b, "before")+count(t, b, "after")
+		if before <= 0 || before >= total {
+			t.Errorf("%s: before component %.0f outside (0,%.0f)", b.Name, before, total)
 		}
-	}
-	var buf bytes.Buffer
-	WriteFig12(&buf, bars)
-	if !strings.Contains(buf.String(), "Figure 12") {
-		t.Error("render missing title")
 	}
 }
 
 func TestFig13LCEMOverheadSmall(t *testing.T) {
-	cat := tpchCat(t)
-	rows, err := Fig13(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := figure(t, "fig13")
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
 		// Paper: <= ~3%. Allow headroom at tiny scale.
-		if r.Overhead > 1.15 {
-			t.Errorf("%s: LCEM overhead %.3f too high", r.Query, r.Overhead)
+		if o := count(t, r, "overhead"); o > 1.15 {
+			t.Errorf("%s: LCEM overhead %.3f too high", r.Name, o)
+		} else if o < 0.99 {
+			t.Errorf("%s: overhead %.3f below 1 — materialization cannot be free", r.Name, o)
 		}
-		if r.Overhead < 0.99 {
-			t.Errorf("%s: overhead %.3f below 1 — materialization cannot be free", r.Query, r.Overhead)
-		}
-	}
-	var buf bytes.Buffer
-	WriteFig13(&buf, rows)
-	if !strings.Contains(buf.String(), "Figure 13") {
-		t.Error("render missing title")
 	}
 }
 
 func TestFig14Opportunities(t *testing.T) {
-	cat := tpchCat(t)
-	points, err := Fig14(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points, _ := figure(t, "fig14")
 	if len(points) == 0 {
 		t.Fatal("no opportunities observed")
 	}
 	flavors := map[string]int{}
 	for _, p := range points {
-		if p.Start < 0 || p.Start > 1.0001 || p.End < p.Start-1e-9 {
-			t.Errorf("%s %s: bad interval [%v,%v]", p.Query, p.Flavor, p.Start, p.End)
+		start, end := count(t, p, "start"), count(t, p, "end")
+		if start < 0 || start > 1.0001 || end < start-1e-9 {
+			t.Errorf("%s: bad interval [%v,%v]", p.Name, start, end)
 		}
-		// Flavor carries the placement-site suffix, e.g. "LC (above HJ)".
-		flavors[strings.Fields(p.Flavor)[0]]++
+		// The name is "<query> <flavor> (<site>) #<n>", e.g. "Q2 LC (above HJ) #1".
+		flavors[strings.Fields(p.Name)[1]]++
 	}
 	if flavors["LC"] == 0 && flavors["LCEM"] == 0 {
 		t.Error("expected lazy-check opportunities")
 	}
-	var buf bytes.Buffer
-	WriteFig14(&buf, points)
-	if !strings.Contains(buf.String(), "Figure 14") {
-		t.Error("render missing title")
-	}
 }
 
 func TestDMVStudyShape(t *testing.T) {
-	cat := catalog.New()
-	if err := dmv.Load(cat, dmv.Config{Scale: 0.15, Seed: 17}); err != nil {
-		t.Fatal(err)
-	}
-	qs, err := dmv.Queries(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := DMVStudy(cat, qs[:10]) // subset keeps the test fast
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarize(results)
-	if s.Improved == 0 {
+	_, s := figure(t, "fig15")
+	if count(t, s, "improved") == 0 {
 		t.Error("POP should improve at least one correlated DMV query")
 	}
-	if s.TotalReopts == 0 {
+	if count(t, s, "reopts") == 0 {
 		t.Error("correlated workload should re-optimize at least once")
-	}
-	var buf bytes.Buffer
-	WriteFig15(&buf, results)
-	WriteFig16(&buf, results)
-	out := buf.String()
-	if !strings.Contains(out, "Figure 15") || !strings.Contains(out, "Figure 16") {
-		t.Error("render missing titles")
-	}
-}
-
-func TestTable1(t *testing.T) {
-	rows := Table1()
-	if len(rows) != 5 {
-		t.Fatalf("Table 1 has %d rows", len(rows))
-	}
-	want := []string{"LC", "LCEM", "ECB", "ECWC", "ECDC"}
-	for i, r := range rows {
-		if r.Flavor != want[i] {
-			t.Errorf("row %d flavor %s, want %s", i, r.Flavor, want[i])
-		}
-	}
-	var buf bytes.Buffer
-	WriteTable1(&buf)
-	if !strings.Contains(buf.String(), "BUFCHECK") {
-		t.Error("render incomplete")
 	}
 }

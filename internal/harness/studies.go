@@ -13,7 +13,8 @@ import (
 
 // This file is the study runner (BENCH_studies.json). A study is a name
 // plus a function returning ordered cells; a cell is a name plus ordered
-// counts. Every count is deterministic — work units, re-optimizations,
+// counts, and a cell's name is unique within its study. The paper's
+// figures (harness.go) are studies like the plan-cache and planner ones. Every count is deterministic — work units, re-optimizations,
 // cache verdicts, candidates, rows — so the report is byte-identical on
 // every run and every machine, and CI regenerates it and fails on drift.
 // Nothing here reads a clock or the allocator: wall time, throughput and
@@ -83,6 +84,11 @@ var studies = []struct {
 	name string
 	run  func(Env) ([]Cell, error)
 }{
+	{"fig11", fig11Study},
+	{"fig12", fig12Study},
+	{"fig13", fig13Study},
+	{"fig14", fig14Study},
+	{"fig15", fig15Study}, // Figures 15 and 16: two views of one DMV run
 	{"plancache", planCacheStudy},
 	{"planners", plannerStudy},
 }

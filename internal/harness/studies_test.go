@@ -42,13 +42,17 @@ func smokeReport(t *testing.T) *Report {
 	return smokeRep
 }
 
-// cells indexes one study of the report by cell name.
+// cells indexes one study of the report by cell name; a repeated name fails
+// the test rather than hiding a cell.
 func cells(t *testing.T, r *Report, study string) map[string]Cell {
 	t.Helper()
 	for _, s := range r.Studies {
 		if s.Name == study {
 			out := make(map[string]Cell, len(s.Cells))
 			for _, c := range s.Cells {
+				if _, dup := out[c.Name]; dup {
+					t.Fatalf("study %s repeats cell name %q", study, c.Name)
+				}
 				out[c.Name] = c
 			}
 			return out
@@ -96,6 +100,7 @@ func TestStudiesGolden(t *testing.T) {
 	var text bytes.Buffer
 	WriteStudies(&text, smokeReport(t))
 	for _, s := range smokeReport(t).Studies {
+		cells(t, smokeReport(t), s.Name) // cell names are unique per study
 		for _, c := range s.Cells {
 			if !strings.Contains(text.String(), c.Name) {
 				t.Errorf("table is missing cell %s/%s", s.Name, c.Name)
