@@ -95,12 +95,10 @@ type planner struct {
 	// costed, whether or not they were built (see EnumeratedCandidates).
 	candidates int
 
-	// narrowing is whether addCandidate narrows validity ranges (off only
-	// during enumerateDP's first pass); narrowings counts the plan-vs-plan
-	// narrowings done (TestNarrowingBudget), built the join candidates
-	// written into scratch with narrowing off (TestBuiltCandidateBudget),
-	// and derived the split shapes derived (TestSplitShapeBudget).
-	narrowing  bool
+	// narrowings counts the plan-vs-plan narrowings narrowChosen made
+	// (TestNarrowingBudget), built the join candidates the enumeration wrote
+	// into scratch (TestBuiltCandidateBudget), and derived the split shapes
+	// derived (TestSplitShapeBudget).
 	narrowings int
 	built      int
 	derived    int
@@ -140,11 +138,10 @@ type planner struct {
 // Optimize copies the chosen tree out (detach); the plan it returns owns every
 // node and array it reaches, and nothing else of the arena survives it.
 type arena struct {
-	plans  slab[Plan]
-	kids   slab[*Plan]
-	cols   slab[int]
-	ranges slab[Range]
-	keys   slab[SortKey]
+	plans slab[Plan]
+	kids  slab[*Plan]
+	cols  slab[int]
+	keys  slab[SortKey]
 }
 
 var arenas = sync.Pool{New: func() any { return new(arena) }}
@@ -156,13 +153,12 @@ func (a *arena) node(p *Plan) *Plan {
 	return n
 }
 
-// join returns a zeroed arena node with its two-child array, room for two
-// validity ranges and room for ncols output columns.
+// join returns a zeroed arena node with its two-child array and room for
+// ncols output columns.
 func (a *arena) join(ncols int) *Plan {
 	n := &a.plans.take(1)[0]
 	n.Children = a.kids.take(2)
 	n.Cols = a.cols.take(ncols)[:0]
-	n.Validity = a.ranges.take(2)[:0]
 	return n
 }
 
@@ -172,7 +168,6 @@ func (a *arena) release() {
 	a.plans.reset()
 	a.kids.reset()
 	a.cols.reset()
-	a.ranges.reset()
 	a.keys.reset()
 	arenas.Put(a)
 }
@@ -212,7 +207,8 @@ func (s *slab[T]) reset() {
 }
 
 // detach deep-copies the tree at p out of the arena: every node and the
-// Children, Cols, Validity and SortKeys arrays it holds.
+// Children, Cols and SortKeys arrays it holds. No arena node carries a
+// validity range; narrowChosen sets them on the copy.
 func detach(p *Plan) *Plan {
 	n := *p
 	if len(p.Children) > 0 {
@@ -222,7 +218,6 @@ func detach(p *Plan) *Plan {
 		}
 	}
 	n.Cols = cloneOrNil(p.Cols)
-	n.Validity = cloneOrNil(p.Validity)
 	n.SortKeys = cloneOrNil(p.SortKeys)
 	return &n
 }
@@ -238,21 +233,20 @@ func cloneOrNil[T any](s []T) []T {
 // group holds a subset's plans, at most one per output order, sorted by
 // order key (the unordered plan, key -1, first). Visiting it in slice order
 // makes everything the visit order can reach — cost tie-breaks, candidate
-// generation, validity narrowing — deterministic by construction.
+// generation, the order of narrowings — deterministic by construction.
 type group []*Plan
 
-// scratch is the planner-owned storage join candidates are built in; with
-// narrowing off, only those that will take their slot are (split.builds).
+// scratch is the planner-owned storage join candidates are built in; during
+// the enumeration, only those that will take their slot are (split.builds).
 // Only one that takes a slot is copied to the arena (planner.keep), together
 // with the SORT or index-probe child built for it.
 type scratch struct {
-	node     Plan
-	kids     [2]*Plan
-	validity [2]Range
-	sort     Plan // SORT enforcer over the outer of a merge join
-	sortKid  [1]*Plan
-	sortKey  [1]SortKey
-	probe    Plan // parameterized index probe under an index NLJN
+	node    Plan
+	kids    [2]*Plan
+	sort    Plan // SORT enforcer over the outer of a merge join
+	sortKid [1]*Plan
+	sortKey [1]SortKey
+	probe   Plan // parameterized index probe under an index NLJN
 }
 
 // newPlanner sets up the enumeration state for q and seeds it with every
@@ -281,10 +275,9 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 		est:  newEstimator(estQ, tabs, o.Feedback),
 		best: make(map[uint64]group),
 
-		reach:     make([]uint64, len(tabs)),
-		shapes:    make(map[splitKey]*splitShape),
-		narrowing: true,
-		arena:     arenas.Get().(*arena),
+		reach:  make([]uint64, len(tabs)),
+		shapes: make(map[splitKey]*splitShape),
+		arena:  arenas.Get().(*arena),
 	}
 	pl.est.uncertainty = o.UncertaintyPenalty
 	for ti := range tabs {
@@ -337,7 +330,9 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 	if join == nil {
 		return nil, maskError(pl.est, full)
 	}
-	plan, err := pl.finish(detach(join))
+	join = detach(join)
+	pl.narrowChosen(join)
+	plan, err := pl.finish(join)
 	if err != nil {
 		return nil, err
 	}
@@ -478,55 +473,19 @@ func (g group) slot(ordered int) (i int, vacant bool) {
 }
 
 // addCandidate offers a plan for its order slot in *gp, the group of its
-// subset, pruning against the incumbent and, when narrowing is on, narrowing
-// the winner's validity ranges per §2.2. No decision here reads a range. cand
-// may live in scratch; it is copied out if it takes the slot. In the DP's
-// first pass the only joins it sees are slot winners: split.builds counts
-// and drops the others before they are built.
+// subset: it takes the slot if the slot is vacant or its incumbent costs
+// more. Pruning sets no validity range and reads none. cand may live in
+// scratch; it is copied out if it takes the slot. The only joins it sees are
+// slot winners: split.builds counts and drops the others before they are
+// built.
 func (pl *planner) addCandidate(gp *group, cand *Plan) {
 	pl.candidates++
 	g := *gp
-	i, vacant := g.slot(cand.ordered)
-	takes := vacant || cand.Cost < g[i].Cost
-	// Narrow across order groups too: an ordered plan (e.g. a merge join)
-	// and the unordered best are structural alternatives for the same
-	// subset, so their cost crossover bounds both plans' edges even though
-	// neither prunes the other.
-	switch {
-	case !pl.narrowing:
-	case cand.ordered != -1:
-		if len(g) > 0 && g[0].ordered == -1 {
-			pl.narrowAcross(cand, g[0], takes)
-		}
-	default:
-		for _, inc := range g {
-			if inc.ordered != -1 {
-				pl.narrowAcross(cand, inc, takes)
-			}
-		}
-	}
-	switch {
+	switch i, vacant := g.slot(cand.ordered); {
 	case vacant:
 		*gp = slices.Insert(g, i, pl.keep(cand, nil))
-	case takes:
-		pl.narrow(cand, g[i])
+	case cand.Cost < g[i].Cost:
 		g[i] = pl.keep(cand, g[i])
-	default:
-		pl.narrow(g[i], cand)
-	}
-}
-
-// narrowAcross narrows the cheaper of a candidate and another order group's
-// incumbent against the costlier. A candidate that will not take its own
-// slot is dropped when addCandidate returns, so narrowing its ranges is
-// skipped; an incumbent cheaper than it is still narrowed against it.
-func (pl *planner) narrowAcross(cand, inc *Plan, takes bool) {
-	if cand.Cost < inc.Cost {
-		if takes {
-			pl.narrow(cand, inc)
-		}
-	} else {
-		pl.narrow(inc, cand)
 	}
 }
 
@@ -550,21 +509,12 @@ func (pl *planner) keep(cand, into *Plan) *Plan {
 	if into == nil || len(into.Children) != 2 {
 		into = pl.arena.join(len(l.Cols) + len(r.Cols))
 	}
-	kids, cols, validity := into.Children, into.Cols[:0], into.Validity[:0]
+	kids, cols := into.Children, into.Cols[:0]
 	*into = *cand
 	kids[0], kids[1] = l, r
 	into.Children = kids
 	into.Cols = append(append(cols, l.Cols...), r.Cols...)
-	into.Validity = append(validity, cand.Validity...)
 	return into
-}
-
-func (pl *planner) narrow(winner, loser *Plan) {
-	if !pl.narrowing || len(winner.Children) == 0 || len(loser.Children) == 0 {
-		return
-	}
-	pl.narrowings++
-	pl.opt.Model.narrowValidity(winner, loser)
 }
 
 // bestOf returns the cheapest plan for the subset across all order keys;
@@ -714,16 +664,11 @@ func sargableBounds(preds []expr.Expr, keyGID int) (lo, hi expr.Expr, loInc, hiI
 	return lo, hi, loInc, hiInc, used, residual
 }
 
-// enumerateDP runs exhaustive left-deep dynamic programming over subsets.
-// Validity ranges are read only off the plan Optimize returns, and a group's
-// candidates and slot decisions depend on the Card, Cost and order of smaller
-// groups, never on their ranges. So the sweep prunes with narrowing off, and
-// the groups the chosen plan lives in are then rebuilt, smallest first, by
-// the same expandSubset with narrowing on: each rebuilt winner equals its
-// first-pass twin in every field and carries the ranges narrowing inside the
-// sweep would have left on it. The replays are not counted as candidates.
+// enumerateDP runs exhaustive left-deep dynamic programming over subsets,
+// smallest first. It sets no validity range: a group's candidates and slot
+// decisions depend on the Card, Cost and order of smaller groups, never on
+// their ranges, and Optimize narrows only the plan it returns (narrowChosen).
 func (pl *planner) enumerateDP(full uint64) {
-	pl.narrowing = false
 	n := popcount(full)
 	for size := 2; size <= n; size++ {
 		for mask := uint64(1); mask <= full; mask++ {
@@ -733,25 +678,34 @@ func (pl *planner) enumerateDP(full uint64) {
 			pl.expandSubset(mask)
 		}
 	}
-	pl.narrowing = true
-	var chosen []uint64 // nested table sets, so numeric order is size order
-	pl.bestOf(full).Walk(func(p *Plan) {
-		if len(p.Children) == 2 {
-			chosen = append(chosen, p.tables)
+}
+
+// narrowChosen sets the validity ranges of p, the detached join tree of the
+// chosen plan (paper §2.2): each join is narrowed against every join
+// candidate joinSplits yields for its table subset — every split, outer plan,
+// join method and order slot expandSubset costs there. The pass reads the
+// arena's groups and writes only p; it counts no candidate and no build.
+func (pl *planner) narrowChosen(p *Plan) {
+	p.Walk(func(w *Plan) {
+		if len(w.Children) == 2 {
+			pl.joinSplits(w.tables, w)
 		}
 	})
-	slices.Sort(chosen)
-	costed := pl.candidates
-	for _, mask := range chosen {
-		pl.best[mask] = nil
-		pl.expandSubset(mask)
-	}
-	pl.candidates = costed
 }
 
 // expandSubset generates join plans for a subset from its left-deep splits
 // and offers a matching MV as an alternative.
 func (pl *planner) expandSubset(mask uint64) {
+	pl.joinSplits(mask, nil)
+	if mv := pl.matchMV(mask); mv != nil {
+		pl.addPath(mv)
+	}
+}
+
+// joinSplits offers the joins of every left-deep split of mask whose outer
+// subset has plans — only the connected splits when there are any — to
+// mask's group, or, when chosen is set, to narrowValidity against chosen.
+func (pl *planner) joinSplits(mask uint64, chosen *Plan) {
 	var shapes [64]*splitShape   // by inner table, for the usable splits
 	var splits, connected uint64 // inner tables of the usable splits
 	for ti := range pl.q.Tables {
@@ -774,26 +728,27 @@ func (pl *planner) expandSubset(mask uint64) {
 	}
 	for ti := range pl.q.Tables {
 		if bit := uint64(1) << uint(ti); splits&bit != 0 {
-			pl.joinSubset(mask&^bit, shapes[ti])
+			pl.joinSubset(mask&^bit, shapes[ti], chosen)
 		}
-	}
-	if mv := pl.matchMV(mask); mv != nil {
-		pl.addPath(mv)
 	}
 }
 
 // joinSubset offers every physical join of each plan of subset rest with
-// the inner table of shape sh. The split holds the joined subset's group
-// until its candidates are all offered: nothing else reads or writes that
-// group meanwhile.
-func (pl *planner) joinSubset(rest uint64, sh *splitShape) {
+// the inner table of shape sh, to the joined subset's group or, when chosen
+// is set, to narrowValidity against chosen. The split holds the group (none
+// when narrowing) until its candidates are all offered: nothing else reads
+// or writes that group meanwhile.
+func (pl *planner) joinSubset(rest uint64, sh *splitShape, chosen *Plan) {
 	mask := rest | uint64(1)<<uint(sh.ti)
 	s := split{
 		splitShape: sh,
 		pl:         pl,
 		mask:       mask,
-		group:      pl.best[mask],
 		outCard:    pl.est.SubsetCard(mask),
+		chosen:     chosen,
+	}
+	if chosen == nil {
+		s.group = pl.best[mask]
 	}
 	for _, outer := range pl.best[rest] {
 		s.joinCandidates(outer)
@@ -866,6 +821,7 @@ type split struct {
 	mask    uint64  // outer subset plus ti
 	group   group   // mask's plans, held by joinSubset
 	outCard float64 // estimated join output cardinality
+	chosen  *Plan   // the chosen join narrowChosen narrows, or nil
 }
 
 // splitKey identifies a split shape: the inner table ti and the outer
@@ -1043,33 +999,27 @@ func (s *split) joinCandidates(outer *Plan) {
 }
 
 // builds reports whether a join candidate of the split that costs cost, for
-// order slot ordered, is to be built. While narrowing, every candidate is:
-// narrow and narrowAcross read the loser. Otherwise only one that would take
-// its slot is — the slot is vacant or its incumbent costs more — and the rest
-// are counted and dropped. That is exact: with narrowing off, addCandidate
-// leaves the group as it is for a candidate that does not take its slot.
+// order slot ordered, is to be built: only one that would take its slot is —
+// the slot is vacant or its incumbent costs more — and the rest are counted
+// and dropped. That is exact: addCandidate leaves the group as it is for a
+// candidate that does not take its slot. A split narrowing a chosen join
+// holds an empty group, so it builds every candidate.
 func (s *split) builds(ordered int, cost float64) bool {
-	pl := s.pl
-	if pl.narrowing {
-		return true
-	}
 	if i, vacant := s.group.slot(ordered); vacant || cost < s.group[i].Cost {
 		return true
 	}
-	pl.candidates++
+	s.pl.candidates++
 	return false
 }
 
 // offer builds an op join of l and r in the planner's scratch node, with the
-// cost the caller computed for it, and offers it for the split's group. Every
-// NLJN carries the split's join predicate; ij, when set, makes it an index
-// NLJN. Only the fields a join sets are written — the scratch node never
-// holds anything else — so no Plan is copied per candidate.
+// cost the caller computed for it, and offers it for the split's group, or
+// narrows the split's chosen join against it. Every NLJN carries the split's
+// join predicate; ij, when set, makes it an index NLJN. Only the fields a
+// join sets are written — the scratch node never holds anything else — so no
+// Plan is copied per candidate.
 func (s *split) offer(op OpKind, ij *indexJoin, filter expr.Expr, equiLeft, equiRight []int, ordered int, l, r *Plan, cost float64) {
 	pl := s.pl
-	if !pl.narrowing {
-		pl.built++
-	}
 	sc := &pl.scratch
 	n := &sc.node
 	n.Op, n.Filter, n.EquiLeft, n.EquiRight, n.ordered = op, filter, equiLeft, equiRight, ordered
@@ -1082,8 +1032,13 @@ func (s *split) offer(op OpKind, ij *indexJoin, filter expr.Expr, equiLeft, equi
 	}
 	sc.kids = [2]*Plan{l, r}
 	n.Children = sc.kids[:]
-	n.Validity = sc.validity[:0]
 	n.Card, n.Cost, n.tables = s.outCard, cost, s.mask
+	if s.chosen != nil {
+		pl.narrowings++
+		pl.opt.Model.narrowValidity(s.chosen, n)
+		return
+	}
+	pl.built++
 	pl.addCandidate(&s.group, n)
 }
 

@@ -107,7 +107,7 @@ func (pl *planner) enumerateGreedyVisible(full uint64) error {
 				next, bestStep = ti, step
 			}
 		}
-		pl.joinSubset(joined, pl.shape(joined, next))
+		pl.joinSubset(joined, pl.shape(joined, next), nil)
 		joined |= 1 << uint(next)
 		if mv := pl.matchMV(joined); mv != nil {
 			pl.addPath(mv)

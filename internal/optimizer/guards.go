@@ -6,7 +6,7 @@ import (
 	"repro/internal/stats"
 )
 
-// This file exports the validity ranges computed during enumeration (§2.2) in
+// This file exports the validity ranges of a returned plan (§2.2) in
 // a form the plan cache can check without re-running the optimizer: a set of
 // guards, one per guarded table subset. A cached plan may be reused for a new
 // parameter binding iff the binding's estimated cardinality for every guarded

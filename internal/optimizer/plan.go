@@ -169,7 +169,7 @@ type SortKey struct {
 // Plan is a physical query execution plan node. Cols lists the query-global
 // column ids present in this node's output rows, in row order. Card and Cost
 // are the optimizer's estimates; Validity holds the per-input-edge validity
-// ranges computed during pruning.
+// ranges, set on the plan Optimize returns.
 //
 // Cols, Filter, JoinPred, EquiLeft and EquiRight are immutable once the node
 // is constructed: the enumerator points every candidate of a join split at

@@ -31,8 +31,8 @@ func checkOwnCosts(t *testing.T, m *CostModel, p *Plan, seen map[*Plan]bool, whe
 	}
 }
 
-// joinOnce offers the joins of outer ⋈ s's table to an empty group, with
-// narrowing off as in the DP's first pass, and returns the group.
+// joinOnce offers the joins of outer ⋈ s's table to an empty group, as the
+// enumeration does, and returns the group.
 func joinOnce(o *Optimizer, s split, outer *Plan) group {
 	s.pl = &planner{opt: o, arena: new(arena)}
 	s.joinCandidates(outer)
@@ -45,8 +45,7 @@ func joinOnce(o *Optimizer, s split, outer *Plan) group {
 // the bit, or pruning a candidate by its scalar cost could differ from
 // pruning it by its built cost. The table cases drive one split's candidates
 // at the edges of the formulas; the workloads check every node of every DP
-// group, and of every returned plan, under the configurations
-// TestLazyRangesMatchEager compares.
+// group, and of every returned plan, under compileConfigs.
 func TestJoinCostMatchesRecost(t *testing.T) {
 	leaf := func(card, cost float64, ncols, ordered int) *Plan {
 		return &Plan{Op: OpTableScan, Cols: make([]int, ncols), Card: card, Cost: cost, tables: 0b01, ordered: ordered}
@@ -160,7 +159,7 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 		})
 	}
 
-	for _, w := range lazyWorkloads(t) {
+	for _, w := range compileWorkloads(t) {
 		cat := w.cat
 		for _, c := range compileConfigs {
 			for _, nq := range w.queries {
@@ -200,22 +199,26 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 }
 
 // TestBuiltCandidateBudget is the tripwire for cost-first pruning: on the
-// widest DMV compile, the first DP pass builds about 30 of every 100 join and
-// access-path candidates it costs in scratch. Building every candidate (no
-// pruning, or pruning after the scratch write) builds nearly all of them.
+// widest DMV compile, the DP builds about 30 of every 100 join and
+// access-path candidates it costs in scratch, and the greedy chain about 38.
+// Building every candidate (no pruning, or pruning after the scratch write)
+// builds nearly all of them.
 func TestBuiltCandidateBudget(t *testing.T) {
 	cat, q := widestDMV(t)
-	pl, err := New(cat).newPlanner(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.arena.release()
-	pl.enumerateDP(uint64(1)<<uint(len(q.Tables)) - 1)
-	t.Logf("%d of %d candidates built (%.1f %%)", pl.built, pl.candidates, 100*float64(pl.built)/float64(pl.candidates))
-	if pl.built == 0 {
-		t.Error("no candidate built at all")
-	}
-	if 100*pl.built > 35*pl.candidates {
-		t.Errorf("%d of %d candidates built, budget 35 %%", pl.built, pl.candidates)
+	for _, c := range []struct {
+		order  JoinOrder
+		budget int // per cent of the candidates costed
+	}{{JoinOrderAuto, 35}, {JoinOrderGreedy, 50}} {
+		o := New(cat)
+		o.JoinOrder = c.order
+		pl, _ := chosenJoins(t, o, q)
+		pl.arena.release()
+		t.Logf("join order %d: %d of %d candidates built (%.1f %%)", c.order, pl.built, pl.candidates, 100*float64(pl.built)/float64(pl.candidates))
+		if pl.built == 0 {
+			t.Errorf("join order %d: no candidate built at all", c.order)
+		}
+		if 100*pl.built > c.budget*pl.candidates {
+			t.Errorf("join order %d: %d of %d candidates built, budget %d %%", c.order, pl.built, pl.candidates, c.budget)
+		}
 	}
 }

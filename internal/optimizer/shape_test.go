@@ -103,10 +103,10 @@ func shapeDiff(got, want *splitShape) string {
 }
 
 // TestSplitShapesMatchFresh is the equality the split-shape memo rests on:
-// every split the DP's first pass, its narrowing replay and the greedy chain
-// visit gets, from the memo, the shape a fresh derivation at its own outer
-// subset gives — expressions by text, key slices by value, probe costs to the
-// bit, the inner by pointer and the merge inner by what it sorts and costs.
+// every split the DP, the greedy chain and narrowChosen visit gets, from the
+// memo, the shape a fresh derivation at its own outer subset gives —
+// expressions by text, key slices by value, probe costs to the bit, the inner
+// by pointer and the merge inner by what it sorts and costs.
 // It runs over the DMV and TPC-H workloads under the default optimizer,
 // without hash joins, without index and merge joins, and in a
 // re-optimization state.
@@ -128,7 +128,7 @@ func TestSplitShapesMatchFresh(t *testing.T) {
 		{"dp", func(pl *planner, full uint64) error { pl.enumerateDP(full); return nil }},
 		{"greedy", (*planner).enumerateGreedyVisible},
 	}
-	for _, w := range lazyWorkloads(t) {
+	for _, w := range compileWorkloads(t) {
 		cat := w.cat
 		for _, c := range configs {
 			for _, e := range enumerations {
@@ -175,7 +175,7 @@ func TestSplitShapesMatchFresh(t *testing.T) {
 }
 
 // TestSplitShapeBudget is the tripwire for a per-split derivation creeping
-// back: on the widest DMV compile both DP passes derive 58 shapes for 5,110
+// back: on the widest DMV compile the DP derives 58 shapes for 5,110
 // splits, one per (inner table, outer tables its predicates reach).
 // Deriving per split makes as many shapes as visits.
 func TestSplitShapeBudget(t *testing.T) {

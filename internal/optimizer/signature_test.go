@@ -49,7 +49,7 @@ func TestSignatureMemoMatchesExported(t *testing.T) {
 		params []types.Datum
 	}
 	var queries []bound
-	workloads := lazyWorkloads(t)
+	workloads := compileWorkloads(t)
 	for _, w := range workloads {
 		for _, nq := range w.queries {
 			queries = append(queries, bound{nq.name, w.cat, nq.q, nil})

@@ -3,29 +3,32 @@ package optimizer
 import "math"
 
 // This file implements the paper's §2.2: validity-range computation through
-// plan sensitivity analysis against the alternatives pruning meets. (The DP
-// enumerator prunes first and replays pruning, narrowing, for the chosen
-// plan's groups only — see enumerateDP; the ranges are the same.)
+// plan sensitivity analysis. Ranges are set once, after enumeration, on the
+// plan Optimize returns (planner.narrowChosen): each join Popt of it is
+// narrowed against every alternative join Palt of the same table set — every
+// split, outer plan and join method the enumeration costs there, which
+// includes the paper's structurally equivalent alternatives (same joined
+// tables, same child partitions, different root operator).
 //
-// When plan Popt prunes a structurally equivalent alternative Palt (same
-// joined tables, same child partitions, different root operator), we search
-// for the input cardinality at which their cost functions cross. Beyond that
-// crossover Popt is provably suboptimal with respect to the optimizer's own
-// cost model, so the crossover narrows the validity range of Popt's input
-// edge. The search is the modified Newton-Raphson of Figure 5 — cost
-// functions here are code, not formulas, and are not even continuous (the
-// hash-join spill cliff), so the method caps iterations, detects divergence
-// and jumps, and stops on the first observed cost inversion, which keeps the
-// resulting bound conservative: stopping early can only widen the range,
-// never produce a false suboptimality bound.
+// For each input edge the two plans share we search for the cardinality at
+// which their cost functions cross. Beyond that crossover Popt is provably
+// suboptimal with respect to the optimizer's own cost model, so the crossover
+// narrows the validity range of Popt's edge. The search is the modified
+// Newton-Raphson of Figure 5 — cost functions here are code, not formulas,
+// and are not even continuous (the hash-join spill cliff), so the method caps
+// iterations, detects divergence and jumps, and stops on the first observed
+// cost inversion, which keeps the resulting bound conservative: stopping
+// early can only widen the range, never produce a false suboptimality bound.
 
 // validityIterations caps the Newton-Raphson iterations (paper: "merely
 // three iterations ... results in finding a good validity range").
 const validityIterations = 3
 
-// narrowValidity updates popt's per-edge validity ranges given that it just
-// pruned palt. Edges are matched between the plans by the set of base tables
-// feeding them; edges read partially (the inner of an index nested-loop
+// narrowValidity narrows popt's per-edge validity ranges against palt, an
+// alternative join of the same tables: a range ends at the nearest crossover
+// found beyond which palt is cheaper. A palt already cheaper at the estimate
+// bounds nothing. Edges are matched between the plans by the set of base
+// tables feeding them; edges read partially (the inner of an index nested-loop
 // join, which sees only matching rows) are skipped — checking them would not
 // observe the child's true cardinality.
 func (m *CostModel) narrowValidity(popt, palt *Plan) {
@@ -79,7 +82,7 @@ func matchingEdge(p *Plan, mask uint64) int {
 }
 
 // upperCrossover searches upward from the estimate for the cardinality at
-// which the alternative becomes cheaper than the pruning winner. fOpt and
+// which the alternative becomes cheaper than the chosen plan. fOpt and
 // fAlt evaluate the two plans' costs as a function of the shared edge's
 // cardinality; costOptEst and costAltEst are their (caller-computed) values
 // at the estimate. It returns +Inf if no crossover is found within the
@@ -90,7 +93,8 @@ func upperCrossover(fOpt, fAlt *edgeCost, est, costOptEst, costAltEst float64) f
 	costOpt, costAlt := costOptEst, costAltEst
 	if costAlt < costOpt {
 		// The alternative is already cheaper at the estimate on this edge's
-		// axis; the pruning decision came from other terms. No usable bound.
+		// axis; the choice came from other terms or another order slot. No
+		// usable bound.
 		return math.Inf(1)
 	}
 	for iter := 0; iter < validityIterations; iter++ {
