@@ -49,12 +49,14 @@ func widestDMV(t *testing.T) (*catalog.Catalog, *logical.Query) {
 // keeping nodes in a pooled arena, with signatures rendered from parts, to
 // 44,287 (1.76 MB), and costing candidates from scalars before building only
 // the slot winners to 44,287 (1.74 MB). Deriving each split's shape once per
-// compile rather than once per split brought it to 6,907 (0.70 MB). The
-// ceilings, 1.25 times those, trip on a per-split, per-candidate or
-// per-kept-node allocation creeping back in.
+// compile rather than once per split brought it to 6,907 (0.70 MB), and
+// recording slot winners as recipes, built once per slot when their subset
+// is complete into groups carved from the arena, to 2,475 (0.53 MB). The
+// ceilings trip on a per-split, per-candidate or per-kept-node allocation
+// creeping back in.
 func TestOptimizeAllocBudget(t *testing.T) {
 	cat, q := widestDMV(t)
-	const ceiling, bytesCeiling = 8_650, 880_000
+	const ceiling, bytesCeiling = 4_000, 680_000
 	compile := func() {
 		if _, err := New(cat).Optimize(q); err != nil {
 			t.Fatal(err)

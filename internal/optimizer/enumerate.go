@@ -96,8 +96,8 @@ type planner struct {
 	candidates int
 
 	// narrowings counts the plan-vs-plan narrowings narrowChosen made
-	// (TestNarrowingBudget), built the join candidates the enumeration wrote
-	// into scratch (TestBuiltCandidateBudget), and derived the split shapes
+	// (TestNarrowingBudget), built the join plans settle built
+	// (TestBuiltCandidateBudget), and derived the split shapes deriveShape
 	// derived (TestSplitShapeBudget).
 	narrowings int
 	built      int
@@ -127,16 +127,22 @@ type planner struct {
 	reach  []uint64
 	shapes map[splitKey]*splitShape
 
+	// pend holds the slot winners of the subset being enumerated, as
+	// recipes, sorted by order key as a group is; settle builds them once
+	// the subset's last split is offered.
+	pend []recipe
+
 	scratch scratch
 	arena   *arena
 }
 
-// arena holds the nodes keep and keepSort make, carved from chunks it keeps
-// across compiles: the planner takes it from arenas and Optimize returns it,
-// so a compile allocates its kept nodes only where the arena it took has not
-// yet grown to the size this compile needs. Kept nodes live here until
-// Optimize copies the chosen tree out (detach); the plan it returns owns every
-// node and array it reaches, and nothing else of the arena survives it.
+// arena holds the nodes keep and keepSort make and the join groups settle
+// makes, carved from chunks it keeps across compiles: the planner takes it
+// from arenas and Optimize returns it, so a compile allocates its kept nodes
+// only where the arena it took has not yet grown to the size this compile
+// needs. Kept nodes live here until Optimize copies the chosen tree out
+// (detach); the plan it returns owns every node and array it reaches, and
+// nothing else of the arena survives it.
 type arena struct {
 	plans slab[Plan]
 	kids  slab[*Plan]
@@ -236,10 +242,36 @@ func cloneOrNil[T any](s []T) []T {
 // generation, the order of narrowings — deterministic by construction.
 type group []*Plan
 
-// scratch is the planner-owned storage join candidates are built in; during
-// the enumeration, only those that will take their slot are (split.builds).
-// Only one that takes a slot is copied to the arena (planner.keep), together
-// with the SORT or index-probe child built for it.
+// recipe is a candidate holding its order slot in pend: for a join, what
+// split.build needs to build it — shape and outer are the split and outer
+// plan it joins, ij its probed index for an index NLJN, and flip marks the
+// hash join that builds on the outer subset. An MVSCAN needs no build; its
+// recipe carries the plan itself as outer.
+type recipe struct {
+	shape   *splitShape
+	outer   *Plan
+	ij      *indexJoin
+	op      OpKind
+	flip    bool
+	ordered int
+	cost    float64
+}
+
+// slotOf returns the index of the order slot ordered in s, sorted by order
+// key: its incumbent's, or where one for it is inserted when it is vacant.
+func slotOf[T any](s []T, ordered int, key func(T) int) (i int, vacant bool) {
+	for i < len(s) && key(s[i]) < ordered {
+		i++
+	}
+	return i, i == len(s) || key(s[i]) != ordered
+}
+
+func planOrder(p *Plan) int    { return p.ordered }
+func recipeOrder(r recipe) int { return r.ordered }
+
+// scratch is the planner-owned storage joins are built in: by settle, once
+// per slot winner, before keep copies it to the arena with the SORT or
+// index-probe child built for it, and by narrowing, which only reads it.
 type scratch struct {
 	node    Plan
 	kids    [2]*Plan
@@ -456,65 +488,79 @@ func (o *Optimizer) parallelJoin(p *Plan) *Plan {
 	return o.wrapExchange(ExGather, j)
 }
 
-// addPath offers a base access path or an MVSCAN for its slot.
+// addPath offers a single table's access path, or an MVSCAN of it, for its
+// order slot in its group: it takes the slot if the slot is vacant or its
+// incumbent costs more. Pruning sets no validity range and reads none. The
+// slots of larger subsets are decided in pend (planner.record) and written
+// by settle.
 func (pl *planner) addPath(p *Plan) {
-	g := pl.best[p.tables]
-	pl.addCandidate(&g, p)
-	pl.best[p.tables] = g
-}
-
-// slot returns the index of the order slot ordered in g: its incumbent's, or
-// where a plan for it is inserted when it is vacant.
-func (g group) slot(ordered int) (i int, vacant bool) {
-	for i < len(g) && g[i].ordered < ordered {
-		i++
-	}
-	return i, i == len(g) || g[i].ordered != ordered
-}
-
-// addCandidate offers a plan for its order slot in *gp, the group of its
-// subset: it takes the slot if the slot is vacant or its incumbent costs
-// more. Pruning sets no validity range and reads none. cand may live in
-// scratch; it is copied out if it takes the slot. The only joins it sees are
-// slot winners: split.builds counts and drops the others before they are
-// built.
-func (pl *planner) addCandidate(gp *group, cand *Plan) {
 	pl.candidates++
-	g := *gp
-	switch i, vacant := g.slot(cand.ordered); {
+	g := pl.best[p.tables]
+	switch i, vacant := slotOf(g, p.ordered, planOrder); {
 	case vacant:
-		*gp = slices.Insert(g, i, pl.keep(cand, nil))
-	case cand.Cost < g[i].Cost:
-		g[i] = pl.keep(cand, g[i])
+		pl.best[p.tables] = slices.Insert(g, i, p)
+	case p.Cost < g[i].Cost:
+		g[i] = p
 	}
 }
 
-// keep returns cand itself unless it is the scratch candidate, which is
-// copied out along with whichever child was built in scratch for it — over
-// into, the incumbent it displaces, when that is a join built here, else to
-// a fresh arena node. Until its group is complete nothing but the group
-// references a join in it, so the incumbent's node and arrays are free to
-// reuse; base access paths and MVSCANs (no inputs) are never written to.
-// Cols is filled in here: costing never reads a candidate's own column list,
-// and every join's output is its left input's columns followed by its right's.
-func (pl *planner) keep(cand, into *Plan) *Plan {
-	sc := &pl.scratch
-	if cand != &sc.node {
-		return cand
+// record counts candidate r for the subset being enumerated and records it
+// in pend if it takes its order slot: the slot is vacant or its incumbent
+// costs more. A recipe that does not take its slot, or loses it later, is
+// dropped unbuilt.
+func (pl *planner) record(r recipe) {
+	pl.candidates++
+	switch i, vacant := slotOf(pl.pend, r.ordered, recipeOrder); {
+	case vacant:
+		pl.pend = slices.Insert(pl.pend, i, r)
+	case r.cost < pl.pend[i].cost:
+		pl.pend[i] = r
 	}
-	l, r := pl.keepSort(cand.Children[0]), cand.Children[1]
-	if r == &sc.probe {
+}
+
+// settle completes subset mask once its last split is offered: it offers a
+// matching MV after every join, then builds each join recipe pend holds, in
+// slot order, into a fresh arena node, and makes the winners mask's group.
+// So each surviving slot is built exactly once, and a join the MV displaces
+// never is.
+func (pl *planner) settle(mask uint64) {
+	if mv := pl.matchMV(mask); mv != nil {
+		pl.record(recipe{outer: mv, op: OpMVScan, ordered: mv.ordered, cost: mv.Cost})
+	}
+	if len(pl.pend) == 0 {
+		return
+	}
+	s := split{pl: pl, mask: mask, outCard: pl.est.SubsetCard(mask)}
+	g := group(pl.arena.kids.take(len(pl.pend)))
+	for i, r := range pl.pend {
+		if r.op == OpMVScan {
+			g[i] = r.outer
+			continue
+		}
+		s.splitShape = r.shape
+		g[i] = pl.keep(s.build(r))
+		pl.built++
+	}
+	pl.best[mask] = g
+	pl.pend = pl.pend[:0]
+}
+
+// keep copies the scratch join n to a fresh arena node, along with whichever
+// child was built in scratch for it. Cols is filled in here: costing never
+// reads a candidate's own column list, and every join's output is its left
+// input's columns followed by its right's.
+func (pl *planner) keep(n *Plan) *Plan {
+	l, r := pl.keepSort(n.Children[0]), n.Children[1]
+	if r == &pl.scratch.probe {
 		r = pl.arena.node(r)
 	}
-	if into == nil || len(into.Children) != 2 {
-		into = pl.arena.join(len(l.Cols) + len(r.Cols))
-	}
-	kids, cols := into.Children, into.Cols[:0]
-	*into = *cand
+	k := pl.arena.join(len(l.Cols) + len(r.Cols))
+	kids, cols := k.Children, k.Cols
+	*k = *n
 	kids[0], kids[1] = l, r
-	into.Children = kids
-	into.Cols = append(append(cols, l.Cols...), r.Cols...)
-	return into
+	k.Children = kids
+	k.Cols = append(append(cols, l.Cols...), r.Cols...)
+	return k
 }
 
 // bestOf returns the cheapest plan for the subset across all order keys;
@@ -675,7 +721,7 @@ func (pl *planner) enumerateDP(full uint64) {
 			if mask&full != mask || popcount(mask) != size {
 				continue
 			}
-			pl.expandSubset(mask)
+			pl.joinSplits(mask, nil)
 		}
 	}
 }
@@ -683,7 +729,7 @@ func (pl *planner) enumerateDP(full uint64) {
 // narrowChosen sets the validity ranges of p, the detached join tree of the
 // chosen plan (paper §2.2): each join is narrowed against every join
 // candidate joinSplits yields for its table subset — every split, outer plan,
-// join method and order slot expandSubset costs there. The pass reads the
+// join method and order slot the enumeration costs there. The pass reads the
 // arena's groups and writes only p; it counts no candidate and no build.
 func (pl *planner) narrowChosen(p *Plan) {
 	p.Walk(func(w *Plan) {
@@ -693,18 +739,10 @@ func (pl *planner) narrowChosen(p *Plan) {
 	})
 }
 
-// expandSubset generates join plans for a subset from its left-deep splits
-// and offers a matching MV as an alternative.
-func (pl *planner) expandSubset(mask uint64) {
-	pl.joinSplits(mask, nil)
-	if mv := pl.matchMV(mask); mv != nil {
-		pl.addPath(mv)
-	}
-}
-
 // joinSplits offers the joins of every left-deep split of mask whose outer
-// subset has plans — only the connected splits when there are any — to
-// mask's group, or, when chosen is set, to narrowValidity against chosen.
+// subset has plans — only the connected splits when there are any — for
+// mask's order slots, then settles mask; or, when chosen is set, to
+// narrowValidity against chosen.
 func (pl *planner) joinSplits(mask uint64, chosen *Plan) {
 	var shapes [64]*splitShape   // by inner table, for the usable splits
 	var splits, connected uint64 // inner tables of the usable splits
@@ -731,13 +769,15 @@ func (pl *planner) joinSplits(mask uint64, chosen *Plan) {
 			pl.joinSubset(mask&^bit, shapes[ti], chosen)
 		}
 	}
+	if chosen == nil {
+		pl.settle(mask)
+	}
 }
 
 // joinSubset offers every physical join of each plan of subset rest with
-// the inner table of shape sh, to the joined subset's group or, when chosen
-// is set, to narrowValidity against chosen. The split holds the group (none
-// when narrowing) until its candidates are all offered: nothing else reads
-// or writes that group meanwhile.
+// the inner table of shape sh, for the joined subset's order slots in pend
+// or, when chosen is set, to narrowValidity against chosen. The caller
+// settles the subset after its last split.
 func (pl *planner) joinSubset(rest uint64, sh *splitShape, chosen *Plan) {
 	mask := rest | uint64(1)<<uint(sh.ti)
 	s := split{
@@ -747,14 +787,8 @@ func (pl *planner) joinSubset(rest uint64, sh *splitShape, chosen *Plan) {
 		outCard:    pl.est.SubsetCard(mask),
 		chosen:     chosen,
 	}
-	if chosen == nil {
-		s.group = pl.best[mask]
-	}
 	for _, outer := range pl.best[rest] {
 		s.joinCandidates(outer)
-	}
-	if len(s.group) > 0 {
-		pl.best[mask] = s.group
 	}
 }
 
@@ -819,7 +853,6 @@ type split struct {
 	*splitShape
 	pl      *planner
 	mask    uint64  // outer subset plus ti
-	group   group   // mask's plans, held by joinSubset
 	outCard float64 // estimated join output cardinality
 	chosen  *Plan   // the chosen join narrowChosen narrows, or nil
 }
@@ -958,8 +991,7 @@ func (pl *planner) deriveShape(rest uint64, ti int) *splitShape {
 // joinCandidates offers every physical join of outer ⋈ ti the knobs allow:
 // naive NLJN, index NLJN, hash join in both build directions, and merge join
 // with sort enforcers. Each candidate is costed from its inputs' cards and
-// costs before anything is built for it, and built only if split.builds says
-// so.
+// costs, and offered as a recipe; nothing is built for it here.
 func (s *split) joinCandidates(outer *Plan) {
 	o := s.pl.opt
 	pr := &o.Model.Params
@@ -967,79 +999,77 @@ func (s *split) joinCandidates(outer *Plan) {
 	if !o.DisableNLJN {
 		// Naive nested-loop join: always applicable (handles non-equi and
 		// cartesian joins), rescans the inner per outer row.
-		if c := pr.nljnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard); s.builds(outer.ordered, c) {
-			s.offer(OpNLJN, nil, s.joinPred, nil, nil, outer.ordered, outer, in, c)
-		}
+		s.offer(recipe{outer: outer, op: OpNLJN, ordered: outer.ordered,
+			cost: pr.nljnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard)})
 		for i := range s.indexJoins {
 			ij := &s.indexJoins[i]
-			if c := pr.indexNLJNCost(outer.Card, outer.Cost, ij.probeCost, s.outCard); s.builds(outer.ordered, c) {
-				s.offer(OpNLJN, ij, ij.filter, nil, nil, outer.ordered, outer, s.indexProbe(ij, outer), c)
-			}
+			s.offer(recipe{outer: outer, ij: ij, op: OpNLJN, ordered: outer.ordered,
+				cost: pr.indexNLJNCost(outer.Card, outer.Cost, ij.probeCost, s.outCard)})
 		}
 	}
 	if s.probeKeys != nil {
 		// Build on the single table, probe with the outer subset.
-		if c := pr.hsjnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard, len(in.Cols)); s.builds(outer.ordered, c) {
-			s.offer(OpHSJN, nil, s.hashFilter, s.probeKeys, s.buildKeys, outer.ordered, outer, in, c)
-		}
+		s.offer(recipe{outer: outer, op: OpHSJN, ordered: outer.ordered,
+			cost: pr.hsjnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard, len(in.Cols))})
 		// Build on the outer subset, probe with the table.
-		if c := pr.hsjnCost(in.Card, outer.Card, in.Cost, outer.Cost, s.outCard, len(outer.Cols)); s.builds(in.ordered, c) {
-			s.offer(OpHSJN, nil, s.hashFilter, s.buildKeys, s.probeKeys, in.ordered, in, outer, c)
-		}
+		s.offer(recipe{outer: outer, op: OpHSJN, flip: true, ordered: in.ordered,
+			cost: pr.hsjnCost(in.Card, outer.Card, in.Cost, outer.Cost, s.outCard, len(outer.Cols))})
 	}
 	if mi := s.mergeInner; mi != nil {
 		key, lCost := s.mergeLeft[0], outer.Cost
 		if outer.ordered != key {
-			lCost = pr.sortCost(outer.Card, outer.Cost) // sorted puts a SORT under it
+			lCost = pr.sortCost(outer.Card, outer.Cost) // build puts a SORT under it
 		}
-		if c := pr.mgjnCost(outer.Card, mi.Card, lCost, mi.Cost, s.outCard); s.builds(key, c) {
-			s.offer(OpMGJN, nil, s.mergeFilter, s.mergeLeft, s.mergeRight, key, s.pl.sorted(outer, key), mi, c)
-		}
+		s.offer(recipe{outer: outer, op: OpMGJN, ordered: key,
+			cost: pr.mgjnCost(outer.Card, mi.Card, lCost, mi.Cost, s.outCard)})
 	}
 }
 
-// builds reports whether a join candidate of the split that costs cost, for
-// order slot ordered, is to be built: only one that would take its slot is —
-// the slot is vacant or its incumbent costs more — and the rest are counted
-// and dropped. That is exact: addCandidate leaves the group as it is for a
-// candidate that does not take its slot. A split narrowing a chosen join
-// holds an empty group, so it builds every candidate.
-func (s *split) builds(ordered int, cost float64) bool {
-	if i, vacant := s.group.slot(ordered); vacant || cost < s.group[i].Cost {
-		return true
+// offer records join recipe r of the split for its order slot
+// (planner.record). When the split narrows a chosen join, offer instead
+// builds r and narrows chosen against it.
+func (s *split) offer(r recipe) {
+	pl := s.pl
+	r.shape = s.splitShape
+	if s.chosen != nil {
+		pl.narrowings++
+		pl.opt.Model.narrowValidity(s.chosen, s.build(r))
+		return
 	}
-	s.pl.candidates++
-	return false
+	pl.record(r)
 }
 
-// offer builds an op join of l and r in the planner's scratch node, with the
-// cost the caller computed for it, and offers it for the split's group, or
-// narrows the split's chosen join against it. Every NLJN carries the split's
-// join predicate; ij, when set, makes it an index NLJN. Only the fields a
-// join sets are written — the scratch node never holds anything else — so no
-// Plan is copied per candidate.
-func (s *split) offer(op OpKind, ij *indexJoin, filter expr.Expr, equiLeft, equiRight []int, ordered int, l, r *Plan, cost float64) {
+// build builds r, a join of the split, in the planner's scratch node and
+// returns it. Every NLJN carries the split's join predicate; r.ij, when set,
+// makes it an index NLJN. Only the fields a join sets are written — the
+// scratch node never holds anything else — so no Plan is copied per build.
+func (s *split) build(r recipe) *Plan {
 	pl := s.pl
 	sc := &pl.scratch
 	n := &sc.node
-	n.Op, n.Filter, n.EquiLeft, n.EquiRight, n.ordered = op, filter, equiLeft, equiRight, ordered
-	n.JoinPred, n.IndexJoin, n.LookupCol = nil, false, 0
-	if op == OpNLJN {
-		n.JoinPred = s.joinPred
+	l, in := r.outer, s.inner
+	n.Op, n.ordered, n.Card, n.Cost, n.tables = r.op, r.ordered, s.outCard, r.cost, s.mask
+	n.JoinPred, n.IndexJoin, n.LookupCol, n.EquiLeft, n.EquiRight = nil, false, 0, nil, nil
+	switch r.op {
+	case OpNLJN:
+		n.Filter, n.JoinPred = s.joinPred, s.joinPred
+		if ij := r.ij; ij != nil {
+			n.Filter, n.IndexJoin, n.LookupCol = ij.filter, true, ij.lookupCol
+			in = s.indexProbe(ij, l)
+		}
+	case OpHSJN:
+		n.Filter, n.EquiLeft, n.EquiRight = s.hashFilter, s.probeKeys, s.buildKeys
+		if r.flip {
+			l, in = in, l
+			n.EquiLeft, n.EquiRight = s.buildKeys, s.probeKeys
+		}
+	default: // OpMGJN
+		n.Filter, n.EquiLeft, n.EquiRight = s.mergeFilter, s.mergeLeft, s.mergeRight
+		l, in = pl.sorted(l, r.ordered), s.mergeInner
 	}
-	if ij != nil {
-		n.IndexJoin, n.LookupCol = true, ij.lookupCol
-	}
-	sc.kids = [2]*Plan{l, r}
+	sc.kids = [2]*Plan{l, in}
 	n.Children = sc.kids[:]
-	n.Card, n.Cost, n.tables = s.outCard, cost, s.mask
-	if s.chosen != nil {
-		pl.narrowings++
-		pl.opt.Model.narrowValidity(s.chosen, n)
-		return
-	}
-	pl.built++
-	pl.addCandidate(&s.group, n)
+	return n
 }
 
 // indexProbe fills the scratch probe node with the parameterized index-probe
@@ -1054,7 +1084,7 @@ func (s *split) indexProbe(ij *indexJoin, outer *Plan) *Plan {
 	if perProbe < 1e-6 {
 		perProbe = 1e-6
 	}
-	// Set field by field, as in offer: a Plan literal would zero and copy the
+	// Set field by field, as in build: a Plan literal would zero and copy the
 	// whole node per candidate. No other field of the probe is ever written.
 	p := &pl.scratch.probe
 	p.Op, p.Table, p.IndexOrd = OpIndexScan, ti, ij.ord
@@ -1075,7 +1105,7 @@ func (pl *planner) sorted(p *Plan, col int) *Plan {
 	sc := &pl.scratch
 	sc.sortKid[0] = p
 	sc.sortKey[0] = SortKey{Col: col}
-	// Set field by field, as in offer; no other field of it is ever written.
+	// Set field by field, as in build; no other field of it is ever written.
 	s := &sc.sort
 	s.Op, s.Children, s.SortKeys = OpSort, sc.sortKid[:], sc.sortKey[:]
 	s.Cols, s.Card, s.tables, s.ordered = p.Cols, p.Card, p.tables, col

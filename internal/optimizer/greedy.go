@@ -109,9 +109,7 @@ func (pl *planner) enumerateGreedyVisible(full uint64) error {
 		}
 		pl.joinSubset(joined, pl.shape(joined, next), nil)
 		joined |= 1 << uint(next)
-		if mv := pl.matchMV(joined); mv != nil {
-			pl.addPath(mv)
-		}
+		pl.settle(joined)
 		if len(pl.best[joined]) == 0 {
 			return maskError(pl.est, joined)
 		}

@@ -31,12 +31,17 @@ func checkOwnCosts(t *testing.T, m *CostModel, p *Plan, seen map[*Plan]bool, whe
 	}
 }
 
-// joinOnce offers the joins of outer ⋈ s's table to an empty group, as the
-// enumeration does, and returns the group.
+// joinOnce offers the joins of outer ⋈ s's table for an empty subset, as the
+// enumeration does, settles the subset and returns its group. The estimator
+// knows only the split's output cardinality, and there is no catalog to
+// match a view in.
 func joinOnce(o *Optimizer, s split, outer *Plan) group {
-	s.pl = &planner{opt: o, arena: new(arena)}
+	o.DisableMVReuse = true
+	est := &estimator{subsets: map[uint64]float64{s.mask: s.outCard}}
+	s.pl = &planner{opt: o, est: est, best: map[uint64]group{}, arena: new(arena)}
 	s.joinCandidates(outer)
-	return s.group
+	s.pl.settle(s.mask)
+	return s.pl.best[s.mask]
 }
 
 // TestJoinCostMatchesRecost: the DP costs each join candidate from scalars
@@ -132,6 +137,39 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 			},
 		},
 		{
+			name:  "equal costs for one slot",
+			cfg:   func(o *Optimizer) { o.DisableNLJN = true },
+			s:     hashSplit(50, inner(100, 300, 2, -1)),
+			outer: leaf(100, 300, 2, -1),
+			check: func(t *testing.T, m *CostModel, g group) {
+				// Both build directions cost the same bits for the
+				// unordered slot: the one offered first, probing with the
+				// outer, keeps it.
+				if len(g) != 1 || g[0].Op != OpHSJN || g[0].Children[0].tables != 0b01 {
+					t.Errorf("want one HSJN probing with the outer, got %d plans, probe side tabs=%b", len(g), g[0].Children[0].tables)
+				}
+			},
+		},
+		{
+			name: "NaN costs take only vacant slots",
+			cfg:  func(*Optimizer) {},
+			s: split{mask: 0b11, outCard: 300, splitShape: &splitShape{ti: 1, inner: inner(50, 70, 1, -1),
+				indexJoins: []indexJoin{{lookupCol: 3, ord: 0, probeCost: math.NaN()}},
+				mergeLeft:  []int{3}, mergeRight: []int{4}, mergeInner: inner(200, math.NaN(), 1, 4)}},
+			outer: leaf(100, 400, 2, -1),
+			check: func(t *testing.T, m *CostModel, g group) {
+				// The naive NLJN holds the unordered slot against the
+				// NaN-costed index NLJN offered after it; the NaN-costed
+				// merge join takes the vacant merge-key slot.
+				if len(g) != 2 || g[0].Op != OpNLJN || g[0].IndexJoin || math.IsNaN(g[0].Cost) {
+					t.Fatalf("want the naive NLJN in the unordered slot, got %d plans, %s", len(g), g[0].Op)
+				}
+				if g[1].Op != OpMGJN || !math.IsNaN(g[1].Cost) {
+					t.Errorf("want the NaN-costed MGJN in the merge-key slot, got %s cost %v", g[1].Op, g[1].Cost)
+				}
+			},
+		},
+		{
 			name:  "NaN inner cardinality",
 			cfg:   func(*Optimizer) {},
 			s:     hashSplit(20, inner(math.NaN(), 30, 1, 4)),
@@ -198,17 +236,52 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 	}
 }
 
-// TestBuiltCandidateBudget is the tripwire for cost-first pruning: on the
-// widest DMV compile, the DP builds about 30 of every 100 join and
-// access-path candidates it costs in scratch, and the greedy chain about 38.
-// Building every candidate (no pruning, or pruning after the scratch write)
-// builds nearly all of them.
+// TestBuiltCandidateBudget pins one build per surviving slot: the
+// enumeration records each subset's slot winners as recipes and builds them
+// once the subset is complete, so over every workload query, under
+// compileConfigs and the greedy chain, the joins built must equal the join
+// plans held by the groups of two or more tables. On the widest DMV compile
+// that is about 6 of every 100 join and access-path candidates costed under
+// DP, and 20 under the greedy chain. Building each candidate that took its
+// slot when it was offered built 30 and 38 of them.
 func TestBuiltCandidateBudget(t *testing.T) {
+	for _, w := range compileWorkloads(t) {
+		cat := w.cat
+		for _, c := range withGreedy() {
+			for _, nq := range w.queries {
+				var fb *stats.Feedback
+				if c.reopt {
+					fb = reoptState(t, cat, nq.q)
+				}
+				o := New(cat)
+				c.cfg(o)
+				o.Feedback = fb
+				pl, _ := chosenJoins(t, o, nq.q)
+				joins := 0
+				for mask, g := range pl.best {
+					if popcount(mask) < 2 {
+						continue
+					}
+					for _, p := range g {
+						if len(p.Children) == 2 {
+							joins++
+						}
+					}
+				}
+				if pl.built != joins {
+					t.Errorf("%s %s: %d joins built, the groups hold %d", c.name, nq.name, pl.built, joins)
+				}
+				pl.arena.release()
+				cat.DropViews()
+			}
+		}
+	}
+
 	cat, q := widestDMV(t)
 	for _, c := range []struct {
 		order  JoinOrder
 		budget int // per cent of the candidates costed
-	}{{JoinOrderAuto, 35}, {JoinOrderGreedy, 50}} {
+	}{{JoinOrderAuto, 8}, {JoinOrderGreedy, 25}} {
 		o := New(cat)
 		o.JoinOrder = c.order
 		pl, _ := chosenJoins(t, o, q)

@@ -122,6 +122,11 @@ var compileConfigs = []compileConfig{
 	{"reopt", true, func(*Optimizer) {}},
 }
 
+// withGreedy is compileConfigs plus the greedy chain.
+func withGreedy() []compileConfig {
+	return append(slices.Clip(compileConfigs), compileConfig{"greedy", false, func(o *Optimizer) { o.JoinOrder = JoinOrderGreedy }})
+}
+
 // chosenJoins enumerates q as Optimize does under o — the greedy chain for
 // JoinOrderGreedy, DP otherwise, for joins no wider than DP's limit — and
 // returns the planner and the detached join tree of the chosen plan, before
@@ -146,12 +151,12 @@ func chosenJoins(t *testing.T, o *Optimizer, q *logical.Query) (*planner, *Plan)
 
 // joinCandidatesOf counts the join candidates of subset mask the way the
 // enumeration costs them: the subset's group is emptied and rebuilt by
-// expandSubset, as the DP builds it, and the MVSCAN it offers
-// is subtracted. The group is then put back as it was.
+// joinSplits, as the DP builds it, and the MVSCAN settle offers is
+// subtracted. The group is then put back as it was.
 func joinCandidatesOf(pl *planner, mask uint64) int {
 	g, before := pl.best[mask], pl.candidates
 	pl.best[mask] = nil
-	pl.expandSubset(mask)
+	pl.joinSplits(mask, nil)
 	n := pl.candidates - before
 	if pl.matchMV(mask) != nil {
 		n--
@@ -171,10 +176,9 @@ func joinCandidatesOf(pl *planner, mask uint64) int {
 // bounded ranges, and the reoptimization state must reuse its temp MV, or
 // the pass was vacuous.
 func TestRangesMeetEveryCandidate(t *testing.T) {
-	configs := append(slices.Clip(compileConfigs), compileConfig{"greedy", false, func(o *Optimizer) { o.JoinOrder = JoinOrderGreedy }})
 	for _, w := range compileWorkloads(t) {
 		cat, queries := w.cat, w.queries
-		for _, c := range configs {
+		for _, c := range withGreedy() {
 			bounded, mvScans, joins := 0, 0, 0
 			for _, nq := range queries {
 				var fb *stats.Feedback

@@ -17,7 +17,7 @@ type splitVisit struct {
 
 // groupSplits returns, in ascending order, every split of a subset that has
 // plans with a table outside it. After enumerateDP that is exactly the set
-// of splits both of its passes visit: expandSubset looks up the shape of
+// of splits both of its passes visit: joinSplits looks up the shape of
 // every such split of every subset, for its connectivity test. After the
 // greedy chain it is a superset of the chain's splits.
 func groupSplits(pl *planner) []splitVisit {
