@@ -207,6 +207,19 @@ func (c *Catalog) DropViewsPrefixed(prefix string) {
 	}
 }
 
+// HasViewsPrefixed reports whether any temp MV's signature carries the given
+// prefix: whether one statement's namespace holds a view to match.
+func (c *Catalog) HasViewsPrefixed(prefix string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for sig := range c.views {
+		if strings.HasPrefix(sig, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
 // ViewCount returns the number of live temp MVs.
 func (c *Catalog) ViewCount() int {
 	c.mu.RLock()

@@ -135,6 +135,15 @@ func TestMatViewRegistry(t *testing.T) {
 	if c.ViewCount() != 2 {
 		t.Error("views listing")
 	}
+	for prefix, want := range map[string]bool{"": true, "si": true, "oth": true, "x": false, "sigs": false} {
+		if got := c.HasViewsPrefixed(prefix); got != want {
+			t.Errorf("HasViewsPrefixed(%q) = %v, want %v", prefix, got, want)
+		}
+	}
+	c.DropViewsPrefixed("si")
+	if c.HasViewsPrefixed("si") || !c.HasViewsPrefixed("o") {
+		t.Error("HasViewsPrefixed after DropViewsPrefixed")
+	}
 	c.DropViews()
 	if c.ViewCount() != 0 || c.View("sig") != nil {
 		t.Error("drop views failed")

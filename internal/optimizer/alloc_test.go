@@ -51,12 +51,13 @@ func widestDMV(t *testing.T) (*catalog.Catalog, *logical.Query) {
 // the slot winners to 44,287 (1.74 MB). Deriving each split's shape once per
 // compile rather than once per split brought it to 6,907 (0.70 MB), and
 // recording slot winners as recipes, built once per slot when their subset
-// is complete into groups carved from the arena, to 2,475 (0.53 MB). The
-// ceilings trip on a per-split, per-candidate or per-kept-node allocation
-// creeping back in.
+// is complete into groups carved from the arena, to 2,475 (0.53 MB).
+// Rendering no signature on a compile with no feedback and no view to match
+// brought it to 1,336 (0.32 MB). The ceilings trip on a per-split,
+// per-candidate, per-kept-node or per-subset allocation creeping back in.
 func TestOptimizeAllocBudget(t *testing.T) {
 	cat, q := widestDMV(t)
-	const ceiling, bytesCeiling = 4_000, 680_000
+	const ceiling, bytesCeiling = 1_800, 420_000
 	compile := func() {
 		if _, err := New(cat).Optimize(q); err != nil {
 			t.Fatal(err)

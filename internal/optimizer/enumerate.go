@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -128,9 +129,19 @@ type planner struct {
 	shapes map[splitKey]*splitShape
 
 	// pend holds the slot winners of the subset being enumerated, as
-	// recipes, sorted by order key as a group is; settle builds them once
-	// the subset's last split is offered.
-	pend []recipe
+	// recipes, in the order their slots were first taken; slots maps an
+	// order key k to 1 + the index of k's slot in pend, 0 while k's slot is
+	// vacant, at index k+1 (the unordered key, -1, at 0). Once the subset's
+	// last split is offered, settle builds pend into the subset's group,
+	// placing each recipe by its order key's rank, and clears the slots it
+	// used.
+	pend  []recipe
+	slots []int32
+
+	// views reports that the compile's MV namespace held a view when the
+	// compile began and MV reuse is enabled; without one, matchMV renders
+	// no signature.
+	views bool
 
 	scratch scratch
 	arena   *arena
@@ -257,18 +268,6 @@ type recipe struct {
 	cost    float64
 }
 
-// slotOf returns the index of the order slot ordered in s, sorted by order
-// key: its incumbent's, or where one for it is inserted when it is vacant.
-func slotOf[T any](s []T, ordered int, key func(T) int) (i int, vacant bool) {
-	for i < len(s) && key(s[i]) < ordered {
-		i++
-	}
-	return i, i == len(s) || key(s[i]) != ordered
-}
-
-func planOrder(p *Plan) int    { return p.ordered }
-func recipeOrder(r recipe) int { return r.ordered }
-
 // scratch is the planner-owned storage joins are built in: by settle, once
 // per slot winner, before keep copies it to the arena with the SORT or
 // index-probe child built for it, and by narrowing, which only reads it.
@@ -309,6 +308,8 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 
 		reach:  make([]uint64, len(tabs)),
 		shapes: make(map[splitKey]*splitShape),
+		slots:  make([]int32, q.NumColumns()+1),
+		views:  !o.DisableMVReuse && o.Cat.HasViewsPrefixed(o.MVNamespace),
 		arena:  arenas.Get().(*arena),
 	}
 	pl.est.uncertainty = o.UncertaintyPenalty
@@ -490,56 +491,87 @@ func (o *Optimizer) parallelJoin(p *Plan) *Plan {
 
 // addPath offers a single table's access path, or an MVSCAN of it, for its
 // order slot in its group: it takes the slot if the slot is vacant or its
-// incumbent costs more. Pruning sets no validity range and reads none. The
-// slots of larger subsets are decided in pend (planner.record) and written
-// by settle.
+// incumbent costs more, and then gets its SORT cost. Pruning sets no
+// validity range and reads none. The slots of larger subsets are decided in
+// pend (planner.record) and written by settle.
 func (pl *planner) addPath(p *Plan) {
 	pl.candidates++
 	g := pl.best[p.tables]
-	switch i, vacant := slotOf(g, p.ordered, planOrder); {
-	case vacant:
+	switch i, found := slices.BinarySearchFunc(g, p.ordered, byOrder); {
+	case !found:
 		pl.best[p.tables] = slices.Insert(g, i, p)
 	case p.Cost < g[i].Cost:
 		g[i] = p
+	default:
+		return
 	}
+	p.sortCost = pl.opt.Model.Params.sortCost(p.Card, p.Cost)
 }
 
-// record counts candidate r for the subset being enumerated and records it
-// in pend if it takes its order slot: the slot is vacant or its incumbent
-// costs more. A recipe that does not take its slot, or loses it later, is
-// dropped unbuilt.
-func (pl *planner) record(r recipe) {
+// byOrder compares a group's plan with an order key.
+func byOrder(p *Plan, ordered int) int { return cmp.Compare(p.ordered, ordered) }
+
+// record counts a candidate of the subset being enumerated, with order key
+// ordered and cost cost, and decides its slot before any recipe exists: it
+// returns the pend entry the caller writes the candidate's recipe into if
+// the slot is vacant or its incumbent costs more, and nil otherwise. A
+// candidate that does not take its slot is never formed into a recipe; one
+// that loses its slot later is overwritten unbuilt. An order key past the
+// slot index (an MV ordered on an output column) grows it.
+func (pl *planner) record(ordered int, cost float64) *recipe {
 	pl.candidates++
-	switch i, vacant := slotOf(pl.pend, r.ordered, recipeOrder); {
-	case vacant:
-		pl.pend = slices.Insert(pl.pend, i, r)
-	case r.cost < pl.pend[i].cost:
-		pl.pend[i] = r
+	k := ordered + 1
+	if k >= len(pl.slots) {
+		pl.slots = append(pl.slots, make([]int32, k+1-len(pl.slots))...)
 	}
+	if i := pl.slots[k]; i != 0 {
+		if r := &pl.pend[i-1]; cost < r.cost {
+			return r
+		}
+		return nil
+	}
+	pl.pend = append(pl.pend, recipe{})
+	pl.slots[k] = int32(len(pl.pend))
+	return &pl.pend[len(pl.pend)-1]
 }
 
-// settle completes subset mask once its last split is offered: it offers a
-// matching MV after every join, then builds each join recipe pend holds, in
-// slot order, into a fresh arena node, and makes the winners mask's group.
-// So each surviving slot is built exactly once, and a join the MV displaces
-// never is.
-func (pl *planner) settle(mask uint64) {
+// settle completes subset mask, whose estimated cardinality is outCard,
+// once its last split is offered: it offers a matching MV after every join,
+// then builds each join recipe in pend into a fresh arena node, gives every
+// winner its SORT cost and makes the winners mask's group, sorted by order
+// key: pend holds one recipe per key, so a recipe's index in the group is
+// the number of keys below its own. It clears each slot's index entry as it
+// goes. So each surviving slot is built exactly once, and a join the MV
+// displaces never is.
+func (pl *planner) settle(mask uint64, outCard float64) {
 	if mv := pl.matchMV(mask); mv != nil {
-		pl.record(recipe{outer: mv, op: OpMVScan, ordered: mv.ordered, cost: mv.Cost})
+		if r := pl.record(mv.ordered, mv.Cost); r != nil {
+			*r = recipe{outer: mv, op: OpMVScan, ordered: mv.ordered, cost: mv.Cost}
+		}
 	}
 	if len(pl.pend) == 0 {
 		return
 	}
-	s := split{pl: pl, mask: mask, outCard: pl.est.SubsetCard(mask)}
+	s := split{pl: pl, mask: mask, outCard: outCard}
 	g := group(pl.arena.kids.take(len(pl.pend)))
-	for i, r := range pl.pend {
-		if r.op == OpMVScan {
-			g[i] = r.outer
-			continue
+	cp := &pl.opt.Model.Params
+	for i := range pl.pend {
+		r := &pl.pend[i]
+		pl.slots[r.ordered+1] = 0
+		rank := 0 // r's index in the group: the slots with a lower order key
+		for j := range pl.pend {
+			if pl.pend[j].ordered < r.ordered {
+				rank++
+			}
 		}
-		s.splitShape = r.shape
-		g[i] = pl.keep(s.build(r))
-		pl.built++
+		p := r.outer
+		if r.op != OpMVScan {
+			s.splitShape = r.shape
+			p = pl.keep(s.build(r))
+			pl.built++
+		}
+		p.sortCost = cp.sortCost(p.Card, p.Cost)
+		g[rank] = p
 	}
 	pl.best[mask] = g
 	pl.pend = pl.pend[:0]
@@ -639,8 +671,10 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 // matchMV returns an MVSCAN plan if a temporary materialized view matches
 // the subset's signature (paper §2.3: intermediate results are offered to
 // the optimizer as materialized views and chosen only if they win on cost).
+// When the compile's namespace held no view as it began (planner.views), as
+// on every cold compile, nothing can match and no signature is rendered.
 func (pl *planner) matchMV(mask uint64) *Plan {
-	if pl.opt.DisableMVReuse {
+	if !pl.views {
 		return nil
 	}
 	mv := pl.opt.Cat.View(pl.opt.MVNamespace + pl.est.Signature(mask))
@@ -742,7 +776,8 @@ func (pl *planner) narrowChosen(p *Plan) {
 // joinSplits offers the joins of every left-deep split of mask whose outer
 // subset has plans — only the connected splits when there are any — for
 // mask's order slots, then settles mask; or, when chosen is set, to
-// narrowValidity against chosen.
+// narrowValidity against chosen. It looks mask's cardinality up once for
+// all of them.
 func (pl *planner) joinSplits(mask uint64, chosen *Plan) {
 	var shapes [64]*splitShape   // by inner table, for the usable splits
 	var splits, connected uint64 // inner tables of the usable splits
@@ -764,27 +799,28 @@ func (pl *planner) joinSplits(mask uint64, chosen *Plan) {
 	if connected != 0 {
 		splits = connected // defer cartesian products unless unavoidable
 	}
+	outCard := pl.est.SubsetCard(mask)
 	for ti := range pl.q.Tables {
 		if bit := uint64(1) << uint(ti); splits&bit != 0 {
-			pl.joinSubset(mask&^bit, shapes[ti], chosen)
+			pl.joinSubset(mask&^bit, shapes[ti], outCard, chosen)
 		}
 	}
 	if chosen == nil {
-		pl.settle(mask)
+		pl.settle(mask, outCard)
 	}
 }
 
 // joinSubset offers every physical join of each plan of subset rest with
 // the inner table of shape sh, for the joined subset's order slots in pend
-// or, when chosen is set, to narrowValidity against chosen. The caller
-// settles the subset after its last split.
-func (pl *planner) joinSubset(rest uint64, sh *splitShape, chosen *Plan) {
-	mask := rest | uint64(1)<<uint(sh.ti)
+// or, when chosen is set, to narrowValidity against chosen. outCard is the
+// joined subset's estimated cardinality. The caller settles the subset
+// after its last split.
+func (pl *planner) joinSubset(rest uint64, sh *splitShape, outCard float64, chosen *Plan) {
 	s := split{
 		splitShape: sh,
 		pl:         pl,
-		mask:       mask,
-		outCard:    pl.est.SubsetCard(mask),
+		mask:       rest | uint64(1)<<uint(sh.ti),
+		outCard:    outCard,
 		chosen:     chosen,
 	}
 	for _, outer := range pl.best[rest] {
@@ -991,7 +1027,9 @@ func (pl *planner) deriveShape(rest uint64, ti int) *splitShape {
 // joinCandidates offers every physical join of outer ⋈ ti the knobs allow:
 // naive NLJN, index NLJN, hash join in both build directions, and merge join
 // with sort enforcers. Each candidate is costed from its inputs' cards and
-// costs, and offered as a recipe; nothing is built for it here.
+// costs — a merge join over an unordered outer reads the outer's SORT cost,
+// computed once when the outer entered its group — and offered as scalars;
+// nothing is built for it here.
 func (s *split) joinCandidates(outer *Plan) {
 	o := s.pl.opt
 	pr := &o.Model.Params
@@ -999,51 +1037,56 @@ func (s *split) joinCandidates(outer *Plan) {
 	if !o.DisableNLJN {
 		// Naive nested-loop join: always applicable (handles non-equi and
 		// cartesian joins), rescans the inner per outer row.
-		s.offer(recipe{outer: outer, op: OpNLJN, ordered: outer.ordered,
-			cost: pr.nljnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard)})
+		s.offer(outer, nil, OpNLJN, false, outer.ordered,
+			pr.nljnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard))
 		for i := range s.indexJoins {
 			ij := &s.indexJoins[i]
-			s.offer(recipe{outer: outer, ij: ij, op: OpNLJN, ordered: outer.ordered,
-				cost: pr.indexNLJNCost(outer.Card, outer.Cost, ij.probeCost, s.outCard)})
+			s.offer(outer, ij, OpNLJN, false, outer.ordered,
+				pr.indexNLJNCost(outer.Card, outer.Cost, ij.probeCost, s.outCard))
 		}
 	}
 	if s.probeKeys != nil {
 		// Build on the single table, probe with the outer subset.
-		s.offer(recipe{outer: outer, op: OpHSJN, ordered: outer.ordered,
-			cost: pr.hsjnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard, len(in.Cols))})
+		s.offer(outer, nil, OpHSJN, false, outer.ordered,
+			pr.hsjnCost(outer.Card, in.Card, outer.Cost, in.Cost, s.outCard, len(in.Cols)))
 		// Build on the outer subset, probe with the table.
-		s.offer(recipe{outer: outer, op: OpHSJN, flip: true, ordered: in.ordered,
-			cost: pr.hsjnCost(in.Card, outer.Card, in.Cost, outer.Cost, s.outCard, len(outer.Cols))})
+		s.offer(outer, nil, OpHSJN, true, in.ordered,
+			pr.hsjnCost(in.Card, outer.Card, in.Cost, outer.Cost, s.outCard, len(outer.Cols)))
 	}
 	if mi := s.mergeInner; mi != nil {
 		key, lCost := s.mergeLeft[0], outer.Cost
 		if outer.ordered != key {
-			lCost = pr.sortCost(outer.Card, outer.Cost) // build puts a SORT under it
+			lCost = outer.sortCost // build puts a SORT under it
 		}
-		s.offer(recipe{outer: outer, op: OpMGJN, ordered: key,
-			cost: pr.mgjnCost(outer.Card, mi.Card, lCost, mi.Cost, s.outCard)})
+		s.offer(outer, nil, OpMGJN, false, key,
+			pr.mgjnCost(outer.Card, mi.Card, lCost, mi.Cost, s.outCard))
 	}
 }
 
-// offer records join recipe r of the split for its order slot
-// (planner.record). When the split narrows a chosen join, offer instead
-// builds r and narrows chosen against it.
-func (s *split) offer(r recipe) {
+// offer takes one join candidate of the split as scalars: its outer plan,
+// probed index (index NLJN), operator, build side (flip: a hash join built
+// on the outer), order key and cost. It counts the candidate and asks
+// planner.record whether it takes its order slot; only then is its recipe
+// written, into pend. When the split narrows a chosen join, offer instead
+// builds the candidate and narrows chosen against it.
+func (s *split) offer(outer *Plan, ij *indexJoin, op OpKind, flip bool, ordered int, cost float64) {
 	pl := s.pl
-	r.shape = s.splitShape
 	if s.chosen != nil {
 		pl.narrowings++
-		pl.opt.Model.narrowValidity(s.chosen, s.build(r))
+		r := recipe{outer: outer, ij: ij, op: op, flip: flip, ordered: ordered, cost: cost}
+		pl.opt.Model.narrowValidity(s.chosen, s.build(&r))
 		return
 	}
-	pl.record(r)
+	if r := pl.record(ordered, cost); r != nil {
+		*r = recipe{shape: s.splitShape, outer: outer, ij: ij, op: op, flip: flip, ordered: ordered, cost: cost}
+	}
 }
 
 // build builds r, a join of the split, in the planner's scratch node and
 // returns it. Every NLJN carries the split's join predicate; r.ij, when set,
 // makes it an index NLJN. Only the fields a join sets are written — the
 // scratch node never holds anything else — so no Plan is copied per build.
-func (s *split) build(r recipe) *Plan {
+func (s *split) build(r *recipe) *Plan {
 	pl := s.pl
 	sc := &pl.scratch
 	n := &sc.node

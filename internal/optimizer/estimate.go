@@ -32,7 +32,7 @@ type estimator struct {
 	// above, which are immutable for the estimator's lifetime, so memoizing
 	// returns bit-identical values in identical call orders.
 	lk        stats.Lookup       // interned lookup closure
-	fbHas     bool               // fb had entries at construction
+	fbHas     bool               // fb had entries at construction; gates every feedback lookup
 	joinPreds []predMask         // join predicates with cached table masks
 	joinSel   []float64          // memoized joinPredSelectivity (NaN = unset)
 	baseCard  []float64          // memoized filteredBaseCard (NaN = unset)
@@ -218,11 +218,20 @@ func (e *estimator) filteredBaseCard(ti int) float64 {
 	return card
 }
 
+// feedbackCard returns the feedback cache's observed cardinality for the
+// subset mask. Only an estimator whose cache held entries at construction
+// looks: an empty cache has no hit, so a cold compile renders no signature
+// here.
+func (e *estimator) feedbackCard(mask uint64) (float64, bool) {
+	if !e.fbHas {
+		return 0, false
+	}
+	return e.fb.Get(e.Signature(mask))
+}
+
 func (e *estimator) filteredBaseCardUncached(ti int) float64 {
-	if e.fb != nil {
-		if card, ok := e.fb.Get(e.Signature(1 << uint(ti))); ok {
-			return card
-		}
+	if card, ok := e.feedbackCard(1 << uint(ti)); ok {
+		return card
 	}
 	card := e.baseTableCard(ti)
 	for _, p := range e.q.LocalPredicates(ti) {
@@ -263,10 +272,8 @@ func (e *estimator) SubsetCard(mask uint64) float64 {
 }
 
 func (e *estimator) subsetCardUncached(mask uint64) float64 {
-	if e.fb != nil {
-		if card, ok := e.fb.Get(e.Signature(mask)); ok {
-			return card
-		}
+	if card, ok := e.feedbackCard(mask); ok {
+		return card
 	}
 	card := 1.0
 	for i := range e.q.Tables {

@@ -107,9 +107,11 @@ func (pl *planner) enumerateGreedyVisible(full uint64) error {
 				next, bestStep = ti, step
 			}
 		}
-		pl.joinSubset(joined, pl.shape(joined, next), nil)
-		joined |= 1 << uint(next)
-		pl.settle(joined)
+		mask := joined | 1<<uint(next)
+		outCard := pl.est.SubsetCard(mask)
+		pl.joinSubset(joined, pl.shape(joined, next), outCard, nil)
+		pl.settle(mask, outCard)
+		joined = mask
 		if len(pl.best[joined]) == 0 {
 			return maskError(pl.est, joined)
 		}

@@ -233,6 +233,10 @@ type Plan struct {
 	// Internal bookkeeping used during enumeration.
 	tables  uint64 // bitmask of base tables covered
 	ordered int    // global col id the output is ordered on (-1 = none)
+	// sortCost is the cost of a SORT over this plan, set when the plan
+	// enters a group (addPath, settle): every merge-join candidate with
+	// this plan as its unordered outer reads it instead of recomputing it.
+	sortCost float64
 }
 
 // Tables returns the bitmask of base tables this subtree covers.

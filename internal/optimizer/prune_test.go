@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/stats"
 )
 
@@ -31,17 +32,45 @@ func checkOwnCosts(t *testing.T, m *CostModel, p *Plan, seen map[*Plan]bool, whe
 	}
 }
 
-// joinOnce offers the joins of outer ⋈ s's table for an empty subset, as the
-// enumeration does, settles the subset and returns its group. The estimator
-// knows only the split's output cardinality, and there is no catalog to
-// match a view in.
-func joinOnce(o *Optimizer, s split, outer *Plan) group {
-	o.DisableMVReuse = true
-	est := &estimator{subsets: map[uint64]float64{s.mask: s.outCard}}
-	s.pl = &planner{opt: o, est: est, best: map[uint64]group{}, arena: new(arena)}
-	s.joinCandidates(outer)
-	s.pl.settle(s.mask)
-	return s.pl.best[s.mask]
+// joinStep is one subset joinOnce enumerates: the joins of outer ⋈ s's
+// table.
+type joinStep struct {
+	s     split
+	outer *Plan
+}
+
+// joinOnce enumerates each step's subset on one planner, in turn, as the
+// enumeration does: the outer enters its group through addPath, as an access
+// path does, its joins are offered, and the subset is settled. When mv is
+// set, the last subset's signature names it, so settle offers an MVSCAN of
+// it after the joins; otherwise the planner knows of no view. The slot index
+// is sized as newPlanner sizes it for a query of five columns, the ids 0–4
+// the cases use. joinOnce fails the test if a settle leaves an index entry
+// set, and returns the last subset's group.
+func joinOnce(t *testing.T, o *Optimizer, steps []joinStep, mv *catalog.MatView) group {
+	t.Helper()
+	est := &estimator{subsets: map[uint64]float64{}, sigs: map[uint64]string{}}
+	pl := &planner{opt: o, est: est, best: map[uint64]group{}, slots: make([]int32, 5+1), arena: new(arena)}
+	last := steps[len(steps)-1].s.mask
+	if mv != nil {
+		o.Cat = catalog.New()
+		o.Cat.RegisterView(mv)
+		est.sigs[last] = mv.Signature
+		pl.views = true
+	}
+	for _, st := range steps {
+		est.subsets[st.s.mask] = st.s.outCard
+		pl.addPath(st.outer)
+		st.s.pl = pl
+		st.s.joinCandidates(st.outer)
+		pl.settle(st.s.mask, st.s.outCard)
+		for k, i := range pl.slots {
+			if i != 0 {
+				t.Fatalf("settling subset %b left order key %d's slot index at %d", st.s.mask, k-1, i)
+			}
+		}
+	}
+	return pl.best[last]
 }
 
 // TestJoinCostMatchesRecost: the DP costs each join candidate from scalars
@@ -68,8 +97,10 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   func(*Optimizer)
+		prior []joinStep // subsets enumerated and settled first, on the same planner
 		s     split
 		outer *Plan
+		mv    *catalog.MatView // a view of the subset, offered after its joins
 		// check is what the case exists for, beyond matching Recost.
 		check func(t *testing.T, m *CostModel, g group)
 	}{
@@ -180,12 +211,54 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 				}
 			},
 		},
+		{
+			name:  "MVSCAN ordered past the column ids",
+			cfg:   func(o *Optimizer) { o.DisableNLJN = true },
+			s:     hashSplit(50, inner(100, 300, 2, 4)),
+			outer: leaf(100, 300, 2, -1),
+			// Ordered on column id 9, past the index newPlanner sizes for
+			// five columns, as a view of an output column can be.
+			mv: &catalog.MatView{Signature: "mv", Cols: []int{0, 1, 2, 3}, Card: 5, Sorted: true, OrderedCol: 9},
+			check: func(t *testing.T, m *CostModel, g group) {
+				if len(g) != 3 || g[0].ordered != -1 || g[1].ordered != 4 {
+					t.Fatalf("want the two hash joins' slots (-1, 4) before the view's, got %d plans", len(g))
+				}
+				if g[2].Op != OpMVScan || g[2].ordered != 9 {
+					t.Errorf("want the MVSCAN ordered on 9 last, got %s ordered on %d", g[2].Op, g[2].ordered)
+				}
+			},
+		},
+		{
+			name: "subsets settled back to back",
+			cfg:  func(*Optimizer) {},
+			// The first subset's slots -1 and 3 are taken by cheap joins and
+			// settled; every candidate of the second costs more than they did.
+			prior: []joinStep{{mergeSplit, leaf(100, 400, 2, -1)}},
+			s:     split{mask: 0b110, outCard: 50, splitShape: hashSplit(50, inner(100, 300, 2, 4)).splitShape},
+			outer: func() *Plan {
+				p := leaf(100, 5000, 2, -1)
+				p.tables = 0b100
+				return p
+			}(),
+			check: func(t *testing.T, m *CostModel, g group) {
+				// The second subset's first candidate for the unordered key
+				// finds its slot vacant, not the first subset's winner.
+				if len(g) != 2 || g[0].ordered != -1 || g[1].ordered != 4 {
+					t.Fatalf("want the second subset's slots -1 and 4, got %d plans", len(g))
+				}
+				for _, p := range g {
+					if p.tables != 0b110 || p.Cost < 5000 {
+						t.Errorf("slot %d holds tabs=%b cost %v, want a join of the second subset", p.ordered, p.tables, p.Cost)
+					}
+				}
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			o := New(nil)
 			c.cfg(o)
-			g := joinOnce(o, c.s, c.outer)
+			g := joinOnce(t, o, append(c.prior, joinStep{c.s, c.outer}), c.mv)
 			if len(g) == 0 {
 				t.Fatal("no candidate was built")
 			}
