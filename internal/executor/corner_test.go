@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
@@ -314,6 +315,77 @@ func TestEmptyAggregationYieldsOneRow(t *testing.T) {
 	}
 }
 
+// TestAggregateArgumentKinds: SUM and AVG of a string are an error, not a
+// panic; over no rows they are NULL, as for any kind; COUNT, MIN and MAX of a
+// string work.
+func TestAggregateArgumentKinds(t *testing.T) {
+	c := catalog.New()
+	tab, err := c.CreateTable("s", schema.New(
+		schema.Column{Name: "x", Type: types.KindInt},
+		schema.Column{Name: "name", Type: types.KindString},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"b", "a", "c"} {
+		tab.Heap.MustInsert(schema.Row{types.NewInt(int64(i + 1)), types.NewString(name)})
+	}
+	if err := c.AnalyzeAll(); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		agg   logical.AggKind
+		col   string
+		empty bool // WHERE s.x > 9: no row reaches the aggregate
+		want  string
+		err   string
+	}{
+		{agg: logical.AggSum, col: "name", err: "executor: SUM of VARCHAR, not a number"},
+		{agg: logical.AggAvg, col: "name", err: "executor: AVG of VARCHAR, not a number"},
+		{agg: logical.AggSum, col: "name", empty: true, want: "NULL"},
+		{agg: logical.AggAvg, col: "name", empty: true, want: "NULL"},
+		{agg: logical.AggSum, col: "x", want: "6"},
+		{agg: logical.AggCount, col: "name", want: "3"},
+		{agg: logical.AggMin, col: "name", want: "'a'"},
+		{agg: logical.AggMax, col: "name", want: "'c'"},
+	}
+	for _, tc := range cases {
+		b := logical.NewBuilder(c)
+		b.AddTable("s", "s")
+		b.SelectAgg(tc.agg, b.Col("s", tc.col), "v")
+		if tc.empty {
+			b.Where(&expr.Cmp{Op: expr.GT, L: b.Col("s", "x"), R: &expr.Const{Val: types.NewInt(9)}})
+		}
+		q, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := optimizer.New(c)
+		plan, err := opt.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &Meter{}
+		ex, _ := NewExecutor(c, q, nil, opt.Model.Params, m)
+		root, _ := ex.Build(plan)
+		rows, err := Run(root)
+		name := fmt.Sprintf("%s(%s) empty=%t", tc.agg, tc.col, tc.empty)
+		switch {
+		case tc.err != "":
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s: err %v, want %q", name, err, tc.err)
+			}
+			if m.Work() == 0 {
+				t.Errorf("%s: the rows absorbed before the error were not charged", name)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", name, err)
+		case len(rows) != 1 || rows[0][0].String() != tc.want:
+			t.Errorf("%s: rows %v, want [[%s]]", name, rows, tc.want)
+		}
+	}
+}
+
 // TestNaiveNLJNRowsDoNotAliasScratch: the naive nested-loop join evaluates
 // its filter on a node-owned scratch row and must hand out copies. Scribbling
 // over every row of every returned batch — including the outer prefix the
@@ -390,6 +462,65 @@ func TestNaiveNLJNRowsDoNotAliasScratch(t *testing.T) {
 		if i >= len(got) || got[i] != want[i] {
 			t.Fatalf("row %d changed after earlier rows were overwritten:\n got %v\nwant %v", i, got, want)
 		}
+	}
+}
+
+// TestNaiveNLJNTestsPairInPlace: a naive NLJN whose filter conjuncts all
+// compile to comparisons reads both input rows in place and never fills its
+// pair scratch; a conjunct with arithmetic needs the joined row, so there
+// the scratch is filled. Both give the same rows.
+func TestNaiveNLJNTestsPairInPlace(t *testing.T) {
+	cat := pairFixture(t, ints(5, 5, 6), ints(5, 5, 5, 6))
+	run := func(arith bool) ([]string, schema.Row) {
+		b := logical.NewBuilder(cat)
+		b.AddTable("lt", "l")
+		b.AddTable("rt", "r")
+		b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("l", "lk"), R: b.Col("r", "rk")})
+		var lv expr.Expr = b.Col("l", "lv")
+		if arith {
+			lv = &expr.Arith{Op: expr.Add, L: lv, R: &expr.Const{Val: types.NewInt(0)}}
+		}
+		b.Where(&expr.Cmp{Op: expr.LT, L: lv, R: b.Col("r", "rv")})
+		b.SelectCol("r", "rv")
+		q, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := optimizer.New(cat)
+		joinConfigs["naive"](opt)
+		plan, err := opt.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, _ := NewExecutor(cat, q, nil, opt.Model.Params, &Meter{})
+		root, err := ex.Build(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := Run(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, ok := naiveJoinPair(root)
+		if !ok {
+			t.Fatalf("no naive NLJN in plan:\n%s", optimizer.Explain(plan, q))
+		}
+		var out []string
+		for _, r := range rows {
+			out = append(out, r.String())
+		}
+		return out, pair
+	}
+	got, pair := run(false)
+	if pair != nil {
+		t.Errorf("resolved filter filled the pair scratch: %v", pair)
+	}
+	want, pair := run(true)
+	if pair == nil {
+		t.Error("an arithmetic conjunct must evaluate on the joined row, but the pair scratch is nil")
+	}
+	if len(want) != 7 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("rows %v, want the 7 of %v", got, want)
 	}
 }
 

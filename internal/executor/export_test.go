@@ -1,6 +1,10 @@
 package executor
 
-import "runtime"
+import (
+	"runtime"
+
+	"repro/internal/schema"
+)
 
 // ChargeAllocsPerRun measures the average heap allocations one work charge
 // performs, in the style of testing.AllocsPerRun. TestChargeZeroAllocWhenOff
@@ -19,4 +23,17 @@ func ChargeAllocsPerRun(runs int, analyze bool) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// naiveJoinPair returns the filter scratch row of the naive nested-loop
+// join under root, and whether there is one.
+func naiveJoinPair(root Node) (schema.Row, bool) {
+	var pair schema.Row
+	found := false
+	Walk(root, func(n Node) {
+		if j, ok := n.(*nljnNode); ok && j.probe == nil {
+			pair, found = j.join.pair, true
+		}
+	})
+	return pair, found
 }

@@ -14,8 +14,9 @@ import (
 // row carries only the join's layout (Executor.RowCols), picked from the two
 // input rows; nothing dead above the join is copied. The filter may read a
 // column that is dead above the join, so it is remapped to the pair layout —
-// the left row followed by the right — and evaluated on a scratch copy of the
-// pair, which a join without a filter never builds.
+// the left row followed by the right — and tested on the two input rows in
+// place (Filter.TestPair). Only a conjunct that did not compile to a
+// comparison needs the pair copied into one row, in pair.
 type joinOutput struct {
 	filter      *expr.Filter
 	left, right []int      // positions of the output columns in the left / right row
@@ -51,17 +52,8 @@ func (e *Executor) newJoinOutput(p *optimizer.Plan, leftCols, rightCols []int) (
 // emit carves the output row of the pair (l, r) into b unless the filter
 // rejects the pair, and reports whether it carved one.
 func (o *joinOutput) emit(b *Batch, l, r schema.Row) (bool, error) {
-	if o.filter != nil {
-		w := len(l) + len(r)
-		if cap(o.pair) < w {
-			o.pair = make(schema.Row, w)
-		}
-		o.pair = o.pair[:w]
-		copy(o.pair, l)
-		copy(o.pair[len(l):], r)
-		if keep, err := o.filter.Test(o.pair); err != nil || !keep {
-			return false, err
-		}
+	if keep, err := o.filter.TestPair(l, r, &o.pair); err != nil || !keep {
+		return false, err
 	}
 	out := b.Alloc(len(o.left) + len(o.right))
 	for i, k := range o.left {

@@ -215,8 +215,9 @@ type aggState struct {
 	v     types.Datum
 }
 
-// add folds one value in; every aggregate but a plain item skips NULLs.
-func (a *aggState) add(v types.Datum) {
+// add folds one value in; every aggregate but a plain item skips NULLs. SUM
+// and AVG of a value that is not a number is an error.
+func (a *aggState) add(v types.Datum) error {
 	switch {
 	case a.kind == logical.AggNone:
 		if !a.seen {
@@ -226,12 +227,16 @@ func (a *aggState) add(v types.Datum) {
 	case a.kind == logical.AggCount:
 		a.count++
 	case a.kind == logical.AggSum || a.kind == logical.AggAvg:
+		if !v.Kind().Numeric() {
+			return fmt.Errorf("executor: %s of %s, not a number", a.kind, v.Kind())
+		}
 		a.count++
 		a.sum += v.Float()
 	case a.kind == logical.AggMin && (a.v.IsNull() || v.MustCompare(a.v) < 0),
 		a.kind == logical.AggMax && (a.v.IsNull() || v.MustCompare(a.v) > 0):
 		a.v = v
 	}
+	return nil
 }
 
 func (a *aggState) result() types.Datum {
@@ -349,7 +354,8 @@ func (n *hashAggNode) group(row schema.Row, h uint64) int {
 	return n.table.insert(h, pos)
 }
 
-// absorb folds one input row into its group's states.
+// absorb folds one input row into its group's states. Open charges the
+// rows absorbed so far, this one included, before it surfaces an error.
 func (n *hashAggNode) absorb(row schema.Row) error {
 	h, _ := n.ex.keyHash(row, n.keys, true)
 	ni := len(n.items)
@@ -363,7 +369,9 @@ func (n *hashAggNode) absorb(row schema.Row) error {
 				return err
 			}
 		}
-		st[i].add(v)
+		if err := st[i].add(v); err != nil {
+			return err
+		}
 	}
 	return nil
 }

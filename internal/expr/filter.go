@@ -75,24 +75,34 @@ func (f *Filter) Len() int {
 	return len(f.conj)
 }
 
-// Test reports whether row satisfies the filter. Conjuncts run in order
-// under Logic's AND rule: the first FALSE or error ends the test, and a NULL
-// rejects the row but the later conjuncts still run, since one of them may
-// fail.
+// Test reports whether row satisfies the filter: TestPair(row, nil, nil).
 func (f *Filter) Test(row schema.Row) (bool, error) {
+	return f.TestPair(row, nil, nil)
+}
+
+// TestPair reports whether the joined row l followed by r satisfies the
+// filter, reading both rows in place: a resolved conjunct takes position p
+// from l[p], or from r[p-len(l)] when p >= len(l). Only a conjunct that did
+// not resolve needs the joined row; it is built in *scratch once per call,
+// which may be nil when r is empty. Conjuncts run in order under Logic's AND
+// rule: the first FALSE or error ends the test, and a NULL rejects the row
+// but the later conjuncts still run, since one of them may fail.
+func (f *Filter) TestPair(l, r schema.Row, scratch *schema.Row) (bool, error) {
 	if f == nil {
 		return true, nil
 	}
+	n := len(l) + len(r)
+	joined := l
 	keep := true
 	for i := range f.conj {
 		c := &f.conj[i]
-		if c.resolved && c.l < len(row) && c.r < len(row) {
+		if c.resolved && c.l < n && c.r < n {
 			a, b := &c.lv, &c.rv
 			if c.l >= 0 {
-				a = &row[c.l]
+				a = at(l, r, c.l)
 			}
 			if c.r >= 0 {
-				b = &row[c.r]
+				b = at(l, r, c.r)
 			}
 			if a.IsNull() || b.IsNull() {
 				keep = false
@@ -107,7 +117,11 @@ func (f *Filter) Test(row schema.Row) (bool, error) {
 			}
 			continue
 		}
-		v, err := c.e.Eval(f.ctx, row)
+		if len(joined) < n {
+			joined = append(append((*scratch)[:0], l...), r...)
+			*scratch = joined
+		}
+		v, err := c.e.Eval(f.ctx, joined)
 		if err != nil {
 			return false, err
 		}
@@ -118,4 +132,12 @@ func (f *Filter) Test(row schema.Row) (bool, error) {
 		keep = keep && known
 	}
 	return keep, nil
+}
+
+// at returns the datum at position p of the joined row l followed by r.
+func at(l, r schema.Row, p int) *types.Datum {
+	if p < len(l) {
+		return &l[p]
+	}
+	return &r[p-len(l)]
 }

@@ -30,19 +30,29 @@ func errText(err error) string {
 }
 
 // checkFilter compiles e and requires Test to give the interpreter's keep
-// decision and error text on every row.
+// decision and error text on every row, and TestPair to give the same on
+// the row split at every position into a left and a right input. One
+// scratch row serves every call, as it does in a join.
 func checkFilter(t *testing.T, e Expr, ctx *Context, rows []schema.Row) {
 	t.Helper()
 	f := Compile(e, ctx)
 	if got, want := f.Len(), len(Conjuncts(e)); got != want {
 		t.Fatalf("%v: %d conjuncts compiled, want %d", e, got, want)
 	}
+	var scratch schema.Row
 	for _, row := range rows {
 		keep, err := f.Test(row)
 		wantKeep, wantErr := interpret(e, ctx, row)
 		if keep != wantKeep || errText(err) != errText(wantErr) {
 			t.Fatalf("%v on %v (params %v):\ncompiled    keep=%v err=%q\ninterpreted keep=%v err=%q",
 				e, row, ctx, keep, errText(err), wantKeep, errText(wantErr))
+		}
+		for k := 0; k <= len(row); k++ {
+			keep, err := f.TestPair(row[:k:k], row[k:], &scratch)
+			if keep != wantKeep || errText(err) != errText(wantErr) {
+				t.Fatalf("%v on %v | %v (params %v):\npair        keep=%v err=%q\ninterpreted keep=%v err=%q",
+					e, row[:k], row[k:], ctx, keep, errText(err), wantKeep, errText(wantErr))
+			}
 		}
 	}
 }

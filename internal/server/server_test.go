@@ -565,3 +565,37 @@ func TestServerNonBooleanCondition(t *testing.T) {
 		t.Errorf("recovery query: ok=%v rows=%v: %s", resp.OK, resp.Rows, resp.Error)
 	}
 }
+
+// TestServerSumOfString: SUM or AVG of a string column is an exec error
+// reply, not a panic that takes the server down; the same connection then
+// answers Q10.
+func TestServerSumOfString(t *testing.T) {
+	cat := tpchCat(t, 0.002)
+	srv := startServer(t, cat, Config{Workers: 4})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	for _, agg := range []string{"SUM", "AVG"} {
+		resp, err := c.Query("SELECT " + agg + "(c_name) AS s FROM customer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := agg + " of VARCHAR, not a number"
+		if resp.OK || resp.Code != CodeExec || !strings.Contains(resp.Error, want) {
+			t.Errorf("%s(c_name): ok=%v code=%q error=%q, want an exec error naming %q", agg, resp.OK, resp.Code, resp.Error, want)
+		}
+	}
+	resp, err := c.Query(q10SQL, Float(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK || resp.RowCount == 0 {
+		t.Errorf("Q10 after the error: ok=%v rows=%d: %s", resp.OK, resp.RowCount, resp.Error)
+	}
+}

@@ -50,11 +50,12 @@ func (k Kind) String() string {
 // numeric comparison coercion.
 func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat || k == KindDate }
 
-// Datum is a single scalar value. The zero value is NULL.
+// Datum is a single scalar value. The zero value is NULL. It is 32 bytes:
+// every kind but a string keeps its value in the one int64 payload, a float
+// as its IEEE-754 bits.
 type Datum struct {
 	kind Kind
-	i    int64 // int, bool (0/1), date (days since 1970-01-01)
-	f    float64
+	i    int64 // int, bool (0/1), date (days since 1970-01-01), float bits
 	s    string
 }
 
@@ -65,7 +66,7 @@ var Null = Datum{}
 func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
 
 // NewFloat returns a double-precision datum.
-func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string datum.
 func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
@@ -110,13 +111,16 @@ func (d Datum) Int() int64 {
 func (d Datum) Float() float64 {
 	switch d.kind {
 	case KindFloat:
-		return d.f
+		return d.f()
 	case KindInt, KindBool, KindDate:
 		return float64(d.i)
 	default:
 		panic(fmt.Sprintf("types: Float() on %s datum", d.kind))
 	}
 }
+
+// f reads a float datum's value back from its payload bits.
+func (d Datum) f() float64 { return math.Float64frombits(uint64(d.i)) }
 
 // Str returns the string value. It panics for non-string datums.
 func (d Datum) Str() string {
@@ -163,7 +167,7 @@ func (d Datum) Compare(o Datum) (int, error) {
 	case d.kind == KindString && o.kind == KindString:
 		return strings.Compare(d.s, o.s), nil
 	case d.kind == KindFloat && o.kind == KindFloat:
-		return cmpFloat(d.f, o.f), nil
+		return cmpFloat(d.f(), o.f()), nil
 	case d.kind == KindNull || o.kind == KindNull:
 		return 0, &ErrIncomparable{d.kind, o.kind}
 	case d.kind.Numeric() && o.kind.Numeric():
@@ -220,7 +224,8 @@ func (d Datum) Equal(o Datum) bool {
 	case KindString:
 		return d.s == o.s
 	case KindFloat:
-		return d.f == o.f || (math.IsNaN(d.f) && math.IsNaN(o.f))
+		a, b := d.f(), o.f()
+		return a == b || (math.IsNaN(a) && math.IsNaN(b))
 	default:
 		return d.i == o.i
 	}
@@ -257,9 +262,7 @@ func (d Datum) HashFold(h uint64) uint64 {
 		for i := 0; i < len(d.s); i++ {
 			h = (h ^ uint64(d.s[i])) * fnv64Prime
 		}
-	case KindFloat:
-		h = fnvFoldUint64(h, math.Float64bits(d.f))
-	default:
+	default: // int, bool, date, and a float's bits
 		h = fnvFoldUint64(h, uint64(d.i))
 	}
 	return h
@@ -295,11 +298,7 @@ func (d Datum) HashInto(h hashWriter) {
 	case KindString:
 		h.Write(buf[:1])
 		h.Write([]byte(d.s))
-	case KindFloat:
-		bits := math.Float64bits(d.f)
-		putUint64(buf[1:], bits)
-		h.Write(buf[:])
-	default:
+	default: // int, bool, date, and a float's bits
 		putUint64(buf[1:], uint64(d.i))
 		h.Write(buf[:])
 	}
@@ -332,7 +331,7 @@ func (d Datum) AppendText(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, d.i, 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, d.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, d.f(), 'g', -1, 64)
 	case KindString:
 		dst = append(dst, '\'')
 		dst = append(dst, d.s...)
@@ -391,7 +390,7 @@ func (d Datum) SortValue() float64 {
 	case KindInt, KindBool, KindDate:
 		return float64(d.i)
 	case KindFloat:
-		return d.f
+		return d.f()
 	case KindString:
 		// Project the first 8 bytes onto a float: order-preserving for the
 		// prefix, adequate for interpolation within histogram buckets.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +173,69 @@ func TestEqual(t *testing.T) {
 	nan := NewFloat(math.NaN())
 	if !nan.Equal(nan) {
 		t.Error("NaN identity-equals NaN for grouping")
+	}
+}
+
+// TestDatumIs32Bytes is a tripwire on the layout: every table row, batch
+// slab, hash-join run and sort buffer holds Datums, so a field added back
+// grows all of them by a fifth or more.
+func TestDatumIs32Bytes(t *testing.T) {
+	if got := reflect.TypeOf(Datum{}).Size(); got != 32 {
+		t.Fatalf("Datum is %d bytes, want 32", got)
+	}
+}
+
+// TestFloatPayloads runs float values whose bits are easy to lose through
+// the int64 payload: every accessor must give what it gave when a float
+// had a field of its own. The hashes are FNV-64a over the kind byte and the
+// little-endian bits.
+func TestFloatPayloads(t *testing.T) {
+	cases := []struct {
+		bits       uint64
+		cmp0, cmp1 int // Compare with NewFloat(0) and with NewInt(1)
+		equal0     bool
+		hash       uint64
+		text       string
+	}{
+		{0x8000000000000000, 0, -1, true, 0x796e5797b92a4652, "-0"},
+		{0x7ff0000000000000, 1, 1, false, 0x79388a97b8fd0d8b, "+Inf"},
+		{0xfff0000000000000, -1, -1, false, 0x79380a97b8fc340b, "-Inf"},
+		{0x7ff8000000000abc, 0, 0, false, 0xaafe83a8420d8275, "NaN"}, // a NaN with a payload
+		{0x0000000000000001, 1, -1, false, 0x98699ea0c41a69f3, "5e-324"},
+		{0x7fefffffffffffff, 1, 1, false, 0xa8508d3a8cff153a, "1.7976931348623157e+308"},
+	}
+	for _, c := range cases {
+		v := math.Float64frombits(c.bits)
+		d := NewFloat(v)
+		if got := math.Float64bits(d.Float()); got != c.bits {
+			t.Errorf("%#x: Float bits %#x", c.bits, got)
+		}
+		if got := math.Float64bits(d.SortValue()); got != c.bits {
+			t.Errorf("%#x: SortValue bits %#x", c.bits, got)
+		}
+		if got, err := d.Compare(NewFloat(0)); err != nil || got != c.cmp0 {
+			t.Errorf("%#x: Compare(0.0) = %d, %v; want %d", c.bits, got, err, c.cmp0)
+		}
+		if got, err := d.Compare(NewInt(1)); err != nil || got != c.cmp1 {
+			t.Errorf("%#x: Compare(1) = %d, %v; want %d", c.bits, got, err, c.cmp1)
+		}
+		if got, err := d.Compare(d); err != nil || got != 0 {
+			t.Errorf("%#x: Compare(self) = %d, %v", c.bits, got, err)
+		}
+		if !d.Equal(d) || d.Equal(NewFloat(0)) != c.equal0 {
+			t.Errorf("%#x: Equal(self) %v, Equal(0.0) %v; want true, %v", c.bits, d.Equal(d), d.Equal(NewFloat(0)), c.equal0)
+		}
+		if got := d.HashFold(HashSeed); got != c.hash {
+			t.Errorf("%#x: HashFold %#x, want %#x", c.bits, got, c.hash)
+		}
+		if got := string(d.AppendText(nil)); got != c.text {
+			t.Errorf("%#x: AppendText %q, want %q", c.bits, got, c.text)
+		}
+	}
+	// Equal keeps float semantics, not bit identity: 0 == -0, and NaNs with
+	// different payloads are one grouping key.
+	if !NewFloat(math.NaN()).Equal(NewFloat(math.Float64frombits(0x7ff8000000000abc))) {
+		t.Error("NaNs with different payloads must be Equal")
 	}
 }
 
