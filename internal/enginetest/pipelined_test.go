@@ -2,12 +2,15 @@ package enginetest
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/executor"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
+	"repro/internal/pop"
 	"repro/internal/schema"
 )
 
@@ -54,11 +57,13 @@ func pipelinedAttempt(t *testing.T, cat *catalog.Catalog, q *logical.Query, opt 
 // under every join method, an ECDC CHECK is made to fire at every ordinal of
 // two edges — the join's streaming input, where rows the join already
 // produced are in flight when the violation arrives, and the edge into the
-// final projection — and each time: the rows the first attempt returned plus
-// the compensated re-run are exactly the brute-force multiset; the side table
-// holds exactly the rows Run returned, not rows an operator had produced but
-// not yet delivered when the error arrived; and the re-run compensates every
-// one of them exactly once.
+// final projection. The compensated re-run is guarded at the same edge once
+// more, further along, so violations chain: a second attempt whose anti-join
+// has already suppressed rows is itself cut short, and a third attempt runs
+// the plan to the end. Each time: the rows every attempt returned are exactly
+// the brute-force multiset; the side table holds exactly the rows Run
+// returned, not rows an operator had produced but not yet delivered when the
+// error arrived; and no attempt's anti-join takes rows out of the side table.
 func TestPipelinedCompensationDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
@@ -72,7 +77,7 @@ func TestPipelinedCompensationDifferential(t *testing.T) {
 		{"onlyMerge", func(o *optimizer.Optimizer) { o.DisableNLJN = true; o.DisableHSJN = true }},
 		{"onlyNLJN", func(o *optimizer.Optimizer) { o.DisableHSJN = true; o.DisableMGJN = true }},
 	}
-	fired := 0
+	fired, chained := 0, 0
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := &diffRNG{s: seed * 0x9E3779B97F4A7C15}
 		cat, tables := buildRandomDB(t, r)
@@ -94,48 +99,94 @@ func TestPipelinedCompensationDifferential(t *testing.T) {
 				// hi = k lets k rows through and fires on the next; the sweep
 				// ends with the first k the edge never exceeds.
 				for k := 0; ; k++ {
+					attempts := []*optimizer.Plan{guardEdge(plan, edge, float64(k)), guardEdge(plan, edge, float64(2*k+1)), plan}
 					side := executor.NewReturnedSet()
-					first, emitted, runErr := pipelinedAttempt(t, cat, q, opt, guardEdge(plan, edge, float64(k)), side)
-					var cv *executor.CheckViolation
-					if runErr != nil && !errors.As(runErr, &cv) {
-						t.Fatalf("seed %d %s edge %v k=%d: %v", seed, c.name, edge, k, runErr)
-					}
-					if emitted.Len() != len(first) {
-						t.Fatalf("seed %d %s edge %v k=%d: Run returned %d rows, the side table recorded %d",
-							seed, c.name, edge, k, len(first), emitted.Len())
-					}
-					all := first
-					if cv != nil {
-						fired++
+					var all []schema.Row
+					n := 0
+					for ; n < len(attempts); n++ {
+						id := fmt.Sprintf("seed %d %s edge %v k=%d attempt %d", seed, c.name, edge, k, n)
+						rows, emitted, runErr := pipelinedAttempt(t, cat, q, opt, attempts[n], side)
+						var cv *executor.CheckViolation
+						if runErr != nil && !errors.As(runErr, &cv) {
+							t.Fatalf("%s: %v", id, runErr)
+						}
+						if emitted.Len() != len(rows) {
+							t.Fatalf("%s: Run returned %d rows, the side table recorded %d", id, len(rows), emitted.Len())
+						}
+						if side.Len() != len(all) {
+							t.Fatalf("%s: the side table holds %d rows after the attempt, %d were returned before it",
+								id, side.Len(), len(all))
+						}
+						if n == 1 && cv != nil && side.Len() > 0 {
+							chained++
+						}
+						all = append(all, rows...)
+						if cv == nil {
+							break
+						}
 						side.Merge(emitted)
-						rest, _, err := pipelinedAttempt(t, cat, q, opt, plan, side)
-						if err != nil {
-							t.Fatalf("seed %d %s edge %v k=%d: re-run: %v", seed, c.name, edge, k, err)
-						}
-						if side.Len() != 0 {
-							t.Fatalf("seed %d %s edge %v k=%d: %d of %d returned rows were not compensated",
-								seed, c.name, edge, k, side.Len(), len(first))
-						}
-						all = append(all, rest...)
 					}
 					got := canon(all)
 					if len(got) != len(want) {
-						t.Fatalf("seed %d %s edge %v k=%d: %d rows (%d before the violation), brute force %d\n%s",
-							seed, c.name, edge, k, len(got), len(first), len(want), optimizer.Explain(plan, q))
+						t.Fatalf("seed %d %s edge %v k=%d: %d rows over %d attempts, brute force %d\n%s",
+							seed, c.name, edge, k, len(got), n+1, len(want), optimizer.Explain(plan, q))
 					}
 					for i := range got {
 						if got[i] != want[i] {
 							t.Fatalf("seed %d %s edge %v k=%d: row %d: %s != %s", seed, c.name, edge, k, i, got[i], want[i])
 						}
 					}
-					if cv == nil {
+					if n == 0 {
 						break
 					}
+					fired++
 				}
 			}
 		}
 	}
 	if fired < 500 {
 		t.Errorf("only %d violations fired: the sweep no longer exercises compensation", fired)
+	}
+	if chained < 100 {
+		t.Errorf("only %d compensated attempts were violated in turn: the sweep no longer chains violations", chained)
+	}
+}
+
+// TestPipelinedECDCRepeatedReopts pins the sargable queries on which
+// pipelined ECDC re-optimizes at least twice: the second, compensated attempt
+// is itself violated after its anti-join has suppressed rows, so the third
+// attempt must still compensate every row the first one returned.
+func TestPipelinedECDCRepeatedReopts(t *testing.T) {
+	cases := []struct {
+		seed  uint64
+		shape string
+	}{
+		{28, "rangeThenEq"},
+		{51, "loTightFirst"},
+		{51, "loLooseFirst"},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("seed%d/%s", c.seed, c.shape), func(t *testing.T) {
+			r := &diffRNG{s: c.seed * 0x9E3779B97F4A7C15}
+			cat, tables := buildRandomDB(t, r)
+			i := slices.IndexFunc(sargableShapes, func(sh sargableShape) bool { return sh.name == c.shape })
+			q := buildSargableQuery(t, cat, tables, sargableShapes[i])
+			if q == nil {
+				t.Fatalf("no table of seed %d has an index for %s", c.seed, c.shape)
+			}
+			opts := pop.DefaultOptions()
+			opts.Pipelined = true
+			opts.Policy = pop.Policy{ECDC: true, RequireBoundedRange: true}
+			res, err := pop.NewRunner(cat, opts).Run(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Reopts < 2 {
+				t.Fatalf("re-optimized %d times, want at least 2: the case no longer chains violations", res.Reopts)
+			}
+			if d := diffRows(canon(res.Rows), canon(bruteForce(t, cat, q))); d != "" {
+				t.Fatalf("%s (reopts=%d)\nquery: %s", d, res.Reopts, q)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -295,6 +296,11 @@ func (s *ReturnedSet) Merge(o *ReturnedSet) {
 	}
 }
 
+// Clone returns an independent copy of the set.
+func (s *ReturnedSet) Clone() *ReturnedSet {
+	return &ReturnedSet{counts: maps.Clone(s.counts), total: s.total}
+}
+
 // Remove consumes one occurrence of the row if present, reporting whether it
 // was. The anti-join uses multiset semantics so duplicate result rows are
 // compensated exactly once each.
@@ -355,9 +361,12 @@ type antiJoinNode struct {
 	base
 	ex   *Executor
 	side *ReturnedSet
+	left *ReturnedSet // this run's copy of side, consumed row by row
 }
 
-// NewAntiJoin wraps a node, suppressing rows present in side.
+// NewAntiJoin wraps a node, suppressing rows present in side. side is only
+// read: each run compensates against its own copy, so a run abandoned
+// part-way (its own CHECK fired) leaves side whole for the next attempt.
 func NewAntiJoin(ex *Executor, child Node, side *ReturnedSet) Node {
 	p := child.Plan()
 	return &antiJoinNode{base: base{plan: p, children: []Node{child}}, ex: ex, side: side}
@@ -365,6 +374,7 @@ func NewAntiJoin(ex *Executor, child Node, side *ReturnedSet) Node {
 
 func (n *antiJoinNode) Open() error {
 	n.stats = NodeStats{Opened: true}
+	n.left = n.side.Clone()
 	return n.children[0].Open()
 }
 
@@ -380,7 +390,7 @@ func (n *antiJoinNode) NextBatch(max int) (*Batch, error) {
 		n.chargeTicks(n.ex, Ticks(n.ex.Cost.HashProbeRow), b.Len())
 		kept := 0
 		for _, row := range b.Rows {
-			if !n.side.Remove(row) { // else: already returned during the initial run
+			if !n.left.Remove(row) { // else: already returned during the initial run
 				b.Rows[kept] = row
 				kept++
 			}

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"strings"
@@ -568,6 +569,67 @@ func TestECDCAntiJoinEndToEnd(t *testing.T) {
 	}
 	if len(rows) != 12 {
 		t.Errorf("compensated run returned %d rows, want 12", len(rows))
+	}
+}
+
+// TestAbandonedAntiJoinLeavesSideTable runs a compensated attempt whose own
+// CHECK fires after its anti-join has suppressed every returned row: the side
+// table must be left as the anti-join found it, so the attempt after it still
+// compensates those rows.
+func TestAbandonedAntiJoinLeavesSideTable(t *testing.T) {
+	cat := fixture(t)
+	b := logical.NewBuilder(cat)
+	b.AddTable("emp", "e")
+	b.Where(&expr.Cmp{Op: expr.LT, L: b.Col("e", "e_id"), R: &expr.Const{Val: types.NewInt(20)}})
+	b.SelectCol("e", "e_id")
+	q, _ := b.Build()
+	opt := optimizer.New(cat)
+	full, err := opt.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runPlan(t, opt, q, nil)
+	side := NewReturnedSet()
+	for _, row := range want[:8] {
+		side.Add(row)
+	}
+	build := func(plan *optimizer.Plan) Node {
+		ex, err := NewExecutor(cat, q, nil, opt.Model.Params, &Meter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := ex.Build(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewAntiJoin(ex, root, side)
+	}
+
+	// The CHECK lets 12 rows through: the anti-join has consumed all 8
+	// entries by then, and returned the 4 rows after them.
+	checked := optimizer.CloneNode(full)
+	checked.Children[0] = wrapCheck(full.Children[0], optimizer.Range{Lo: 0, Hi: 12}, optimizer.ECDC)
+	rows, err := Run(build(checked))
+	var cv *CheckViolation
+	if !errors.As(err, &cv) || len(rows) != 4 {
+		t.Fatalf("guarded attempt: %d rows, err %v; want 4 rows and a violation", len(rows), err)
+	}
+	if side.Len() != 8 {
+		t.Fatalf("the abandoned anti-join left %d rows in the side table, want 8", side.Len())
+	}
+	probe := side.Clone()
+	for _, row := range want[:8] {
+		if !probe.Remove(row) {
+			t.Fatalf("returned row %v is gone from the side table", row)
+		}
+	}
+
+	rest, err := Run(build(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rest) != 12 {
+		t.Errorf("next attempt returned %d rows, want 12", len(rest))
 	}
 }
 

@@ -18,31 +18,17 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// inspectNoLit walks n in source order without descending into function
-// literal bodies (each literal is its own FuncNode with its own analysis)
-// or into a range statement's body: the CFG carries the whole RangeStmt in
-// its loop-head block while the body's statements live in successor blocks,
-// so descending would re-visit body sites out of their flow context — a
-// select send would lose its arm.
-func inspectNoLit(n ast.Node, f func(ast.Node)) {
+// inspectShallow walks n, calling f on every node but not descending into
+// nested function literals: each literal is its own FuncNode, analyzed
+// against its own body.
+func inspectShallow(n ast.Node, f func(ast.Node)) {
 	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case nil:
-			return false
-		case *ast.FuncLit:
-			return false
-		case *ast.RangeStmt:
-			f(n)
-			if n.Key != nil {
-				inspectNoLit(n.Key, f)
-			}
-			if n.Value != nil {
-				inspectNoLit(n.Value, f)
-			}
-			inspectNoLit(n.X, f)
+		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false
 		}
-		f(n)
+		if n != nil {
+			f(n)
+		}
 		return true
 	})
 }

@@ -4,10 +4,10 @@ package lint
 // DESIGN.md §12: every blocking channel operation (and Cond.Wait) that a
 // server or executor loop can reach must stay cancellable, or a drain
 // wedges behind it. A site is audited when it repeats — it sits inside a
-// CFG loop block, or its function is reachable (via call edges and go
-// spawns) from a call made inside a loop body of an in-scope function; the
-// composition of the CFG's loop marks with the call graph is what turns
-// "this send blocks" into "this send can wedge a drain".
+// loop span of its function (see loopSpans), or its function is reachable
+// (via call edges and go spawns) from a call made inside a loop of an
+// in-scope function; the composition of the loop spans with the call graph
+// is what turns "this send blocks" into "this send can wedge a drain".
 //
 // An audited site is exempt when it has a shutdown edge:
 //
@@ -77,27 +77,70 @@ func runBlockingCancel(prog *Program, report ReportFunc) {
 		}
 	}
 
-	loopReach := loopEnteredFuncs(g)
+	loops := map[*FuncNode]loopSpanList{}
+	for _, fn := range g.Funcs {
+		if fn.Body != nil && inScope(fn.Pkg.Path, blockingCancelScope) {
+			loops[fn] = loopSpans(fn.Body)
+		}
+	}
+	loopReach := loopEnteredFuncs(g, loops)
 
 	for _, fn := range g.sortedFuncs() {
 		if fn.Body == nil || fn.Pkg.Info == nil || !inScope(fn.Pkg.Path, blockingCancelScope) {
 			continue
 		}
 		a := &blockAudit{
-			g: g, fn: fn, report: report,
+			fn: fn, report: report,
 			closedClasses: closedClasses, closedElems: closedElems,
 			inLoopFn: loopReach[fn],
-			reported: map[token.Pos]bool{},
+			loops:    loops[fn],
 			comms:    selectComms(fn.Body),
 		}
 		a.run()
 	}
 }
 
+// loopSpanList is the [Pos, End) source spans of one function body whose
+// code repeats.
+type loopSpanList [][2]token.Pos
+
+// contains reports whether pos lies in some span.
+func (l loopSpanList) contains(pos token.Pos) bool {
+	for _, r := range l {
+		if pos >= r[0] && pos < r[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// loopSpans returns the spans of body that repeat: each for statement from
+// the end of its init (which runs once) to its end, so its cond, post and
+// body count; each range statement whole, operand included. Function
+// literals are not descended into — each is its own FuncNode with its own
+// spans. The mark is syntactic: a cycle formed only by goto is not a loop,
+// and unreachable code inside a loop still counts.
+func loopSpans(body *ast.BlockStmt) loopSpanList {
+	var spans loopSpanList
+	inspectShallow(body, func(n ast.Node) {
+		switch s := n.(type) {
+		case *ast.ForStmt:
+			from := s.Pos()
+			if s.Init != nil {
+				from = s.Init.End()
+			}
+			spans = append(spans, [2]token.Pos{from, s.End()})
+		case *ast.RangeStmt:
+			spans = append(spans, [2]token.Pos{s.Pos(), s.End()})
+		}
+	})
+	return spans
+}
+
 // loopEnteredFuncs computes the functions reachable from calls or spawns
-// made inside loop bodies of in-scope functions, by composing per-function
-// CFG loop marks with call-graph closure.
-func loopEnteredFuncs(g *CallGraph) map[*FuncNode]bool {
+// made inside loops of in-scope functions, by composing each function's
+// loop spans with call-graph closure.
+func loopEnteredFuncs(g *CallGraph, loops map[*FuncNode]loopSpanList) map[*FuncNode]bool {
 	roots := map[*FuncNode]bool{}
 	addRoot := func(fn *FuncNode) {
 		if fn != nil && !roots[fn] {
@@ -105,45 +148,25 @@ func loopEnteredFuncs(g *CallGraph) map[*FuncNode]bool {
 		}
 	}
 	for _, fn := range g.Funcs {
-		if fn.Body == nil || !inScope(fn.Pkg.Path, blockingCancelScope) {
+		spans := loops[fn]
+		if len(spans) == 0 {
 			continue
-		}
-		cfg := g.FuncCFG(fn)
-		var ranges [][2]token.Pos
-		for _, b := range cfg.Blocks {
-			if !b.Loop {
-				continue
-			}
-			for _, n := range b.Nodes {
-				ranges = append(ranges, [2]token.Pos{n.Pos(), n.End()})
-			}
-		}
-		if len(ranges) == 0 {
-			continue
-		}
-		inLoop := func(pos token.Pos) bool {
-			for _, r := range ranges {
-				if pos >= r[0] && pos < r[1] {
-					return true
-				}
-			}
-			return false
 		}
 		for _, ev := range fn.Sum.Events {
-			if ev.Kind == EvCall && inLoop(ev.Pos) {
+			if ev.Kind == EvCall && spans.contains(ev.Pos) {
 				for _, t := range ev.Targets {
 					addRoot(t)
 				}
 			}
 		}
 		for _, sp := range g.Spawns {
-			if sp.In == fn && inLoop(sp.Pos) {
+			if sp.In == fn && spans.contains(sp.Pos) {
 				addRoot(sp.Callee)
 			}
 		}
 		// Literals defined inside the loop (worker closures) repeat too.
 		for _, lit := range g.Funcs {
-			if lit.Lit != nil && lit.Parent == fn && inLoop(lit.Pos) {
+			if lit.Lit != nil && lit.Parent == fn && spans.contains(lit.Pos) {
 				addRoot(lit)
 			}
 		}
@@ -178,7 +201,7 @@ func loopEnteredFuncs(g *CallGraph) map[*FuncNode]bool {
 }
 
 // selectComms maps each select communication statement to its SelectStmt,
-// so the CFG walk can tell a select arm from a bare operation.
+// so the audit can tell a select arm from a bare operation.
 func selectComms(body *ast.BlockStmt) map[ast.Stmt]*ast.SelectStmt {
 	out := map[ast.Stmt]*ast.SelectStmt{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -198,78 +221,63 @@ func selectComms(body *ast.BlockStmt) map[ast.Stmt]*ast.SelectStmt {
 
 // blockAudit audits one function's blocking sites.
 type blockAudit struct {
-	g             *CallGraph
 	fn            *FuncNode
 	report        ReportFunc
 	closedClasses map[types.Object]bool
 	closedElems   map[string]bool
 	inLoopFn      bool
-	reported      map[token.Pos]bool
+	loops         loopSpanList
 	comms         map[ast.Stmt]*ast.SelectStmt
 }
 
+// run audits every site of the body that repeats: all of them when the
+// function is loop-entered, else those inside its loop spans. Function
+// literals are their own FuncNodes and are audited on their own.
 func (a *blockAudit) run() {
-	cfg := a.g.FuncCFG(a.fn)
-	for _, b := range cfg.Blocks {
-		audited := a.inLoopFn || b.Loop
-		if !audited {
-			continue
+	ast.Inspect(a.fn.Body, func(n ast.Node) bool {
+		if _, isLit := n.(*ast.FuncLit); n == nil || isLit {
+			return false
 		}
-		for _, n := range b.Nodes {
-			a.node(n)
+		if !a.inLoopFn && !a.loops.contains(n.Pos()) {
+			return true
 		}
-	}
+		return a.node(n)
+	})
 }
 
-func (a *blockAudit) reportOnce(pos token.Pos, format string, args ...any) {
-	if a.reported[pos] {
-		return
-	}
-	a.reported[pos] = true
-	a.report(pos, format, args...)
-}
-
-func (a *blockAudit) node(n ast.Node) {
-	// Select arms appear as their own CFG nodes: judge them by their select.
+// node audits one repeating site and reports whether to descend into it. A
+// select arm is judged by its select, not by the operation it holds.
+func (a *blockAudit) node(n ast.Node) bool {
 	if stmt, ok := n.(ast.Stmt); ok {
 		if sel, isComm := a.comms[stmt]; isComm {
 			if !a.selectHasCancelArm(sel) {
 				op, pos := commOp(stmt)
-				a.reportOnce(pos, "blocking %s in a select with no cancellation arm (ctx.Done(), closed channel, or default) — a drain can wedge here", op)
+				a.report(pos, "blocking %s in a select with no cancellation arm (ctx.Done(), closed channel, or default) — a drain can wedge here", op)
 			}
-			return
+			return false
 		}
 	}
-	inspectNoLit(n, func(sub ast.Node) {
-		switch sub := sub.(type) {
-		case *ast.SendStmt:
-			a.reportOnce(sub.Arrow, "unconditional channel send can block forever; wrap in a select with a ctx.Done() arm or document the shutdown edge")
-		case *ast.UnaryExpr:
-			if sub.Op != token.ARROW {
-				return
-			}
-			if a.chanHasCloseWitness(sub.X) {
-				return
-			}
-			a.reportOnce(sub.OpPos, "unconditional receive from a channel the program never closes; add a ctx.Done() select arm or a close-based shutdown edge")
-		case *ast.RangeStmt:
-			tv, ok := a.fn.Pkg.Info.Types[sub.X]
-			if !ok || tv.Type == nil {
-				return
-			}
-			if _, isChan := tv.Type.Underlying().(*types.Chan); !isChan {
-				return
-			}
-			if a.chanHasCloseWitness(sub.X) {
-				return
-			}
-			a.reportOnce(sub.For, "range over a channel the program never closes blocks forever; close it on shutdown or select with ctx.Done()")
-		case *ast.CallExpr:
-			if isCondWait(a.fn.Pkg.Info, sub) {
-				a.reportOnce(sub.Pos(), "Cond.Wait has no cancellation edge; a drain can wedge behind it — prefer a channel with a ctx.Done() select arm")
-			}
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		a.report(n.Arrow, "unconditional channel send can block forever; wrap in a select with a ctx.Done() arm or document the shutdown edge")
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW && !a.chanHasCloseWitness(n.X) {
+			a.report(n.OpPos, "unconditional receive from a channel the program never closes; add a ctx.Done() select arm or a close-based shutdown edge")
 		}
-	})
+	case *ast.RangeStmt:
+		tv, ok := a.fn.Pkg.Info.Types[n.X]
+		if !ok || tv.Type == nil {
+			return true
+		}
+		if _, isChan := tv.Type.Underlying().(*types.Chan); isChan && !a.chanHasCloseWitness(n.X) {
+			a.report(n.For, "range over a channel the program never closes blocks forever; close it on shutdown or select with ctx.Done()")
+		}
+	case *ast.CallExpr:
+		if isCondWait(a.fn.Pkg.Info, n) {
+			a.report(n.Pos(), "Cond.Wait has no cancellation edge; a drain can wedge behind it — prefer a channel with a ctx.Done() select arm")
+		}
+	}
+	return true
 }
 
 // selectHasCancelArm reports whether any arm of sel is a shutdown edge: a

@@ -76,24 +76,6 @@ type CallGraph struct {
 	// program, in (package path, name) order — the CHA universe.
 	concreteTypes []*types.TypeName
 	implCache     map[*types.Func][]*FuncNode
-	cfgCache      map[*FuncNode]*CFG
-}
-
-// FuncCFG returns the memoized control-flow graph for fn's body, or nil for
-// bodyless nodes (synthetic package-init nodes).
-func (g *CallGraph) FuncCFG(fn *FuncNode) *CFG {
-	if fn == nil || fn.Body == nil {
-		return nil
-	}
-	if c, ok := g.cfgCache[fn]; ok {
-		return c
-	}
-	if g.cfgCache == nil {
-		g.cfgCache = map[*FuncNode]*CFG{}
-	}
-	c := BuildCFG(fn.Body)
-	g.cfgCache[fn] = c
-	return c
 }
 
 // pendingIface is an interface-method call awaiting CHA resolution.

@@ -11,8 +11,8 @@ package lint
 // aliased constants count. A single non-constant case expression makes the
 // switch uncheckable and it is skipped entirely — no guessing.
 //
-// The rule is purely syntactic over the type-checked AST; it needs neither
-// the call graph nor a CFG.
+// The rule is purely syntactic over the type-checked AST; it needs no call
+// graph.
 
 import (
 	"go/ast"

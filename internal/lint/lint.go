@@ -42,9 +42,9 @@ const allowPrefix = "//poplint:allow"
 
 // Analyzers returns the full POP suite in reporting order: the three
 // intra-procedural rules from the original suite, the doc-comment gate,
-// the four interprocedural rules built on the call graph, the CFG rule
-// blockingcancel, the typed int64-product rule overflow, and the
-// enum-switch rule.
+// the four interprocedural rules built on the call graph, blockingcancel
+// (call graph × syntactic loop spans), the typed int64-product rule
+// overflow, and the enum-switch rule.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,

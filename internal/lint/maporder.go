@@ -89,20 +89,6 @@ func checkFuncMapRanges(pkg *Package, body *ast.BlockStmt, report ReportFunc) {
 	})
 }
 
-// inspectShallow walks n, calling f on every node but not descending into
-// nested function literals.
-func inspectShallow(n ast.Node, f func(ast.Node)) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		if n != nil {
-			f(n)
-		}
-		return true
-	})
-}
-
 // isCollectThenSort recognizes the canonical deterministic-iteration idiom:
 //
 //	keys := make([]K, 0, len(m))

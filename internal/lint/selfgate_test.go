@@ -104,8 +104,8 @@ func hasWallClockFinding(fs []lint.Finding) bool {
 }
 
 // BenchmarkPoplint measures one cold suite run over the executor and server
-// packages — the heaviest real targets: call-graph and CFG construction and
-// loop-reachability all fire, and Run drops the call graph on return, so
+// packages — the heaviest real targets: call-graph construction and
+// loop-reachability both fire, and Run drops the call graph on return, so
 // every iteration builds it again. Loading and type-checking happen once in
 // setup; the benchmark loop measures analysis only, which is what poplint
 // adds on top of go build.

@@ -69,3 +69,13 @@ func drain(ch chan byte) int {
 	}
 	return n
 }
+
+// waitEach receives as the loop condition, which runs on every iteration:
+// the receive repeats, and nothing ever closes the channel.
+func waitEach(ready chan bool) int {
+	n := 0
+	for <-ready { // want blockingcancel
+		n++
+	}
+	return n
+}

@@ -92,3 +92,12 @@ func awaitResps(pending map[int]chan resp) {
 func oneShot(ch chan int) {
 	ch <- 1
 }
+
+// pollAfterReady receives in the loop's init, which runs once: the site does
+// not repeat, so it is not audited.
+func pollAfterReady(ready chan bool, limit int) int {
+	polls := 0
+	for ok := <-ready; ok && polls < limit; polls++ {
+	}
+	return polls
+}
