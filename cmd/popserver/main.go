@@ -122,7 +122,7 @@ func main() {
 			code = 1
 		}
 	}
-	m := s.Metrics()
+	m, st := s.Metrics(), s.Scheduler().Stats()
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
@@ -130,10 +130,7 @@ func main() {
 			code = 1
 		} else {
 			m.WriteText(f)
-			st := s.Scheduler().Stats()
-			fmt.Fprintf(f, "%-22s %d\n", "sched peak workers", st.PeakWorkers)
-			fmt.Fprintf(f, "%-22s %d\n", "sched admitted", st.Admitted)
-			fmt.Fprintf(f, "%-22s %d\n", "sched backpressure", st.Backpressure)
+			st.WriteText(f)
 			if err := f.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "popserver:", err)
 				code = 1
@@ -141,7 +138,7 @@ func main() {
 		}
 	}
 	fmt.Printf("popserver: drained; served %d queries (%d reopts, %d dop clamps)\n",
-		m.Queries, m.Reoptimizations, m.DOPClamps)
+		m.Queries, m.Reoptimizations, st.DOPClamps)
 	os.Exit(code)
 }
 

@@ -664,8 +664,7 @@ func TestPipelinedCompensationAtEveryOrdinal(t *testing.T) {
 				t.Fatalf("cap=%d k=%d: Run returned %d rows and the side table recorded %d, want %d of each",
 					capRows, k, len(first), side.Len(), k)
 			}
-			recorded := NewReturnedSet()
-			recorded.Merge(side)
+			recorded := side.Clone()
 			for _, r := range first {
 				if !recorded.Remove(r) {
 					t.Fatalf("cap=%d k=%d: returned row %v is not in the side table", capRows, k, r)

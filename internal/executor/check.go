@@ -285,17 +285,6 @@ func (s *ReturnedSet) Add(row schema.Row) {
 // Len returns the number of recorded rows.
 func (s *ReturnedSet) Len() int { return s.total }
 
-// Merge folds another set's contents into this one. The POP runner records
-// each attempt's emissions separately and merges them afterwards — rows
-// returned within an attempt must not be compensated against that same
-// attempt's later output.
-func (s *ReturnedSet) Merge(o *ReturnedSet) {
-	for d, c := range o.counts {
-		s.counts[d] += c
-		s.total += c
-	}
-}
-
 // Clone returns an independent copy of the set.
 func (s *ReturnedSet) Clone() *ReturnedSet {
 	return &ReturnedSet{counts: maps.Clone(s.counts), total: s.total}
@@ -365,8 +354,10 @@ type antiJoinNode struct {
 }
 
 // NewAntiJoin wraps a node, suppressing rows present in side. side is only
-// read: each run compensates against its own copy, so a run abandoned
-// part-way (its own CHECK fired) leaves side whole for the next attempt.
+// read: each run compensates against its own copy, taken at Open before any
+// row flows, so a run abandoned part-way (its own CHECK fired) leaves side
+// whole for the next attempt, and an INSERT above may record the run's own
+// rows into side without the run compensating against them.
 func NewAntiJoin(ex *Executor, child Node, side *ReturnedSet) Node {
 	p := child.Plan()
 	return &antiJoinNode{base: base{plan: p, children: []Node{child}}, ex: ex, side: side}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dmv"
+	"repro/internal/executor"
 	"repro/internal/optimizer"
 	"repro/internal/pop"
 	"repro/internal/tpch"
@@ -225,28 +226,33 @@ func fig14Study(env Env) ([]Cell, error) {
 	for _, name := range fig14Queries {
 		q := queries[name]
 		for pi, pol := range policies {
-			res, err := pop.NewRunner(env.TPCH, pop.Options{Enabled: true, Policy: pol, MaxReopts: 3}).Run(q, nil)
+			opts := pop.Options{Enabled: true, Policy: pol, MaxReopts: 3, Analyze: true}
+			res, err := pop.NewRunner(env.TPCH, opts).Run(q, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s policy %d: %w", name, pi, err)
 			}
 			if res.Work <= 0 {
 				continue
 			}
-			for _, obs := range res.CheckStats {
-				if !obs.Touched {
-					continue
+			// The stats tree merges a CHECK's partition clones into one node.
+			// The exchange stub on a partitioned edge carries the CHECK's
+			// plan too, but never runs, so it is never touched.
+			res.Attempts[len(res.Attempts)-1].Stats.Walk(func(sn *executor.StatsNode) {
+				meta, st := sn.Plan.Check, sn.Stats
+				if sn.Plan.Op != optimizer.OpCheck || meta == nil || !st.Touched {
+					return
 				}
-				start := obs.FirstWork / res.Work
-				end := obs.DoneWork / res.Work
-				if obs.Meta.Flavor != optimizer.ECB {
+				start := st.FirstWork / res.Work
+				end := st.DoneWork / res.Work
+				if meta.Flavor != optimizer.ECB {
 					end = start
 				}
-				flavor := obs.Meta.Flavor.String()
-				if obs.Meta.Where != "" {
-					flavor += " (" + obs.Meta.Where + ")"
+				flavor := meta.Flavor.String()
+				if meta.Where != "" {
+					flavor += " (" + meta.Where + ")"
 				}
 				points = append(points, fig14Point{name, flavor, start, end})
-			}
+			})
 		}
 	}
 	sort.Slice(points, func(i, j int) bool {

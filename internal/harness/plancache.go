@@ -37,6 +37,7 @@ func planCacheStudy(env Env) ([]Cell, error) {
 	bindings := planCacheBindings()
 
 	var cached, reopt tally
+	var cachedVerdicts verdicts
 	var cachedOpt, reoptOpt int
 	runner := pop.NewRunner(cat, pop.DefaultOptions())
 	runner.Cache = pop.NewCache()
@@ -51,6 +52,7 @@ func planCacheStudy(env Env) ([]Cell, error) {
 				return nil, fmt.Errorf("cached, qty=%v: %w", qty, err)
 			}
 			cached.add(r)
+			cachedVerdicts.add(r.Cache)
 			cachedOpt += r.Cache.OptWork
 
 			// A run from scratch, with the same parameter-bound estimation
@@ -62,7 +64,7 @@ func planCacheStudy(env Env) ([]Cell, error) {
 			reoptOpt += r.Attempts[0].Candidates
 		}
 	}
-	cachedCounts := append(cached.counts(), cacheCounts(runner.Cache.Stats())...)
+	cachedCounts := append(cached.counts(), cachedVerdicts.counts(runner.Cache)...)
 	return []Cell{
 		{"cached", append(cachedCounts, Count{"opt_work", float64(cachedOpt)})},
 		{"reoptimize", append(reopt.counts(), Count{"opt_work", float64(reoptOpt)})},

@@ -329,14 +329,16 @@ func plannerStudy(env Env) ([]Cell, error) {
 			runner := pop.NewRunner(cats[wname], opts)
 			runner.Cache = pop.NewCache()
 			var t tally
+			var v verdicts
 			for _, ex := range workloads[wname] {
 				r, err := runner.Run(ex.q, ex.params)
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s: %w", st.Name(), wname, err)
 				}
 				t.add(r)
+				v.add(r.Cache)
 			}
-			counts := append(t.counts(), cacheCounts(runner.Cache.Stats())...)
+			counts := append(t.counts(), v.counts(runner.Cache)...)
 			counts = append(counts, Count{"guard_rejects", float64(reg.Snapshot().CacheGuardRejects)})
 			cells = append(cells, Cell{st.Name() + "/" + wname, counts})
 		}

@@ -181,12 +181,27 @@ func (t *tally) counts() []Count {
 	}
 }
 
-// cacheCounts are a plan cache's verdict counters.
-func cacheCounts(s pop.CacheStats) []Count {
+// verdicts sums the plan-cache verdicts of runs through one cache: a run
+// the cache did not hit is a miss.
+type verdicts struct{ hits, misses, invalidations int }
+
+func (v *verdicts) add(c pop.ExecInfo) {
+	if c.Hit {
+		v.hits++
+	} else {
+		v.misses++
+	}
+	if c.Invalidated {
+		v.invalidations++
+	}
+}
+
+// counts are the verdicts with the plans the cache holds at the end.
+func (v verdicts) counts(cache *pop.Cache) []Count {
 	return []Count{
-		{"hits", float64(s.Hits)},
-		{"misses", float64(s.Misses)},
-		{"invalidations", float64(s.Invalidations)},
-		{"plans", float64(s.Plans)},
+		{"hits", float64(v.hits)},
+		{"misses", float64(v.misses)},
+		{"invalidations", float64(v.invalidations)},
+		{"plans", float64(cache.Stats().Plans)},
 	}
 }

@@ -3,8 +3,10 @@
 // activity and work units by operator class. The registry is itself a
 // trace.Recorder — attaching it to a runner's trace stream is all the wiring
 // there is — so every counter is derived from the same typed events the JSONL
-// trace carries, and the two views can never disagree. All counters are
-// atomics; Record is safe from concurrent exchange workers.
+// trace carries, and the two views can never disagree. It counts engine
+// facts only: the scheduler's admissions and DOP clamps are counted once, by
+// server.SchedStats. All counters are atomics; Record is safe from
+// concurrent exchange workers.
 package metrics
 
 import (
@@ -40,13 +42,6 @@ type Registry struct {
 	workersStarted atomic.Int64
 	workersDrained atomic.Int64
 	workerTicks    atomic.Int64 // work units drained by exchange workers
-
-	dopClamps       atomic.Int64 // exchanges granted fewer workers than asked
-	inlineRuns      atomic.Int64 // exchanges granted zero (ran one DOP-1 worker)
-	admissionWaits  atomic.Int64
-	admissionWaitNS atomic.Int64
-	admissionRejcts atomic.Int64
-	maxQueueDepth   atomic.Int64 // deepest admission queue observed
 
 	rows       atomic.Int64
 	execTicks  atomic.Int64 // work units across completed queries
@@ -130,24 +125,8 @@ func (r *Registry) Record(ev trace.Event) {
 		}
 	case trace.QueryError:
 		r.failed.Add(1)
-	case trace.DOPClamp:
-		r.dopClamps.Add(1)
-		if ev.Sched != nil && ev.Sched.Granted == 0 {
-			r.inlineRuns.Add(1)
-		}
-	case trace.AdmissionWait:
-		r.admissionWaits.Add(1)
-		if ev.Sched != nil {
-			r.admissionWaitNS.Add(ev.Sched.WaitNS)
-			for {
-				cur := r.maxQueueDepth.Load()
-				if int64(ev.Sched.Depth) <= cur || r.maxQueueDepth.CompareAndSwap(cur, int64(ev.Sched.Depth)) {
-					break
-				}
-			}
-		}
-	case trace.AdmissionReject:
-		r.admissionRejcts.Add(1)
+	case trace.DOPClamp, trace.AdmissionWait, trace.AdmissionReject:
+		// Scheduler facts: server.SchedStats owns their counts.
 	}
 }
 
@@ -165,12 +144,6 @@ type Snapshot struct {
 	CacheInvalidates  int64 `json:"cache_invalidates"`
 	WorkersStarted    int64 `json:"workers_started"`
 	WorkersDrained    int64 `json:"workers_drained"`
-	DOPClamps         int64 `json:"dop_clamps"`
-	InlineRuns        int64 `json:"inline_runs"`
-	AdmissionWaits    int64 `json:"admission_waits"`
-	AdmissionWaitNS   int64 `json:"admission_wait_ns"`
-	AdmissionRejects  int64 `json:"admission_rejects"`
-	MaxQueueDepth     int64 `json:"max_queue_depth"`
 
 	RowsReturned  int64   `json:"rows_returned"`
 	ExecWork      float64 `json:"exec_work"`
@@ -202,12 +175,6 @@ func (r *Registry) Snapshot() Snapshot {
 		CacheInvalidates:  r.cacheInvalidates.Load(),
 		WorkersStarted:    r.workersStarted.Load(),
 		WorkersDrained:    r.workersDrained.Load(),
-		DOPClamps:         r.dopClamps.Load(),
-		InlineRuns:        r.inlineRuns.Load(),
-		AdmissionWaits:    r.admissionWaits.Load(),
-		AdmissionWaitNS:   r.admissionWaitNS.Load(),
-		AdmissionRejects:  r.admissionRejcts.Load(),
-		MaxQueueDepth:     r.maxQueueDepth.Load(),
 		RowsReturned:      r.rows.Load(),
 		ExecWork:          float64(r.execTicks.Load()) / workTick,
 		WorkerWork:        float64(r.workerTicks.Load()) / workTick,
@@ -251,11 +218,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "%-22s %.3f\n", "cache hit ratio", s.CacheHitRatio)
 	line("workers started", s.WorkersStarted)
 	line("workers drained", s.WorkersDrained)
-	line("dop clamps", s.DOPClamps)
-	line("inline runs", s.InlineRuns)
-	line("admission waits", s.AdmissionWaits)
-	line("admission rejects", s.AdmissionRejects)
-	line("max queue depth", s.MaxQueueDepth)
 	fmt.Fprintf(w, "%-22s %.3f\n", "worker utilization", s.WorkerUtilization)
 	line("rows returned", s.RowsReturned)
 	fmt.Fprintf(w, "%-22s %.1f\n", "exec work", s.ExecWork)

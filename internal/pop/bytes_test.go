@@ -12,7 +12,7 @@ import (
 
 // perCachedExecution runs q once per binding through a cached runner warmed
 // with the same bindings, and returns the heap bytes and allocations one
-// execution averages, with the cache's statistics.
+// execution averages, with the cache's size.
 func perCachedExecution(t *testing.T, q *logical.Query, bindings [][]types.Datum) (bytes, allocs uint64, st CacheStats) {
 	t.Helper()
 	runner := NewRunner(tpchFixture(t), DefaultOptions())
@@ -59,7 +59,7 @@ func TestCachedQ10BytesBudget(t *testing.T) {
 	const ceiling = 1_250_000
 	q, bindings := q10Sweep(t)
 	perRun, _, st := perCachedExecution(t, q, bindings)
-	t.Logf("%d bytes per execution (cache: %d hits, %d misses, %d plans)", perRun, st.Hits, st.Misses, st.Plans)
+	t.Logf("%d bytes per execution (cache: %d entries, %d plans)", perRun, st.Entries, st.Plans)
 	if perRun > ceiling {
 		t.Errorf("a cached execution allocated %d bytes, budget %d", perRun, ceiling)
 	}
@@ -74,7 +74,7 @@ func TestCachedQ10AllocBudget(t *testing.T) {
 	const ceiling = 550
 	q, bindings := q10Sweep(t)
 	_, perRun, st := perCachedExecution(t, q, bindings)
-	t.Logf("%d allocations per execution (cache: %d hits, %d misses, %d plans)", perRun, st.Hits, st.Misses, st.Plans)
+	t.Logf("%d allocations per execution (cache: %d entries, %d plans)", perRun, st.Entries, st.Plans)
 	if perRun > ceiling {
 		t.Errorf("a cached execution made %d allocations, budget %d", perRun, ceiling)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/executor"
 	"repro/internal/optimizer"
 )
 
@@ -32,6 +33,7 @@ func TestParallelPOPMatchesSerial(t *testing.T) {
 
 	pOpts := DefaultOptions()
 	pOpts.Configure = forceParallelHash(4)
+	pOpts.Analyze = true
 	par, err := NewRunner(cat, pOpts).Run(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -51,13 +53,22 @@ func TestParallelPOPMatchesSerial(t *testing.T) {
 	}
 
 	// One logical CHECK must yield one merged observation even though it is
-	// cloned once per partition worker.
+	// cloned once per partition worker: the touched CHECK nodes of the stats
+	// tree, which is what the opportunity analysis reads. (The exchange stub
+	// on a partitioned edge carries the CHECK's plan but never runs.)
 	seen := map[*optimizer.CheckMeta]bool{}
-	for _, obs := range par.CheckStats {
-		if seen[obs.Meta] {
-			t.Fatalf("check #%d reported more than once", obs.Meta.ID)
+	par.Attempts[len(par.Attempts)-1].Stats.Walk(func(sn *executor.StatsNode) {
+		meta := sn.Plan.Check
+		if sn.Plan.Op != optimizer.OpCheck || meta == nil || !sn.Stats.Touched {
+			return
 		}
-		seen[obs.Meta] = true
+		if seen[meta] {
+			t.Fatalf("check #%d reported more than once", meta.ID)
+		}
+		seen[meta] = true
+	})
+	if len(seen) == 0 {
+		t.Fatalf("no CHECK of the parallel run saw a row:\n%s", par.Attempts[0].Explain)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/logical"
 	"repro/internal/optimizer"
@@ -55,8 +54,7 @@ type Entry struct {
 	// subsets share entries.
 	Feedback *stats.Feedback
 
-	hits, misses, invalidations int
-	lastMissOptWork             int // EnumeratedCandidates of the latest miss
+	lastMissOptWork int // EnumeratedCandidates of the latest miss
 }
 
 // Rejection records one guard that turned a cached plan away: the guarded
@@ -86,11 +84,9 @@ func (e *Entry) LookupDetail(ce *optimizer.CardEstimator) (*CachedPlan, []Reject
 			}
 		}
 		if !rejected {
-			e.hits++
 			return cp, rejs
 		}
 	}
-	e.misses++
 	return nil, rejs
 }
 
@@ -119,7 +115,6 @@ func (e *Entry) Invalidate(cp *CachedPlan) {
 	for i, old := range e.plans {
 		if old == cp {
 			e.plans = append(e.plans[:i], e.plans[i+1:]...)
-			e.invalidations++
 			return
 		}
 	}
@@ -152,17 +147,10 @@ type shard struct {
 	entries map[string]*Entry
 }
 
-// Cache is the concurrent sharded plan cache.
+// Cache is the concurrent sharded plan cache. Its verdicts are counted per
+// run (Result.Cache) and, for a server, by the metrics registry.
 type Cache struct {
 	shards [numShards]shard
-
-	// Lock-contention observability for the serving path: lookupFast counts
-	// Entry calls answered by the shard read lock, lookupSlow the ones that
-	// had to take the write lock to create the entry, and contended the lock
-	// acquisitions (either kind) that found the lock held and had to wait.
-	lookupFast atomic.Int64
-	lookupSlow atomic.Int64
-	contended  atomic.Int64
 }
 
 // NewCache returns an empty cache.
@@ -179,21 +167,13 @@ func (c *Cache) Entry(key string) *Entry {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	s := &c.shards[h.Sum64()%numShards]
-	if !s.mu.TryRLock() {
-		c.contended.Add(1)
-		s.mu.RLock()
-	}
+	s.mu.RLock()
 	e := s.entries[key]
 	s.mu.RUnlock()
 	if e != nil {
-		c.lookupFast.Add(1)
 		return e
 	}
-	c.lookupSlow.Add(1)
-	if !s.mu.TryLock() {
-		c.contended.Add(1)
-		s.mu.Lock()
-	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e = s.entries[key]; e == nil {
 		e = &Entry{Feedback: stats.NewFeedback()}
@@ -202,29 +182,15 @@ func (c *Cache) Entry(key string) *Entry {
 	return e
 }
 
-// CacheStats aggregates counters across every entry.
+// CacheStats is the cache's size: statements and the plans they hold.
 type CacheStats struct {
-	Entries       int
-	Plans         int
-	Hits          int
-	Misses        int
-	Invalidations int
-
-	// LookupFast/LookupSlow split Entry calls by the lock they resolved
-	// under (shard read lock vs. entry-creating write lock); Contended
-	// counts the acquisitions that found the shard lock held.
-	LookupFast int64
-	LookupSlow int64
-	Contended  int64
+	Entries int
+	Plans   int
 }
 
-// Stats walks the cache and sums per-entry counters.
+// Stats walks the cache and counts its entries and plans.
 func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		LookupFast: c.lookupFast.Load(),
-		LookupSlow: c.lookupSlow.Load(),
-		Contended:  c.contended.Load(),
-	}
+	var st CacheStats
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
@@ -233,9 +199,6 @@ func (c *Cache) Stats() CacheStats {
 			e.mu.Lock()
 			st.Entries++
 			st.Plans += len(e.plans)
-			st.Hits += e.hits
-			st.Misses += e.misses
-			st.Invalidations += e.invalidations
 			e.mu.Unlock()
 		}
 		s.mu.RUnlock()

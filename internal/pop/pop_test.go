@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/executor"
 	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
@@ -383,6 +384,7 @@ func TestCheckObservationsCollected(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Policy.Unchecked = true // observe opportunities, never fire
 	opts.Policy.RequireBoundedRange = false
+	opts.Analyze = true
 	res, err := NewRunner(cat, opts).Run(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -390,12 +392,17 @@ func TestCheckObservationsCollected(t *testing.T) {
 	if res.Reopts != 0 {
 		t.Fatal("unchecked run must not re-optimize")
 	}
-	if len(res.CheckStats) == 0 {
-		t.Fatalf("no check observations:\n%s", res.Attempts[0].Explain)
-	}
-	for _, obs := range res.CheckStats {
-		if obs.Touched && (obs.FirstWork < 0 || obs.FirstWork > res.Work) {
-			t.Errorf("check %d first-touch work %v outside [0, %v]", obs.Meta.ID, obs.FirstWork, res.Work)
+	checks := 0
+	res.Attempts[0].Stats.Walk(func(sn *executor.StatsNode) {
+		if sn.Plan.Op != optimizer.OpCheck {
+			return
 		}
+		checks++
+		if st := sn.Stats; st.Touched && (st.FirstWork < 0 || st.FirstWork > res.Work) {
+			t.Errorf("check %d first-touch work %v outside [0, %v]", sn.Plan.Check.ID, st.FirstWork, res.Work)
+		}
+	})
+	if checks == 0 {
+		t.Fatalf("no check observations:\n%s", res.Attempts[0].Explain)
 	}
 }

@@ -104,21 +104,9 @@ type Result struct {
 	Work     float64 // total simulated work units across all attempts
 	Reopts   int     // number of re-optimizations triggered
 	Attempts []AttemptInfo
-	// CheckStats carries the runtime stats of every CHECK node from the last
-	// fully executed attempt (for the opportunity analysis).
-	CheckStats []CheckObservation
 	// Cache describes how the runner's plan cache served the run; zero
 	// without a cache.
 	Cache ExecInfo
-}
-
-// CheckObservation is one checkpoint's runtime timing.
-type CheckObservation struct {
-	Meta      *optimizer.CheckMeta
-	FirstWork float64
-	DoneWork  float64
-	RowsSeen  float64
-	Touched   bool
 }
 
 // Runner executes queries with progressive re-optimization.
@@ -288,15 +276,14 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 		if err != nil {
 			return nil, fail(tr, err)
 		}
-		var emitted *executor.ReturnedSet
 		if r.Opts.Pipelined {
+			// The anti-join compensates against its copy of side, taken at
+			// Open before any row flows, so this attempt's own rows, recorded
+			// into side as they are returned, are never compensated.
 			if attempt > 0 {
 				root = executor.NewAntiJoin(ex, root, side)
 			}
-			// Record this attempt's emissions separately: compensation must
-			// only apply to rows returned by *previous* attempts.
-			emitted = executor.NewReturnedSet()
-			root = executor.NewInsertRid(ex, root, emitted)
+			root = executor.NewInsertRid(ex, root, side)
 		}
 
 		rows, runErr := executor.Run(root)
@@ -305,7 +292,6 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 			// Rows produced before a violation were already returned to the
 			// application; keep them (compensation prevents duplicates).
 			res.Rows = append(res.Rows, rows...)
-			side.Merge(emitted)
 		}
 
 		var cv *executor.CheckViolation
@@ -320,7 +306,6 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 			if !r.Opts.Pipelined {
 				res.Rows = rows
 			}
-			res.CheckStats = collectCheckStats(root)
 			if r.Opts.Analyze {
 				info.Stats = executor.CollectStats(root, ex.Cost)
 			}
@@ -451,42 +436,4 @@ func countsObservable(op optimizer.OpKind) bool {
 	default:
 		return false
 	}
-}
-
-// collectCheckStats gathers checkpoint timings from an executed tree. In a
-// parallel plan one logical CHECK appears once per partition clone; the
-// instances are merged by their shared CheckMeta: rows seen sum across
-// clones, the first touch is the earliest and completion the latest.
-func collectCheckStats(root executor.Node) []CheckObservation {
-	var out []CheckObservation
-	index := make(map[*optimizer.CheckMeta]int)
-	executor.Walk(root, func(n executor.Node) {
-		p := n.Plan()
-		if p.Op != optimizer.OpCheck || p.Check == nil {
-			return
-		}
-		st := n.Stats()
-		i, seen := index[p.Check]
-		if !seen {
-			index[p.Check] = len(out)
-			out = append(out, CheckObservation{
-				Meta:      p.Check,
-				FirstWork: st.FirstWork,
-				DoneWork:  st.DoneWork,
-				RowsSeen:  st.RowsOut,
-				Touched:   st.Touched,
-			})
-			return
-		}
-		obs := &out[i]
-		obs.RowsSeen += st.RowsOut
-		if st.Touched && (!obs.Touched || st.FirstWork < obs.FirstWork) {
-			obs.FirstWork = st.FirstWork
-		}
-		if st.DoneWork > obs.DoneWork {
-			obs.DoneWork = st.DoneWork
-		}
-		obs.Touched = obs.Touched || st.Touched
-	})
-	return out
 }

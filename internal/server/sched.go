@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -104,8 +105,6 @@ type Scheduler struct {
 	queue        []*waiter
 	perSess      map[string]int
 	draining     bool
-	drainDone    chan struct{} // created by Drain, closed when running hits 0
-	drainClosed  bool
 	admitted     int64
 	waits        int64
 	waitNS       int64
@@ -212,18 +211,17 @@ func (s *Scheduler) Admit(ctx context.Context, session string) (func(), error) {
 	case <-w.ready:
 		wait := time.Since(start)
 		s.mu.Lock()
-		s.waits++
-		s.waitNS += wait.Nanoseconds()
-		if w.err == nil {
-			s.admitted++
-		} else {
-			s.rejects++
-		}
-		s.mu.Unlock()
 		if w.err != nil {
+			// Woken by Drain: one reject, not a wait, as the trace says.
+			s.rejects++
+			s.mu.Unlock()
 			s.rejectEvent("draining")
 			return nil, w.err
 		}
+		s.waits++
+		s.waitNS += wait.Nanoseconds()
+		s.admitted++
+		s.mu.Unlock()
 		if tr := s.Trace; tr != nil {
 			tr.Record(trace.Event{
 				Kind:  trace.AdmissionWait,
@@ -285,60 +283,35 @@ func (s *Scheduler) releaseFunc() func() {
 }
 
 // releaseSlot frees one run slot, handing it to the queue head (FIFO) if one
-// is waiting. During a drain, queued waiters are woken with ErrDraining
-// instead, and the drain waiter is signalled when the last running query
-// finishes.
+// is waiting. Nothing queues once draining starts: Admit checks draining
+// under the same mutex, and Drain empties the queue.
 func (s *Scheduler) releaseSlot() {
 	s.mu.Lock()
 	s.running--
-	for len(s.queue) > 0 {
+	if len(s.queue) > 0 {
 		w := s.queue[0]
 		s.queue = s.queue[1:]
 		s.dropSess(w.session)
-		if s.draining {
-			w.err = ErrDraining
-			close(w.ready)
-			continue
-		}
 		s.running++
 		close(w.ready)
-		break
-	}
-	if s.draining && s.running == 0 && s.drainDone != nil && !s.drainClosed {
-		s.drainClosed = true
-		close(s.drainDone)
 	}
 	s.mu.Unlock()
 }
 
-// Drain moves the scheduler into draining mode: queued waiters are woken
-// with ErrDraining, new admissions are rejected, and the call blocks until
-// every running query has released its slot or the context expires.
-func (s *Scheduler) Drain(ctx context.Context) error {
+// Drain moves the scheduler into draining mode: new admissions are rejected
+// and queued waiters are woken with ErrDraining (each counted once, by its
+// Admit). Running queries keep their slots; Drain does not wait for them —
+// Server.Shutdown waits for every admitted query's reply.
+func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	for _, w := range s.queue {
 		s.dropSess(w.session)
-		s.rejects++
 		w.err = ErrDraining
 		close(w.ready)
 	}
 	s.queue = nil
-	if s.running == 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	if s.drainDone == nil {
-		s.drainDone = make(chan struct{})
-	}
-	done := s.drainDone
 	s.mu.Unlock()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // SchedStats is a point-in-time snapshot of the scheduler's counters.
@@ -382,4 +355,22 @@ func (s *Scheduler) Stats() SchedStats {
 	}
 	s.mu.Unlock()
 	return st
+}
+
+// WriteText renders the scheduler's configuration and cumulative counts in
+// metrics.Snapshot.WriteText's two-column layout, every label prefixed
+// "sched". The point-in-time gauges (running, queued, workers out,
+// draining) are in the JSON form only.
+func (st SchedStats) WriteText(w io.Writer) {
+	line := func(name string, v int64) { fmt.Fprintf(w, "%-22s %d\n", "sched "+name, v) }
+	line("worker budget", int64(st.WorkerBudget))
+	line("peak workers", st.PeakWorkers)
+	line("dop clamps", st.DOPClamps)
+	line("inline runs", st.InlineRuns)
+	line("admitted", st.Admitted)
+	line("admission waits", st.AdmissionWaits)
+	line("admit wait ns", st.AdmissionWaitNS)
+	line("max queue depth", int64(st.MaxQueueDepth))
+	line("drain rejects", st.Rejects)
+	line("backpressure", st.Backpressure)
 }

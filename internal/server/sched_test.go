@@ -307,8 +307,8 @@ func TestAdmitContextAbandon(t *testing.T) {
 }
 
 // TestDrain verifies the drain protocol: queued waiters wake with
-// ErrDraining, new admissions reject, and Drain returns once the last
-// in-flight query releases.
+// ErrDraining, new admissions reject, and Drain returns at once — the query
+// still running keeps its slot until it releases it.
 func TestDrain(t *testing.T) {
 	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 1, SessionQueue: 4})
 	rel, err := s.Admit(context.Background(), "a")
@@ -329,44 +329,132 @@ func TestDrain(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	drained := make(chan error, 1)
-	go func() { drained <- s.Drain(context.Background()) }()
-
+	s.Drain()
+	if st := s.Stats(); st.Running != 1 || !st.Draining {
+		t.Fatalf("after Drain: running=%d draining=%v, want the in-flight query still running", st.Running, st.Draining)
+	}
 	if err := <-queuedErr; !errors.Is(err, ErrDraining) {
 		t.Fatalf("queued waiter woke with %v, want ErrDraining", err)
 	}
 	if _, err := s.Admit(context.Background(), "c"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("new admission: %v, want ErrDraining", err)
 	}
-	select {
-	case err := <-drained:
-		t.Fatalf("drain returned %v before the in-flight query finished", err)
-	case <-time.After(20 * time.Millisecond):
-	}
 	rel()
-	select {
-	case err := <-drained:
-		if err != nil {
-			t.Fatalf("drain: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("drain never returned after the last release")
+	if st := s.Stats(); st.Running != 0 || st.Queued != 0 {
+		t.Errorf("running=%d queued=%d after the last release, want 0/0", st.Running, st.Queued)
 	}
 }
 
-// TestDrainDeadline verifies Drain honors its context when an in-flight
-// query never finishes.
+// TestDrainDeadline verifies Server.Shutdown honors DrainTimeout when an
+// in-flight query does not finish in time: it returns an error wrapping
+// context.DeadlineExceeded once the query is let go.
 func TestDrainDeadline(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 1})
-	rel, err := s.Admit(context.Background(), "stuck")
+	release := make(chan struct{})
+	hook, inFlight := blockingOptions(release)
+	srv := New(tpchCat(t, 0.002), Config{
+		Workers:      4,
+		Sched:        SchedConfig{WorkerBudget: 4, RunSlots: 1},
+		Options:      hook,
+		DrainTimeout: 20 * time.Millisecond,
+	})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("drain with a stuck query: %v, want DeadlineExceeded", err)
+	stuck := make(chan error, 1)
+	go func() {
+		_, err := c.Query(q10SQL, Float(25))
+		stuck <- err
+	}()
+	<-inFlight
+
+	shutdownErr := make(chan error, 1)
+	go func() { shutdownErr <- srv.Shutdown(context.Background()) }()
+	// Shutdown closes the connection only after its wait gave up, so the
+	// stuck query's client fails first; then the query may go.
+	if err := <-stuck; err == nil {
+		t.Error("the stuck query got a reply after DrainTimeout")
+	}
+	close(release)
+	if err := <-shutdownErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown with a stuck query: %v, want DeadlineExceeded", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Logf("client close after server shutdown: %v", err)
+	}
+}
+
+// TestSchedStatsMatchTrace holds the scheduler's counters to its own trace:
+// through queueing, a backpressure bounce, a drain that wakes a waiter and
+// an arrival after it, Rejects+Backpressure equals the admission_reject
+// events and AdmissionWaits the admission_wait events.
+func TestSchedStatsMatchTrace(t *testing.T) {
+	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 1, SessionQueue: 1})
+	col := trace.NewCollector()
+	s.Trace = col
+	queue := func(session string) <-chan error {
+		t.Helper()
+		want := s.Stats().Queued + 1
+		errCh := make(chan error, 1)
+		go func() {
+			rel, err := s.Admit(context.Background(), session)
+			if err == nil {
+				rel()
+			}
+			errCh <- err
+		}()
+		deadline := time.Now().Add(2 * time.Second)
+		for s.Stats().Queued != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never queued", session)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return errCh
+	}
+
+	rel, err := s.Admit(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := queue("b")
+	rel() // b is handed the slot after waiting, and releases it
+	if err := <-waited; err != nil {
+		t.Fatalf("queued admission: %v", err)
+	}
+
+	rel, err = s.Admit(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := queue("c")
+	var bp *BackpressureError
+	if _, err := s.Admit(context.Background(), "c"); !errors.As(err, &bp) {
+		t.Fatalf("second queued query of session c: %v, want BackpressureError", err)
+	}
+	s.Drain()
+	if err := <-drained; !errors.Is(err, ErrDraining) {
+		t.Fatalf("queued waiter woke with %v, want ErrDraining", err)
+	}
+	if _, err := s.Admit(context.Background(), "d"); !errors.Is(err, ErrDraining) {
+		t.Fatalf("admission after drain: %v, want ErrDraining", err)
+	}
+	rel()
+
+	st := s.Stats()
+	rejects, waits := len(col.OfKind(trace.AdmissionReject)), len(col.OfKind(trace.AdmissionWait))
+	if got := st.Rejects + st.Backpressure; got != int64(rejects) {
+		t.Errorf("Rejects %d + Backpressure %d = %d, trace has %d admission_reject events",
+			st.Rejects, st.Backpressure, got, rejects)
+	}
+	if st.AdmissionWaits != int64(waits) {
+		t.Errorf("AdmissionWaits %d, trace has %d admission_wait events", st.AdmissionWaits, waits)
+	}
+	if st.Rejects != 2 || st.Backpressure != 1 || st.AdmissionWaits != 1 {
+		t.Errorf("rejects=%d backpressure=%d waits=%d, want 2/1/1", st.Rejects, st.Backpressure, st.AdmissionWaits)
 	}
 }
 

@@ -74,9 +74,10 @@ type Server struct {
 	shutdown bool
 	// A request is in flight from dispatch until its reply has been written.
 	// Shutdown waits for the count to reach zero before it closes
-	// connections: the scheduler's drain only covers the run slot, which a
-	// query releases before its reply is encoded. closing is set once that
-	// wait starts; later requests are refused, not counted.
+	// connections. It is the only drain wait: every admitted query is
+	// counted, and it releases its run slot before its reply is encoded.
+	// closing is set once that wait starts; later requests are refused, not
+	// counted.
 	inflight int
 	closing  bool
 	replied  chan struct{} // closed when inflight reaches 0 after closing
@@ -422,14 +423,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
 	defer cancel()
-	drainErr := s.sched.Drain(dctx)
+	s.sched.Drain()
 
+	// Every admitted query is in flight until its reply is written, so this
+	// one wait covers both the queries still running and the replies of
+	// those that finished (or were rejected mid-drain).
 	var errs []error
-	if drainErr != nil {
-		errs = append(errs, fmt.Errorf("drain: %w", drainErr))
-	}
-	// Every slot is free, but the replies of the queries that held them (and
-	// of requests rejected mid-drain) may still be on their way out.
 	s.mu.Lock()
 	s.closing = true
 	var replied chan struct{}

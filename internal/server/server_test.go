@@ -203,7 +203,7 @@ func TestServerWorkIdentity(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("every binding re-optimized; no violation-free binding to check identity on")
 	}
-	if srv.Metrics().DOPClamps == 0 {
+	if srv.Scheduler().Stats().DOPClamps == 0 {
 		t.Error("budget 2 never clamped a DOP-4 plan; the gate was not exercised")
 	}
 }

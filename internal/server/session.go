@@ -98,10 +98,7 @@ func (s *Server) serveRequest(ctx context.Context, session string, req Request) 
 	case OpMetrics:
 		var b strings.Builder
 		s.reg.Snapshot().WriteText(&b)
-		st := s.sched.Stats()
-		fmt.Fprintf(&b, "%-22s %d\n", "sched peak workers", st.PeakWorkers)
-		fmt.Fprintf(&b, "%-22s %d\n", "sched worker budget", st.WorkerBudget)
-		fmt.Fprintf(&b, "%-22s %d\n", "sched backpressure", st.Backpressure)
+		s.sched.Stats().WriteText(&b)
 		return Response{ID: req.ID, OK: true, Text: b.String()}
 	}
 	return errResponse(req.ID, CodeParse, fmt.Errorf("unknown op %q", req.Op))
