@@ -385,7 +385,7 @@ func BenchmarkCachedQ10(b *testing.B) {
 }
 
 // --------------------------------------------------------------------------
-// Parallel execution (exchange operators / partitioned hash join).
+// Parallel execution (gather exchanges under a hash join).
 
 var (
 	parOnce sync.Once

@@ -20,9 +20,9 @@ import (
 // join, joins emitting rows of no columns, and temp MVs re-read by the next
 // attempt.
 
-// hashOnly plans every join as a hash join, partitioned across workers when
-// workers > 1: with no exchange setup charge, every hash join over two scans
-// pays for its exchanges.
+// hashOnly plans every join as a hash join for the given worker count: with
+// no exchange setup charge, every scan feeding a hash join pays for a gather
+// when workers > 1.
 func hashOnly(workers int) func(*optimizer.Optimizer) {
 	return func(o *optimizer.Optimizer) {
 		o.DisableNLJN, o.DisableMGJN = true, true
@@ -40,23 +40,36 @@ func planHas(p *optimizer.Plan, pred func(*optimizer.Plan) bool) bool {
 	return found
 }
 
-// parallelJoin matches a partitioned hash join: a gather over a hash join.
-func parallelJoin(p *optimizer.Plan) bool {
-	return p.Op == optimizer.OpExchange && p.ExKind == optimizer.ExGather && p.Children[0].Op == optimizer.OpHSJN
+// gatheredJoin matches a hash join with a gathered input, looking through
+// the CHECKs POP places on its edges.
+func gatheredJoin(p *optimizer.Plan) bool {
+	if p.Op != optimizer.OpHSJN {
+		return false
+	}
+	for _, c := range p.Children {
+		for c.Op == optimizer.OpCheck {
+			c = c.Children[0]
+		}
+		if c.Op == optimizer.OpExchange {
+			return true
+		}
+	}
+	return false
 }
 
-// filteredParallelJoin matches a partitioned hash join with a residual filter.
-func filteredParallelJoin(p *optimizer.Plan) bool {
-	return parallelJoin(p) && p.Children[0].Filter != nil
+// filteredGatheredJoin matches a hash join with a gathered input and a
+// residual filter.
+func filteredGatheredJoin(p *optimizer.Plan) bool {
+	return gatheredJoin(p) && p.Filter != nil
 }
 
 // TestDifferentialParallelJoinFilter gives the random join chains an equi key
 // plus a1.val < a0.val, where neither val is read anywhere else: the filter
 // reads two columns dead above the join that applies it. Each query runs under
 // POP at 2 and 4 planned workers with real worker goroutines (no gate), hash
-// joins only, and is compared with brute force. Without a partitioned hash
-// join whose filter was compared, the probe workers' filter path went
-// untested and the test fails.
+// joins only, and is compared with brute force. Without a filtered hash join
+// over a gathered input, whose probe rows arrive in worker order, the test
+// fails.
 func TestDifferentialParallelJoinFilter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
@@ -87,15 +100,15 @@ func TestDifferentialParallelJoinFilter(t *testing.T) {
 					seed, workers, res.Reopts, d, q, res.Attempts[len(res.Attempts)-1].Explain)
 			}
 			for _, a := range res.Attempts {
-				if planHas(a.Plan, filteredParallelJoin) {
+				if planHas(a.Plan, filteredGatheredJoin) {
 					compared++
 				}
 			}
 		}
 	}
-	t.Logf("%d attempts ran a partitioned hash join with a residual filter", compared)
+	t.Logf("%d attempts ran a hash join over a gathered input with a residual filter", compared)
 	if compared == 0 {
-		t.Error("no partitioned hash join with a residual filter was compared")
+		t.Error("no hash join over a gathered input with a residual filter was compared")
 	}
 }
 
@@ -261,11 +274,11 @@ func TestMVLayoutsAcrossAttempts(t *testing.T) {
 
 // TestZeroWidthJoinRows: in SELECT COUNT(*) FROM a, b WHERE a.k = b.ak no
 // column is read above the join, so it emits rows of no columns. Every join
-// method and the partitioned hash join at 2 and 4 workers must count them
-// right. A third, unconnected table makes the greedy planner join a ⋈ b
-// first and feed its zero-width rows to a cartesian NLJN through an LCEM
-// TEMP; failing that checkpoint promotes the TEMP's rows to a temp MV the
-// re-optimized plan reads back.
+// method, and the hash join over gathered inputs at 2 and 4 workers, must
+// count them right. A third, unconnected table makes the greedy planner join
+// a ⋈ b first and feed its zero-width rows to a cartesian NLJN through an
+// LCEM TEMP; failing that checkpoint promotes the TEMP's rows to a temp MV
+// the re-optimized plan reads back.
 func TestZeroWidthJoinRows(t *testing.T) {
 	cat := layoutFixture(t)
 	count := func(t *testing.T, res *pop.Result) int64 {
@@ -293,8 +306,8 @@ func TestZeroWidthJoinRows(t *testing.T) {
 		{"merge", func(o *optimizer.Optimizer) { o.DisableNLJN, o.DisableHSJN = true, true }, isOp(optimizer.OpMGJN, false)},
 		{"naive", func(o *optimizer.Optimizer) { nljnOnly(o); o.DisableIndexJoin = true }, isOp(optimizer.OpNLJN, false)},
 		{"index", nljnOnly, isOp(optimizer.OpNLJN, true)},
-		{"parallel2", hashOnly(2), parallelJoin},
-		{"parallel4", hashOnly(4), parallelJoin},
+		{"parallel2", hashOnly(2), gatheredJoin},
+		{"parallel4", hashOnly(4), gatheredJoin},
 	}
 	for _, m := range methods {
 		t.Run(m.name, func(t *testing.T) {

@@ -18,13 +18,6 @@ import (
 	"repro/internal/optimizer"
 )
 
-// extraWorker is implemented by nodes whose worker goroutines charge work
-// that the consumer-thread charge path cannot attribute (the partitioned
-// hash join's build/probe loops).
-type extraWorker interface {
-	extraWork() float64
-}
-
 // indexed is implemented by the nodes that descend a B+tree, so the stats
 // tree can price the descent.
 type indexed interface {
@@ -83,9 +76,6 @@ func CollectStats(root Node, cost optimizer.CostParams) *StatsNode {
 
 func collectNode(n Node) *StatsNode {
 	sn := &StatsNode{Plan: n.Plan(), Stats: *n.Stats(), Clones: 1}
-	if ew, ok := n.(extraWorker); ok {
-		sn.Stats.Work += ew.extraWork()
-	}
 	if ix, ok := n.(indexed); ok {
 		sn.indexHeight = ix.indexHeight()
 	}

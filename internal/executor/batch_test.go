@@ -328,8 +328,8 @@ func TestBatchMatchesRowExecution(t *testing.T) {
 	})
 }
 
-// TestBatchParallelMatchesRow extends the invariant across exchanges: the
-// partitioned hash join's rows and work total must be identical at every
+// TestBatchParallelMatchesRow extends the invariant across exchanges: a hash
+// join over gathered inputs must return identical rows and work at every
 // capacity and every DOP.
 func TestBatchParallelMatchesRow(t *testing.T) {
 	cat := fixture(t)

@@ -247,14 +247,11 @@ type Executor struct {
 	batchCap int             // rows per batch; batchRows outside the package's own tests
 	wrap     func(Node) Node // applied to every node Build returns; set only by the package's own tests
 	hashDrop uint64          // key-hash bits cleared to force collisions; set only by the package's own tests
-	// endHold runs before a partitioned hash join's probe worker flushes at a clean end of stream (nil),
-	// and after a failed worker has dealt with its error. Set only by the package's own tests.
-	endHold func(error)
-	tabs    []*catalog.Table
-	ectx    *expr.Context
-	checks  *checkRegistry
-	stmt    *Meter   // statement-global meter (== Meter outside worker copies)
-	layouts *layouts // join row layouts, shared with worker copies
+	tabs     []*catalog.Table
+	ectx     *expr.Context
+	checks   *checkRegistry
+	stmt     *Meter   // statement-global meter (== Meter outside worker copies)
+	layouts  *layouts // join row layouts, shared with worker copies
 }
 
 // NewExecutor resolves the query's tables and prepares an executor.
@@ -479,7 +476,7 @@ func (e *Executor) build(p *optimizer.Plan) (Node, error) {
 	case optimizer.OpCheck:
 		return e.buildCheck(p)
 	case optimizer.OpExchange:
-		return e.buildExchange(p)
+		return e.buildGather(p)
 	default:
 		return nil, fmt.Errorf("executor: unsupported operator %s", p.Op)
 	}

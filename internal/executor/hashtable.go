@@ -8,8 +8,8 @@ import (
 	"repro/internal/types"
 )
 
-// hashTable is the one hash table of the executor, under the hash join, the
-// partitioned hash join and hash aggregation: open addressing with linear
+// hashTable is the one hash table of the executor, under the hash join and
+// hash aggregation: open addressing with linear
 // probing over 64-bit key hashes. A slot holds the index of a dense entry,
 // and entries are numbered in insertion order. What an entry is belongs to
 // the user — a join bucket, an aggregation group — and several entries may
@@ -106,29 +106,22 @@ type joinTable struct {
 	rows   []schema.Row
 }
 
-// build fills the table from build rows, taken chunk by chunk in order, and
-// leaves the rows with a NULL key out. It counts each hash's rows, lays the
-// runs out in entry order and places the rows back to front, so every run
-// keeps the input order; each pass hashes the keys again instead of keeping
-// the hashes.
-func (t *joinTable) build(e *Executor, keys []int, chunks ...[]schema.Row) {
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
-	t.reset(n)
-	t.bounds = make([]int32, 0, n+1)
-	for _, c := range chunks {
-		for _, row := range c {
-			if h, ok := e.keyHash(row, keys, false); ok {
-				pos := t.home(h)
-				i := t.next(h, &pos)
-				if i < 0 {
-					i = t.insert(h, pos)
-					t.bounds = append(t.bounds, 0)
-				}
-				t.bounds[i]++
+// build fills the table from build rows and leaves the rows with a NULL key
+// out. It counts each hash's rows, lays the runs out in entry order and
+// places the rows back to front, so every run keeps the input order; each
+// pass hashes the keys again instead of keeping the hashes.
+func (t *joinTable) build(e *Executor, keys []int, rows []schema.Row) {
+	t.reset(len(rows))
+	t.bounds = make([]int32, 0, len(rows)+1)
+	for _, row := range rows {
+		if h, ok := e.keyHash(row, keys, false); ok {
+			pos := t.home(h)
+			i := t.next(h, &pos)
+			if i < 0 {
+				i = t.insert(h, pos)
+				t.bounds = append(t.bounds, 0)
 			}
+			t.bounds[i]++
 		}
 	}
 	end := int32(0)
@@ -138,13 +131,11 @@ func (t *joinTable) build(e *Executor, keys []int, chunks ...[]schema.Row) {
 	}
 	t.bounds = append(t.bounds, end)
 	t.rows = make([]schema.Row, end)
-	for i := len(chunks) - 1; i >= 0; i-- {
-		for j := len(chunks[i]) - 1; j >= 0; j-- {
-			if h, ok := e.keyHash(chunks[i][j], keys, false); ok {
-				k := t.find(h)
-				t.bounds[k]--
-				t.rows[t.bounds[k]] = chunks[i][j]
-			}
+	for i := len(rows) - 1; i >= 0; i-- {
+		if h, ok := e.keyHash(rows[i], keys, false); ok {
+			k := t.find(h)
+			t.bounds[k]--
+			t.rows[t.bounds[k]] = rows[i]
 		}
 	}
 }

@@ -38,8 +38,8 @@ func checkTablesAgainstMaps(t testing.TB, keys []byte, drop uint64, card float64
 	rows := keyedRows(keys)
 	key := []int{0}
 
-	// Join: each hash's bucket holds its rows in build-input order, across
-	// chunk boundaries, and NULL keys are left out.
+	// Join: each hash's bucket holds its rows in build-input order, and NULL
+	// keys are left out.
 	ref := map[uint64][]schema.Row{}
 	keyed := 0
 	for _, r := range rows {
@@ -49,7 +49,7 @@ func checkTablesAgainstMaps(t testing.TB, keys []byte, drop uint64, card float64
 		}
 	}
 	var jt joinTable
-	jt.build(e, key, rows[:len(rows)/3], rows[len(rows)/3:len(rows)/2], rows[len(rows)/2:])
+	jt.build(e, key, rows)
 	if len(jt.rows) != keyed || len(jt.hashes) != len(ref) {
 		t.Fatalf("join table holds %d rows under %d hashes, want %d under %d", len(jt.rows), len(jt.hashes), keyed, len(ref))
 	}
@@ -190,10 +190,11 @@ func execHashed(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *opti
 	return rows, meter.Work()
 }
 
-// TestHashOperatorsUnderCollisions runs the hash join, the partitioned hash
-// join inline (a zero grant) and at DOP 1/2/4/8, and hash aggregation with every key on one hash and on
-// two: joins still key-check every candidate and groups stay distinct, so
-// the rows and the work equal the real-hash run at DOP 1.
+// TestHashOperatorsUnderCollisions runs the hash join, serial and over
+// gathered inputs at a zero grant and at DOP 1/2/4/8, and hash aggregation
+// with every key on one hash and on two: joins still key-check every
+// candidate and groups stay distinct, so the rows and the work equal the
+// real-hash run at DOP 1.
 func TestHashOperatorsUnderCollisions(t *testing.T) {
 	cat := fixture(t)
 	join := joinQuery(t, cat)
@@ -236,8 +237,8 @@ func TestHashOperatorsUnderCollisions(t *testing.T) {
 
 // TestHashJoinBuildKeepsNullKeys: a NULL build key joins nothing, so the
 // table leaves the row out, but the build edge still counts every row (the
-// staging charge reads that count) — serial, and partitioned at a zero
-// grant, DOP 1 and DOP 2.
+// staging charge reads that count) — serial, and over gathered inputs planned
+// for 2 and 4 workers and run at a zero grant, DOP 1 and DOP 2.
 func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 	build := []types.Datum{types.Null, types.NewInt(1), types.NewInt(2), types.Null, types.NewInt(1)}
 	probe := ints(1, 2, 3)
@@ -255,13 +256,17 @@ func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		opt := parallelOptimizer(cat, workers)
+		opt.Model.Params.ExchangeSetup = 0 // so the tiny inputs pay for a gather
 		plan, err := opt.Optimize(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireBuildOn(t, plan, q, "rt")
+		if gathered := planContains(plan, func(p *optimizer.Plan) bool { return p.Op == optimizer.OpExchange }); gathered != (workers > 1) {
+			t.Fatalf("workers=%d: gathered=%v:\n%s", workers, gathered, optimizer.Explain(plan, q))
+		}
 		for _, dop := range []int{0, 1, 2} {
 			ex, err := NewExecutor(cat, q, nil, opt.Model.Params, &Meter{})
 			if err != nil {
@@ -282,14 +287,10 @@ func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 			if len(rows) != 3 {
 				t.Errorf("workers=%d dop=%d: %d rows, want 3", workers, dop, len(rows))
 			}
-			var tables []joinTable
-			var join Node
+			var join *hsjnNode
 			Walk(root, func(n Node) {
-				switch j := n.(type) {
-				case *hsjnNode:
-					tables, join = []joinTable{j.table}, j
-				case *parallelHSJNNode:
-					tables, join = j.parts, j
+				if j, ok := n.(*hsjnNode); ok {
+					join = j
 				}
 			})
 			if join == nil {
@@ -298,11 +299,7 @@ func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 			if st := join.Children()[1].Stats(); !st.Done || st.RowsOut != float64(len(build)) {
 				t.Errorf("workers=%d dop=%d: build edge counted %v rows (done %v), want all %d", workers, dop, st.RowsOut, st.Done, len(build))
 			}
-			inTable := 0
-			for _, jt := range tables {
-				inTable += len(jt.rows)
-			}
-			if inTable != 3 {
+			if inTable := len(join.table.rows); inTable != 3 {
 				t.Errorf("workers=%d dop=%d: the table holds %d rows, want the 3 keyed ones", workers, dop, inTable)
 			}
 		}

@@ -20,7 +20,7 @@ import (
 type joinOutput struct {
 	filter      *expr.Filter
 	left, right []int      // positions of the output columns in the left / right row
-	pair        schema.Row // filter scratch; each parallel probe worker owns a copy
+	pair        schema.Row // filter scratch
 }
 
 // newJoinOutput resolves join p's output positions and remaps its filter,
@@ -94,24 +94,21 @@ type nljnNode struct {
 	mpos    int
 }
 
-// inertNode is a Node that is never driven: it exists so tree walks (stats
-// harvesting, check collection) see an edge the enclosing operator runs by
-// itself.
-type inertNode struct{ base }
-
-func (n *inertNode) Open() error                   { n.stats.Opened = true; return nil }
-func (n *inertNode) NextBatch(int) (*Batch, error) { return nil, nil }
-func (n *inertNode) Close() error                  { return nil }
-
 // probeState tracks the index-probe machinery of an index NLJN and doubles
-// as the Node for the inner edge so tree walks see both children.
+// as the Node for the inner edge so tree walks (stats harvesting, check
+// collection) see both children. As a Node it is never driven: the NLJN
+// probes the index itself.
 type probeState struct {
-	inertNode
+	base
 	ix       *storage.BTreeIndex
 	filter   *expr.Filter // inner residual filter in table layout
 	descentT int64        // pre-scaled B+tree descent charge per outer row
 	fetchT   int64        // pre-scaled charge per fetched inner row
 }
+
+func (p *probeState) Open() error                   { p.stats.Opened = true; return nil }
+func (p *probeState) NextBatch(int) (*Batch, error) { return nil, nil }
+func (p *probeState) Close() error                  { return nil }
 
 func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 	outer, err := e.Build(p.Children[0])
@@ -141,11 +138,11 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 			return nil, err
 		}
 		n.probe = &probeState{
-			inertNode: inertNode{base{plan: innerPlan}},
-			ix:        ix,
-			filter:    innerFilter,
-			descentT:  Ticks(float64(ix.Height()) * e.Cost.IndexLevel),
-			fetchT:    Ticks(e.Cost.FetchRow + float64(innerFilter.Len())*e.Cost.PredEval),
+			base:     base{plan: innerPlan},
+			ix:       ix,
+			filter:   innerFilter,
+			descentT: Ticks(float64(ix.Height()) * e.Cost.IndexLevel),
+			fetchT:   Ticks(e.Cost.FetchRow + float64(innerFilter.Len())*e.Cost.PredEval),
 		}
 		n.children = []Node{outer, n.probe}
 		return n, nil

@@ -64,8 +64,8 @@ func firstBatch(t *testing.T, n Node) []schema.Row {
 // — by a select item, a GROUP BY key, or a join predicate reaching a table
 // outside the set. The plans are the cached plan at binding 25 (two hash
 // joins) and the cold plan at 2.5 (TEMP under an index NLJN, then a hash
-// join), each planned for one and two workers; at two the lower hash join is
-// the partitioned parallel one. Every join of them emits two of its 11, 17 or
+// join), each planned for one, two and four workers; above one, scans under
+// the hash joins are gathered. Every join of them emits two of its 11, 17 or
 // 22 logical columns.
 func TestJoinRowsCarryLiveColumns(t *testing.T) {
 	cat := catalog.New()
@@ -82,9 +82,9 @@ func TestJoinRowsCarryLiveColumns(t *testing.T) {
 		"customer,lineitem,orders": {"lineitem.l_extendedprice", "customer.c_name"},
 	}
 	seen := map[string]int{}
-	parallel := 0
+	gathered := 0
 	for _, binding := range []float64{25, 2.5} {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 4} {
 			params := []types.Datum{types.NewFloat(binding)}
 			opt := optimizer.New(cat)
 			opt.Model.Params.Workers = workers
@@ -133,8 +133,10 @@ func TestJoinRowsCarryLiveColumns(t *testing.T) {
 					}
 				}
 				seen[set]++
-				if _, ok := n.(*parallelHSJNNode); ok {
-					parallel++
+				for _, c := range n.Children() {
+					if _, ok := c.(*gatherNode); ok {
+						gathered++
+					}
 				}
 			})
 		}
@@ -144,7 +146,7 @@ func TestJoinRowsCarryLiveColumns(t *testing.T) {
 			t.Errorf("no plan joined %s; its layout went unchecked", set)
 		}
 	}
-	if parallel == 0 {
-		t.Error("no parallel hash join was checked")
+	if gathered == 0 {
+		t.Error("no join over a gathered input was checked")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -91,18 +90,9 @@ func TestParallelPlanShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	explain := optimizer.Explain(par, q)
-	if !planContains(par, func(p *optimizer.Plan) bool {
-		return p.Op == optimizer.OpExchange && p.ExKind == optimizer.ExGather
-	}) {
-		t.Fatalf("Workers=4 plan has no gather exchange:\n%s", explain)
-	}
-	if !planContains(par, func(p *optimizer.Plan) bool {
-		return p.Op == optimizer.OpExchange && p.ExKind == optimizer.ExRepart
-	}) {
-		t.Fatalf("Workers=4 plan has no repartition exchange:\n%s", explain)
-	}
-	if !strings.Contains(explain, "gather dop=4") || !strings.Contains(explain, "repart dop=4") {
-		t.Fatalf("explain does not render exchanges:\n%s", explain)
+	gatherUnder(t, par)
+	if !strings.Contains(explain, "XCHG[gather dop=4]") || strings.Contains(explain, "repart") {
+		t.Fatalf("want gathers and no repartition in the explain:\n%s", explain)
 	}
 }
 
@@ -176,7 +166,7 @@ func TestParallelGatherScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !planContains(par, func(p *optimizer.Plan) bool {
-		return p.Op == optimizer.OpExchange && p.ExKind == optimizer.ExGather
+		return p.Op == optimizer.OpExchange
 	}) {
 		t.Fatalf("Workers=4 scan plan has no gather:\n%s", optimizer.Explain(par, q))
 	}
@@ -195,32 +185,32 @@ func TestParallelGatherScan(t *testing.T) {
 	}
 }
 
-// hsjnUnderGather locates the partitioned hash join inside the plan.
-func hsjnUnderGather(t *testing.T, p *optimizer.Plan) *optimizer.Plan {
+// gatherUnder locates the gathered input of the plan's hash join, preferring
+// the pipelined probe edge.
+func gatherUnder(t *testing.T, p *optimizer.Plan) *optimizer.Plan {
 	t.Helper()
-	var join *optimizer.Plan
-	var walk func(*optimizer.Plan)
-	walk = func(n *optimizer.Plan) {
-		if n.Op == optimizer.OpExchange && n.ExKind == optimizer.ExGather &&
-			n.Children[0].Op == optimizer.OpHSJN {
-			join = n.Children[0]
+	var gather *optimizer.Plan
+	p.Walk(func(n *optimizer.Plan) {
+		if n.Op != optimizer.OpHSJN {
 			return
 		}
 		for _, c := range n.Children {
-			walk(c)
+			if c.Op == optimizer.OpExchange && gather == nil {
+				gather = c
+			}
 		}
+	})
+	if gather == nil {
+		t.Fatalf("no hash join over a gathered input in plan:\n%s", optimizer.Explain(p, nil))
 	}
-	walk(p)
-	if join == nil {
-		t.Fatalf("no partitioned hash join in plan:\n%s", optimizer.Explain(p, nil))
-	}
-	return join
+	return gather
 }
 
-// TestParallelCheckUpperBound hammers a firing upper-bound CHECK inside a
-// partitioned hash join: at every DOP exactly one CheckViolation escapes,
-// and its observed cardinality is deterministically Hi+1 — the increment
-// that crossed the bound — no matter how the workers race.
+// TestParallelCheckUpperBound hammers a firing upper-bound CHECK cloned into
+// the workers of a gathered scan edge under a hash join: at every DOP exactly
+// one CheckViolation escapes, and its observed cardinality is
+// deterministically Hi+1 — the increment that crossed the bound — no matter
+// how the workers race.
 func TestParallelCheckUpperBound(t *testing.T) {
 	cat := fixture(t)
 	q := joinQuery(t, cat)
@@ -229,16 +219,16 @@ func TestParallelCheckUpperBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	join := hsjnUnderGather(t, par)
+	gather := gatherUnder(t, par)
 	const hi = 10
 	meta := &optimizer.CheckMeta{
 		ID:      90,
 		Flavor:  optimizer.ECWC,
 		Range:   optimizer.Range{Lo: 0, Hi: hi},
 		EstCard: hi,
-		Where:   "parallel probe edge",
+		Where:   "gathered scan edge",
 	}
-	join.Children[0] = optimizer.WrapCheck(join.Children[0], meta)
+	gather.Children[0] = optimizer.WrapCheck(gather.Children[0], meta)
 
 	for _, dop := range []int{1, 2, 8} {
 		for iter := 0; iter < 20; iter++ {
@@ -257,11 +247,12 @@ func TestParallelCheckUpperBound(t *testing.T) {
 	}
 }
 
-// TestParallelCheckLowerBound fires the end-of-stream lower bound. The check
-// is evaluated only when the last partition stream drains, after every row
-// has flowed through the full plan — so the violation's cardinality is the
-// exact edge count and the work total stays identical across DOP even
-// though the run errors.
+// TestParallelCheckLowerBound fires the end-of-stream lower bound of a CHECK
+// cloned into the workers of a gathered scan edge. The check is evaluated only
+// when the last partition stream drains, and every sibling sent its rows
+// before ending its stream — so the one violation reaches the gather behind
+// every row, its cardinality is the exact edge count, and the rows and the
+// work total stay identical across DOP even though the run errors.
 func TestParallelCheckLowerBound(t *testing.T) {
 	cat := fixture(t)
 	q := joinQuery(t, cat)
@@ -270,15 +261,15 @@ func TestParallelCheckLowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	join := hsjnUnderGather(t, par)
+	gather := gatherUnder(t, par)
 	meta := &optimizer.CheckMeta{
 		ID:      91,
 		Flavor:  optimizer.LC,
 		Range:   optimizer.Range{Lo: 1e12, Hi: math.Inf(1)},
 		EstCard: 1e12,
-		Where:   "parallel probe edge",
+		Where:   "gathered scan edge",
 	}
-	join.Children[0] = optimizer.WrapCheck(join.Children[0], meta)
+	gather.Children[0] = optimizer.WrapCheck(gather.Children[0], meta)
 
 	var baseActual, baseWork float64
 	var baseRows int
@@ -310,59 +301,6 @@ func TestParallelCheckLowerBound(t *testing.T) {
 	}
 }
 
-// TestParallelLowerBoundAfterSiblingFlush forces the interleaving behind a
-// rare TestParallelCheckLowerBound failure: every probe worker that ends
-// cleanly holds its final flush until the worker that raised the
-// end-of-stream lower bound has dealt with it. The violation must still
-// reach the consumer after all 500 joined rows, as it does at DOP 1, rather
-// than overtake the siblings' last batches and have them drained away.
-func TestParallelLowerBoundAfterSiblingFlush(t *testing.T) {
-	cat := fixture(t)
-	q := joinQuery(t, cat)
-	popt := parallelOptimizer(cat, 4)
-	par, err := popt.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	join := hsjnUnderGather(t, par)
-	meta := &optimizer.CheckMeta{
-		ID:      92,
-		Flavor:  optimizer.LC,
-		Range:   optimizer.Range{Lo: 1e12, Hi: math.Inf(1)},
-		EstCard: 1e12,
-		Where:   "parallel probe edge",
-	}
-	join.Children[0] = optimizer.WrapCheck(join.Children[0], meta)
-	for _, dop := range []int{1, 2, 8} {
-		ex, err := NewExecutor(cat, q, nil, popt.Model.Params, &Meter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex.DOP = dop
-		raised := make(chan struct{})
-		var once sync.Once
-		ex.endHold = func(err error) {
-			if err == nil {
-				<-raised
-				return
-			}
-			once.Do(func() { close(raised) })
-		}
-		root, err := ex.Build(par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, runErr := Run(root)
-		var cv *CheckViolation
-		if !errors.As(runErr, &cv) || !cv.Exact {
-			t.Fatalf("dop=%d: want the exact lower-bound violation, got %v", dop, runErr)
-		}
-		if len(rows) != 500 {
-			t.Errorf("dop=%d: %d rows reached the consumer before the violation, want all 500", dop, len(rows))
-		}
-	}
-}
-
 // closeErrNode is a synthetic leaf that streams rows indefinitely and fails
 // on Close — the shape a partition clone takes when its resource release
 // breaks after the consumer stopped early.
@@ -390,10 +328,11 @@ func TestGatherSurfacesCloseErrorOnEarlyClose(t *testing.T) {
 	ex := &Executor{Meter: &Meter{}, batchCap: batchRows}
 	ex.stmt = ex.Meter
 	g := &gatherNode{
-		base:     base{plan: &optimizer.Plan{Op: optimizer.OpExchange}},
-		consumer: consumer{ex: ex, dop: 1},
-		clones:   []Node{clone},
-		meters:   []*Meter{{}},
+		base:   base{plan: &optimizer.Plan{Op: optimizer.OpExchange}},
+		ex:     ex,
+		dop:    1,
+		clones: []Node{clone},
+		meters: []*Meter{{}},
 	}
 	if err := g.Open(); err != nil {
 		t.Fatal(err)

@@ -235,8 +235,6 @@ func fig14Study(env Env) ([]Cell, error) {
 				continue
 			}
 			// The stats tree merges a CHECK's partition clones into one node.
-			// The exchange stub on a partitioned edge carries the CHECK's
-			// plan too, but never runs, so it is never touched.
 			res.Attempts[len(res.Attempts)-1].Stats.Walk(func(sn *executor.StatsNode) {
 				meta, st := sn.Plan.Check, sn.Stats
 				if sn.Plan.Op != optimizer.OpCheck || meta == nil || !st.Touched {

@@ -11,7 +11,7 @@ import "go/types"
 //
 //   - WaitGroup pairing: the spawned closure calls Done on a WaitGroup
 //     class whose Add is reachable from the spawner and whose Wait appears
-//     somewhere in the program (gather/probe workers);
+//     somewhere in the program (gather workers);
 //   - channel close: the spawned closure closes a channel class that some
 //     function in the program receives from or ranges over (closer
 //     goroutines — the receive completing proves the closer ran).

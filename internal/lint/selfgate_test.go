@@ -41,7 +41,7 @@ func TestDataflowAllowsAreLoadBearing(t *testing.T) {
 		pattern string
 		file    string
 	}{
-		{"./internal/executor", "exchange.go"}, // error delivery before close, 2 sites
+		{"./internal/executor", "exchange.go"}, // a gather worker's error delivery, 1 site
 		{"./internal/server", "client.go"},     // buffered cap-1 pending channel
 	}
 	rule := lint.BlockingCancelAnalyzer.Name

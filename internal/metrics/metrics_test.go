@@ -145,7 +145,7 @@ func TestConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.Record(trace.Event{Kind: trace.WorkerDrain,
-					Worker: &trace.WorkerInfo{Phase: "probe", Work: 1}})
+					Worker: &trace.WorkerInfo{Phase: "gather", Work: 1}})
 				r.Record(trace.Event{Kind: trace.OperatorDone,
 					Op: &trace.OpInfo{Op: "HSJN", Actual: 1, Work: 1}})
 			}

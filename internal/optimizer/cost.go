@@ -38,14 +38,14 @@ type CostParams struct {
 	// identical to plans produced before exchanges existed.
 	Workers int
 
-	// ExchangeRow is the per-row cost of moving a row through an exchange:
-	// the partition hash plus the hand-off between producer and consumer.
+	// ExchangeRow is the per-row cost of moving a row through the gather:
+	// the hand-off between a worker and the consumer.
 	// Charged once per row per exchange regardless of the executed DOP, so
 	// work totals stay deterministic.
 	ExchangeRow float64
 
-	// ExchangeSetup is the fixed cost of instantiating one exchange operator
-	// (spinning up workers and partition buffers).
+	// ExchangeSetup is the fixed cost of instantiating one gather (spinning
+	// up its workers and their channel).
 	ExchangeSetup float64
 }
 

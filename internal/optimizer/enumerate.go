@@ -376,14 +376,11 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 }
 
 // parallelize is the DOP-aware post-pass: with Workers > 1 it rewrites the
-// chosen serial plan, fanning eligible fragments out across workers behind
-// exchange operators. An eligible hash join becomes
-// GATHER(HSJN(REPART(probe), REPART(build))) — a partitioned join whose build
-// and probe phases both run at DOP — and eligible bare scans feeding
-// order-insensitive consumers are wrapped in a plain GATHER. needOrder marks
-// subtrees whose output order a parent consumes (merge-join inputs, orders
-// inherited through a hash join's probe side); a gather merges worker streams
-// in arrival order, so ordered edges are never parallelized.
+// chosen serial plan, wrapping eligible bare scans that feed order-insensitive
+// consumers in a GATHER exchange that fans the scan out across workers.
+// needOrder marks subtrees whose output order a parent consumes (merge-join
+// inputs, orders inherited through a hash join's probe side); a gather merges
+// worker streams in arrival order, so ordered edges are never parallelized.
 func (o *Optimizer) parallelize(p *Plan, needOrder bool) *Plan {
 	if len(p.Children) == 0 {
 		return p
@@ -391,9 +388,6 @@ func (o *Optimizer) parallelize(p *Plan, needOrder bool) *Plan {
 	n := CloneNode(p)
 	switch p.Op {
 	case OpHSJN:
-		if !needOrder && o.parallelJoinEligible(p) {
-			return o.parallelJoin(p)
-		}
 		n.Children[0] = o.maybeGather(o.parallelize(p.Children[0], needOrder), needOrder)
 		n.Children[1] = o.maybeGather(o.parallelize(p.Children[1], false), false)
 	case OpMGJN:
@@ -428,45 +422,21 @@ func partitionableScan(p *Plan) bool {
 	}
 }
 
-// maybeGather wraps a partitionable scan in a GATHER exchange when the
-// parallel speedup outweighs the exchange overhead.
+// maybeGather wraps a partitionable scan in a GATHER exchange when the work
+// the workers save, cost·(1-1/W), outweighs the exchange overhead of moving
+// the scan's rows. The exchange is cardinality-preserving and
+// order-destroying. The recorded DOP is the configured worker count; the
+// executor clamps it to what the worker gate grants at run time.
 func (o *Optimizer) maybeGather(c *Plan, needOrder bool) *Plan {
-	if needOrder || !partitionableScan(c) || !o.exchangePays(c.Cost, c.Card, 1) {
-		return c
-	}
-	return o.wrapExchange(ExGather, c)
-}
-
-// parallelJoinEligible requires both inputs to be partitionable scans — the
-// fragment the partitioned-join runtime knows how to split — and the join's
-// subtree cost to amortize three exchanges (two repartitions, one gather).
-func (o *Optimizer) parallelJoinEligible(p *Plan) bool {
-	return len(p.EquiLeft) > 0 &&
-		partitionableScan(p.Children[0]) && partitionableScan(p.Children[1]) &&
-		o.exchangePays(p.Cost, p.Children[0].Card+p.Children[1].Card+p.Card, 3)
-}
-
-// exchangePays compares the work a parallel fragment saves, cost·(1-1/W),
-// against the exchange overhead for moving rows rows through nExchanges
-// exchanges.
-func (o *Optimizer) exchangePays(cost, rows float64, nExchanges float64) bool {
 	pr := &o.Model.Params
 	w := float64(pr.Workers)
-	if w <= 1 {
-		return false
+	saved, overhead := c.Cost*(1-1/w), pr.ExchangeSetup+c.Card*pr.ExchangeRow
+	if needOrder || !partitionableScan(c) || w <= 1 || !(saved > overhead) {
+		return c
 	}
-	return cost*(1-1/w) > nExchanges*pr.ExchangeSetup+rows*pr.ExchangeRow
-}
-
-// wrapExchange layers an exchange of the given kind over c. Exchanges are
-// cardinality-preserving and order-destroying. The recorded DOP is the
-// configured worker count; the executor clamps it to what the worker gate
-// grants at run time.
-func (o *Optimizer) wrapExchange(kind ExchangeKind, c *Plan) *Plan {
 	x := &Plan{
 		Op:       OpExchange,
-		ExKind:   kind,
-		DOP:      o.Model.Params.Workers,
+		DOP:      pr.Workers,
 		Children: []*Plan{c},
 		Cols:     c.Cols,
 		Card:     c.Card,
@@ -475,18 +445,6 @@ func (o *Optimizer) wrapExchange(kind ExchangeKind, c *Plan) *Plan {
 	}
 	o.Model.finishCosting(x)
 	return x
-}
-
-// parallelJoin rewrites an eligible hash join into its partitioned form:
-// both inputs are repartitioned on the hash of the join key and the join's
-// output is gathered back into one stream.
-func (o *Optimizer) parallelJoin(p *Plan) *Plan {
-	j := CloneNode(p)
-	j.Children[0] = o.wrapExchange(ExRepart, p.Children[0])
-	j.Children[1] = o.wrapExchange(ExRepart, p.Children[1])
-	j.ordered = -1
-	o.Model.finishCosting(j)
-	return o.wrapExchange(ExGather, j)
 }
 
 // addPath offers a single table's access path, or an MVSCAN of it, for its

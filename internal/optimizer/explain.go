@@ -50,7 +50,7 @@ func NodeLabel(p *Plan, q *logical.Query) string {
 			fmt.Fprintf(&b, "[%s #%d range=%s]", p.Check.Flavor, p.Check.ID, formatRange(p.Check.Range))
 		}
 	case OpExchange:
-		fmt.Fprintf(&b, "[%s dop=%d]", p.ExKind, p.DOP)
+		fmt.Fprintf(&b, "[gather dop=%d]", p.DOP)
 	default:
 		// Joins, sorts, aggregates and projections label themselves with
 		// the bare OpKind written above.

@@ -64,26 +64,6 @@ func (k OpKind) String() string {
 	}
 }
 
-// ExchangeKind distinguishes the two exchange operators of the parallel
-// executor: Gather merges the unordered output of DOP partition workers into
-// one stream; Repartition hash-distributes rows across DOP partitions so a
-// partitioned join can process each partition independently.
-type ExchangeKind uint8
-
-// Exchange kinds.
-const (
-	ExGather ExchangeKind = iota
-	ExRepart
-)
-
-// String returns the exchange kind's display name.
-func (k ExchangeKind) String() string {
-	if k == ExRepart {
-		return "repart"
-	}
-	return "gather"
-}
-
 // IsJoin reports whether the operator is a join.
 func (k OpKind) IsJoin() bool { return k == OpNLJN || k == OpHSJN || k == OpMGJN }
 
@@ -213,11 +193,10 @@ type Plan struct {
 	// POP checkpoint.
 	Check *CheckMeta
 
-	// Parallelism (OpExchange). DOP is the degree of parallelism the plan
-	// was costed for; the executor may override it at run time without
-	// changing the simulated work total.
-	ExKind ExchangeKind
-	DOP    int
+	// Parallelism (OpExchange, the GATHER). DOP is the degree of parallelism
+	// the plan was costed for; the executor may override it at run time
+	// without changing the simulated work total.
+	DOP int
 
 	// Output description.
 	Cols []int

@@ -95,7 +95,7 @@ func TestExecIdentityGolden(t *testing.T) {
 	policies := []struct {
 		name     string
 		opts     Options
-		hashOnly bool // plan hash joins only: the partitioned join from the first attempt on
+		hashOnly bool // plan hash joins only: gathered join inputs from the first attempt on
 	}{
 		{name: "default", opts: DefaultOptions()},
 		{name: "default-hash", opts: DefaultOptions(), hashOnly: true},

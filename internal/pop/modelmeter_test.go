@@ -134,8 +134,10 @@ func (a *meterAudit) run(t *testing.T, key string, cat *catalog.Catalog, q *logi
 // ran to completion in every attempt of the 39 DMV and nine TPC-H statements
 // under dp-pop and greedy-pop, of the TPC-H nine planned without hash joins
 // (as Figure 12 plans them: the one place merge joins, sorts and full index
-// scans are chosen) and of three single-table statements, two served by a
-// sargable index scan, StatsNode.Model — CostModel's own-cost terms
+// scans are chosen), of the TPC-H nine and the correlated fixture (hash joins
+// only) planned for several workers, where gathers and their partition clones
+// run, and of three single-table statements, two served by a sargable index
+// scan, StatsNode.Model — CostModel's own-cost terms
 // at the observed input and output cardinalities — equals the charged Work
 // within 1e-6 relative, meterException's short list aside.
 // The estimate clause covers the one term actual cardinalities cannot expose,
@@ -163,6 +165,17 @@ func TestModelEqualsMeter(t *testing.T) {
 			opts.Configure = func(o *optimizer.Optimizer) { o.DisableHSJN = true }
 			a.run(t, "tpch no-hsjn "+name, w.cat, w.queries[name], opts)
 		}
+		for _, name := range w.names {
+			opts := DefaultOptions()
+			opts.Configure = func(o *optimizer.Optimizer) { o.Model.Params.Workers = 4 }
+			a.run(t, "tpch workers=4 "+name, w.cat, w.queries[name], opts)
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		cat := correlatedFixture(t)
+		opts := DefaultOptions()
+		opts.Configure = forceParallelHash(workers)
+		a.run(t, fmt.Sprintf("correlated hash-only workers=%d", workers), cat, correlatedQuery(t, cat), opts)
 	}
 
 	for i, sql := range []string{
@@ -185,7 +198,7 @@ func TestModelEqualsMeter(t *testing.T) {
 	t.Logf("%d operators compared (%d under a listed exception): %s", a.nodes, a.exceptions, strings.Join(kinds, " "))
 	t.Logf("index-NLJN probe edges: %d, fetched rows estimated %.0f vs metered %.0f", a.probes, a.estFetch, a.metFetch)
 	for _, want := range []string{"TBSCAN", "IXSCAN[sarg]", "IXSCAN[full]", "IXSCAN[probe]", "MVSCAN",
-		"NLJN[index]", "NLJN", "HSJN", "MGJN", "SORT", "TEMP", "GRPBY", "RETURN", "CHECK"} {
+		"NLJN[index]", "NLJN", "HSJN", "MGJN", "SORT", "TEMP", "GRPBY", "RETURN", "CHECK", "XCHG"} {
 		if a.ops[want] == 0 {
 			t.Errorf("no %s ran to completion: the workloads no longer cover it", want)
 		}

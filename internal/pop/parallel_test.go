@@ -52,10 +52,9 @@ func TestParallelPOPMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// One logical CHECK must yield one merged observation even though it is
+	// One logical CHECK must yield one merged observation even when it is
 	// cloned once per partition worker: the touched CHECK nodes of the stats
-	// tree, which is what the opportunity analysis reads. (The exchange stub
-	// on a partitioned edge carries the CHECK's plan but never runs.)
+	// tree, which is what the opportunity analysis reads.
 	seen := map[*optimizer.CheckMeta]bool{}
 	par.Attempts[len(par.Attempts)-1].Stats.Walk(func(sn *executor.StatsNode) {
 		meta := sn.Plan.Check

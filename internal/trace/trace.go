@@ -121,7 +121,7 @@ type CacheInfo struct {
 
 // WorkerInfo is the payload of exchange worker events.
 type WorkerInfo struct {
-	Phase  string  `json:"phase"` // gather, build or probe
+	Phase  string  `json:"phase"` // always "gather", the one exchange
 	Worker int     `json:"worker"`
 	DOP    int     `json:"dop"`
 	Rows   float64 `json:"rows,omitempty"` // drain only

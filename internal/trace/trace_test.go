@@ -26,9 +26,9 @@ func sampleEvents() []Event {
 			Cache: &CacheInfo{Key: "k1", GuardSig: "lineitem[l_quantity<=?]", GuardEst: 30000,
 				RangeLo: 100, RangeHi: Float(5000)}},
 		{Kind: CacheInvalidate, Query: "k1", Cache: &CacheInfo{Key: "k1", Plans: 0}},
-		{Kind: WorkerStart, Query: "q1", Attempt: 1, Worker: &WorkerInfo{Phase: "build", Worker: 2, DOP: 4}},
+		{Kind: WorkerStart, Query: "q1", Attempt: 1, Worker: &WorkerInfo{Phase: "gather", Worker: 2, DOP: 4}},
 		{Kind: WorkerDrain, Query: "q1", Attempt: 1,
-			Worker: &WorkerInfo{Phase: "probe", Worker: 2, DOP: 4, Rows: 512, Work: 77.25}},
+			Worker: &WorkerInfo{Phase: "gather", Worker: 2, DOP: 4, Rows: 512, Work: 77.25}},
 		{Kind: OperatorDone, Query: "q1", Attempt: 1,
 			Op: &OpInfo{Op: "HSJN", Est: 320, Actual: 8000, Work: 94611.5, DOP: 4, Spill: true}},
 		{Kind: QueryDone, Query: "q1", Attempt: 1, Done: &DoneInfo{Rows: 160, Work: 123456.5, Reopts: 1}},
