@@ -4,6 +4,7 @@
 package enginetest
 
 import (
+	"flag"
 	"fmt"
 	"sort"
 	"testing"
@@ -296,11 +297,23 @@ func diffRows(got, want []string) string {
 	return ""
 }
 
-// TestDifferentialRandomQueries is the metamorphic sweep: 25 random
-// databases, each with one random query and one query per sargable shape its
-// indexes allow, each executed under 5 optimizer configurations, 3 POP modes
-// and every planner strategy through the plan cache (cold, then warm), all
-// compared to brute force.
+var diffSeeds = flag.String("diff-seeds", "1-25",
+	"inclusive seed range LO-HI of TestDifferentialRandomQueries' random databases")
+
+// seedRange parses -diff-seeds.
+func seedRange(t *testing.T) (lo, hi uint64) {
+	t.Helper()
+	if _, err := fmt.Sscanf(*diffSeeds, "%d-%d", &lo, &hi); err != nil || lo < 1 || hi < lo {
+		t.Fatalf("-diff-seeds %q: want LO-HI with 1 <= LO <= HI", *diffSeeds)
+	}
+	return lo, hi
+}
+
+// TestDifferentialRandomQueries is the metamorphic sweep: random databases
+// (seeds 1–25 unless -diff-seeds names another range), each with one random
+// query and one query per sargable shape its indexes allow, each executed
+// under 5 optimizer configurations, 3 POP modes and every planner strategy
+// through the plan cache (cold, then warm), all compared to brute force.
 func TestDifferentialRandomQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
@@ -320,7 +333,8 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		q    *logical.Query
 	}
 	cacheHits, boundedPlans := map[string]int{}, map[string]int{}
-	for seed := uint64(1); seed <= 25; seed++ {
+	lo, hi := seedRange(t)
+	for seed := lo; seed <= hi; seed++ {
 		r := &diffRNG{s: seed * 0x9E3779B97F4A7C15}
 		cat, tables := buildRandomDB(t, r)
 		queries := []diffQuery{{"random", buildRandomQuery(t, cat, tables, r)}}

@@ -20,7 +20,6 @@ func TestChargeZeroAllocWhenOff(t *testing.T) {
 // stats untouched while still metering.
 func TestChargeAttribution(t *testing.T) {
 	ex := &Executor{Meter: &Meter{}}
-	ex.stmt = ex.Meter
 	b := &base{}
 	b.charge(ex, 2)
 	if b.stats.Work != 0 || b.stats.WallFirstNS != 0 {

@@ -3,8 +3,6 @@ package executor
 import (
 	"maps"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/optimizer"
 	"repro/internal/schema"
@@ -32,44 +30,6 @@ func CheckEventInfo(meta *optimizer.CheckMeta, actual float64, exact bool) *trac
 	return ci
 }
 
-// sharedCheck is the runtime state of one logical CHECK operator, shared by
-// every partition-clone instance of it in a parallel plan. The row count is
-// global and atomic, so a check split across DOP workers observes the same
-// totals — and fires at the same count — as its serial form.
-type sharedCheck struct {
-	count     atomic.Int64 // rows observed across all instances
-	streams   atomic.Int32 // built instances that have not yet hit end-of-stream
-	validated atomic.Bool  // cardinality validated once, at Open over a completed materialization
-}
-
-// checkRegistry maps CHECK metadata to its shared runtime state. One registry
-// lives per statement executor; worker copies share it, so clones of the same
-// plan-level CHECK resolve to the same counters.
-type checkRegistry struct {
-	mu sync.Mutex
-	m  map[*optimizer.CheckMeta]*sharedCheck
-}
-
-func newCheckRegistry() *checkRegistry {
-	return &checkRegistry{m: make(map[*optimizer.CheckMeta]*sharedCheck)}
-}
-
-// instance returns the shared state for a check, registering one more
-// instance's stream. Registration happens at build time — before any worker
-// runs — so a fast worker can never observe a stream count that later
-// instances would still increment.
-func (r *checkRegistry) instance(meta *optimizer.CheckMeta) *sharedCheck {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sc := r.m[meta]
-	if sc == nil {
-		sc = &sharedCheck{}
-		r.m[meta] = sc
-	}
-	sc.streams.Add(1)
-	return sc
-}
-
 // checkNode implements the CHECK operator of paper Figure 10 for check range
 // [low, high]:
 //
@@ -80,19 +40,18 @@ func (r *checkRegistry) instance(meta *optimizer.CheckMeta) *sharedCheck {
 // evaluated once against the materialized count right after Open — the
 // optimization the paper describes for checks above materialization points.
 //
-// In a parallel plan the same logical CHECK is cloned once per partition
-// worker; all clones count into one sharedCheck. Exactly one violation
-// escapes: the upper bound fires only in the instance whose increment first
-// crossed it, and the lower bound is evaluated only when the last remaining
-// stream reaches end-of-stream (a partial stream's count proves nothing).
+// A CHECK is never cloned: POP places it after parallelization, above any
+// gather, and buildGather refuses a cloned subtree that holds one. So one
+// instance sees the edge's whole stream, its count is the edge cardinality,
+// and its end-of-stream is the edge's.
 type checkNode struct {
 	base
-	ex   *Executor
-	sc   *sharedCheck
-	skip bool // this instance validated at Open; per-row checks off
-	eof  bool // this instance already accounted its end-of-stream
+	ex        *Executor
+	count     int64 // rows observed, across re-opens
+	validated bool  // validated once at Open over a completed materialization; per-row checks off
+	eof       bool  // end-of-stream already accounted
 
-	crossed bool  // the upper bound was crossed by a batch whose rows below it are delivered first
+	crossed bool  // the upper bound was crossed by a batch whose rows below it are delivered first; sticky
 	checkT  int64 // pre-scaled per-row CheckRow charge
 }
 
@@ -101,11 +60,7 @@ func (e *Executor) buildCheck(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &checkNode{
-		base: base{plan: p, children: []Node{child}},
-		ex:   e,
-		sc:   e.checks.instance(p.Check),
-	}, nil
+	return &checkNode{base: base{plan: p, children: []Node{child}}, ex: e}, nil
 }
 
 func (n *checkNode) violation(actual float64, exact bool) error {
@@ -119,9 +74,7 @@ func (n *checkNode) violation(actual float64, exact bool) error {
 }
 
 // passed emits the exactly-once checkpoint_passed event. Both call sites sit
-// behind an exactly-once guard (the validated CompareAndSwap, or the
-// last-stream end-of-stream test), so a parallel plan traces one pass per
-// logical CHECK, same as its serial form.
+// behind an exactly-once guard (validated, or eof).
 func (n *checkNode) passed(actual float64, exact bool) {
 	if tr := n.ex.Trace; tr != nil {
 		tr.Record(trace.Event{
@@ -131,49 +84,43 @@ func (n *checkNode) passed(actual float64, exact bool) {
 	}
 }
 
-// touch records the statement-global work level at which this check first and
-// last validated rows. Partition clones run against a worker-local meter, so
-// the statement meter — not the worker's — is the clock FirstWork/DoneWork
-// must be read from (statementWork folds both).
+// touch records the statement's work level at which this check first and
+// last validated rows.
 func (n *checkNode) touch() {
 	if !n.stats.Touched {
 		n.stats.Touched = true
-		n.stats.FirstWork = n.ex.statementWork()
+		n.stats.FirstWork = n.ex.Meter.Work()
 	}
-	n.stats.DoneWork = n.ex.statementWork()
+	n.stats.DoneWork = n.ex.Meter.Work()
 }
 
 func (n *checkNode) Open() error {
 	n.stats = NodeStats{Opened: true}
-	n.crossed = false
 	n.checkT = Ticks(n.ex.Cost.CheckRow)
 	child := n.children[0]
 	if err := child.Open(); err != nil {
 		return err
 	}
 	// Lazy checks above materialization points validate once, against the
-	// completed materialization's exact cardinality. Under parallelism only
-	// the first instance to reach this point validates.
-	if m, ok := child.(Materializer); ok {
+	// completed materialization's exact cardinality.
+	if m, ok := child.(Materializer); ok && !n.validated {
 		if rows, done := m.Materialized(); done {
-			if n.sc.validated.CompareAndSwap(false, true) {
-				card := float64(len(rows))
-				n.charge(n.ex, n.ex.Cost.CheckRow)
-				n.touch()
-				if !n.plan.Check.Range.Contains(card) {
-					return n.violation(card, true)
-				}
-				n.passed(card, true)
+			n.validated = true
+			card := float64(len(rows))
+			n.charge(n.ex, n.ex.Cost.CheckRow)
+			n.touch()
+			if !n.plan.Check.Range.Contains(card) {
+				return n.violation(card, true)
 			}
-			n.skip = true
+			n.passed(card, true)
 		}
 	}
 	return nil
 }
 
-// NextBatch counts whole batches into the shared counter and raises an upper
-// violation at the row whose count is the first above Hi, reporting that count.
-// The pull size is clamped so a serial stream never runs past that row: the
+// NextBatch counts whole batches and raises an upper violation at the row
+// whose count is the first above Hi, reporting that count. The pull size is
+// clamped so the stream never runs past that row: the
 // crossing batch holds the rows to emit plus the violating row, which is
 // truncated from the delivered batch; the violation is returned at once when
 // nothing is left to deliver and on the next pull otherwise, so the rows below
@@ -187,10 +134,9 @@ func (n *checkNode) NextBatch(max int) (*Batch, error) {
 	if n.crossed {
 		return nil, n.violation(float64(crossing), false)
 	}
-	passthrough := n.skip || n.sc.validated.Load()
 	lim := max
-	if !passthrough && !math.IsInf(r.Hi, 1) {
-		if rem := crossing - n.sc.count.Load(); lim <= 0 || rem < int64(lim) {
+	if !n.validated && !math.IsInf(r.Hi, 1) {
+		if rem := crossing - n.count; lim <= 0 || rem < int64(lim) {
 			lim = 1
 			if rem > 1 {
 				lim = int(rem)
@@ -201,7 +147,7 @@ func (n *checkNode) NextBatch(max int) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if passthrough {
+	if n.validated {
 		if b == nil {
 			n.stats.Done = true
 			return nil, nil
@@ -212,36 +158,28 @@ func (n *checkNode) NextBatch(max int) (*Batch, error) {
 		n.stats.Done = true
 		if !n.eof {
 			n.eof = true
-			// The lower bound needs the complete edge cardinality, so it is
-			// tested only by whichever instance drains the last live stream.
-			// That final evaluation also carries the single end-of-stream
-			// CheckRow charge, keeping the work total DOP-independent.
-			if n.sc.streams.Add(-1) == 0 {
-				n.chargeTicks(n.ex, n.checkT, 1)
-				n.touch()
-				c := float64(n.sc.count.Load())
-				if c < r.Lo {
-					return nil, n.violation(c, true)
-				}
-				n.passed(c, true)
+			// The lower bound needs the complete edge cardinality, known
+			// only now; this evaluation carries the one end-of-stream
+			// CheckRow charge.
+			n.chargeTicks(n.ex, n.checkT, 1)
+			n.touch()
+			c := float64(n.count)
+			if c < r.Lo {
+				return nil, n.violation(c, true)
 			}
+			n.passed(c, true)
 		}
 		return nil, nil
 	}
 	k := b.Len()
 	n.chargeTicks(n.ex, n.checkT, k)
 	n.touch()
-	c := n.sc.count.Add(int64(k))
-	prev := c - int64(k)
-	if float64(c) > r.Hi {
+	prev := n.count
+	n.count += int64(k)
+	if float64(n.count) > r.Hi {
 		// Eager detection: the actual cardinality is at least the count — a
-		// lower bound that already proves the range violated. Exactly one
-		// instance fires: the one whose batch holds the crossing row. Racing
-		// siblings past the bound stop emitting quietly and are cancelled by
-		// the enclosing exchange.
-		if prev >= crossing {
-			return nil, nil
-		}
+		// lower bound that already proves the range violated. The pull was
+		// clamped at the crossing row, so this batch holds it.
 		b.Rows = b.Rows[:crossing-1-prev]
 		n.crossed = true
 		if b.Len() == 0 {

@@ -131,6 +131,12 @@ type gatherNode struct {
 }
 
 func (e *Executor) buildGather(p *optimizer.Plan) (Node, error) {
+	// A clone sees one stripe of its edge, so a CHECK cloned into the
+	// workers would count a partial stream. POP places CHECKs after the
+	// optimizer parallelizes, above every gather; refuse anything else.
+	if p.Children[0].Count(optimizer.OpCheck) > 0 {
+		return nil, errors.New("executor: a gather cannot clone a CHECK into its workers")
+	}
 	dop, grant := e.acquireWorkers(e.dopFor(p))
 	clones, meters, err := e.buildClones(p.Children[0], dop)
 	if err != nil {

@@ -249,8 +249,6 @@ type Executor struct {
 	hashDrop uint64          // key-hash bits cleared to force collisions; set only by the package's own tests
 	tabs     []*catalog.Table
 	ectx     *expr.Context
-	checks   *checkRegistry
-	stmt     *Meter   // statement-global meter (== Meter outside worker copies)
 	layouts  *layouts // join row layouts, shared with worker copies
 }
 
@@ -276,36 +274,17 @@ func NewExecutor(cat *catalog.Catalog, q *logical.Query, params []types.Datum, c
 		batchCap: batchRows,
 		tabs:     tabs,
 		ectx:     &expr.Context{Params: params},
-		checks:   newCheckRegistry(),
-		stmt:     meter,
 		layouts:  &layouts{},
 	}, nil
 }
 
 // workerCopy returns a shallow copy of the executor whose charges go to the
 // given worker-local meter. The copy shares the catalog, the expression
-// context (read-only at execution time), the check registry and the
-// statement-global meter, so CHECK counting and work-progress readings stay
-// global across partition clones.
+// context (read-only at execution time) and the join row layouts.
 func (e *Executor) workerCopy(m *Meter) *Executor {
 	we := *e
 	we.Meter = m
 	return &we
-}
-
-// statementWork reads the statement's global work progress as seen by this
-// (possibly worker-local) executor: the drained statement total plus this
-// worker's still-local ticks. Sibling workers' undrained ticks are not
-// visible, so the reading is a lower bound on true global work — but it is
-// monotonic per observer and consistent between serial and parallel plans,
-// unlike the worker-local meter alone (which made cloned CHECKs report
-// near-zero FirstWork/DoneWork).
-func (e *Executor) statementWork() float64 {
-	w := e.stmt.Work()
-	if e.Meter != e.stmt {
-		w += e.Meter.Work()
-	}
-	return w
 }
 
 // dopFor resolves the execution DOP for an exchange plan node, honoring the

@@ -13,7 +13,6 @@ import (
 func ChargeAllocsPerRun(runs int, analyze bool) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ex := &Executor{Meter: &Meter{}, Analyze: analyze}
-	ex.stmt = ex.Meter
 	b := &base{}
 	var before, after runtime.MemStats
 	runtime.GC()

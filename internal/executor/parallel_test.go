@@ -2,7 +2,6 @@ package executor
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -206,12 +205,11 @@ func gatherUnder(t *testing.T, p *optimizer.Plan) *optimizer.Plan {
 	return gather
 }
 
-// TestParallelCheckUpperBound hammers a firing upper-bound CHECK cloned into
-// the workers of a gathered scan edge under a hash join: at every DOP exactly
-// one CheckViolation escapes, and its observed cardinality is
-// deterministically Hi+1 — the increment that crossed the bound — no matter
-// how the workers race.
-func TestParallelCheckUpperBound(t *testing.T) {
+// TestGatherRefusesClonedCheck: a CHECK inside a gathered subtree would be
+// cloned once per worker, and each clone would see only its stripe of the
+// edge. POP places CHECKs above every gather, so the executor refuses such a
+// plan at build time rather than count a partial stream, at every DOP.
+func TestGatherRefusesClonedCheck(t *testing.T) {
 	cat := fixture(t)
 	q := joinQuery(t, cat)
 	popt := parallelOptimizer(cat, 4)
@@ -220,83 +218,20 @@ func TestParallelCheckUpperBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	gather := gatherUnder(t, par)
-	const hi = 10
-	meta := &optimizer.CheckMeta{
-		ID:      90,
-		Flavor:  optimizer.ECWC,
-		Range:   optimizer.Range{Lo: 0, Hi: hi},
-		EstCard: hi,
-		Where:   "gathered scan edge",
-	}
-	gather.Children[0] = optimizer.WrapCheck(gather.Children[0], meta)
-
+	gather.Children[0] = optimizer.WrapCheck(gather.Children[0], &optimizer.CheckMeta{
+		ID:     90,
+		Flavor: optimizer.ECWC,
+		Range:  optimizer.Range{Lo: 0, Hi: 10},
+		Where:  "gathered scan edge",
+	})
 	for _, dop := range []int{1, 2, 8} {
-		for iter := 0; iter < 20; iter++ {
-			_, _, runErr := execPlan(t, cat, q, par, popt.Model.Params, dop)
-			var cv *CheckViolation
-			if !errors.As(runErr, &cv) {
-				t.Fatalf("dop=%d iter=%d: want CheckViolation, got %v", dop, iter, runErr)
-			}
-			if cv.Check != meta {
-				t.Fatalf("dop=%d: violation from wrong check %+v", dop, cv.Check)
-			}
-			if cv.Actual != hi+1 {
-				t.Fatalf("dop=%d iter=%d: actual %v, want %d", dop, iter, cv.Actual, hi+1)
-			}
+		ex, err := NewExecutor(cat, q, nil, popt.Model.Params, &Meter{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestParallelCheckLowerBound fires the end-of-stream lower bound of a CHECK
-// cloned into the workers of a gathered scan edge. The check is evaluated only
-// when the last partition stream drains, and every sibling sent its rows
-// before ending its stream — so the one violation reaches the gather behind
-// every row, its cardinality is the exact edge count, and the rows and the
-// work total stay identical across DOP even though the run errors.
-func TestParallelCheckLowerBound(t *testing.T) {
-	cat := fixture(t)
-	q := joinQuery(t, cat)
-	popt := parallelOptimizer(cat, 4)
-	par, err := popt.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gather := gatherUnder(t, par)
-	meta := &optimizer.CheckMeta{
-		ID:      91,
-		Flavor:  optimizer.LC,
-		Range:   optimizer.Range{Lo: 1e12, Hi: math.Inf(1)},
-		EstCard: 1e12,
-		Where:   "gathered scan edge",
-	}
-	gather.Children[0] = optimizer.WrapCheck(gather.Children[0], meta)
-
-	var baseActual, baseWork float64
-	var baseRows int
-	for _, dop := range []int{1, 2, 8} {
-		rows, work, runErr := execPlan(t, cat, q, par, popt.Model.Params, dop)
-		var cv *CheckViolation
-		if !errors.As(runErr, &cv) {
-			t.Fatalf("dop=%d: want CheckViolation, got %v", dop, runErr)
-		}
-		if !cv.Exact {
-			t.Fatalf("dop=%d: end-of-stream violation should carry the exact count", dop)
-		}
-		if dop == 1 {
-			baseActual, baseWork, baseRows = cv.Actual, work, len(rows)
-			if baseActual <= 0 {
-				t.Fatalf("edge count %v, want > 0", baseActual)
-			}
-			continue
-		}
-		if cv.Actual != baseActual {
-			t.Errorf("dop=%d actual %v differs from dop=1 actual %v", dop, cv.Actual, baseActual)
-		}
-		if work != baseWork {
-			t.Errorf("dop=%d work %v differs from dop=1 work %v", dop, work, baseWork)
-		}
-		if len(rows) != baseRows {
-			t.Errorf("dop=%d drained %d rows before the violation, dop=1 drained %d", dop, len(rows), baseRows)
+		ex.DOP = dop
+		if _, err := ex.Build(par); err == nil || !strings.Contains(err.Error(), "CHECK") {
+			t.Errorf("dop=%d: build of a gather over a CHECK returned %v, want a refusal naming the CHECK", dop, err)
 		}
 	}
 }
@@ -326,7 +261,6 @@ func TestGatherSurfacesCloseErrorOnEarlyClose(t *testing.T) {
 	closeErr := errors.New("clone close failed")
 	clone := &closeErrNode{base: base{plan: &optimizer.Plan{}}, closeErr: closeErr}
 	ex := &Executor{Meter: &Meter{}, batchCap: batchRows}
-	ex.stmt = ex.Meter
 	g := &gatherNode{
 		base:   base{plan: &optimizer.Plan{Op: optimizer.OpExchange}},
 		ex:     ex,

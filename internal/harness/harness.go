@@ -234,7 +234,6 @@ func fig14Study(env Env) ([]Cell, error) {
 			if res.Work <= 0 {
 				continue
 			}
-			// The stats tree merges a CHECK's partition clones into one node.
 			res.Attempts[len(res.Attempts)-1].Stats.Walk(func(sn *executor.StatsNode) {
 				meta, st := sn.Plan.Check, sn.Stats
 				if sn.Plan.Op != optimizer.OpCheck || meta == nil || !st.Touched {

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -39,6 +40,10 @@ type estimator struct {
 	subsets   map[uint64]float64 // memoized SubsetCard
 	sigs      map[uint64]string  // memoized Signature
 	parts     *sigParts          // Signature's pre-rendered parts, built on first use
+	// fbMasks are the multi-table subsets with feedback recorded under this
+	// query's predicates, largest first, ties by the lowest mask. Derived
+	// only when fbHas.
+	fbMasks []uint64
 }
 
 // predMask pairs a predicate with its precomputed table mask, saving the
@@ -65,7 +70,45 @@ func newEstimator(q *logical.Query, tabs []*catalog.Table, fb *stats.Feedback) *
 	}
 	e.subsets = make(map[uint64]float64)
 	e.sigs = make(map[uint64]string)
+	if e.fbHas {
+		e.deriveFeedbackMasks()
+	}
 	return e
+}
+
+// deriveFeedbackMasks finds the subsets of ≥ 2 tables that the feedback
+// cache holds an observation for. A signature's T{…} part lists the
+// subset's aliases; an entry counts only if this query re-renders exactly
+// that signature for the mask, so an observation recorded under other
+// predicates (another binding, another query over the same tables) is not
+// propagated.
+func (e *estimator) deriveFeedbackMasks() {
+	byAlias := make(map[string]int, len(e.q.Tables))
+	for i, t := range e.q.Tables {
+		byAlias[t.Alias] = i
+	}
+	for _, sig := range e.fb.Signatures() {
+		// A malformed entry parses to a mask that does not re-render it.
+		aliases, _, _ := strings.Cut(strings.TrimPrefix(sig, "T{"), "}")
+		var mask uint64
+		for _, a := range strings.Split(aliases, ",") {
+			ti, ok := byAlias[a]
+			if !ok {
+				mask = 0
+				break
+			}
+			mask |= 1 << uint(ti)
+		}
+		if popcount(mask) >= 2 && e.Signature(mask) == sig {
+			e.fbMasks = append(e.fbMasks, mask)
+		}
+	}
+	slices.SortFunc(e.fbMasks, func(a, b uint64) int {
+		if d := popcount(b) - popcount(a); d != 0 {
+			return d
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // uncertain applies the §7 uncertainty penalty to a non-observed estimate.
@@ -259,9 +302,11 @@ func (e *estimator) joinSelectivity(i int) float64 {
 	return e.joinSel[i]
 }
 
-// SubsetCard estimates the output cardinality of joining the table subset,
-// preferring feedback for the exact subset. Memoized per mask; selectivities
-// of individual join predicates are memoized across masks.
+// SubsetCard estimates the output cardinality of joining the table subset.
+// Feedback for the exact subset wins; otherwise the independence estimate
+// is scaled by what feedback taught about the subset's largest observed
+// part (subsetCardUncached). Memoized per mask; selectivities of individual
+// join predicates are memoized across masks.
 func (e *estimator) SubsetCard(mask uint64) float64 {
 	if card, ok := e.subsets[mask]; ok {
 		return card
@@ -271,10 +316,38 @@ func (e *estimator) SubsetCard(mask uint64) float64 {
 	return card
 }
 
+// subsetCardUncached is SubsetCard's rule, after LEO (Stillger et al.,
+// VLDB 2001): with no feedback for mask itself, take the independence
+// estimate naive(mask) and, if some subset S ⊂ mask of ≥ 2 tables has
+// feedback, scale it by fb(S)/naive(S), choosing the S with the most tables
+// (ties: the lowest mask). Both naive terms carry the uncertainty penalty
+// for their unobserved base tables and for the join, so the penalty cancels
+// in the ratio except for the tables of mask outside S: a scaled estimate is
+// penalized only for what no observation covers. Single tables take their
+// feedback through filteredBaseCard.
 func (e *estimator) subsetCardUncached(mask uint64) float64 {
 	if card, ok := e.feedbackCard(mask); ok {
 		return card
 	}
+	card := e.naive(mask)
+	for _, s := range e.fbMasks {
+		if s&mask != s || s == mask {
+			continue
+		}
+		if fb, ok := e.feedbackCard(s); ok {
+			if n := e.naive(s); n > 0 {
+				card *= fb / n
+			}
+		}
+		break
+	}
+	return card
+}
+
+// naive is the independence estimate of joining the table subset: the
+// filtered base cardinalities times every internal join predicate's
+// selectivity, with the uncertainty penalty.
+func (e *estimator) naive(mask uint64) float64 {
 	card := 1.0
 	for i := range e.q.Tables {
 		if mask&(1<<uint(i)) != 0 {

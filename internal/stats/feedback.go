@@ -51,8 +51,10 @@ func (f *Feedback) Clear() {
 	f.m = make(map[string]float64)
 }
 
-// Signatures returns the recorded signatures in sorted order, for tests and
-// diagnostics.
+// Signatures returns the recorded signatures in sorted order. The optimizer's
+// estimator reads it once per compile with a non-empty cache, to find the
+// multi-table observations whose ratio to the estimate scales the supersets
+// of their table sets; tests and diagnostics read it too.
 func (f *Feedback) Signatures() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
