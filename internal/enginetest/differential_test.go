@@ -374,16 +374,12 @@ func TestDifferentialRandomQueries(t *testing.T) {
 				}
 			}
 
-			// POP under the default policy, pipelined ECDC, and the uncertainty
-			// penalty.
-			for _, mode := range []string{"popDefault", "popECDC", "popUncertainty"} {
+			// POP under the default policy and pipelined ECDC.
+			for _, mode := range []string{"popDefault", "popECDC"} {
 				opts := pop.DefaultOptions()
-				switch mode {
-				case "popECDC":
+				if mode == "popECDC" {
 					opts.Pipelined = true
 					opts.Policy = pop.Policy{ECDC: true, RequireBoundedRange: true}
-				case "popUncertainty":
-					opts.UncertaintyPenalty = 1.5
 				}
 				res, err := pop.NewRunner(cat, opts).Run(q, nil)
 				if err != nil {

@@ -53,11 +53,15 @@ func widestDMV(t *testing.T) (*catalog.Catalog, *logical.Query) {
 // recording slot winners as recipes, built once per slot when their subset
 // is complete into groups carved from the arena, to 2,475 (0.53 MB).
 // Rendering no signature on a compile with no feedback and no view to match
-// brought it to 1,336 (0.32 MB). The ceilings trip on a per-split,
-// per-candidate, per-kept-node or per-subset allocation creeping back in.
+// brought it to 1,336 (0.32 MB), and enumerating only the connected subsets
+// to 393 (65,800 bytes). The ceilings trip on a per-split, per-candidate,
+// per-kept-node or per-subset allocation creeping back in, or on the
+// enumeration reaching the cross-product subsets again; the allocation
+// ceiling leaves room for the race detector dropping the pooled arena on
+// every one of the three compiles (about 117 allocations each).
 func TestOptimizeAllocBudget(t *testing.T) {
 	cat, q := widestDMV(t)
-	const ceiling, bytesCeiling = 1_800, 420_000
+	const ceiling, bytesCeiling = 540, 90_000
 	compile := func() {
 		if _, err := New(cat).Optimize(q); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -41,13 +42,6 @@ type Optimizer struct {
 	// catalog never see each other's intermediate results.
 	MVNamespace string
 
-	// UncertaintyPenalty implements §7 "Considering Uncertainty during
-	// Re-optimization": during a re-optimization (feedback cache non-empty),
-	// cardinality estimates that are NOT backed by an actual observation are
-	// inflated by this factor (e.g. 1.5), penalizing plans built on
-	// still-uncertain estimates relative to plans whose inputs were measured.
-	UncertaintyPenalty float64
-
 	// JoinOrder selects the join-ordering algorithm (see greedy.go). The
 	// default, JoinOrderAuto, is DP up to dpMaxTables tables and the
 	// statistics-free greedy chain beyond; JoinOrderGreedy forces the greedy
@@ -66,8 +60,9 @@ type Optimizer struct {
 	// EnumeratedCandidates is set by each Optimize call to the number of join
 	// and access-path candidates the enumeration costed, whether or not they
 	// were built — the measure of optimization work a plan-cache hit avoids.
-	// Like the rest of the struct it is not safe for concurrent Optimize calls
-	// on one Optimizer.
+	// Under DP it counts the candidates of the connected subsets only
+	// (enumerateDP). Like the rest of the struct it is not safe for
+	// concurrent Optimize calls on one Optimizer.
 	EnumeratedCandidates int
 }
 
@@ -312,7 +307,6 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 		views:  !o.DisableMVReuse && o.Cat.HasViewsPrefixed(o.MVNamespace),
 		arena:  arenas.Get().(*arena),
 	}
-	pl.est.uncertainty = o.UncertaintyPenalty
 	for ti := range tabs {
 		cols := make([]int, q.Schemas[ti].Len())
 		for i := range cols {
@@ -702,19 +696,60 @@ func sargableBounds(preds []expr.Expr, keyGID int) (lo, hi expr.Expr, loInc, hiI
 	return lo, hi, loInc, hiInc, used, residual
 }
 
-// enumerateDP runs exhaustive left-deep dynamic programming over subsets,
-// smallest first. It sets no validity range: a group's candidates and slot
-// decisions depend on the Card, Cost and order of smaller groups, never on
-// their ranges, and Optimize narrows only the plan it returns (narrowChosen).
+// enumerateDP runs left-deep dynamic programming over the connected subsets
+// (see adjacency), smallest first; a query that is not connected as a whole
+// has every subset enumerated. Every connected subset has a table whose
+// removal leaves a connected subset, so each gets a group and the full set a
+// plan. It sets no validity range: a group's candidates and slot decisions
+// depend on the Card, Cost and order of smaller groups, never on their
+// ranges, and Optimize narrows only the plan it returns (narrowChosen).
 func (pl *planner) enumerateDP(full uint64) {
+	adj := pl.adjacency()
+	all := !connected(full, adj)
 	n := popcount(full)
 	for size := 2; size <= n; size++ {
 		for mask := uint64(1); mask <= full; mask++ {
-			if mask&full != mask || popcount(mask) != size {
+			if mask&full != mask || popcount(mask) != size || !all && !connected(mask, adj) {
 				continue
 			}
 			pl.joinSplits(mask, nil)
 		}
+	}
+}
+
+// adjacency returns, for each table, the tables it is adjacent to in the
+// join graph the DP enumerates over: those its join predicates reach, and
+// every table when either of the two is estimated at one row or fewer — a
+// cross product with such an input does not multiply rows, and plans choose
+// it (TPC-H Q2 and Q8 join a one-row region to part by a naive NLJN). The
+// estimate follows feedback, so a re-optimization's graph follows what the
+// attempt observed.
+func (pl *planner) adjacency() []uint64 {
+	adj := slices.Clone(pl.reach)
+	all := uint64(1)<<uint(len(adj)) - 1
+	for ti := range adj {
+		if pl.est.filteredBaseCard(ti) <= 1 {
+			adj[ti] = all
+			for tj := range adj {
+				adj[tj] |= 1 << uint(ti)
+			}
+		}
+	}
+	return adj
+}
+
+// connected reports whether the tables of mask are connected under adj.
+func connected(mask uint64, adj []uint64) bool {
+	seen := mask & -mask
+	for {
+		next := seen
+		for m := seen; m != 0; m &= m - 1 {
+			next |= adj[bits.TrailingZeros64(m)] & mask
+		}
+		if next == seen {
+			return seen == mask
+		}
+		seen = next
 	}
 }
 

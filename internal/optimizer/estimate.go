@@ -22,9 +22,6 @@ type estimator struct {
 	q    *logical.Query
 	tabs []*catalog.Table
 	fb   *stats.Feedback
-	// uncertainty inflates estimates not backed by feedback during a
-	// re-optimization (>1 enables; see Optimizer.UncertaintyPenalty).
-	uncertainty float64
 
 	// Fast-path state. The DP enumerator asks for the same subset
 	// cardinalities, signatures and predicate selectivities many times per
@@ -109,16 +106,6 @@ func (e *estimator) deriveFeedbackMasks() {
 		}
 		return cmp.Compare(a, b)
 	})
-}
-
-// uncertain applies the §7 uncertainty penalty to a non-observed estimate.
-// It is active only during re-optimization (the feedback cache has entries)
-// and only when the optimizer enables it.
-func (e *estimator) uncertain(card float64) float64 {
-	if e.uncertainty > 1 && e.fbHas {
-		return card * e.uncertainty
-	}
-	return card
 }
 
 // statsLookup resolves a query-global column id to its column statistics.
@@ -283,7 +270,7 @@ func (e *estimator) filteredBaseCardUncached(ti int) float64 {
 	if card < 0 {
 		card = 0
 	}
-	return e.uncertain(card)
+	return card
 }
 
 // joinPredSelectivity estimates one join predicate's selectivity.
@@ -320,11 +307,8 @@ func (e *estimator) SubsetCard(mask uint64) float64 {
 // VLDB 2001): with no feedback for mask itself, take the independence
 // estimate naive(mask) and, if some subset S ⊂ mask of ≥ 2 tables has
 // feedback, scale it by fb(S)/naive(S), choosing the S with the most tables
-// (ties: the lowest mask). Both naive terms carry the uncertainty penalty
-// for their unobserved base tables and for the join, so the penalty cancels
-// in the ratio except for the tables of mask outside S: a scaled estimate is
-// penalized only for what no observation covers. Single tables take their
-// feedback through filteredBaseCard.
+// (ties: the lowest mask). Single tables take their feedback through
+// filteredBaseCard.
 func (e *estimator) subsetCardUncached(mask uint64) float64 {
 	if card, ok := e.feedbackCard(mask); ok {
 		return card
@@ -346,7 +330,7 @@ func (e *estimator) subsetCardUncached(mask uint64) float64 {
 
 // naive is the independence estimate of joining the table subset: the
 // filtered base cardinalities times every internal join predicate's
-// selectivity, with the uncertainty penalty.
+// selectivity.
 func (e *estimator) naive(mask uint64) float64 {
 	card := 1.0
 	for i := range e.q.Tables {
@@ -362,7 +346,7 @@ func (e *estimator) naive(mask uint64) float64 {
 	if card < 0 {
 		card = 0
 	}
-	return e.uncertain(card)
+	return card
 }
 
 // groupCount estimates the number of groups for the given grouping keys out

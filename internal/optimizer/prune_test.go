@@ -314,9 +314,10 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 // once the subset is complete, so over every workload query, under
 // compileConfigs and the greedy chain, the joins built must equal the join
 // plans held by the groups of two or more tables. On the widest DMV compile
-// that is about 6 of every 100 join and access-path candidates costed under
-// DP, and 20 under the greedy chain. Building each candidate that took its
-// slot when it was offered built 30 and 38 of them.
+// that is 1,435 joins of the 20,014 candidates costed under DP, and 42 of
+// 210 under the greedy chain; the ceilings are absolute, as the narrowing
+// budget's is. Building each candidate that took its slot when it was
+// offered built about 30 and 38 of every 100.
 func TestBuiltCandidateBudget(t *testing.T) {
 	for _, w := range compileWorkloads(t) {
 		cat := w.cat
@@ -352,9 +353,9 @@ func TestBuiltCandidateBudget(t *testing.T) {
 
 	cat, q := widestDMV(t)
 	for _, c := range []struct {
-		order  JoinOrder
-		budget int // per cent of the candidates costed
-	}{{JoinOrderAuto, 8}, {JoinOrderGreedy, 25}} {
+		order   JoinOrder
+		ceiling int // joins built
+	}{{JoinOrderAuto, 1_800}, {JoinOrderGreedy, 55}} {
 		o := New(cat)
 		o.JoinOrder = c.order
 		pl, _ := chosenJoins(t, o, q)
@@ -363,8 +364,8 @@ func TestBuiltCandidateBudget(t *testing.T) {
 		if pl.built == 0 {
 			t.Errorf("join order %d: no candidate built at all", c.order)
 		}
-		if 100*pl.built > c.budget*pl.candidates {
-			t.Errorf("join order %d: %d of %d candidates built, budget %d %%", c.order, pl.built, pl.candidates, c.budget)
+		if pl.built > c.ceiling {
+			t.Errorf("join order %d: %d of %d candidates built, budget %d", c.order, pl.built, pl.candidates, c.ceiling)
 		}
 	}
 }

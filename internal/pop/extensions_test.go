@@ -67,43 +67,6 @@ func TestForceMVReuseOnFinalAttempt(t *testing.T) {
 	}
 }
 
-// TestUncertaintyPenaltyDuringReopt verifies the §7 uncertainty extension:
-// during re-optimization, unobserved estimates are inflated, steering the
-// new plan toward operators that are safe under larger cardinalities.
-func TestUncertaintyPenaltyDuringReopt(t *testing.T) {
-	cat := correlatedFixture(t)
-	q := correlatedQuery(t, cat)
-
-	// Without the penalty the re-optimized plan is chosen at face value.
-	base, err := NewRunner(cat, DefaultOptions()).Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.UncertaintyPenalty = 2.0
-	res, err := NewRunner(cat, opts).Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reopts == 0 {
-		t.Fatal("scenario should re-optimize")
-	}
-	// The results must agree and the run must stay in the same cost regime
-	// (the penalty may change the plan but must not break anything).
-	if len(res.Rows) != len(base.Rows) {
-		t.Errorf("row counts differ: %d vs %d", len(res.Rows), len(base.Rows))
-	}
-	if res.Work > base.Work*3 {
-		t.Errorf("uncertainty-penalized run is %.1fx the base run", res.Work/base.Work)
-	}
-	// The penalized re-optimization must not pick a plan that banks on a
-	// small unobserved cardinality: no index NLJN over unobserved edges.
-	final := res.Attempts[len(res.Attempts)-1]
-	if strings.Contains(final.Explain, "NLJN[index]") {
-		t.Logf("note: penalized plan still uses index NLJN:\n%s", final.Explain)
-	}
-}
-
 // TestECWCPlacementAndFiring covers the fourth flavor end to end: an eager
 // check pushed below a SORT materialization point fires *before* the
 // materialization completes. ECWC/ECDC are the liberal flavors the paper

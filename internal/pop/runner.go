@@ -32,10 +32,6 @@ type Options struct {
 	Pipelined bool
 	// Configure customizes each optimizer instance (experiment knobs).
 	Configure func(*optimizer.Optimizer)
-	// UncertaintyPenalty, when > 1, is applied during re-optimizations:
-	// estimates not backed by observed cardinalities are inflated by this
-	// factor (paper §7 "Considering Uncertainty during Re-optimization").
-	UncertaintyPenalty float64
 	// Analyze turns on per-operator runtime attribution: each attempt's
 	// AttemptInfo.Stats carries the merged stats tree EXPLAIN ANALYZE
 	// renders. Off by default — the attribution costs one branch per work
@@ -214,9 +210,6 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 		opt.MVNamespace = ns
 		if bind && len(params) > 0 {
 			opt.ParamBindings = params
-		}
-		if attempt > 0 && r.Opts.UncertaintyPenalty > 1 {
-			opt.UncertaintyPenalty = r.Opts.UncertaintyPenalty
 		}
 		if attempt == r.Opts.MaxReopts {
 			// Termination heuristic (§7): on the last permitted attempt,
