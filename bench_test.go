@@ -10,8 +10,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -21,11 +19,9 @@ import (
 	"repro/internal/executor"
 	"repro/internal/expr"
 	"repro/internal/harness"
-	"repro/internal/logical"
 	"repro/internal/optimizer"
 	"repro/internal/pop"
 	"repro/internal/schema"
-	"repro/internal/server"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
 	"repro/internal/tpch"
@@ -347,9 +343,8 @@ func BenchmarkBatchExecution(b *testing.B) {
 
 // BenchmarkCachedQ10 is the serve_hot workload's engine path without the
 // wire: the serving statement through one warmed cached runner configured as
-// the server configures its sessions (POP on, the scheduler as worker gate,
-// planned for max(GOMAXPROCS, 2) workers), one binding of the 20 per
-// operation. ns/op, B/op and allocs/op size executor work in process, where
+// the server configures its sessions (the library's defaults, POP on), one
+// binding of the 20 per operation. ns/op, B/op and allocs/op size executor work in process, where
 // go run ./bench measures it through the server.
 func BenchmarkCachedQ10(b *testing.B) {
 	cat := catalog.New()
@@ -360,11 +355,7 @@ func BenchmarkCachedQ10(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := pop.DefaultOptions()
-	opts.Gate = server.NewScheduler(server.SchedConfig{})
-	workers := max(runtime.GOMAXPROCS(0), 2)
-	opts.Configure = func(o *optimizer.Optimizer) { o.Model.Params.Workers = workers }
-	runner := pop.NewRunner(cat, opts)
+	runner := pop.NewRunner(cat, pop.DefaultOptions())
 	runner.Cache = pop.NewCache()
 	bindings := make([][]types.Datum, 20)
 	for i := range bindings {
@@ -382,146 +373,6 @@ func BenchmarkCachedQ10(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --------------------------------------------------------------------------
-// Parallel execution (gather exchanges under a hash join).
-
-var (
-	parOnce sync.Once
-	parDB   *catalog.Catalog
-)
-
-// parallelFixture loads a larger TPC-H instance (~120k lineitem rows) so
-// per-worker morsel stripes carry enough rows for wall-clock scaling to show
-// above the exchange setup overhead.
-func parallelFixture(b *testing.B) *catalog.Catalog {
-	b.Helper()
-	parOnce.Do(func() {
-		parDB = catalog.New()
-		if err := tpch.Load(parDB, tpch.Config{ScaleFactor: 0.02, Seed: 7}); err != nil {
-			b.Fatal(err)
-		}
-	})
-	return parDB
-}
-
-// parallelJoinQuery is a TPC-H-style selective join: every lineitem and
-// orders row is scanned and probed, few rows survive to cross the gather.
-func parallelJoinQuery(b *testing.B, cat *catalog.Catalog) *logical.Query {
-	b.Helper()
-	bq := logical.NewBuilder(cat)
-	bq.AddTable("lineitem", "l")
-	bq.AddTable("orders", "o")
-	bq.Where(&expr.Cmp{Op: expr.EQ, L: bq.Col("l", "l_orderkey"), R: bq.Col("o", "o_orderkey")})
-	bq.Where(&expr.Cmp{Op: expr.GT, L: bq.Col("l", "l_quantity"), R: &expr.Const{Val: types.NewFloat(45)}})
-	bq.SelectCol("l", "l_orderkey")
-	bq.SelectCol("l", "l_quantity")
-	bq.SelectCol("o", "o_totalprice")
-	q, err := bq.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return q
-}
-
-func benchCanon(rows []schema.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// BenchmarkParallelHashJoin executes one parallel plan shape (Workers=4) at
-// several DOPs. Before timing, it asserts the determinism contract: the
-// result multiset and the simulated work total are identical at every DOP.
-// The sub-benchmark ns/op show the wall-clock scaling parallelism buys.
-// dop=1 is that parallel plan run at DOP 1; plan=serial is the same query
-// optimized at Workers 1 and run serially, the baseline an exchange must
-// beat.
-func BenchmarkParallelHashJoin(b *testing.B) {
-	cat := parallelFixture(b)
-	q := parallelJoinQuery(b, cat)
-	optimize := func(workers int) (*optimizer.Plan, optimizer.CostParams) {
-		opt := optimizer.New(cat)
-		opt.DisableNLJN = true
-		opt.DisableMGJN = true
-		opt.Model.Params.Workers = workers
-		plan, err := opt.Optimize(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return plan, opt.Model.Params
-	}
-	plan, params := optimize(4)
-	if !strings.Contains(optimizer.Explain(plan, q), "XCHG") {
-		b.Fatalf("plan is not parallel:\n%s", optimizer.Explain(plan, q))
-	}
-	serialPlan, serialParams := optimize(1)
-
-	exec := func(b *testing.B, plan *optimizer.Plan, params optimizer.CostParams, dop int) ([]schema.Row, float64) {
-		meter := &executor.Meter{}
-		ex, err := executor.NewExecutor(cat, q, nil, params, meter)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ex.DOP = dop
-		root, err := ex.Build(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows, err := executor.Run(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rows, meter.Work()
-	}
-	run := func(b *testing.B, dop int) ([]schema.Row, float64) { return exec(b, plan, params, dop) }
-
-	wantRows, wantWork := run(b, 1)
-	if len(wantRows) == 0 {
-		b.Fatal("join produced no rows")
-	}
-	want := benchCanon(wantRows)
-	sameRows := func(label string, rows []schema.Row) {
-		got := benchCanon(rows)
-		if len(got) != len(want) {
-			b.Fatalf("%s returned %d rows, dop=1 returned %d", label, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				b.Fatalf("%s row %d: got %s, want %s", label, i, got[i], want[i])
-			}
-		}
-	}
-	for _, dop := range []int{2, 4, 8} {
-		rows, work := run(b, dop)
-		if work != wantWork {
-			b.Fatalf("dop=%d work %v differs from dop=1 work %v", dop, work, wantWork)
-		}
-		sameRows(fmt.Sprintf("dop=%d", dop), rows)
-	}
-	serialRows, _ := exec(b, serialPlan, serialParams, 0)
-	sameRows("plan=serial", serialRows)
-
-	measure := func(name string, run func(*testing.B) ([]schema.Row, float64)) {
-		b.Run(name, func(b *testing.B) {
-			var work float64
-			var nrows int
-			for i := 0; i < b.N; i++ {
-				rows, w := run(b)
-				work, nrows = w, len(rows)
-			}
-			b.ReportMetric(work, "work_units")
-			b.ReportMetric(float64(nrows), "rows")
-		})
-	}
-	for _, dop := range []int{1, 2, 4, 8} {
-		measure(fmt.Sprintf("dop=%d", dop), func(b *testing.B) ([]schema.Row, float64) { return run(b, dop) })
-	}
-	measure("plan=serial", func(b *testing.B) ([]schema.Row, float64) { return exec(b, serialPlan, serialParams, 0) })
 }
 
 // BenchmarkSelectivityEstimation measures predicate selectivity estimation

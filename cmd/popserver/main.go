@@ -1,7 +1,8 @@
 // Command popserver serves the engine over TCP (line-delimited JSON) and
 // HTTP: concurrent sessions share one catalog, one plan cache and one
-// admission-controlled worker scheduler that arbitrates the global worker
-// budget between queries (see DESIGN.md §12).
+// admission scheduler that bounds the queries running at once (see
+// DESIGN.md §12). Each query is planned and run serially, as the library
+// runs it.
 //
 // Usage:
 //
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -37,9 +37,7 @@ func main() {
 		db           = flag.String("db", "tpch", "database to load: tpch or dmv")
 		sf           = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		scale        = flag.Float64("scale", 0.5, "DMV scale")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "planned exchange width per query")
-		budget       = flag.Int("budget", runtime.GOMAXPROCS(0), "global worker-pool budget across all queries")
-		slots        = flag.Int("slots", 0, "concurrently running queries (0 = budget/2, min 2)")
+		slots        = flag.Int("slots", 0, "concurrently running queries (0 = GOMAXPROCS/2, min 2)")
 		sessionQueue = flag.Int("sessionqueue", 4, "per-session admission-queue allowance before backpressure")
 		nocache      = flag.Bool("nocache", false, "disable the shared plan cache")
 		maxRows      = flag.Int("maxrows", 1000, "rows returned per response (0 = unlimited)")
@@ -68,11 +66,9 @@ func main() {
 		Addr:     *addr,
 		HTTPAddr: *httpAddr,
 		Sched: server.SchedConfig{
-			WorkerBudget: *budget,
 			RunSlots:     *slots,
 			SessionQueue: *sessionQueue,
 		},
-		Workers:      *workers,
 		DisableCache: *nocache,
 		MaxRows:      *maxRows,
 		DrainTimeout: *drainTO,
@@ -101,8 +97,7 @@ func main() {
 	if h := s.HTTPAddr(); h != "" {
 		fmt.Printf(", http %s", h)
 	}
-	fmt.Printf("; workers=%d budget=%d slots=%d sessionqueue=%d\n",
-		s.Config().Workers, sched.WorkerBudget, sched.RunSlots, sched.SessionQueue)
+	fmt.Printf("; slots=%d sessionqueue=%d\n", sched.RunSlots, sched.SessionQueue)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -137,8 +132,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("popserver: drained; served %d queries (%d reopts, %d dop clamps)\n",
-		m.Queries, m.Reoptimizations, st.DOPClamps)
+	fmt.Printf("popserver: drained; served %d queries (%d reopts)\n", m.Queries, m.Reoptimizations)
 	os.Exit(code)
 }
 

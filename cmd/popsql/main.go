@@ -21,9 +21,9 @@
 //	                greedy-only, reopt-unguarded); works in -connect mode too
 //	\explain SQL    show the plan (with validity ranges) without running
 //	\analyze SQL    EXPLAIN ANALYZE: run with POP and show, per attempt,
-//	                each operator's estimated vs actual rows, work and DOP
+//	                each operator's estimated vs actual rows and work
 //	\metrics        cumulative session counters (queries, reopts, checkpoint
-//	                outcomes, plan-cache verdicts, worker utilization)
+//	                outcomes, plan-cache verdicts)
 //	\trace FILE     start appending JSONL trace events to FILE
 //	\trace off      stop tracing and flush
 //	\tables         list tables
@@ -354,7 +354,7 @@ func (s *session) explain(w io.Writer, sql string) {
 
 // analyze is EXPLAIN ANALYZE: the statement runs under POP with per-operator
 // attribution on, and every attempt's plan is printed with estimated vs
-// actual rows, attributed work units, merged DOP, wall time and
+// actual rows, attributed work units, wall time and
 // spill/violation flags — the per-operator view of the estimation errors POP
 // reacts to.
 func (s *session) analyze(sql string) {

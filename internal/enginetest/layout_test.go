@@ -16,20 +16,12 @@ import (
 
 // Joins emit only the columns read above their table set (DESIGN §11.1).
 // These tests run the layouts that rule produces through every path that
-// carries join rows: residual filters over columns dead above a parallel
-// join, joins emitting rows of no columns, and temp MVs re-read by the next
+// carries join rows: residual filters over columns dead above a hash join,
+// joins emitting rows of no columns, and temp MVs re-read by the next
 // attempt.
 
-// hashOnly plans every join as a hash join for the given worker count: with
-// no exchange setup charge, every scan feeding a hash join pays for a gather
-// when workers > 1.
-func hashOnly(workers int) func(*optimizer.Optimizer) {
-	return func(o *optimizer.Optimizer) {
-		o.DisableNLJN, o.DisableMGJN = true, true
-		o.Model.Params.Workers = workers
-		o.Model.Params.ExchangeSetup = 0
-	}
-}
+// hashOnly plans every join as a hash join.
+func hashOnly(o *optimizer.Optimizer) { o.DisableNLJN, o.DisableMGJN = true, true }
 
 // planHas reports whether any node of p satisfies pred.
 func planHas(p *optimizer.Plan, pred func(*optimizer.Plan) bool) bool {
@@ -40,37 +32,17 @@ func planHas(p *optimizer.Plan, pred func(*optimizer.Plan) bool) bool {
 	return found
 }
 
-// gatheredJoin matches a hash join with a gathered input, looking through
-// the CHECKs POP places on its edges.
-func gatheredJoin(p *optimizer.Plan) bool {
-	if p.Op != optimizer.OpHSJN {
-		return false
-	}
-	for _, c := range p.Children {
-		for c.Op == optimizer.OpCheck {
-			c = c.Children[0]
-		}
-		if c.Op == optimizer.OpExchange {
-			return true
-		}
-	}
-	return false
+// filteredHashJoin matches a hash join with a residual filter.
+func filteredHashJoin(p *optimizer.Plan) bool {
+	return p.Op == optimizer.OpHSJN && p.Filter != nil
 }
 
-// filteredGatheredJoin matches a hash join with a gathered input and a
-// residual filter.
-func filteredGatheredJoin(p *optimizer.Plan) bool {
-	return gatheredJoin(p) && p.Filter != nil
-}
-
-// TestDifferentialParallelJoinFilter gives the random join chains an equi key
-// plus a1.val < a0.val, where neither val is read anywhere else: the filter
-// reads two columns dead above the join that applies it. Each query runs under
-// POP at 2 and 4 planned workers with real worker goroutines (no gate), hash
-// joins only, and is compared with brute force. Without a filtered hash join
-// over a gathered input, whose probe rows arrive in worker order, the test
-// fails.
-func TestDifferentialParallelJoinFilter(t *testing.T) {
+// TestDifferentialJoinFilterOnDeadColumns gives the random join chains an
+// equi key plus a1.val < a0.val, where neither val is read anywhere else: the
+// filter reads two columns dead above the join that applies it. Each query
+// runs under POP with hash joins only and is compared with brute force.
+// Without a filtered hash join the test fails.
+func TestDifferentialJoinFilterOnDeadColumns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is slow")
 	}
@@ -87,28 +59,25 @@ func TestDifferentialParallelJoinFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := canon(bruteForce(t, cat, q))
-		for _, workers := range []int{2, 4} {
-			opts := pop.DefaultOptions()
-			opts.Configure = hashOnly(workers)
-			res, err := pop.NewRunner(cat, opts).Run(q, nil)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v\nquery: %s", seed, workers, err, q)
-			}
-			if d := diffRows(canon(res.Rows), want); d != "" {
-				t.Fatalf("seed %d workers %d (reopts=%d): %s\nquery: %s\nplan:\n%s",
-					seed, workers, res.Reopts, d, q, res.Attempts[len(res.Attempts)-1].Explain)
-			}
-			for _, a := range res.Attempts {
-				if planHas(a.Plan, filteredGatheredJoin) {
-					compared++
-				}
+		opts := pop.DefaultOptions()
+		opts.Configure = hashOnly
+		res, err := pop.NewRunner(cat, opts).Run(q, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v\nquery: %s", seed, err, q)
+		}
+		if d := diffRows(canon(res.Rows), canon(bruteForce(t, cat, q))); d != "" {
+			t.Fatalf("seed %d (reopts=%d): %s\nquery: %s\nplan:\n%s",
+				seed, res.Reopts, d, q, res.Attempts[len(res.Attempts)-1].Explain)
+		}
+		for _, a := range res.Attempts {
+			if planHas(a.Plan, filteredHashJoin) {
+				compared++
 			}
 		}
 	}
-	t.Logf("%d attempts ran a hash join over a gathered input with a residual filter", compared)
+	t.Logf("%d attempts ran a hash join with a residual filter", compared)
 	if compared == 0 {
-		t.Error("no hash join over a gathered input with a residual filter was compared")
+		t.Error("no hash join with a residual filter was compared")
 	}
 }
 
@@ -274,11 +243,10 @@ func TestMVLayoutsAcrossAttempts(t *testing.T) {
 
 // TestZeroWidthJoinRows: in SELECT COUNT(*) FROM a, b WHERE a.k = b.ak no
 // column is read above the join, so it emits rows of no columns. Every join
-// method, and the hash join over gathered inputs at 2 and 4 workers, must
-// count them right. A third, unconnected table makes the greedy planner join
-// a ⋈ b first and feed its zero-width rows to a cartesian NLJN through an
-// LCEM TEMP; failing that checkpoint promotes the TEMP's rows to a temp MV
-// the re-optimized plan reads back.
+// method must count them right. A third, unconnected table makes the greedy
+// planner join a ⋈ b first and feed its zero-width rows to a cartesian NLJN
+// through an LCEM TEMP; failing that checkpoint promotes the TEMP's rows to a
+// temp MV the re-optimized plan reads back.
 func TestZeroWidthJoinRows(t *testing.T) {
 	cat := layoutFixture(t)
 	count := func(t *testing.T, res *pop.Result) int64 {
@@ -302,12 +270,10 @@ func TestZeroWidthJoinRows(t *testing.T) {
 		cfg  func(*optimizer.Optimizer)
 		has  func(*optimizer.Plan) bool // the join the plan must contain
 	}{
-		{"hash", hashOnly(1), isOp(optimizer.OpHSJN, false)},
+		{"hash", hashOnly, isOp(optimizer.OpHSJN, false)},
 		{"merge", func(o *optimizer.Optimizer) { o.DisableNLJN, o.DisableHSJN = true, true }, isOp(optimizer.OpMGJN, false)},
 		{"naive", func(o *optimizer.Optimizer) { nljnOnly(o); o.DisableIndexJoin = true }, isOp(optimizer.OpNLJN, false)},
 		{"index", nljnOnly, isOp(optimizer.OpNLJN, true)},
-		{"parallel2", hashOnly(2), gatheredJoin},
-		{"parallel4", hashOnly(4), gatheredJoin},
 	}
 	for _, m := range methods {
 		t.Run(m.name, func(t *testing.T) {

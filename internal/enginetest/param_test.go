@@ -7,7 +7,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/metrics"
-	"repro/internal/optimizer"
 	"repro/internal/pop"
 	"repro/internal/types"
 )
@@ -54,9 +53,9 @@ func paramBindings(k types.Kind) [][]types.Datum {
 // TestDifferentialParameterizedCache is the cache's differential axis: on
 // each random database whose random query compares a column with a literal
 // (18 of the 25), that literal becomes a marker, and a binding sweep runs
-// twice through one cached runner per planner strategy and planning width
-// (1 and 2 workers). Misses, guarded hits, guard rejects and any
-// invalidating re-optimization all meet brute force over the bound query.
+// twice through one cached runner per planner strategy. Misses, guarded
+// hits, guard rejects and any invalidating re-optimization all meet brute
+// force over the bound query.
 // Without at least one guard reject and one hit the paths they take went
 // uncompared, and the test fails.
 func TestDifferentialParameterizedCache(t *testing.T) {
@@ -79,24 +78,21 @@ func TestDifferentialParameterizedCache(t *testing.T) {
 			want[i] = canon(bruteForce(t, cat, logical.BindParams(q, params)))
 		}
 		for _, st := range pop.Strategies() {
-			for _, workers := range []int{1, 2} {
-				opts := pop.DefaultOptions()
-				opts.Planner = st
-				opts.Trace = reg
-				opts.Configure = func(o *optimizer.Optimizer) { o.Model.Params.Workers = workers }
-				runner := pop.NewRunner(cat, opts)
-				runner.Cache = pop.NewCache()
-				for pass := 0; pass < 2; pass++ {
-					for i, params := range bindings {
-						id := fmt.Sprintf("seed %d %s w=%d pass %d ?0=%v", seed, st.Name(), workers, pass, params[0])
-						res, err := runner.Run(q, params)
-						if err != nil {
-							t.Fatalf("%s: %v\nquery: %s", id, err, q)
-						}
-						if d := diffRows(canon(res.Rows), want[i]); d != "" {
-							t.Fatalf("%s (hit=%t reopts=%d): %s\nquery: %s",
-								id, res.Cache.Hit, res.Reopts, d, q)
-						}
+			opts := pop.DefaultOptions()
+			opts.Planner = st
+			opts.Trace = reg
+			runner := pop.NewRunner(cat, opts)
+			runner.Cache = pop.NewCache()
+			for pass := 0; pass < 2; pass++ {
+				for i, params := range bindings {
+					id := fmt.Sprintf("seed %d %s pass %d ?0=%v", seed, st.Name(), pass, params[0])
+					res, err := runner.Run(q, params)
+					if err != nil {
+						t.Fatalf("%s: %v\nquery: %s", id, err, q)
+					}
+					if d := diffRows(canon(res.Rows), want[i]); d != "" {
+						t.Fatalf("%s (hit=%t reopts=%d): %s\nquery: %s",
+							id, res.Cache.Hit, res.Reopts, d, q)
 					}
 				}
 			}

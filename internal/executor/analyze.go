@@ -2,8 +2,7 @@ package executor
 
 // EXPLAIN ANALYZE support: after an execution, CollectStats folds the
 // executable tree's per-node runtime counters into a stats tree that mirrors
-// the plan, merging the partition clones a parallel plan created for one
-// logical operator. FormatStats renders that tree in the style of
+// the plan. FormatStats renders that tree in the style of
 // optimizer.Explain, with the estimate and the observed cardinality side by
 // side — the per-operator view of the estimation errors POP's checkpoints
 // guard against.
@@ -27,15 +26,12 @@ type indexed interface {
 func (n *indexScanNode) indexHeight() int { return n.ix.Height() }
 func (p *probeState) indexHeight() int    { return p.ix.Height() }
 
-// StatsNode is one logical operator's merged runtime stats. Clones reports
-// how many executable instances (partition clones) were folded into it; 1
-// for a serial operator. Model is the operator's own modeled cost at the
-// cardinalities the run observed (see fillModel) — the number Stats.Work
-// equals when the cost model and the meter agree.
+// StatsNode is one operator's runtime stats. Model is the operator's own
+// modeled cost at the cardinalities the run observed (see fillModel) — the
+// number Stats.Work equals when the cost model and the meter agree.
 type StatsNode struct {
 	Plan     *optimizer.Plan
 	Stats    NodeStats
-	Clones   int
 	Model    float64
 	Children []*StatsNode
 
@@ -53,21 +49,17 @@ func (sn *StatsNode) Walk(fn func(*StatsNode)) {
 	}
 }
 
-// CollectStats folds an executable tree into a stats tree. Partition clones
-// share their *optimizer.Plan pointers (every clone is built from the same
-// plan fragment), so sibling instances of one logical operator are recognized
-// by plan identity and merged: rows and work sum, Done requires every clone
-// done, flags OR, FirstWork is the earliest touched reading and DoneWork the
-// latest. Call it only on a quiescent tree — after Run returned or the POP
-// controller harvested a violation. cost is the weights the run was charged
-// with; every node's Model is evaluated under them.
+// CollectStats folds an executable tree into a stats tree. Call it only on a
+// quiescent tree — after Run returned or the POP controller harvested a
+// violation. cost is the weights the run was charged with; every node's
+// Model is evaluated under them.
 func CollectStats(root Node, cost optimizer.CostParams) *StatsNode {
-	sn := mergeClones([]*StatsNode{collectNode(root)})
+	sn := collectNode(root)
 	// Every charge site rounds its weight to the meter's tick; so does the
 	// model the charges are held against.
 	for _, w := range []*float64{&cost.ScanRow, &cost.PredEval, &cost.HashBuildRow, &cost.HashProbeRow,
 		&cost.OutputRow, &cost.SortCmpRow, &cost.TempWrite, &cost.TempRead, &cost.IndexLevel, &cost.FetchRow,
-		&cost.MergeRow, &cost.CheckRow, &cost.SpillRow, &cost.ExchangeRow, &cost.ExchangeSetup} {
+		&cost.MergeRow, &cost.CheckRow, &cost.SpillRow} {
 		*w = float64(Ticks(*w)) / meterTick
 	}
 	sn.fillModel(&optimizer.CostModel{Params: cost}, 1)
@@ -75,69 +67,14 @@ func CollectStats(root Node, cost optimizer.CostParams) *StatsNode {
 }
 
 func collectNode(n Node) *StatsNode {
-	sn := &StatsNode{Plan: n.Plan(), Stats: *n.Stats(), Clones: 1}
+	sn := &StatsNode{Plan: n.Plan(), Stats: *n.Stats()}
 	if ix, ok := n.(indexed); ok {
 		sn.indexHeight = ix.indexHeight()
 	}
-	var order []*optimizer.Plan
-	groups := make(map[*optimizer.Plan][]*StatsNode)
 	for _, c := range n.Children() {
-		cs := collectNode(c)
-		if _, ok := groups[cs.Plan]; !ok {
-			order = append(order, cs.Plan)
-		}
-		groups[cs.Plan] = append(groups[cs.Plan], cs)
-	}
-	for _, p := range order {
-		sn.Children = append(sn.Children, mergeClones(groups[p]))
+		sn.Children = append(sn.Children, collectNode(c))
 	}
 	return sn
-}
-
-// mergeClones folds sibling instances of one logical operator into a single
-// stats node. All instances share the plan node, and therefore the subtree
-// shape, so children merge positionally.
-func mergeClones(clones []*StatsNode) *StatsNode {
-	if len(clones) == 1 {
-		return clones[0]
-	}
-	out := &StatsNode{Plan: clones[0].Plan, indexHeight: clones[0].indexHeight}
-	s := &out.Stats
-	s.Done = true
-	for _, c := range clones {
-		cs := c.Stats
-		out.Clones += c.Clones
-		s.RowsOut += cs.RowsOut
-		s.Work += cs.Work
-		s.Fetched += cs.Fetched
-		s.Done = s.Done && cs.Done
-		s.Opened = s.Opened || cs.Opened
-		s.Spilled = s.Spilled || cs.Spilled
-		s.Violated = s.Violated || cs.Violated
-		if cs.Touched {
-			if !s.Touched || cs.FirstWork < s.FirstWork {
-				s.FirstWork = cs.FirstWork
-			}
-			s.Touched = true
-			if cs.DoneWork > s.DoneWork {
-				s.DoneWork = cs.DoneWork
-			}
-		}
-		if cs.WallFirstNS != 0 && (s.WallFirstNS == 0 || cs.WallFirstNS < s.WallFirstNS) {
-			s.WallFirstNS = cs.WallFirstNS
-		}
-		if cs.WallLastNS > s.WallLastNS {
-			s.WallLastNS = cs.WallLastNS
-		}
-	}
-	for i := range clones[0].Children {
-		group := make([]*StatsNode, len(clones))
-		for j, c := range clones {
-			group[j] = c.Children[i]
-		}
-		out.Children = append(out.Children, mergeClones(group))
-	}
-	return out
 }
 
 // fillModel sets Model on sn and everything under it: the operator's own cost
@@ -197,16 +134,15 @@ type AnalyzeOptions struct {
 // FormatStats renders a stats tree in the style of optimizer.Explain, one
 // node per line:
 //
-//	HSJN  est=3200.0 actual=41210 work=94611.0 model=94611.0 dop=4 [spill]
+//	HSJN  est=3200.0 actual=41210 work=94611.0 model=94611.0 [spill]
 //
 // est is the optimizer's cardinality estimate, actual the rows the operator
-// produced (summed over clones), work the simulated work units it charged
-// (analyze mode only), model its own modeled cost at the actual cardinalities
-// (StatsNode.Model: where it differs from work, the cost model mis-prices the
-// operator, whatever the estimates were), dop the number of partition clones
-// merged. The probe edge of an index NLJN is estimated per probe and says so;
-// its actual sums over the probes made, fetched is the rows the probed key
-// matched before the inner's local predicates:
+// produced, work the simulated work units it charged (analyze mode only),
+// model its own modeled cost at the actual cardinalities (StatsNode.Model:
+// where it differs from work, the cost model mis-prices the operator,
+// whatever the estimates were). The probe edge of an index NLJN is estimated
+// per probe and says so; its actual sums over the probes made, fetched is the
+// rows the probed key matched before the inner's local predicates:
 //
 //	IXSCAN(l)[full]  est=0.6/probe actual=2400 probes=4000 fetched=2400 work=41600.0 model=41600.0
 //
@@ -232,9 +168,6 @@ func formatStatsNode(b *strings.Builder, sn, probeOf *StatsNode, q *logical.Quer
 		fmt.Fprintf(b, "  est=%.1f actual=%.0f", sn.Plan.Card, s.RowsOut)
 	}
 	fmt.Fprintf(b, " work=%.1f model=%.1f", s.Work, sn.Model)
-	if sn.Clones > 1 {
-		fmt.Fprintf(b, " dop=%d", sn.Clones)
-	}
 	if opts.Wall {
 		fmt.Fprintf(b, " wall=%.3fms", float64(s.WallNS())/1e6)
 	}

@@ -43,73 +43,30 @@ func TestChargeAttribution(t *testing.T) {
 	}
 }
 
-// statsNodeFixture builds three partition clones of one plan fragment
-// (XCHG over HSJN over two scans), as the executor would after a DOP-3 run.
-func statsNodeFixture() (*optimizer.Plan, []*StatsNode) {
+// TestFormatStatsFlags pins the rendered line shape: est/actual/work/model
+// columns and the [partial]/[spill]/[unopened] flags, on a spilled hash join
+// that stopped early over one scan that ran and one that never opened.
+func TestFormatStatsFlags(t *testing.T) {
 	scanL := &optimizer.Plan{Op: optimizer.OpTableScan, Card: 1000}
 	scanR := &optimizer.Plan{Op: optimizer.OpTableScan, Card: 500}
 	join := &optimizer.Plan{Op: optimizer.OpHSJN, Card: 100, Children: []*optimizer.Plan{scanL, scanR}}
-	clone := func(rows, work float64, done bool) *StatsNode {
-		return &StatsNode{
-			Plan:   join,
-			Stats:  NodeStats{RowsOut: rows, Work: work, Done: done, Opened: true},
-			Clones: 1,
-			Children: []*StatsNode{
-				{Plan: scanL, Stats: NodeStats{RowsOut: rows * 10, Done: done, Opened: true}, Clones: 1},
-				{Plan: scanR, Stats: NodeStats{RowsOut: rows * 5, Done: true, Opened: true}, Clones: 1},
-			},
-		}
+	sn := &StatsNode{
+		Plan:  join,
+		Stats: NodeStats{RowsOut: 100, Work: 18, Opened: true, Spilled: true},
+		Model: 18.5,
+		Children: []*StatsNode{
+			{Plan: scanL, Stats: NodeStats{RowsOut: 1000, Opened: true}},
+			{Plan: scanR, Stats: NodeStats{RowsOut: 500, Done: true}},
+		},
 	}
-	return join, []*StatsNode{clone(40, 7, true), clone(35, 6, true), clone(25, 5, false)}
-}
 
-// TestMergeClones checks the fold: rows and work sum, Done ANDs, flags OR,
-// and children merge positionally.
-func TestMergeClones(t *testing.T) {
-	join, clones := statsNodeFixture()
-	clones[1].Stats.Spilled = true
-	merged := mergeClones(clones)
-	if merged.Plan != join || merged.Clones != 3 {
-		t.Fatalf("merged %d clones of %v", merged.Clones, merged.Plan)
-	}
-	s := merged.Stats
-	if s.RowsOut != 100 || s.Work != 18 {
-		t.Errorf("RowsOut=%v Work=%v, want 100/18", s.RowsOut, s.Work)
-	}
-	if s.Done {
-		t.Error("Done must AND across clones (one clone incomplete)")
-	}
-	if !s.Spilled || !s.Opened {
-		t.Errorf("flags must OR: %+v", s)
-	}
-	if len(merged.Children) != 2 {
-		t.Fatalf("children = %d, want 2", len(merged.Children))
-	}
-	if got := merged.Children[0].Stats.RowsOut; got != 1000 {
-		t.Errorf("left child rows = %v, want 1000", got)
-	}
-	if !merged.Children[1].Stats.Done {
-		t.Error("right child Done must survive the merge")
-	}
-}
-
-// TestFormatStatsFlags pins the rendered line shape: est/actual/work/model
-// columns, dop for merged clones, and the [partial]/[spill]/[unopened] flags.
-func TestFormatStatsFlags(t *testing.T) {
-	_, clones := statsNodeFixture()
-	clones[2].Stats.Spilled = true
-	merged := mergeClones(clones)
-	merged.Children[1].Stats.Opened = false
-	merged.Model = 18.5
-
-	out := FormatStats(merged, nil, AnalyzeOptions{})
+	out := FormatStats(sn, nil, AnalyzeOptions{})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("rendered %d lines:\n%s", len(lines), out)
 	}
-	if !strings.Contains(lines[0], "HSJN") ||
-		!strings.Contains(lines[0], "est=100.0 actual=100 work=18.0 model=18.5 dop=3") ||
-		!strings.Contains(lines[0], "[partial]") || !strings.Contains(lines[0], "[spill]") {
+	if !strings.HasSuffix(lines[0], "est=100.0 actual=100 work=18.0 model=18.5 [partial] [spill]") ||
+		!strings.HasPrefix(lines[0], "HSJN") {
 		t.Errorf("join line = %q", lines[0])
 	}
 	if strings.Contains(lines[0], "wall=") {
@@ -118,7 +75,7 @@ func TestFormatStatsFlags(t *testing.T) {
 	if !strings.Contains(lines[2], "[unopened]") {
 		t.Errorf("unopened child line = %q", lines[2])
 	}
-	out = FormatStats(merged, nil, AnalyzeOptions{Wall: true})
+	out = FormatStats(sn, nil, AnalyzeOptions{Wall: true})
 	if !strings.Contains(out, "wall=") {
 		t.Errorf("Wall option must add the wall column:\n%s", out)
 	}

@@ -6,15 +6,12 @@ package executor
 // charge into integer ticks (see Ticks) and issue one AddTicks per batch.
 
 import (
-	"sync"
-
 	"repro/internal/schema"
 	"repro/internal/types"
 )
 
 // batchRows is the capacity of every batch the executor moves. Measured on
-// the parameterized-Q10 sweep, 64 was ahead of 1 and of 1024 on wall time at
-// DOP 1, 2 and 4.
+// the parameterized-Q10 sweep, 64 was ahead of 1 and of 1024 on wall time.
 const batchRows = 64
 
 // Batch is a fixed-capacity vector of rows moving through the executor as
@@ -95,27 +92,6 @@ func (b *Batch) Alloc(n int) schema.Row {
 	return row
 }
 
-// batchPool recycles transfer batches handed across exchange channels,
-// where the producing worker cannot reuse its own buffer.
-var batchPool = sync.Pool{New: func() any { return new(Batch) }}
-
-// getBatch returns an empty pooled batch with capacity for capRows rows.
-func getBatch(capRows int) *Batch {
-	b := batchPool.Get().(*Batch)
-	b.Reset()
-	if cap(b.Rows) < capRows {
-		b.Rows = make([]schema.Row, 0, capRows)
-	}
-	return b
-}
-
-// putBatch returns a batch to the pool once no consumer references it.
-func putBatch(b *Batch) {
-	if b != nil {
-		batchPool.Put(b)
-	}
-}
-
 // cursor reads a child's batches one row at a time, for operators whose logic
 // is per input row (join probes, merge). A row it returns is valid until the
 // call that pulls the next batch.
@@ -160,20 +136,4 @@ func appendBatchRows(dst []schema.Row, b *Batch) []schema.Row {
 		off += len(r)
 	}
 	return dst
-}
-
-// cloneForTransfer copies a batch into a pooled batch for handoff across an
-// exchange channel: the producing worker reuses its own buffer immediately,
-// so the transfer must own its rows. Stable rows transfer by reference;
-// ephemeral rows are carved into the transfer batch's slab.
-func cloneForTransfer(b *Batch, capRows int) *Batch {
-	nb := getBatch(capRows)
-	if !b.ephemeral {
-		nb.Rows = append(nb.Rows, b.Rows...)
-		return nb
-	}
-	for _, r := range b.Rows {
-		copy(nb.Alloc(len(r)), r)
-	}
-	return nb
 }

@@ -110,21 +110,20 @@ func TestAppendBatchRowsNonEphemeral(t *testing.T) {
 // execAt builds and drains a plan with batches of capRows rows. Only this
 // package can set the capacity; everything outside it runs at batchRows.
 func execAt(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
-	params optimizer.CostParams, dop, capRows int) ([]schema.Row, float64, error) {
+	params optimizer.CostParams, capRows int) ([]schema.Row, float64, error) {
 	t.Helper()
-	return execWrapped(t, cat, q, plan, params, dop, capRows, nil)
+	return execWrapped(t, cat, q, plan, params, capRows, nil)
 }
 
 // execWrapped is execAt with every node Build returns passed through wrap.
 func execWrapped(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
-	params optimizer.CostParams, dop, capRows int, wrap func(Node) Node) ([]schema.Row, float64, error) {
+	params optimizer.CostParams, capRows int, wrap func(Node) Node) ([]schema.Row, float64, error) {
 	t.Helper()
 	meter := &Meter{}
 	ex, err := NewExecutor(cat, q, nil, params, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.DOP = dop
 	ex.batchCap = capRows
 	ex.wrap = wrap
 	root, err := ex.Build(plan)
@@ -144,7 +143,7 @@ var poisonedDatum = types.NewString("poisoned: row kept past the next pull")
 // each new pull, overwrites the datums it handed out last time. A consumer
 // that keeps ephemeral rows across pulls without copying them (DESIGN §11.1)
 // reads the sentinel. Everything else — Open, Close, Plan, Stats, Children,
-// Rewind, Materialized and the exchange's partition stripe — is the child's.
+// Rewind and Materialized — is the child's.
 type poisonNode struct {
 	Node
 	out *Batch
@@ -184,12 +183,6 @@ func (p *poisonNode) Materialized() ([]schema.Row, bool) {
 	return nil, false
 }
 
-func (p *poisonNode) setPartition(part, of int) {
-	if pn, ok := p.Node.(partitioned); ok {
-		pn.setPartition(part, of)
-	}
-}
-
 // runCaps executes one plan with one-row batches — every pull moves a single
 // row, the order of operations of a row-at-a-time engine — and at capacities
 // that put batch boundaries inside, at and beyond every operator's stream,
@@ -198,14 +191,14 @@ func (p *poisonNode) setPartition(part, of int) {
 // that keeps a child's ephemeral rows without copying them changes the
 // result. It returns the one-row run's rows.
 func runCaps(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
-	params optimizer.CostParams, dop int, label string) []schema.Row {
+	params optimizer.CostParams, label string) []schema.Row {
 	t.Helper()
-	wantRows, wantWork, err := execAt(t, cat, q, plan, params, dop, 1)
+	wantRows, wantWork, err := execAt(t, cat, q, plan, params, 1)
 	if err != nil {
 		t.Fatalf("%s cap=1: %v", label, err)
 	}
 	for _, capRows := range []int{3, 7, batchRows, 1024} {
-		rows, work, err := execAt(t, cat, q, plan, params, dop, capRows)
+		rows, work, err := execAt(t, cat, q, plan, params, capRows)
 		if err != nil {
 			t.Fatalf("%s cap=%d: %v", label, capRows, err)
 		}
@@ -214,7 +207,7 @@ func runCaps(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimiz
 			t.Errorf("%s cap=%d: work = %v, want %v (one-row batches)", label, capRows, work, wantWork)
 		}
 	}
-	rows, work, err := execWrapped(t, cat, q, plan, params, dop, 3, poisoned)
+	rows, work, err := execWrapped(t, cat, q, plan, params, 3, poisoned)
 	if err != nil {
 		t.Fatalf("%s poisoned: %v", label, err)
 	}
@@ -245,7 +238,7 @@ func TestBatchMatchesRowExecution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := runCaps(t, cat, q, plan, opt.Model.Params, 1, name)
+			rows := runCaps(t, cat, q, plan, opt.Model.Params, name)
 			sameRows(t, rows, reference(t, cat, 50), name)
 		}
 	})
@@ -269,7 +262,7 @@ func TestBatchMatchesRowExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := runCaps(t, cat, q, plan, opt.Model.Params, 1, "agg")
+		rows := runCaps(t, cat, q, plan, opt.Model.Params, "agg")
 		if len(rows) != 4 {
 			t.Errorf("got %d groups, want 4", len(rows))
 		}
@@ -291,7 +284,7 @@ func TestBatchMatchesRowExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := runCaps(t, cat, q, plan, opt.Model.Params, 1, "limit")
+		rows := runCaps(t, cat, q, plan, opt.Model.Params, "limit")
 		if len(rows) != 7 {
 			t.Errorf("limit returned %d rows", len(rows))
 		}
@@ -316,7 +309,7 @@ func TestBatchMatchesRowExecution(t *testing.T) {
 		if plan.Op != optimizer.OpSort {
 			t.Skipf("expected SORT root, got %s", plan.Op)
 		}
-		rows := runCaps(t, cat, q, plan, opt.Model.Params, 1, "sortRoot")
+		rows := runCaps(t, cat, q, plan, opt.Model.Params, "sortRoot")
 		if len(rows) != 500 {
 			t.Errorf("got %d rows", len(rows))
 		}
@@ -326,39 +319,6 @@ func TestBatchMatchesRowExecution(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestBatchParallelMatchesRow extends the invariant across exchanges: a hash
-// join over gathered inputs must return identical rows and work at every
-// capacity and every DOP.
-func TestBatchParallelMatchesRow(t *testing.T) {
-	cat := fixture(t)
-	q := joinQuery(t, cat)
-	opt := parallelOptimizer(cat, 4)
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !planContains(plan, func(p *optimizer.Plan) bool { return p.Op == optimizer.OpExchange }) {
-		t.Fatalf("expected a parallel plan:\n%s", optimizer.Explain(plan, q))
-	}
-	var wantRows []schema.Row
-	var wantWork float64
-	for _, dop := range []int{1, 2, 4} {
-		rows := runCaps(t, cat, q, plan, opt.Model.Params, dop, "parallel")
-		_, work, err := execAt(t, cat, q, plan, opt.Model.Params, dop, batchRows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantRows == nil {
-			wantRows, wantWork = rows, work
-			continue
-		}
-		sameRows(t, rows, wantRows, "parallel dop")
-		if work != wantWork {
-			t.Errorf("dop=%d: work = %v, want %v", dop, work, wantWork)
-		}
-	}
 }
 
 // scanUnderCheck plans SELECT e_id FROM emp and wraps the scan below the
@@ -386,7 +346,7 @@ func scanUnderCheck(t *testing.T, cat *catalog.Catalog, r optimizer.Range, flavo
 func violationAt(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
 	params optimizer.CostParams, capRows int) ([]schema.Row, float64, *CheckViolation) {
 	t.Helper()
-	rows, work, runErr := execAt(t, cat, q, plan, params, 0, capRows)
+	rows, work, runErr := execAt(t, cat, q, plan, params, capRows)
 	cv, ok := runErr.(*CheckViolation)
 	if !ok {
 		t.Fatalf("cap=%d: want CheckViolation, got %v", capRows, runErr)
@@ -466,7 +426,7 @@ func TestBatchCheckLowerViolationParity(t *testing.T) {
 func TestBatchCheckPassParity(t *testing.T) {
 	cat := fixture(t)
 	q, plan, params := scanUnderCheck(t, cat, optimizer.Range{Lo: 100, Hi: 1000}, optimizer.LC)
-	rows := runCaps(t, cat, q, plan, params, 1, "checkPass")
+	rows := runCaps(t, cat, q, plan, params, "checkPass")
 	if len(rows) != 500 {
 		t.Errorf("got %d rows, want 500", len(rows))
 	}

@@ -40,10 +40,8 @@ func CheckEventInfo(meta *optimizer.CheckMeta, actual float64, exact bool) *trac
 // evaluated once against the materialized count right after Open — the
 // optimization the paper describes for checks above materialization points.
 //
-// A CHECK is never cloned: POP places it after parallelization, above any
-// gather, and buildGather refuses a cloned subtree that holds one. So one
-// instance sees the edge's whole stream, its count is the edge cardinality,
-// and its end-of-stream is the edge's.
+// One instance sees the edge's whole stream: its count is the edge
+// cardinality, and its end-of-stream is the edge's.
 type checkNode struct {
 	base
 	ex        *Executor
@@ -260,17 +258,13 @@ func (n *insertRidNode) Open() error {
 	return n.children[0].Open()
 }
 
-// NextBatch records and passes on exactly the rows it returns: a batch that
-// exceeds max (an exchange below treats it as advisory) is cut to it first, so
-// the side table never holds a row the application did not receive.
+// NextBatch records and passes on exactly the rows it returns, so the side
+// table never holds a row the application did not receive.
 func (n *insertRidNode) NextBatch(max int) (*Batch, error) {
 	b, err := n.children[0].NextBatch(max)
 	if err != nil || b == nil {
 		n.stats.Done = err == nil
 		return nil, err
-	}
-	if max > 0 && b.Len() > max {
-		b.Rows = b.Rows[:max]
 	}
 	n.chargeTicks(n.ex, Ticks(n.ex.Cost.TempWrite), b.Len())
 	for _, row := range b.Rows {

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -33,18 +32,17 @@ import (
 
 // meterTick is the fixed-point scale of the work meter: one work unit is
 // 2^20 ticks. A power of two keeps every cost-model weight exactly
-// representable after rounding once, so the quantization is the same no
-// matter which worker performs a charge.
+// representable after rounding once.
 const meterTick = 1 << 20
 
-// Meter accumulates simulated work units across a (possibly re-optimized,
-// possibly parallel) statement execution. Work is held in integer ticks
-// rather than a float64: integer addition is associative, so concurrent
-// workers charging in any interleaving produce bit-identical totals — the
-// determinism the paper's figures (and the cross-DOP acceptance tests)
-// rely on.
+// Meter accumulates simulated work units across a (possibly re-optimized)
+// statement execution. Work is held in integer ticks rather than a float64:
+// integer addition is associative, so a total does not depend on how the
+// charges were grouped into batches — the determinism the paper's figures
+// rely on. A statement's tree runs on one goroutine, so the meter is not
+// synchronized.
 type Meter struct {
-	ticks atomic.Int64
+	ticks int64
 }
 
 // Ticks converts a work-unit amount into integer meter ticks, rounding once
@@ -67,7 +65,7 @@ func (m *Meter) Add(w float64) {
 // per batch, saturating at MaxInt64.
 func (m *Meter) AddTicks(t int64) {
 	if m != nil && t != 0 {
-		addSat(&m.ticks, t)
+		m.ticks = addTicksSat(m.ticks, t)
 	}
 }
 
@@ -76,14 +74,7 @@ func (m *Meter) Work() float64 {
 	if m == nil {
 		return 0
 	}
-	return float64(m.ticks.Load()) / meterTick
-}
-
-// drain moves this meter's ticks into dst, saturating. Parallel workers
-// charge a worker-local meter (no contention on the hot path) and drain it
-// into the shared statement meter before exiting.
-func (m *Meter) drain(dst *Meter) {
-	addSat(&dst.ticks, m.ticks.Swap(0))
+	return float64(m.ticks) / meterTick
 }
 
 // NodeStats exposes an operator's runtime counters.
@@ -137,9 +128,8 @@ type Node interface {
 	// producers from running ahead: an operator asked for k rows pulls at
 	// most k input rows at a time, which is exactly what k single-row pulls
 	// would have consumed whenever an input row yields at most one output
-	// row. Exchange consumers treat max as advisory: a transfer batch arrives
-	// sized by its producing worker. An error that reaches an operator while
-	// it holds output rows is delivered after them, on the next call.
+	// row. An error that reaches an operator while it holds output rows is
+	// delivered after them, on the next call.
 	NextBatch(max int) (*Batch, error)
 	Close() error
 	Plan() *optimizer.Plan
@@ -180,38 +170,6 @@ func (v *CheckViolation) Error() string {
 		v.Check.ID, v.Check.Flavor, v.Actual, kind, v.Check.Range.Lo, v.Check.Range.Hi, v.Check.EstCard)
 }
 
-// WorkerGate arbitrates the global worker pool between concurrent queries.
-// AcquireWorkers asks for up to want additional workers and returns how many
-// were granted (0..want) without blocking; every granted worker must be
-// returned with exactly one ReleaseWorkers call (the poplint poolleak rule
-// checks the pairing). A zero grant runs the exchange at DOP 1: its one
-// worker takes nothing from the pool, standing in for the consumer's
-// goroutine, which only waits on the channel; the simulated work is the
-// same as at every other width. A nil gate grants every request in full,
-// preserving the library's historical spawn-freely behavior.
-type WorkerGate interface {
-	// AcquireWorkers requests up to want workers, returning the grant.
-	AcquireWorkers(want int) int
-	// ReleaseWorkers returns previously granted workers to the pool.
-	ReleaseWorkers(n int)
-}
-
-// workerGrant records an acquisition from a WorkerGate so the owning node can
-// release it exactly once on every exit path.
-type workerGrant struct {
-	gate WorkerGate
-	n    int
-}
-
-// release returns the grant to the gate. Safe to call more than once and on
-// the zero value: the first call zeroes the count.
-func (g *workerGrant) release() {
-	if g.gate != nil && g.n > 0 {
-		g.gate.ReleaseWorkers(g.n)
-		g.n = 0
-	}
-}
-
 // Executor builds executable trees for one query.
 type Executor struct {
 	Cat    *catalog.Catalog
@@ -220,36 +178,23 @@ type Executor struct {
 	Meter  *Meter
 	Params []types.Datum
 
-	// DOP overrides the DOP recorded in exchange plan nodes at execution
-	// time (0 = use the plan's). Work charges are DOP-independent, so the
-	// parallel benchmarks use this to run one plan shape at several worker
-	// counts.
-	DOP int
-
 	// Analyze turns on per-node runtime attribution (NodeStats.Work and the
 	// wall-clock span) for EXPLAIN ANALYZE. Off, the only cost is one
 	// predictable branch per charge — no allocations, no time syscalls, and
 	// a bit-identical work total.
 	Analyze bool
 
-	// Trace receives structured runtime events (checkpoint outcomes,
-	// exchange worker lifecycles) when non-nil. Emission sites are guarded
-	// by a nil check, so the disabled path constructs no events.
+	// Trace receives structured runtime events (checkpoint outcomes) when
+	// non-nil. Emission sites are guarded by a nil check, so the disabled
+	// path constructs no events.
 	Trace trace.Recorder
-
-	// Gate, when non-nil, arbitrates exchange worker spawning against a
-	// global pool: each exchange asks for its plan DOP and runs at whatever
-	// width is granted, DOP 1 at a zero grant. Simulated work is
-	// bit-identical at every granted width; only wall-clock parallelism
-	// changes. Nil preserves ungated spawning.
-	Gate WorkerGate
 
 	batchCap int             // rows per batch; batchRows outside the package's own tests
 	wrap     func(Node) Node // applied to every node Build returns; set only by the package's own tests
 	hashDrop uint64          // key-hash bits cleared to force collisions; set only by the package's own tests
 	tabs     []*catalog.Table
 	ectx     *expr.Context
-	layouts  *layouts // join row layouts, shared with worker copies
+	layouts  *layouts // join row layouts
 }
 
 // NewExecutor resolves the query's tables and prepares an executor.
@@ -276,28 +221,6 @@ func NewExecutor(cat *catalog.Catalog, q *logical.Query, params []types.Datum, c
 		ectx:     &expr.Context{Params: params},
 		layouts:  &layouts{},
 	}, nil
-}
-
-// workerCopy returns a shallow copy of the executor whose charges go to the
-// given worker-local meter. The copy shares the catalog, the expression
-// context (read-only at execution time) and the join row layouts.
-func (e *Executor) workerCopy(m *Meter) *Executor {
-	we := *e
-	we.Meter = m
-	return &we
-}
-
-// dopFor resolves the execution DOP for an exchange plan node, honoring the
-// executor-level override.
-func (e *Executor) dopFor(p *optimizer.Plan) int {
-	d := p.DOP
-	if e.DOP > 0 {
-		d = e.DOP
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
 }
 
 // layout maps query-global column ids to their positions in an operator's
@@ -350,7 +273,7 @@ func (e *Executor) remap(ex expr.Expr, cols []int) (expr.Expr, error) {
 // RowCols returns the layout of the rows p's executable form emits: their
 // query-global column ids, in row order. Base-table accesses, PROJECT and
 // GRPBY emit p.Cols. A join emits only the columns of p.Cols still live above
-// its table set (see liveReach). CHECK, TEMP, SORT and exchanges pass their
+// its table set (see liveReach). CHECK, TEMP and SORT pass their
 // child's layout through, and an MVSCAN emits the layout its view was
 // materialized in. p.Cols of a non-leaf node stays the optimizer's logical
 // column list; everything that resolves a row position reads this instead.
@@ -358,7 +281,7 @@ func (e *Executor) RowCols(p *optimizer.Plan) []int {
 	switch p.Op {
 	case optimizer.OpNLJN, optimizer.OpHSJN, optimizer.OpMGJN:
 		return e.joinCols(p)
-	case optimizer.OpCheck, optimizer.OpTemp, optimizer.OpSort, optimizer.OpExchange:
+	case optimizer.OpCheck, optimizer.OpTemp, optimizer.OpSort:
 		return e.RowCols(p.Children[0])
 	case optimizer.OpMVScan:
 		if p.MV.RowCols != nil {
@@ -370,9 +293,8 @@ func (e *Executor) RowCols(p *optimizer.Plan) []int {
 	}
 }
 
-// layouts memoizes the join layouts of one statement execution. Worker
-// copies of the executor share it; it is written only while a tree is built,
-// on the building goroutine.
+// layouts memoizes the join layouts of one statement execution; it is
+// written only while a tree is built.
 type layouts struct {
 	reach []uint64 // liveReach of the query, computed on the first join
 	joins map[*optimizer.Plan][]int
@@ -454,8 +376,6 @@ func (e *Executor) build(p *optimizer.Plan) (Node, error) {
 		return e.buildProject(p)
 	case optimizer.OpCheck:
 		return e.buildCheck(p)
-	case optimizer.OpExchange:
-		return e.buildGather(p)
 	default:
 		return nil, fmt.Errorf("executor: unsupported operator %s", p.Op)
 	}
@@ -536,8 +456,8 @@ func (b *base) Children() []Node      { return b.children }
 
 // charge adds work to the executor's meter and, in analyze mode, attributes
 // it to this node's stats together with the wall-clock span of the node's
-// activity. Each node instance is driven by exactly one goroutine (partition
-// clones are distinct instances), so the attribution needs no atomics.
+// activity. A node is driven by exactly one goroutine, so the attribution
+// needs no atomics.
 func (b *base) charge(e *Executor, w float64) {
 	b.chargeTicks(e, Ticks(w), 1)
 }
@@ -588,15 +508,6 @@ func addTicksSat(a, b int64) int64 {
 		return s
 	}
 	return math.MaxInt64
-}
-
-// addSat adds a non-negative tick count to c, pinning it at MaxInt64 when
-// the sum wraps: every charge is non-negative, so a negative result can only
-// mean the counter passed MaxInt64.
-func addSat(c *atomic.Int64, t int64) {
-	if c.Add(t) < 0 {
-		c.Store(math.MaxInt64)
-	}
 }
 
 // takePending returns, once, the error emit held back on the previous call.

@@ -158,27 +158,53 @@ func FuzzHashTable(f *testing.F) {
 	})
 }
 
-// noWorkers is a WorkerGate that grants nothing: each exchange runs its one
-// DOP-1 worker.
-type noWorkers struct{}
+// joinQuery builds emp ⋈ dept on e_dept = d_id, selecting plain columns so
+// result rows are comparable across execution orders.
+func joinQuery(t *testing.T, cat *catalog.Catalog) *logical.Query {
+	t.Helper()
+	b := logical.NewBuilder(cat)
+	b.AddTable("emp", "e")
+	b.AddTable("dept", "d")
+	b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("e", "e_dept"), R: b.Col("d", "d_id")})
+	b.SelectCol("e", "e_id")
+	b.SelectCol("d", "d_name")
+	q, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
 
-func (noWorkers) AcquireWorkers(int) int { return 0 }
-func (noWorkers) ReleaseWorkers(int)     {}
+// hashOptimizer returns an optimizer that forces a hash join.
+func hashOptimizer(cat *catalog.Catalog) *optimizer.Optimizer {
+	opt := optimizer.New(cat)
+	joinConfigs["hash"](opt)
+	return opt
+}
 
-// execHashed builds and drains a plan at dop — 0 runs its exchanges "inline",
-// under a gate that grants nothing — with the given key-hash bits dropped.
+// planContains reports whether any node of the plan satisfies pred.
+func planContains(p *optimizer.Plan, pred func(*optimizer.Plan) bool) bool {
+	if pred(p) {
+		return true
+	}
+	for _, c := range p.Children {
+		if planContains(c, pred) {
+			return true
+		}
+	}
+	return false
+}
+
+// execHashed builds and drains a plan with the given key-hash bits dropped.
 func execHashed(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *optimizer.Plan,
-	params optimizer.CostParams, dop int, drop uint64) ([]schema.Row, float64) {
+	params optimizer.CostParams, drop uint64) ([]schema.Row, float64) {
 	t.Helper()
 	meter := &Meter{}
 	ex, err := NewExecutor(cat, q, nil, params, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.DOP, ex.hashDrop = dop, drop
-	if dop == 0 {
-		ex.Gate = noWorkers{}
-	}
+	ex.hashDrop = drop
 	root, err := ex.Build(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -190,11 +216,10 @@ func execHashed(t *testing.T, cat *catalog.Catalog, q *logical.Query, plan *opti
 	return rows, meter.Work()
 }
 
-// TestHashOperatorsUnderCollisions runs the hash join, serial and over
-// gathered inputs at a zero grant and at DOP 1/2/4/8, and hash aggregation
+// TestHashOperatorsUnderCollisions runs the hash join and hash aggregation
 // with every key on one hash and on two: joins still key-check every
 // candidate and groups stay distinct, so the rows and the work equal the
-// real-hash run at DOP 1.
+// real-hash run.
 func TestHashOperatorsUnderCollisions(t *testing.T) {
 	cat := fixture(t)
 	join := joinQuery(t, cat)
@@ -215,21 +240,17 @@ func TestHashOperatorsUnderCollisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []*logical.Query{join, agg} {
-		for _, workers := range []int{1, 4} {
-			opt := parallelOptimizer(cat, workers)
-			plan, err := opt.Optimize(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantWork := execHashed(t, cat, q, plan, opt.Model.Params, 1, 0)
-			for _, dop := range []int{0, 1, 2, 4, 8} {
-				for _, drop := range hashDrops {
-					rows, work := execHashed(t, cat, q, plan, opt.Model.Params, dop, drop)
-					sameRows(t, rows, want, "collisions")
-					if work != wantWork {
-						t.Errorf("workers=%d dop=%d drop=%x: work %v, want %v", workers, dop, drop, work, wantWork)
-					}
-				}
+		opt := hashOptimizer(cat)
+		plan, err := opt.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantWork := execHashed(t, cat, q, plan, opt.Model.Params, 0)
+		for _, drop := range hashDrops {
+			rows, work := execHashed(t, cat, q, plan, opt.Model.Params, drop)
+			sameRows(t, rows, want, "collisions")
+			if work != wantWork {
+				t.Errorf("drop=%x: work %v, want %v", drop, work, wantWork)
 			}
 		}
 	}
@@ -237,8 +258,7 @@ func TestHashOperatorsUnderCollisions(t *testing.T) {
 
 // TestHashJoinBuildKeepsNullKeys: a NULL build key joins nothing, so the
 // table leaves the row out, but the build edge still counts every row (the
-// staging charge reads that count) — serial, and over gathered inputs planned
-// for 2 and 4 workers and run at a zero grant, DOP 1 and DOP 2.
+// staging charge reads that count).
 func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 	build := []types.Datum{types.Null, types.NewInt(1), types.NewInt(2), types.Null, types.NewInt(1)}
 	probe := ints(1, 2, 3)
@@ -256,53 +276,41 @@ func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		opt := parallelOptimizer(cat, workers)
-		opt.Model.Params.ExchangeSetup = 0 // so the tiny inputs pay for a gather
-		plan, err := opt.Optimize(q)
-		if err != nil {
-			t.Fatal(err)
+	opt := hashOptimizer(cat)
+	plan, err := opt.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBuildOn(t, plan, q, "rt")
+	ex, err := NewExecutor(cat, q, nil, opt.Model.Params, &Meter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := ex.Build(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Errorf("%d rows, want 3", len(rows))
+	}
+	var join *hsjnNode
+	Walk(root, func(n Node) {
+		if j, ok := n.(*hsjnNode); ok {
+			join = j
 		}
-		requireBuildOn(t, plan, q, "rt")
-		if gathered := planContains(plan, func(p *optimizer.Plan) bool { return p.Op == optimizer.OpExchange }); gathered != (workers > 1) {
-			t.Fatalf("workers=%d: gathered=%v:\n%s", workers, gathered, optimizer.Explain(plan, q))
-		}
-		for _, dop := range []int{0, 1, 2} {
-			ex, err := NewExecutor(cat, q, nil, opt.Model.Params, &Meter{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex.DOP = dop
-			if dop == 0 {
-				ex.Gate = noWorkers{}
-			}
-			root, err := ex.Build(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, err := Run(root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) != 3 {
-				t.Errorf("workers=%d dop=%d: %d rows, want 3", workers, dop, len(rows))
-			}
-			var join *hsjnNode
-			Walk(root, func(n Node) {
-				if j, ok := n.(*hsjnNode); ok {
-					join = j
-				}
-			})
-			if join == nil {
-				t.Fatalf("no hash join in plan:\n%s", optimizer.Explain(plan, q))
-			}
-			if st := join.Children()[1].Stats(); !st.Done || st.RowsOut != float64(len(build)) {
-				t.Errorf("workers=%d dop=%d: build edge counted %v rows (done %v), want all %d", workers, dop, st.RowsOut, st.Done, len(build))
-			}
-			if inTable := len(join.table.rows); inTable != 3 {
-				t.Errorf("workers=%d dop=%d: the table holds %d rows, want the 3 keyed ones", workers, dop, inTable)
-			}
-		}
+	})
+	if join == nil {
+		t.Fatalf("no hash join in plan:\n%s", optimizer.Explain(plan, q))
+	}
+	if st := join.Children()[1].Stats(); !st.Done || st.RowsOut != float64(len(build)) {
+		t.Errorf("build edge counted %v rows (done %v), want all %d", st.RowsOut, st.Done, len(build))
+	}
+	if inTable := len(join.table.rows); inTable != 3 {
+		t.Errorf("the table holds %d rows, want the 3 keyed ones", inTable)
 	}
 }
 
@@ -343,14 +351,14 @@ func TestHashOperatorOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := parallelOptimizer(cat, 1)
+	opt := hashOptimizer(cat)
 	plan, err := opt.Optimize(join)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireBuildOn(t, plan, join, "rt")
 	for _, drop := range hashDrops {
-		rows, _ := execHashed(t, cat, join, plan, opt.Model.Params, 1, drop)
+		rows, _ := execHashed(t, cat, join, plan, opt.Model.Params, drop)
 		prev := map[int64]int64{}
 		for _, r := range rows {
 			if lv, rv := r[0].Int(), r[1].Int(); rv < prev[lv] {
@@ -377,7 +385,7 @@ func TestHashOperatorOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, drop := range hashDrops {
-		rows, _ := execHashed(t, cat, agg, aplan, opt.Model.Params, 1, drop)
+		rows, _ := execHashed(t, cat, agg, aplan, opt.Model.Params, drop)
 		got := ""
 		for _, r := range rows {
 			got += r.String()
@@ -460,7 +468,7 @@ func TestHashAggregationAgainstReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, drop := range hashDrops {
-			rows, _ := execHashed(t, c, q, plan, opt.Model.Params, 1, drop)
+			rows, _ := execHashed(t, c, q, plan, opt.Model.Params, drop)
 			if len(rows) != len(order) {
 				t.Fatalf("domain=%d drop=%x: %d groups, want %d", domain, drop, len(rows), len(order))
 			}
@@ -493,7 +501,7 @@ func TestHashOperatorsReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := parallelOptimizer(cat, 1)
+	opt := hashOptimizer(cat)
 	plan, err := opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)

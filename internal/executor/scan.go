@@ -10,32 +10,9 @@ import (
 	"repro/internal/types"
 )
 
-// partitioned is implemented by leaf operators that can restrict themselves
-// to one disjoint morsel stripe of their input. The exchange runtime applies
-// it to every leaf of a partition clone.
-type partitioned interface {
-	setPartition(part, of int)
-}
-
-// stripe is a leaf's morsel stripe: every of-th element starting at part
-// (the zero value is the whole input).
-type stripe struct{ part, of int }
-
-func (s *stripe) setPartition(part, of int) { s.part, s.of = part, of }
-
-// step returns the stride through the input (1 when unpartitioned).
-func (s *stripe) step() int {
-	if s.of > 1 {
-		return s.of
-	}
-	return 1
-}
-
-// tableScanNode scans a heap (or one morsel stripe of it) and applies the
-// residual filter.
+// tableScanNode scans a heap and applies the residual filter.
 type tableScanNode struct {
 	base
-	stripe
 	ex     *Executor
 	heap   *storage.Table
 	filter *expr.Filter
@@ -63,11 +40,7 @@ func (e *Executor) buildTableScan(p *optimizer.Plan) (Node, error) {
 }
 
 func (n *tableScanNode) Open() error {
-	if n.of > 1 {
-		n.it = n.heap.ScanPartition(n.part, n.of)
-	} else {
-		n.it = n.heap.Scan()
-	}
+	n.it = n.heap.Scan()
 	n.stats = NodeStats{Opened: true}
 	n.rowTicks = Ticks(n.ex.Cost.ScanRow + float64(n.filter.Len())*n.ex.Cost.PredEval)
 	return nil
@@ -112,11 +85,10 @@ func (n *tableScanNode) NextBatch(max int) (*Batch, error) {
 func (n *tableScanNode) Close() error { return nil }
 
 // ridFetch is the fetch phase shared by the index access paths: Open has
-// collected the qualifying rids, NextBatch fetches their rows (or one morsel
-// stripe of them) and applies the residual filter.
+// collected the qualifying rids, NextBatch fetches their rows and applies the
+// residual filter.
 type ridFetch struct {
 	base
-	stripe
 	ex     *Executor
 	heap   *storage.Table
 	filter *expr.Filter
@@ -143,11 +115,11 @@ func (e *Executor) newRidFetch(p *optimizer.Plan, heap *storage.Table) (ridFetch
 func (n *ridFetch) start() {
 	n.stats = NodeStats{Opened: true}
 	n.rids = n.rids[:0]
-	n.pos = n.part
+	n.pos = 0
 }
 
 func (n *ridFetch) Rewind() error {
-	n.pos = n.part
+	n.pos = 0
 	n.stats.Done = false
 	return nil
 }
@@ -163,7 +135,7 @@ func (n *ridFetch) NextBatch(max int) (*Batch, error) {
 	fetched := 0
 	for b.Len() < max && n.pos < len(n.rids) {
 		rid := n.rids[n.pos]
-		n.pos += n.step()
+		n.pos++
 		row, err := n.heap.Get(rid)
 		if err != nil {
 			n.chargeTicks(n.ex, n.rowTicks, fetched)
@@ -230,12 +202,7 @@ func (n *indexScanNode) Open() error {
 	if err != nil {
 		return err
 	}
-	// The B+tree descent happens once per logical scan; in a partitioned
-	// scan only stripe 0 charges it so the work total matches the serial
-	// plan exactly.
-	if n.part == 0 {
-		n.charge(n.ex, float64(n.ix.Height())*n.ex.Cost.IndexLevel)
-	}
+	n.charge(n.ex, float64(n.ix.Height())*n.ex.Cost.IndexLevel)
 	n.ix.AscendRange(lo, hi, func(_ types.Datum, rid schema.RID) bool {
 		n.rids = append(n.rids, rid)
 		return true
@@ -243,10 +210,9 @@ func (n *indexScanNode) Open() error {
 	return nil
 }
 
-// mvScanNode streams a temporary materialized view (or one morsel stripe).
+// mvScanNode streams a temporary materialized view.
 type mvScanNode struct {
 	base
-	stripe
 	ex  *Executor
 	cur rowCursor
 }
@@ -260,7 +226,7 @@ func (e *Executor) buildMVScan(p *optimizer.Plan) (Node, error) {
 
 func (n *mvScanNode) Open() error {
 	n.stats = NodeStats{Opened: true}
-	n.cur.open(n.ex, n.plan.MV.Rows, n.stripe)
+	n.cur.open(n.ex, n.plan.MV.Rows)
 	return nil
 }
 

@@ -74,23 +74,22 @@ func compareRows(a, b schema.Row, keys []int, desc []bool) int {
 }
 
 // rowCursor streams a node-owned buffer of stable rows (a materialization's
-// output, a view) batch-at-a-time, optionally over one morsel stripe.
+// output, a view) batch-at-a-time.
 type rowCursor struct {
-	rows             []schema.Row
-	pos, start, step int
-	out              *Batch
+	rows []schema.Row
+	pos  int
+	out  *Batch
 }
 
-func (c *rowCursor) open(e *Executor, rows []schema.Row, s stripe) {
-	c.rows, c.start, c.step = rows, s.part, s.step()
-	c.pos = c.start
+func (c *rowCursor) open(e *Executor, rows []schema.Row) {
+	c.rows, c.pos = rows, 0
 	if c.out == nil {
 		c.out = NewBatch(e.batchCap)
 	}
 }
 
 func (c *rowCursor) rewind(st *NodeStats) error {
-	c.pos = c.start
+	c.pos = 0
 	st.Done = false
 	return nil
 }
@@ -100,7 +99,7 @@ func (c *rowCursor) rewind(st *NodeStats) error {
 func (c *rowCursor) next(n *base, e *Executor, max int, perRow float64) (*Batch, error) {
 	b := c.out
 	b.Reset()
-	for max = b.room(max); b.Len() < max && c.pos < len(c.rows); c.pos += c.step {
+	for max = b.room(max); b.Len() < max && c.pos < len(c.rows); c.pos++ {
 		b.Append(c.rows[c.pos])
 	}
 	if perRow != 0 {
@@ -144,7 +143,7 @@ func (n *sortNode) Open() error {
 	sort.SliceStable(n.rows, func(i, j int) bool {
 		return compareRows(n.rows[i], n.rows[j], n.keys, n.desc) < 0
 	})
-	n.cur.open(n.ex, n.rows, stripe{})
+	n.cur.open(n.ex, n.rows)
 	n.done = true
 	return nil
 }
@@ -191,7 +190,7 @@ func (n *tempNode) Open() error {
 	if err != nil {
 		return err
 	}
-	n.cur.open(n.ex, n.rows, stripe{})
+	n.cur.open(n.ex, n.rows)
 	n.done = true
 	return nil
 }
@@ -418,7 +417,7 @@ func (n *hashAggNode) Open() error {
 	for g := range n.groups {
 		n.groups[g] = vals[g*ni : (g+1)*ni : (g+1)*ni]
 	}
-	n.cur.open(n.ex, n.groups, stripe{})
+	n.cur.open(n.ex, n.groups)
 	return nil
 }
 

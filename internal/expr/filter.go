@@ -10,7 +10,7 @@ import (
 // resolved to operand positions and values. Test gives exactly the keep
 // decision and the error that evaluating the predicate with Eval and
 // accepting the value with Accept would give. A Filter is read-only once
-// compiled, so parallel workers share it.
+// compiled.
 type Filter struct {
 	ctx  *Context
 	conj []conjunct

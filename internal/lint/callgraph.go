@@ -42,7 +42,7 @@ import (
 type FuncNode struct {
 	Obj    *types.Func  // nil for literals and synthetic package-init nodes
 	Lit    *ast.FuncLit // nil for declared functions
-	Name   string       // qualified display name, e.g. "(*gatherNode).Open" or "Open$1"
+	Name   string       // qualified display name, e.g. "(*hsjnNode).Open" or "Open$1"
 	Pkg    *Package
 	Body   *ast.BlockStmt
 	Pos    token.Pos

@@ -3,15 +3,14 @@ package lint
 import "go/types"
 
 // GoroutineLeakAnalyzer proves a join for every `go` statement in the
-// engine packages. The POP parallel runtime promises deadlock-free DOP-N
-// runs and bounded goroutine lifetimes; a spawn without a join either leaks
-// (worker outlives the query) or deadlocks Close. A spawn counts as joined
-// when the interprocedural summaries show one of the two idioms the runtime
-// uses:
+// engine packages. The server promises bounded goroutine lifetimes; a spawn
+// without a join either leaks (a goroutine outlives its session or the
+// server) or deadlocks shutdown. A spawn counts as joined when the
+// interprocedural summaries show one of two idioms:
 //
 //   - WaitGroup pairing: the spawned closure calls Done on a WaitGroup
 //     class whose Add is reachable from the spawner and whose Wait appears
-//     somewhere in the program (gather workers);
+//     somewhere in the program (the server's accept and session loops);
 //   - channel close: the spawned closure closes a channel class that some
 //     function in the program receives from or ranges over (closer
 //     goroutines — the receive completing proves the closer ran).

@@ -42,7 +42,7 @@ const allowPrefix = "//poplint:allow"
 
 // Analyzers returns the full POP suite in reporting order: the three
 // intra-procedural rules from the original suite, the doc-comment gate,
-// the four interprocedural rules built on the call graph, blockingcancel
+// the three interprocedural rules built on the call graph, blockingcancel
 // (call graph × syntactic loop spans), the typed int64-product rule
 // overflow, and the enum-switch rule.
 func Analyzers() []*Analyzer {
@@ -54,7 +54,6 @@ func Analyzers() []*Analyzer {
 		GoroutineLeakAnalyzer,
 		LockOrderAnalyzer,
 		ChargeFlowAnalyzer,
-		PoolLeakAnalyzer,
 		BlockingCancelAnalyzer,
 		OverflowAnalyzer,
 		ExhaustiveAnalyzer,

@@ -96,7 +96,6 @@ var ruleFixtures = map[string]string{
 	"goroutineleak":  "repro/internal/fixgoleak",
 	"lockorder":      "repro/internal/fixlock",
 	"chargeflow":     "repro/internal/executor/fixcharge",
-	"poolleak":       "repro/internal/server/fixpool",
 	"blockingcancel": "repro/internal/server/fixblock",
 	"overflow":       "repro/internal/executor/fixovf",
 	"exhaustive":     "repro/internal/fixexh",

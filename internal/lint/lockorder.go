@@ -6,16 +6,15 @@ import (
 )
 
 // LockOrderAnalyzer builds the module's lock-acquisition graph and flags
-// the two hazards that can deadlock the parallel runtime:
+// the two hazards that can deadlock concurrent sessions:
 //
 //   - acquisition cycles: lock class A is taken while B is held on one
 //     path and B while A is held on another (plan-cache shards vs entries,
-//     stats feedback, metrics, trace, the executor check registry — the
-//     classes the POP runtime actually nests);
+//     stats feedback, metrics, trace — the classes the POP runtime
+//     actually nests);
 //   - locks held across blocking operations: a mutex held over a channel
 //     send/receive/range, select, WaitGroup/Cond Wait, or a call whose
-//     closure contains one (executor.Run drains exchange channels, so it
-//     inherits "may block" from gatherNode.Next automatically).
+//     closure contains one, which inherits "may block" automatically.
 //
 // Each function's ordered event stream (locks, blocks, resolved calls) is
 // replayed with a held-lock set; deferred Unlocks do not release — a

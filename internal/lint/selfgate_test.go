@@ -31,7 +31,7 @@ func TestModuleIsLintClean(t *testing.T) {
 }
 
 // TestDataflowAllowsAreLoadBearing pins the blockingcancel findings the
-// engine produces against the real tree: each site carries a reasoned
+// engine produces against the real tree: the site carries a reasoned
 // //poplint:allow, so with annotations honored the gate is silent and the
 // sites appear among the suppressed findings, and with suppression disabled
 // every one of them resurfaces. Deleting any of those annotations (or
@@ -41,8 +41,7 @@ func TestDataflowAllowsAreLoadBearing(t *testing.T) {
 		pattern string
 		file    string
 	}{
-		{"./internal/executor", "exchange.go"}, // a gather worker's error delivery, 1 site
-		{"./internal/server", "client.go"},     // buffered cap-1 pending channel
+		{"./internal/server", "client.go"}, // buffered cap-1 pending channel
 	}
 	rule := lint.BlockingCancelAnalyzer.Name
 	for _, c := range cases {

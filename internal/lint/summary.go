@@ -14,6 +14,7 @@ const (
 	executorPath = "repro/internal/executor"
 	tracePath    = "repro/internal/trace"
 	popPath      = "repro/internal/pop"
+	serverPath   = "repro/internal/server"
 )
 
 // EventKind classifies one entry in a function's ordered event stream.

@@ -1,12 +1,12 @@
 // Package metrics is the engine's cumulative counter registry: queries run,
-// re-optimizations, checkpoint outcomes, plan-cache verdicts, exchange worker
-// activity and work units by operator class. The registry is itself a
+// re-optimizations, checkpoint outcomes, plan-cache verdicts and work units
+// by operator class. The registry is itself a
 // trace.Recorder — attaching it to a runner's trace stream is all the wiring
 // there is — so every counter is derived from the same typed events the JSONL
 // trace carries, and the two views can never disagree. It counts engine
-// facts only: the scheduler's admissions and DOP clamps are counted once, by
+// facts only: the scheduler's admissions are counted once, by
 // server.SchedStats. All counters are atomics; Record is safe from
-// concurrent exchange workers.
+// concurrent sessions.
 package metrics
 
 import (
@@ -39,10 +39,6 @@ type Registry struct {
 	cacheGuardRejects atomic.Int64
 	cacheInvalidates  atomic.Int64
 
-	workersStarted atomic.Int64
-	workersDrained atomic.Int64
-	workerTicks    atomic.Int64 // work units drained by exchange workers
-
 	rows       atomic.Int64
 	execTicks  atomic.Int64 // work units across completed queries
 	candidates atomic.Int64 // optimizer candidate costings
@@ -64,8 +60,6 @@ func Class(op string) string {
 		return "join"
 	case "SORT", "TEMP", "GRPBY":
 		return "sortagg"
-	case "XCHG":
-		return "exchange"
 	case "CHECK":
 		return "check"
 	case "RETURN":
@@ -98,13 +92,6 @@ func (r *Registry) Record(ev trace.Event) {
 		r.cacheGuardRejects.Add(1)
 	case trace.CacheInvalidate:
 		r.cacheInvalidates.Add(1)
-	case trace.WorkerStart:
-		r.workersStarted.Add(1)
-	case trace.WorkerDrain:
-		r.workersDrained.Add(1)
-		if ev.Worker != nil {
-			r.workerTicks.Add(int64(math.Round(ev.Worker.Work * workTick)))
-		}
 	case trace.OperatorDone:
 		if ev.Op != nil {
 			c := Class(ev.Op.Op)
@@ -125,8 +112,10 @@ func (r *Registry) Record(ev trace.Event) {
 		}
 	case trace.QueryError:
 		r.failed.Add(1)
-	case trace.DOPClamp, trace.AdmissionWait, trace.AdmissionReject:
+	case trace.AdmissionWait, trace.AdmissionReject:
 		// Scheduler facts: server.SchedStats owns their counts.
+	case trace.WorkerStart:
+		// Never emitted.
 	}
 }
 
@@ -142,19 +131,13 @@ type Snapshot struct {
 	CacheMisses       int64 `json:"cache_misses"`
 	CacheGuardRejects int64 `json:"cache_guard_rejects"`
 	CacheInvalidates  int64 `json:"cache_invalidates"`
-	WorkersStarted    int64 `json:"workers_started"`
-	WorkersDrained    int64 `json:"workers_drained"`
 
 	RowsReturned  int64   `json:"rows_returned"`
 	ExecWork      float64 `json:"exec_work"`
-	WorkerWork    float64 `json:"worker_work"`
 	OptCandidates int64   `json:"opt_candidates"`
 
 	// CacheHitRatio is hits / (hits + misses); zero when the cache was idle.
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
-	// WorkerUtilization is the fraction of execution work performed inside
-	// exchange workers — how much of the statement ran in parallel.
-	WorkerUtilization float64 `json:"worker_utilization"`
 
 	WorkByClass map[string]float64 `json:"work_by_class,omitempty"`
 	RowsByClass map[string]float64 `json:"rows_by_class,omitempty"`
@@ -173,18 +156,12 @@ func (r *Registry) Snapshot() Snapshot {
 		CacheMisses:       r.cacheMisses.Load(),
 		CacheGuardRejects: r.cacheGuardRejects.Load(),
 		CacheInvalidates:  r.cacheInvalidates.Load(),
-		WorkersStarted:    r.workersStarted.Load(),
-		WorkersDrained:    r.workersDrained.Load(),
 		RowsReturned:      r.rows.Load(),
 		ExecWork:          float64(r.execTicks.Load()) / workTick,
-		WorkerWork:        float64(r.workerTicks.Load()) / workTick,
 		OptCandidates:     r.candidates.Load(),
 	}
 	if n := s.CacheHits + s.CacheMisses; n > 0 {
 		s.CacheHitRatio = float64(s.CacheHits) / float64(n)
-	}
-	if s.ExecWork > 0 {
-		s.WorkerUtilization = s.WorkerWork / s.ExecWork
 	}
 	r.mu.Lock()
 	if len(r.workByClass) > 0 {
@@ -216,12 +193,8 @@ func (s Snapshot) WriteText(w io.Writer) {
 	line("cache guard rejects", s.CacheGuardRejects)
 	line("cache invalidates", s.CacheInvalidates)
 	fmt.Fprintf(w, "%-22s %.3f\n", "cache hit ratio", s.CacheHitRatio)
-	line("workers started", s.WorkersStarted)
-	line("workers drained", s.WorkersDrained)
-	fmt.Fprintf(w, "%-22s %.3f\n", "worker utilization", s.WorkerUtilization)
 	line("rows returned", s.RowsReturned)
 	fmt.Fprintf(w, "%-22s %.1f\n", "exec work", s.ExecWork)
-	fmt.Fprintf(w, "%-22s %.1f\n", "worker work", s.WorkerWork)
 	line("opt candidates", s.OptCandidates)
 	if len(s.WorkByClass) > 0 {
 		classes := make([]string, 0, len(s.WorkByClass))

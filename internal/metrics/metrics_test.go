@@ -11,7 +11,7 @@ import (
 
 // feed plays a small synthetic statement history into a registry: two cached
 // statements (one hit, one miss with a guard reject), one violation with a
-// re-optimization, parallel workers, and analyze-mode operator stats.
+// re-optimization, and analyze-mode operator stats.
 func feed(r *Registry) {
 	evs := []trace.Event{
 		{Kind: trace.CacheMiss, Cache: &trace.CacheInfo{OptWork: 120, Plans: 1}},
@@ -21,13 +21,9 @@ func feed(r *Registry) {
 		{Kind: trace.Reoptimize, Reopt: &trace.ReoptInfo{MVsCreated: 1, FeedbackN: 4}},
 		{Kind: trace.OptimizeStart, Attempt: 1},
 		{Kind: trace.OptimizeDone, Attempt: 1, Opt: &trace.OptInfo{Candidates: 80, Checks: 1}},
-		{Kind: trace.WorkerStart, Worker: &trace.WorkerInfo{Phase: "gather", Worker: 0, DOP: 2}},
-		{Kind: trace.WorkerStart, Worker: &trace.WorkerInfo{Phase: "gather", Worker: 1, DOP: 2}},
-		{Kind: trace.WorkerDrain, Worker: &trace.WorkerInfo{Phase: "gather", Worker: 0, DOP: 2, Rows: 100, Work: 30}},
-		{Kind: trace.WorkerDrain, Worker: &trace.WorkerInfo{Phase: "gather", Worker: 1, DOP: 2, Rows: 100, Work: 45}},
 		{Kind: trace.CheckpointPassed, Check: &trace.CheckInfo{ID: 1, Est: 8000, Actual: 8000, Exact: true}},
 		{Kind: trace.OperatorDone, Op: &trace.OpInfo{Op: "TBSCAN", Est: 40000, Actual: 40000, Work: 60}},
-		{Kind: trace.OperatorDone, Op: &trace.OpInfo{Op: "HSJN", Est: 8000, Actual: 8000, Work: 30, DOP: 2}},
+		{Kind: trace.OperatorDone, Op: &trace.OpInfo{Op: "HSJN", Est: 8000, Actual: 8000, Work: 30}},
 		{Kind: trace.OperatorDone, Op: &trace.OpInfo{Op: "RETURN", Est: 8000, Actual: 8000, Work: 10}},
 		{Kind: trace.QueryDone, Done: &trace.DoneInfo{Rows: 8000, Work: 100, Reopts: 1}},
 
@@ -62,8 +58,6 @@ func TestSnapshotCounters(t *testing.T) {
 		{"CacheMisses", s.CacheMisses, 1},
 		{"CacheGuardRejects", s.CacheGuardRejects, 1},
 		{"CacheInvalidates", s.CacheInvalidates, 1},
-		{"WorkersStarted", s.WorkersStarted, 2},
-		{"WorkersDrained", s.WorkersDrained, 2},
 		{"RowsReturned", s.RowsReturned, 8012},
 		{"OptCandidates", s.OptCandidates, 200},
 	}
@@ -75,14 +69,8 @@ func TestSnapshotCounters(t *testing.T) {
 	if math.Abs(s.ExecWork-150) > 1e-6 {
 		t.Errorf("ExecWork = %v, want 150", s.ExecWork)
 	}
-	if math.Abs(s.WorkerWork-75) > 1e-6 {
-		t.Errorf("WorkerWork = %v, want 75", s.WorkerWork)
-	}
 	if math.Abs(s.CacheHitRatio-0.5) > 1e-9 {
 		t.Errorf("CacheHitRatio = %v, want 0.5", s.CacheHitRatio)
-	}
-	if math.Abs(s.WorkerUtilization-0.5) > 1e-9 {
-		t.Errorf("WorkerUtilization = %v, want 0.5", s.WorkerUtilization)
 	}
 	if s.WorkByClass["scan"] != 60 || s.WorkByClass["join"] != 30 || s.WorkByClass["return"] != 10 {
 		t.Errorf("WorkByClass = %v", s.WorkByClass)
@@ -94,7 +82,7 @@ func TestSnapshotCounters(t *testing.T) {
 
 func TestEmptySnapshotRatios(t *testing.T) {
 	s := New().Snapshot()
-	if s.CacheHitRatio != 0 || s.WorkerUtilization != 0 {
+	if s.CacheHitRatio != 0 {
 		t.Errorf("idle registry must report zero ratios, got %+v", s)
 	}
 	if s.WorkByClass != nil {
@@ -107,7 +95,7 @@ func TestClass(t *testing.T) {
 		"TBSCAN": "scan", "IXSCAN": "scan", "MVSCAN": "scan",
 		"NLJN": "join", "HSJN": "join", "MGJN": "join",
 		"SORT": "sortagg", "TEMP": "sortagg", "GRPBY": "sortagg",
-		"XCHG": "exchange", "CHECK": "check", "RETURN": "return",
+		"CHECK": "check", "RETURN": "return",
 		"MYSTERY": "other",
 	}
 	for op, cls := range want {
@@ -124,7 +112,7 @@ func TestWriteText(t *testing.T) {
 	r.Snapshot().WriteText(&b)
 	out := b.String()
 	for _, want := range []string{
-		"queries", "reoptimizations", "cache hit ratio", "worker utilization",
+		"queries", "reoptimizations", "cache hit ratio", "exec work",
 		"work by operator class:", "scan", "join",
 	} {
 		if !strings.Contains(out, want) {
@@ -134,7 +122,8 @@ func TestWriteText(t *testing.T) {
 }
 
 // TestConcurrentRecord drives the registry from concurrent goroutines — the
-// exchange-worker pattern — relying on -race in CI, and checks the totals.
+// pattern of concurrent server sessions — relying on -race in CI, and checks
+// the totals.
 func TestConcurrentRecord(t *testing.T) {
 	r := New()
 	const workers, per = 8, 100
@@ -144,8 +133,8 @@ func TestConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Record(trace.Event{Kind: trace.WorkerDrain,
-					Worker: &trace.WorkerInfo{Phase: "gather", Work: 1}})
+				r.Record(trace.Event{Kind: trace.QueryDone,
+					Done: &trace.DoneInfo{Rows: 1, Work: 1}})
 				r.Record(trace.Event{Kind: trace.OperatorDone,
 					Op: &trace.OpInfo{Op: "HSJN", Actual: 1, Work: 1}})
 			}
@@ -153,11 +142,11 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 	wg.Wait()
 	s := r.Snapshot()
-	if s.WorkersDrained != workers*per {
-		t.Errorf("WorkersDrained = %d, want %d", s.WorkersDrained, workers*per)
+	if s.Queries != workers*per || s.RowsReturned != workers*per {
+		t.Errorf("Queries = %d, RowsReturned = %d, want %d", s.Queries, s.RowsReturned, workers*per)
 	}
-	if math.Abs(s.WorkerWork-workers*per) > 1e-6 {
-		t.Errorf("WorkerWork = %v, want %d", s.WorkerWork, workers*per)
+	if math.Abs(s.ExecWork-workers*per) > 1e-6 {
+		t.Errorf("ExecWork = %v, want %d", s.ExecWork, workers*per)
 	}
 	if s.WorkByClass["join"] != workers*per {
 		t.Errorf("WorkByClass[join] = %v, want %d", s.WorkByClass["join"], workers*per)
@@ -166,8 +155,7 @@ func TestConcurrentRecord(t *testing.T) {
 
 // TestFailedQueriesCounted pins the failure accounting added with the
 // query_error event: failed statements land in their own counter and appear
-// in the text rendering, which must also carry the worker-work total that
-// the utilization ratio is derived from.
+// in the text rendering.
 func TestFailedQueriesCounted(t *testing.T) {
 	r := New()
 	feed(r)
@@ -183,10 +171,7 @@ func TestFailedQueriesCounted(t *testing.T) {
 
 	var b strings.Builder
 	s.WriteText(&b)
-	out := b.String()
-	for _, want := range []string{"queries failed", "worker work"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteText output missing %q:\n%s", want, out)
-		}
+	if out := b.String(); !strings.Contains(out, "queries failed") {
+		t.Errorf("WriteText output missing %q:\n%s", "queries failed", out)
 	}
 }

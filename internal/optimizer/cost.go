@@ -33,20 +33,9 @@ type CostParams struct {
 	// (context switching; paper Fig. 12 shows it as a tiny gap).
 	ReoptInvoke float64
 
-	// Workers is the degree of parallelism available to the executor. At 1
-	// (the default) the optimizer emits purely serial plans, bit-for-bit
-	// identical to plans produced before exchanges existed.
+	// Workers is ignored: every plan is serial. It is kept only because the
+	// benchmark harness (bench/) still sets it, until ROADMAP item 8 deletes it.
 	Workers int
-
-	// ExchangeRow is the per-row cost of moving a row through the gather:
-	// the hand-off between a worker and the consumer.
-	// Charged once per row per exchange regardless of the executed DOP, so
-	// work totals stay deterministic.
-	ExchangeRow float64
-
-	// ExchangeSetup is the fixed cost of instantiating one gather (spinning
-	// up its workers and their channel).
-	ExchangeSetup float64
 }
 
 // DefaultCostParams returns the calibrated default weights.
@@ -67,10 +56,6 @@ func DefaultCostParams() CostParams {
 		SpillRow:     2.5,
 		MemoryBytes:  1 << 20,
 		ReoptInvoke:  500,
-
-		Workers:       1,
-		ExchangeRow:   0.05,
-		ExchangeSetup: 50,
 	}
 }
 
@@ -151,13 +136,6 @@ func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 	case OpCheck:
 		n := cc[0]
 		return cs[0] + n*pr.CheckRow
-
-	case OpExchange:
-		// The charge models the data movement, not the concurrency: the same
-		// rows cross the exchange at any DOP, so the simulated work total is
-		// DOP-independent (wall-clock is what parallelism buys).
-		n := cc[0]
-		return cs[0] + pr.ExchangeSetup + n*pr.ExchangeRow
 
 	default:
 		return cs[0]

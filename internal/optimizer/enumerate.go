@@ -359,86 +359,7 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 	}
 	join = detach(join)
 	pl.narrowChosen(join)
-	plan, err := pl.finish(join)
-	if err != nil {
-		return nil, err
-	}
-	if o.Model.Params.Workers > 1 {
-		plan = o.parallelize(plan, false)
-	}
-	return plan, nil
-}
-
-// parallelize is the DOP-aware post-pass: with Workers > 1 it rewrites the
-// chosen serial plan, wrapping eligible bare scans that feed order-insensitive
-// consumers in a GATHER exchange that fans the scan out across workers.
-// needOrder marks subtrees whose output order a parent consumes (merge-join
-// inputs, orders inherited through a hash join's probe side); a gather merges
-// worker streams in arrival order, so ordered edges are never parallelized.
-func (o *Optimizer) parallelize(p *Plan, needOrder bool) *Plan {
-	if len(p.Children) == 0 {
-		return p
-	}
-	n := CloneNode(p)
-	switch p.Op {
-	case OpHSJN:
-		n.Children[0] = o.maybeGather(o.parallelize(p.Children[0], needOrder), needOrder)
-		n.Children[1] = o.maybeGather(o.parallelize(p.Children[1], false), false)
-	case OpMGJN:
-		n.Children[0] = o.parallelize(p.Children[0], true)
-		n.Children[1] = o.parallelize(p.Children[1], true)
-	case OpNLJN:
-		// The inner is rescanned (naive) or index-probed per outer row; only
-		// the outer subtree is eligible.
-		n.Children[0] = o.maybeGather(o.parallelize(p.Children[0], needOrder), needOrder)
-	case OpSort, OpTemp, OpHashAgg, OpProject:
-		// These consume their input in any order.
-		for i := range n.Children {
-			n.Children[i] = o.maybeGather(o.parallelize(p.Children[i], false), false)
-		}
-	default:
-		for i := range n.Children {
-			n.Children[i] = o.parallelize(p.Children[i], needOrder)
-		}
-	}
-	o.Model.finishCosting(n)
-	return n
-}
-
-// partitionableScan reports whether p is a base scan, the one input the
-// executor can split into disjoint worker morsels.
-func partitionableScan(p *Plan) bool {
-	switch p.Op {
-	case OpTableScan, OpIndexScan, OpMVScan:
-		return true
-	default:
-		return false
-	}
-}
-
-// maybeGather wraps a partitionable scan in a GATHER exchange when the work
-// the workers save, cost·(1-1/W), outweighs the exchange overhead of moving
-// the scan's rows. The exchange is cardinality-preserving and
-// order-destroying. The recorded DOP is the configured worker count; the
-// executor clamps it to what the worker gate grants at run time.
-func (o *Optimizer) maybeGather(c *Plan, needOrder bool) *Plan {
-	pr := &o.Model.Params
-	w := float64(pr.Workers)
-	saved, overhead := c.Cost*(1-1/w), pr.ExchangeSetup+c.Card*pr.ExchangeRow
-	if needOrder || !partitionableScan(c) || w <= 1 || !(saved > overhead) {
-		return c
-	}
-	x := &Plan{
-		Op:       OpExchange,
-		DOP:      pr.Workers,
-		Children: []*Plan{c},
-		Cols:     c.Cols,
-		Card:     c.Card,
-		tables:   c.tables,
-		ordered:  -1,
-	}
-	o.Model.finishCosting(x)
-	return x
+	return pl.finish(join)
 }
 
 // addPath offers a single table's access path, or an MVSCAN of it, for its

@@ -17,7 +17,7 @@ func Explain(p *Plan, q *logical.Query) string {
 }
 
 // NodeLabel renders one plan node's operator label with its annotations —
-// "IXSCAN(o)[sarg]", "CHECK[LC #1 range=[800.0,inf]]", "XCHG[gather dop=4]" —
+// "IXSCAN(o)[sarg]", "CHECK[LC #1 range=[800.0,inf]]" —
 // without the cardinality/cost suffix. EXPLAIN and EXPLAIN ANALYZE share it,
 // so a node is named identically in both renderings.
 func NodeLabel(p *Plan, q *logical.Query) string {
@@ -49,8 +49,6 @@ func NodeLabel(p *Plan, q *logical.Query) string {
 		if p.Check != nil {
 			fmt.Fprintf(&b, "[%s #%d range=%s]", p.Check.Flavor, p.Check.ID, formatRange(p.Check.Range))
 		}
-	case OpExchange:
-		fmt.Fprintf(&b, "[gather dop=%d]", p.DOP)
 	default:
 		// Joins, sorts, aggregates and projections label themselves with
 		// the bare OpKind written above.

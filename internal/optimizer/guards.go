@@ -27,7 +27,7 @@ type Guard struct {
 // subset. Edges the runtime cannot observe fully (index-NLJN probes,
 // rescanned NLJN inners) are skipped, exactly as CHECK placement skips them.
 // Multiple edges over the same subset (the same intermediate result feeding
-// different operators, or surviving an exchange wrap) are intersected —
+// different operators) are intersected —
 // reuse requires every edge in range, so the conjunction is the tightest
 // interval. Guards come back in first-visit (pre-order) order.
 func CollectGuards(p *Plan) []Guard {

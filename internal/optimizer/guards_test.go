@@ -102,38 +102,6 @@ func TestCollectGuardsIntersectsSharedSubsets(t *testing.T) {
 	}
 }
 
-// TestGuardsSurviveExchangeWrapping: parallelizing a plan wraps children in
-// exchange operators that preserve the table mask, so validity guards
-// computed during serial enumeration still resolve after the rewrite.
-func TestGuardsSurviveExchangeWrapping(t *testing.T) {
-	cat := fixture(t)
-	q := selectiveJoinQuery(t, cat, 10)
-	opt := New(cat)
-	opt.Model.Params.Workers = 4
-	plan, err := opt.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Count(OpExchange) == 0 {
-		t.Skip("fixture did not parallelize; nothing to check")
-	}
-	gs := CollectGuards(plan)
-	for _, g := range gs {
-		if g.Tables == 0 {
-			t.Errorf("guard lost its table mask through exchange wrapping: %+v", g)
-		}
-		if !g.Range.Contains(g.EstCard) {
-			t.Errorf("guard range %+v excludes its own estimate %v", g.Range, g.EstCard)
-		}
-	}
-	// The exchange itself preserves the wrapped child's mask.
-	plan.Walk(func(n *Plan) {
-		if n.Op == OpExchange && n.Tables() != n.Children[0].Tables() {
-			t.Errorf("exchange mask %b != child mask %b", n.Tables(), n.Children[0].Tables())
-		}
-	})
-}
-
 // TestGuardRangesContainEstimates: for a real optimized plan, every collected
 // guard's range must contain the estimate it was derived from (narrowing
 // searches outward from the estimate, so the estimate always stays inside).

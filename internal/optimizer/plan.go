@@ -29,7 +29,6 @@ const (
 	OpHashAgg
 	OpProject
 	OpCheck
-	OpExchange
 )
 
 // String returns the operator's display name.
@@ -57,8 +56,6 @@ func (k OpKind) String() string {
 		return "RETURN"
 	case OpCheck:
 		return "CHECK"
-	case OpExchange:
-		return "XCHG"
 	default:
 		return "?OP?"
 	}
@@ -155,7 +152,7 @@ type SortKey struct {
 // is constructed: the enumerator points every candidate of a join split at
 // the same predicate conjunctions and key slices, and enforcers and CHECK/TEMP
 // wrappers share their child's Cols. Rewrites (checkpoint placement,
-// parallelize, expr.Remap in the executor) replace these fields on a clone or
+// expr.Remap in the executor) replace these fields on a clone or
 // copy the expression; nothing may write through them in place.
 type Plan struct {
 	Op       OpKind
@@ -192,11 +189,6 @@ type Plan struct {
 
 	// POP checkpoint.
 	Check *CheckMeta
-
-	// Parallelism (OpExchange, the GATHER). DOP is the degree of parallelism
-	// the plan was costed for; the executor may override it at run time
-	// without changing the simulated work total.
-	DOP int
 
 	// Output description.
 	Cols []int

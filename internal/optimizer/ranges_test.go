@@ -17,10 +17,10 @@ import (
 // dumpPlan renders every field of the tree, floats in %b, so that a one-ulp
 // difference in a cost, a cardinality or a validity bound changes the text.
 func dumpPlan(b *strings.Builder, p *Plan, depth int) {
-	fmt.Fprintf(b, "%*s%s t=%d ix=%d lo=%v%t hi=%v%t ij=%t lk=%d el=%v er=%v gb=%v sk=%v lim=%d dop=%d cols=%v tabs=%b ord=%d card=%b cost=%b filter=%v jp=%v",
+	fmt.Fprintf(b, "%*s%s t=%d ix=%d lo=%v%t hi=%v%t ij=%t lk=%d el=%v er=%v gb=%v sk=%v lim=%d cols=%v tabs=%b ord=%d card=%b cost=%b filter=%v jp=%v",
 		2*depth, "", p.Op, p.Table, p.IndexOrd, p.IndexLo, p.IndexLoInc, p.IndexHi, p.IndexHiInc,
 		p.IndexJoin, p.LookupCol, p.EquiLeft, p.EquiRight, p.GroupBy, p.SortKeys, p.Limit,
-		p.DOP, p.Cols, p.tables, p.ordered, p.Card, p.Cost, p.Filter, p.JoinPred)
+		p.Cols, p.tables, p.ordered, p.Card, p.Cost, p.Filter, p.JoinPred)
 	if p.MV != nil {
 		fmt.Fprintf(b, " mv=%s", p.MV.Signature)
 	}
@@ -118,7 +118,6 @@ type compileConfig struct {
 var compileConfigs = []compileConfig{
 	{"default", false, func(*Optimizer) {}},
 	{"noHSJN", false, func(o *Optimizer) { o.DisableHSJN = true }},
-	{"workers2", false, func(o *Optimizer) { o.Model.Params.Workers = 2 }},
 	{"reopt", true, func(*Optimizer) {}},
 }
 

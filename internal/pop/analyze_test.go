@@ -16,11 +16,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestExplainAnalyzeGolden pins the EXPLAIN ANALYZE rendering against a
-// golden file. The serial run is fully deterministic, so every attempt is
-// golden — including attempt 0, whose stats show how far each operator got
-// before its CHECK violated. The parallel run's violated attempt is
-// cancellation-timing dependent, so only its completed final attempt is
-// pinned (work totals are deterministic by the meter's integer-tick design).
+// golden file. The run is fully deterministic, so every attempt is golden —
+// including attempt 0, whose stats show how far each operator got before its
+// CHECK violated.
 // Regenerate with: go test ./internal/pop -run ExplainAnalyzeGolden -update
 func TestExplainAnalyzeGolden(t *testing.T) {
 	cat := correlatedFixture(t)
@@ -44,17 +42,6 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		}
 		writeAttempt(&b, i, a, q)
 	}
-
-	parCat := correlatedFixture(t)
-	par := DefaultOptions()
-	par.Analyze = true
-	par.Configure = forceParallelHash(4)
-	pres, err := NewRunner(parCat, par).Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.WriteString("== parallel (final attempt) ==\n")
-	writeAttempt(&b, len(pres.Attempts)-1, pres.Attempts[len(pres.Attempts)-1], q)
 
 	// Temp-MV signatures embed the process-global statement counter
 	// (stmt7/...); normalize it so the golden is stable regardless of which

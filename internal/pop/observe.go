@@ -2,13 +2,12 @@ package pop
 
 // Observability glue: the runner stamps statement identity and attempt
 // numbers onto trace events, fingerprints chosen plans, and republishes the
-// merged per-operator runtime stats as operator_done events.
+// per-operator runtime stats as operator_done events.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/executor"
 	"repro/internal/logical"
@@ -18,17 +17,17 @@ import (
 
 // stampRecorder decorates every event emitted during one statement with the
 // statement's signature and the attempt number current at emission time.
-// Executor-side producers (CHECK operators, exchange workers) know neither;
-// the attempt is atomic because worker goroutines record concurrently.
+// Executor-side producers (CHECK operators) know neither. A statement runs on
+// one goroutine, so the attempt needs no synchronization.
 type stampRecorder struct {
 	r       trace.Recorder
 	query   string
-	attempt atomic.Int32
+	attempt int
 }
 
 func (s *stampRecorder) Record(ev trace.Event) {
 	ev.Query = s.query
-	ev.Attempt = int(s.attempt.Load())
+	ev.Attempt = s.attempt
 	s.r.Record(ev)
 }
 
@@ -54,7 +53,7 @@ func fnvHex(s string) string {
 }
 
 // emitOperatorStats republishes a collected stats tree as one operator_done
-// event per logical operator (partition clones already merged).
+// event per operator.
 func emitOperatorStats(tr trace.Recorder, sn *executor.StatsNode) {
 	sn.Walk(func(n *executor.StatsNode) {
 		op := &trace.OpInfo{
@@ -63,9 +62,6 @@ func emitOperatorStats(tr trace.Recorder, sn *executor.StatsNode) {
 			Actual: n.Stats.RowsOut,
 			Work:   n.Stats.Work,
 			Spill:  n.Stats.Spilled,
-		}
-		if n.Clones > 1 {
-			op.DOP = n.Clones
 		}
 		tr.Record(trace.Event{Kind: trace.OperatorDone, Op: op})
 	})

@@ -189,7 +189,7 @@ func (p *placer) rewrite(node *optimizer.Plan, parent *optimizer.Plan, edge int)
 	case optimizer.OpMGJN, optimizer.OpSort, optimizer.OpTemp, optimizer.OpHashAgg, optimizer.OpProject, optimizer.OpCheck:
 		// Handled via the generic materialization rule below.
 	default:
-		// Leaves (scans, lookups) and exchanges carry no join-specific
+		// Leaves (scans, lookups) carry no join-specific
 		// checkpoint placement; the generic rule below still applies.
 	}
 

@@ -88,6 +88,12 @@ func correlatedQuery(t *testing.T, cat *catalog.Catalog) *logical.Query {
 	return q
 }
 
+// forceHash configures an optimizer to plan hash joins only.
+func forceHash(o *optimizer.Optimizer) {
+	o.DisableNLJN = true
+	o.DisableMGJN = true
+}
+
 func canon(rows []schema.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {

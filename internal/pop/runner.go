@@ -39,8 +39,8 @@ type Options struct {
 	Analyze bool
 	// Trace, when non-nil, receives the statement's structured event stream
 	// (see package trace): optimization rounds, checkpoint outcomes,
-	// re-optimizations, exchange worker lifecycles, and (with Analyze)
-	// per-operator stats. Nil keeps every emission site on its no-op path.
+	// re-optimizations, and (with Analyze) per-operator stats. Nil keeps
+	// every emission site on its no-op path.
 	Trace trace.Recorder
 	// BindParamEstimates makes every (re-)optimization during the run bind
 	// the statement's parameter values for estimation (see
@@ -50,12 +50,6 @@ type Options struct {
 	// binding-independent subsets keep sharing entries. Off by default to
 	// preserve the paper experiments' default-selectivity behavior.
 	BindParamEstimates bool
-	// Gate, when non-nil, arbitrates exchange worker spawning against a
-	// shared pool (see executor.WorkerGate): exchanges run at whatever width
-	// the gate grants, DOP 1 at a zero grant, with the simulated work
-	// total bit-identical at every granted width. The server's
-	// scheduler supplies this; nil keeps the library's ungated spawning.
-	Gate executor.WorkerGate
 	// Planner selects the planner/adaptivity strategy (see strategy.go). Nil
 	// behaves exactly like DPPOP: the options run as written. Non-nil
 	// strategies are folded in by Resolve, which NewRunner calls, so callers
@@ -204,7 +198,7 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 
 	for attempt := 0; ; attempt++ {
 		if tr != nil {
-			tr.attempt.Store(int32(attempt))
+			tr.attempt = attempt
 		}
 		opt := r.newOptimizer(fb)
 		opt.MVNamespace = ns
@@ -261,7 +255,6 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 			return nil, fail(tr, err)
 		}
 		ex.Analyze = r.Opts.Analyze
-		ex.Gate = r.Opts.Gate
 		if tr != nil {
 			ex.Trace = tr
 		}
@@ -405,10 +398,9 @@ func (r *Runner) harvest(ex *executor.Executor, root executor.Node, q *logical.Q
 		}
 		for i, c := range n.Children() {
 			childWhole := whole
-			// The inner side of an NLJN is re-scanned per outer row, and the
-			// children of an exchange are partition clones whose counters
-			// cover one morsel stripe each — neither is a whole-stream count.
-			if (p.Op == optimizer.OpNLJN && i == 1) || p.Op == optimizer.OpExchange {
+			// The inner side of an NLJN is re-scanned per outer row: its
+			// counters are not a whole-stream count.
+			if p.Op == optimizer.OpNLJN && i == 1 {
 				childWhole = false
 			}
 			visit(c, childWhole)
@@ -424,7 +416,7 @@ func countsObservable(op optimizer.OpKind) bool {
 	switch op {
 	case optimizer.OpTableScan, optimizer.OpIndexScan,
 		optimizer.OpNLJN, optimizer.OpHSJN, optimizer.OpMGJN,
-		optimizer.OpSort, optimizer.OpTemp, optimizer.OpExchange:
+		optimizer.OpSort, optimizer.OpTemp:
 		return true
 	default:
 		return false

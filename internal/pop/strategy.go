@@ -13,8 +13,8 @@ import (
 // statistics-free greedy chain) crossed with how the runtime adapts
 // (validity-range-guarded POP, no adaptivity at all, or unguarded
 // re-optimization that re-costs at every checkpoint). Strategies compose
-// with the plan cache (the strategy name is part of the cached-plan key),
-// exchanges and the batch path without touching their bit-identity
+// with the plan cache (the strategy name is part of the cached-plan key)
+// and the batch path without touching their bit-identity
 // guarantees: a strategy only picks plans and checkpoint policy, never how
 // a chosen plan is metered.
 type Strategy interface {

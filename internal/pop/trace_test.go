@@ -10,21 +10,19 @@ import (
 	"repro/internal/types"
 )
 
-// TestTracedParallelReoptimization runs the correlated fixture on a DOP-4
+// TestTracedForcedReoptimization runs the correlated fixture on a hash-join
 // plan with a forced checkpoint failure and checks the event stream's
-// invariants: exactly one checkpoint_violated per re-optimization (the
-// shared-check registry must collapse the DOP clones to one logical event),
-// exactly one checkpoint_passed per passing logical CHECK per attempt,
-// matched worker lifecycles, and a coherent optimize/reoptimize/query_done
-// bracket. Runs under -race in CI, which also validates concurrent emission.
-func TestTracedParallelReoptimization(t *testing.T) {
+// invariants: exactly one checkpoint_violated per re-optimization, exactly
+// one checkpoint_passed per passing CHECK per attempt, and a coherent
+// optimize/reoptimize/query_done bracket.
+func TestTracedForcedReoptimization(t *testing.T) {
 	cat := correlatedFixture(t)
 	q := correlatedQuery(t, cat)
 
 	col := trace.NewCollector()
 	reg := metrics.New()
 	opts := DefaultOptions()
-	opts.Configure = forceParallelHash(4)
+	opts.Configure = forceHash
 	opts.Policy.FailCheckIDs = map[int]bool{0: true}
 	opts.Analyze = true
 	opts.Trace = trace.Multi(col, reg)
@@ -39,7 +37,7 @@ func TestTracedParallelReoptimization(t *testing.T) {
 	// The traced, analyzed run must charge exactly the work an untraced run
 	// does — the zero-overhead guarantee on the simulated substrate.
 	untraced := DefaultOptions()
-	untraced.Configure = forceParallelHash(4)
+	untraced.Configure = forceHash
 	untraced.Policy.FailCheckIDs = map[int]bool{0: true}
 	ures, err := NewRunner(correlatedFixture(t), untraced).Run(q, nil)
 	if err != nil {
@@ -93,8 +91,7 @@ func TestTracedParallelReoptimization(t *testing.T) {
 		t.Error("re-optimization did not change the plan signature")
 	}
 
-	// Exactly one checkpoint_passed per passing logical CHECK per attempt:
-	// the DOP clones of one CHECK must collapse to a single event.
+	// Exactly one checkpoint_passed per passing CHECK per attempt.
 	passedAt := make(map[[2]int]int)
 	for _, ev := range col.OfKind(trace.CheckpointPassed) {
 		if ev.Check == nil {
@@ -111,34 +108,8 @@ func TestTracedParallelReoptimization(t *testing.T) {
 		t.Error("the violated checkpoint must not also report passed on attempt 0")
 	}
 
-	starts := col.OfKind(trace.WorkerStart)
-	drains := col.OfKind(trace.WorkerDrain)
-	if len(starts) == 0 || len(starts) != len(drains) {
-		t.Fatalf("worker lifecycle unbalanced: %d starts, %d drains", len(starts), len(drains))
-	}
-	var workerWork float64
-	for _, ev := range drains {
-		if ev.Worker == nil || ev.Worker.DOP != 4 {
-			t.Fatalf("worker_drain payload %+v", ev.Worker)
-		}
-		workerWork += ev.Worker.Work
-	}
-	if workerWork <= 0 {
-		t.Error("drained workers reported no work")
-	}
-
-	ops := col.OfKind(trace.OperatorDone)
-	if len(ops) == 0 {
+	if len(col.OfKind(trace.OperatorDone)) == 0 {
 		t.Fatal("analyze mode emitted no operator_done events")
-	}
-	sawDOP := false
-	for _, ev := range ops {
-		if ev.Op.DOP > 1 {
-			sawDOP = true
-		}
-	}
-	if !sawDOP {
-		t.Error("no operator_done event carries the merged DOP")
 	}
 
 	dones := col.OfKind(trace.QueryDone)

@@ -1,14 +1,12 @@
 // Package server is the multi-session network front end of the engine: a TCP
 // line-JSON protocol and an HTTP endpoint serving concurrent sessions over
 // one shared catalog, row store and plan cache. Its performance core is the
-// Scheduler, a global arbiter of one bounded worker pool between inter-query
-// parallelism (admission control: bounded running-query slots with a fair
-// FIFO queue and per-session backpressure) and intra-query parallelism (every
-// exchange acquires its workers from the pool via executor.WorkerGate and
-// clamps its DOP — down to one worker that takes nothing from the pool —
-// when the pool is contended). The scheduler changes when and how wide a query runs, never
-// what it computes: per-query simulated work stays bit-identical to library
-// execution (see internal/pop's gate tests and DESIGN.md §12).
+// Scheduler, an admission controller: bounded running-query slots with a fair
+// FIFO queue and per-session backpressure. Every query runs serially on its
+// session's goroutine, planned exactly as the library plans it. The
+// scheduler changes when a query runs, never what it computes: per-query
+// simulated work stays bit-identical to library execution (see
+// TestServerWorkIdentity and DESIGN.md §12).
 package server
 
 import (
@@ -18,10 +16,8 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/executor"
 	"repro/internal/trace"
 )
 
@@ -45,11 +41,8 @@ func (e *BackpressureError) Error() string {
 
 // SchedConfig sizes the scheduler.
 type SchedConfig struct {
-	// WorkerBudget is the global cap on exchange workers out at once across
-	// every running query. Default GOMAXPROCS.
-	WorkerBudget int
 	// RunSlots bounds concurrently executing queries; arrivals beyond it
-	// queue FIFO. Default max(2, WorkerBudget/2).
+	// queue FIFO. Default max(2, GOMAXPROCS/2).
 	RunSlots int
 	// SessionQueue is the per-session cap on queued admissions before new
 	// arrivals from that session get a BackpressureError. Default 4.
@@ -58,14 +51,8 @@ type SchedConfig struct {
 
 // withDefaults resolves zero fields to their documented defaults.
 func (c SchedConfig) withDefaults() SchedConfig {
-	if c.WorkerBudget <= 0 {
-		c.WorkerBudget = runtime.GOMAXPROCS(0)
-	}
 	if c.RunSlots <= 0 {
-		c.RunSlots = c.WorkerBudget / 2
-		if c.RunSlots < 2 {
-			c.RunSlots = 2
-		}
+		c.RunSlots = max(2, runtime.GOMAXPROCS(0)/2)
 	}
 	if c.SessionQueue <= 0 {
 		c.SessionQueue = 4
@@ -82,23 +69,14 @@ type waiter struct {
 	err     error
 }
 
-// Scheduler owns the worker pool and the admission queue. It implements
-// executor.WorkerGate for intra-query width arbitration; Admit/release
-// implement inter-query admission control. All methods are safe for
-// concurrent use.
+// Scheduler owns the admission queue: Admit and its release function bound
+// the queries executing at once. All methods are safe for concurrent use.
 type Scheduler struct {
 	cfg SchedConfig
 
-	// Trace receives admission_wait / admission_reject events when non-nil
-	// (dop_clamp events are emitted by the executor). Set before serving.
+	// Trace receives admission_wait / admission_reject events when non-nil.
+	// Set before serving.
 	Trace trace.Recorder
-
-	// Worker-pool occupancy is a lock-free CAS loop so exchange build paths
-	// never contend on the admission mutex.
-	workersOut atomic.Int64
-	peakOut    atomic.Int64
-	clamps     atomic.Int64
-	inlineRuns atomic.Int64
 
 	mu           sync.Mutex
 	running      int
@@ -121,55 +99,6 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 
 // Config reports the resolved configuration.
 func (s *Scheduler) Config() SchedConfig { return s.cfg }
-
-var _ executor.WorkerGate = (*Scheduler)(nil)
-
-// AcquireWorkers implements executor.WorkerGate: it grants up to want
-// workers, never letting total occupancy exceed the budget. A zero grant
-// runs the exchange's one DOP-1 worker outside the pool and is counted in
-// InlineRuns. Lock-free: a CAS loop on the occupancy counter, so the strict
-// invariant out+grant ≤ budget holds at every interleaving.
-func (s *Scheduler) AcquireWorkers(want int) int {
-	if want < 0 {
-		want = 0
-	}
-	for {
-		out := s.workersOut.Load()
-		free := int64(s.cfg.WorkerBudget) - out
-		if free <= 0 {
-			s.clamps.Add(1)
-			s.inlineRuns.Add(1)
-			return 0
-		}
-		got := int64(want)
-		if got > free {
-			got = free
-		}
-		if !s.workersOut.CompareAndSwap(out, out+got) {
-			continue
-		}
-		for {
-			p := s.peakOut.Load()
-			if out+got <= p || s.peakOut.CompareAndSwap(p, out+got) {
-				break
-			}
-		}
-		if int(got) < want {
-			s.clamps.Add(1)
-			if got == 0 {
-				s.inlineRuns.Add(1)
-			}
-		}
-		return int(got)
-	}
-}
-
-// ReleaseWorkers implements executor.WorkerGate.
-func (s *Scheduler) ReleaseWorkers(n int) {
-	if n > 0 {
-		s.workersOut.Add(-int64(n))
-	}
-}
 
 // Admit blocks until the query may execute (a run slot is free or handed
 // over) and returns a release function that must be called exactly once when
@@ -316,11 +245,13 @@ func (s *Scheduler) Drain() {
 
 // SchedStats is a point-in-time snapshot of the scheduler's counters.
 type SchedStats struct {
-	WorkerBudget    int   `json:"worker_budget"`
-	WorkersOut      int64 `json:"workers_out"`
-	PeakWorkers     int64 `json:"peak_workers"`
-	DOPClamps       int64 `json:"dop_clamps"`
-	InlineRuns      int64 `json:"inline_runs"`
+	// PeakWorkers, DOPClamps and InlineRuns always read 0: the scheduler has
+	// no worker pool. They are kept, unencoded, only because the benchmark
+	// harness (bench/) still reads them, until ROADMAP item 8 deletes them.
+	PeakWorkers int64 `json:"-"`
+	DOPClamps   int64 `json:"-"`
+	InlineRuns  int64 `json:"-"`
+
 	RunSlots        int   `json:"run_slots"`
 	Running         int   `json:"running"`
 	Queued          int   `json:"queued"`
@@ -337,11 +268,6 @@ type SchedStats struct {
 func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
 	st := SchedStats{
-		WorkerBudget:    s.cfg.WorkerBudget,
-		WorkersOut:      s.workersOut.Load(),
-		PeakWorkers:     s.peakOut.Load(),
-		DOPClamps:       s.clamps.Load(),
-		InlineRuns:      s.inlineRuns.Load(),
 		RunSlots:        s.cfg.RunSlots,
 		Running:         s.running,
 		Queued:          len(s.queue),
@@ -359,14 +285,11 @@ func (s *Scheduler) Stats() SchedStats {
 
 // WriteText renders the scheduler's configuration and cumulative counts in
 // metrics.Snapshot.WriteText's two-column layout, every label prefixed
-// "sched". The point-in-time gauges (running, queued, workers out,
-// draining) are in the JSON form only.
+// "sched". The point-in-time gauges (running, queued, draining) are in the
+// JSON form only.
 func (st SchedStats) WriteText(w io.Writer) {
 	line := func(name string, v int64) { fmt.Fprintf(w, "%-22s %d\n", "sched "+name, v) }
-	line("worker budget", int64(st.WorkerBudget))
-	line("peak workers", st.PeakWorkers)
-	line("dop clamps", st.DOPClamps)
-	line("inline runs", st.InlineRuns)
+	line("run slots", int64(st.RunSlots))
 	line("admitted", st.Admitted)
 	line("admission waits", st.AdmissionWaits)
 	line("admit wait ns", st.AdmissionWaitNS)

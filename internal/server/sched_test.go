@@ -9,143 +9,30 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/optimizer"
-	"repro/internal/pop"
-	"repro/internal/sqlparse"
 	"repro/internal/trace"
-	"repro/internal/types"
 )
 
-// TestWorkerBudgetCAS hammers the worker pool from many goroutines and
-// asserts the strict invariant: occupancy never exceeds the budget, and
-// everything acquired is released.
-func TestWorkerBudgetCAS(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 7})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				got := s.AcquireWorkers(3)
-				if got > 3 {
-					t.Error("granted more than asked")
-				}
-				s.ReleaseWorkers(got)
-			}
-		}()
-	}
-	wg.Wait()
-	st := s.Stats()
-	if st.WorkersOut != 0 {
-		t.Errorf("%d workers still outstanding", st.WorkersOut)
-	}
-	if st.PeakWorkers > 7 {
-		t.Errorf("peak %d exceeds budget 7", st.PeakWorkers)
-	}
-	if st.PeakWorkers == 0 {
-		t.Error("pool never used")
-	}
-}
-
-// TestAcquireClampsAndInline pins the grant ladder: full grant when free,
-// partial when constrained, zero (counted as an inline run) when exhausted.
-func TestAcquireClampsAndInline(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4})
-	if got := s.AcquireWorkers(3); got != 3 {
-		t.Fatalf("free pool granted %d, want 3", got)
-	}
-	if got := s.AcquireWorkers(3); got != 1 {
-		t.Fatalf("constrained pool granted %d, want 1", got)
-	}
-	if got := s.AcquireWorkers(3); got != 0 {
-		t.Fatalf("exhausted pool granted %d, want 0", got)
-	}
-	st := s.Stats()
-	if st.DOPClamps != 2 {
-		t.Errorf("clamps %d, want 2", st.DOPClamps)
-	}
-	if st.InlineRuns != 1 {
-		t.Errorf("inline runs %d, want 1", st.InlineRuns)
-	}
-	s.ReleaseWorkers(4)
-	if got := s.AcquireWorkers(2); got != 2 {
-		t.Fatalf("released pool granted %d, want 2", got)
-	}
-	s.ReleaseWorkers(2)
-}
-
-// TestAdviseDOP pins that planning ignores pool pressure: an uncached server
-// whose pool is exhausted still records dop=Config.Workers on every exchange
-// of the plan, and the clamp happens at execution, where every exchange asks
-// for that width and is granted nothing.
-func TestAdviseDOP(t *testing.T) {
-	cat := tpchCat(t, 0.002)
-	s := New(cat, Config{Workers: 4, DisableCache: true, Sched: SchedConfig{WorkerBudget: 4}})
-	workers := s.Config().Workers
-	if got := s.Scheduler().AcquireWorkers(4); got != 4 {
-		t.Fatalf("idle pool granted %d, want 4", got)
-	}
-	defer s.Scheduler().ReleaseWorkers(4)
-
-	col := trace.NewCollector()
-	opts := s.options()
-	opts.Trace = trace.Multi(opts.Trace, col)
-	q, err := sqlparse.Parse(cat, q10SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pop.NewRunner(cat, opts).Run(q, []types.Datum{types.NewFloat(25)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exchanges := 0
-	var walk func(p *optimizer.Plan)
-	walk = func(p *optimizer.Plan) {
-		if p.Op == optimizer.OpExchange {
-			exchanges++
-			if p.DOP != workers {
-				t.Errorf("exchange planned at dop=%d under an exhausted pool, want %d", p.DOP, workers)
-			}
-		}
-		for _, c := range p.Children {
-			walk(c)
-		}
-	}
-	for _, a := range res.Attempts {
-		walk(a.Plan)
-	}
-	if exchanges == 0 {
-		t.Fatal("the plan has no exchange; the test exercises nothing")
-	}
-	clamps := col.OfKind(trace.DOPClamp)
-	if len(clamps) == 0 {
-		t.Fatal("no dop_clamp event: the exhausted pool never clamped at execution")
-	}
-	for _, ev := range clamps {
-		if ev.Sched.Want != workers || ev.Sched.Granted != 0 {
-			t.Errorf("clamp want=%d granted=%d, want want=%d granted=0", ev.Sched.Want, ev.Sched.Granted, workers)
-		}
-	}
-}
-
-// TestConfigResolvesWorkers pins the planning width New resolves and
-// Server.Config reports: Workers 1 is raised to 2, and 0 takes GOMAXPROCS,
-// at least 2.
+// TestConfigResolvesWorkers pins the run-slot default New resolves and the
+// scheduler reports: max(2, GOMAXPROCS/2), the value it had when it was
+// derived from a worker budget of GOMAXPROCS. An explicit RunSlots is kept.
 func TestConfigResolvesWorkers(t *testing.T) {
 	cat := catalog.New()
-	if got := New(cat, Config{Workers: 1}).Config().Workers; got != 2 {
-		t.Errorf("Workers 1 resolved to %d, want 2", got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, slots int }{{1, 2}, {2, 2}, {5, 2}, {8, 4}} {
+		runtime.GOMAXPROCS(tc.procs)
+		if got := New(cat, Config{}).Scheduler().Config().RunSlots; got != tc.slots {
+			t.Errorf("GOMAXPROCS %d: RunSlots 0 resolved to %d, want %d", tc.procs, got, tc.slots)
+		}
 	}
-	if got, want := New(cat, Config{}).Config().Workers, max(2, runtime.GOMAXPROCS(0)); got != want {
-		t.Errorf("Workers 0 resolved to %d, want %d", got, want)
+	if got := New(cat, Config{Sched: SchedConfig{RunSlots: 3}}).Scheduler().Config().RunSlots; got != 3 {
+		t.Errorf("RunSlots 3 resolved to %d", got)
 	}
 }
 
 // TestAdmitFIFOFairness fills every run slot, queues three waiters from
 // different sessions, and verifies slots hand over in arrival order.
 func TestAdmitFIFOFairness(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 1, SessionQueue: 4})
+	s := NewScheduler(SchedConfig{RunSlots: 1, SessionQueue: 4})
 	rel, err := s.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +92,7 @@ func TestAdmitFIFOFairness(t *testing.T) {
 // TestBackpressurePerSession verifies one session cannot queue past its
 // allowance while a second session still can.
 func TestBackpressurePerSession(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 1, SessionQueue: 2})
+	s := NewScheduler(SchedConfig{RunSlots: 1, SessionQueue: 2})
 	rel, err := s.Admit(context.Background(), "hog")
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +157,7 @@ func TestBackpressurePerSession(t *testing.T) {
 // entry is removed and the slot count stays consistent — including the race
 // where the slot is handed over concurrently with the cancellation.
 func TestAdmitContextAbandon(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 1, SessionQueue: 8})
+	s := NewScheduler(SchedConfig{RunSlots: 1, SessionQueue: 8})
 	rel, err := s.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +197,7 @@ func TestAdmitContextAbandon(t *testing.T) {
 // ErrDraining, new admissions reject, and Drain returns at once — the query
 // still running keeps its slot until it releases it.
 func TestDrain(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 1, SessionQueue: 4})
+	s := NewScheduler(SchedConfig{RunSlots: 1, SessionQueue: 4})
 	rel, err := s.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
@@ -352,8 +239,7 @@ func TestDrainDeadline(t *testing.T) {
 	release := make(chan struct{})
 	hook, inFlight := blockingOptions(release)
 	srv := New(tpchCat(t, 0.002), Config{
-		Workers:      4,
-		Sched:        SchedConfig{WorkerBudget: 4, RunSlots: 1},
+		Sched:        SchedConfig{RunSlots: 1},
 		Options:      hook,
 		DrainTimeout: 20 * time.Millisecond,
 	})
@@ -392,7 +278,7 @@ func TestDrainDeadline(t *testing.T) {
 // an arrival after it, Rejects+Backpressure equals the admission_reject
 // events and AdmissionWaits the admission_wait events.
 func TestSchedStatsMatchTrace(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 1, SessionQueue: 1})
+	s := NewScheduler(SchedConfig{RunSlots: 1, SessionQueue: 1})
 	col := trace.NewCollector()
 	s.Trace = col
 	queue := func(session string) <-chan error {
@@ -461,7 +347,7 @@ func TestSchedStatsMatchTrace(t *testing.T) {
 // TestReleaseIdempotent verifies double-calling a release function frees the
 // slot once.
 func TestReleaseIdempotent(t *testing.T) {
-	s := NewScheduler(SchedConfig{WorkerBudget: 4, RunSlots: 2})
+	s := NewScheduler(SchedConfig{RunSlots: 2})
 	rel, err := s.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)

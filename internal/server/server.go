@@ -10,13 +10,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/metrics"
-	"repro/internal/optimizer"
 	"repro/internal/pop"
 	"repro/internal/trace"
 )
@@ -30,14 +28,8 @@ type Config struct {
 	// HTTPAddr, when non-empty, also serves POST /query, GET /metrics and
 	// GET /healthz on this address.
 	HTTPAddr string
-	// Sched sizes the admission controller and worker pool.
+	// Sched sizes the admission controller.
 	Sched SchedConfig
-	// Workers is the per-query planned exchange width (the optimizer's
-	// worker parameter), with or without the plan cache; the scheduler
-	// clamps it at execution under contention. Default GOMAXPROCS, minimum 2
-	// so exchanges exist to arbitrate; Server.Config reports the resolved
-	// width.
-	Workers int
 	// DisableCache turns the shared plan cache off: every session runs as a
 	// plain POP runner (used by the benchmark's work-identity phase).
 	DisableCache bool
@@ -56,7 +48,7 @@ type Config struct {
 }
 
 // Server serves concurrent sessions over one shared catalog, plan cache and
-// worker scheduler.
+// admission scheduler.
 type Server struct {
 	cfg   Config
 	cat   *catalog.Catalog
@@ -91,12 +83,6 @@ func New(cat *catalog.Catalog, cfg Config) *Server {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers < 2 {
-		cfg.Workers = 2
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
@@ -119,8 +105,7 @@ func New(cat *catalog.Catalog, cfg Config) *Server {
 // its stats).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
-// Config reports the resolved configuration: defaults filled in and
-// Workers raised to its minimum.
+// Config reports the resolved configuration, defaults filled in.
 func (s *Server) Config() Config { return s.cfg }
 
 // Metrics exposes the server's cumulative counters.
@@ -137,18 +122,12 @@ func (s *Server) recorder() trace.Recorder {
 	return s.reg
 }
 
-// options assembles the pop.Options every execution runs with: POP on, the
-// scheduler as the exchange worker gate, the composed trace sinks, and the
-// planned width from Config.Workers.
+// options assembles the pop.Options every execution runs with: the
+// library's defaults, POP on, and the composed trace sinks.
 func (s *Server) options() pop.Options {
 	opts := pop.DefaultOptions()
 	opts.Enabled = true
-	opts.Gate = s.sched
 	opts.Trace = s.recorder()
-	workers := s.cfg.Workers
-	opts.Configure = func(o *optimizer.Optimizer) {
-		o.Model.Params.Workers = workers
-	}
 	if s.cfg.Options != nil {
 		s.cfg.Options(&opts)
 	}

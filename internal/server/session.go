@@ -14,8 +14,7 @@ import (
 
 // execQuery runs one OpQuery request for the named session: admission
 // control first (this is where queued queries wait and backpressured ones
-// bounce), then parse, then execution through the shared plan cache with the
-// scheduler as the exchange worker gate.
+// bounce), then parse, then execution through the shared plan cache.
 func (s *Server) execQuery(ctx context.Context, session string, req Request) Response {
 	start := time.Now()
 	release, err := s.sched.Admit(ctx, session)

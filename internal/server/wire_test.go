@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/optimizer"
-	"repro/internal/pop"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -100,18 +98,6 @@ func wireCatalog(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
-// serialPlans plans every statement for one worker, so row order and float
-// sums do not depend on how exchanges split the input.
-func serialPlans(o *pop.Options) {
-	inner := o.Configure
-	o.Configure = func(opt *optimizer.Optimizer) {
-		if inner != nil {
-			inner(opt)
-		}
-		opt.Model.Params.Workers = 1
-	}
-}
-
 // nsField matches the two server-timed fields, which the transcripts mask.
 var nsField = regexp.MustCompile(`"(wait_ns|elapsed_ns)":[0-9]+`)
 
@@ -121,10 +107,8 @@ var nsField = regexp.MustCompile(`"(wait_ns|elapsed_ns)":[0-9]+`)
 func wireTranscript(t *testing.T, wc wireCase, viaHTTP bool) []string {
 	t.Helper()
 	cfg := Config{
-		Workers: 2,
-		Sched:   SchedConfig{WorkerBudget: 2},
+		Sched:   SchedConfig{RunSlots: 2},
 		MaxRows: wc.maxRows,
-		Options: serialPlans,
 	}
 	if viaHTTP {
 		cfg.HTTPAddr = "127.0.0.1:0"

@@ -63,26 +63,13 @@ func (t *Table) Get(rid schema.RID) (schema.Row, error) {
 
 // Scan returns an iterator over all rows in RID order.
 func (t *Table) Scan() *TableIterator {
-	return &TableIterator{table: t, step: 1}
+	return &TableIterator{table: t}
 }
 
-// ScanPartition returns an iterator over the morsel stripe of rows whose RID
-// is congruent to part modulo of. The stripes for part = 0..of-1 are disjoint
-// and together cover the heap, which is what parallel table scans split the
-// row store by.
-func (t *Table) ScanPartition(part, of int) *TableIterator {
-	if of < 1 {
-		of = 1
-	}
-	return &TableIterator{table: t, next: part, start: part, step: of}
-}
-
-// TableIterator walks a heap (or one stripe of it) in RID order.
+// TableIterator walks a heap in RID order.
 type TableIterator struct {
 	table *Table
 	next  int
-	start int
-	step  int
 }
 
 // Next returns the next row and its RID, or ok=false at end of table.
@@ -92,9 +79,9 @@ func (it *TableIterator) Next() (schema.Row, schema.RID, bool) {
 	}
 	rid := schema.RID(it.next)
 	row := it.table.rows[it.next]
-	it.next += it.step
+	it.next++
 	return row, rid, true
 }
 
 // Reset rewinds the iterator to its first row.
-func (it *TableIterator) Reset() { it.next = it.start }
+func (it *TableIterator) Reset() { it.next = 0 }

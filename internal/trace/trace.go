@@ -1,8 +1,8 @@
 // Package trace is the structured event trace of a POP execution: a typed,
 // concurrency-safe stream of everything the adaptive machinery decides —
 // optimizations, checkpoint outcomes with their estimate/actual pairs and
-// validity ranges, re-optimizations, plan-cache verdicts, and exchange worker
-// lifecycles. Producers (pop.Runner, its plan cache, the executor) emit
+// validity ranges, re-optimizations, plan-cache verdicts, and per-operator
+// stats. Producers (pop.Runner, its plan cache, the executor) emit
 // events only when a Recorder is attached; with the recorder off the hot path
 // performs no event construction and no allocations, so the default execution
 // path stays bit-identical to an untraced run.
@@ -47,10 +47,10 @@ const (
 	CacheMiss        Kind = "cache_miss"
 	CacheGuardReject Kind = "cache_guard_reject"
 	CacheInvalidate  Kind = "cache_invalidate"
-	// WorkerStart / WorkerDrain bracket one exchange worker's life: start at
-	// launch, drain after its local meter is flushed (payload: Worker).
+	// WorkerStart is never emitted: execution is serial. It is kept only
+	// because the benchmark harness (bench/) still counts it, until ROADMAP
+	// item 8 deletes it.
 	WorkerStart Kind = "worker_start"
-	WorkerDrain Kind = "worker_drain"
 	// OperatorDone reports one plan operator's merged runtime stats after an
 	// attempt finishes, in analyze mode (payload: Op).
 	OperatorDone Kind = "operator_done"
@@ -60,10 +60,6 @@ const (
 	// Without it an abort mid-optimization leaves a dangling optimize_start
 	// and a consumer cannot tell a failed statement from a truncated trace.
 	QueryError Kind = "query_error"
-	// DOPClamp marks an exchange that asked the worker gate for its plan DOP
-	// and was granted less (payload: Sched; Granted 0 means the exchange ran
-	// one DOP-1 worker taken from no pool).
-	DOPClamp Kind = "dop_clamp"
 	// AdmissionWait marks a query that queued for an execution slot before
 	// admission (payload: Sched with WaitNS and the queue depth observed).
 	AdmissionWait Kind = "admission_wait"
@@ -119,23 +115,12 @@ type CacheInfo struct {
 	RangeHi  *float64 `json:"range_hi,omitempty"`
 }
 
-// WorkerInfo is the payload of exchange worker events.
-type WorkerInfo struct {
-	Phase  string  `json:"phase"` // always "gather", the one exchange
-	Worker int     `json:"worker"`
-	DOP    int     `json:"dop"`
-	Rows   float64 `json:"rows,omitempty"` // drain only
-	Work   float64 `json:"work,omitempty"` // drain only: work units this worker charged
-}
-
-// OpInfo is the payload of operator_done: one plan node's merged runtime
-// stats (partition clones already summed).
+// OpInfo is the payload of operator_done: one plan node's runtime stats.
 type OpInfo struct {
 	Op     string  `json:"op"`
 	Est    float64 `json:"est"`
 	Actual float64 `json:"actual"`
 	Work   float64 `json:"work"`
-	DOP    int     `json:"dop,omitempty"`
 	Spill  bool    `json:"spill,omitempty"`
 }
 
@@ -151,14 +136,12 @@ type ErrInfo struct {
 	Error string `json:"error"`
 }
 
-// SchedInfo is the payload of scheduler events: DOP-clamp decisions
-// (Want/Granted) and admission outcomes (WaitNS/Depth/Reason).
+// SchedInfo is the payload of scheduler events: admission outcomes
+// (WaitNS/Depth/Reason).
 type SchedInfo struct {
-	Want    int    `json:"want,omitempty"`
-	Granted int    `json:"granted"`
-	WaitNS  int64  `json:"wait_ns,omitempty"`
-	Depth   int    `json:"depth,omitempty"`
-	Reason  string `json:"reason,omitempty"`
+	WaitNS int64  `json:"wait_ns,omitempty"`
+	Depth  int    `json:"depth,omitempty"`
+	Reason string `json:"reason,omitempty"`
 }
 
 // Event is one trace record. Query is the statement's full-subset signature
@@ -170,19 +153,18 @@ type Event struct {
 	Query   string `json:"query,omitempty"`
 	Attempt int    `json:"attempt"`
 
-	Check  *CheckInfo  `json:"check,omitempty"`
-	Opt    *OptInfo    `json:"opt,omitempty"`
-	Reopt  *ReoptInfo  `json:"reopt,omitempty"`
-	Cache  *CacheInfo  `json:"cache,omitempty"`
-	Worker *WorkerInfo `json:"worker,omitempty"`
-	Op     *OpInfo     `json:"op,omitempty"`
-	Done   *DoneInfo   `json:"done,omitempty"`
-	Err    *ErrInfo    `json:"error,omitempty"`
-	Sched  *SchedInfo  `json:"sched,omitempty"`
+	Check *CheckInfo `json:"check,omitempty"`
+	Opt   *OptInfo   `json:"opt,omitempty"`
+	Reopt *ReoptInfo `json:"reopt,omitempty"`
+	Cache *CacheInfo `json:"cache,omitempty"`
+	Op    *OpInfo    `json:"op,omitempty"`
+	Done  *DoneInfo  `json:"done,omitempty"`
+	Err   *ErrInfo   `json:"error,omitempty"`
+	Sched *SchedInfo `json:"sched,omitempty"`
 }
 
 // Recorder receives events. Implementations must be safe for concurrent use:
-// exchange workers record from their own goroutines. Producers hold a
+// a server's sessions record through one shared recorder. Producers hold a
 // Recorder as a possibly-nil interface and must guard every emission with a
 // nil check — that guard is the whole disabled path.
 type Recorder interface {

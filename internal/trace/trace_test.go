@@ -26,11 +26,8 @@ func sampleEvents() []Event {
 			Cache: &CacheInfo{Key: "k1", GuardSig: "lineitem[l_quantity<=?]", GuardEst: 30000,
 				RangeLo: 100, RangeHi: Float(5000)}},
 		{Kind: CacheInvalidate, Query: "k1", Cache: &CacheInfo{Key: "k1", Plans: 0}},
-		{Kind: WorkerStart, Query: "q1", Attempt: 1, Worker: &WorkerInfo{Phase: "gather", Worker: 2, DOP: 4}},
-		{Kind: WorkerDrain, Query: "q1", Attempt: 1,
-			Worker: &WorkerInfo{Phase: "gather", Worker: 2, DOP: 4, Rows: 512, Work: 77.25}},
 		{Kind: OperatorDone, Query: "q1", Attempt: 1,
-			Op: &OpInfo{Op: "HSJN", Est: 320, Actual: 8000, Work: 94611.5, DOP: 4, Spill: true}},
+			Op: &OpInfo{Op: "HSJN", Est: 320, Actual: 8000, Work: 94611.5, Spill: true}},
 		{Kind: QueryDone, Query: "q1", Attempt: 1, Done: &DoneInfo{Rows: 160, Work: 123456.5, Reopts: 1}},
 	}
 }
@@ -131,7 +128,8 @@ func TestMulti(t *testing.T) {
 }
 
 // TestConcurrentRecord hammers both recorder implementations from many
-// goroutines — the exchange-worker emission pattern — relying on -race in CI.
+// goroutines — concurrent server sessions sharing one sink — relying on -race
+// in CI.
 func TestConcurrentRecord(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
@@ -144,8 +142,8 @@ func TestConcurrentRecord(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.Record(Event{Kind: WorkerDrain, Attempt: w,
-					Worker: &WorkerInfo{Phase: "gather", Worker: w, DOP: workers, Rows: float64(i)}})
+				m.Record(Event{Kind: QueryDone, Attempt: w,
+					Done: &DoneInfo{Rows: i, Work: float64(i)}})
 			}
 		}(w)
 	}
