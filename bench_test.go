@@ -175,7 +175,7 @@ func BenchmarkAblationMVReuse(b *testing.B) {
 		}
 		with = res.Work
 		opts := pop.DefaultOptions()
-		opts.Configure = func(o *optimizer.Optimizer) { o.DisableMVReuse = true }
+		opts.Configure = func(o *optimizer.Optimizer) { o.Views = nil }
 		res, err = pop.NewRunner(cat, opts).Run(q, nil)
 		if err != nil {
 			b.Fatal(err)

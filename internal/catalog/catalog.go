@@ -1,6 +1,5 @@
 // Package catalog holds database metadata: tables, their indexes and
-// statistics, and the registry of temporary materialized views that POP
-// creates from intermediate results during re-optimization (paper §2.3).
+// statistics. It is written only while tables are loaded.
 package catalog
 
 import (
@@ -45,42 +44,15 @@ func (t *Table) Stats(ord int) *stats.ColumnStats {
 	return t.ColStat[ord]
 }
 
-// MatView is a temporary materialized view created from an intermediate
-// result at a CHECK. Its signature identifies the logical content — the set
-// of base tables joined and the canonical text of all predicates applied —
-// which is how the optimizer matches it against subplans during
-// re-optimization. Cardinality is exact, taken from the runtime counter.
-type MatView struct {
-	Signature string
-	Schema    *schema.Schema
-	Cols      []int // query-global column ids of the logical intermediate result
-	// RowCols is the layout Rows were materialized in (nil: Cols). The
-	// executor keeps only the columns still read above a join, so a view of
-	// a join's output holds fewer columns than Cols lists; the optimizer
-	// plans with Cols and an MVSCAN emits RowCols.
-	RowCols []int
-	Rows    []schema.Row
-	Card    float64
-	// Sorted reports that the rows are sorted ascending on OrderedCol (a
-	// query-global column id). A view promoted from a SORT keeps its order,
-	// so re-optimized merge joins can reuse it without re-sorting.
-	Sorted     bool
-	OrderedCol int
-}
-
 // Catalog is the top-level metadata store.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	views  map[string]*MatView
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{
-		tables: make(map[string]*Table),
-		views:  make(map[string]*MatView),
-	}
+	return &Catalog{tables: make(map[string]*Table)}
 }
 
 // CreateTable registers a new empty table with the given schema.
@@ -169,62 +141,6 @@ func (c *Catalog) AnalyzeAll() error {
 		}
 	}
 	return nil
-}
-
-// RegisterView registers a temporary materialized view. A view with the same
-// signature is replaced (the newer snapshot has more complete cardinality).
-func (c *Catalog) RegisterView(v *MatView) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.views[v.Signature] = v
-}
-
-// View returns the temp MV with the given signature, or nil.
-func (c *Catalog) View(signature string) *MatView {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.views[signature]
-}
-
-// DropViews removes every temporary materialized view — the cleanup step at
-// the end of a POP statement (paper Figure 1, "Clean up").
-func (c *Catalog) DropViews() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.views = make(map[string]*MatView)
-}
-
-// DropViewsPrefixed removes the temp MVs whose signature carries the given
-// prefix — one statement's cleanup, leaving concurrent statements' views
-// intact.
-func (c *Catalog) DropViewsPrefixed(prefix string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for sig := range c.views {
-		if strings.HasPrefix(sig, prefix) {
-			delete(c.views, sig)
-		}
-	}
-}
-
-// HasViewsPrefixed reports whether any temp MV's signature carries the given
-// prefix: whether one statement's namespace holds a view to match.
-func (c *Catalog) HasViewsPrefixed(prefix string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for sig := range c.views {
-		if strings.HasPrefix(sig, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// ViewCount returns the number of live temp MVs.
-func (c *Catalog) ViewCount() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.views)
 }
 
 // allColumnValues gathers every value of a column, NULLs included, for the

@@ -105,47 +105,3 @@ func TestAnalyzeTable(t *testing.T) {
 		t.Error("analyze of missing table should error")
 	}
 }
-
-func TestMatViewRegistry(t *testing.T) {
-	c := New()
-	if c.View("sig") != nil {
-		t.Error("empty registry should miss")
-	}
-	v := &MatView{
-		Signature: "sig",
-		Schema:    schema.New(schema.Column{Name: "a", Type: types.KindInt}),
-		Cols:      []int{7},
-		Rows:      []schema.Row{{types.NewInt(1)}},
-		Card:      1,
-	}
-	c.RegisterView(v)
-	if got := c.View("sig"); got != v {
-		t.Error("view lookup failed")
-	}
-	if c.ViewCount() != 1 {
-		t.Error("view count")
-	}
-	// Same signature replaces.
-	v2 := &MatView{Signature: "sig", Card: 2}
-	c.RegisterView(v2)
-	if c.ViewCount() != 1 || c.View("sig").Card != 2 {
-		t.Error("replacement failed")
-	}
-	c.RegisterView(&MatView{Signature: "other"})
-	if c.ViewCount() != 2 {
-		t.Error("views listing")
-	}
-	for prefix, want := range map[string]bool{"": true, "si": true, "oth": true, "x": false, "sigs": false} {
-		if got := c.HasViewsPrefixed(prefix); got != want {
-			t.Errorf("HasViewsPrefixed(%q) = %v, want %v", prefix, got, want)
-		}
-	}
-	c.DropViewsPrefixed("si")
-	if c.HasViewsPrefixed("si") || !c.HasViewsPrefixed("o") {
-		t.Error("HasViewsPrefixed after DropViewsPrefixed")
-	}
-	c.DropViews()
-	if c.ViewCount() != 0 || c.View("sig") != nil {
-		t.Error("drop views failed")
-	}
-}

@@ -666,7 +666,7 @@ func TestWalkAndStats(t *testing.T) {
 
 func TestMVScanExecution(t *testing.T) {
 	cat := fixture(t)
-	// Register an MV matching "emp with e_id < 10" and verify execution
+	// Offer an MV matching "emp with e_id < 10" and verify execution
 	// through an MVSCAN plan returns its rows.
 	b := logical.NewBuilder(cat)
 	b.AddTable("emp", "e")
@@ -679,13 +679,13 @@ func TestMVScanExecution(t *testing.T) {
 	for i := range mvRows {
 		mvRows[i] = schema.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 20)), types.NewFloat(0), types.NewString("x")}
 	}
-	cat.RegisterView(&catalog.MatView{
+	opt := optimizer.New(cat)
+	opt.Views = map[string]*optimizer.MatView{sig: {
 		Signature: sig,
 		Cols:      []int{0, 1, 2, 3},
 		Rows:      mvRows,
 		Card:      10,
-	})
-	opt := optimizer.New(cat)
+	}}
 	plan, err := opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)

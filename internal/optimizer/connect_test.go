@@ -109,7 +109,7 @@ func TestDPEnumeratesConnectedSubsets(t *testing.T) {
 				}
 				o := New(cat)
 				if reopt {
-					o.Feedback = reoptState(t, cat, nq.q)
+					o.Feedback, o.Views = reoptState(t, cat, nq.q)
 				}
 				pl, err := o.newPlanner(nq.q)
 				if err != nil {
@@ -136,7 +136,6 @@ func TestDPEnumeratesConnectedSubsets(t *testing.T) {
 					}
 				}
 				pl.arena.release()
-				cat.DropViews()
 			}
 		}
 	}

@@ -28,7 +28,6 @@ type Optimizer struct {
 	DisableMGJN      bool
 	DisableNLJN      bool
 	DisableIndexJoin bool
-	DisableMVReuse   bool
 
 	// ForceMVReuse makes matching temporary materialized views effectively
 	// free, so the optimizer always reuses them. The POP runner enables it on
@@ -37,10 +36,13 @@ type Optimizer struct {
 	// results after several attempts").
 	ForceMVReuse bool
 
-	// MVNamespace scopes temp-MV lookups to one statement: views are matched
-	// under key MVNamespace+signature, so concurrent statements sharing a
-	// catalog never see each other's intermediate results.
-	MVNamespace string
+	// Views holds the statement's temporary materialized views, keyed by
+	// signature; the optimizer offers a view wherever a table subset's
+	// signature names one. The POP runner sets it to the statement's own map
+	// before Configure runs, so a Configure hook that sets it to nil turns MV
+	// reuse off. Nil or empty, as on every cold compile, matches nothing and
+	// renders no signature for matching.
+	Views map[string]*MatView
 
 	// JoinOrder selects the join-ordering algorithm (see greedy.go). The
 	// default, JoinOrderAuto, is DP up to dpMaxTables tables and the
@@ -132,11 +134,6 @@ type planner struct {
 	// used.
 	pend  []recipe
 	slots []int32
-
-	// views reports that the compile's MV namespace held a view when the
-	// compile began and MV reuse is enabled; without one, matchMV renders
-	// no signature.
-	views bool
 
 	scratch scratch
 	arena   *arena
@@ -304,7 +301,6 @@ func (o *Optimizer) newPlanner(q *logical.Query) (*planner, error) {
 		reach:  make([]uint64, len(tabs)),
 		shapes: make(map[splitKey]*splitShape),
 		slots:  make([]int32, q.NumColumns()+1),
-		views:  !o.DisableMVReuse && o.Cat.HasViewsPrefixed(o.MVNamespace),
 		arena:  arenas.Get().(*arena),
 	}
 	for ti := range tabs {
@@ -544,13 +540,12 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 // matchMV returns an MVSCAN plan if a temporary materialized view matches
 // the subset's signature (paper §2.3: intermediate results are offered to
 // the optimizer as materialized views and chosen only if they win on cost).
-// When the compile's namespace held no view as it began (planner.views), as
-// on every cold compile, nothing can match and no signature is rendered.
+// With no views, as on every cold compile, no signature is rendered.
 func (pl *planner) matchMV(mask uint64) *Plan {
-	if !pl.views {
+	if len(pl.opt.Views) == 0 {
 		return nil
 	}
-	mv := pl.opt.Cat.View(pl.opt.MVNamespace + pl.est.Signature(mask))
+	mv := pl.opt.Views[pl.est.Signature(mask)]
 	if mv == nil {
 		return nil
 	}

@@ -213,45 +213,42 @@ func TestMVMatchingAndCostBasedReuse(t *testing.T) {
 	q := selectiveJoinQuery(t, cat, 2)
 	joinSig := Signature(q, 0b11)
 	// A tiny materialized intermediate result for the whole join.
-	mv := &catalog.MatView{
+	opt := New(cat)
+	opt.Views = map[string]*MatView{joinSig: {
 		Signature: joinSig,
 		Cols:      []int{0, 1, 2, 3, 4},
 		Rows:      []schema.Row{{types.NewInt(0), types.NewString("tag"), types.NewInt(0), types.NewInt(0), types.NewFloat(1)}},
 		Card:      1,
-	}
-	cat.RegisterView(mv)
-	p, err := New(cat).Optimize(q)
+	}}
+	p, err := opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Count(OpMVScan) != 1 {
 		t.Errorf("cheap MV should be reused:\n%s", Explain(p, q))
 	}
-	// Disabled reuse must ignore the MV.
-	opt := New(cat)
-	opt.DisableMVReuse = true
-	p2, err := opt.Optimize(q)
+	// A compile without the view must not plan an MVSCAN.
+	p2, err := New(cat).Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2.Count(OpMVScan) != 0 {
-		t.Error("MV reuse disabled but MVSCAN planned")
+		t.Error("no views offered but MVSCAN planned")
 	}
-	cat.DropViews()
 	// An enormous MV should lose on cost to recomputation.
 	bigRows := make([]schema.Row, 200000)
 	for i := range bigRows {
 		bigRows[i] = schema.Row{types.NewInt(0), types.NewString("t"), types.NewInt(0), types.NewInt(0), types.NewFloat(0)}
 	}
-	cat.RegisterView(&catalog.MatView{Signature: joinSig, Cols: []int{0, 1, 2, 3, 4}, Rows: bigRows, Card: 200000})
-	p3, err := New(cat).Optimize(q)
+	opt = New(cat)
+	opt.Views = map[string]*MatView{joinSig: {Signature: joinSig, Cols: []int{0, 1, 2, 3, 4}, Rows: bigRows, Card: 200000}}
+	p3, err := opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p3.Count(OpMVScan) != 0 {
 		t.Errorf("oversized MV should lose on cost:\n%s", Explain(p3, q))
 	}
-	cat.DropViews()
 }
 
 func TestGreedyEnumerationMatchesDP(t *testing.T) {

@@ -7,9 +7,9 @@ package optimizer
 import (
 	"math"
 
-	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/logical"
+	"repro/internal/schema"
 )
 
 // OpKind enumerates physical plan operators.
@@ -143,6 +143,30 @@ type SortKey struct {
 	Desc bool
 }
 
+// MatView is a temporary materialized view created from an intermediate
+// result at a CHECK. It lives only as long as its statement, in the map the
+// POP runner hands each of the statement's compiles (Optimizer.Views). Its
+// signature identifies the logical content — the set of base tables joined
+// and the canonical text of all predicates applied — which is how the
+// optimizer matches it against subplans during re-optimization. Cardinality
+// is exact, taken from the runtime counter.
+type MatView struct {
+	Signature string
+	Cols      []int // query-global column ids of the logical intermediate result
+	// RowCols is the layout Rows were materialized in (nil: Cols). The
+	// executor keeps only the columns still read above a join, so a view of
+	// a join's output holds fewer columns than Cols lists; the optimizer
+	// plans with Cols and an MVSCAN emits RowCols.
+	RowCols []int
+	Rows    []schema.Row
+	Card    float64
+	// Sorted reports that the rows are sorted ascending on OrderedCol (a
+	// query-global column id). A view promoted from a SORT keeps its order,
+	// so re-optimized merge joins can reuse it without re-sorting.
+	Sorted     bool
+	OrderedCol int
+}
+
 // Plan is a physical query execution plan node. Cols lists the query-global
 // column ids present in this node's output rows, in row order. Card and Cost
 // are the optimizer's estimates; Validity holds the per-input-edge validity
@@ -163,7 +187,7 @@ type Plan struct {
 	IndexOrd               int       // indexed column ordinal for OpIndexScan
 	IndexLo, IndexHi       expr.Expr // sargable bounds (nil = unbounded); equality sets both
 	IndexLoInc, IndexHiInc bool
-	MV                     *catalog.MatView // OpMVScan
+	MV                     *MatView // OpMVScan
 
 	// Predicates, in query-global column ids.
 	Filter expr.Expr // residual filter applied at this node

@@ -3,9 +3,6 @@ package optimizer
 import (
 	"math"
 	"testing"
-
-	"repro/internal/catalog"
-	"repro/internal/stats"
 )
 
 // sameCost is %b-equality: the same bits, or both NaN.
@@ -47,16 +44,14 @@ type joinStep struct {
 // is sized as newPlanner sizes it for a query of five columns, the ids 0–4
 // the cases use. joinOnce fails the test if a settle leaves an index entry
 // set, and returns the last subset's group.
-func joinOnce(t *testing.T, o *Optimizer, steps []joinStep, mv *catalog.MatView) group {
+func joinOnce(t *testing.T, o *Optimizer, steps []joinStep, mv *MatView) group {
 	t.Helper()
 	est := &estimator{subsets: map[uint64]float64{}, sigs: map[uint64]string{}}
 	pl := &planner{opt: o, est: est, best: map[uint64]group{}, slots: make([]int32, 5+1), arena: new(arena)}
 	last := steps[len(steps)-1].s.mask
 	if mv != nil {
-		o.Cat = catalog.New()
-		o.Cat.RegisterView(mv)
+		o.Views = map[string]*MatView{mv.Signature: mv}
 		est.sigs[last] = mv.Signature
-		pl.views = true
 	}
 	for _, st := range steps {
 		est.subsets[st.s.mask] = st.s.outCard
@@ -100,7 +95,7 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 		prior []joinStep // subsets enumerated and settled first, on the same planner
 		s     split
 		outer *Plan
-		mv    *catalog.MatView // a view of the subset, offered after its joins
+		mv    *MatView // a view of the subset, offered after its joins
 		// check is what the case exists for, beyond matching Recost.
 		check func(t *testing.T, m *CostModel, g group)
 	}{
@@ -218,7 +213,7 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 			outer: leaf(100, 300, 2, -1),
 			// Ordered on column id 9, past the index newPlanner sizes for
 			// five columns, as a view of an output column can be.
-			mv: &catalog.MatView{Signature: "mv", Cols: []int{0, 1, 2, 3}, Card: 5, Sorted: true, OrderedCol: 9},
+			mv: &MatView{Signature: "mv", Cols: []int{0, 1, 2, 3}, Card: 5, Sorted: true, OrderedCol: 9},
 			check: func(t *testing.T, m *CostModel, g group) {
 				if len(g) != 3 || g[0].ordered != -1 || g[1].ordered != 4 {
 					t.Fatalf("want the two hash joins' slots (-1, 4) before the view's, got %d plans", len(g))
@@ -274,17 +269,9 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 		cat := w.cat
 		for _, c := range compileConfigs {
 			for _, nq := range w.queries {
-				var fb *stats.Feedback
-				if c.reopt {
-					fb = reoptState(t, cat, nq.q)
-				}
-				dp, opt := New(cat), New(cat)
-				for _, o := range []*Optimizer{dp, opt} {
-					c.cfg(o)
-					o.Feedback = fb
-				}
+				o := c.optimizer(t, cat, nq.q)
 				where := c.name + " " + nq.name
-				pl, err := dp.newPlanner(nq.q)
+				pl, err := o.newPlanner(nq.q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -294,16 +281,15 @@ func TestJoinCostMatchesRecost(t *testing.T) {
 				seen := map[*Plan]bool{}
 				for _, g := range pl.best {
 					for _, p := range g {
-						checkOwnCosts(t, &dp.Model, p, seen, where)
+						checkOwnCosts(t, &o.Model, p, seen, where)
 					}
 				}
 				pl.arena.release()
-				plan, err := opt.Optimize(nq.q)
+				plan, err := o.Optimize(nq.q)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
-				checkOwnCosts(t, &opt.Model, plan, map[*Plan]bool{}, where+" (returned plan)")
-				cat.DropViews()
+				checkOwnCosts(t, &o.Model, plan, map[*Plan]bool{}, where+" (returned plan)")
 			}
 		}
 	}
@@ -323,13 +309,7 @@ func TestBuiltCandidateBudget(t *testing.T) {
 		cat := w.cat
 		for _, c := range withGreedy() {
 			for _, nq := range w.queries {
-				var fb *stats.Feedback
-				if c.reopt {
-					fb = reoptState(t, cat, nq.q)
-				}
-				o := New(cat)
-				c.cfg(o)
-				o.Feedback = fb
+				o := c.optimizer(t, cat, nq.q)
 				pl, _ := chosenJoins(t, o, nq.q)
 				joins := 0
 				for mask, g := range pl.best {
@@ -346,7 +326,6 @@ func TestBuiltCandidateBudget(t *testing.T) {
 					t.Errorf("%s %s: %d joins built, the groups hold %d", c.name, nq.name, pl.built, joins)
 				}
 				pl.arena.release()
-				cat.DropViews()
 			}
 		}
 	}

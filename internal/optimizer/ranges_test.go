@@ -75,11 +75,10 @@ func compileWorkloads(t *testing.T) []compileWorkload {
 	return []compileWorkload{{dcat, dmvQs}, {tcat, tpchQs}}
 }
 
-// reoptState puts the catalog and a feedback cache into the state a violated
-// attempt of q leaves behind: an actual for every base table and join subset
-// of the cold plan, far from its estimate, and the lowest join's result
-// registered as a temp MV.
-func reoptState(t *testing.T, cat *catalog.Catalog, q *logical.Query) *stats.Feedback {
+// reoptState returns the feedback and temp MVs a violated attempt of q
+// leaves behind: an actual for every base table and join subset of the cold
+// plan, far from its estimate, and the lowest join's result as a view.
+func reoptState(t *testing.T, cat *catalog.Catalog, q *logical.Query) (*stats.Feedback, map[string]*MatView) {
 	t.Helper()
 	cold, err := New(cat).Optimize(q)
 	if err != nil {
@@ -96,14 +95,12 @@ func reoptState(t *testing.T, cat *catalog.Catalog, q *logical.Query) *stats.Fee
 			lowest = p
 		}
 	})
+	views := map[string]*MatView{}
 	if lowest != nil {
-		cat.RegisterView(&catalog.MatView{
-			Signature: Signature(q, lowest.tables),
-			Cols:      lowest.Cols,
-			Card:      7*lowest.Card + 3,
-		})
+		sig := Signature(q, lowest.tables)
+		views[sig] = &MatView{Signature: sig, Cols: lowest.Cols, Card: 7*lowest.Card + 3}
 	}
-	return fb
+	return fb, views
 }
 
 // compileConfig is an optimizer configuration the enumeration tests compile
@@ -119,6 +116,17 @@ var compileConfigs = []compileConfig{
 	{"default", false, func(*Optimizer) {}},
 	{"noHSJN", false, func(o *Optimizer) { o.DisableHSJN = true }},
 	{"reopt", true, func(*Optimizer) {}},
+}
+
+// optimizer returns an optimizer over cat under c; under reopt it compiles q
+// with the feedback and views of reoptState.
+func (c compileConfig) optimizer(t *testing.T, cat *catalog.Catalog, q *logical.Query) *Optimizer {
+	o := New(cat)
+	c.cfg(o)
+	if c.reopt {
+		o.Feedback, o.Views = reoptState(t, cat, q)
+	}
+	return o
 }
 
 // withGreedy is compileConfigs plus the greedy chain.
@@ -180,13 +188,7 @@ func TestRangesMeetEveryCandidate(t *testing.T) {
 		for _, c := range withGreedy() {
 			bounded, mvScans, joins := 0, 0, 0
 			for _, nq := range queries {
-				var fb *stats.Feedback
-				if c.reopt {
-					fb = reoptState(t, cat, nq.q)
-				}
-				o := New(cat)
-				c.cfg(o)
-				o.Feedback = fb
+				o := c.optimizer(t, cat, nq.q)
 				where := c.name + " " + nq.name
 				got, err := o.Optimize(nq.q)
 				if err != nil {
@@ -226,13 +228,12 @@ func TestRangesMeetEveryCandidate(t *testing.T) {
 					t.Errorf("%s: narrowChosen's ranges differ from the per-join pass\nnarrowChosen:\n%s\nper join:\n%s", where, g, w)
 				}
 				pl.arena.release()
-				cat.DropViews()
 			}
 			if joins == 0 || bounded == 0 {
 				t.Errorf("%s: %d joins and no bounded validity range in %d plans; the pass is vacuous", c.name, joins, len(queries))
 			}
 			if c.reopt && mvScans == 0 {
-				t.Errorf("%s: no plan reused the registered temp MV", c.name)
+				t.Errorf("%s: no plan reused the offered temp MV", c.name)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/expr"
-	"repro/internal/stats"
 )
 
 // splitVisit is one (outer subset, inner table) split.
@@ -114,11 +113,7 @@ func shapeDiff(got, want *splitShape) string {
 // without hash joins, without index and merge joins, and in a
 // re-optimization state.
 func TestSplitShapesMatchFresh(t *testing.T) {
-	configs := []struct {
-		name  string
-		reopt bool
-		cfg   func(*Optimizer)
-	}{
+	configs := []compileConfig{
 		{"default", false, func(*Optimizer) {}},
 		{"noHSJN", false, func(o *Optimizer) { o.DisableHSJN = true }},
 		{"noIndexJoin+noMGJN", false, func(o *Optimizer) { o.DisableIndexJoin, o.DisableMGJN = true, true }},
@@ -141,13 +136,7 @@ func TestSplitShapesMatchFresh(t *testing.T) {
 					if n < 2 {
 						continue
 					}
-					var fb *stats.Feedback
-					if c.reopt {
-						fb = reoptState(t, cat, nq.q)
-					}
-					o := New(cat)
-					c.cfg(o)
-					o.Feedback = fb
+					o := c.optimizer(t, cat, nq.q)
 					where := c.name + " " + e.name + " " + nq.name
 					pl, err := o.newPlanner(nq.q)
 					if err != nil {
@@ -169,7 +158,6 @@ func TestSplitShapesMatchFresh(t *testing.T) {
 					visits += len(splits)
 					shapes += derived
 					pl.arena.release()
-					cat.DropViews()
 				}
 				t.Logf("%s %s: %d splits checked, %d shapes derived by the enumeration", c.name, e.name, visits, shapes)
 			}

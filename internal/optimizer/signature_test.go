@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/logical"
@@ -93,32 +91,26 @@ func TestSignatureMemoMatchesExported(t *testing.T) {
 
 // TestSignatureSkipIsExact: a compile whose feedback cache was empty when it
 // began renders no signature for feedback (estimator.feedbackCard), and one
-// whose MV namespace held no view renders none for MV matching
-// (planner.views). Neither may move a plan. Over every workload query under
-// compileConfigs, compiling with no feedback cache, with an empty one, and
-// with an empty one while a one-row view of every node of the first plan's
-// join tree sits in another namespace gives %b-identical plans, ranges and
-// EnumeratedCandidates. Under the reopt configuration all three compiles use
-// the re-optimization's feedback, which is not empty, so only the foreign
-// views vary. A view in the compile's own namespace is still offered: with
-// empty feedback and ForceMVReuse, a view of the whole join is what the
-// compile scans. Throughout, another goroutine registers and drops views in
-// a third namespace, as concurrent statements sharing the catalog do.
+// offered no views renders none for MV matching (matchMV). Neither may move a
+// plan: over every workload query under compileConfigs, compiling with no
+// feedback cache and with an empty one gives %b-identical plans, ranges and
+// EnumeratedCandidates. Under the reopt configuration both compiles use the
+// re-optimization's feedback and views. An offered view is still matched:
+// with empty feedback and ForceMVReuse, a view of the whole join is what the
+// compile scans.
 func TestSignatureSkipIsExact(t *testing.T) {
-	const own, other, churn = "stmt/", "other/", "churn/"
 	for _, w := range compileWorkloads(t) {
 		cat := w.cat
-		stop := churnViews(t, cat, churn)
 		for _, c := range compileConfigs {
 			for _, nq := range w.queries {
 				where := c.name + " " + nq.name
 				// compile returns the plan and its text: candidates, then
 				// every field and range in %b.
-				compile := func(fb *stats.Feedback, force bool) (*Plan, string) {
+				compile := func(fb *stats.Feedback, views map[string]*MatView, force bool) (*Plan, string) {
 					t.Helper()
 					o := New(cat)
 					c.cfg(o)
-					o.Feedback, o.MVNamespace, o.ForceMVReuse = fb, own, force
+					o.Feedback, o.Views, o.ForceMVReuse = fb, views, force
 					p, err := o.Optimize(nq.q)
 					if err != nil {
 						t.Fatalf("%s: %v", where, err)
@@ -126,33 +118,24 @@ func TestSignatureSkipIsExact(t *testing.T) {
 					return p, fmt.Sprintf("candidates=%d\n%s", o.EnumeratedCandidates, planText(p))
 				}
 				var noFB, emptyFB *stats.Feedback = nil, stats.NewFeedback()
+				var views map[string]*MatView
 				if c.reopt {
-					noFB = reoptState(t, cat, nq.q)
+					noFB, views = reoptState(t, cat, nq.q)
 					emptyFB = noFB
 				}
-				first, want := compile(noFB, false)
-				if _, got := compile(emptyFB, false); got != want {
+				first, want := compile(noFB, views, false)
+				if _, got := compile(emptyFB, views, false); got != want {
 					t.Errorf("%s: empty feedback moved the plan\nno feedback:\n%s\nempty:\n%s", where, want, got)
 				}
 				var root *Plan // the top of the first plan's join tree
 				first.Walk(func(p *Plan) {
-					if len(p.Children) == 1 {
-						return // enforcers and the operators above the join tree
+					if root == nil && len(p.Children) != 1 {
+						root = p // skip enforcers and the operators above the join tree
 					}
-					if root == nil {
-						root = p
-					}
-					cat.RegisterView(&catalog.MatView{Signature: other + Signature(nq.q, p.tables), Cols: p.Cols, Card: 1})
 				})
-				if _, got := compile(emptyFB, false); got != want {
-					t.Errorf("%s: views in another namespace moved the plan\nwithout:\n%s\nwith:\n%s", where, want, got)
-				}
-				cat.DropViewsPrefixed(other)
-				cat.DropViewsPrefixed("T{") // reoptState's, registered with no namespace
-
-				sig := own + Signature(nq.q, root.tables)
-				cat.RegisterView(&catalog.MatView{Signature: sig, Cols: root.Cols, Card: root.Card})
-				p, _ := compile(stats.NewFeedback(), true)
+				sig := Signature(nq.q, root.tables)
+				own := map[string]*MatView{sig: {Signature: sig, Cols: root.Cols, Card: root.Card}}
+				p, _ := compile(stats.NewFeedback(), own, true)
 				var scanned []string
 				p.Walk(func(n *Plan) {
 					if n.Op == OpMVScan {
@@ -162,40 +145,7 @@ func TestSignatureSkipIsExact(t *testing.T) {
 				if len(scanned) != 1 || scanned[0] != sig {
 					t.Errorf("%s: with a view of its whole join under ForceMVReuse, the plan scans %q, want [%s]", where, scanned, sig)
 				}
-				cat.DropViewsPrefixed(own)
 			}
 		}
-		stop()
 	}
-}
-
-// churnViews registers and drops views under prefix in cat from another
-// goroutine until stop is called or the test ends; stop waits for the
-// goroutine to exit and drops what it left.
-func churnViews(t *testing.T, cat *catalog.Catalog, prefix string) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			cat.RegisterView(&catalog.MatView{Signature: fmt.Sprintf("%s%d", prefix, i%8), Card: 1})
-			if i%8 == 7 {
-				cat.DropViewsPrefixed(prefix)
-			}
-			time.Sleep(100 * time.Microsecond) // pace it, so that it does not take a CPU from the compiles
-		}
-	}()
-	stop = sync.OnceFunc(func() {
-		close(done)
-		wg.Wait()
-		cat.DropViewsPrefixed(prefix)
-	})
-	t.Cleanup(stop)
-	return stop
 }

@@ -6,10 +6,9 @@ import (
 )
 
 // TestConcurrentStatements runs many POP statements in parallel over one
-// shared catalog. Each statement re-optimizes and registers temp MVs; the
-// per-statement MV namespaces must keep them from observing (or dropping)
-// each other's intermediates, and every result must match the serial
-// baseline.
+// shared catalog. Each statement re-optimizes exactly once over its own temp
+// MVs, which no other statement sees, and every result must match the
+// serial baseline.
 func TestConcurrentStatements(t *testing.T) {
 	cat := correlatedFixture(t)
 	q := correlatedQuery(t, cat)
@@ -49,8 +48,5 @@ func TestConcurrentStatements(t *testing.T) {
 		if reopts[w] != 1 {
 			t.Errorf("worker %d re-optimized %d times, want 1 (no cross-statement MV leakage)", w, reopts[w])
 		}
-	}
-	if cat.ViewCount() != 0 {
-		t.Errorf("%d temp MVs leaked after all statements finished", cat.ViewCount())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -18,8 +17,6 @@ var updateExecIdentity = flag.Bool("update-exec-identity", false,
 	"rewrite testdata/exec_identity.golden from the current executor")
 
 const execIdentityGolden = "testdata/exec_identity.golden"
-
-var stmtCounter = regexp.MustCompile(`stmt\d+/`)
 
 // execLine runs one statement through the POP loop with EXPLAIN ANALYZE on and
 // renders everything about the execution that must not depend on how rows
@@ -42,8 +39,7 @@ func execLine(t *testing.T, key string, cat *catalog.Catalog, q *logical.Query, 
 		}
 		writeAttempt(&analyze, i, a, q)
 	}
-	// Temp-MV names embed a process-wide statement counter.
-	text := stmtCounter.ReplaceAllString(analyze.String(), "stmt#/")
+	text := analyze.String()
 	rows := strings.Join(canon(res.Rows), "\n")
 	return fmt.Sprintf("%s work=%s reopts=%d viol=%v rows=%d/%x analyze=%x",
 		key, work, res.Reopts, viol, len(res.Rows),

@@ -37,10 +37,7 @@ func exactPlan(b *strings.Builder, p *optimizer.Plan, depth int) {
 		fmt.Fprintf(b, " jp=%s", p.JoinPred)
 	}
 	if p.MV != nil {
-		// The statement namespace prefix is a process-wide counter; the
-		// signature proper starts at "T{".
-		sig := p.MV.Signature
-		fmt.Fprintf(b, " mv=%s sorted=%t/%d", sig[strings.Index(sig, "T{"):], p.MV.Sorted, p.MV.OrderedCol)
+		fmt.Fprintf(b, " mv=%s sorted=%t/%d", p.MV.Signature, p.MV.Sorted, p.MV.OrderedCol)
 	}
 	for i := range p.Children {
 		v := p.EdgeValidity(i)

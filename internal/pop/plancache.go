@@ -381,7 +381,7 @@ func (r *Runner) recache(c *cacheRun, q *logical.Query, params []types.Datum) er
 			})
 		}
 	}
-	opt := r.newOptimizer(c.entry.Feedback)
+	opt := r.newOptimizer(c.entry.Feedback, nil)
 	if len(params) > 0 {
 		opt.ParamBindings = params
 	}

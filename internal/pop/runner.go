@@ -3,7 +3,6 @@ package pop
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/executor"
@@ -119,18 +118,16 @@ func NewRunner(cat *catalog.Catalog, opts Options) *Runner {
 	return &Runner{Cat: cat, Opts: opts}
 }
 
-func (r *Runner) newOptimizer(fb *stats.Feedback) *optimizer.Optimizer {
+// newOptimizer returns an optimizer over the statement's feedback and temp
+// MVs, customized by Options.Configure.
+func (r *Runner) newOptimizer(fb *stats.Feedback, views map[string]*optimizer.MatView) *optimizer.Optimizer {
 	opt := optimizer.New(r.Cat)
-	opt.Feedback = fb
+	opt.Feedback, opt.Views = fb, views
 	if r.Opts.Configure != nil {
 		r.Opts.Configure(opt)
 	}
 	return opt
 }
-
-// statementCounter allocates distinct temp-MV namespaces so concurrent
-// statements sharing a catalog never observe each other's intermediates.
-var statementCounter atomic.Uint64
 
 // fail closes a failed statement's event stream with a terminal query_error
 // before propagating the error. Every abort path goes through it so the trace
@@ -175,9 +172,9 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 	side := executor.NewReturnedSet()
 	res := &Result{}
 	pol := r.Opts.Policy
-	ns := fmt.Sprintf("stmt%d/", statementCounter.Add(1))
-	// Paper Fig. 1: clean up this statement's temp MVs at statement end.
-	defer r.Cat.DropViewsPrefixed(ns)
+	// The statement's temp MVs. Paper Fig. 1's clean up is this map going
+	// out of scope when the statement ends.
+	views := map[string]*optimizer.MatView{}
 
 	// With BindParamEstimates, feedback and checkpoint signatures render the
 	// bound query so parameter-dependent observations stay scoped to this
@@ -200,8 +197,7 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 		if tr != nil {
 			tr.attempt = attempt
 		}
-		opt := r.newOptimizer(fb)
-		opt.MVNamespace = ns
+		opt := r.newOptimizer(fb, views)
 		if bind && len(params) > 0 {
 			opt.ParamBindings = params
 		}
@@ -317,7 +313,7 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 			tr.Record(trace.Event{Kind: trace.CheckpointViolated,
 				Check: executor.CheckEventInfo(cv.Check, cv.Actual, cv.Exact)})
 		}
-		info.MVsCreated, info.FeedbackN = r.harvest(ex, root, sigQ, fb, cv, ns)
+		info.MVsCreated, info.FeedbackN = harvest(ex, root, sigQ, fb, cv, views)
 		res.Attempts = append(res.Attempts, info)
 		res.Reopts++
 		if tr != nil {
@@ -352,7 +348,9 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 // and completed materializations are promoted to temporary materialized
 // views with exact cardinalities. A view records the layout its rows were
 // materialized in (ex.RowCols), which is narrower than Cols above a join.
-func (r *Runner) harvest(ex *executor.Executor, root executor.Node, q *logical.Query, fb *stats.Feedback, cv *executor.CheckViolation, ns string) (mvs, fbn int) {
+// Views land in the statement's map, keyed by signature; a newer view of the
+// same signature replaces the older.
+func harvest(ex *executor.Executor, root executor.Node, q *logical.Query, fb *stats.Feedback, cv *executor.CheckViolation, views map[string]*optimizer.MatView) (mvs, fbn int) {
 	// The violated checkpoint's observation: for eager checks this is a
 	// lower bound, which still guarantees a plan change because the bound
 	// already exceeds the validity range (paper §3.4).
@@ -380,8 +378,8 @@ func (r *Runner) harvest(ex *executor.Executor, root executor.Node, q *logical.Q
 				if rows, done := m.Materialized(); done {
 					fb.Record(sig, float64(len(rows)))
 					fbn++
-					mv := &catalog.MatView{
-						Signature: ns + sig,
+					mv := &optimizer.MatView{
+						Signature: sig,
 						Cols:      append([]int(nil), p.Cols...),
 						RowCols:   ex.RowCols(p),
 						Rows:      rows,
@@ -391,7 +389,7 @@ func (r *Runner) harvest(ex *executor.Executor, root executor.Node, q *logical.Q
 						mv.Sorted = true
 						mv.OrderedCol = p.SortKeys[0].Col
 					}
-					r.Cat.RegisterView(mv)
+					views[sig] = mv
 					mvs++
 				}
 			}
