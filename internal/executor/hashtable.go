@@ -20,19 +20,29 @@ type hashTable struct {
 	shift  uint     // 64 - log2(len(slots))
 }
 
-// reset empties the table and sizes it for hint entries.
+// reset empties the table and sizes it for hint entries. It keeps the
+// arrays of an earlier use that are large enough.
 func (t *hashTable) reset(hint int) {
 	size := 8
 	for size < 2*hint {
 		size <<= 1
 	}
-	t.hashes = make([]uint64, 0, hint)
+	if cap(t.hashes) < hint {
+		t.hashes = make([]uint64, 0, hint)
+	}
+	t.hashes = t.hashes[:0]
 	t.rehash(size)
 }
 
 // rehash re-seats every entry in size slots, a power of two.
 func (t *hashTable) rehash(size int) {
-	t.slots, t.shift = make([]int32, size), uint(64-bits.TrailingZeros(uint(size)))
+	if cap(t.slots) < size {
+		t.slots = make([]int32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
 	for e, h := range t.hashes {
 		p := t.home(h)
@@ -82,16 +92,28 @@ func (t *hashTable) insert(h uint64, pos int) int {
 	return e
 }
 
-// keyHash folds row's key columns into one hash. A NULL key joins nothing, so
-// for a join it stops the fold and reports false; grouping folds NULL like any
-// other value.
+// keyHash folds row's key columns into one hash that agrees with the
+// equality its user tests keys with. A join tests Compare, which equates int
+// 5, float 5.0 and date 5, and −0.0 with +0.0, so a numeric join key folds as
+// its float64 value; grouping tests Equal, which tells kinds apart, so only a
+// float's −0 folds as +0. NaN, which Compare calls equal to every number, is
+// not covered. A NULL key joins nothing, so for a join it stops the fold and
+// reports false; grouping folds NULL like any other value.
 func (e *Executor) keyHash(row schema.Row, keys []int, grouping bool) (uint64, bool) {
 	h := types.HashSeed
 	for _, k := range keys {
-		if !grouping && row[k].IsNull() {
+		d := row[k]
+		switch {
+		case !grouping && d.IsNull():
 			return 0, false
+		case d.Kind() == types.KindFloat || !grouping && d.Kind().Numeric():
+			f := d.Float()
+			if f == 0 {
+				f = 0 // −0 folds as +0
+			}
+			d = types.NewFloat(f)
 		}
-		h = row[k].HashFold(h)
+		h = d.HashFold(h)
 	}
 	return h &^ e.hashDrop, true
 }
@@ -99,30 +121,34 @@ func (e *Executor) keyHash(row schema.Row, keys []int, grouping bool) (uint64, b
 // joinTable is a hash join's build side. An entry is one distinct key hash
 // and owns the run rows[bounds[e]:bounds[e+1]] of one row arena, in
 // build-input order. Rows whose keys only share a hash share a run, so the
-// probe key-checks every candidate.
+// probe key-checks every candidate. A table's arrays are kept across builds
+// (buildMem), and each build reuses those large enough.
 type joinTable struct {
 	hashTable
-	bounds []int32
-	rows   []schema.Row
+	bounds  []int32
+	rows    []schema.Row
+	entries []int32 // build row i's entry, or -1 for a NULL key; build's scratch
 }
 
 // build fills the table from build rows and leaves the rows with a NULL key
-// out. It counts each hash's rows, lays the runs out in entry order and
-// places the rows back to front, so every run keeps the input order; each
-// pass hashes the keys again instead of keeping the hashes.
+// out. It counts each hash's rows, noting each row's entry, lays the runs
+// out in entry order and places the rows back to front, so every run keeps
+// the input order.
 func (t *joinTable) build(e *Executor, keys []int, rows []schema.Row) {
 	t.reset(len(rows))
-	t.bounds = make([]int32, 0, len(rows)+1)
+	t.bounds = grow(t.bounds, len(rows)+1)[:0]
+	t.entries = grow(t.entries, len(rows))[:0]
 	for _, row := range rows {
+		i := -1
 		if h, ok := e.keyHash(row, keys, false); ok {
 			pos := t.home(h)
-			i := t.next(h, &pos)
-			if i < 0 {
+			if i = t.next(h, &pos); i < 0 {
 				i = t.insert(h, pos)
 				t.bounds = append(t.bounds, 0)
 			}
 			t.bounds[i]++
 		}
+		t.entries = append(t.entries, int32(i))
 	}
 	end := int32(0)
 	for i, c := range t.bounds {
@@ -130,14 +156,22 @@ func (t *joinTable) build(e *Executor, keys []int, rows []schema.Row) {
 		t.bounds[i] = end
 	}
 	t.bounds = append(t.bounds, end)
-	t.rows = make([]schema.Row, end)
+	t.rows = grow(t.rows, int(end))
 	for i := len(rows) - 1; i >= 0; i-- {
-		if h, ok := e.keyHash(rows[i], keys, false); ok {
-			k := t.find(h)
+		if k := t.entries[i]; k >= 0 {
 			t.bounds[k]--
 			t.rows[t.bounds[k]] = rows[i]
 		}
 	}
+}
+
+// grow returns s at length n, on its own array when that holds n elements.
+// The elements are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // bucket returns the build rows whose key hash is h.

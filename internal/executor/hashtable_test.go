@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -99,27 +100,37 @@ func checkTablesAgainstMaps(t testing.TB, keys []byte, drop uint64, card float64
 	}
 }
 
-// TestHashTableDifferential runs random key sequences — few distinct keys,
-// many, NULLs, and group estimates far off either way — against the maps.
+// foldAs is the datum keyHash folds in d's place: for a join, a numeric key
+// as a float of its value; for both, a float's −0 as +0.
+func foldAs(d types.Datum, grouping bool) types.Datum {
+	if d.Kind() == types.KindFloat || !grouping && d.Kind().Numeric() {
+		if f := d.Float(); f != 0 {
+			return types.NewFloat(f)
+		}
+		return types.NewFloat(0)
+	}
+	return d
+}
+
 // TestKeyHashMatchesFoldChain pins keyHash, which folds key columns in
-// place, to the HashFold chain from HashSeed with the dropped bits cleared:
-// one and two key columns, every kind, NULL keys skipped by a join and folded
-// by grouping.
+// place, to the HashFold chain from HashSeed over foldAs with the dropped
+// bits cleared: one and two key columns, every kind, NULL keys skipped by a
+// join and folded by grouping.
 func TestKeyHashMatchesFoldChain(t *testing.T) {
 	datums := []types.Datum{types.Null, types.NewBool(true), types.NewInt(-7), types.NewFloat(2.5),
-		types.NewString("key"), types.NewDate(12000)}
+		types.NewString("key"), types.NewDate(12000), types.NewFloat(math.Copysign(0, -1))}
 	for _, drop := range hashDrops {
 		e := &Executor{hashDrop: drop}
 		for _, a := range datums {
 			for _, b := range datums {
 				row := schema.Row{a, types.NewInt(0), b}
 				for _, keys := range [][]int{{0}, {2}, {2, 0}} {
-					want, null := types.HashSeed, false
-					for _, k := range keys {
-						want, null = row[k].HashFold(want), null || row[k].IsNull()
-					}
-					want &^= drop
 					for _, grouping := range []bool{false, true} {
+						want, null := types.HashSeed, false
+						for _, k := range keys {
+							want, null = foldAs(row[k], grouping).HashFold(want), null || row[k].IsNull()
+						}
+						want &^= drop
 						h, ok := e.keyHash(row, keys, grouping)
 						if wantOK := grouping || !null; ok != wantOK || (ok && h != want) {
 							t.Errorf("drop %x keys %v of %v grouping=%v: (%x, %v), want (%x, %v)",
@@ -132,6 +143,37 @@ func TestKeyHashMatchesFoldChain(t *testing.T) {
 	}
 }
 
+// TestKeyHashAgreesWithEquality: keys a join's Compare calls equal hash
+// alike as join keys — int, float and date of one value, −0 and +0 — and
+// keys grouping's Equal calls equal hash alike as grouping keys.
+func TestKeyHashAgreesWithEquality(t *testing.T) {
+	negZero := types.NewFloat(math.Copysign(0, -1))
+	datums := []types.Datum{types.NewBool(false), types.NewBool(true), types.NewString(""), types.NewString("5"),
+		negZero, types.NewFloat(0), types.NewInt(0), types.NewDate(0),
+		types.NewFloat(5), types.NewInt(5), types.NewDate(5), types.NewFloat(5.5), types.NewInt(-5),
+		types.NewFloat(-5), types.NewInt(1 << 53), types.NewInt(1<<53 + 1), types.NewFloat(1 << 53)}
+	e := &Executor{}
+	hash := func(d types.Datum, grouping bool) uint64 {
+		h, _ := e.keyHash(schema.Row{d}, []int{0}, grouping)
+		return h
+	}
+	for _, a := range datums {
+		for _, b := range datums {
+			if c, err := a.Compare(b); err == nil && c == 0 && hash(a, false) != hash(b, false) {
+				t.Errorf("join keys %v (%s) and %v (%s) compare equal but hash apart", a, a.Kind(), b, b.Kind())
+			}
+			if a.Equal(b) && hash(a, true) != hash(b, true) {
+				t.Errorf("grouping keys %v (%s) and %v (%s) are equal but hash apart", a, a.Kind(), b, b.Kind())
+			}
+		}
+	}
+	if hash(types.NewInt(5), true) == hash(types.NewFloat(5), true) {
+		t.Error("grouping hashes int 5 and float 5.0 alike; Equal tells them apart")
+	}
+}
+
+// TestHashTableDifferential runs random key sequences — few distinct keys,
+// many, NULLs, and group estimates far off either way — against the maps.
 func TestHashTableDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 200; iter++ {
@@ -258,7 +300,8 @@ func TestHashOperatorsUnderCollisions(t *testing.T) {
 
 // TestHashJoinBuildKeepsNullKeys: a NULL build key joins nothing, so the
 // table leaves the row out, but the build edge still counts every row (the
-// staging charge reads that count).
+// staging charge reads that count). The table is read before Close, which
+// returns it to the pool.
 func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 	build := []types.Datum{types.Null, types.NewInt(1), types.NewInt(2), types.Null, types.NewInt(1)}
 	probe := ints(1, 2, 3)
@@ -290,13 +333,6 @@ func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Run(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Errorf("%d rows, want 3", len(rows))
-	}
 	var join *hsjnNode
 	Walk(root, func(n Node) {
 		if j, ok := n.(*hsjnNode); ok {
@@ -306,11 +342,34 @@ func TestHashJoinBuildKeepsNullKeys(t *testing.T) {
 	if join == nil {
 		t.Fatalf("no hash join in plan:\n%s", optimizer.Explain(plan, q))
 	}
+	if err := root.Open(); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for {
+		b, err := root.NextBatch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		rows += b.Len()
+	}
+	if inTable := len(join.mem.table.rows); inTable != 3 {
+		t.Errorf("the table holds %d rows, want the 3 keyed ones", inTable)
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 3 {
+		t.Errorf("%d rows, want 3", rows)
+	}
 	if st := join.Children()[1].Stats(); !st.Done || st.RowsOut != float64(len(build)) {
 		t.Errorf("build edge counted %v rows (done %v), want all %d", st.RowsOut, st.Done, len(build))
 	}
-	if inTable := len(join.table.rows); inTable != 3 {
-		t.Errorf("the table holds %d rows, want the 3 keyed ones", inTable)
+	if join.mem != nil {
+		t.Error("Close kept the build memory")
 	}
 }
 

@@ -2,11 +2,13 @@ package executor
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/types"
 )
 
 // joinOutput is what every join does with an input pair: it tests the
@@ -293,7 +295,7 @@ func (n *nljnNode) Close() error { return n.closeChildren() }
 // (children[1]) on Open, then streams the probe child. Builds larger than
 // the memory budget simulate grace-hash staging by charging spill work for
 // every build and probe row per extra stage — the cost cliff the validity
-// analysis must cope with.
+// analysis must cope with. The build lives in mem, held from Open to Close.
 type hsjnNode struct {
 	base
 	ex        *Executor
@@ -302,7 +304,7 @@ type hsjnNode struct {
 	buildKeys []int // positions in build rows
 	join      joinOutput
 
-	table      joinTable
+	mem        *buildMem
 	spillExtra float64 // extra work charged per probe row
 	// curBucket/curIdx cursor over the current probe row's hash bucket:
 	// match candidates are key-checked lazily at emission, so no per-probe
@@ -315,10 +317,83 @@ type hsjnNode struct {
 	out    *Batch // reusable output batch
 	probeT int64  // pre-scaled per-probe-row charge
 	outT   int64  // pre-scaled per-output-row charge
+}
 
-	// buildRows is the drained build input the hash table is built from, kept
-	// across re-opens to reuse its backing array.
-	buildRows []schema.Row
+// buildMem is a hash join's build memory: its table, the drained build rows
+// and the chunks its ephemeral build rows are copied into. A join takes one
+// from buildMems in Open and returns it in Close, so a stream of executions
+// of a cached plan reuses the same arrays instead of making them anew. No
+// row of it is handed upward: emit copies every output row into the join's
+// own batch, so nothing outlives Close holding build memory.
+type buildMem struct {
+	table  joinTable
+	rows   []schema.Row
+	copies rowArena
+}
+
+var buildMems = sync.Pool{New: func() any { return new(buildMem) }}
+
+// clear empties m for the next build, dropping every row and datum it
+// referenced so that a pooled buildMem keeps no string or row alive.
+func (m *buildMem) clear() {
+	clear(m.rows)
+	m.rows = m.rows[:0]
+	clear(m.table.rows)
+	m.table.rows = m.table.rows[:0]
+	m.copies.reset()
+}
+
+// rowArena copies ephemeral rows into chunks it keeps for reuse, the way the
+// optimizer's slab carves its arena.
+type rowArena struct {
+	chunks [][]types.Datum // each chunk's length is its carved part
+	cur    int             // the chunk carving continues in
+}
+
+// arenaChunk is the least number of datums a rowArena chunk holds.
+const arenaChunk = 1024
+
+// keep appends b's rows to dst: stable rows by reference, ephemeral ones
+// copied into the arena, one carve per batch.
+func (a *rowArena) keep(dst []schema.Row, b *Batch) []schema.Row {
+	if !b.ephemeral {
+		return append(dst, b.Rows...)
+	}
+	total := 0
+	for _, r := range b.Rows {
+		total += len(r)
+	}
+	backing, off := a.take(total), 0
+	for _, r := range b.Rows {
+		nr := backing[off : off+len(r) : off+len(r)]
+		copy(nr, r)
+		dst = append(dst, schema.Row(nr))
+		off += len(r)
+	}
+	return dst
+}
+
+// take carves n datums, from the first chunk with room from the current on.
+func (a *rowArena) take(n int) []types.Datum {
+	for ; a.cur < len(a.chunks); a.cur++ {
+		if c := a.chunks[a.cur]; cap(c)-len(c) >= n {
+			a.chunks[a.cur] = c[:len(c)+n]
+			return c[len(c) : len(c)+n]
+		}
+	}
+	c := make([]types.Datum, n, max(n, arenaChunk))
+	a.chunks = append(a.chunks, c)
+	return c
+}
+
+// reset zeroes the carved part of every chunk and starts carving again from
+// the first.
+func (a *rowArena) reset() {
+	for i, c := range a.chunks {
+		clear(c)
+		a.chunks[i] = c[:0]
+	}
+	a.cur = 0
 }
 
 func (e *Executor) buildHSJN(p *optimizer.Plan) (Node, error) {
@@ -377,19 +452,19 @@ func keysEqual(a schema.Row, aKeys []int, b schema.Row, bKeys []int) bool {
 
 func (n *hsjnNode) Open() error {
 	n.stats = NodeStats{Opened: true}
-	n.curBucket, n.curIdx = nil, 0
-	n.buildRows = n.buildRows[:0]
+	n.curBucket, n.curIdx, n.curProbe = nil, 0, nil
+	n.mem = buildMems.Get().(*buildMem)
+	m := n.mem
 	pr := &n.ex.Cost
 	if err := n.build.Open(); err != nil {
 		return err
 	}
 	var err error
-	n.buildRows, err = n.drainMaterialize(n.ex, n.build, n.buildRows, pr.HashBuildRow)
-	if err != nil {
+	if m.rows, err = n.drainMaterialize(n.ex, n.build, m.rows, pr.HashBuildRow, m.copies.keep); err != nil {
 		return err
 	}
-	n.table.build(n.ex, n.buildKeys, n.buildRows)
-	n.spillExtra = n.stageBuild(n.ex, len(n.buildRows))
+	m.table.build(n.ex, n.buildKeys, m.rows)
+	n.spillExtra = n.stageBuild(n.ex, len(m.rows))
 	// Pre-scale the per-row charges once per Open; the spill surcharge is part
 	// of the probe charge, rounded to ticks together with it.
 	n.probeT = Ticks(pr.HashProbeRow + n.spillExtra)
@@ -443,13 +518,21 @@ func (n *hsjnNode) fill(b *Batch, max int) (consumed int, err error) {
 		consumed++
 		if h, hasKey := n.ex.keyHash(row, n.probeKeys, false); hasKey {
 			n.curProbe = row
-			n.curBucket, n.curIdx = n.table.bucket(h), 0
+			n.curBucket, n.curIdx = n.mem.table.bucket(h), 0
 		}
 	}
 	return consumed, nil
 }
 
-func (n *hsjnNode) Close() error { return n.closeChildren() }
+// Close returns the build memory to the pool; a second Close finds none.
+func (n *hsjnNode) Close() error {
+	if n.mem != nil {
+		n.mem.clear()
+		buildMems.Put(n.mem)
+		n.mem = nil
+	}
+	return n.closeChildren()
+}
 
 // mgjnNode merges two inputs sorted ascending on their single join keys,
 // buffering duplicate groups on the right.

@@ -3,7 +3,7 @@ package executor
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/logical"
@@ -110,16 +110,17 @@ func (c *rowCursor) next(n *base, e *Executor, max int, perRow float64) (*Batch,
 }
 
 // drainMaterialize absorbs a materializing operator's entire input into
-// dst, charging perRow work units for every row: each absorbed batch costs
-// one meter operation and O(1) copy allocations.
-func (b *base) drainMaterialize(e *Executor, child Node, dst []schema.Row, perRow float64) ([]schema.Row, error) {
+// dst through keep, charging perRow work units for every row: each absorbed
+// batch costs one meter operation and O(1) copy allocations.
+func (b *base) drainMaterialize(e *Executor, child Node, dst []schema.Row, perRow float64,
+	keep func([]schema.Row, *Batch) []schema.Row) ([]schema.Row, error) {
 	t := Ticks(perRow)
 	for {
 		nb, err := child.NextBatch(0)
 		if err != nil || nb == nil {
 			return dst, err
 		}
-		dst = appendBatchRows(dst, nb)
+		dst = keep(dst, nb)
 		b.chargeTicks(e, t, nb.Len())
 	}
 }
@@ -134,14 +135,14 @@ func (n *sortNode) Open() error {
 	}
 	pr := &n.ex.Cost
 	var err error
-	n.rows, err = n.drainMaterialize(n.ex, child, n.rows, pr.TempWrite)
+	n.rows, err = n.drainMaterialize(n.ex, child, n.rows, pr.TempWrite, appendBatchRows)
 	if err != nil {
 		return err
 	}
 	cn := float64(len(n.rows))
 	n.charge(n.ex, cn*math.Log2(cn+2)*pr.SortCmpRow)
-	sort.SliceStable(n.rows, func(i, j int) bool {
-		return compareRows(n.rows[i], n.rows[j], n.keys, n.desc) < 0
+	slices.SortStableFunc(n.rows, func(a, b schema.Row) int {
+		return compareRows(a, b, n.keys, n.desc)
 	})
 	n.cur.open(n.ex, n.rows)
 	n.done = true
@@ -186,7 +187,7 @@ func (n *tempNode) Open() error {
 		return err
 	}
 	var err error
-	n.rows, err = n.drainMaterialize(n.ex, child, n.rows, n.ex.Cost.TempWrite)
+	n.rows, err = n.drainMaterialize(n.ex, child, n.rows, n.ex.Cost.TempWrite, appendBatchRows)
 	if err != nil {
 		return err
 	}

@@ -243,8 +243,8 @@ const (
 // through hash/fnv, without the hash.Hash64 interface allocation.
 const HashSeed uint64 = fnv64Offset
 
-// Hash returns a 64-bit hash of the datum, suitable for hash joins and
-// aggregation. NULLs hash to a fixed sentinel so they can be grouped.
+// Hash returns a 64-bit hash of the datum: its HashFold from HashSeed. It
+// tells kinds apart, as Equal does; NULLs hash to a fixed sentinel.
 func (d Datum) Hash() uint64 {
 	return d.HashFold(HashSeed)
 }
@@ -253,7 +253,9 @@ func (d Datum) Hash() uint64 {
 // state. It is the allocation-free form of HashInto: for any datum,
 // HashFold over a state equals writing HashInto's byte stream into an
 // fnv.New64a hasher holding that state. The executor's hash joins and
-// aggregations hash composite keys by chaining HashFold from HashSeed.
+// aggregations hash composite keys by chaining HashFold from HashSeed, a
+// numeric join key folded as a float of its value so that it agrees with
+// Compare.
 func (d Datum) HashFold(h uint64) uint64 {
 	h = (h ^ uint64(byte(d.kind))) * fnv64Prime
 	switch d.kind {
