@@ -39,10 +39,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("static plan:\n%s", static.Attempts[0].Explain)
+	fmt.Printf("static plan:\n%s", static.Attempts[0].Explain())
 	fmt.Printf("static work: %.0f units\n\n", static.Work)
 	for i, a := range progressive.Attempts {
-		fmt.Printf("POP attempt %d:\n%s", i, a.Explain)
+		fmt.Printf("POP attempt %d:\n%s", i, a.Explain())
 		if a.Violation != nil {
 			fmt.Printf("  ↳ %v (MVs kept: %d)\n", a.Violation, a.MVsCreated)
 		}

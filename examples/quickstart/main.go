@@ -81,10 +81,10 @@ func main() {
 	}
 
 	fmt.Println("== static optimization ==")
-	fmt.Printf("work: %.0f units, plan:\n%s\n", static.Work, static.Attempts[0].Explain)
+	fmt.Printf("work: %.0f units, plan:\n%s\n", static.Work, static.Attempts[0].Explain())
 	fmt.Println("== progressive optimization ==")
 	for i, a := range progressive.Attempts {
-		fmt.Printf("-- attempt %d (%d checkpoints):\n%s", i, a.Checks, a.Explain)
+		fmt.Printf("-- attempt %d (%d checkpoints):\n%s", i, a.Checks, a.Explain())
 		if a.Violation != nil {
 			fmt.Printf("   ↳ %v\n", a.Violation)
 		}

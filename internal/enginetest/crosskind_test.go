@@ -110,7 +110,7 @@ func TestDifferentialCrossKindEquiJoin(t *testing.T) {
 			}
 			plan := res.Attempts[len(res.Attempts)-1]
 			if d := diffRows(canon(res.Rows), want); d != "" {
-				t.Errorf("%v %s: %s\nplan:\n%s", tabs, c.name, d, plan.Explain)
+				t.Errorf("%v %s: %s\nplan:\n%s", tabs, c.name, d, plan.Explain())
 			}
 			for _, a := range res.Attempts {
 				if planHas(a.Plan, func(p *optimizer.Plan) bool { return p.Op == optimizer.OpHSJN }) {

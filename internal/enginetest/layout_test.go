@@ -67,7 +67,7 @@ func TestDifferentialJoinFilterOnDeadColumns(t *testing.T) {
 		}
 		if d := diffRows(canon(res.Rows), canon(bruteForce(t, cat, q))); d != "" {
 			t.Fatalf("seed %d (reopts=%d): %s\nquery: %s\nplan:\n%s",
-				seed, res.Reopts, d, q, res.Attempts[len(res.Attempts)-1].Explain)
+				seed, res.Reopts, d, q, res.Attempts[len(res.Attempts)-1].Explain())
 		}
 		for _, a := range res.Attempts {
 			if planHas(a.Plan, filteredHashJoin) {
@@ -189,7 +189,7 @@ func forcedViolation(t *testing.T, cat *catalog.Catalog, q *logical.Query, cfg f
 	}
 	if res.Reopts != 1 || res.Attempts[0].MVsCreated == 0 {
 		t.Fatalf("reopts %d, %d temp MVs; want one re-optimization over a temp MV\n%s",
-			res.Reopts, res.Attempts[0].MVsCreated, res.Attempts[0].Explain)
+			res.Reopts, res.Attempts[0].MVsCreated, res.Attempts[0].Explain())
 	}
 	return res
 }
@@ -232,10 +232,10 @@ func TestMVLayoutsAcrossAttempts(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			res := forcedViolation(t, cat, c.q, nljnOnly, c.pick)
 			if final := res.Attempts[1]; !readsMVOf(final.Plan, c.mv) {
-				t.Fatalf("re-optimized plan does not read the temp MV:\n%s", final.Explain)
+				t.Fatalf("re-optimized plan does not read the temp MV:\n%s", final.Explain())
 			}
 			if d := diffRows(canon(res.Rows), canon(bruteForce(t, cat, c.q))); d != "" {
-				t.Fatalf("%s\nfirst attempt:\n%s\nre-optimized:\n%s", d, res.Attempts[0].Explain, res.Attempts[1].Explain)
+				t.Fatalf("%s\nfirst attempt:\n%s\nre-optimized:\n%s", d, res.Attempts[0].Explain(), res.Attempts[1].Explain())
 			}
 		})
 	}
@@ -282,10 +282,10 @@ func TestZeroWidthJoinRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !planHas(res.Attempts[0].Plan, m.has) {
-				t.Fatalf("plan lacks the %s join:\n%s", m.name, res.Attempts[0].Explain)
+				t.Fatalf("plan lacks the %s join:\n%s", m.name, res.Attempts[0].Explain())
 			}
 			if got := count(t, res); got != want {
-				t.Fatalf("COUNT(*) = %d, brute force %d\n%s", got, want, res.Attempts[0].Explain)
+				t.Fatalf("COUNT(*) = %d, brute force %d\n%s", got, want, res.Attempts[0].Explain())
 			}
 		})
 	}
@@ -296,10 +296,10 @@ func TestZeroWidthJoinRows(t *testing.T) {
 		greedy := func(o *optimizer.Optimizer) { o.JoinOrder = optimizer.JoinOrderGreedy }
 		res := forcedViolation(t, cat, q, greedy, lcemOver(true))
 		if !readsMVOf(res.Attempts[1].Plan, 3) {
-			t.Fatalf("re-optimized plan does not read the zero-width MV:\n%s", res.Attempts[1].Explain)
+			t.Fatalf("re-optimized plan does not read the zero-width MV:\n%s", res.Attempts[1].Explain())
 		}
 		if got := count(t, res); got != want {
-			t.Fatalf("COUNT(*) = %d, brute force %d\n%s", got, want, res.Attempts[1].Explain)
+			t.Fatalf("COUNT(*) = %d, brute force %d\n%s", got, want, res.Attempts[1].Explain())
 		}
 	})
 }

@@ -15,16 +15,17 @@ import (
 const batchRows = 64
 
 // Batch is a fixed-capacity vector of rows moving through the executor as
-// one unit. Output-producing operators (projection, joins) carve their rows
-// out of a shared slab so a whole batch costs O(1) allocations instead of
-// one per row.
+// one unit. Output-producing operators carve their rows out of a slab so a
+// whole batch costs O(1) allocations instead of one per row: a join reuses
+// one slab across pulls, and the projection makes a new one per batch.
 //
 // Ownership contract: a batch returned by NextBatch (and every row in it)
 // is valid only until the next NextBatch call on the same producer. Until
 // then the consumer owns the Rows slice — it may truncate or compact it in
 // place — but a consumer that retains rows across pulls must copy them when
 // Ephemeral reports true; non-ephemeral rows (heap references, materialized
-// buffers) are stable and may be retained by reference.
+// buffers, the projection's per-batch slabs) are stable and may be retained
+// by reference.
 type Batch struct {
 	// Rows holds the batch's rows in production order.
 	Rows []schema.Row
@@ -116,9 +117,10 @@ func (c *cursor) next(max int) (row schema.Row, ok bool, err error) {
 	return c.b.Rows[c.i-1], true, nil
 }
 
-// appendBatchRows appends a batch's rows to dst. Ephemeral rows alias the
-// producer's reusable slab, so they are deep-copied — through one shared
-// backing array for the whole batch, not one allocation per row.
+// appendBatchRows appends a batch's rows to dst. Ephemeral rows (a join's
+// output) alias the producer's reusable slab, so they are deep-copied —
+// through one shared backing array for the whole batch, not one allocation
+// per row. Stable rows, the projection's among them, append by reference.
 func appendBatchRows(dst []schema.Row, b *Batch) []schema.Row {
 	if !b.ephemeral {
 		return append(dst, b.Rows...)

@@ -34,8 +34,8 @@ func TestLEOSharedFeedback(t *testing.T) {
 	if !second.Cache.Hit || second.Reopts != 0 {
 		t.Errorf("second execution should be a hit on the learned plan (hit=%t reopts=%d)", second.Cache.Hit, second.Reopts)
 	}
-	if strings.Contains(second.Attempts[0].Explain, "NLJN[index]") {
-		t.Errorf("learned plan should not repeat the index NLJN mistake:\n%s", second.Attempts[0].Explain)
+	if strings.Contains(second.Attempts[0].Explain(), "NLJN[index]") {
+		t.Errorf("learned plan should not repeat the index NLJN mistake:\n%s", second.Attempts[0].Explain())
 	}
 	if second.Work >= first.Work {
 		t.Errorf("learned execution (%v) should be cheaper than the re-optimized one (%v)", second.Work, first.Work)
@@ -62,8 +62,8 @@ func TestForceMVReuseOnFinalAttempt(t *testing.T) {
 		t.Fatalf("expected one re-optimization, got %d", res.Reopts)
 	}
 	final := res.Attempts[len(res.Attempts)-1]
-	if !strings.Contains(final.Explain, "MVSCAN") {
-		t.Errorf("final attempt must reuse the materialized intermediate:\n%s", final.Explain)
+	if !strings.Contains(final.Explain(), "MVSCAN") {
+		t.Errorf("final attempt must reuse the materialized intermediate:\n%s", final.Explain())
 	}
 }
 
@@ -92,7 +92,7 @@ func TestECWCPlacementAndFiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Reopts == 0 {
-		t.Fatalf("ECWC should have fired:\n%s", res.Attempts[0].Explain)
+		t.Fatalf("ECWC should have fired:\n%s", res.Attempts[0].Explain())
 	}
 	v := res.Attempts[0].Violation
 	if v.Check.Flavor != optimizer.ECWC {
@@ -152,7 +152,7 @@ func TestSuccessiveReoptimizations(t *testing.T) {
 	}
 	t.Logf("reopts=%d", res.Reopts)
 	if res.Reopts < 1 {
-		t.Fatalf("double-error query should re-optimize at least once:\n%s", res.Attempts[0].Explain)
+		t.Fatalf("double-error query should re-optimize at least once:\n%s", res.Attempts[0].Explain())
 	}
 	// Every attempt but the last must carry a violation, each from a
 	// different signature (a different mis-estimated edge).

@@ -42,7 +42,7 @@ func TestPlanSigStableAcrossRuns(t *testing.T) {
 				out[i].sigs = append(out[i].sigs, ev.Opt.PlanSig)
 			}
 			for _, a := range res.Attempts {
-				out[i].explains = append(out[i].explains, a.Explain)
+				out[i].explains = append(out[i].explains, a.Explain())
 			}
 		}
 		return out

@@ -122,7 +122,7 @@ func TestUnderestimateTriggersReoptimization(t *testing.T) {
 	if resOff.Reopts != 0 {
 		t.Error("POP disabled must not re-optimize")
 	}
-	initialPlan := resOff.Attempts[0].Explain
+	initialPlan := resOff.Attempts[0].Explain()
 	if !strings.Contains(initialPlan, "NLJN[index]") {
 		t.Fatalf("baseline should pick index NLJN:\n%s", initialPlan)
 	}
@@ -151,11 +151,11 @@ func TestUnderestimateTriggersReoptimization(t *testing.T) {
 		t.Error("completed LCEM materialization should be promoted to an MV")
 	}
 	second := resOn.Attempts[1]
-	if strings.Contains(second.Explain, "NLJN[index]") {
-		t.Errorf("re-optimized plan should abandon index NLJN:\n%s", second.Explain)
+	if strings.Contains(second.Explain(), "NLJN[index]") {
+		t.Errorf("re-optimized plan should abandon index NLJN:\n%s", second.Explain())
 	}
-	if !strings.Contains(second.Explain, "MVSCAN") {
-		t.Errorf("re-optimized plan should reuse the materialized outer:\n%s", second.Explain)
+	if !strings.Contains(second.Explain(), "MVSCAN") {
+		t.Errorf("re-optimized plan should reuse the materialized outer:\n%s", second.Explain())
 	}
 
 	// Results identical.
@@ -195,7 +195,7 @@ func TestAccurateEstimateNoReopt(t *testing.T) {
 	}
 	if on.Reopts != 0 {
 		t.Fatalf("accurate estimates must not trigger re-optimization (got %d):\n%s",
-			on.Reopts, on.Attempts[0].Explain)
+			on.Reopts, on.Attempts[0].Explain())
 	}
 	if len(on.Rows) != len(off.Rows) {
 		t.Error("row counts differ")
@@ -261,7 +261,7 @@ func TestECDCPipelinedNoDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Reopts == 0 {
-		t.Fatalf("expected a re-optimization:\n%s", res.Attempts[0].Explain)
+		t.Fatalf("expected a re-optimization:\n%s", res.Attempts[0].Explain())
 	}
 	v := res.Attempts[0].Violation
 	if v.Check.Flavor != optimizer.ECDC {
@@ -404,6 +404,6 @@ func TestCheckObservationsCollected(t *testing.T) {
 		}
 	})
 	if checks == 0 {
-		t.Fatalf("no check observations:\n%s", res.Attempts[0].Explain)
+		t.Fatalf("no check observations:\n%s", res.Attempts[0].Explain())
 	}
 }

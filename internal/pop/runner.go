@@ -71,7 +71,6 @@ type AttemptInfo struct {
 	// Candidates is the enumeration work of the attempt's compile; zero when
 	// a cache hit served the plan.
 	Candidates int
-	Explain    string
 	Checks     int
 	WorkBefore float64 // meter reading when the attempt started
 	Violation  *executor.CheckViolation
@@ -85,7 +84,13 @@ type AttemptInfo struct {
 	// attempts a violation cut short, where it shows how far each operator
 	// got before the plan was abandoned.
 	Stats *executor.StatsNode
+
+	query *logical.Query // the statement Plan was compiled for, for Explain
 }
+
+// Explain renders the attempt's plan as EXPLAIN text. It is rendered on
+// each call, not at run time: a serving run never reads it.
+func (a AttemptInfo) Explain() string { return optimizer.Explain(a.Plan, a.query) }
 
 // Result is the outcome of a POP run.
 type Result struct {
@@ -238,9 +243,9 @@ func (r *Runner) run(q *logical.Query, params []types.Datum, c *cacheRun) (*Resu
 			Plan:       plan,
 			Optimized:  optimized,
 			Candidates: opt.EnumeratedCandidates,
-			Explain:    optimizer.Explain(plan, q),
 			Checks:     checks,
 			WorkBefore: meter.Work(),
+			query:      q,
 		}
 		if attempt == 0 && c != nil && !hit {
 			r.miss(c, &info, q)

@@ -148,10 +148,10 @@ func TestCrossStrategyWorkIdentity(t *testing.T) {
 			t.Fatalf("%s returned different rows than the first strategy", st.Name())
 		}
 		last := res.Attempts[len(res.Attempts)-1]
-		shape := planShape(last.Explain)
+		shape := planShape(last.Explain())
 		byPlan[shape] = append(byPlan[shape], outcome{
 			name:    st.Name(),
-			explain: last.Explain,
+			explain: last.Explain(),
 			work:    res.Work - last.WorkBefore,
 		})
 	}

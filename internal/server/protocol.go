@@ -126,8 +126,8 @@ func errResponse(id int64, code Code, err error) Response {
 // appendLine appends r's reply line to dst: exactly what json.Encoder writes
 // for r with Rows[i] = rows[i].String(), newline included. Everything but the
 // rows comes from json.Marshal. Each row is rendered by AppendText straight
-// into the line between quotes; only a row holding a byte JSON escapes goes
-// through json.Marshal instead.
+// into the line between quotes; only a row holding a string datum is scanned
+// for a byte JSON escapes, and such a row goes through json.Marshal instead.
 func (r *Response) appendLine(dst []byte) ([]byte, error) {
 	head, err := json.Marshal(r)
 	if err != nil {
@@ -146,7 +146,7 @@ func (r *Response) appendLine(dst []byte) ([]byte, error) {
 		start := len(dst)
 		dst = append(dst, '"')
 		dst = row.AppendText(dst)
-		if text := dst[start+1:]; needsEscape(text) {
+		if text := dst[start+1:]; hasString(row) && needsEscape(text) {
 			quoted, _ := json.Marshal(string(text)) // a string always marshals
 			dst = append(dst[:start], quoted...)
 			continue
@@ -154,6 +154,19 @@ func (r *Response) appendLine(dst []byte) ([]byte, error) {
 		dst = append(dst, '"')
 	}
 	return append(dst, "]}\n"...), nil
+}
+
+// hasString reports whether row holds a string datum. Every other kind
+// (NULL, booleans, ints, floats, dates, the Datum(kind=N) fallback) renders
+// only ASCII bytes that JSON copies verbatim, so only such a row can need
+// escaping.
+func hasString(row schema.Row) bool {
+	for _, d := range row {
+		if d.Kind() == types.KindString {
+			return true
+		}
+	}
+	return false
 }
 
 // needsEscape reports whether encoding/json might write text other than

@@ -2,7 +2,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -249,33 +248,34 @@ func TestHashConsistency(t *testing.T) {
 		{NewDate(9000), NewDate(9000)},
 	}
 	for _, p := range pairs {
-		if p[0].Hash() != p[1].Hash() {
+		if p[0].HashFold(HashSeed) != p[1].HashFold(HashSeed) {
 			t.Errorf("hash mismatch for equal datums %v", p[0])
 		}
 	}
 	// Different kinds with same payload should (almost surely) differ.
-	if NewInt(1).Hash() == NewBool(true).Hash() {
+	if NewInt(1).HashFold(HashSeed) == NewBool(true).HashFold(HashSeed) {
 		t.Error("int 1 and bool true should hash differently")
 	}
-	if NewInt(100).Hash() == NewDate(100).Hash() {
+	if NewInt(100).HashFold(HashSeed) == NewDate(100).HashFold(HashSeed) {
 		t.Error("int and date with same payload should hash differently")
 	}
 }
 
-func TestHashInto(t *testing.T) {
-	h1 := fnv.New64a()
-	NewInt(1).HashInto(h1)
-	NewString("a").HashInto(h1)
-	h2 := fnv.New64a()
-	NewInt(1).HashInto(h2)
-	NewString("a").HashInto(h2)
-	if h1.Sum64() != h2.Sum64() {
+// TestHashFoldChainOrder: a composite key's hash is deterministic and
+// depends on the order its datums are folded in.
+func TestHashFoldChainOrder(t *testing.T) {
+	chain := func(ds ...Datum) uint64 {
+		h := HashSeed
+		for _, d := range ds {
+			h = d.HashFold(h)
+		}
+		return h
+	}
+	h1 := chain(NewInt(1), NewString("a"))
+	if h1 != chain(NewInt(1), NewString("a")) {
 		t.Error("composite hash not deterministic")
 	}
-	h3 := fnv.New64a()
-	NewString("a").HashInto(h3)
-	NewInt(1).HashInto(h3)
-	if h1.Sum64() == h3.Sum64() {
+	if h1 == chain(NewString("a"), NewInt(1)) {
 		t.Error("composite hash should be order sensitive")
 	}
 }
@@ -336,7 +336,7 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 // Property: Equal datums hash equal for random strings.
 func TestHashEqualProperty(t *testing.T) {
 	f := func(s string) bool {
-		return NewString(s).Hash() == NewString(s).Hash()
+		return NewString(s).HashFold(HashSeed) == NewString(s).HashFold(HashSeed)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
