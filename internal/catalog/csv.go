@@ -55,8 +55,9 @@ func (c *Catalog) LoadCSV(tableName string, r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Insert copies the row into the heap, so one buffer serves every line.
+	row := make(schema.Row, len(cols))
 	for n, rec := range rows {
-		row := make(schema.Row, len(cols))
 		for i, field := range rec {
 			d, err := parseDatum(field, cols[i].Type)
 			if err != nil {

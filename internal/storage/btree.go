@@ -52,7 +52,9 @@ type btreeInner struct {
 }
 
 // NewBTreeIndex builds a B+tree over one column of a table, indexing every
-// current row.
+// current row. An index is built once, over the rows present, and is not
+// maintained: rows inserted into the table afterwards are not indexed. Once
+// the last key is in, every leaf is packed to its exact size.
 func NewBTreeIndex(name string, t *Table, keyOrd int) (*BTreeIndex, error) {
 	if keyOrd < 0 || keyOrd >= t.Schema().Len() {
 		return nil, fmt.Errorf("storage: key ordinal %d out of range for %s", keyOrd, t.Name())
@@ -64,10 +66,9 @@ func NewBTreeIndex(name string, t *Table, keyOrd int) (*BTreeIndex, error) {
 		if !ok {
 			break
 		}
-		if !row[keyOrd].IsNull() {
-			ix.Add(row[keyOrd], rid)
-		}
+		ix.add(row[keyOrd], rid)
 	}
+	ix.pack()
 	return ix, nil
 }
 
@@ -87,8 +88,8 @@ func (ix *BTreeIndex) Height() int { return ix.height }
 // EntryCount returns the number of indexed (key,rid) pairs.
 func (ix *BTreeIndex) EntryCount() int { return ix.count }
 
-// Add inserts key→rid. NULL keys are ignored.
-func (ix *BTreeIndex) Add(key types.Datum, rid schema.RID) {
+// add inserts key→rid. NULL keys are ignored.
+func (ix *BTreeIndex) add(key types.Datum, rid schema.RID) {
 	if key.IsNull() {
 		return
 	}
@@ -98,6 +99,26 @@ func (ix *BTreeIndex) Add(key types.Datum, rid schema.RID) {
 		ix.height++
 	}
 	ix.count++
+}
+
+// pack reallocates every leaf's entries at their exact length and copies the
+// leaf's rid lists into one array, each key's list a clipped sub-slice of it.
+// Splits happened during the inserts, so the tree's shape does not change.
+func (ix *BTreeIndex) pack() {
+	for l := ix.root.firstLeaf(); l != nil; l = l.next {
+		n := 0
+		for _, e := range l.entries {
+			n += len(e.rids)
+		}
+		rids := make([]schema.RID, 0, n)
+		entries := make([]btreeEntry, len(l.entries))
+		for i, e := range l.entries {
+			start := len(rids)
+			rids = append(rids, e.rids...)
+			entries[i] = btreeEntry{key: e.key, rids: rids[start:len(rids):len(rids)]}
+		}
+		l.entries = entries
+	}
 }
 
 func (l *btreeLeaf) insert(key types.Datum, rid schema.RID) (types.Datum, btreeNode, bool) {

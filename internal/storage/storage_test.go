@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,49 @@ func TestHeapInsertGet(t *testing.T) {
 	}
 	if _, err := tab.Get(schema.InvalidRID); err == nil {
 		t.Error("invalid rid get should error")
+	}
+}
+
+// Insert copies the row into a heap block, so the caller's slice is free
+// afterwards; the rows handed out are clipped, so an append cannot reach the
+// next row; and inserting allocates per block, not per row.
+func TestHeapInsertCopiesRow(t *testing.T) {
+	tab := newTestTable(t)
+	r := schema.Row{types.NewInt(1), types.NewString("a")}
+	tab.MustInsert(r)
+	tab.MustInsert(schema.Row{types.NewInt(2), types.NewString("b")})
+	r[0], r[1] = types.NewInt(99), types.NewString("z")
+	got, err := tab.Get(0)
+	if err != nil || got[0].Int() != 1 || got[1].Str() != "a" {
+		t.Fatalf("Get(0) after overwriting the caller's row = %v, %v", got, err)
+	}
+	if row, _, _ := tab.Scan().Next(); row[0].Int() != 1 || row[1].Str() != "a" {
+		t.Fatalf("Scan after overwriting the caller's row = %v", row)
+	}
+
+	if cap(got) != len(got) {
+		t.Errorf("Get returned cap %d for a %d-datum row", cap(got), len(got))
+	}
+	_ = append(got, types.NewInt(-1), types.NewString("x"))
+	it := tab.Scan()
+	first, _, _ := it.Next()
+	_ = append(first, types.NewInt(-2), types.NewString("y"))
+	if next, _ := tab.Get(1); next[0].Int() != 2 || next[1].Str() != "b" {
+		t.Fatalf("appending to row 0 changed row 1 to %v", next)
+	}
+
+	const rows = 1024
+	s := tab.Schema()
+	allocs := testing.AllocsPerRun(20, func() {
+		tab := NewTable("t", s)
+		for i := 0; i < rows; i++ {
+			tab.MustInsert(schema.Row{types.NewInt(int64(i)), types.NewString("r")})
+		}
+	})
+	// One block per blockRows rows, plus the Table and the three growths of
+	// its block list (1, 2, 4).
+	if want := float64(rows/blockRows + 1 + 3); allocs > want {
+		t.Errorf("inserting %d rows made %.0f allocations, want at most %.0f", rows, allocs, want)
 	}
 }
 
@@ -265,9 +309,154 @@ func TestBTreeSortedProperty(t *testing.T) {
 				return false
 			}
 		}
+		// Each key's Lookup is a brute-force scan's RIDs, in RID order.
+		for _, k := range keys {
+			var brute []schema.RID
+			for rid, other := range keys {
+				if other == k {
+					brute = append(brute, schema.RID(rid))
+				}
+			}
+			if !reflect.DeepEqual(ix.Lookup(types.NewInt(int64(k))), brute) {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// NewBTreeIndex packs every leaf once the last key is in: its entries are
+// allocated at their exact length, and its keys' rid lists are consecutive,
+// capacity-clipped sub-slices of one array.
+func TestBTreeLeavesPacked(t *testing.T) {
+	tab := newTestTable(t)
+	perm := rand.New(rand.NewSource(2)).Perm(3000)
+	for _, k := range perm {
+		tab.MustInsert(schema.Row{types.NewInt(int64(k % 1100)), types.NewString("r")})
+	}
+	ix, err := NewBTreeIndex("bt", tab, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Height() < 2 {
+		t.Fatalf("height %d: want a multi-leaf tree", ix.Height())
+	}
+	ridSize := reflect.TypeOf(schema.RID(0)).Size()
+	addr := func(rids []schema.RID) uintptr { return reflect.ValueOf(&rids[0]).Pointer() }
+	leaves := 0
+	for l := ix.root.firstLeaf(); l != nil; l = l.next {
+		leaves++
+		if len(l.entries) != cap(l.entries) {
+			t.Fatalf("leaf %d: %d entries in a capacity of %d", leaves, len(l.entries), cap(l.entries))
+		}
+		for i, e := range l.entries {
+			if len(e.rids) != cap(e.rids) {
+				t.Fatalf("leaf %d key %v: %d rids in a capacity of %d", leaves, e.key, len(e.rids), cap(e.rids))
+			}
+			if i == 0 {
+				continue
+			}
+			prev := l.entries[i-1].rids
+			if addr(e.rids) != addr(prev)+uintptr(len(prev))*ridSize {
+				t.Fatalf("leaf %d key %v: rid list does not follow the previous key's in one array", leaves, e.key)
+			}
+		}
+	}
+	if leaves < 2 {
+		t.Fatalf("walked %d leaves, want several", leaves)
+	}
+}
+
+// FuzzBTreeIndex builds an index from a fuzz-chosen key sequence (two bytes a
+// key, duplicates likely, a set top bit meaning NULL) and compares Lookup
+// and AscendRange under every combination of unbounded, inclusive and
+// exclusive bounds with a brute-force scan.
+func FuzzBTreeIndex(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 0x80, 0, 0, 2}, int16(1), int16(2))
+	long := make([]byte, 4000)
+	rand.New(rand.NewSource(3)).Read(long)
+	f.Add(long, int16(300), int16(2000))
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi int16) {
+		s := schema.New(schema.Column{Name: "k", Type: types.KindInt, Nullable: true})
+		tab := NewTable("t", s)
+		type pair struct {
+			key int64
+			rid schema.RID
+		}
+		var pairs []pair
+		for i := 0; i+1 < len(data); i += 2 {
+			if data[i]&0x80 != 0 {
+				tab.MustInsert(schema.Row{types.Null})
+				continue
+			}
+			k := int64(data[i]&0x0f)<<8 | int64(data[i+1])
+			pairs = append(pairs, pair{k, tab.MustInsert(schema.Row{types.NewInt(k)})})
+		}
+		ix, err := NewBTreeIndex("bt", tab, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.EntryCount() != len(pairs) {
+			t.Fatalf("EntryCount = %d, want %d", ix.EntryCount(), len(pairs))
+		}
+		sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
+
+		byKey := map[int64][]schema.RID{}
+		for _, p := range pairs {
+			byKey[p.key] = append(byKey[p.key], p.rid)
+		}
+		for _, k := range []int64{int64(lo), int64(hi)} {
+			if _, ok := byKey[k]; !ok {
+				byKey[k] = nil // an absent key's Lookup is empty
+			}
+		}
+		for k, want := range byKey {
+			if got := ix.Lookup(types.NewInt(k)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Lookup(%d) = %v, want %v", k, got, want)
+			}
+		}
+
+		loD, hiD := types.NewInt(int64(lo)), types.NewInt(int64(hi))
+		bounds := func(v *types.Datum) []Bound {
+			return []Bound{{}, {Value: v, Inclusive: true}, {Value: v}}
+		}
+		in := func(k int64, b Bound, above bool) bool {
+			if b.Value == nil {
+				return true
+			}
+			c := b.Value.Int()
+			if above {
+				return k > c || (b.Inclusive && k == c)
+			}
+			return k < c || (b.Inclusive && k == c)
+		}
+		for _, lb := range bounds(&loD) {
+			for _, hb := range bounds(&hiD) {
+				var want []pair
+				keys := 0
+				for i, p := range pairs {
+					if in(p.key, lb, true) && in(p.key, hb, false) {
+						want = append(want, p)
+						if i == 0 || pairs[i-1].key != p.key || len(want) == 1 {
+							keys++
+						}
+					}
+				}
+				var got []pair
+				visited := ix.AscendRange(lb, hb, func(k types.Datum, rid schema.RID) bool {
+					got = append(got, pair{k.Int(), rid})
+					return true
+				})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("AscendRange(%+v, %+v) = %v, want %v", lb, hb, got, want)
+				}
+				if visited != keys {
+					t.Fatalf("AscendRange(%+v, %+v) visited %d entries, want %d", lb, hb, visited, keys)
+				}
+			}
+		}
+	})
 }
