@@ -55,11 +55,13 @@ func (c *Catalog) LoadCSV(tableName string, r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Insert copies the row into the heap, so one buffer serves every line.
+	// Insert copies the row into the heap, so one buffer serves every line;
+	// each distinct string value is built once and shared by its rows.
 	row := make(schema.Row, len(cols))
+	var in types.Interner
 	for n, rec := range rows {
 		for i, field := range rec {
-			d, err := parseDatum(field, cols[i].Type)
+			d, err := parseDatum(field, cols[i].Type, &in)
 			if err != nil {
 				return nil, fmt.Errorf("catalog: CSV for %s: row %d column %s: %w",
 					tableName, n+1, cols[i].Name, err)
@@ -116,8 +118,9 @@ func inferColumnKind(rows [][]string, col int) (types.Kind, bool) {
 	}
 }
 
-// parseDatum converts one CSV field to the column's kind; empty is NULL.
-func parseDatum(field string, kind types.Kind) (types.Datum, error) {
+// parseDatum converts one CSV field to the column's kind; empty is NULL. A
+// string comes from in.
+func parseDatum(field string, kind types.Kind, in *types.Interner) (types.Datum, error) {
 	v := strings.TrimSpace(field)
 	if v == "" {
 		return types.Null, nil
@@ -142,6 +145,6 @@ func parseDatum(field string, kind types.Kind) (types.Datum, error) {
 		}
 		return types.MakeDate(t.Year(), t.Month(), t.Day()), nil
 	default:
-		return types.NewString(v), nil
+		return in.String(v), nil
 	}
 }

@@ -130,6 +130,9 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 	}
 	n := sizes(cfg.Scale)
 	r := newRNG(cfg.Seed)
+	// Every repeated string value is built once and shared by its rows; a
+	// name made from the row number is unique and built directly.
+	var in types.Interner
 
 	county, err := cat.CreateTable("county", schema.New(
 		schema.Column{Name: "cy_id", Type: types.KindInt},
@@ -143,7 +146,7 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 		county.Heap.MustInsert(schema.Row{
 			types.NewInt(int64(i)),
 			types.NewString(fmt.Sprintf("COUNTY_%02d", i)),
-			types.NewString([]string{"NORTH", "SOUTH", "EAST", "WEST"}[i%4]),
+			in.String([]string{"NORTH", "SOUTH", "EAST", "WEST"}[i%4]),
 		})
 	}
 
@@ -176,7 +179,7 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 		station.Heap.MustInsert(schema.Row{
 			types.NewInt(int64(i)),
 			types.NewInt(int64(r.intn(numZips))),
-			types.NewString([]string{"A", "B", "C"}[r.intn(3)]),
+			in.String([]string{"A", "B", "C"}[r.intn(3)]),
 		})
 	}
 
@@ -210,7 +213,7 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 			types.NewInt(int64(i)),
 			types.NewString(fmt.Sprintf("DEALER_%03d", i)),
 			types.NewInt(int64(r.intn(numZips))),
-			types.NewString(MakeName(r.intn(numMakes))),
+			in.String(MakeName(r.intn(numMakes))),
 		})
 	}
 
@@ -264,8 +267,8 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 		car.Heap.MustInsert(schema.Row{
 			types.NewInt(int64(i)),
 			types.NewInt(int64(ow)),
-			types.NewString(MakeName(mk)),
-			types.NewString(ModelName(md)),
+			in.String(MakeName(mk)),
+			in.String(ModelName(md)),
 			types.NewString(ColorName(ColorForModel(md, r.intn(3)))),
 			types.NewInt(int64(WeightForModel(md, r.intn(25)))),
 			types.NewInt(int64(1985 + r.intn(20))),
@@ -318,7 +321,7 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 						types.NewInt(int64(i)),
 						types.NewInt(int64(r.intn(n["car"]))),
 						types.NewInt(int64(r.intn(n["station"]))),
-						types.NewString(res),
+						in.String(res),
 						types.NewInt(int64(2000 + r.intn(5))),
 					})
 				}
@@ -338,7 +341,7 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 					t.Heap.MustInsert(schema.Row{
 						types.NewInt(int64(i)),
 						types.NewInt(int64(r.intn(n["car"]))),
-						types.NewString(kinds[r.intn(len(kinds))]),
+						in.String(kinds[r.intn(len(kinds))]),
 						types.NewFloat(25 + r.float()*975),
 					})
 				}

@@ -71,16 +71,19 @@ func checkTablesAgainstMaps(t testing.TB, keys []byte, drop uint64, card float64
 
 	// Grouping: one group per distinct key, NULL included, numbered in
 	// first-encounter order, with every row counted into its own group.
-	type group struct{ id, n int }
-	groups := map[types.Datum]*group{}
+	type group struct {
+		key   types.Datum
+		id, n int
+	}
+	groups := map[mapKey]*group{}
 	n := &hashAggNode{base: base{plan: &optimizer.Plan{Card: card}}, ex: e, keys: key,
 		items: []logical.SelectItem{{Agg: logical.AggCount}}, itemExpr: []expr.Expr{nil}}
 	n.table.reset(0)
 	for _, r := range rows {
-		g := groups[r[0]]
+		g := groups[keyOf(r[0])]
 		if g == nil {
-			g = &group{id: len(groups)}
-			groups[r[0]] = g
+			g = &group{key: r[0], id: len(groups)}
+			groups[keyOf(r[0])] = g
 		}
 		g.n++
 		if err := n.absorb(r); err != nil {
@@ -90,14 +93,42 @@ func checkTablesAgainstMaps(t testing.TB, keys []byte, drop uint64, card float64
 	if len(n.table.hashes) != len(groups) {
 		t.Fatalf("%d groups, want %d", len(n.table.hashes), len(groups))
 	}
-	for k, g := range groups {
-		if !n.gkeys[g.id].Equal(k) {
-			t.Fatalf("group %d has key %v, want %v (first-encounter order)", g.id, n.gkeys[g.id], k)
+	for _, g := range groups {
+		if !n.gkeys[g.id].Equal(g.key) {
+			t.Fatalf("group %d has key %v, want %v (first-encounter order)", g.id, n.gkeys[g.id], g.key)
 		}
 		if got := n.states[g.id].count; got != float64(g.n) {
-			t.Fatalf("group %v counted %v rows, want %d", k, got, g.n)
+			t.Fatalf("group %v counted %v rows, want %d", g.key, got, g.n)
 		}
 	}
+}
+
+// mapKey is a comparable stand-in for a datum as a reference map's key:
+// Datum itself is not comparable. Two datums have equal keys exactly when
+// Equal holds between them.
+type mapKey struct {
+	kind types.Kind
+	i    uint64 // an int, bool or date; a float's bits, −0 as +0 and one NaN
+	s    string
+}
+
+func keyOf(d types.Datum) mapKey {
+	k := mapKey{kind: d.Kind()}
+	switch k.kind {
+	case types.KindNull:
+	case types.KindString:
+		k.s = d.Str()
+	case types.KindFloat:
+		switch f := d.Float(); {
+		case math.IsNaN(f):
+			k.i = math.Float64bits(math.NaN())
+		case f != 0:
+			k.i = math.Float64bits(f)
+		}
+	default:
+		k.i = uint64(d.Int())
+	}
+	return k
 }
 
 // foldAs is the datum keyHash folds in d's place: for a join, a numeric key
@@ -476,7 +507,7 @@ func TestHashAggregationAgainstReference(t *testing.T) {
 			lo, hi       types.Datum
 			first, count int
 		}
-		groups := map[types.Datum]*group{}
+		groups := map[mapKey]*group{}
 		var order []*group
 		for i := 0; i < 700; i++ {
 			k, v := types.Null, types.Null
@@ -487,10 +518,10 @@ func TestHashAggregationAgainstReference(t *testing.T) {
 				v = types.NewInt(int64(rng.Intn(1000) - 500))
 			}
 			tab.Heap.MustInsert(schema.Row{k, v})
-			g := groups[k]
+			g := groups[keyOf(k)]
 			if g == nil {
 				g = &group{key: k}
-				groups[k] = g
+				groups[keyOf(k)] = g
 				order = append(order, g)
 			}
 			g.n++

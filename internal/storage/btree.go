@@ -101,10 +101,12 @@ func (ix *BTreeIndex) add(key types.Datum, rid schema.RID) {
 	ix.count++
 }
 
-// pack reallocates every leaf's entries at their exact length and copies the
-// leaf's rid lists into one array, each key's list a clipped sub-slice of it.
-// Splits happened during the inserts, so the tree's shape does not change.
+// pack reallocates every inner node's keys and children and every leaf's
+// entries at their exact length, and copies each leaf's rid lists into one
+// array, each key's list a clipped sub-slice of it. Splits happened during
+// the inserts, so the tree's shape does not change.
 func (ix *BTreeIndex) pack() {
+	packInner(ix.root)
 	for l := ix.root.firstLeaf(); l != nil; l = l.next {
 		n := 0
 		for _, e := range l.entries {
@@ -118,6 +120,23 @@ func (ix *BTreeIndex) pack() {
 			entries[i] = btreeEntry{key: e.key, rids: rids[start:len(rids):len(rids)]}
 		}
 		l.entries = entries
+	}
+}
+
+// packInner reallocates the keys and children of every inner node of the
+// subtree under n at their exact length.
+func packInner(n btreeNode) {
+	in, ok := n.(*btreeInner)
+	if !ok {
+		return
+	}
+	keys := make([]types.Datum, len(in.keys))
+	copy(keys, in.keys)
+	children := make([]btreeNode, len(in.children))
+	copy(children, in.children)
+	in.keys, in.children = keys, children
+	for _, c := range children {
+		packInner(c)
 	}
 }
 

@@ -75,10 +75,11 @@ func TestHeapInsertCopiesRow(t *testing.T) {
 
 	const rows = 1024
 	s := tab.Schema()
+	str := types.NewString("r") // outside: building a string allocates its box
 	allocs := testing.AllocsPerRun(20, func() {
 		tab := NewTable("t", s)
 		for i := 0; i < rows; i++ {
-			tab.MustInsert(schema.Row{types.NewInt(int64(i)), types.NewString("r")})
+			tab.MustInsert(schema.Row{types.NewInt(int64(i)), str})
 		}
 	})
 	// One block per blockRows rows, plus the Table and the three growths of
@@ -367,6 +368,26 @@ func TestBTreeLeavesPacked(t *testing.T) {
 	}
 	if leaves < 2 {
 		t.Fatalf("walked %d leaves, want several", leaves)
+	}
+	inner := 0
+	var walk func(n btreeNode)
+	walk = func(n btreeNode) {
+		in, ok := n.(*btreeInner)
+		if !ok {
+			return
+		}
+		inner++
+		if len(in.keys) != cap(in.keys) || len(in.children) != cap(in.children) {
+			t.Fatalf("inner node %d: %d keys in a capacity of %d, %d children in %d",
+				inner, len(in.keys), cap(in.keys), len(in.children), cap(in.children))
+		}
+		for _, c := range in.children {
+			walk(c)
+		}
+	}
+	walk(ix.root)
+	if inner == 0 {
+		t.Fatal("walked no inner node")
 	}
 }
 

@@ -104,6 +104,9 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 	}
 	sizes := Sizes(cfg.ScaleFactor)
 	r := newRNG(cfg.Seed)
+	// Every repeated string value is built once and shared by its rows; a
+	// name made from the row number is unique and built directly.
+	var in types.Interner
 
 	region, err := cat.CreateTable("region", schema.New(
 		schema.Column{Name: "r_regionkey", Type: types.KindInt},
@@ -113,7 +116,7 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 		return err
 	}
 	for i := 0; i < sizes["region"]; i++ {
-		region.Heap.MustInsert(schema.Row{types.NewInt(int64(i)), types.NewString(regionNames[i%len(regionNames)])})
+		region.Heap.MustInsert(schema.Row{types.NewInt(int64(i)), in.String(regionNames[i%len(regionNames)])})
 	}
 
 	nation, err := cat.CreateTable("nation", schema.New(
@@ -127,7 +130,7 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 	for i := 0; i < sizes["nation"]; i++ {
 		nation.Heap.MustInsert(schema.Row{
 			types.NewInt(int64(i)),
-			types.NewString(nationNames[i%len(nationNames)]),
+			in.String(nationNames[i%len(nationNames)]),
 			types.NewInt(int64(i % sizes["region"])),
 		})
 	}
@@ -166,7 +169,7 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 			types.NewString(fmt.Sprintf("Customer#%09d", i)),
 			types.NewInt(int64(r.intn(sizes["nation"]))),
 			types.NewFloat(-999 + r.float()*10998),
-			types.NewString(segments[r.intn(len(segments))]),
+			in.String(segments[r.intn(len(segments))]),
 		})
 	}
 
@@ -185,9 +188,9 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 		color := partColors[r.intn(len(partColors))]
 		part.Heap.MustInsert(schema.Row{
 			types.NewInt(int64(i)),
-			types.NewString(color + " " + partColors[r.intn(len(partColors))]),
-			types.NewString(fmt.Sprintf("Brand#%d%d", 1+r.intn(5), 1+r.intn(5))),
-			types.NewString(partTypes[r.intn(len(partTypes))] + " " + partMetals[r.intn(len(partMetals))]),
+			in.String(color + " " + partColors[r.intn(len(partColors))]),
+			in.String(fmt.Sprintf("Brand#%d%d", 1+r.intn(5), 1+r.intn(5))),
+			in.String(partTypes[r.intn(len(partTypes))] + " " + partMetals[r.intn(len(partMetals))]),
 			types.NewInt(int64(1 + r.intn(50))),
 			types.NewFloat(900 + r.float()*1200),
 		})
@@ -233,10 +236,10 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 		orders.Heap.MustInsert(schema.Row{
 			types.NewInt(int64(i)),
 			types.NewInt(int64(r.intn(sizes["customer"]))),
-			types.NewString(status),
+			in.String(status),
 			types.NewFloat(1000 + r.float()*450000),
 			types.NewDate(dateLo + int64(r.intn(int(dateHi-dateLo)))),
-			types.NewString(priorities[r.intn(len(priorities))]),
+			in.String(priorities[r.intn(len(priorities))]),
 		})
 	}
 
@@ -266,11 +269,11 @@ func Load(cat *catalog.Catalog, cfg Config) error {
 			types.NewFloat(float64(1 + r.intn(50))),
 			types.NewFloat(900 + r.float()*104000),
 			types.NewFloat(float64(r.intn(11)) / 100),
-			types.NewString(returnFlags[r.intn(len(returnFlags))]),
+			in.String(returnFlags[r.intn(len(returnFlags))]),
 			types.NewDate(ship),
 			types.NewDate(ship + int64(r.intn(30))),
 			types.NewDate(ship + int64(1+r.intn(30))),
-			types.NewString(shipModes[r.intn(len(shipModes))]),
+			in.String(shipModes[r.intn(len(shipModes))]),
 		})
 	}
 

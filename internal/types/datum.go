@@ -50,26 +50,50 @@ func (k Kind) String() string {
 // numeric comparison coercion.
 func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat || k == KindDate }
 
-// Datum is a single scalar value. The zero value is NULL. It is 32 bytes:
-// every kind but a string keeps its value in the one int64 payload, a float
-// as its IEEE-754 bits.
+// Datum is a single scalar value. The zero value is NULL. It is 16 bytes:
+// an int64 payload and a pointer to a box that holds the kind and, for a
+// string, its value. Every kind but a string keeps its value in the payload,
+// a float as its IEEE-754 bits, and points at its kind's package-level
+// sentinel box, so building one allocates nothing and the hot paths tell
+// kinds apart by comparing p with the sentinels' addresses. NULL is p == nil.
+// A string points at a box of its own; datums copied from one string share
+// its box, which Interner uses to store each distinct value of a loaded
+// column once.
+//
+// Datum is not comparable: with == two equal strings in different boxes
+// would differ. Equal is its identity.
 type Datum struct {
+	_ [0]func() // first: a trailing zero-size field would pad the struct
+	i int64     // int, bool (0/1), date (days since 1970-01-01), float bits
+	p *box
+}
+
+// box is what a Datum points at: a kind, and a string datum's value.
+type box struct {
 	kind Kind
-	i    int64 // int, bool (0/1), date (days since 1970-01-01), float bits
 	s    string
 }
+
+// The sentinel boxes of the non-string kinds. They are never written.
+var (
+	boolBox  = box{kind: KindBool}
+	intBox   = box{kind: KindInt}
+	floatBox = box{kind: KindFloat}
+	dateBox  = box{kind: KindDate}
+)
 
 // Null is the SQL NULL value.
 var Null = Datum{}
 
 // NewInt returns an integer datum.
-func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
+func NewInt(v int64) Datum { return Datum{i: v, p: &intBox} }
 
 // NewFloat returns a double-precision datum.
-func NewFloat(v float64) Datum { return Datum{kind: KindFloat, i: int64(math.Float64bits(v))} }
+func NewFloat(v float64) Datum { return Datum{i: int64(math.Float64bits(v)), p: &floatBox} }
 
-// NewString returns a string datum.
-func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
+// NewString returns a string datum. It allocates the datum's box; a loader
+// that repeats values builds them through an Interner instead.
+func NewString(v string) Datum { return Datum{p: &box{kind: KindString, s: v}} }
 
 // NewBool returns a boolean datum.
 func NewBool(v bool) Datum {
@@ -77,12 +101,12 @@ func NewBool(v bool) Datum {
 	if v {
 		i = 1
 	}
-	return Datum{kind: KindBool, i: i}
+	return Datum{i: i, p: &boolBox}
 }
 
 // NewDate returns a date datum holding the given number of days since the
 // Unix epoch.
-func NewDate(days int64) Datum { return Datum{kind: KindDate, i: days} }
+func NewDate(days int64) Datum { return Datum{i: days, p: &dateBox} }
 
 // MakeDate returns a date datum for the given calendar day.
 func MakeDate(year int, month time.Month, day int) Datum {
@@ -90,33 +114,69 @@ func MakeDate(year int, month time.Month, day int) Datum {
 	return NewDate(int64(t.Unix() / 86400))
 }
 
+// Interner builds one string datum per distinct value: every datum it
+// returns for equal strings shares one box. A loader keeps one for the
+// duration of a load; the zero value is ready to use.
+type Interner struct{ m map[string]Datum }
+
+// String returns the string datum for v, building it on first use.
+func (in *Interner) String(v string) Datum {
+	if d, ok := in.m[v]; ok {
+		return d
+	}
+	if in.m == nil {
+		in.m = make(map[string]Datum)
+	}
+	d := NewString(v)
+	in.m[v] = d
+	return d
+}
+
 // Kind returns the datum's kind.
-func (d Datum) Kind() Kind { return d.kind }
+func (d Datum) Kind() Kind {
+	switch d.p {
+	case nil:
+		return KindNull
+	case &intBox:
+		return KindInt
+	case &floatBox:
+		return KindFloat
+	case &dateBox:
+		return KindDate
+	}
+	return d.p.kind
+}
 
 // IsNull reports whether the datum is SQL NULL.
-func (d Datum) IsNull() bool { return d.kind == KindNull }
+func (d Datum) IsNull() bool { return d.p == nil }
+
+// intLike reports whether the payload is the value: an int, bool or date.
+func (d Datum) intLike() bool { return d.p == &intBox || d.p == &dateBox || d.p == &boolBox }
 
 // Int returns the integer value. It panics if the datum is not an integer,
 // boolean or date; use Kind to check first.
 func (d Datum) Int() int64 {
-	switch d.kind {
-	case KindInt, KindBool, KindDate:
-		return d.i
-	default:
-		panic(fmt.Sprintf("types: Int() on %s datum", d.kind))
+	if !d.intLike() {
+		d.wrongKind("Int")
 	}
+	return d.i
 }
 
 // Float returns the value as a float64, coercing integers and dates.
 func (d Datum) Float() float64 {
-	switch d.kind {
-	case KindFloat:
+	if d.p == &floatBox {
 		return d.f()
-	case KindInt, KindBool, KindDate:
-		return float64(d.i)
-	default:
-		panic(fmt.Sprintf("types: Float() on %s datum", d.kind))
 	}
+	if !d.intLike() {
+		d.wrongKind("Float")
+	}
+	return float64(d.i)
+}
+
+// wrongKind panics for an accessor called on a datum of another kind. It
+// is a call of its own to keep Str, Bool and Days small enough to inline.
+func (d Datum) wrongKind(accessor string) {
+	panic(fmt.Sprintf("types: %s() on %s datum", accessor, d.Kind()))
 }
 
 // f reads a float datum's value back from its payload bits.
@@ -124,24 +184,24 @@ func (d Datum) f() float64 { return math.Float64frombits(uint64(d.i)) }
 
 // Str returns the string value. It panics for non-string datums.
 func (d Datum) Str() string {
-	if d.kind != KindString {
-		panic(fmt.Sprintf("types: Str() on %s datum", d.kind))
+	if d.p == nil || d.p.kind != KindString {
+		d.wrongKind("Str")
 	}
-	return d.s
+	return d.p.s
 }
 
 // Bool returns the boolean value. It panics for non-boolean datums.
 func (d Datum) Bool() bool {
-	if d.kind != KindBool {
-		panic(fmt.Sprintf("types: Bool() on %s datum", d.kind))
+	if d.p != &boolBox {
+		d.wrongKind("Bool")
 	}
 	return d.i != 0
 }
 
 // Days returns the number of days since the Unix epoch for a date datum.
 func (d Datum) Days() int64 {
-	if d.kind != KindDate {
-		panic(fmt.Sprintf("types: Days() on %s datum", d.kind))
+	if d.p != &dateBox {
+		d.wrongKind("Days")
 	}
 	return d.i
 }
@@ -157,25 +217,32 @@ func (e *ErrIncomparable) Error() string {
 // floats and dates compare numerically across kinds; strings compare
 // lexicographically; booleans order false < true. Comparing a NULL or
 // incompatible kinds returns an error — SQL three-valued logic is handled a
-// level up, in package expr. The same-class pairs come first: int and date
-// against int and date compare on int64, float against float and string
-// against string directly.
+// level up, in package expr. The same-class pairs come first, told apart by
+// their sentinel boxes' addresses: int and date against int and date compare
+// on int64, float against float directly, and two datums sharing a string box
+// are equal without reading the string.
 func (d Datum) Compare(o Datum) (int, error) {
 	switch {
-	case (d.kind == KindInt || d.kind == KindDate) && (o.kind == KindInt || o.kind == KindDate):
+	case (d.p == &intBox || d.p == &dateBox) && (o.p == &intBox || o.p == &dateBox):
 		return cmpInt(d.i, o.i), nil
-	case d.kind == KindString && o.kind == KindString:
-		return strings.Compare(d.s, o.s), nil
-	case d.kind == KindFloat && o.kind == KindFloat:
+	case d.p == &floatBox && o.p == &floatBox:
 		return cmpFloat(d.f(), o.f()), nil
-	case d.kind == KindNull || o.kind == KindNull:
-		return 0, &ErrIncomparable{d.kind, o.kind}
-	case d.kind.Numeric() && o.kind.Numeric():
+	}
+	dk, ok := d.Kind(), o.Kind()
+	switch {
+	case dk == KindString && ok == KindString:
+		if d.p == o.p {
+			return 0, nil
+		}
+		return strings.Compare(d.p.s, o.p.s), nil
+	case dk == KindNull || ok == KindNull:
+		return 0, &ErrIncomparable{dk, ok}
+	case dk.Numeric() && ok.Numeric():
 		return cmpFloat(d.Float(), o.Float()), nil
-	case d.kind == KindBool && o.kind == KindBool:
+	case dk == KindBool && ok == KindBool:
 		return cmpInt(d.i, o.i), nil
 	}
-	return 0, &ErrIncomparable{d.kind, o.kind}
+	return 0, &ErrIncomparable{dk, ok}
 }
 
 func cmpInt(a, b int64) int {
@@ -210,25 +277,27 @@ func (d Datum) MustCompare(o Datum) int {
 
 // Equal reports whether two datums are identical values (same kind, same
 // value). Unlike Compare, NULL equals NULL here; Equal is identity for
-// grouping/hashing, not SQL equality.
+// grouping/hashing, not SQL equality. Int/float/date cross-kind numeric
+// identity is intentionally not collapsed: grouping treats 1 and 1.0 as
+// distinct keys, matching their distinct hash values.
 func (d Datum) Equal(o Datum) bool {
-	if d.kind != o.kind {
-		// Int/float/date cross-kind numeric identity is intentionally not
-		// collapsed: grouping treats 1 and 1.0 as distinct keys, matching
-		// their distinct hash values.
-		return false
-	}
-	switch d.kind {
-	case KindNull:
-		return true
-	case KindString:
-		return d.s == o.s
-	case KindFloat:
-		a, b := d.f(), o.f()
-		return a == b || (math.IsNaN(a) && math.IsNaN(b))
-	default:
+	if d.p == o.p { // one kind's sentinel, one shared string box, or NULL
+		switch d.p {
+		case nil:
+			return true
+		case &floatBox:
+			a, b := d.f(), o.f()
+			return a == b || (math.IsNaN(a) && math.IsNaN(b))
+		}
 		return d.i == o.i
 	}
+	if d.p == nil || o.p == nil || d.p.kind != o.p.kind {
+		return false
+	}
+	if d.p.kind == KindString {
+		return d.p.s == o.p.s
+	}
+	return d.i == o.i
 }
 
 // FNV-64a parameters, mirrored from hash/fnv so that a HashFold chain
@@ -250,12 +319,14 @@ const HashSeed uint64 = fnv64Offset
 // chaining HashFold from HashSeed, a numeric join key folded as a float of
 // its value so that it agrees with Compare.
 func (d Datum) HashFold(h uint64) uint64 {
-	h = (h ^ uint64(byte(d.kind))) * fnv64Prime
-	switch d.kind {
+	k := d.Kind()
+	h = (h ^ uint64(byte(k))) * fnv64Prime
+	switch k {
 	case KindNull:
 	case KindString:
-		for i := 0; i < len(d.s); i++ {
-			h = (h ^ uint64(d.s[i])) * fnv64Prime
+		s := d.p.s
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnv64Prime
 		}
 	default: // int, bool, date, and a float's bits
 		h = fnvFoldUint64(h, uint64(d.i))
@@ -287,7 +358,7 @@ func (d Datum) String() string {
 // It is the engine's one text renderer: EXPLAIN, plan-cache keys and the
 // server's reply rows all print through it.
 func (d Datum) AppendText(dst []byte) []byte {
-	switch d.kind {
+	switch k := d.Kind(); k {
 	case KindNull:
 		return append(dst, "NULL"...)
 	case KindBool:
@@ -301,13 +372,13 @@ func (d Datum) AppendText(dst []byte) []byte {
 		return appendFloat(dst, d.f())
 	case KindString:
 		dst = append(dst, '\'')
-		dst = append(dst, d.s...)
+		dst = append(dst, d.p.s...)
 		return append(dst, '\'')
 	case KindDate:
 		return appendDate(dst, d.i)
 	default:
 		dst = append(dst, "Datum(kind="...)
-		dst = strconv.AppendUint(dst, uint64(d.kind), 10)
+		dst = strconv.AppendUint(dst, uint64(k), 10)
 		return append(dst, ')')
 	}
 }
@@ -366,7 +437,7 @@ func appendDate(dst []byte, days int64) []byte {
 // boundaries. For strings it returns a prefix-based projection that preserves
 // order only approximately (sufficient for selectivity interpolation).
 func (d Datum) SortValue() float64 {
-	switch d.kind {
+	switch d.Kind() {
 	case KindInt, KindBool, KindDate:
 		return float64(d.i)
 	case KindFloat:
@@ -376,9 +447,9 @@ func (d Datum) SortValue() float64 {
 		// prefix, adequate for interpolation within histogram buckets.
 		var v float64
 		scale := 1.0
-		for i := 0; i < 8 && i < len(d.s); i++ {
+		for i, s := 0, d.p.s; i < 8 && i < len(s); i++ {
 			scale /= 256.0
-			v += float64(d.s[i]) * scale
+			v += float64(s[i]) * scale
 		}
 		return v
 	default:

@@ -175,12 +175,49 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-// TestDatumIs32Bytes is a tripwire on the layout: every table row, batch
+// TestDatumIs16Bytes is a tripwire on the layout: every table row, batch
 // slab, hash-join run and sort buffer holds Datums, so a field added back
-// grows all of them by a fifth or more.
-func TestDatumIs32Bytes(t *testing.T) {
-	if got := reflect.TypeOf(Datum{}).Size(); got != 32 {
-		t.Fatalf("Datum is %d bytes, want 32", got)
+// (or the zero-size field moved last) grows all of them by half or more.
+func TestDatumIs16Bytes(t *testing.T) {
+	if got := reflect.TypeOf(Datum{}).Size(); got != 16 {
+		t.Fatalf("Datum is %d bytes, want 16", got)
+	}
+	if reflect.TypeOf(Datum{}).Comparable() {
+		t.Fatal("Datum is comparable: == on two equal strings would compare their boxes")
+	}
+}
+
+// TestStringDatumsCompareByValue builds equal strings in separate boxes, and
+// in one shared box, and requires every value-level operation to agree.
+func TestStringDatumsCompareByValue(t *testing.T) {
+	var in Interner
+	for _, v := range []string{"", "a", "it's", "DEALER_042", "café\n"} {
+		a, b := NewString(v), NewString(v)
+		if a.p == b.p {
+			t.Fatalf("%q: NewString shared a box", v)
+		}
+		i1, i2 := in.String(v), in.String(v)
+		if i1.p != i2.p {
+			t.Fatalf("%q: Interner built two boxes", v)
+		}
+		for _, pair := range [][2]Datum{{a, b}, {i1, i2}, {i1, a}, {b, i2}} {
+			x, y := pair[0], pair[1]
+			if !x.Equal(y) || !y.Equal(x) {
+				t.Errorf("%q: not Equal", v)
+			}
+			if c, err := x.Compare(y); c != 0 || err != nil {
+				t.Errorf("%q: Compare = %d, %v", v, c, err)
+			}
+			if x.HashFold(HashSeed) != y.HashFold(HashSeed) {
+				t.Errorf("%q: HashFold differs", v)
+			}
+			if string(x.AppendText(nil)) != string(y.AppendText(nil)) || x.Str() != v || y.Str() != v {
+				t.Errorf("%q: text %s and %s", v, x, y)
+			}
+		}
+		if w := NewString(v + "x"); a.Equal(w) || w.Equal(i1) {
+			t.Errorf("%q: Equal to %q", v, v+"x")
+		}
 	}
 }
 
@@ -362,9 +399,48 @@ func TestSortValuePreservesOrderProperty(t *testing.T) {
 	}
 }
 
+// refDatum is the 32-byte layout a Datum had before its kind and string moved
+// behind a pointer: a kind, one int64 payload (a float's bits) and a string.
+// The reference functions below are written against it.
+type refDatum struct {
+	kind Kind
+	i    int64
+	s    string
+}
+
+// ref reads a datum back into the reference layout.
+func ref(d Datum) refDatum {
+	r := refDatum{kind: d.Kind(), i: d.i}
+	if r.kind == KindString {
+		r.s = d.p.s
+	}
+	return r
+}
+
+// datum builds the Datum r stands for, a non-string kind pointing at its
+// sentinel box with r's payload as it is, and an unknown kind at a box of its
+// own.
+func (r refDatum) datum() Datum {
+	switch r.kind {
+	case KindNull:
+		return Null
+	case KindBool:
+		return Datum{i: r.i, p: &boolBox}
+	case KindInt:
+		return NewInt(r.i)
+	case KindFloat:
+		return Datum{i: r.i, p: &floatBox}
+	case KindString:
+		return NewString(r.s)
+	case KindDate:
+		return NewDate(r.i)
+	}
+	return Datum{i: r.i, p: &box{kind: r.kind}}
+}
+
 // compareReference is Compare's rule set written out case by case, the
 // reference Compare's same-class shortcuts must agree with.
-func compareReference(d, o Datum) (int, error) {
+func compareReference(d, o refDatum) (int, error) {
 	if d.kind == KindNull || o.kind == KindNull {
 		return 0, &ErrIncomparable{d.kind, o.kind}
 	}
@@ -372,7 +448,7 @@ func compareReference(d, o Datum) (int, error) {
 		if d.kind != KindFloat && o.kind != KindFloat {
 			return cmpInt(d.i, o.i), nil
 		}
-		return cmpFloat(d.Float(), o.Float()), nil
+		return cmpFloat(d.float(), o.float()), nil
 	}
 	if d.kind != o.kind {
 		return 0, &ErrIncomparable{d.kind, o.kind}
@@ -392,21 +468,188 @@ func compareReference(d, o Datum) (int, error) {
 	return 0, &ErrIncomparable{d.kind, o.kind}
 }
 
-// TestCompareMatchesReference sweeps every ordered pair of a set covering
-// each kind, NaN, the int64 extremes and string prefixes.
-func TestCompareMatchesReference(t *testing.T) {
-	datums := []Datum{Null, NewBool(false), NewBool(true),
+// float is the reference Float of a numeric kind.
+func (d refDatum) float() float64 {
+	if d.kind == KindFloat {
+		return math.Float64frombits(uint64(d.i))
+	}
+	return float64(d.i)
+}
+
+// equalReference is the reference Equal: same kind and same value, NULL
+// equal to NULL, float 0 == -0 and NaN equal to NaN.
+func equalReference(d, o refDatum) bool {
+	if d.kind != o.kind {
+		return false
+	}
+	switch d.kind {
+	case KindNull:
+		return true
+	case KindString:
+		return d.s == o.s
+	case KindFloat:
+		a, b := d.float(), o.float()
+		return a == b || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	return d.i == o.i
+}
+
+// pivots covers each kind, NaN, the int64 extremes and string prefixes.
+func pivots() []Datum {
+	return []Datum{Null, NewBool(false), NewBool(true),
 		NewInt(math.MinInt64), NewInt(-1), NewInt(0), NewInt(3), NewInt(math.MaxInt64),
-		NewFloat(math.Inf(-1)), NewFloat(-0.5), NewFloat(0), NewFloat(3), NewFloat(math.NaN()),
+		NewFloat(math.Inf(-1)), NewFloat(-0.5), NewFloat(math.Copysign(0, -1)), NewFloat(0), NewFloat(3), NewFloat(math.NaN()),
 		NewString(""), NewString("a"), NewString("ab"), NewString("b"),
 		NewDate(-1), NewDate(0), NewDate(3)}
+}
+
+// TestCompareMatchesReference sweeps every ordered pair of the pivots.
+func TestCompareMatchesReference(t *testing.T) {
+	datums := pivots()
 	for _, a := range datums {
 		for _, b := range datums {
 			got, err := a.Compare(b)
-			want, wantErr := compareReference(a, b)
+			want, wantErr := compareReference(ref(a), ref(b))
 			if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Errorf("Compare(%v, %v) = %d, %v; want %d, %v", a, b, got, err, want, wantErr)
 			}
 		}
 	}
+}
+
+// try calls f and reports whether it returned rather than panicked.
+func try[T comparable](f func() T) (v T, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return f(), true
+}
+
+// checkAccessors compares every accessor of d with the reference layout's
+// result for want: the value, or a panic where want's kind has none.
+func checkAccessors(t *testing.T, d Datum, want refDatum) {
+	t.Helper()
+	k := want.kind
+	intLike := k == KindInt || k == KindBool || k == KindDate
+	check := func(name string, got uint64, ok bool, exp uint64, expOK bool) {
+		t.Helper()
+		if ok != expOK || ok && got != exp {
+			t.Errorf("%+v: %s = %#x, returned %v; want %#x, returned %v", want, name, got, ok, exp, expOK)
+		}
+	}
+	if d.Kind() != k || d.IsNull() != (k == KindNull) {
+		t.Errorf("%+v: Kind %v, IsNull %v", want, d.Kind(), d.IsNull())
+	}
+	v, ok := try(func() int64 { return d.Int() })
+	check("Int", uint64(v), ok, uint64(want.i), intLike)
+	f, ok := try(func() uint64 { return math.Float64bits(d.Float()) })
+	check("Float", f, ok, math.Float64bits(want.float()), intLike || k == KindFloat)
+	v, ok = try(func() int64 { return d.Days() })
+	check("Days", uint64(v), ok, uint64(want.i), k == KindDate)
+	b, ok := try(func() bool { return d.Bool() })
+	check("Bool", boolBits(b), ok, boolBits(want.i != 0), k == KindBool)
+	if s, ok := try(func() string { return d.Str() }); ok != (k == KindString) || s != want.s {
+		t.Errorf("%+v: Str = %q, returned %v", want, s, ok)
+	}
+	check("SortValue", math.Float64bits(d.SortValue()), true, math.Float64bits(sortValueReference(want)), true)
+	if got, ref := string(d.AppendText(nil)), referenceText(want); got != ref || d.String() != ref {
+		t.Errorf("%+v: AppendText %q, String %q; want %q", want, got, d.String(), ref)
+	}
+	if got, ref := d.HashFold(HashSeed), fnvOf(d); got != ref {
+		t.Errorf("%+v: HashFold %#x, want %#x", want, got, ref)
+	}
+}
+
+func boolBits(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// sortValueReference is the reference SortValue.
+func sortValueReference(d refDatum) float64 {
+	switch d.kind {
+	case KindInt, KindBool, KindDate, KindFloat:
+		return d.float()
+	case KindString:
+		var v float64
+		scale := 1.0
+		for i := 0; i < 8 && i < len(d.s); i++ {
+			scale /= 256.0
+			v += float64(d.s[i]) * scale
+		}
+		return v
+	}
+	return 0
+}
+
+// FuzzDatumLayout builds a datum of a fuzzed kind and value three times —
+// twice through its constructor and once through an Interner for a string —
+// and checks every accessor, AppendText and HashFold of each against the
+// 32-byte reference layout, Compare and Equal between the copies and against
+// the pivots both ways round, and that the copies agree with one another.
+func FuzzDatumLayout(f *testing.F) {
+	f.Add(uint8(KindNull), int64(0), 0.0, "")
+	f.Add(uint8(KindBool), int64(1), 0.0, "")
+	f.Add(uint8(KindInt), int64(-3), 0.0, "")
+	f.Add(uint8(KindFloat), int64(0), math.Copysign(0, -1), "")
+	f.Add(uint8(KindFloat), int64(0), math.NaN(), "")
+	f.Add(uint8(KindString), int64(0), 0.0, "")
+	f.Add(uint8(KindString), int64(0), 0.0, "ab")
+	f.Add(uint8(KindDate), int64(10471), 0.0, "")
+	f.Fuzz(func(t *testing.T, kind uint8, i int64, fl float64, s string) {
+		want := refDatum{kind: Kind(kind % 6)}
+		var in Interner
+		build := func() Datum {
+			switch want.kind {
+			case KindBool:
+				return NewBool(i&1 == 1)
+			case KindInt:
+				return NewInt(i)
+			case KindFloat:
+				return NewFloat(fl)
+			case KindString:
+				return NewString(s)
+			case KindDate:
+				return NewDate(i)
+			}
+			return Null
+		}
+		switch want.kind {
+		case KindBool:
+			want.i = i & 1
+		case KindInt, KindDate:
+			want.i = i
+		case KindFloat:
+			want.i = int64(math.Float64bits(fl))
+		case KindString:
+			want.s = s
+		}
+		copies := []Datum{build(), build(), build()}
+		if want.kind == KindString {
+			copies[2] = in.String(s)
+		}
+		for _, d := range copies {
+			if got := ref(d); got != want {
+				t.Fatalf("built %+v, want %+v", got, want)
+			}
+			checkAccessors(t, d, want)
+			for _, o := range append(pivots(), copies...) {
+				for _, pair := range [][2]Datum{{d, o}, {o, d}} {
+					a, b := pair[0], pair[1]
+					got, err := a.Compare(b)
+					cmp, cmpErr := compareReference(ref(a), ref(b))
+					if got != cmp || fmt.Sprint(err) != fmt.Sprint(cmpErr) {
+						t.Errorf("Compare(%v, %v) = %d, %v; want %d, %v", a, b, got, err, cmp, cmpErr)
+					}
+					if a.Equal(b) != equalReference(ref(a), ref(b)) {
+						t.Errorf("Equal(%v, %v) = %v", a, b, a.Equal(b))
+					}
+				}
+			}
+		}
+	})
 }

@@ -13,6 +13,7 @@ import (
 func fnvOf(datums ...Datum) uint64 {
 	h := fnv.New64a()
 	for _, d := range datums {
+		d := ref(d)
 		h.Write([]byte{byte(d.kind)})
 		switch d.kind {
 		case KindNull:

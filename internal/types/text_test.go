@@ -11,7 +11,7 @@ import (
 
 // referenceText is the datum renderer AppendText replaced, kept as its
 // oracle: time.Format for dates, strconv.Format* for numbers.
-func referenceText(d Datum) string {
+func referenceText(d refDatum) string {
 	switch d.kind {
 	case KindNull:
 		return "NULL"
@@ -58,15 +58,15 @@ func TestAppendTextMatchesReference(t *testing.T) {
 		NewFloat(math.MaxFloat64), NewFloat(math.SmallestNonzeroFloat64),
 		NewString(""), NewString("it's"), NewString(`say "hi"`), NewString("café\n"),
 		NewDate(minCivilDay), NewDate(maxCivilDay), NewDate(math.MinInt64), NewDate(math.MaxInt64),
-		{kind: Kind(99)},
+		{p: &box{kind: Kind(99)}},
 	}
 	for _, d := range cases {
-		want := referenceText(d)
+		want := referenceText(ref(d))
 		if got := string(d.AppendText([]byte("x"))[1:]); got != want {
-			t.Errorf("%s datum: AppendText %q, reference %q", d.kind, got, want)
+			t.Errorf("%s datum: AppendText %q, reference %q", d.Kind(), got, want)
 		}
 		if got := d.String(); got != want {
-			t.Errorf("%s datum: String %q, reference %q", d.kind, got, want)
+			t.Errorf("%s datum: String %q, reference %q", d.Kind(), got, want)
 		}
 	}
 }
@@ -118,12 +118,12 @@ func FuzzDatumText(f *testing.F) {
 	f.Add(uint8(KindFloat), int64(999999), 999999.0, "")
 	f.Add(uint8(KindFloat), int64(-1000000), -1e6, "")
 	f.Fuzz(func(t *testing.T, kind uint8, i int64, fl float64, s string) {
-		d := Datum{kind: Kind(kind % 7), i: i, s: s}
-		if d.kind == KindFloat {
+		d := refDatum{kind: Kind(kind % 7), i: i, s: s}.datum()
+		if d.Kind() == KindFloat {
 			d = NewFloat(fl)
 		}
 		for _, d := range []Datum{d, NewFloat(float64(i % 2e6))} {
-			if got, want := string(d.AppendText(nil)), referenceText(d); got != want {
+			if got, want := string(d.AppendText(nil)), referenceText(ref(d)); got != want {
 				t.Fatalf("%+v: AppendText %q, reference %q", d, got, want)
 			}
 		}
