@@ -7,17 +7,6 @@ import (
 	"go/types"
 )
 
-// unparen strips parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // inspectShallow walks n, calling f on every node but not descending into
 // nested function literals: each literal is its own FuncNode, analyzed
 // against its own body.

@@ -40,14 +40,13 @@ import (
 // FuncNode is one function in the call graph: a declared function or
 // method (Obj != nil) or a function literal (Lit != nil).
 type FuncNode struct {
-	Obj    *types.Func  // nil for literals and synthetic package-init nodes
-	Lit    *ast.FuncLit // nil for declared functions
-	Name   string       // qualified display name, e.g. "(*hsjnNode).Open" or "Open$1"
-	Pkg    *Package
-	Body   *ast.BlockStmt
-	Pos    token.Pos
-	Parent *FuncNode // enclosing function, for literals
-	Sum    *Summary
+	Obj  *types.Func  // nil for literals and synthetic package-init nodes
+	Lit  *ast.FuncLit // nil for declared functions
+	Name string       // qualified display name, e.g. "(*hsjnNode).Open" or "Open$1"
+	Pkg  *Package
+	Body *ast.BlockStmt
+	Pos  token.Pos
+	Sum  *Summary
 
 	calls []*FuncNode // outgoing edges, deduplicated, in resolution order
 }

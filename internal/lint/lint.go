@@ -40,11 +40,10 @@ const AllowRule = "allow"
 
 const allowPrefix = "//poplint:allow"
 
-// Analyzers returns the full POP suite in reporting order: the three
-// intra-procedural rules from the original suite, the doc-comment gate,
-// the three interprocedural rules built on the call graph, blockingcancel
-// (call graph × syntactic loop spans), the typed int64-product rule
-// overflow, and the enum-switch rule.
+// Analyzers returns the full POP suite, nine rules in reporting order: the
+// three intra-procedural rules from the original suite, the doc-comment
+// gate, the three interprocedural rules built on the call graph, the typed
+// int64-product rule overflow, and the enum-switch rule.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
@@ -54,7 +53,6 @@ func Analyzers() []*Analyzer {
 		GoroutineLeakAnalyzer,
 		LockOrderAnalyzer,
 		ChargeFlowAnalyzer,
-		BlockingCancelAnalyzer,
 		OverflowAnalyzer,
 		ExhaustiveAnalyzer,
 	}

@@ -89,16 +89,15 @@ func diffStrings(t *testing.T, what string, want, got []string) {
 // path itself, every other fixture directory under the path plus the
 // directory's name (good/ loads as <path>good).
 var ruleFixtures = map[string]string{
-	"determinism":    "repro/internal/optimizer/fixdet",
-	"maporder":       "repro/internal/optimizer/fixmap",
-	"droppederror":   "repro/internal/fixdrop",
-	"doccomment":     "repro/internal/fixdoc",
-	"goroutineleak":  "repro/internal/fixgoleak",
-	"lockorder":      "repro/internal/fixlock",
-	"chargeflow":     "repro/internal/executor/fixcharge",
-	"blockingcancel": "repro/internal/server/fixblock",
-	"overflow":       "repro/internal/executor/fixovf",
-	"exhaustive":     "repro/internal/fixexh",
+	"determinism":   "repro/internal/optimizer/fixdet",
+	"maporder":      "repro/internal/optimizer/fixmap",
+	"droppederror":  "repro/internal/fixdrop",
+	"doccomment":    "repro/internal/fixdoc",
+	"goroutineleak": "repro/internal/fixgoleak",
+	"lockorder":     "repro/internal/fixlock",
+	"chargeflow":    "repro/internal/executor/fixcharge",
+	"overflow":      "repro/internal/executor/fixovf",
+	"exhaustive":    "repro/internal/fixexh",
 }
 
 // fixture is one testdata/src/<rule>/<name> package.
@@ -196,33 +195,20 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
-// The JSON determinism pin is split three ways over the bad fixtures: the
-// loop-span rule, the typed site rules overflow and exhaustive, and every
-// other live rule, so each bad fixture is encoded by exactly one test.
-var (
-	dataflowRules = []string{"blockingcancel"}
-	valueRules    = []string{"overflow", "exhaustive"}
-)
+// The JSON determinism pin is split two ways over the bad fixtures: the
+// typed site rules overflow and exhaustive, and every other live rule, so
+// each bad fixture is encoded by exactly one test.
+var valueRules = []string{"overflow", "exhaustive"}
 
 // TestJSONDeterminism pins the -json contract for every rule outside
-// dataflowRules and valueRules: eight runs over its bad fixture must encode
-// byte-identically, so finding order comes entirely from the deterministic
-// sort, never from map iteration inside the call-graph closures or the
-// summary fixpoints.
+// valueRules: eight runs over its bad fixture must encode byte-identically,
+// so finding order comes entirely from the deterministic sort, never from
+// map iteration inside the call-graph closures or the summary fixpoints.
 func TestJSONDeterminism(t *testing.T) {
 	for _, fx := range badFixtures(t) {
-		if !slices.Contains(dataflowRules, fx.rule) && !slices.Contains(valueRules, fx.rule) {
+		if !slices.Contains(valueRules, fx.rule) {
 			checkJSONDeterminism(t, fx)
 		}
-	}
-}
-
-// TestJSONDeterminismDataflowRules extends the eight-run byte-identity pin
-// to blockingcancel: its finding order must never come from map iteration
-// inside the loop-span audit or the call-graph closure.
-func TestJSONDeterminismDataflowRules(t *testing.T) {
-	for _, fx := range badFixturesOf(t, dataflowRules) {
-		checkJSONDeterminism(t, fx)
 	}
 }
 

@@ -30,41 +30,6 @@ func TestModuleIsLintClean(t *testing.T) {
 	}
 }
 
-// TestDataflowAllowsAreLoadBearing pins the blockingcancel findings the
-// engine produces against the real tree: the site carries a reasoned
-// //poplint:allow, so with annotations honored the gate is silent and the
-// sites appear among the suppressed findings, and with suppression disabled
-// every one of them resurfaces. Deleting any of those annotations (or
-// breaking the analysis so it no longer sees the site) fails this test.
-func TestDataflowAllowsAreLoadBearing(t *testing.T) {
-	cases := []struct {
-		pattern string
-		file    string
-	}{
-		{"./internal/server", "client.go"}, // buffered cap-1 pending channel
-	}
-	rule := lint.BlockingCancelAnalyzer.Name
-	for _, c := range cases {
-		prog, err := loader(t).LoadPatterns(c.pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		findings, suppressed := lint.Run(prog, lint.Analyzers(), lint.Options{})
-		for _, f := range findings {
-			if f.Rule == rule {
-				t.Errorf("%s: unexpected finding with annotations honored: %s", c.pattern, f)
-			}
-		}
-		unsuppressed, _ := lint.Run(prog, lint.Analyzers(), lint.Options{DisableAllow: true})
-		if !hasRuleFinding(suppressed, rule, c.file) {
-			t.Errorf("%s: %s allow in %s is not load-bearing: site missing from suppressed findings", c.pattern, rule, c.file)
-		}
-		if !hasRuleFinding(unsuppressed, rule, c.file) {
-			t.Errorf("%s: disabling allows must resurface the %s finding in %s", c.pattern, rule, c.file)
-		}
-	}
-}
-
 // TestExecutorWallClockAnnotationIsLoadBearing pins that removing the
 // //poplint:allow from the analyze-mode wall-clock site in
 // internal/executor makes the gate fail: with annotations honored the
@@ -103,11 +68,10 @@ func hasWallClockFinding(fs []lint.Finding) bool {
 }
 
 // BenchmarkPoplint measures one cold suite run over the executor and server
-// packages — the heaviest real targets: call-graph construction and
-// loop-reachability both fire, and Run drops the call graph on return, so
-// every iteration builds it again. Loading and type-checking happen once in
-// setup; the benchmark loop measures analysis only, which is what poplint
-// adds on top of go build.
+// packages — the heaviest real targets: the call-graph rules fire there, and
+// Run drops the call graph on return, so every iteration builds it again.
+// Loading and type-checking happen once in setup; the benchmark loop
+// measures analysis only, which is what poplint adds on top of go build.
 func BenchmarkPoplint(b *testing.B) {
 	ld, err := sharedLoader()
 	if err != nil {

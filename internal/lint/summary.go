@@ -14,7 +14,6 @@ const (
 	executorPath = "repro/internal/executor"
 	tracePath    = "repro/internal/trace"
 	popPath      = "repro/internal/pop"
-	serverPath   = "repro/internal/server"
 )
 
 // EventKind classifies one entry in a function's ordered event stream.
@@ -50,8 +49,8 @@ const (
 )
 
 // WGOp is one WaitGroup Add/Done/Wait call, keyed by the WaitGroup's
-// variable identity so Add in Open, Done in a worker literal, and Wait in a
-// closer pair up across functions.
+// variable identity so Add before a spawn, Done in the spawned literal, and
+// Wait in the function that joins them pair up across functions.
 type WGOp struct {
 	Kind  WGOpKind
 	Class types.Object
@@ -63,8 +62,7 @@ type ChanOpKind int
 
 // The channel operations the leak rule tracks per channel identity.
 const (
-	ChanSend ChanOpKind = iota
-	ChanRecv
+	ChanRecv ChanOpKind = iota
 	ChanClose
 	ChanRange
 )
@@ -139,7 +137,6 @@ func (w *walker) walkStmt(fn *FuncNode, stmt ast.Stmt) {
 	case *ast.SendStmt:
 		w.walkExpr(fn, s.Chan)
 		w.walkExpr(fn, s.Value)
-		w.chanOp(fn, ChanSend, s.Chan, s.Pos())
 		w.block(fn, "channel send", s.Pos())
 	case *ast.RangeStmt:
 		w.walkExpr(fn, s.X)
@@ -170,7 +167,6 @@ func (w *walker) walkStmt(fn *FuncNode, stmt ast.Stmt) {
 			case *ast.SendStmt:
 				w.walkExpr(fn, comm.Chan)
 				w.walkExpr(fn, comm.Value)
-				w.chanOp(fn, ChanSend, comm.Chan, comm.Pos())
 			case *ast.ExprStmt:
 				w.commRecv(fn, comm.X)
 			case *ast.AssignStmt:
@@ -325,12 +321,11 @@ func (w *walker) litNode(parent *FuncNode, lit *ast.FuncLit) *FuncNode {
 		return n
 	}
 	n := &FuncNode{
-		Lit:    lit,
-		Name:   parent.Name + "$lit",
-		Pkg:    w.pkg,
-		Body:   lit.Body,
-		Pos:    lit.Pos(),
-		Parent: parent,
+		Lit:  lit,
+		Name: parent.Name + "$lit",
+		Pkg:  w.pkg,
+		Body: lit.Body,
+		Pos:  lit.Pos(),
 	}
 	w.g.addNode(n)
 	w.walkBody(n, lit.Body)
@@ -411,8 +406,8 @@ func (fn *FuncNode) noteCall(callee *FuncNode, pos token.Pos) {
 }
 
 // handleMethodCall recognizes the method families the rules track (mutex,
-// WaitGroup, Cond, Meter, Record, Invalidate, executor.Run) and records
-// their facts. It returns true when the call was fully handled.
+// WaitGroup, Cond, Meter, Record, Invalidate) and records their facts. It
+// returns true when the call was fully handled.
 func (w *walker) handleMethodCall(fn *FuncNode, call *ast.CallExpr, sel *ast.SelectorExpr, deferred bool) bool {
 	obj, _ := w.calleeObj(sel)
 	if obj == nil {
@@ -476,9 +471,6 @@ func (w *walker) handleMethodCall(fn *FuncNode, call *ast.CallExpr, sel *ast.Sel
 	w.walkExpr(fn, sel.X)
 
 	if callee := w.g.byObj[obj]; callee != nil {
-		// executor.Run-style node drains are long-running; the direct
-		// blocking classification lives with the callee's own channel ops,
-		// so no extra fact is needed here.
 		fn.noteCall(callee, call.Pos())
 		return true
 	}

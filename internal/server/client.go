@@ -67,7 +67,7 @@ func (c *Client) readLoop() {
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- resp //poplint:allow blockingcancel pending channels are buffered (cap 1) and receive exactly one response per ID, so this send never blocks
+			ch <- resp // pending channels are buffered (cap 1) and receive exactly one response per ID, so this send never blocks
 		}
 	}
 	if errors.Is(err, io.EOF) {

@@ -155,18 +155,24 @@ func TestBackpressurePerSession(t *testing.T) {
 
 // TestAdmitContextAbandon cancels a queued admission and verifies the queue
 // entry is removed and the slot count stays consistent — including the race
-// where the slot is handed over concurrently with the cancellation.
+// where the slot is handed over concurrently with the cancellation. The test
+// holds the scheduler lock across cancel() and the handoff of the running
+// query's slot, so the cancelled waiter, once it gets the lock, finds itself
+// already gone from the queue and must give the slot back. If the waiter
+// sees ready first it is admitted instead, and releases the slot itself.
 func TestAdmitContextAbandon(t *testing.T) {
 	s := NewScheduler(SchedConfig{RunSlots: 1, SessionQueue: 8})
-	rel, err := s.Admit(context.Background(), "a")
-	if err != nil {
+	if _, err := s.Admit(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.Admit(ctx, "b")
+		release, err := s.Admit(ctx, "b")
+		if err == nil {
+			release() // the waiter saw ready first and was admitted
+		}
 		errCh <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -176,21 +182,30 @@ func TestAdmitContextAbandon(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+
+	s.mu.Lock()
 	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoned admit: %v, want context.Canceled", err)
+	time.Sleep(time.Millisecond) // let the waiter take its ctx.Done arm
+	// Hand "a"'s slot to the queue head, as releaseSlot does: running stays 1.
+	w := s.queue[0]
+	s.queue = s.queue[1:]
+	s.dropSess(w.session)
+	close(w.ready)
+	s.mu.Unlock()
+
+	if err := <-errCh; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned admit: %v, want context.Canceled or admission", err)
 	}
-	rel()
-	// The abandoned waiter must not have consumed the slot.
-	rel2, err := s.Admit(context.Background(), "c")
+	st := s.Stats()
+	if st.Running != 0 || st.Queued != 0 {
+		t.Fatalf("running=%d queued=%d, want 0/0", st.Running, st.Queued)
+	}
+	// The abandoned waiter must not have kept the slot.
+	rel, err := s.Admit(context.Background(), "c")
 	if err != nil {
 		t.Fatalf("slot lost to abandoned waiter: %v", err)
 	}
-	rel2()
-	st := s.Stats()
-	if st.Running != 0 || st.Queued != 0 {
-		t.Errorf("running=%d queued=%d, want 0/0", st.Running, st.Queued)
-	}
+	rel()
 }
 
 // TestDrain verifies the drain protocol: queued waiters wake with
